@@ -5,6 +5,7 @@ from conftest import tiny_classifier
 from riff import classifier as clf
 from riff import data, training
 from riff.data import Example, format_input, gen_synthetic_task
+from riff.decoding import decode_samples
 from riff.optim import AdamConfig, AdamW
 from riff.policy import PolicyConfig, PolicyParams, TokenSeq
 from riff.training import (
@@ -162,6 +163,48 @@ def test_finetune_off_policy_regime_runs():
                     m=4, lr=1e-3, steps=2, batch_size=2, checkpoint_interval=2, seed=1)
     checkpoints = finetune_paraphraser(policy, classifier, task, split, cfg)
     assert len(checkpoints) == 1
+
+
+# Recorded from the per-token rewriter (one step_logits call per decoder step
+# and per log-prob term, one backward per sample) before the transition-table
+# kernel replaced it: per checkpoint, the mixed rewrites of two training inputs.
+PINNED_REWRITES = [
+    [(0,), (4, 0), (3, 16, 0), (11, 13, 9, 4, 1, 17, 4, 6, 0)],
+    [(0,), (4, 0), (19, 15, 6, 16, 11, 13, 6, 19, 3, 0), (6, 17, 13, 4, 9, 2, 15, 12, 5, 0)],
+    [(0,), (10, 0), (1, 2, 7, 0), (12, 12, 4, 10, 5, 4, 12, 15, 4, 0)],
+    [(0,), (10, 0), (16, 6, 0), (13, 3, 10, 6, 4, 9, 0)],
+    [(0,), (10, 0), (6, 10, 10, 0), (6, 6, 7, 10, 0)],
+    [(0,), (10, 0), (15, 10, 11, 0), (8, 14, 10, 18, 13, 0)],
+]
+PINNED_ROWS = [
+    (0, "validation", "ensemble_acc_excl", 0.5),
+    (1, "train", "mean_reward", -0.7089221302321189),
+    (2, "train", "mean_reward", -0.7089114697984837),
+    (2, "validation", "ensemble_acc_excl", 0.5),
+    (3, "train", "mean_reward", -0.714253142257235),
+    (4, "train", "mean_reward", -0.7152082728791587),
+    (4, "validation", "ensemble_acc_excl", 0.5),
+    (5, "train", "mean_reward", -0.7905097865004991),
+    (6, "train", "mean_reward", -0.6176963932123918),
+    (6, "validation", "ensemble_acc_excl", 0.5),
+]
+
+
+def test_finetune_reproduces_pinned_run(tmp_path):
+    task, split, classifier, policy = make_pipeline(seed=2)
+    cfg = RunConfig(estimator="mml", regime="klon", decoder="mixed", m=4, lr=0.05, steps=6,
+                    batch_size=4, checkpoint_interval=2, seed=11)
+    checkpoints = finetune_paraphraser(policy, classifier, task, split, cfg, run_dir=str(tmp_path))
+    rewrites = []
+    for ck in checkpoints:
+        for ex in split.train[:2]:
+            dc = training.decode_config(cfg, derive_seed(cfg.seed, ck.step, ex.uid))
+            rewrites.append([z.ids for z in decode_samples(ck.params, ex.x, "mixed", dc)])
+    assert rewrites == PINNED_REWRITES
+    rows = read_metrics_csv(tmp_path / "metrics.csv")
+    assert [(r["step"], r["split"], r["metric"]) for r in rows] == [r[:3] for r in PINNED_ROWS]
+    for got, want in zip(rows, PINNED_ROWS):
+        assert got["value"] == pytest.approx(want[3], rel=0, abs=1e-9)
 
 
 def test_augmented_m0_equals_plain_supervised_gradient():
