@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -31,18 +32,28 @@ def save_segments(path, header: dict, pv: ParamVector) -> None:
         f.write(pv.values.astype("<f8").tobytes())
 
 
+def _read(f, n: int, path, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"truncated checkpoint {path}: {what} needs {n} bytes, found {len(data)}")
+    return data
+
+
 def load_segments(path) -> tuple[dict, ParamVector]:
     with open(path, "rb") as f:
-        magic = f.read(8)
+        magic = _read(f, 8, path, "magic")
         if magic != MAGIC:
-            raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+            raise ValueError(f"not a checkpoint file {path}: bad magic {magic!r}")
+        (version,) = struct.unpack("<I", _read(f, 4, path, "version"))
         if version != VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        raw = f.read()
-    segments = [(name, tuple(shape)) for name, shape in header["segments"]]
+        (hlen,) = struct.unpack("<I", _read(f, 4, path, "header length"))
+        header = json.loads(_read(f, hlen, path, "header").decode("utf-8"))
+        segments = [(name, tuple(shape)) for name, shape in header["segments"]]
+        count = sum(math.prod(shape) for _, shape in segments)
+        raw = _read(f, 8 * count, path, "parameter payload")
+        if f.read(1):
+            raise ValueError(f"checkpoint {path} has bytes past its {count}-value payload")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     pv = ParamVector(segments, values)
     return header, pv

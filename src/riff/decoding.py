@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import logsumexp, softmax
-from .policy import PolicyParams, TokenSeq, encode_context, seq_logprob, step_logits
+from .numerics import logsumexp
+from .policy import PolicyParams, TokenSeq, seq_logprobs, transition_logits, transition_table
+from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads decoding.seq_logprob
 from .vocab import BOS, EOS
 
 
@@ -46,20 +47,22 @@ def top_p_sample(
 
     Each step keeps the minimal probability-sorted token set whose cumulative
     mass reaches cfg.top_p, renormalizes, and samples from it. The returned
-    log-probs are exact values under the unmodified policy.
+    log-probs are exact values under the unmodified policy, summed while
+    sampling.
     """
     rng = np.random.default_rng(cfg.seed)
-    ctx = encode_context(policy, x)
+    table = transition_table(policy, x)
     max_len = policy.cfg.max_len
     out = []
     for _ in range(cfg.m):
         ids: list[int] = []
+        logprob = 0.0
         prev = BOS
         while True:
             if len(ids) == max_len - 1:
                 tok = EOS
             else:
-                probs = softmax(step_logits(policy, ctx, prev))
+                probs = np.exp(table[prev])
                 order = np.argsort(-probs, kind="stable")
                 csum = np.cumsum(probs[order])
                 cut = min(int(np.searchsorted(csum, cfg.top_p, side="left")), len(order) - 1)
@@ -67,11 +70,11 @@ def top_p_sample(
                 nucleus = probs[keep] / probs[keep].sum()
                 tok = int(rng.choice(keep, p=nucleus))
             ids.append(tok)
+            logprob += float(table[prev, tok])
             if tok == EOS:
                 break
             prev = tok
-        z = TokenSeq(tuple(ids))
-        out.append((z, seq_logprob(policy, x, z)))
+        out.append((TokenSeq(tuple(ids)), logprob))
     return out
 
 
@@ -84,7 +87,7 @@ def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[T
     step are pushed down by diversity_penalty * count. Groups are ranked by
     cumulative penalized score. Fully deterministic.
     """
-    ctx = encode_context(policy, x)
+    table_logits, _ = transition_logits(policy, x)
     max_len = policy.cfg.max_len
     prefixes: list[list[int]] = [[] for _ in range(cfg.m)]
     scores = [0.0] * cfg.m
@@ -96,7 +99,7 @@ def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[T
                 continue
             prefix = prefixes[gidx]
             prev = prefix[-1] if prefix else BOS
-            logits = step_logits(policy, ctx, prev).copy()
+            logits = table_logits[prev].copy()
             for tok in set(prefix):
                 if logits[tok] > 0:
                     logits[tok] /= cfg.repetition_penalty
@@ -119,10 +122,9 @@ def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[T
     return [TokenSeq(tuple(prefixes[i])) for i in ranked]
 
 
-def _by_policy_logprob(policy, x, seqs) -> list[TokenSeq]:
-    lps = [seq_logprob(policy, x, z) for z in seqs]
-    order = sorted(range(len(seqs)), key=lambda i: (-lps[i], i))
-    return [seqs[i] for i in order]
+def _by_logprob(scored) -> list[TokenSeq]:
+    """(sequence, log-prob) pairs to sequences by descending log-prob; ties keep order."""
+    return [z for z, _ in sorted(scored, key=lambda pair: -pair[1])]
 
 
 def mixed_decode(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
@@ -133,8 +135,9 @@ def mixed_decode(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[T
     if cfg.m % 2 != 0:
         raise ValueError("mixed decoding needs an even sample count")
     half = cfg.m // 2
-    beam_ranked = _by_policy_logprob(policy, x, diverse_beam(policy, x, cfg))
-    nucleus_ranked = _by_policy_logprob(policy, x, [z for z, _ in top_p_sample(policy, x, cfg)])
+    beam = diverse_beam(policy, x, cfg)
+    beam_ranked = _by_logprob(zip(beam, seq_logprobs(policy, x, beam)))
+    nucleus_ranked = _by_logprob(top_p_sample(policy, x, cfg))
     picks: list[TokenSeq] = []
     seen: set[tuple[int, ...]] = set()
     for source in (beam_ranked, nucleus_ranked):

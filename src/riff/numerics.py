@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-LogProb = float
-
 
 def logsumexp(xs) -> float:
     """log(sum(exp(xs))), shifted by the max for stability. Exact on singletons."""
@@ -39,6 +37,15 @@ def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     return np.exp(log_softmax(logits, temperature))
+
+
+def log_softmax_rows(logits) -> np.ndarray:
+    """log_softmax of every row of a 2-D array, shifted by each row's max."""
+    arr = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite logits")
+    m = arr.max(axis=1, keepdims=True)
+    return arr - (m + np.log(np.exp(arr - m).sum(axis=1, keepdims=True)))
 
 
 def gelu(x: float) -> float:
@@ -122,10 +129,6 @@ class ParamVector:
                     f"expected a flat vector of {offset} values, got shape {arr.shape}"
                 )
             self.values = arr
-
-    @property
-    def segment_names(self) -> tuple[str, ...]:
-        return self._order
 
     def segments(self) -> list[tuple[str, tuple[int, ...]]]:
         return [(name, self._layout[name][1]) for name in self._order]

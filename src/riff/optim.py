@@ -22,7 +22,8 @@ class AdamW:
 
     A `trainable` mask gates both the parameter write and the decay, so
     frozen segments are never touched. lr == 0 skips the write entirely,
-    keeping parameters bitwise identical.
+    keeping parameters bitwise identical. A non-finite gradient raises before
+    any state changes.
     """
 
     def __init__(self, size: int, cfg: AdamConfig):
@@ -36,6 +37,9 @@ class AdamW:
         c = self.cfg
         if grad.shape != flat.shape:
             raise ValueError("gradient shape does not match parameters")
+        if not np.all(np.isfinite(grad)):
+            bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+            raise ValueError(f"non-finite gradient at optimizer step {self.t + 1} (entry {bad})")
         self.t += 1
         self.m = c.beta1 * self.m + (1.0 - c.beta1) * grad
         self.v = c.beta2 * self.v + (1.0 - c.beta2) * grad * grad

@@ -12,8 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log_softmax, logsumexp, softmax
-from .policy import PolicyParams, TokenSeq, encode_context, seq_logprob_grad, step_logits
+from .numerics import logsumexp, softmax
+from .policy import (
+    PolicyParams,
+    TokenSeq,
+    seq_logprobs,
+    transition_logits,
+    transition_table,
+    weighted_seq_grad,
+)
 from .vocab import BOS, EOS
 
 ENUMERATION_GUARD = 1_000_000
@@ -43,14 +50,14 @@ def _guard(params: PolicyParams, max_len: int) -> int:
 
 def enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int | None = None) -> Enumeration:
     max_len = _guard(params, max_len)
-    ctx = encode_context(params, x)
+    table = transition_table(params, x)
     entries: list[tuple[TokenSeq, float]] = []
     tail = 0.0
 
     def expand(prefix: list[int], logprob: float) -> None:
         nonlocal tail
         prev = prefix[-1] if prefix else BOS
-        step = log_softmax(step_logits(params, ctx, prev))
+        step = table[prev]
         entries.append((TokenSeq.from_content(prefix), logprob + float(step[EOS])))
         for tok in range(params.cfg.vocab_size):
             if tok == EOS:
@@ -62,6 +69,9 @@ def enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int | None =
                 tail += float(np.exp(ext))
 
     expand([], 0.0)
+    # expand holds itself through its closure; without this the cycle, and with
+    # it every entry, waits for a full garbage collection
+    del expand
     if tail > TAIL_WARN_THRESHOLD:
         warnings.warn(f"unterminated tail mass {tail:.3g} exceeds {TAIL_WARN_THRESHOLD}")
     return Enumeration(tuple(entries), tail)
@@ -87,12 +97,7 @@ def exact_gradient(
     log-probability gradients over the full enumerated support."""
     enum = enumerate_sequences(params, x, max_len)
     phi = mml_posteriors(enum, reward_fn)
-    total = np.zeros(params.pv.size)
-    for weight, (z, _) in zip(phi, enum.entries):
-        if weight == 0.0:
-            continue
-        total += weight * seq_logprob_grad(params, x, z)
-    return total
+    return weighted_seq_grad(params, x, [z for z, _ in enum.entries], phi)
 
 
 def exact_kl_objective(
@@ -105,16 +110,13 @@ def exact_kl_objective(
 ) -> float:
     """log E[exp(R)] minus beta times E[log(P_cur / P_fixed)], both expectations
     taken exactly over the enumerated support."""
-    from .policy import seq_logprob
-
     enum = enumerate_sequences(params, x, max_len)
     objective = logsumexp([lp + reward_fn(z) for z, lp in enum.entries])
     if beta == 0.0:
         return objective
-    penalty = 0.0
-    for z, lp in enum.entries:
-        penalty += float(np.exp(lp)) * (lp - seq_logprob(fixed, x, z))
-    return objective - beta * penalty
+    lps = np.array([lp for _, lp in enum.entries])
+    fixed_lps = seq_logprobs(fixed, x, [z for z, _ in enum.entries])
+    return objective - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
 
 
 def exact_kl_gradient(
@@ -127,31 +129,26 @@ def exact_kl_gradient(
 ) -> np.ndarray:
     """Exact gradient of exact_kl_objective. beta == 0 returns the plain
     exact_gradient value bitwise."""
-    from .policy import seq_logprob
-
     if beta == 0.0:
         return exact_gradient(params, x, reward_fn, max_len)
     enum = enumerate_sequences(params, x, max_len)
     phi = mml_posteriors(enum, reward_fn)
-    total = np.zeros(params.pv.size)
-    for weight, (z, lp) in zip(phi, enum.entries):
-        log_ratio = lp - seq_logprob(fixed, x, z)
-        coeff = weight - beta * float(np.exp(lp)) * (log_ratio + 1.0)
-        total += coeff * seq_logprob_grad(params, x, z)
-    return total
+    seqs = [z for z, _ in enum.entries]
+    lps = np.array([lp for _, lp in enum.entries])
+    coeffs = phi - beta * np.exp(lps) * (lps - seq_logprobs(fixed, x, seqs) + 1.0)
+    return weighted_seq_grad(params, x, seqs, coeffs)
 
 
 def greedy_path(params: PolicyParams, x: TokenSeq, max_len: int | None = None) -> TokenSeq:
     """Stepwise-argmax sequence under the raw policy; ties go to the lowest id."""
     max_len = params.cfg.max_len if max_len is None else max_len
-    ctx = encode_context(params, x)
+    table_logits, _ = transition_logits(params, x)
     prefix: list[int] = []
     prev = BOS
     while True:
         if len(prefix) == max_len - 1:
             break
-        logits = step_logits(params, ctx, prev)
-        tok = int(np.argmax(logits))
+        tok = int(np.argmax(table_logits[prev]))
         if tok == EOS:
             break
         prefix.append(tok)

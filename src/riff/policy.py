@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParamVector, log_softmax, softmax
+from .numerics import ParamVector, log_softmax_rows
 from .optim import AdamConfig, AdamW
 from .vocab import BOS, EOS
 
@@ -25,7 +25,9 @@ class TokenSeq:
     ids: tuple[int, ...]
 
     def __post_init__(self):
-        ids = tuple(int(t) for t in self.ids)
+        # a list, not a generator: a generator-built tuple is resized after allocation,
+        # and dead resized tuples pile up on CPython's per-length tuple free lists
+        ids = tuple([int(t) for t in self.ids])
         object.__setattr__(self, "ids", ids)
         if len(ids) == 0:
             raise ValueError("empty token sequence")
@@ -38,7 +40,7 @@ class TokenSeq:
 
     @classmethod
     def from_content(cls, content) -> "TokenSeq":
-        return cls(tuple(content) + (EOS,))
+        return cls((*content, EOS))
 
     @property
     def content(self) -> tuple[int, ...]:
@@ -112,11 +114,7 @@ class PolicyParams:
         return PolicyParams(self.cfg, self.pv.copy())
 
 
-# A snapshot is just a policy whose buffer is frozen read-only.
-PolicySnapshot = PolicyParams
-
-
-def snapshot(params: PolicyParams) -> PolicySnapshot:
+def snapshot(params: PolicyParams) -> PolicyParams:
     """Immutable value copy; later updates to `params` do not affect it."""
     return PolicyParams(params.cfg, params.pv.copy().freeze())
 
@@ -144,51 +142,73 @@ def step_logits(params: PolicyParams, context: np.ndarray, prev_id: int) -> np.n
     return s @ params.out_head
 
 
+def transition_logits(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
+    """Raw next-token logits for every previous token at once: row p equals
+    step_logits(params, encode_context(params, x), p). Also returns the
+    activations (step inputs, hidden states) the backward pass reuses."""
+    ctx = encode_context(params, x)
+    emb = params.token_embedding
+    u = np.hstack([np.broadcast_to(ctx, emb.shape), emb])
+    s = np.tanh(u @ params.rec_w.T + params.rec_b)
+    return s @ params.out_head, (u, s)
+
+
+def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
+    """log P(next = t | previous = p, x) at [p, t]. The context is fixed per
+    input, so this one table fixes every log-prob of every rewrite of x."""
+    return log_softmax_rows(transition_logits(params, x)[0])
+
+
+def path_logprob(table: np.ndarray, z: TokenSeq) -> float:
+    """Sum of table lookups along z, starting from BOS."""
+    total = 0.0
+    for prev, tok in zip((BOS,) + z.ids[:-1], z.ids):
+        total += float(table[prev, tok])
+    return total
+
+
+def seq_logprobs(params: PolicyParams, x: TokenSeq, seqs) -> np.ndarray:
+    """Exact log P(z | x) of each z in seqs, all read off one table. Always <= 0."""
+    for z in seqs:
+        check_output_seq(z, params.cfg)
+    table = transition_table(params, x)
+    return np.array([path_logprob(table, z) for z in seqs])
+
+
 def seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:
     """Exact log P(z | x): sum of per-step log-softmax terms. Always <= 0."""
-    check_output_seq(z, params.cfg)
-    ctx = encode_context(params, x)
-    total = 0.0
-    prev = BOS
-    for tok in z.ids:
-        logp = log_softmax(step_logits(params, ctx, prev))
-        total += float(logp[tok])
-        prev = tok
-    return total
+    return float(seq_logprobs(params, x, [z])[0])
+
+
+def weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights) -> np.ndarray:
+    """Gradient of sum_j weights[j] * seq_logprob(params, x, seqs[j]) by one
+    backward through the table: with C[p, t] the weighted count of p -> t
+    transitions, the logit gradient is C - rowsum(C) * softmax(logits)."""
+    cfg = params.cfg
+    v, d = cfg.vocab_size, cfg.embed_dim
+    if len(weights) != len(seqs):
+        raise ValueError(f"{len(weights)} weights for {len(seqs)} sequences")
+    counts = np.zeros((v, v))
+    for z, w in zip(seqs, weights):
+        check_output_seq(z, cfg)
+        np.add.at(counts, ((BOS,) + z.ids[:-1], z.ids), w)
+    logits, (u, s) = transition_logits(params, x)
+    glogits = counts - counts.sum(axis=1, keepdims=True) * np.exp(log_softmax_rows(logits))
+    g = ParamVector(policy_segments(cfg))
+    g.view("out_head")[:] = s.T @ glogits
+    ga = (glogits @ params.out_head.T) * (1.0 - s * s)
+    g.view("rec_w")[:] = ga.T @ u
+    g.view("rec_b")[:] = ga.sum(axis=0)
+    gu = ga @ params.rec_w
+    g_emb = g.view("token_embedding")
+    g_emb[:] = gu[:, d:]
+    np.add.at(g_emb, list(x.ids), gu[:, :d].sum(axis=0) / len(x.ids))
+    return g.values
 
 
 def seq_logprob_grad(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> np.ndarray:
     """Analytic gradient of seq_logprob over the full flat parameter vector."""
-    cfg = params.cfg
-    check_output_seq(z, cfg)
-    _check_ids(x, cfg.vocab_size)
-    emb = params.token_embedding
-    ctx = emb[list(x.ids)].mean(axis=0)
-    g = ParamVector(policy_segments(cfg))
-    g_emb = g.view("token_embedding")
-    g_rw = g.view("rec_w")
-    g_rb = g.view("rec_b")
-    g_out = g.view("out_head")
-    g_ctx = np.zeros(cfg.embed_dim)
-    prev = BOS
-    for tok in z.ids:
-        u = np.concatenate([ctx, emb[prev]])
-        s = np.tanh(params.rec_w @ u + params.rec_b)
-        logits = s @ params.out_head
-        glogits = -softmax(logits)
-        glogits[tok] += 1.0
-        g_out += np.outer(s, glogits)
-        ga = (params.out_head @ glogits) * (1.0 - s * s)
-        g_rw += np.outer(ga, u)
-        g_rb += ga
-        gu = params.rec_w.T @ ga
-        g_ctx += gu[: cfg.embed_dim]
-        g_emb[prev] += gu[cfg.embed_dim :]
-        prev = tok
-    share = g_ctx / len(x.ids)
-    for t in x.ids:
-        g_emb[t] += share
-    return g.values
+    return weighted_seq_grad(params, x, [z], [1.0])
 
 
 def pretrain_mle(

@@ -26,26 +26,16 @@ from .policy import (
     PolicyParams,
     TokenSeq,
     save_policy,
-    seq_logprob,
-    seq_logprob_grad,
+    seq_logprobs,
     snapshot,
+    weighted_seq_grad,
 )
+from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads training.seq_logprob
 
 ESTIMATORS = ("mml", "pg")
 REGIMES = ("on", "off", "klon")
 DECODERS = ("beam", "top_p", "mixed")
 DEFAULT_BETA = {"mml": 0.1, "pg": 0.6}
-
-# published per-mode learning rates at full model scale, kept available for
-# configs; the operative desk-scale default is RunConfig.lr
-FULL_SCALE_MODE_LR = {
-    "all": 1e-5,
-    "input": 1e-3,
-    "head": 1e-3,
-    "cls_head": 1e-3,
-    "soft_prompt": 1e-3,
-    "lora": 1e-4,
-}
 
 METRIC_EXCL = "ensemble_acc_excl"
 METRIC_INCL = "ensemble_acc_incl"
@@ -262,19 +252,20 @@ def _example_gradient(
     seqs = decode_samples(sample_policy, ex.x, cfg.decoder, dc)
     raw_rewards = np.array([reward_fn(z) for z in seqs])
     rewards = est.normalize_rewards(raw_rewards) if cfg.normalize else raw_rewards
-    cur = np.array([seq_logprob(policy, ex.x, z) for z in seqs])
-    fixed_lp = np.array([seq_logprob(fixed, ex.x, z) for z in seqs])
+    cur = seq_logprobs(policy, ex.x, seqs)
+    fixed_lp = seq_logprobs(fixed, ex.x, seqs)
     batch = est.SampleBatch(tuple(seqs), cur, rewards, fixed_lp)
-    grads = [seq_logprob_grad(policy, ex.x, z) for z in seqs]
     if cfg.regime == "off":
         coeffs = est.offpolicy_coefficients(batch, cfg.estimator)
     elif cfg.estimator == "mml":
         coeffs = est.mml_coefficients(batch)
     else:
         coeffs = est.pg_coefficients(batch)
-    grad = est.assemble_gradient(coeffs, grads)
+    weights = coeffs.phi
     if cfg.regime == "klon":
-        grad = est.kl_penalized_gradient(batch, grads, grad, cfg.resolved_beta())
+        # the KL correction of est.kl_penalized_gradient, folded into the weights
+        weights = weights - cfg.resolved_beta() * (cur - fixed_lp + 1.0) / batch.m
+    grad = weighted_seq_grad(policy, ex.x, seqs, weights)
     info = {"mean_reward": float(raw_rewards.mean()), "clamp_events": coeffs.clamp_events}
     return grad, info
 

@@ -76,6 +76,11 @@ def test_top_p_logprobs_are_model_logprobs():
     cfg = DecodeConfig(m=5, top_p=0.9, seed=11)
     for z, lp in top_p_sample(p, X, cfg):
         assert lp == seq_logprob(p, X, z)
+    # longer rewrites over a wider vocabulary, at several nucleus sizes
+    for seed, top_p in ((8, 1.0), (9, 0.5), (10, 0.99)):
+        p = tiny_policy(seed=seed, vocab=5, max_len=6, scale=1.0)
+        for z, lp in top_p_sample(p, X, DecodeConfig(m=12, top_p=top_p, seed=11)):
+            assert lp == seq_logprob(p, X, z)
 
 
 def test_diverse_beam_single_group_zero_penalty_is_greedy():

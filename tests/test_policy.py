@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_policy
+from conftest import max_scaled_error, reference_seq_logprob, reference_seq_logprob_grad, tiny_policy
 from riff.numerics import finite_diff_grad, log_softmax, max_relative_error
 from riff.policy import (
     PolicyConfig,
@@ -20,6 +21,9 @@ from riff.policy import (
     seq_logprob_grad,
     snapshot,
     step_logits,
+    transition_logits,
+    transition_table,
+    weighted_seq_grad,
 )
 from riff.vocab import BOS, EOS
 
@@ -100,6 +104,73 @@ def test_gradient_matches_finite_differences():
 
         fd = finite_diff_grad(f, p.flat, h=1e-5)
         assert max_relative_error(analytic, fd) < 1e-4
+
+
+KERNEL_CONFIGS = [
+    # (vocab, max_len, embed, hidden, seed, init scale)
+    (3, 3, 2, 3, 0, 0.6),
+    (4, 5, 4, 5, 1, 1.5),
+    (6, 7, 3, 8, 2, 0.3),
+    (20, 24, 12, 24, 3, 0.1),
+]
+
+
+def kernel_case(vocab, max_len, embed, hidden, seed, scale):
+    cfg = PolicyConfig(vocab_size=vocab, embed_dim=embed, hidden_dim=hidden, max_len=max_len)
+    p = PolicyParams.init_random(cfg, seed=seed, scale=scale)
+    gen = np.random.default_rng(seed + 100)
+    x = TokenSeq.from_content([int(t) for t in gen.integers(1, vocab, size=3)])
+    seqs = [
+        TokenSeq.from_content([int(t) for t in gen.integers(1, vocab, size=int(gen.integers(0, max_len)))])
+        for _ in range(6)
+    ]
+    return p, x, seqs, gen
+
+
+@pytest.mark.parametrize("case", KERNEL_CONFIGS)
+def test_transition_table_rows_equal_step_log_softmax(case):
+    p, x, seqs, _ = kernel_case(*case)
+    ctx = encode_context(p, x)
+    logits, _ = transition_logits(p, x)
+    table = transition_table(p, x)
+    for prev in range(p.cfg.vocab_size):
+        raw = step_logits(p, ctx, prev)
+        assert np.max(np.abs(logits[prev] - raw)) < 1e-12
+        assert np.max(np.abs(table[prev] - log_softmax(raw))) < 1e-12
+    for z in seqs:
+        assert seq_logprob(p, x, z) == pytest.approx(reference_seq_logprob(p, x, z), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", KERNEL_CONFIGS)
+@pytest.mark.parametrize("kind", ["positive", "signed_with_zeros", "negative"])
+def test_weighted_seq_grad_matches_reference_sum(case, kind):
+    p, x, seqs, gen = kernel_case(*case)
+    weights = gen.normal(size=len(seqs))
+    if kind == "positive":
+        weights = np.abs(weights)
+    elif kind == "negative":
+        weights = -np.abs(weights)
+    else:
+        weights[::3] = 0.0
+    want = sum(w * reference_seq_logprob_grad(p, x, z) for w, z in zip(weights, seqs))
+    assert max_scaled_error(weighted_seq_grad(p, x, seqs, weights), want) < 1e-12
+
+
+@pytest.mark.parametrize("case", KERNEL_CONFIGS)
+def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
+    p, x, seqs, _ = kernel_case(*case)
+    for j, z in enumerate(seqs):
+        one_hot = np.zeros(len(seqs))
+        one_hot[j] = 1.0
+        single = seq_logprob_grad(p, x, z)
+        assert np.array_equal(weighted_seq_grad(p, x, seqs, one_hot), single)
+        assert max_scaled_error(single, reference_seq_logprob_grad(p, x, z)) < 1e-12
+
+
+def test_weighted_seq_grad_rejects_weight_count_mismatch():
+    p, x, seqs, _ = kernel_case(*KERNEL_CONFIGS[0])
+    with pytest.raises(ValueError, match="weights"):
+        weighted_seq_grad(p, x, seqs, np.ones(len(seqs) + 1))
 
 
 def test_gradient_finite_for_improbable_token():
@@ -192,6 +263,40 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTACKPTxxxxxxx")
     with pytest.raises(ValueError, match="magic"):
+        load_policy(path)
+
+
+@pytest.mark.parametrize(
+    "cut,field",
+    [
+        (lambda size, hlen: 0, "magic"),
+        (lambda size, hlen: 5, "magic"),
+        (lambda size, hlen: 10, "version"),
+        (lambda size, hlen: 14, "header length"),
+        (lambda size, hlen: 20, "header"),
+        (lambda size, hlen: 16 + hlen - 1, "header"),
+        (lambda size, hlen: 16 + hlen, "parameter payload"),
+        (lambda size, hlen: size - 8, "parameter payload"),
+        (lambda size, hlen: size - 1, "parameter payload"),
+    ],
+    ids=["empty", "mid_magic", "mid_version", "mid_header_length", "header_start",
+         "header_end", "no_payload", "one_value_short", "one_byte_short"],
+)
+def test_truncated_checkpoint_names_file_and_field(tmp_path, cut, field):
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, tiny_policy(seed=21, vocab=6, max_len=9))
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[12:16], "little")
+    path.write_bytes(blob[: cut(len(blob), hlen)])
+    with pytest.raises(ValueError, match=f"truncated checkpoint {re.escape(str(path))}: {field} needs"):
+        load_policy(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, tiny_policy(seed=21))
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="past its"):
         load_policy(path)
 
 

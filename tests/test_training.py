@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_classifier
+from conftest import (
+    max_scaled_error,
+    reference_seq_logprob,
+    reference_seq_logprob_grad,
+    table_reward,
+    tiny_classifier,
+)
 from riff import classifier as clf
 from riff import data, training
+from riff import estimators as est
 from riff.data import Example, format_input, gen_synthetic_task
 from riff.decoding import decode_samples
 from riff.optim import AdamConfig, AdamW
-from riff.policy import PolicyConfig, PolicyParams, TokenSeq
+from riff.policy import PolicyConfig, PolicyParams, TokenSeq, snapshot
 from riff.training import (
     Checkpoint,
     CacheMiss,
@@ -111,6 +118,19 @@ def test_adamw_respects_trainable_mask():
     assert params[0] != 0.0 and params[2] != 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adamw_rejects_non_finite_gradient_untouched(bad):
+    params = np.array([0.5, -1.0, 2.0])
+    opt = AdamW(3, AdamConfig(lr=0.1))
+    opt.step(params, np.array([0.1, 0.2, 0.3]))
+    before = (params.copy(), opt.m.copy(), opt.v.copy(), opt.vmax.copy(), opt.t)
+    with pytest.raises(ValueError, match="optimizer step 2"):
+        opt.step(params, np.array([0.0, bad, 0.0]))
+    assert np.array_equal(params, before[0])
+    assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
+    assert np.array_equal(opt.vmax, before[3]) and opt.t == before[4]
+
+
 def make_pipeline(seed=0, shots=4):
     task = small_task()
     split = fewshot_split(task.train, shots, seed=seed)
@@ -163,6 +183,39 @@ def test_finetune_off_policy_regime_runs():
                     m=4, lr=1e-3, steps=2, batch_size=2, checkpoint_interval=2, seed=1)
     checkpoints = finetune_paraphraser(policy, classifier, task, split, cfg)
     assert len(checkpoints) == 1
+
+
+@pytest.mark.parametrize("estimator", training.ESTIMATORS)
+@pytest.mark.parametrize("regime", training.REGIMES)
+def test_example_gradient_equals_reference_assembly(estimator, regime):
+    _, split, _, policy = make_pipeline()
+    fixed = snapshot(policy)
+    policy.flat[:] += np.random.default_rng(3).normal(0.0, 0.3, policy.flat.size)
+    cfg = RunConfig(estimator=estimator, regime=regime, decoder="mixed", m=6, seed=4)
+    reward_fn = table_reward(17)
+    for ex in split.train[:3]:
+        got, _ = training._example_gradient(policy, fixed, ex, reward_fn, cfg, step=2)
+        # the same samples, scored and differentiated one sequence at a time
+        dc = training.decode_config(cfg, derive_seed(cfg.seed, 2, ex.uid))
+        seqs = decode_samples(fixed if regime == "off" else policy, ex.x, "mixed", dc)
+        rewards = est.normalize_rewards([reward_fn(z) for z in seqs])
+        batch = est.SampleBatch(
+            tuple(seqs),
+            np.array([reference_seq_logprob(policy, ex.x, z) for z in seqs]),
+            rewards,
+            np.array([reference_seq_logprob(fixed, ex.x, z) for z in seqs]),
+        )
+        grads = [reference_seq_logprob_grad(policy, ex.x, z) for z in seqs]
+        if regime == "off":
+            coeffs = est.offpolicy_coefficients(batch, estimator)
+        elif estimator == "mml":
+            coeffs = est.mml_coefficients(batch)
+        else:
+            coeffs = est.pg_coefficients(batch)
+        want = est.assemble_gradient(coeffs, grads)
+        if regime == "klon":
+            want = est.kl_penalized_gradient(batch, grads, want, cfg.resolved_beta())
+        assert max_scaled_error(got, want) < 1e-12
 
 
 # Recorded from the per-token rewriter (one step_logits call per decoder step
