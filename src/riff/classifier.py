@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_segments, save_segments
-from .numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax, softmax
+from .numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
 from .policy import TokenSeq
 from .vocab import MASK
 
@@ -152,8 +152,8 @@ def trainable_mask(params: ClassifierParams, mode: TuningMode | None = None) -> 
     return mask
 
 
-def lora_apply(w, a, b, alpha: float, rank: int, v) -> np.ndarray:
-    """(W + (alpha / rank) * B A) v."""
+def lora_weight(w, a, b, alpha: float, rank: int) -> np.ndarray:
+    """The adapted weight W + (alpha / rank) * B A."""
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -161,66 +161,12 @@ def lora_apply(w, a, b, alpha: float, rank: int, v) -> np.ndarray:
         raise ValueError(f"rank mismatch: expected {rank}, got A {a.shape}, B {b.shape}")
     if a.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
         raise ValueError("adapter shapes incompatible with base matrix")
-    return (w + (alpha / rank) * (b @ a)) @ np.asarray(v, dtype=np.float64)
+    return w + (alpha / rank) * (b @ a)
 
 
-class _Cache:
-    __slots__ = (
-        "ids", "n_prompt", "x", "q", "k", "vv", "attn", "o", "h",
-        "wq_eff", "wv_eff", "use_prompts", "use_lora",
-    )
-
-
-def _check_input(params: ClassifierParams, input_seq: TokenSeq) -> None:
-    for t in input_seq.ids:
-        if t >= params.cfg.vocab_size:
-            raise ValueError(
-                f"token id {t} out of range for vocabulary of size {params.cfg.vocab_size}"
-            )
-
-
-def _forward(params: ClassifierParams, input_seq: TokenSeq, mode: TuningMode) -> _Cache:
-    cfg = params.cfg
-    _check_input(params, input_seq)
-    ids = list(input_seq.ids)
-    cache = _Cache()
-    cache.ids = ids
-    cache.use_prompts = mode is TuningMode.SOFT_PROMPT and cfg.prompt_len > 0
-    cache.use_lora = mode is TuningMode.LORA
-    emb_rows = params.seg("token_embedding")[ids]
-    if cache.use_prompts:
-        x = np.vstack([params.seg("prompt_table"), emb_rows])
-        cache.n_prompt = cfg.prompt_len
-    else:
-        x = emb_rows
-        cache.n_prompt = 0
-    scale = cfg.lora_alpha / cfg.lora_rank
-    if cache.use_lora:
-        wq_eff = params.seg("wq") + scale * (params.seg("lora_b_q") @ params.seg("lora_a_q"))
-        wv_eff = params.seg("wv") + scale * (params.seg("lora_b_v") @ params.seg("lora_a_v"))
-    else:
-        wq_eff = params.seg("wq")
-        wv_eff = params.seg("wv")
-    q = x @ wq_eff.T
-    k = x @ params.seg("wk").T
-    vv = x @ wv_eff.T
-    scores = (q @ k.T) / math.sqrt(cfg.embed_dim)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    attn = expd / expd.sum(axis=1, keepdims=True)
-    o = attn @ vv
-    h = x + o @ params.seg("wo").T
-    cache.x, cache.q, cache.k, cache.vv = x, q, k, vv
-    cache.attn, cache.o, cache.h = attn, o, h
-    cache.wq_eff, cache.wv_eff = wq_eff, wv_eff
-    return cache
-
-
-def _mask_row(cache: _Cache) -> int:
-    positions = [i for i, t in enumerate(cache.ids) if t == MASK]
-    if len(positions) != 1:
-        raise ValueError(f"input must contain exactly one mask token, found {len(positions)}")
-    return cache.n_prompt + positions[0]
+def lora_apply(w, a, b, alpha: float, rank: int, v) -> np.ndarray:
+    """(W + (alpha / rank) * B A) v."""
+    return lora_weight(w, a, b, alpha, rank) @ np.asarray(v, dtype=np.float64)
 
 
 def _check_verbalizer(params: ClassifierParams, verbalizer: Verbalizer) -> None:
@@ -228,6 +174,204 @@ def _check_verbalizer(params: ClassifierParams, verbalizer: Verbalizer) -> None:
         raise ValueError("verbalizer size does not match label count")
     if any(t >= params.cfg.vocab_size for t in verbalizer.token_ids):
         raise ValueError("verbalizer token id out of vocabulary range")
+
+
+def _first_bad(bad: np.ndarray, message) -> None:
+    """Raise for the first sequence flagged in `bad`, naming its batch index;
+    `message(i)` says what is wrong with sequence i."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"batch sequence {i}: {message(i)}")
+
+
+def _batch_ids(params: ClassifierParams, seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Token ids padded to the longest sequence, and the mask of real positions."""
+    if not seqs:
+        raise ValueError("empty batch")
+    lengths = np.array([len(s.ids) for s in seqs])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(valid.shape, dtype=np.intp)
+    ids[valid] = [t for s in seqs for t in s.ids]
+    v = params.cfg.vocab_size
+    out = valid & (ids >= v)
+    _first_bad(out.any(axis=1), lambda i: (
+        f"token id {ids[i][out[i]][0]} out of range for vocabulary of size {v}"))
+    return ids, valid
+
+
+class _MaskRowPass:
+    """Label-path forward of a padded batch, kept for the backward.
+
+    Only the final hidden state at the mask row r feeds the label head, and
+    keys and values are linear in the embedded rows x_j: the scores are
+    x_j . (Wk^T q_r) / sqrt(d) and the attention output is Wv (sum_j a_j x_j).
+    So a sequence costs one query and one weighted sum of rows each way.
+    Padding keys score -inf. No (B, L, L) array and no per-row q, k or v is
+    built: the largest arrays are the embedded rows (B, L, d) and, only when
+    input rows are trainable or asked for, their gradient.
+    """
+
+    def __init__(self, params: ClassifierParams, ids, valid, verbalizer: Verbalizer, mode):
+        cfg = params.cfg
+        b = len(ids)
+        is_mask = valid & (ids == MASK)
+        counts = is_mask.sum(axis=1)
+        _first_bad(counts != 1, lambda i: (
+            f"input must contain exactly one mask token, found {counts[i]}"))
+        self.params, self.mode, self.ids, self.valid = params, mode, ids, valid
+        self.n_prompt = cfg.prompt_len if mode is TuningMode.SOFT_PROMPT else 0
+        self.rows = self.n_prompt + is_mask.argmax(axis=1)
+        x, keys = params.seg("token_embedding")[ids], valid
+        if self.n_prompt:
+            prompt = params.seg("prompt_table")
+            x = np.concatenate([np.broadcast_to(prompt, (b, *prompt.shape)), x], axis=1)
+            keys = np.concatenate([np.ones((b, self.n_prompt), dtype=bool), valid], axis=1)
+        self.wq, self.wv = params.seg("wq"), params.seg("wv")
+        if mode is TuningMode.LORA:
+            ar = (cfg.lora_alpha, cfg.lora_rank)
+            self.wq = lora_weight(self.wq, params.seg("lora_a_q"), params.seg("lora_b_q"), *ar)
+            self.wv = lora_weight(self.wv, params.seg("lora_a_v"), params.seg("lora_b_v"), *ar)
+        self.vids = list(verbalizer.token_ids)
+        self.x = x
+        self.xr = x[np.arange(b), self.rows]
+        self.q = self.xr @ self.wq.T
+        self.qk = (self.q @ params.seg("wk")) / math.sqrt(cfg.embed_dim)
+        scores = (x @ self.qk[:, :, None])[:, :, 0]
+        scores[~keys] = -np.inf
+        expd = np.exp(scores - scores.max(axis=1, keepdims=True))
+        self.attn = expd / expd.sum(axis=1, keepdims=True)
+        self.xbar = (self.attn[:, None, :] @ x)[:, 0, :]
+        self.o = self.xbar @ self.wv.T
+        self.h = self.xr + self.o @ params.seg("wo").T
+        self.logp = log_softmax_rows(self.h @ params.seg("lm_head")[:, self.vids])
+
+    def backward(self, g_logits: np.ndarray, g: ParamVector, want_rows: bool):
+        """Write the gradient of sum(g_logits * label logits) into `g`; return
+        the input rows' gradient (B, L, d), prompt rows excluded, or None when
+        it is neither asked for nor needed by a trainable segment."""
+        p, cfg = self.params, self.params.cfg
+        rsqrt = 1.0 / math.sqrt(cfg.embed_dim)
+        g.view("lm_head")[:, self.vids] = self.h.T @ g_logits
+        d_h = g_logits @ p.seg("lm_head")[:, self.vids].T
+        g.view("wo")[:] = d_h.T @ self.o
+        d_o = d_h @ p.seg("wo")
+        d_wv = d_o.T @ self.xbar
+        d_xbar = d_o @ self.wv
+        d_attn = (self.x @ d_xbar[:, :, None])[:, :, 0]
+        d_scores = self.attn * (d_attn - (self.attn * d_attn).sum(axis=1, keepdims=True))
+        d_qk = (d_scores[:, None, :] @ self.x)[:, 0, :]
+        g.view("wk")[:] = rsqrt * (self.q.T @ d_qk)
+        d_q = rsqrt * (d_qk @ p.seg("wk").T)
+        d_wq = d_q.T @ self.xr
+        g.view("wq")[:] = d_wq
+        g.view("wv")[:] = d_wv
+        if self.mode is TuningMode.LORA:
+            scale = cfg.lora_alpha / cfg.lora_rank
+            g.view("lora_a_q")[:] = scale * (p.seg("lora_b_q").T @ d_wq)
+            g.view("lora_b_q")[:] = scale * (d_wq @ p.seg("lora_a_q").T)
+            g.view("lora_a_v")[:] = scale * (p.seg("lora_b_v").T @ d_wv)
+            g.view("lora_b_v")[:] = scale * (d_wv @ p.seg("lora_a_v").T)
+        trainable = TRAINABLE_SEGMENTS[self.mode]
+        if not (want_rows or "token_embedding" in trainable or "prompt_table" in trainable):
+            return None
+        d_x = self.attn[:, :, None] * d_xbar[:, None, :]
+        d_x += d_scores[:, :, None] * self.qk[:, None, :]
+        d_x[np.arange(len(d_x)), self.rows] += d_h + d_q @ self.wq
+        if self.n_prompt:
+            g.view("prompt_table")[:] = d_x[:, : self.n_prompt].sum(axis=0)
+            d_x = d_x[:, self.n_prompt :]
+        np.add.at(g.view("token_embedding"), self.ids[self.valid], d_x[self.valid])
+        return d_x
+
+
+def _pooled(params: ClassifierParams, ids, valid) -> np.ndarray:
+    """Mean final hidden state over every row of each sequence. The pooled
+    head reads all rows, so this path keeps full self-attention, one
+    sequence at a time."""
+    wq, wk, wv, wo = (params.seg(n) for n in ("wq", "wk", "wv", "wo"))
+    pooled = np.empty((len(ids), params.cfg.embed_dim))
+    for i, (row, keep) in enumerate(zip(ids, valid)):
+        x = params.seg("token_embedding")[row[keep]]
+        scores = ((x @ wq.T) @ (x @ wk.T).T) / math.sqrt(params.cfg.embed_dim)
+        expd = np.exp(scores - scores.max(axis=1, keepdims=True))
+        attn = expd / expd.sum(axis=1, keepdims=True)
+        pooled[i] = (x + (attn @ (x @ wv.T)) @ wo.T).mean(axis=0)
+    return pooled
+
+
+def _cls_head(params: ClassifierParams, pooled: np.ndarray):
+    """Pooled states -> affine -> gelu -> affine -> log-softmax over labels."""
+    a1 = pooled @ params.seg("cls_w1").T + params.seg("cls_b1")
+    act = gelu_vec(a1).reshape(a1.shape)
+    return a1, act, log_softmax_rows(act @ params.seg("cls_w2").T + params.seg("cls_b2"))
+
+
+def _kernel(params: ClassifierParams, seqs, ys, weights, verbalizer, mode, want_rows=False):
+    """(sum_i w_i log P(y_i | s_i), masked gradient, input rows' gradient or None)."""
+    seqs = list(seqs)
+    ys = np.asarray(ys, dtype=np.intp)
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(ys) != len(seqs) or len(weights) != len(seqs):
+        raise ValueError(f"{len(seqs)} sequences, {len(ys)} labels and {len(weights)} weights")
+    _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
+    ids, valid = _batch_ids(params, seqs)
+    g = ParamVector(classifier_segments(params.cfg))
+    d_rows = None
+    if mode is TuningMode.CLS_HEAD:
+        # only the pooled head trains under CLS_HEAD, so the gradient stops there
+        pooled = _pooled(params, ids, valid)
+        a1, act, logp = _cls_head(params, pooled)
+    else:
+        _check_verbalizer(params, verbalizer)
+        fwd = _MaskRowPass(params, ids, valid, verbalizer, mode)
+        logp = fwd.logp
+    g_logits = -weights[:, None] * np.exp(logp)
+    g_logits[np.arange(len(ys)), ys] += weights
+    if mode is TuningMode.CLS_HEAD:
+        g.view("cls_w2")[:] = g_logits.T @ act
+        g.view("cls_b2")[:] = g_logits.sum(axis=0)
+        d_a1 = (g_logits @ params.seg("cls_w2")) * gelu_grad_vec(a1).reshape(a1.shape)
+        g.view("cls_w1")[:] = d_a1.T @ pooled
+        g.view("cls_b1")[:] = d_a1.sum(axis=0)
+    else:
+        d_rows = fwd.backward(g_logits, g, want_rows)
+    flat = g.values
+    flat[~trainable_mask(params, mode)] = 0.0
+    return float(weights @ logp[np.arange(len(ys)), ys]), flat, d_rows
+
+
+def label_logprobs_batch(
+    params: ClassifierParams, seqs, verbalizer: Verbalizer, mode: TuningMode | None = None
+) -> np.ndarray:
+    """(B, C) label log-probabilities of each sequence under the mode's own
+    scoring path (the mask-row head, or the pooled head under CLS_HEAD),
+    from one batched forward."""
+    mode = params.mode if mode is None else mode
+    ids, valid = _batch_ids(params, list(seqs))
+    if mode is TuningMode.CLS_HEAD:
+        return _cls_head(params, _pooled(params, ids, valid))[2]
+    _check_verbalizer(params, verbalizer)
+    return _MaskRowPass(params, ids, valid, verbalizer, mode).logp
+
+
+def weighted_label_grad(
+    params: ClassifierParams,
+    seqs,
+    ys,
+    weights,
+    verbalizer: Verbalizer,
+    mode: TuningMode | None = None,
+) -> tuple[float, np.ndarray]:
+    """sum_i weights[i] * log P(ys[i] | seqs[i]) under the mode's scoring
+    path, and its gradient masked so every segment outside the mode's
+    trainable set is exactly zero: one batched forward and one backward."""
+    mode = params.mode if mode is None else mode
+    return _kernel(params, seqs, ys, weights, verbalizer, mode)[:2]
+
+
+def _label_path_mode(mode: TuningMode) -> TuningMode:
+    # CLS_HEAD adds neither prompt rows nor adapters, so its label path is the plain one
+    return TuningMode.NONE if mode is TuningMode.CLS_HEAD else mode
 
 
 def label_logprobs(
@@ -238,29 +382,27 @@ def label_logprobs(
 ) -> np.ndarray:
     """Per-label log-probabilities from the mask-position head, softmax
     restricted to the verbalizer token logits."""
-    mode = params.mode if mode is None else mode
-    _check_verbalizer(params, verbalizer)
-    cache = _forward(params, input_seq, mode)
-    h = cache.h[_mask_row(cache)]
-    logits = h @ params.seg("lm_head")
-    return log_softmax(logits[list(verbalizer.token_ids)])
+    mode = _label_path_mode(params.mode if mode is None else mode)
+    return label_logprobs_batch(params, [input_seq], verbalizer, mode)[0]
+
+
+def rewards(params: ClassifierParams, seqs, y: int, verbalizer: Verbalizer) -> np.ndarray:
+    """Terminal rewards log P(y | rewrite) of many formatted rewrites, from
+    one batched forward. Always <= 0."""
+    if not 0 <= y < params.cfg.num_labels:
+        raise ValueError(f"label {y} out of range")
+    return label_logprobs_batch(params, seqs, verbalizer, _label_path_mode(params.mode))[:, y]
 
 
 def reward(params: ClassifierParams, input_seq: TokenSeq, y: int, verbalizer: Verbalizer) -> float:
     """Terminal reward of a rewrite: log P(y | formatted input). Always <= 0."""
-    if not 0 <= y < params.cfg.num_labels:
-        raise ValueError(f"label {y} out of range")
-    return float(label_logprobs(params, input_seq, verbalizer)[y])
+    return float(rewards(params, [input_seq], y, verbalizer)[0])
 
 
 def cls_forward(params: ClassifierParams, input_seq: TokenSeq) -> np.ndarray:
     """Pooled-classifier scores: mean of final hiddens -> affine -> gelu ->
     affine -> log-softmax over labels."""
-    cache = _forward(params, input_seq, TuningMode.CLS_HEAD)
-    pooled = cache.h.mean(axis=0)
-    a1 = params.seg("cls_w1") @ pooled + params.seg("cls_b1")
-    logits = params.seg("cls_w2") @ gelu_vec(a1) + params.seg("cls_b2")
-    return log_softmax(logits)
+    return label_logprobs_batch(params, [input_seq], None, TuningMode.CLS_HEAD)[0]
 
 
 def score_labels(
@@ -270,96 +412,7 @@ def score_labels(
     mode: TuningMode | None = None,
 ) -> np.ndarray:
     """Label log-probabilities under the mode's own scoring path."""
-    mode = params.mode if mode is None else mode
-    if mode is TuningMode.CLS_HEAD:
-        return cls_forward(params, input_seq)
-    return label_logprobs(params, input_seq, verbalizer, mode)
-
-
-def _attention_backward(
-    params: ClassifierParams, cache: _Cache, d_h: np.ndarray, g: ParamVector
-) -> np.ndarray:
-    """Backprop d_h through attention and embeddings into `g`; returns the
-    gradient rows for the embedded input tokens (prompt rows excluded)."""
-    cfg = params.cfg
-    scale = cfg.lora_alpha / cfg.lora_rank
-    d_x = d_h.copy()
-    d_o = d_h @ params.seg("wo")
-    g.view("wo")[:] += d_h.T @ cache.o
-    d_attn = d_o @ cache.vv.T
-    d_vv = cache.attn.T @ d_o
-    inner = (d_attn * cache.attn).sum(axis=1, keepdims=True)
-    d_scores = (d_attn - inner) * cache.attn
-    rsqrt = 1.0 / math.sqrt(cfg.embed_dim)
-    d_q = (d_scores @ cache.k) * rsqrt
-    d_k = (d_scores.T @ cache.q) * rsqrt
-    d_wq_eff = d_q.T @ cache.x
-    d_wv_eff = d_vv.T @ cache.x
-    g.view("wk")[:] += d_k.T @ cache.x
-    g.view("wq")[:] += d_wq_eff
-    g.view("wv")[:] += d_wv_eff
-    if cache.use_lora:
-        g.view("lora_a_q")[:] += scale * (params.seg("lora_b_q").T @ d_wq_eff)
-        g.view("lora_b_q")[:] += scale * (d_wq_eff @ params.seg("lora_a_q").T)
-        g.view("lora_a_v")[:] += scale * (params.seg("lora_b_v").T @ d_wv_eff)
-        g.view("lora_b_v")[:] += scale * (d_wv_eff @ params.seg("lora_a_v").T)
-    d_x += d_q @ cache.wq_eff + d_k @ params.seg("wk") + d_vv @ cache.wv_eff
-    if cache.use_prompts:
-        g.view("prompt_table")[:] += d_x[: cache.n_prompt]
-        rows = d_x[cache.n_prompt :]
-    else:
-        rows = d_x
-    g_emb = g.view("token_embedding")
-    for pos, tok in enumerate(cache.ids):
-        g_emb[tok] += rows[pos]
-    return rows
-
-
-def _label_path_grad(
-    params: ClassifierParams,
-    input_seq: TokenSeq,
-    y: int,
-    verbalizer: Verbalizer,
-    mode: TuningMode,
-) -> tuple[ParamVector, np.ndarray]:
-    cache = _forward(params, input_seq, mode)
-    row = _mask_row(cache)
-    h = cache.h[row]
-    logits = h @ params.seg("lm_head")
-    vids = list(verbalizer.token_ids)
-    g_label = -softmax(logits[vids])
-    g_label[y] += 1.0
-    g = ParamVector(classifier_segments(params.cfg))
-    g_lm = g.view("lm_head")
-    d_h_row = np.zeros(params.cfg.embed_dim)
-    for c, vid in enumerate(vids):
-        g_lm[:, vid] += g_label[c] * h
-        d_h_row += g_label[c] * params.seg("lm_head")[:, vid]
-    d_h = np.zeros_like(cache.h)
-    d_h[row] = d_h_row
-    rows = _attention_backward(params, cache, d_h, g)
-    return g, rows
-
-
-def _cls_path_grad(params: ClassifierParams, input_seq: TokenSeq, y: int) -> ParamVector:
-    cfg = params.cfg
-    cache = _forward(params, input_seq, TuningMode.CLS_HEAD)
-    pooled = cache.h.mean(axis=0)
-    a1 = params.seg("cls_w1") @ pooled + params.seg("cls_b1")
-    act = gelu_vec(a1)
-    logits = params.seg("cls_w2") @ act + params.seg("cls_b2")
-    g_logits = -softmax(logits)
-    g_logits[y] += 1.0
-    g = ParamVector(classifier_segments(cfg))
-    g.view("cls_w2")[:] += np.outer(g_logits, act)
-    g.view("cls_b2")[:] += g_logits
-    d_a1 = (params.seg("cls_w2").T @ g_logits) * gelu_grad_vec(a1)
-    g.view("cls_w1")[:] += np.outer(d_a1, pooled)
-    g.view("cls_b1")[:] += d_a1
-    d_pooled = params.seg("cls_w1").T @ d_a1
-    d_h = np.tile(d_pooled / cache.h.shape[0], (cache.h.shape[0], 1))
-    _attention_backward(params, cache, d_h, g)
-    return g
+    return label_logprobs_batch(params, [input_seq], verbalizer, mode)[0]
 
 
 def classifier_grad(
@@ -371,17 +424,7 @@ def classifier_grad(
 ) -> np.ndarray:
     """Gradient of the mode's label log-probability, masked so every segment
     outside the mode's trainable set is exactly zero."""
-    mode = params.mode if mode is None else mode
-    if not 0 <= y < params.cfg.num_labels:
-        raise ValueError(f"label {y} out of range")
-    if mode is TuningMode.CLS_HEAD:
-        g = _cls_path_grad(params, input_seq, y)
-    else:
-        _check_verbalizer(params, verbalizer)
-        g, _ = _label_path_grad(params, input_seq, y, verbalizer, mode)
-    flat = g.values
-    flat[~trainable_mask(params, mode)] = 0.0
-    return flat
+    return weighted_label_grad(params, [input_seq], [y], [1.0], verbalizer, mode)[1]
 
 
 def input_position_grads(
@@ -395,11 +438,7 @@ def input_position_grads(
     Row i corresponds to input position i (prompt rows are not included);
     used by the discrete instruction search to score substitutions.
     """
-    _check_verbalizer(params, verbalizer)
-    if not 0 <= y < params.cfg.num_labels:
-        raise ValueError(f"label {y} out of range")
-    _, rows = _label_path_grad(params, input_seq, y, verbalizer, TuningMode.NONE)
-    return rows
+    return _kernel(params, [input_seq], [y], [1.0], verbalizer, TuningMode.NONE, True)[2][0]
 
 
 def save_classifier(path, params: ClassifierParams) -> None:

@@ -291,15 +291,16 @@ def cmd_evaluate(args) -> int:
     policy = pretrained_policy(config)
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
     rows = []
+    rewrites = {}
     for name, examples in (("validation", split.validation), ("test", task.test)):
         plain = training.plain_accuracy(classifier, task.template, verbalizer, examples)
-        incl = training.evaluate_ensemble_accuracy(
-            policy, classifier, task.template, verbalizer, examples, cfg.m, True, cfg,
-            training.derive_seed(cfg.seed, 0xE7A1),
+        # one decode per example serves both ensembles and the diversity rows
+        rewrites[name] = training.decode_rewrites(
+            policy, examples, cfg.m, cfg, training.derive_seed(cfg.seed, 0xE7A1)
         )
-        excl = training.evaluate_ensemble_accuracy(
-            policy, classifier, task.template, verbalizer, examples, cfg.m, False, cfg,
-            training.derive_seed(cfg.seed, 0xE7A2),
+        incl, excl = training.ensemble_accuracies(
+            classifier, verbalizer, examples,
+            training.example_groups(task.template, examples, rewrites[name]),
         )
         rows.extend(
             [
@@ -311,9 +312,8 @@ def cmd_evaluate(args) -> int:
         print(f"{name}: plain {plain:.3f} ensemble+orig {incl:.3f} ensemble-only {excl:.3f}")
     ld_values = []
     pld_values = []
-    for ex in list(task.test)[:16]:
-        dc = training.decode_config(cfg, training.derive_seed(cfg.seed, 0x1D, ex.uid))
-        zs = [data.strip_scaffold(z) for z in training.diverse_beam(policy, ex.x, dc)]
+    for ex, decoded in list(zip(task.test, rewrites["test"]))[:16]:
+        zs = [data.strip_scaffold(z) for z in decoded]
         zs = [z for z in zs if len(z.content) > 0]
         if len(zs) >= 2:
             ld_values.extend(metrics.lexical_diversity(ex.x.content, z.content) for z in zs)

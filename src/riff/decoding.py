@@ -12,8 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import logsumexp
-from .policy import PolicyParams, TokenSeq, seq_logprobs, transition_logits, transition_table
+from .numerics import log_softmax_rows, logsumexp
+from .policy import (
+    PolicyParams,
+    TokenSeq,
+    path_logprob,
+    transition_logits,
+    transition_table,
+)
 from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads decoding.seq_logprob
 from .vocab import BOS, EOS
 
@@ -41,17 +47,18 @@ class DecodeConfig:
 
 
 def top_p_sample(
-    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None
 ) -> list[tuple[TokenSeq, float]]:
     """Draw m sequences by nucleus sampling at temperature 1.
 
     Each step keeps the minimal probability-sorted token set whose cumulative
     mass reaches cfg.top_p, renormalizes, and samples from it. The returned
     log-probs are exact values under the unmodified policy, summed while
-    sampling.
+    sampling. A caller already holding transition_table(policy, x) passes it
+    as `table`.
     """
     rng = np.random.default_rng(cfg.seed)
-    table = transition_table(policy, x)
+    table = transition_table(policy, x) if table is None else table
     max_len = policy.cfg.max_len
     out = []
     for _ in range(cfg.m):
@@ -78,16 +85,19 @@ def top_p_sample(
     return out
 
 
-def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
+def diverse_beam(
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, logits: np.ndarray | None = None
+) -> list[TokenSeq]:
     """m groups of beam width 1, expanded sequentially per step.
 
     Per step and group: the group's own prefix tokens get the repetition
     penalty on raw logits (positive logits divided, negative multiplied),
     temperature rescales, and tokens already chosen by earlier groups at this
     step are pushed down by diversity_penalty * count. Groups are ranked by
-    cumulative penalized score. Fully deterministic.
+    cumulative penalized score. Fully deterministic: cfg.seed is never read.
+    A caller already holding transition_logits(policy, x) passes the logits.
     """
-    table_logits, _ = transition_logits(policy, x)
+    table_logits = transition_logits(policy, x)[0] if logits is None else logits
     max_len = policy.cfg.max_len
     prefixes: list[list[int]] = [[] for _ in range(cfg.m)]
     scores = [0.0] * cfg.m
@@ -127,17 +137,24 @@ def _by_logprob(scored) -> list[TokenSeq]:
     return [z for z, _ in sorted(scored, key=lambda pair: -pair[1])]
 
 
-def mixed_decode(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
+def mixed_decode(
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, tables: tuple | None = None
+) -> list[TokenSeq]:
     """Run both decoders at m samples each, then keep the top m/2 from each
     ranked by policy log-probability. Duplicates across the halves are skipped
     in favor of the same source's next-ranked sample; repeats appear only when
-    a source has no fresh sequences left."""
+    a source has no fresh sequences left. Both decoders and the ranking read
+    one table; `tables` is its (logits, log-softmax) pair if the caller has it."""
     if cfg.m % 2 != 0:
         raise ValueError("mixed decoding needs an even sample count")
+    if tables is None:
+        logits = transition_logits(policy, x)[0]
+        tables = (logits, log_softmax_rows(logits))
+    logits, table = tables
     half = cfg.m // 2
-    beam = diverse_beam(policy, x, cfg)
-    beam_ranked = _by_logprob(zip(beam, seq_logprobs(policy, x, beam)))
-    nucleus_ranked = _by_logprob(top_p_sample(policy, x, cfg))
+    beam = diverse_beam(policy, x, cfg, logits)
+    beam_ranked = _by_logprob((z, path_logprob(table, z)) for z in beam)
+    nucleus_ranked = _by_logprob(top_p_sample(policy, x, cfg, table))
     picks: list[TokenSeq] = []
     seen: set[tuple[int, ...]] = set()
     for source in (beam_ranked, nucleus_ranked):
@@ -157,11 +174,16 @@ def mixed_decode(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[T
     return picks
 
 
-def decode_samples(policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig) -> list[TokenSeq]:
+def decode_samples(
+    policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig, tables: tuple | None = None
+) -> list[TokenSeq]:
+    """`tables` is the (transition_logits(policy, x)[0], transition_table(policy, x))
+    pair when the caller already holds it."""
+    logits, table = (None, None) if tables is None else tables
     if scheme == "beam":
-        return diverse_beam(policy, x, cfg)
+        return diverse_beam(policy, x, cfg, logits)
     if scheme == "top_p":
-        return [z for z, _ in top_p_sample(policy, x, cfg)]
+        return [z for z, _ in top_p_sample(policy, x, cfg, table)]
     if scheme == "mixed":
-        return mixed_decode(policy, x, cfg)
+        return mixed_decode(policy, x, cfg, tables)
     raise ValueError(f"unknown decode scheme {scheme!r}")

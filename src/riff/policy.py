@@ -180,10 +180,14 @@ def seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:
     return float(seq_logprobs(params, x, [z])[0])
 
 
-def weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights) -> np.ndarray:
+def weighted_seq_grad(
+    params: PolicyParams, x: TokenSeq, seqs, weights, transition: tuple | None = None
+) -> np.ndarray:
     """Gradient of sum_j weights[j] * seq_logprob(params, x, seqs[j]) by one
     backward through the table: with C[p, t] the weighted count of p -> t
-    transitions, the logit gradient is C - rowsum(C) * softmax(logits)."""
+    transitions, the logit gradient is C - rowsum(C) * softmax(logits).
+    A caller already holding transition_logits(params, x) passes it as
+    `transition` instead of having it rebuilt."""
     cfg = params.cfg
     v, d = cfg.vocab_size, cfg.embed_dim
     if len(weights) != len(seqs):
@@ -192,7 +196,7 @@ def weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights) -> np.nd
     for z, w in zip(seqs, weights):
         check_output_seq(z, cfg)
         np.add.at(counts, ((BOS,) + z.ids[:-1], z.ids), w)
-    logits, (u, s) = transition_logits(params, x)
+    logits, (u, s) = transition_logits(params, x) if transition is None else transition
     glogits = counts - counts.sum(axis=1, keepdims=True) * np.exp(log_softmax_rows(logits))
     g = ParamVector(policy_segments(cfg))
     g.view("out_head")[:] = s.T @ glogits

@@ -3,9 +3,9 @@ classifier training, checkpointing, best-checkpoint selection, and ensemble
 inference.
 
 The rewriter loop draws fresh samples every step (never cached); classifier
-training generates rewrites once before the first epoch and must hit that
-cache on every later access. One thread mutates parameters; checkpoint
-evaluation only reads frozen copies.
+training generates and formats rewrites once, before the first step, and
+scores each step's inputs and rewrites in one batched classifier call. One
+thread mutates parameters; checkpoint evaluation only reads frozen copies.
 """
 
 from __future__ import annotations
@@ -21,13 +21,15 @@ from . import estimators as est
 from .checkpoint import params_hash
 from .data import Example, SyntheticTask, TaskTemplate, format_input, strip_scaffold
 from .decoding import DecodeConfig, decode_samples, diverse_beam
+from .numerics import log_softmax_rows
 from .optim import AdamConfig, AdamW
 from .policy import (
     PolicyParams,
     TokenSeq,
+    path_logprob,
     save_policy,
-    seq_logprobs,
     snapshot,
+    transition_logits,
     weighted_seq_grad,
 )
 from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads training.seq_logprob
@@ -165,22 +167,23 @@ def protocol_plan(cfg: RunConfig, n_train: int) -> dict:
     }
 
 
+def combine_group(scores, include_original: bool) -> np.ndarray:
+    """Per-label ensemble score of one example group, whose row 0 holds the
+    original input's label scores and rows 1.. its rewrites': the original
+    score (if included) plus the mean rewrite score."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not include_original and len(scores) < 2:
+        raise ValueError("exclusion-mode ensemble needs at least one rewrite")
+    if len(scores) < 2:
+        return scores[0].copy()
+    mean = scores[1:].sum(axis=0) / (len(scores) - 1)
+    return scores[0] + mean if include_original else mean
+
+
 def ensemble_scores(score_fn, x: TokenSeq, paraphrases, include_original: bool) -> np.ndarray:
     """Per-label ensemble score: original score (if included) plus the mean
     rewrite score."""
-    paraphrases = list(paraphrases)
-    if not include_original and not paraphrases:
-        raise ValueError("exclusion-mode ensemble needs at least one rewrite")
-    total = None
-    if include_original:
-        total = np.asarray(score_fn(x), dtype=np.float64).copy()
-    if paraphrases:
-        mean = np.zeros_like(np.asarray(score_fn(paraphrases[0]), dtype=np.float64))
-        for z in paraphrases:
-            mean += np.asarray(score_fn(z), dtype=np.float64)
-        mean /= len(paraphrases)
-        total = mean if total is None else total + mean
-    return total
+    return combine_group([score_fn(z) for z in (x, *paraphrases)], include_original)
 
 
 def ensemble_predict(score_fn, x: TokenSeq, paraphrases, include_original: bool) -> int:
@@ -188,12 +191,16 @@ def ensemble_predict(score_fn, x: TokenSeq, paraphrases, include_original: bool)
     return int(np.argmax(ensemble_scores(score_fn, x, paraphrases, include_original)))
 
 
+def templated(template: TaskTemplate, seqs) -> list[TokenSeq]:
+    """Raw (untemplated) sequences, scaffold-stripped and formatted."""
+    return [format_input(template, template.instruction, strip_scaffold(z)) for z in seqs]
+
+
 def make_score_fn(classifier: clf.ClassifierParams, template: TaskTemplate, verbalizer):
     """Label scorer over raw (untemplated) sequences, scaffold-stripped."""
 
     def score(z: TokenSeq) -> np.ndarray:
-        formatted = format_input(template, template.instruction, strip_scaffold(z))
-        return clf.score_labels(classifier, formatted, verbalizer)
+        return clf.score_labels(classifier, templated(template, [z])[0], verbalizer)
 
     return score
 
@@ -201,11 +208,40 @@ def make_score_fn(classifier: clf.ClassifierParams, template: TaskTemplate, verb
 def make_reward_fn(
     classifier: clf.ClassifierParams, template: TaskTemplate, verbalizer, y: int
 ):
-    def reward_of(z: TokenSeq) -> float:
-        formatted = format_input(template, template.instruction, strip_scaffold(z))
-        return clf.reward(classifier, formatted, y, verbalizer)
+    """Rewards of a list of raw rewrites, from one classifier call."""
 
-    return reward_of
+    def rewards_of(seqs) -> np.ndarray:
+        return clf.rewards(classifier, templated(template, seqs), y, verbalizer)
+
+    return rewards_of
+
+
+def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig, seed: int):
+    """Test-style rewrites (diverse beam, m per input) of each example."""
+    return [
+        diverse_beam(policy, ex.x, decode_config(replace(cfg, m=m), derive_seed(seed, ex.uid)))
+        for ex in examples
+    ]
+
+
+def example_groups(template: TaskTemplate, examples, rewrites) -> list[list[TokenSeq]]:
+    """Each example's input followed by its rewrites, formatted for scoring."""
+    return [templated(template, [ex.x, *zs]) for ex, zs in zip(examples, rewrites, strict=True)]
+
+
+def ensemble_accuracies(
+    classifier: clf.ClassifierParams, verbalizer, examples, groups
+) -> tuple[float, float]:
+    """Ensemble accuracy with and without the original input, from one
+    classifier call per example group (see example_groups)."""
+    examples = list(examples)
+    correct = np.zeros(2)
+    for ex, group in zip(examples, groups, strict=True):
+        scores = clf.label_logprobs_batch(classifier, group, verbalizer)
+        for i, include_original in enumerate((True, False)):
+            correct[i] += int(np.argmax(combine_group(scores, include_original))) == ex.y
+    incl, excl = correct / len(examples)
+    return float(incl), float(excl)
 
 
 def evaluate_ensemble_accuracy(
@@ -221,21 +257,18 @@ def evaluate_ensemble_accuracy(
 ) -> float:
     """Ensemble accuracy with test-style decoding (always diverse beam)."""
     examples = list(examples)
-    score = make_score_fn(classifier, task_template, verbalizer)
-    correct = 0
-    for ex in examples:
-        dc = decode_config(replace(cfg, m=m), derive_seed(eval_seed, ex.uid))
-        paraphrases = diverse_beam(policy, ex.x, dc)
-        pred = ensemble_predict(score, ex.x, paraphrases, include_original)
-        correct += int(pred == ex.y)
-    return correct / len(examples)
+    rewrites = decode_rewrites(policy, examples, m, cfg, eval_seed)
+    groups = example_groups(task_template, examples, rewrites)
+    incl, excl = ensemble_accuracies(classifier, verbalizer, examples, groups)
+    return incl if include_original else excl
 
 
 def plain_accuracy(classifier, template, verbalizer, examples) -> float:
     examples = list(examples)
-    score = make_score_fn(classifier, template, verbalizer)
-    preds = [int(np.argmax(score(ex.x))) for ex in examples]
-    return float(np.mean([p == ex.y for p, ex in zip(preds, examples)]))
+    scores = clf.label_logprobs_batch(
+        classifier, templated(template, [ex.x for ex in examples]), verbalizer
+    )
+    return float(np.mean(np.argmax(scores, axis=1) == [ex.y for ex in examples]))
 
 
 def _example_gradient(
@@ -246,14 +279,21 @@ def _example_gradient(
     cfg: RunConfig,
     step: int,
 ) -> tuple[np.ndarray, dict]:
-    """Assembled objective gradient for one example at one step."""
-    sample_policy = fixed if cfg.regime == "off" else policy
+    """Assembled objective gradient for one example at one step; `reward_fn`
+    maps the samples to their rewards. One transition table per policy serves
+    the decoder, the log-probs and, for the live policy, the backward."""
+    logits, acts = transition_logits(policy, ex.x)
+    fixed_logits, _ = transition_logits(fixed, ex.x)
+    table, fixed_table = log_softmax_rows(logits), log_softmax_rows(fixed_logits)
     dc = decode_config(cfg, derive_seed(cfg.seed, step, ex.uid))
-    seqs = decode_samples(sample_policy, ex.x, cfg.decoder, dc)
-    raw_rewards = np.array([reward_fn(z) for z in seqs])
+    if cfg.regime == "off":
+        seqs = decode_samples(fixed, ex.x, cfg.decoder, dc, (fixed_logits, fixed_table))
+    else:
+        seqs = decode_samples(policy, ex.x, cfg.decoder, dc, (logits, table))
+    raw_rewards = np.asarray(reward_fn(seqs), dtype=np.float64)
     rewards = est.normalize_rewards(raw_rewards) if cfg.normalize else raw_rewards
-    cur = seq_logprobs(policy, ex.x, seqs)
-    fixed_lp = seq_logprobs(fixed, ex.x, seqs)
+    cur = np.array([path_logprob(table, z) for z in seqs])
+    fixed_lp = np.array([path_logprob(fixed_table, z) for z in seqs])
     batch = est.SampleBatch(tuple(seqs), cur, rewards, fixed_lp)
     if cfg.regime == "off":
         coeffs = est.offpolicy_coefficients(batch, cfg.estimator)
@@ -265,7 +305,7 @@ def _example_gradient(
     if cfg.regime == "klon":
         # the KL correction of est.kl_penalized_gradient, folded into the weights
         weights = weights - cfg.resolved_beta() * (cur - fixed_lp + 1.0) / batch.m
-    grad = weighted_seq_grad(policy, ex.x, seqs, weights)
+    grad = weighted_seq_grad(policy, ex.x, seqs, weights, transition=(logits, acts))
     info = {"mean_reward": float(raw_rewards.mean()), "clamp_events": coeffs.clamp_events}
     return grad, info
 
@@ -347,11 +387,9 @@ def generate_paraphrase_cache(
     """Test-style rewrites for every example, generated once and keyed by
     (policy hash, example uid)."""
     key = params_hash(policy.flat)
-    cache: dict[tuple[str, int], list[TokenSeq]] = {}
-    for ex in examples:
-        dc = decode_config(replace(cfg, m=m), derive_seed(cache_seed, ex.uid))
-        cache[(key, ex.uid)] = diverse_beam(policy, ex.x, dc)
-    return cache
+    examples = list(examples)
+    rewrites = decode_rewrites(policy, examples, m, cfg, cache_seed)
+    return {(key, ex.uid): zs for ex, zs in zip(examples, rewrites)}
 
 
 def cached_paraphrases(cache, policy_key: str, uid: int) -> list[TokenSeq]:
@@ -417,9 +455,12 @@ def train_classifier_augmented(
 ) -> list[Checkpoint]:
     """Paraphrase-augmented classifier training with a frozen rewriter.
 
-    Rewrites for every training example are generated once before the first
-    epoch and cached; any later cache miss raises. m == 0 degenerates to plain
-    supervised training and skips generation entirely.
+    Rewrites for every example are generated and formatted once, before the
+    first step; a cache miss raises. m == 0 degenerates to plain supervised
+    training and skips generation entirely. A step is one weighted classifier
+    call over the inputs (weight 1/B) and their rewrites (1/(B m)), which
+    returns the loss with the gradient. Validation rewrites are decoded once:
+    the rewriter is frozen and diverse beam reads no seed.
     """
     cfg.validate()
     if m > 0 and policy is None:
@@ -427,46 +468,51 @@ def train_classifier_augmented(
     classifier = classifier.copy()
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
     mask = clf.trainable_mask(classifier, mode)
-    cache: dict = {}
-    policy_key = ""
+    rewrites = [[] for _ in split.train]
     if m > 0:
         policy_key = params_hash(policy.flat)
         cache = generate_paraphrase_cache(
             policy, split.train, m, cfg, derive_seed(cfg.seed, 0xCAC4E)
         )
+        rewrites = [cached_paraphrases(cache, policy_key, ex.uid) for ex in split.train]
+        validation_groups = example_groups(task.template, split.validation, decode_rewrites(
+            policy, split.validation, m, cfg, derive_seed(cfg.seed, 0xEA2, 0)
+        ))
+    # inputs are formatted as they are; only decoded rewrites carry scaffold to strip
+    groups = [
+        [format_input(task.template, task.template.instruction, ex.x), *templated(task.template, zs)]
+        for ex, zs in zip(split.train, rewrites)
+    ]
     opt = AdamW(classifier.flat.size, AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xC1A55))
     rows: list[tuple[int, str, str, float]] = []
     checkpoints: list[Checkpoint] = []
 
-    def validation_accuracy(step: int) -> float:
+    def validation_accuracy() -> float:
         if m > 0:
-            return evaluate_ensemble_accuracy(
-                policy, classifier, task.template, verbalizer, split.validation,
-                m, True, cfg, derive_seed(cfg.seed, 0xEA2, step),
-            )
+            return ensemble_accuracies(classifier, verbalizer, split.validation, validation_groups)[0]
         return plain_accuracy(classifier, task.template, verbalizer, split.validation)
 
-    rows.append((0, "validation", METRIC_INCL, validation_accuracy(0)))
+    rows.append((0, "validation", METRIC_INCL, validation_accuracy()))
     order: list[int] = []
     for step in range(1, cfg.steps + 1):
         while len(order) < cfg.batch_size:
             order.extend(rng.permutation(len(split.train)))
         batch_idx, order = order[: cfg.batch_size], order[cfg.batch_size :]
-        total = np.zeros(classifier.flat.size)
-        loss = 0.0
+        b = len(batch_idx)
+        group_weights = [1.0 / b] + [1.0 / (b * m) for _ in range(m)]
+        seqs, ys, weights = [], [], []
         for idx in batch_idx:
-            ex = split.train[idx]
-            paraphrases = cached_paraphrases(cache, policy_key, ex.uid) if m > 0 else []
-            total += augmented_example_grad(classifier, ex, paraphrases, task.template, verbalizer, mode)
-            loss += augmented_example_loss(classifier, ex, paraphrases, task.template, verbalizer, mode)
-        total /= len(batch_idx)
-        opt.step(classifier.flat, -total, trainable=mask)
-        rows.append((step, "train", "loss", loss / len(batch_idx)))
+            seqs.extend(groups[idx])
+            ys.extend([split.train[idx].y] * (m + 1))
+            weights.extend(group_weights)
+        value, grad = clf.weighted_label_grad(classifier, seqs, ys, weights, verbalizer, mode)
+        opt.step(classifier.flat, -grad, trainable=mask)
+        rows.append((step, "train", "loss", -value))
         if step % cfg.checkpoint_interval == 0:
             frozen = classifier.copy()
             frozen.pv.freeze()
-            acc = validation_accuracy(step)
+            acc = validation_accuracy()
             path = None
             if run_dir is not None:
                 os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from riff.classifier import ClassifierConfig, ClassifierParams, TuningMode
-from riff.numerics import ParamVector, log_softmax, softmax
+from riff.classifier import (
+    ClassifierConfig,
+    ClassifierParams,
+    TuningMode,
+    classifier_segments,
+    trainable_mask,
+)
+from riff.numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax, softmax
 from riff.policy import PolicyConfig, PolicyParams, TokenSeq, encode_context, policy_segments, step_logits
-from riff.vocab import BOS
+from riff.vocab import BOS, MASK
 
 
 def tiny_policy(seed=0, vocab=4, max_len=4, embed=4, hidden=5, scale=0.6) -> PolicyParams:
@@ -83,3 +89,107 @@ def table_reward(table_seed: int):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _reference_forward(params: ClassifierParams, seq: TokenSeq, mode: TuningMode) -> dict:
+    """Straight-line full self-attention over one sequence: every row's q, k, v."""
+    cfg = params.cfg
+    use_prompts = mode is TuningMode.SOFT_PROMPT and cfg.prompt_len > 0
+    x = params.seg("token_embedding")[list(seq.ids)]
+    if use_prompts:
+        x = np.vstack([params.seg("prompt_table"), x])
+    wq, wv = params.seg("wq"), params.seg("wv")
+    if mode is TuningMode.LORA:
+        scale = cfg.lora_alpha / cfg.lora_rank
+        wq = wq + scale * (params.seg("lora_b_q") @ params.seg("lora_a_q"))
+        wv = wv + scale * (params.seg("lora_b_v") @ params.seg("lora_a_v"))
+    q, k, vv = x @ wq.T, x @ params.seg("wk").T, x @ wv.T
+    scores = (q @ k.T) / np.sqrt(cfg.embed_dim)
+    expd = np.exp(scores - scores.max(axis=1, keepdims=True))
+    attn = expd / expd.sum(axis=1, keepdims=True)
+    o = attn @ vv
+    return {
+        "ids": list(seq.ids), "n_prompt": cfg.prompt_len if use_prompts else 0,
+        "x": x, "q": q, "k": k, "vv": vv, "attn": attn, "o": o,
+        "h": x + o @ params.seg("wo").T, "wq": wq, "wv": wv,
+    }
+
+
+def _reference_attention_backward(params, mode, cache, d_h, g: ParamVector) -> np.ndarray:
+    """Backprop d_h through full attention and the embeddings; returns the
+    gradient rows of the input tokens (prompt rows excluded)."""
+    cfg = params.cfg
+    d_x = d_h.copy()
+    d_o = d_h @ params.seg("wo")
+    g.view("wo")[:] += d_h.T @ cache["o"]
+    d_attn = d_o @ cache["vv"].T
+    d_vv = cache["attn"].T @ d_o
+    inner = (d_attn * cache["attn"]).sum(axis=1, keepdims=True)
+    d_scores = (d_attn - inner) * cache["attn"]
+    d_q = (d_scores @ cache["k"]) / np.sqrt(cfg.embed_dim)
+    d_k = (d_scores.T @ cache["q"]) / np.sqrt(cfg.embed_dim)
+    d_wq = d_q.T @ cache["x"]
+    d_wv = d_vv.T @ cache["x"]
+    g.view("wk")[:] += d_k.T @ cache["x"]
+    g.view("wq")[:] += d_wq
+    g.view("wv")[:] += d_wv
+    if mode is TuningMode.LORA:
+        scale = cfg.lora_alpha / cfg.lora_rank
+        g.view("lora_a_q")[:] += scale * (params.seg("lora_b_q").T @ d_wq)
+        g.view("lora_b_q")[:] += scale * (d_wq @ params.seg("lora_a_q").T)
+        g.view("lora_a_v")[:] += scale * (params.seg("lora_b_v").T @ d_wv)
+        g.view("lora_b_v")[:] += scale * (d_wv @ params.seg("lora_a_v").T)
+    d_x += d_q @ cache["wq"] + d_k @ params.seg("wk") + d_vv @ cache["wv"]
+    n = cache["n_prompt"]
+    if n:
+        g.view("prompt_table")[:] += d_x[:n]
+    for pos, tok in enumerate(cache["ids"]):
+        g.view("token_embedding")[tok] += d_x[n + pos]
+    return d_x[n:]
+
+
+def reference_label_logprobs(params, seq: TokenSeq, verbalizer, mode: TuningMode) -> np.ndarray:
+    """Straight-line label log-probabilities of one sequence under the mode's
+    own scoring path (the pooled head under CLS_HEAD)."""
+    cache = _reference_forward(params, seq, mode)
+    if mode is TuningMode.CLS_HEAD:
+        a1 = params.seg("cls_w1") @ cache["h"].mean(axis=0) + params.seg("cls_b1")
+        return log_softmax(params.seg("cls_w2") @ gelu_vec(a1) + params.seg("cls_b2"))
+    row = cache["n_prompt"] + cache["ids"].index(MASK)
+    return log_softmax((cache["h"][row] @ params.seg("lm_head"))[list(verbalizer.token_ids)])
+
+
+def reference_label_grad(params, seq: TokenSeq, y: int, verbalizer, mode: TuningMode,
+                         rows: bool = False):
+    """Straight-line gradient of one sequence's label log-probability through
+    full attention, masked to the mode's trainable segments; with rows=True,
+    also the unmasked gradient rows of the embedded input tokens."""
+    cfg = params.cfg
+    cache = _reference_forward(params, seq, mode)
+    g = ParamVector(classifier_segments(cfg))
+    d_h = np.zeros_like(cache["h"])
+    if mode is TuningMode.CLS_HEAD:
+        pooled = cache["h"].mean(axis=0)
+        a1 = params.seg("cls_w1") @ pooled + params.seg("cls_b1")
+        act = gelu_vec(a1)
+        g_logits = -softmax(params.seg("cls_w2") @ act + params.seg("cls_b2"))
+        g_logits[y] += 1.0
+        g.view("cls_w2")[:] += np.outer(g_logits, act)
+        g.view("cls_b2")[:] += g_logits
+        d_a1 = (params.seg("cls_w2").T @ g_logits) * gelu_grad_vec(a1)
+        g.view("cls_w1")[:] += np.outer(d_a1, pooled)
+        g.view("cls_b1")[:] += d_a1
+        d_h[:] = params.seg("cls_w1").T @ d_a1 / len(d_h)
+    else:
+        row = cache["n_prompt"] + cache["ids"].index(MASK)
+        h = cache["h"][row]
+        vids = list(verbalizer.token_ids)
+        g_label = -softmax((h @ params.seg("lm_head"))[vids])
+        g_label[y] += 1.0
+        for c, vid in enumerate(vids):
+            g.view("lm_head")[:, vid] += g_label[c] * h
+            d_h[row] += g_label[c] * params.seg("lm_head")[:, vid]
+    d_rows = _reference_attention_backward(params, mode, cache, d_h, g)
+    flat = g.values
+    flat[~trainable_mask(params, mode)] = 0.0
+    return (flat, d_rows) if rows else flat

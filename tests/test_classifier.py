@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import tiny_classifier
+from conftest import max_scaled_error, reference_label_grad, reference_label_logprobs, tiny_classifier
 from riff.classifier import (
     ClassifierConfig,
     ClassifierParams,
@@ -13,13 +13,16 @@ from riff.classifier import (
     Verbalizer,
     classifier_grad,
     cls_forward,
+    input_position_grads,
     label_logprobs,
+    label_logprobs_batch,
     load_classifier,
     lora_apply,
     reward,
     save_classifier,
     score_labels,
     trainable_mask,
+    weighted_label_grad,
 )
 from riff.numerics import finite_diff_grad, max_relative_error
 from riff.policy import TokenSeq
@@ -321,3 +324,75 @@ def test_classifier_checkpoint_roundtrip(tmp_path):
     assert loaded.cfg == p.cfg
     assert loaded.mode is TuningMode.SOFT_PROMPT
     assert np.array_equal(loaded.flat, p.flat)
+
+
+# mixed lengths, the mask early and late, so every batch needs padding
+MIXED_BATCH = [
+    TokenSeq((1, 5, 7, MASK, EOS)),
+    TokenSeq((MASK, 4, EOS)),
+    TokenSeq((6, 6, 5, 1, 7, 4, 3, MASK, EOS)),
+    TokenSeq((MASK, EOS)),
+]
+
+
+def kernel_params(mode, seed):
+    p = tiny_classifier(seed=seed, prompt_len=3, mode=TuningMode.ALL).with_mode(mode)
+    if mode is TuningMode.LORA:
+        gen = np.random.default_rng(seed)
+        p.seg("lora_b_q")[:] = gen.normal(0, 0.1, p.seg("lora_b_q").shape)
+        p.seg("lora_b_v")[:] = gen.normal(0, 0.1, p.seg("lora_b_v").shape)
+    return p
+
+
+@pytest.mark.parametrize("mode", list(TuningMode))
+def test_kernel_matches_weighted_per_sequence_reference(mode):
+    p = kernel_params(mode, seed=31)
+    ys = [0, 1, 1, 0]
+    weights = [0.7, 0.0, -1.3, 2.1]
+    value, grad = weighted_label_grad(p, MIXED_BATCH, ys, weights, VERB, mode)
+    want_lp = np.array([reference_label_logprobs(p, s, VERB, mode) for s in MIXED_BATCH])
+    want_value = sum(w * lp[y] for w, lp, y in zip(weights, want_lp, ys))
+    want_grad = sum(
+        w * reference_label_grad(p, s, y, VERB, mode) for w, s, y in zip(weights, MIXED_BATCH, ys)
+    )
+    assert abs(value - want_value) <= 1e-12 * abs(want_value)
+    assert max_scaled_error(label_logprobs_batch(p, MIXED_BATCH, VERB, mode), want_lp) < 1e-12
+    if mode is TuningMode.NONE:
+        assert np.all(grad == 0.0)
+    else:
+        assert max_scaled_error(grad, want_grad) < 1e-12
+        assert np.all(grad[~trainable_mask(p, mode)] == 0.0)
+
+
+@pytest.mark.parametrize("mode", list(TuningMode))
+def test_kernel_scores_a_sequence_the_same_alone_and_padded(mode):
+    p = kernel_params(mode, seed=32)
+    short, padded = MIXED_BATCH[3], [MIXED_BATCH[2], MIXED_BATCH[3], MIXED_BATCH[0]]
+    alone = label_logprobs_batch(p, [short], VERB, mode)[0]
+    assert max_scaled_error(label_logprobs_batch(p, padded, VERB, mode)[1], alone) < 1e-12
+    value, grad = weighted_label_grad(p, [short], [1], [1.0], VERB, mode)
+    value_padded, grad_padded = weighted_label_grad(p, padded, [0, 1, 1], [0.0, 1.0, 0.0], VERB, mode)
+    assert abs(value_padded - value) <= 1e-12 * abs(value)
+    if mode is not TuningMode.NONE:
+        assert max_scaled_error(grad_padded, grad) < 1e-12
+
+
+def test_input_position_grads_match_reference_rows():
+    p = kernel_params(TuningMode.NONE, seed=33)
+    for seq in MIXED_BATCH:
+        _, want = reference_label_grad(p, seq, 1, VERB, TuningMode.NONE, rows=True)
+        assert max_scaled_error(input_position_grads(p, seq, 1, VERB), want) < 1e-12
+
+
+def test_kernel_errors_name_the_batch_index():
+    p = tiny_classifier(seed=34)
+    with pytest.raises(ValueError, match="batch sequence 2: token id 9 out of range"):
+        label_logprobs_batch(p, [INPUT, INPUT, TokenSeq((9, MASK, EOS))], VERB)
+    with pytest.raises(ValueError, match="batch sequence 1: .*exactly one mask token, found 0"):
+        label_logprobs_batch(p, [INPUT, TokenSeq((4, EOS)), INPUT], VERB)
+    with pytest.raises(ValueError, match="batch sequence 3: .*exactly one mask token, found 2"):
+        weighted_label_grad(p, [INPUT] * 3 + [TokenSeq((MASK, 4, MASK, EOS))], [0] * 4, [1.0] * 4, VERB)
+    with pytest.raises(ValueError, match="batch sequence 1: label 2 out of range"):
+        weighted_label_grad(p, [INPUT, INPUT], [0, 2], [1.0, 1.0], VERB)
+    with pytest.raises(ValueError, match="2 sequences, 2 labels and 1 weights"):
+        weighted_label_grad(p, [INPUT, INPUT], [0, 1], [1.0], VERB)

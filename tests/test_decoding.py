@@ -8,7 +8,14 @@ from conftest import tiny_policy
 from riff.decoding import DecodeConfig, decode_samples, diverse_beam, mixed_decode, top_p_sample
 from riff.numerics import softmax
 from riff.oracle import greedy_path
-from riff.policy import TokenSeq, encode_context, seq_logprob, step_logits
+from riff.policy import (
+    TokenSeq,
+    encode_context,
+    seq_logprob,
+    step_logits,
+    transition_logits,
+    transition_table,
+)
 from riff.vocab import BOS, EOS
 
 X = TokenSeq.from_content([1, 2])
@@ -124,6 +131,9 @@ def test_diverse_beam_deterministic():
     p = tiny_policy(seed=13)
     cfg = DecodeConfig(m=4, seed=77)
     assert [z.ids for z in diverse_beam(p, X, cfg)] == [z.ids for z in diverse_beam(p, X, cfg)]
+    # the seed is never read, so rewrites of a frozen rewriter can be decoded once
+    other = DecodeConfig(m=4, seed=78)
+    assert [z.ids for z in diverse_beam(p, X, cfg)] == [z.ids for z in diverse_beam(p, X, other)]
 
 
 def test_mixed_rejects_odd_m():
@@ -194,6 +204,12 @@ def test_decoders_return_wellformed_sequences(seed, scheme):
         assert z.ids[-1] == EOS
         assert sum(1 for t in z.ids if t == EOS) == 1
         assert len(z) <= max_len
+    # decoding from tables the caller already holds is bitwise the same
+    logits = transition_logits(p, x)[0]
+    tables = (logits, transition_table(p, x))
+    assert [z.ids for z in decode_samples(p, x, scheme, cfg, tables)] == [
+        z.ids for z in decode_samples(p, x, scheme, cfg)
+    ]
 
 
 def test_decode_samples_rejects_unknown_scheme():

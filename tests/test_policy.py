@@ -164,6 +164,9 @@ def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
         one_hot[j] = 1.0
         single = seq_logprob_grad(p, x, z)
         assert np.array_equal(weighted_seq_grad(p, x, seqs, one_hot), single)
+        # handing over the table's logits and activations changes nothing
+        given = weighted_seq_grad(p, x, seqs, one_hot, transition=transition_logits(p, x))
+        assert np.array_equal(given, single)
         assert max_scaled_error(single, reference_seq_logprob_grad(p, x, z)) < 1e-12
 
 

@@ -194,7 +194,9 @@ def test_example_gradient_equals_reference_assembly(estimator, regime):
     cfg = RunConfig(estimator=estimator, regime=regime, decoder="mixed", m=6, seed=4)
     reward_fn = table_reward(17)
     for ex in split.train[:3]:
-        got, _ = training._example_gradient(policy, fixed, ex, reward_fn, cfg, step=2)
+        got, _ = training._example_gradient(
+            policy, fixed, ex, lambda seqs: [reward_fn(z) for z in seqs], cfg, step=2
+        )
         # the same samples, scored and differentiated one sequence at a time
         dc = training.decode_config(cfg, derive_seed(cfg.seed, 2, ex.uid))
         seqs = decode_samples(fixed if regime == "off" else policy, ex.x, "mixed", dc)
@@ -257,6 +259,41 @@ def test_finetune_reproduces_pinned_run(tmp_path):
     rows = read_metrics_csv(tmp_path / "metrics.csv")
     assert [(r["step"], r["split"], r["metric"]) for r in rows] == [r[:3] for r in PINNED_ROWS]
     for got, want in zip(rows, PINNED_ROWS):
+        assert got["value"] == pytest.approx(want[3], rel=0, abs=1e-9)
+
+
+# Recorded from the per-sequence classifier path (one forward and one backward
+# per input and per rewrite, the loss from separate forwards, validation
+# rewrites decoded at every checkpoint) before the batched label-path kernel.
+PINNED_CLASSIFIER_ROWS = [
+    (0, "validation", "ensemble_acc_incl", 0.5),
+    (1, "train", "loss", 1.4403817422049154),
+    (2, "train", "loss", 1.413447407009093),
+    (2, "validation", "ensemble_acc_incl", 0.625),
+    (3, "train", "loss", 1.1329291042877632),
+    (4, "train", "loss", 2.144198359830126),
+    (4, "validation", "ensemble_acc_incl", 0.5),
+    (5, "train", "loss", 0.7763986005925749),
+    (6, "train", "loss", 1.1368122736412771),
+    (6, "validation", "ensemble_acc_incl", 0.5),
+]
+
+
+def test_lora_augmented_training_reproduces_pinned_run(tmp_path):
+    task, split, _, policy = make_pipeline()
+    classifier = tiny_classifier(seed=5, vocab=20, embed=8, mode=clf.TuningMode.LORA)
+    cfg = RunConfig(m=2, lr=0.1, steps=6, batch_size=4, checkpoint_interval=2, seed=3)
+    checkpoints = train_classifier_augmented(
+        classifier, policy, task, split, m=2, mode=clf.TuningMode.LORA, cfg=cfg,
+        run_dir=str(tmp_path),
+    )
+    # the adapters are live from the first checkpoint on, so the pin covers B != 0
+    assert all(np.any(ck.params.seg("lora_b_q") != 0.0) for ck in checkpoints)
+    rows = read_metrics_csv(tmp_path / "metrics.csv")
+    assert [(r["step"], r["split"], r["metric"]) for r in rows] == [
+        r[:3] for r in PINNED_CLASSIFIER_ROWS
+    ]
+    for got, want in zip(rows, PINNED_CLASSIFIER_ROWS):
         assert got["value"] == pytest.approx(want[3], rel=0, abs=1e-9)
 
 
