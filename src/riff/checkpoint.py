@@ -2,7 +2,10 @@
 
 Layout: 8-byte magic, u32 version, u32 header length, JSON header (model
 kind, dimensions, segment order), then the flat parameter buffer as
-little-endian float64 in declared segment order.
+little-endian float64 in declared segment order. Version 2 headers also
+record the payload's byte count and sha256, checked on load; version 1 files,
+which lack them, still load. A checkpoint is written to a temporary file
+beside it and renamed into place, so a crash never leaves half a file.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -17,19 +21,29 @@ import numpy as np
 from .numerics import ParamVector
 
 MAGIC = b"RIFFCKPT"
-VERSION = 1
+VERSION = 2
 
 
 def save_segments(path, header: dict, pv: ParamVector) -> None:
+    payload = pv.values.astype("<f8").tobytes()
     meta = dict(header)
     meta["segments"] = [[name, list(shape)] for name, shape in pv.segments()]
+    meta["payload_bytes"] = len(payload)
+    meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(pv.values.astype("<f8").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read(f, n: int, path, what: str) -> bytes:
@@ -45,8 +59,8 @@ def load_segments(path) -> tuple[dict, ParamVector]:
         if magic != MAGIC:
             raise ValueError(f"not a checkpoint file {path}: bad magic {magic!r}")
         (version,) = struct.unpack("<I", _read(f, 4, path, "version"))
-        if version != VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+        if version not in (1, VERSION):
+            raise ValueError(f"unsupported checkpoint version {version} in {path}")
         (hlen,) = struct.unpack("<I", _read(f, 4, path, "header length"))
         header = json.loads(_read(f, hlen, path, "header").decode("utf-8"))
         segments = [(name, tuple(shape)) for name, shape in header["segments"]]
@@ -54,6 +68,14 @@ def load_segments(path) -> tuple[dict, ParamVector]:
         raw = _read(f, 8 * count, path, "parameter payload")
         if f.read(1):
             raise ValueError(f"checkpoint {path} has bytes past its {count}-value payload")
+    if version >= 2:
+        if header.get("payload_bytes") != len(raw):
+            raise ValueError(
+                f"corrupt checkpoint {path}: header records {header.get('payload_bytes')} "
+                f"payload bytes, its segments hold {len(raw)}"
+            )
+        if hashlib.sha256(raw).hexdigest() != header.get("payload_sha256"):
+            raise ValueError(f"corrupt checkpoint {path}: payload sha256 does not match its header")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     pv = ParamVector(segments, values)
     return header, pv

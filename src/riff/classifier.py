@@ -369,7 +369,8 @@ def weighted_label_grad(
     return _kernel(params, seqs, ys, weights, verbalizer, mode)[:2]
 
 
-def _label_path_mode(mode: TuningMode) -> TuningMode:
+def label_path_mode(mode: TuningMode) -> TuningMode:
+    """The mode whose mask-row head label_logprobs reads under `mode`."""
     # CLS_HEAD adds neither prompt rows nor adapters, so its label path is the plain one
     return TuningMode.NONE if mode is TuningMode.CLS_HEAD else mode
 
@@ -382,7 +383,7 @@ def label_logprobs(
 ) -> np.ndarray:
     """Per-label log-probabilities from the mask-position head, softmax
     restricted to the verbalizer token logits."""
-    mode = _label_path_mode(params.mode if mode is None else mode)
+    mode = label_path_mode(params.mode if mode is None else mode)
     return label_logprobs_batch(params, [input_seq], verbalizer, mode)[0]
 
 
@@ -391,7 +392,7 @@ def rewards(params: ClassifierParams, seqs, y: int, verbalizer: Verbalizer) -> n
     one batched forward. Always <= 0."""
     if not 0 <= y < params.cfg.num_labels:
         raise ValueError(f"label {y} out of range")
-    return label_logprobs_batch(params, seqs, verbalizer, _label_path_mode(params.mode))[:, y]
+    return label_logprobs_batch(params, seqs, verbalizer, label_path_mode(params.mode))[:, y]
 
 
 def reward(params: ClassifierParams, input_seq: TokenSeq, y: int, verbalizer: Verbalizer) -> float:
@@ -427,18 +428,27 @@ def classifier_grad(
     return weighted_label_grad(params, [input_seq], [y], [1.0], verbalizer, mode)[1]
 
 
+def input_row_grads(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) -> np.ndarray:
+    """Gradient of each log P(ys[i] | seqs[i]) with respect to its embedded
+    input rows, from one batched forward and backward: (B, L, d), padded with
+    zero rows to the longest sequence.
+
+    Row j of sequence i corresponds to its input position j (prompt rows are
+    not included); used by the discrete instruction search to score
+    substitutions.
+    """
+    seqs = list(seqs)
+    return _kernel(params, seqs, ys, np.ones(len(seqs)), verbalizer, TuningMode.NONE, True)[2]
+
+
 def input_position_grads(
     params: ClassifierParams,
     input_seq: TokenSeq,
     y: int,
     verbalizer: Verbalizer,
 ) -> np.ndarray:
-    """Gradient of log P(y | input) with respect to each embedded input row.
-
-    Row i corresponds to input position i (prompt rows are not included);
-    used by the discrete instruction search to score substitutions.
-    """
-    return _kernel(params, [input_seq], [y], [1.0], verbalizer, TuningMode.NONE, True)[2][0]
+    """Gradient of log P(y | input) with respect to each embedded input row."""
+    return input_row_grads(params, [input_seq], [y], verbalizer)[0]
 
 
 def save_classifier(path, params: ClassifierParams) -> None:

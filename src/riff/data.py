@@ -59,7 +59,7 @@ def format_input(template: TaskTemplate, instruction, x: TokenSeq) -> TokenSeq:
     """Deterministic scaffold insertion; injective in x for a fixed template."""
     instruction = tuple(int(t) for t in instruction)
     content = x.content
-    if any(t == MASK for t in content):
+    if MASK in content:
         raise ValueError("content may not contain the mask token")
     if template.mask_first:
         ids = (BOS, *instruction, MASK, SEP, *content, EOS)

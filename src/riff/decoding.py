@@ -8,11 +8,13 @@ bitwise reproducible; each call owns its own random state.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log_softmax_rows, logsumexp
+from .numerics import log_softmax_rows
 from .policy import (
     PolicyParams,
     TokenSeq,
@@ -56,10 +58,18 @@ def top_p_sample(
     log-probs are exact values under the unmodified policy, summed while
     sampling. A caller already holding transition_table(policy, x) passes it
     as `table`.
+
+    A row's nucleus depends only on the row, so it is built once, on the
+    first visit. A draw is keep[bisect_right(cdf, u)] with cdf the nucleus's
+    normalized cumulative sum and u the next uniform of one block: that is
+    Generator.choice(keep, p=nucleus), which takes one random() per call.
     """
     rng = np.random.default_rng(cfg.seed)
     table = transition_table(policy, x) if table is None else table
+    rows = table.tolist()
     max_len = policy.cfg.max_len
+    uniforms = iter(rng.random(cfg.m * (max_len - 1)).tolist())
+    nuclei: dict[int, tuple[list[int], list[float]]] = {}
     out = []
     for _ in range(cfg.m):
         ids: list[int] = []
@@ -69,20 +79,33 @@ def top_p_sample(
             if len(ids) == max_len - 1:
                 tok = EOS
             else:
-                probs = np.exp(table[prev])
-                order = np.argsort(-probs, kind="stable")
-                csum = np.cumsum(probs[order])
-                cut = min(int(np.searchsorted(csum, cfg.top_p, side="left")), len(order) - 1)
-                keep = order[: cut + 1]
-                nucleus = probs[keep] / probs[keep].sum()
-                tok = int(rng.choice(keep, p=nucleus))
+                if prev not in nuclei:
+                    nuclei[prev] = _nucleus(table[prev], cfg.top_p, prev)
+                keep, cdf = nuclei[prev]
+                tok = keep[bisect.bisect_right(cdf, next(uniforms))]
             ids.append(tok)
-            logprob += float(table[prev, tok])
+            logprob += rows[prev][tok]
             if tok == EOS:
                 break
             prev = tok
         out.append((TokenSeq(tuple(ids)), logprob))
     return out
+
+
+def _nucleus(logprobs: np.ndarray, top_p: float, row: int) -> tuple[list[int], list[float]]:
+    """The nucleus of one transition row: its token ids, most probable first,
+    and the normalized cumulative sum a uniform draw is looked up in."""
+    probs = np.exp(logprobs)
+    order = np.argsort(-probs, kind="stable")
+    csum = np.cumsum(probs[order])
+    cut = min(int(np.searchsorted(csum, top_p, side="left")), len(order) - 1)
+    keep = order[: cut + 1]
+    nucleus = probs[keep] / probs[keep].sum()
+    if not np.all(np.isfinite(nucleus)):
+        raise ValueError(f"non-finite probabilities in transition row {row}")
+    cdf = nucleus.cumsum()
+    cdf /= cdf[-1]
+    return keep.tolist(), cdf.tolist()
 
 
 def diverse_beam(
@@ -96,9 +119,14 @@ def diverse_beam(
     step are pushed down by diversity_penalty * count. Groups are ranked by
     cumulative penalized score. Fully deterministic: cfg.seed is never read.
     A caller already holding transition_logits(policy, x) passes the logits.
+
+    The penalties are single float operations on list rows, which round as
+    numpy's do; the log-normalizer stays numpy's exp and pairwise sum.
     """
     table_logits = transition_logits(policy, x)[0] if logits is None else logits
+    rows = table_logits.tolist()
     max_len = policy.cfg.max_len
+    rep, temp, div = cfg.repetition_penalty, cfg.temperature, cfg.diversity_penalty
     prefixes: list[list[int]] = [[] for _ in range(cfg.m)]
     scores = [0.0] * cfg.m
     done = [False] * cfg.m
@@ -108,28 +136,34 @@ def diverse_beam(
             if done[gidx]:
                 continue
             prefix = prefixes[gidx]
-            prev = prefix[-1] if prefix else BOS
-            logits = table_logits[prev].copy()
+            pen = rows[prefix[-1] if prefix else BOS][:]
             for tok in set(prefix):
-                if logits[tok] > 0:
-                    logits[tok] /= cfg.repetition_penalty
-                else:
-                    logits[tok] *= cfg.repetition_penalty
-            penalized = logits / cfg.temperature
+                v = pen[tok]
+                pen[tok] = v / rep if v > 0 else v * rep
+            pen = [v / temp for v in pen]
             for tok, count in chosen.items():
-                penalized[tok] -= cfg.diversity_penalty * count
-            step_scores = penalized - logsumexp(penalized)
-            if len(prefix) == max_len - 1:
-                tok = EOS
-            else:
-                tok = int(np.argmax(step_scores))
-            scores[gidx] += float(step_scores[tok])
+                pen[tok] -= div * count
+            lse = _logsumexp(pen)
+            step = [v - lse for v in pen]
+            tok = EOS if len(prefix) == max_len - 1 else step.index(max(step))
+            scores[gidx] += step[tok]
             prefix.append(tok)
             chosen[tok] = chosen.get(tok, 0) + 1
             if tok == EOS:
                 done[gidx] = True
     ranked = sorted(range(cfg.m), key=lambda i: (-scores[i], i))
     return [TokenSeq(tuple(prefixes[i])) for i in ranked]
+
+
+def _logsumexp(values: list[float]) -> float:
+    """numerics.logsumexp of a list, through the same numpy exp and pairwise
+    sum, so the same bits."""
+    top = max(values)
+    if math.isfinite(top):
+        lse = top + math.log(float(np.sum(np.exp(np.array(values) - top))))
+        if math.isfinite(lse):  # false when a NaN sits below the maximum
+            return lse
+    raise ValueError("non-finite input to logsumexp")
 
 
 def _by_logprob(scored) -> list[TokenSeq]:

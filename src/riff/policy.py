@@ -31,11 +31,11 @@ class TokenSeq:
         object.__setattr__(self, "ids", ids)
         if len(ids) == 0:
             raise ValueError("empty token sequence")
-        if any(t < 0 for t in ids):
+        if min(ids) < 0:
             raise ValueError("negative token id")
         if ids[-1] != EOS:
             raise ValueError("sequence must end with EOS")
-        if sum(1 for t in ids if t == EOS) != 1:
+        if ids.count(EOS) != 1:
             raise ValueError("exactly one EOS allowed, at the end")
 
     @classmethod

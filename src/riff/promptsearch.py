@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ClassifierParams, Verbalizer, input_position_grads, label_logprobs
+from .classifier import (
+    ClassifierParams,
+    Verbalizer,
+    input_row_grads,
+    label_logprobs_batch,
+    label_path_mode,
+)
 from .data import TaskTemplate, format_input
 
 
@@ -42,10 +48,15 @@ def minibatch_loglik(
     minibatch,
     verbalizer: Verbalizer,
 ) -> float:
+    """Sum of label log-likelihoods over the minibatch, scored in one batch
+    on the label path label_logprobs reads, summed in minibatch order."""
+    if not minibatch:
+        return 0.0
+    formatted = [format_input(template, instruction.ids, ex.x) for ex in minibatch]
+    logp = label_logprobs_batch(classifier, formatted, verbalizer, label_path_mode(classifier.mode))
     total = 0.0
-    for ex in minibatch:
-        formatted = format_input(template, instruction.ids, ex.x)
-        total += float(label_logprobs(classifier, formatted, verbalizer)[ex.y])
+    for i, ex in enumerate(minibatch):
+        total += float(logp[i, ex.y])
     return total
 
 
@@ -68,10 +79,11 @@ def gs_candidates(
         raise ValueError("k must be at least 1")
     # instruction tokens sit right after BOS in both template variants
     row = 1 + position
+    formatted = [format_input(template, instruction.ids, ex.x) for ex in minibatch]
+    rows = input_row_grads(classifier, formatted, [ex.y for ex in minibatch], verbalizer)
     grad = np.zeros(classifier.cfg.embed_dim)
-    for ex in minibatch:
-        formatted = format_input(template, instruction.ids, ex.x)
-        grad += input_position_grads(classifier, formatted, ex.y, verbalizer)[row]
+    for ex_rows in rows:
+        grad += ex_rows[row]
     scores = classifier.seg("token_embedding") @ grad
     order = sorted(range(classifier.cfg.vocab_size), key=lambda v: (-scores[v], v))
     return order[:k]

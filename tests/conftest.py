@@ -8,9 +8,19 @@ from riff.classifier import (
     classifier_segments,
     trainable_mask,
 )
-from riff.numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax, softmax
-from riff.policy import PolicyConfig, PolicyParams, TokenSeq, encode_context, policy_segments, step_logits
-from riff.vocab import BOS, MASK
+from riff.decoding import DecodeConfig
+from riff.numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax, logsumexp, softmax
+from riff.policy import (
+    PolicyConfig,
+    PolicyParams,
+    TokenSeq,
+    encode_context,
+    policy_segments,
+    step_logits,
+    transition_logits,
+    transition_table,
+)
+from riff.vocab import BOS, EOS, MASK
 
 
 def tiny_policy(seed=0, vocab=4, max_len=4, embed=4, hidden=5, scale=0.6) -> PolicyParams:
@@ -74,6 +84,80 @@ def reference_seq_logprob_grad(params: PolicyParams, x: TokenSeq, z: TokenSeq) -
     for t in x.ids:
         g_emb[t] += share
     return g.values
+
+
+def reference_top_p_sample(
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None
+) -> list[tuple[TokenSeq, float]]:
+    """Straight-line nucleus sampling, the nucleus rebuilt and one rng.choice
+    made per token: decoding.top_p_sample must return these ids and
+    log-probs bitwise."""
+    rng = np.random.default_rng(cfg.seed)
+    table = transition_table(policy, x) if table is None else table
+    max_len = policy.cfg.max_len
+    out = []
+    for _ in range(cfg.m):
+        ids: list[int] = []
+        logprob = 0.0
+        prev = BOS
+        while True:
+            if len(ids) == max_len - 1:
+                tok = EOS
+            else:
+                probs = np.exp(table[prev])
+                order = np.argsort(-probs, kind="stable")
+                csum = np.cumsum(probs[order])
+                cut = min(int(np.searchsorted(csum, cfg.top_p, side="left")), len(order) - 1)
+                keep = order[: cut + 1]
+                nucleus = probs[keep] / probs[keep].sum()
+                tok = int(rng.choice(keep, p=nucleus))
+            ids.append(tok)
+            logprob += float(table[prev, tok])
+            if tok == EOS:
+                break
+            prev = tok
+        out.append((TokenSeq(tuple(ids)), logprob))
+    return out
+
+
+def reference_diverse_beam(
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, logits: np.ndarray | None = None
+) -> list[TokenSeq]:
+    """Straight-line diverse beam, penalties and log-normalizer on numpy rows
+    per group-step: decoding.diverse_beam must return these ids bitwise."""
+    table_logits = transition_logits(policy, x)[0] if logits is None else logits
+    max_len = policy.cfg.max_len
+    prefixes: list[list[int]] = [[] for _ in range(cfg.m)]
+    scores = [0.0] * cfg.m
+    done = [False] * cfg.m
+    while not all(done):
+        chosen: dict[int, int] = {}
+        for gidx in range(cfg.m):
+            if done[gidx]:
+                continue
+            prefix = prefixes[gidx]
+            prev = prefix[-1] if prefix else BOS
+            logits = table_logits[prev].copy()
+            for tok in set(prefix):
+                if logits[tok] > 0:
+                    logits[tok] /= cfg.repetition_penalty
+                else:
+                    logits[tok] *= cfg.repetition_penalty
+            penalized = logits / cfg.temperature
+            for tok, count in chosen.items():
+                penalized[tok] -= cfg.diversity_penalty * count
+            step_scores = penalized - logsumexp(penalized)
+            if len(prefix) == max_len - 1:
+                tok = EOS
+            else:
+                tok = int(np.argmax(step_scores))
+            scores[gidx] += float(step_scores[tok])
+            prefix.append(tok)
+            chosen[tok] = chosen.get(tok, 0) + 1
+            if tok == EOS:
+                done[gidx] = True
+    ranked = sorted(range(cfg.m), key=lambda i: (-scores[i], i))
+    return [TokenSeq(tuple(prefixes[i])) for i in ranked]
 
 
 def table_reward(table_seed: int):

@@ -1,10 +1,12 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import tiny_policy
+from conftest import reference_diverse_beam, reference_top_p_sample, tiny_policy
 from riff.decoding import DecodeConfig, decode_samples, diverse_beam, mixed_decode, top_p_sample
 from riff.numerics import softmax
 from riff.oracle import greedy_path
@@ -136,6 +138,18 @@ def test_diverse_beam_deterministic():
     assert [z.ids for z in diverse_beam(p, X, cfg)] == [z.ids for z in diverse_beam(p, X, other)]
 
 
+def test_decoders_reject_non_finite_rows():
+    p = tiny_policy(seed=13)
+    logits = transition_logits(p, X)[0].copy()
+    logits[BOS, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite input to logsumexp"):
+        diverse_beam(p, X, DecodeConfig(m=2), logits)
+    table = transition_table(p, X).copy()
+    table[BOS, 1] = np.nan
+    with pytest.raises(ValueError, match=f"transition row {BOS}"):
+        top_p_sample(p, X, DecodeConfig(m=2, top_p=1.0), table)
+
+
 def test_mixed_rejects_odd_m():
     p = tiny_policy(seed=1)
     with pytest.raises(ValueError, match="even"):
@@ -191,6 +205,67 @@ def test_mixed_deterministic():
     assert [z.ids for z in mixed_decode(p, X, cfg)] == [z.ids for z in mixed_decode(p, X, cfg)]
 
 
+def _assert_matches_references(p, x, cfg):
+    got, want = top_p_sample(p, x, cfg), reference_top_p_sample(p, x, cfg)
+    assert [z.ids for z, _ in got] == [z.ids for z, _ in want]
+    assert [lp for _, lp in got] == [lp for _, lp in want]
+    assert [z.ids for z in diverse_beam(p, x, cfg)] == [
+        z.ids for z in reference_diverse_beam(p, x, cfg)
+    ]
+
+
+@pytest.mark.parametrize("top_p", [1.0, 0.99, 1e-12])
+@pytest.mark.parametrize("max_len", [1, 2, 3, 24])
+@pytest.mark.parametrize("m", [1, 8])
+def test_decoders_bitwise_equal_references(top_p, max_len, m):
+    gen = np.random.default_rng([max_len, m])
+    for seed in range(6):
+        vocab = int(gen.integers(3, 21))
+        p = tiny_policy(seed=seed, vocab=vocab, max_len=max_len, scale=float(gen.uniform(0.1, 3.0)))
+        x = TokenSeq.from_content([int(t) for t in gen.integers(1, vocab, size=int(gen.integers(1, 4)))])
+        cfg = DecodeConfig(
+            m=m, top_p=top_p, seed=seed,
+            temperature=float(gen.choice([0.7, 1.0, 1.3])),
+            diversity_penalty=float(gen.choice([0.0, 3.0, 1e6])),
+            repetition_penalty=float(gen.choice([1.0, 10.0])),
+        )
+        _assert_matches_references(p, x, cfg)
+
+
+def test_decoders_bitwise_equal_references_on_ties_and_negative_logits():
+    p = tiny_policy(seed=5, vocab=6, max_len=5)
+    # all-equal logits: every row ties exactly
+    p.out_head[:] = 0.0
+    for m in (1, 8):
+        _assert_matches_references(p, X, DecodeConfig(m=m, top_p=0.99, seed=m))
+    # every logit negative, so the repetition penalty multiplies
+    p = tiny_policy(seed=6, vocab=6, max_len=6, scale=1.2)
+    p.rec_b[:] = 1.0
+    p.rec_w[:] = 0.0
+    p.out_head[:] = -np.abs(p.out_head) - 0.1
+    assert np.all(transition_logits(p, X)[0] < 0)
+    for m in (1, 8):
+        _assert_matches_references(p, X, DecodeConfig(m=m, repetition_penalty=10.0, seed=m))
+
+
+def test_nucleus_lookup_reproduces_generator_choice():
+    # premise of top_p_sample: Generator.choice(keep, p=nucleus) takes one
+    # random() per call and returns keep[bisect_right(cdf, u)]
+    gen = np.random.default_rng(7)
+    for trial in range(300):
+        size = int(gen.integers(1, 21))
+        keep = gen.permutation(40)[:size]
+        probs = gen.random(size) ** 3
+        nucleus = probs / probs.sum()
+        cdf = nucleus.cumsum()
+        cdf /= cdf[-1]
+        by_choice = np.random.default_rng(trial)
+        by_block = np.random.default_rng(trial).random(50).tolist()
+        want = [int(by_choice.choice(keep, p=nucleus)) for _ in range(50)]
+        got = [int(keep[bisect.bisect_right(cdf.tolist(), u)]) for u in by_block]
+        assert got == want
+
+
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["beam", "top_p", "mixed"]))
 @settings(max_examples=40, deadline=None)
 def test_decoders_return_wellformed_sequences(seed, scheme):
@@ -210,6 +285,8 @@ def test_decoders_return_wellformed_sequences(seed, scheme):
     assert [z.ids for z in decode_samples(p, x, scheme, cfg, tables)] == [
         z.ids for z in decode_samples(p, x, scheme, cfg)
     ]
+    # and the decoders return the straight-line references' ids and log-probs
+    _assert_matches_references(p, x, cfg)
 
 
 def test_decode_samples_rejects_unknown_scheme():

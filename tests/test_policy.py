@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import re
 
 import numpy as np
@@ -301,6 +303,51 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\0" * 8)
     with pytest.raises(ValueError, match="past its"):
         load_policy(path)
+
+
+def test_checkpoint_flipped_payload_byte_names_file(tmp_path):
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, tiny_policy(seed=21))
+    blob = bytearray(path.read_bytes())
+    blob[-3] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"corrupt checkpoint {re.escape(str(path))}: payload sha256"):
+        load_policy(path)
+
+
+def test_version_1_checkpoint_still_loads(tmp_path):
+    # version 1: the same layout, without the payload's byte count and hash
+    p = tiny_policy(seed=22, vocab=6, max_len=9)
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, p)
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[12:16], "little")
+    header = json.loads(blob[16 : 16 + hlen])
+    assert int.from_bytes(blob[8:12], "little") == 2
+    del header["payload_bytes"], header["payload_sha256"]
+    old = json.dumps(header, sort_keys=True).encode("utf-8")
+    v1 = blob[:8] + (1).to_bytes(4, "little") + len(old).to_bytes(4, "little") + old + blob[16 + hlen :]
+    path.write_bytes(v1)
+    loaded = load_policy(path)
+    assert loaded.cfg == p.cfg
+    assert np.array_equal(loaded.flat, p.flat)
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "policy.ckpt"
+    first = tiny_policy(seed=23)
+    save_policy(path, first)
+    assert [f.name for f in tmp_path.iterdir()] == ["policy.ckpt"]
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_policy(path, tiny_policy(seed=24))
+    # the old checkpoint is untouched and no temporary file is left behind
+    assert [f.name for f in tmp_path.iterdir()] == ["policy.ckpt"]
+    assert np.array_equal(load_policy(path).flat, first.flat)
 
 
 def test_encode_context_is_mean_embedding():

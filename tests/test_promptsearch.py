@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_classifier
+from conftest import max_scaled_error, tiny_classifier
 from riff import data, training
 from riff import classifier as clf
 from riff.data import TaskTemplate, gen_synthetic_task, format_input
@@ -42,6 +42,29 @@ def test_candidates_k_equals_vocab_returns_sorted_scores():
     scores = p.seg("token_embedding") @ grad
     for earlier, later in zip(cands, cands[1:]):
         assert (scores[earlier], -earlier) >= (scores[later], -later)
+
+
+@pytest.mark.parametrize("mode", [clf.TuningMode.NONE, clf.TuningMode.SOFT_PROMPT, clf.TuningMode.CLS_HEAD])
+def test_batched_search_matches_per_example_sums(mode):
+    # minibatch_loglik and gs_candidates score the minibatch in one kernel
+    # call each; mixed lengths pad the batch
+    p = tiny_classifier(seed=9, vocab=8, prompt_len=2, mode=mode)
+    inst = Instruction((5, 6))
+    batch = make_minibatch() + [data.Example(uid=2, x=TokenSeq.from_content([7]), y=1)]
+    formatted = [format_input(TEMPLATE, inst.ids, ex.x) for ex in batch]
+    want = 0.0
+    for seq, ex in zip(formatted, batch):
+        want += float(clf.label_logprobs(p, seq, VERB)[ex.y])
+    assert abs(minibatch_loglik(p, TEMPLATE, inst, batch, VERB) - want) <= 1e-12 * abs(want)
+    for position in (0, 1):
+        grad = np.zeros(p.cfg.embed_dim)
+        for seq, ex in zip(formatted, batch):
+            grad += clf.input_position_grads(p, seq, ex.y, VERB)[1 + position]
+        rows = clf.input_row_grads(p, formatted, [ex.y for ex in batch], VERB)
+        assert max_scaled_error(rows[:, 1 + position].sum(axis=0), grad) <= 1e-12
+        scores = p.seg("token_embedding") @ grad
+        want_order = sorted(range(8), key=lambda v: (-scores[v], v))
+        assert gs_candidates(p, TEMPLATE, inst, position, batch, VERB, k=8) == want_order
 
 
 def test_candidates_zero_gradient_ties_break_by_id():
