@@ -10,6 +10,7 @@ beside it and renamed into place, so a crash never leaves half a file.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -24,6 +25,21 @@ MAGIC = b"RIFFCKPT"
 VERSION = 2
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **kwargs):
+    """Write `<path>.tmp` and rename it over `path` on a clean exit. On any
+    error the temporary file is removed and `path` keeps its old contents."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_segments(path, header: dict, pv: ParamVector) -> None:
     payload = pv.values.astype("<f8").tobytes()
     meta = dict(header)
@@ -31,19 +47,12 @@ def save_segments(path, header: dict, pv: ParamVector) -> None:
     meta["payload_bytes"] = len(payload)
     meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<I", VERSION))
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
+        f.write(payload)
 
 
 def _read(f, n: int, path, what: str) -> bytes:

@@ -15,13 +15,14 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from . import classifier as clf
 from . import data, metrics, oracle, training
-from .checkpoint import file_hash
+from .checkpoint import atomic_write, file_hash
 from .numerics import finite_diff_grad, max_relative_error
 from .policy import (
     PolicyConfig,
@@ -204,7 +205,7 @@ def write_manifest(run_dir: str, config: dict, plan: dict, files: dict) -> None:
         "protocol": plan,
         "files": files,
     }
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as f:
+    with atomic_write(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
 
 
@@ -337,32 +338,34 @@ def oracle_check(seed: int, instances: int = 20) -> float:
     Random policies carry large unterminated tail mass by construction; the
     objective excludes it consistently, so the tail warning is muted here.
     """
-    import warnings
-
-    warnings.filterwarnings("ignore", message="unterminated tail mass")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(instances):
-        vocab = int(rng.integers(3, 5))
-        max_len = int(rng.integers(3, 5))
-        pcfg = PolicyConfig(vocab_size=vocab, embed_dim=4, hidden_dim=5, max_len=max_len)
-        policy = PolicyParams.init_random(pcfg, seed=int(rng.integers(2**31)), scale=0.6)
-        x = TokenSeq.from_content([int(rng.integers(1, vocab)) for _ in range(3)])
-        table_seed = int(rng.integers(2**31))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="unterminated tail mass")
+        for _ in range(instances):
+            vocab = int(rng.integers(3, 5))
+            max_len = int(rng.integers(3, 5))
+            pcfg = PolicyConfig(vocab_size=vocab, embed_dim=4, hidden_dim=5, max_len=max_len)
+            policy = PolicyParams.init_random(pcfg, seed=int(rng.integers(2**31)), scale=0.6)
+            x = TokenSeq.from_content([int(rng.integers(1, vocab)) for _ in range(3)])
+            table_seed = int(rng.integers(2**31))
 
-        def reward_fn(z, _seed=table_seed):
-            local = np.random.default_rng([_seed, *z.ids])
-            return float(-2.0 * local.random())
+            # the reward is a pure function of the ids: memoized per instance
+            memo: dict[tuple[int, ...], float] = {}
 
-        analytic = oracle.exact_gradient(policy, x, reward_fn, max_len)
+            def reward_fn(z, _seed=table_seed, _memo=memo):
+                if z.ids not in _memo:
+                    _memo[z.ids] = float(-2.0 * np.random.default_rng([_seed, *z.ids]).random())
+                return _memo[z.ids]
 
-        def objective(flat, _p=policy, _x=x, _r=reward_fn, _ml=max_len):
-            probe = PolicyParams(_p.cfg)
-            probe.pv.values[:] = flat
-            return oracle.exact_objective(probe, _x, _r, _ml)
+            analytic = oracle.exact_gradient(policy, x, reward_fn, max_len)
 
-        fd = finite_diff_grad(objective, policy.flat, h=1e-5)
-        worst = max(worst, max_relative_error(analytic, fd))
+            def objective(flat, _probe=PolicyParams(pcfg), _x=x, _r=reward_fn, _ml=max_len):
+                _probe.pv.values[:] = flat
+                return oracle.exact_objective(_probe, _x, _r, _ml)
+
+            fd = finite_diff_grad(objective, policy.flat, h=1e-5)
+            worst = max(worst, max_relative_error(analytic, fd))
     return worst
 
 

@@ -40,12 +40,12 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
 
 
 def log_softmax_rows(logits) -> np.ndarray:
-    """log_softmax of every row of a 2-D array, shifted by each row's max."""
+    """log_softmax along the last axis, shifted by each row's max."""
     arr = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite logits")
-    m = arr.max(axis=1, keepdims=True)
-    return arr - (m + np.log(np.exp(arr - m).sum(axis=1, keepdims=True)))
+    m = arr.max(axis=-1, keepdims=True)
+    return arr - (m + np.log(np.exp(arr - m).sum(axis=-1, keepdims=True)))
 
 
 def gelu(x: float) -> float:

@@ -7,6 +7,8 @@ deterministic and independent of the policy parameters being differentiated.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -16,7 +18,6 @@ from .numerics import logsumexp, softmax
 from .policy import (
     PolicyParams,
     TokenSeq,
-    seq_logprobs,
     transition_logits,
     transition_table,
     weighted_seq_grad,
@@ -41,6 +42,8 @@ class Enumeration:
 
 def _guard(params: PolicyParams, max_len: int) -> int:
     max_len = params.cfg.max_len if max_len is None else max_len
+    if max_len < 1:
+        raise ValueError(f"max_len must be positive, got {max_len}")
     if params.cfg.vocab_size**max_len > ENUMERATION_GUARD:
         raise ValueError(
             f"enumeration of {params.cfg.vocab_size}^{max_len} sequences exceeds the guard"
@@ -48,33 +51,69 @@ def _guard(params: PolicyParams, max_len: int) -> int:
     return max_len
 
 
+@functools.lru_cache(maxsize=8)
+def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.ndarray, np.ndarray]:
+    """The rewrite space of a shape, independent of any policy: every
+    EOS-terminated sequence of length <= max_len in depth-first order (a
+    prefix before its extensions, content tokens ascending), the flat indices
+    of its (prev, tok) steps into a (V+1) x (V+1) table, one row per step and
+    padded with the zero cell (V, V), and the same indices for the unterminated
+    length-max_len prefixes. Every lookup of an enumeration is one gather."""
+    width = vocab_size + 1
+    tokens = [t for t in range(vocab_size) if t != EOS]
+    contents = sorted(c for k in range(max_len) for c in itertools.product(tokens, repeat=k))
+    tails = itertools.product(tokens, repeat=max_len)
+
+    def steps(path: tuple[int, ...]) -> list[int]:
+        flat = [p * width + t for p, t in zip((BOS,) + path[:-1], path)]
+        return flat + [vocab_size * width + vocab_size] * (max_len - len(flat))
+
+    seqs = tuple([TokenSeq.from_content(c) for c in contents])
+    entry_idx = np.array([steps(z.ids) for z in seqs], dtype=np.intp).T.copy()
+    tail_idx = np.array([steps(c) for c in tails], dtype=np.intp).T.copy()
+    entry_idx.setflags(write=False)
+    tail_idx.setflags(write=False)
+    return seqs, entry_idx, tail_idx
+
+
+def _path_logprobs(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Log-prob of every path in `idx` (steps x paths), summed step by step
+    from 0.0 in path order, as path_logprob does; padding adds an exact 0.0."""
+    v = table.shape[0]
+    padded = np.zeros((v + 1, v + 1))
+    padded[:v, :v] = table
+    vals = padded.ravel()[idx]
+    out = 0.0 + vals[0]
+    for col in vals[1:]:
+        out = out + col
+    return out
+
+
 def enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int | None = None) -> Enumeration:
     max_len = _guard(params, max_len)
+    seqs, entry_idx, tail_idx = _support(params.cfg.vocab_size, max_len)
     table = transition_table(params, x)
-    entries: list[tuple[TokenSeq, float]] = []
     tail = 0.0
-
-    def expand(prefix: list[int], logprob: float) -> None:
-        nonlocal tail
-        prev = prefix[-1] if prefix else BOS
-        step = table[prev]
-        entries.append((TokenSeq.from_content(prefix), logprob + float(step[EOS])))
-        for tok in range(params.cfg.vocab_size):
-            if tok == EOS:
-                continue
-            ext = logprob + float(step[tok])
-            if len(prefix) + 1 <= max_len - 1:
-                expand(prefix + [tok], ext)
-            else:
-                tail += float(np.exp(ext))
-
-    expand([], 0.0)
-    # expand holds itself through its closure; without this the cycle, and with
-    # it every entry, waits for a full garbage collection
-    del expand
+    for p in np.exp(_path_logprobs(table, tail_idx)).tolist():
+        tail += p
     if tail > TAIL_WARN_THRESHOLD:
         warnings.warn(f"unterminated tail mass {tail:.3g} exceeds {TAIL_WARN_THRESHOLD}")
-    return Enumeration(tuple(entries), tail)
+    # a list-built tuple: a zip-built one is resized after allocation and leaves
+    # its dead twin on CPython's per-length tuple free list
+    entries = tuple([(z, lp) for z, lp in zip(seqs, _path_logprobs(table, entry_idx).tolist())])
+    return Enumeration(entries, tail)
+
+
+def _anchor_logprobs(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, max_len) -> np.ndarray:
+    """log P_fixed(z | x) of every z that enumerate_sequences(params, x, max_len)
+    lists, in its order, from the same support gather on the anchor's table."""
+    if fixed.cfg.vocab_size != params.cfg.vocab_size:
+        raise ValueError(
+            f"anchor vocabulary {fixed.cfg.vocab_size} differs from policy vocabulary "
+            f"{params.cfg.vocab_size}"
+        )
+    _, entry_idx, _ = _support(params.cfg.vocab_size, _guard(params, max_len))
+    return _path_logprobs(transition_table(fixed, x), entry_idx)
 
 
 def exact_objective(
@@ -115,7 +154,7 @@ def exact_kl_objective(
     if beta == 0.0:
         return objective
     lps = np.array([lp for _, lp in enum.entries])
-    fixed_lps = seq_logprobs(fixed, x, [z for z, _ in enum.entries])
+    fixed_lps = _anchor_logprobs(params, fixed, x, max_len)
     return objective - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
 
 
@@ -135,7 +174,7 @@ def exact_kl_gradient(
     phi = mml_posteriors(enum, reward_fn)
     seqs = [z for z, _ in enum.entries]
     lps = np.array([lp for _, lp in enum.entries])
-    coeffs = phi - beta * np.exp(lps) * (lps - seq_logprobs(fixed, x, seqs) + 1.0)
+    coeffs = phi - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
     return weighted_seq_grad(params, x, seqs, coeffs)
 
 

@@ -142,15 +142,25 @@ def step_logits(params: PolicyParams, context: np.ndarray, prev_id: int) -> np.n
     return s @ params.out_head
 
 
+def _forward(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Raw next-token logits (B, V, V) for a batch of (B, d) input contexts,
+    every previous token at once, plus the activations the backward reuses:
+    step inputs u (B, V, 2d) and hidden states s (B, V, h)."""
+    emb = params.token_embedding
+    v, d = emb.shape
+    u = np.empty((len(contexts), v, 2 * d))
+    u[:, :, :d] = contexts[:, None, :]
+    u[:, :, d:] = emb
+    s = np.tanh(u @ params.rec_w.T + params.rec_b)
+    return s @ params.out_head, (u, s)
+
+
 def transition_logits(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
     """Raw next-token logits for every previous token at once: row p equals
     step_logits(params, encode_context(params, x), p). Also returns the
     activations (step inputs, hidden states) the backward pass reuses."""
-    ctx = encode_context(params, x)
-    emb = params.token_embedding
-    u = np.hstack([np.broadcast_to(ctx, emb.shape), emb])
-    s = np.tanh(u @ params.rec_w.T + params.rec_b)
-    return s @ params.out_head, (u, s)
+    logits, (u, s) = _forward(params, encode_context(params, x)[None])
+    return logits[0], (u[0], s[0])
 
 
 def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
@@ -180,34 +190,74 @@ def seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:
     return float(seq_logprobs(params, x, [z])[0])
 
 
+def _transition_counts(batch: int, vocab_size: int, items) -> np.ndarray:
+    """(batch, V, V) weighted transition counts from (row, sequence, weight)
+    items: one unbuffered add.at, so each cell accumulates in item order."""
+    rows, prevs, toks, ws = [], [], [], []
+    for row, z, w in items:
+        ids = z.ids
+        rows += [row] * len(ids)
+        prevs.append(BOS)
+        prevs += ids[:-1]
+        toks += ids
+        ws += [w] * len(ids)
+    counts = np.zeros((batch, vocab_size, vocab_size))
+    index = tuple(np.array(a, dtype=np.intp) for a in (rows, prevs, toks))
+    np.add.at(counts, index, np.array(ws, dtype=np.float64))
+    return counts
+
+
+def _backward(params: PolicyParams, xs, counts, logits, u, s) -> np.ndarray:
+    """Gradient rows (B, P): row b is the gradient of sum_{p,t} counts[b, p, t]
+    * log P(t | p, xs[b]), one stacked backward through the tables. With C the
+    counts, the logit gradient is C - rowsum(C) * softmax(logits)."""
+    d = params.cfg.embed_dim
+    glogits = counts - counts.sum(axis=-1, keepdims=True) * np.exp(log_softmax_rows(logits))
+    g = np.empty((len(xs), params.pv.size))
+    seg = {
+        name: g[:, params.pv.segment_slice(name)].reshape(len(xs), *shape)
+        for name, shape in params.pv.segments()
+    }
+    seg["out_head"][:] = s.transpose(0, 2, 1) @ glogits
+    ga = (glogits @ params.out_head.T) * (1.0 - s * s)
+    seg["rec_w"][:] = ga.transpose(0, 2, 1) @ u
+    seg["rec_b"][:] = ga.sum(axis=1)
+    gu = ga @ params.rec_w
+    seg["token_embedding"][:] = gu[:, :, d:]
+    # the context is the mean of the input's embeddings
+    rows = [b for b, x in enumerate(xs) for _ in x.ids]
+    lens = np.array([len(x.ids) for x in xs])[:, None]
+    g_ctx = gu[:, :, :d].sum(axis=1) / lens
+    np.add.at(seg["token_embedding"], (rows, [t for x in xs for t in x.ids]), g_ctx[rows])
+    return g
+
+
 def weighted_seq_grad(
     params: PolicyParams, x: TokenSeq, seqs, weights, transition: tuple | None = None
 ) -> np.ndarray:
     """Gradient of sum_j weights[j] * seq_logprob(params, x, seqs[j]) by one
-    backward through the table: with C[p, t] the weighted count of p -> t
-    transitions, the logit gradient is C - rowsum(C) * softmax(logits).
+    backward through the table, from the weighted transition counts.
     A caller already holding transition_logits(params, x) passes it as
     `transition` instead of having it rebuilt."""
-    cfg = params.cfg
-    v, d = cfg.vocab_size, cfg.embed_dim
     if len(weights) != len(seqs):
         raise ValueError(f"{len(weights)} weights for {len(seqs)} sequences")
-    counts = np.zeros((v, v))
-    for z, w in zip(seqs, weights):
-        check_output_seq(z, cfg)
-        np.add.at(counts, ((BOS,) + z.ids[:-1], z.ids), w)
+    for z in seqs:
+        check_output_seq(z, params.cfg)
+    counts = _transition_counts(1, params.cfg.vocab_size, [(0, z, w) for z, w in zip(seqs, weights)])
     logits, (u, s) = transition_logits(params, x) if transition is None else transition
-    glogits = counts - counts.sum(axis=1, keepdims=True) * np.exp(log_softmax_rows(logits))
-    g = ParamVector(policy_segments(cfg))
-    g.view("out_head")[:] = s.T @ glogits
-    ga = (glogits @ params.out_head.T) * (1.0 - s * s)
-    g.view("rec_w")[:] = ga.T @ u
-    g.view("rec_b")[:] = ga.sum(axis=0)
-    gu = ga @ params.rec_w
-    g_emb = g.view("token_embedding")
-    g_emb[:] = gu[:, d:]
-    np.add.at(g_emb, list(x.ids), gu[:, :d].sum(axis=0) / len(x.ids))
-    return g.values
+    return _backward(params, [x], counts, logits[None], u[None], s[None])[0]
+
+
+def pair_grads(params: PolicyParams, xs, zs) -> np.ndarray:
+    """Row b is seq_logprob_grad(params, xs[b], zs[b]): one stacked forward
+    and one stacked backward for the whole batch of pairs."""
+    if len(xs) != len(zs):
+        raise ValueError(f"{len(xs)} inputs for {len(zs)} targets")
+    for z in zs:
+        check_output_seq(z, params.cfg)
+    logits, (u, s) = _forward(params, np.stack([encode_context(params, x) for x in xs]))
+    counts = _transition_counts(len(xs), params.cfg.vocab_size, [(b, z, 1.0) for b, z in enumerate(zs)])
+    return _backward(params, xs, counts, logits, u, s)
 
 
 def seq_logprob_grad(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> np.ndarray:
@@ -238,9 +288,8 @@ def pretrain_mle(
         for start in range(0, n, batch_size):
             chunk = order[start : start + batch_size]
             grad = np.zeros(out.flat.size)
-            for idx in chunk:
-                x, z = pairs[idx]
-                grad += seq_logprob_grad(out, x, z)
+            for row in pair_grads(out, [pairs[i][0] for i in chunk], [pairs[i][1] for i in chunk]):
+                grad += row
             grad /= len(chunk)
             opt.step(out.flat, -grad)
     return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import classifier as clf
 from . import estimators as est
-from .checkpoint import params_hash
+from .checkpoint import atomic_write, params_hash
 from .data import Example, SyntheticTask, TaskTemplate, format_input, strip_scaffold
 from .decoding import DecodeConfig, decode_samples, diverse_beam
 from .numerics import log_softmax_rows
@@ -538,7 +538,7 @@ def select_best_checkpoint(checkpoints, metric: str) -> Checkpoint:
 
 
 def write_metrics_csv(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "split", "metric", "value"])
         for step, split_name, metric, value in rows:

@@ -9,7 +9,17 @@ from riff.classifier import (
     trainable_mask,
 )
 from riff.decoding import DecodeConfig
-from riff.numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax, logsumexp, softmax
+from riff.numerics import (
+    ParamVector,
+    gelu_grad_vec,
+    gelu_vec,
+    log_softmax,
+    log_softmax_rows,
+    logsumexp,
+    softmax,
+)
+from riff.optim import AdamConfig, AdamW
+from riff.oracle import Enumeration
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
@@ -84,6 +94,81 @@ def reference_seq_logprob_grad(params: PolicyParams, x: TokenSeq, z: TokenSeq) -
     for t in x.ids:
         g_emb[t] += share
     return g.values
+
+
+def reference_transition_logits(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
+    """Unbatched forward: V x V logits and the (u, s) activations for one input."""
+    ctx = encode_context(params, x)
+    emb = params.token_embedding
+    u = np.hstack([np.broadcast_to(ctx, emb.shape), emb])
+    s = np.tanh(u @ params.rec_w.T + params.rec_b)
+    return s @ params.out_head, (u, s)
+
+
+def reference_weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights) -> np.ndarray:
+    """Unbatched backward through one table, counts added one sequence at a time."""
+    cfg = params.cfg
+    v, d = cfg.vocab_size, cfg.embed_dim
+    counts = np.zeros((v, v))
+    for z, w in zip(seqs, weights):
+        np.add.at(counts, ((BOS,) + z.ids[:-1], z.ids), w)
+    logits, (u, s) = reference_transition_logits(params, x)
+    glogits = counts - counts.sum(axis=1, keepdims=True) * np.exp(log_softmax_rows(logits))
+    g = ParamVector(policy_segments(cfg))
+    g.view("out_head")[:] = s.T @ glogits
+    ga = (glogits @ params.out_head.T) * (1.0 - s * s)
+    g.view("rec_w")[:] = ga.T @ u
+    g.view("rec_b")[:] = ga.sum(axis=0)
+    gu = ga @ params.rec_w
+    g_emb = g.view("token_embedding")
+    g_emb[:] = gu[:, d:]
+    np.add.at(g_emb, list(x.ids), gu[:, :d].sum(axis=0) / len(x.ids))
+    return g.values
+
+
+def reference_pretrain_mle(params: PolicyParams, pairs, epochs: int, lr: float,
+                           batch_size: int = 8, seed: int = 0) -> PolicyParams:
+    """pretrain_mle with one unbatched backward per pair, summed in chunk order."""
+    out = params.copy()
+    opt = AdamW(out.flat.size, AdamConfig(lr=lr))
+    rng = np.random.default_rng(seed)
+    n = len(pairs)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            chunk = order[start : start + batch_size]
+            grad = np.zeros(out.flat.size)
+            for idx in chunk:
+                x, z = pairs[idx]
+                grad += reference_weighted_seq_grad(out, x, [z], [1.0])
+            grad /= len(chunk)
+            opt.step(out.flat, -grad)
+    return out
+
+
+def reference_enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int) -> Enumeration:
+    """Depth-first enumeration, one recursive call per prefix, summing
+    log-probs along the path and the tail mass as it goes."""
+    table = transition_table(params, x)
+    entries: list[tuple[TokenSeq, float]] = []
+    tail = 0.0
+
+    def expand(prefix: list[int], logprob: float) -> None:
+        nonlocal tail
+        prev = prefix[-1] if prefix else BOS
+        step = table[prev]
+        entries.append((TokenSeq.from_content(prefix), logprob + float(step[EOS])))
+        for tok in range(params.cfg.vocab_size):
+            if tok == EOS:
+                continue
+            ext = logprob + float(step[tok])
+            if len(prefix) + 1 <= max_len - 1:
+                expand(prefix + [tok], ext)
+            else:
+                tail += float(np.exp(ext))
+
+    expand([], 0.0)
+    return Enumeration(tuple(entries), tail)
 
 
 def reference_top_p_sample(

@@ -4,8 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import table_reward, tiny_policy
-from riff.numerics import finite_diff_grad, max_relative_error
+from conftest import reference_enumerate_sequences, reference_weighted_seq_grad, table_reward, tiny_policy
+from riff.numerics import finite_diff_grad, logsumexp, max_relative_error, softmax
 from riff.oracle import (
     Enumeration,
     enumerate_sequences,
@@ -15,7 +15,7 @@ from riff.oracle import (
     exact_objective,
     greedy_path,
 )
-from riff.policy import PolicyConfig, PolicyParams, TokenSeq, seq_logprob
+from riff.policy import PolicyConfig, PolicyParams, TokenSeq, seq_logprob, seq_logprobs, weighted_seq_grad
 from riff.vocab import BOS, EOS
 
 mpmath.mp.dps = 40
@@ -62,6 +62,64 @@ def test_enumeration_logprobs_match_seq_logprob():
     x = TokenSeq.from_content([2])
     for z, lp in enumerate_sequences(p, x).entries:
         assert lp == pytest.approx(seq_logprob(p, x, z), abs=1e-12)
+
+
+SHAPES = [(v, n) for v in range(2, 6) for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("vocab,max_len", SHAPES)
+def test_enumeration_bitwise_equals_recursive_reference(vocab, max_len):
+    gen = np.random.default_rng(vocab * 10 + max_len)
+    for trial in range(3):
+        scale = float(gen.uniform(0.1, 3.0))
+        p = tiny_policy(seed=int(gen.integers(2**31)), vocab=vocab, max_len=max_len, scale=scale)
+        x = TokenSeq.from_content([int(t) for t in gen.integers(1, vocab, size=3)])
+        got = enumerate_sequences(p, x)
+        want = reference_enumerate_sequences(p, x, max_len)
+        assert [z.ids for z, _ in got.entries] == [z.ids for z, _ in want.entries]
+        assert [lp for _, lp in got.entries] == [lp for _, lp in want.entries]
+        assert got.tail_mass == want.tail_mass
+        if max_len == 1:
+            # only EOS terminates; every other path is tail
+            assert [z.ids for z, _ in got.entries] == [(EOS,)]
+            assert got.tail_mass > 0.0
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.6, 2.5])
+def test_exact_kl_bitwise_equals_seq_logprobs_forms(beta):
+    gen = np.random.default_rng(31)
+    for vocab, max_len in [(2, 1), (3, 3), (4, 4), (5, 3)]:
+        p = tiny_policy(seed=int(gen.integers(2**31)), vocab=vocab, max_len=max_len, scale=1.2)
+        fixed = tiny_policy(seed=int(gen.integers(2**31)), vocab=vocab, max_len=max_len, scale=0.4)
+        x = TokenSeq.from_content([int(t) for t in gen.integers(1, vocab, size=2)])
+        reward_fn = table_reward(int(gen.integers(2**31)))
+        enum = reference_enumerate_sequences(p, x, max_len)
+        got_obj = exact_kl_objective(p, fixed, x, reward_fn, beta)
+        got_grad = exact_kl_gradient(p, fixed, x, reward_fn, beta)
+        seqs = [z for z, _ in enum.entries]
+        lps = np.array([lp for _, lp in enum.entries])
+        fixed_lps = seq_logprobs(fixed, x, seqs)
+        weights = np.array([lp + reward_fn(z) for z, lp in enum.entries])
+        want_obj = logsumexp(weights)
+        coeffs = softmax(weights)
+        if beta != 0.0:
+            want_obj = want_obj - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
+            coeffs = coeffs - beta * np.exp(lps) * (lps - fixed_lps + 1.0)
+        assert got_obj == want_obj
+        assert np.array_equal(got_grad, weighted_seq_grad(p, x, seqs, coeffs))
+        assert np.array_equal(got_grad, reference_weighted_seq_grad(p, x, seqs, coeffs))
+
+
+def test_exact_kl_rejects_anchor_with_another_vocabulary():
+    p = tiny_policy(seed=1, vocab=3, max_len=3)
+    fixed = tiny_policy(seed=2, vocab=4, max_len=3)
+    with pytest.raises(ValueError, match="vocabulary"):
+        exact_kl_objective(p, fixed, TokenSeq.from_content([1]), table_reward(3), 0.5)
+
+
+def test_enumeration_rejects_nonpositive_max_len():
+    with pytest.raises(ValueError, match="max_len"):
+        enumerate_sequences(tiny_policy(seed=1), TokenSeq.from_content([1]), max_len=0)
 
 
 def test_exact_objective_constant_reward_factors_out():

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_scaled_error, reference_seq_logprob, reference_seq_logprob_grad, tiny_policy
+from conftest import (
+    max_scaled_error,
+    reference_pretrain_mle,
+    reference_seq_logprob,
+    reference_seq_logprob_grad,
+    reference_transition_logits,
+    reference_weighted_seq_grad,
+    tiny_policy,
+)
 from riff.numerics import finite_diff_grad, log_softmax, max_relative_error
 from riff.policy import (
     PolicyConfig,
@@ -17,6 +25,7 @@ from riff.policy import (
     corpus_logprob,
     encode_context,
     load_policy,
+    pair_grads,
     pretrain_mle,
     save_policy,
     seq_logprob,
@@ -172,10 +181,63 @@ def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
         assert max_scaled_error(single, reference_seq_logprob_grad(p, x, z)) < 1e-12
 
 
+@pytest.mark.parametrize("case", KERNEL_CONFIGS)
+@pytest.mark.parametrize("kind", ["positive", "signed_with_zeros", "negative"])
+def test_weighted_seq_grad_bitwise_equals_unbatched_reference(case, kind):
+    p, x, seqs, gen = kernel_case(*case)
+    seqs = seqs + seqs[:2]  # repeated sequences hit the same cells again
+    weights = gen.normal(size=len(seqs))
+    if kind == "positive":
+        weights = np.abs(weights)
+    elif kind == "negative":
+        weights = -np.abs(weights)
+    else:
+        weights[::3] = 0.0
+    logits, (u, s) = transition_logits(p, x)
+    want_logits, (want_u, want_s) = reference_transition_logits(p, x)
+    assert np.array_equal(logits, want_logits)
+    assert np.array_equal(u, want_u) and np.array_equal(s, want_s)
+    assert np.array_equal(weighted_seq_grad(p, x, seqs, weights), reference_weighted_seq_grad(p, x, seqs, weights))
+
+
+def recipe_corpus():
+    """The default configuration's rewriter pretraining corpus and initial policy."""
+    from riff.data import gen_rewriter_corpus, gen_synthetic_task
+
+    pool = gen_synthetic_task(20, 2, 128, 0, 7919)
+    corpus = gen_rewriter_corpus(pool.train, 2, 104729)
+    cfg = PolicyConfig(vocab_size=20, embed_dim=12, hidden_dim=24, max_len=24)
+    return PolicyParams.init_random(cfg, seed=31), corpus
+
+
+def test_pair_grads_rows_bitwise_equal_seq_logprob_grad():
+    p, corpus = recipe_corpus()
+    assert len(corpus) == 128
+    for start in range(0, len(corpus), 8):
+        chunk = corpus[start : start + 8]
+        rows = pair_grads(p, [x for x, _ in chunk], [z for _, z in chunk])
+        assert rows.shape == (len(chunk), p.flat.size)
+        for row, (x, z) in zip(rows, chunk):
+            assert np.array_equal(row, seq_logprob_grad(p, x, z))
+            assert np.array_equal(row, reference_weighted_seq_grad(p, x, [z], [1.0]))
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_pretrain_mle_bitwise_equals_per_pair_reference(batch_size):
+    p, corpus = recipe_corpus()
+    pairs = corpus[:29]  # 29 pairs leave a ragged last chunk at 3 and 8
+    got = pretrain_mle(p, pairs, epochs=2, lr=0.02, batch_size=batch_size, seed=5)
+    want = reference_pretrain_mle(p, pairs, epochs=2, lr=0.02, batch_size=batch_size, seed=5)
+    assert np.array_equal(got.flat, want.flat)
+    assert not np.array_equal(got.flat, p.flat)
+
+
 def test_weighted_seq_grad_rejects_weight_count_mismatch():
     p, x, seqs, _ = kernel_case(*KERNEL_CONFIGS[0])
     with pytest.raises(ValueError, match="weights"):
         weighted_seq_grad(p, x, seqs, np.ones(len(seqs) + 1))
+    with pytest.raises(ValueError, match="inputs for"):
+        pair_grads(p, [x], seqs[:2])
 
 
 def test_gradient_finite_for_improbable_token():

@@ -456,6 +456,17 @@ def test_metrics_csv_roundtrip(tmp_path):
     assert back[1]["value"] == 1.25
 
 
+def test_metrics_csv_interrupted_write_keeps_old_file(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [(0, "validation", "acc", 0.5)])
+    first = path.read_text()
+    rows = [(0, "validation", "acc", 0.75)] * 2000 + [(1, "validation", "acc", "not a number")]
+    with pytest.raises(ValueError):
+        write_metrics_csv(path, rows)
+    assert path.read_text() == first
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["metrics.csv"]
+
+
 def test_derive_seed_stable():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
