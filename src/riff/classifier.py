@@ -22,7 +22,6 @@ import numpy as np
 
 from .checkpoint import load_segments, save_segments
 from .numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
-from .policy import TokenSeq
 from .vocab import MASK
 
 
@@ -140,9 +139,6 @@ class ClassifierParams:
     def copy(self) -> "ClassifierParams":
         return ClassifierParams(self.cfg, self.mode, self.pv.copy())
 
-    def with_mode(self, mode: TuningMode) -> "ClassifierParams":
-        return ClassifierParams(self.cfg, mode, self.pv)
-
 
 def trainable_mask(params: ClassifierParams, mode: TuningMode | None = None) -> np.ndarray:
     mode = params.mode if mode is None else mode
@@ -162,11 +158,6 @@ def lora_weight(w, a, b, alpha: float, rank: int) -> np.ndarray:
     if a.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
         raise ValueError("adapter shapes incompatible with base matrix")
     return w + (alpha / rank) * (b @ a)
-
-
-def lora_apply(w, a, b, alpha: float, rank: int, v) -> np.ndarray:
-    """(W + (alpha / rank) * B A) v."""
-    return lora_weight(w, a, b, alpha, rank) @ np.asarray(v, dtype=np.float64)
 
 
 def _check_verbalizer(params: ClassifierParams, verbalizer: Verbalizer) -> None:
@@ -370,21 +361,9 @@ def weighted_label_grad(
 
 
 def label_path_mode(mode: TuningMode) -> TuningMode:
-    """The mode whose mask-row head label_logprobs reads under `mode`."""
+    """The mode whose mask-row head `rewards` reads under `mode`."""
     # CLS_HEAD adds neither prompt rows nor adapters, so its label path is the plain one
     return TuningMode.NONE if mode is TuningMode.CLS_HEAD else mode
-
-
-def label_logprobs(
-    params: ClassifierParams,
-    input_seq: TokenSeq,
-    verbalizer: Verbalizer,
-    mode: TuningMode | None = None,
-) -> np.ndarray:
-    """Per-label log-probabilities from the mask-position head, softmax
-    restricted to the verbalizer token logits."""
-    mode = label_path_mode(params.mode if mode is None else mode)
-    return label_logprobs_batch(params, [input_seq], verbalizer, mode)[0]
 
 
 def rewards(params: ClassifierParams, seqs, y: int, verbalizer: Verbalizer) -> np.ndarray:
@@ -393,39 +372,6 @@ def rewards(params: ClassifierParams, seqs, y: int, verbalizer: Verbalizer) -> n
     if not 0 <= y < params.cfg.num_labels:
         raise ValueError(f"label {y} out of range")
     return label_logprobs_batch(params, seqs, verbalizer, label_path_mode(params.mode))[:, y]
-
-
-def reward(params: ClassifierParams, input_seq: TokenSeq, y: int, verbalizer: Verbalizer) -> float:
-    """Terminal reward of a rewrite: log P(y | formatted input). Always <= 0."""
-    return float(rewards(params, [input_seq], y, verbalizer)[0])
-
-
-def cls_forward(params: ClassifierParams, input_seq: TokenSeq) -> np.ndarray:
-    """Pooled-classifier scores: mean of final hiddens -> affine -> gelu ->
-    affine -> log-softmax over labels."""
-    return label_logprobs_batch(params, [input_seq], None, TuningMode.CLS_HEAD)[0]
-
-
-def score_labels(
-    params: ClassifierParams,
-    input_seq: TokenSeq,
-    verbalizer: Verbalizer,
-    mode: TuningMode | None = None,
-) -> np.ndarray:
-    """Label log-probabilities under the mode's own scoring path."""
-    return label_logprobs_batch(params, [input_seq], verbalizer, mode)[0]
-
-
-def classifier_grad(
-    params: ClassifierParams,
-    input_seq: TokenSeq,
-    y: int,
-    verbalizer: Verbalizer,
-    mode: TuningMode | None = None,
-) -> np.ndarray:
-    """Gradient of the mode's label log-probability, masked so every segment
-    outside the mode's trainable set is exactly zero."""
-    return weighted_label_grad(params, [input_seq], [y], [1.0], verbalizer, mode)[1]
 
 
 def input_row_grads(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) -> np.ndarray:
@@ -439,16 +385,6 @@ def input_row_grads(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) 
     """
     seqs = list(seqs)
     return _kernel(params, seqs, ys, np.ones(len(seqs)), verbalizer, TuningMode.NONE, True)[2]
-
-
-def input_position_grads(
-    params: ClassifierParams,
-    input_seq: TokenSeq,
-    y: int,
-    verbalizer: Verbalizer,
-) -> np.ndarray:
-    """Gradient of log P(y | input) with respect to each embedded input row."""
-    return input_row_grads(params, [input_seq], [y], verbalizer)[0]
 
 
 def save_classifier(path, params: ClassifierParams) -> None:

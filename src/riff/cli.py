@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import os
@@ -31,7 +32,6 @@ from .policy import (
     load_policy,
     pretrain_mle,
     save_policy,
-    snapshot,
 )
 from .training import RunConfig
 
@@ -72,6 +72,15 @@ CONFIG_DEFAULTS = {
     "classifier_checkpoint": None,
 }
 
+# fields whose default is None, with the type a set value must have
+NULLABLE = {"beta": float, "policy_checkpoint": str, "classifier_checkpoint": str}
+
+
+def _type_ok(value, want) -> bool:
+    """isinstance, except that a float field takes an int and a bool is no number."""
+    types = (int, float) if want is float else want
+    return isinstance(value, types) and (want is bool or not isinstance(value, bool))
+
 
 def load_config(source) -> dict:
     """Merge a config dict or JSON file over the defaults; unknown keys and
@@ -94,6 +103,10 @@ def load_config(source) -> dict:
     for key, value in raw.items():
         if key not in merged:
             raise ConfigError(f"unknown config field {key!r}")
+        want = NULLABLE.get(key, type(merged[key]))
+        if not (_type_ok(value, want) or (value is None and key in NULLABLE)):
+            kind = want.__name__ + (" or null" if key in NULLABLE else "")
+            raise ConfigError(f"config field {key!r} must be {kind}, got {value!r}")
         merged[key] = value
     try:
         run_cfg = RunConfig.from_dict({k: merged[k] for k in run_fields})
@@ -103,6 +116,13 @@ def load_config(source) -> dict:
     if merged["tuning_mode"] not in {m.value for m in clf.TuningMode}:
         raise ConfigError(f"unknown tuning_mode {merged['tuning_mode']!r}")
     return merged
+
+
+def _experiment(args):
+    """A command's config, its run config, the task and the few-shot split."""
+    config = load_config(args.config)
+    task = build_task(config)
+    return config, run_config_of(config), task, build_split(config, task)
 
 
 def run_config_of(config: dict) -> RunConfig:
@@ -223,10 +243,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_riff_finetune(args) -> int:
-    config = load_config(args.config)
-    cfg = run_config_of(config)
-    task = build_task(config)
-    split = build_split(config, task)
+    config, cfg, task, split = _experiment(args)
     run_dir = run_dir_of(out_root(args), config["name"], config["seed"])
     os.makedirs(run_dir, exist_ok=True)
     classifier = warmed_classifier(config, task, split)
@@ -253,10 +270,7 @@ def cmd_riff_finetune(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
-    config = load_config(args.config)
-    cfg = run_config_of(config)
-    task = build_task(config)
-    split = build_split(config, task)
+    config, cfg, task, split = _experiment(args)
     run_dir = run_dir_of(out_root(args), config["name"], config["seed"])
     os.makedirs(run_dir, exist_ok=True)
     policy = pretrained_policy(config) if cfg.m > 0 else None
@@ -280,15 +294,8 @@ def cmd_train_classifier(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
-    cfg = run_config_of(config)
-    task = build_task(config)
-    split = build_split(config, task)
-    classifier = (
-        clf.load_classifier(config["classifier_checkpoint"])
-        if config["classifier_checkpoint"]
-        else warmed_classifier(config, task, split)
-    )
+    config, cfg, task, split = _experiment(args)
+    classifier = warmed_classifier(config, task, split)
     policy = pretrained_policy(config)
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
     rows = []
@@ -491,8 +498,10 @@ def cmd_report(args) -> int:
             run_dirs.append(target)
             continue
         for name in sorted(os.listdir(target)) if os.path.isdir(target) else []:
-            for seed in sorted(os.listdir(os.path.join(target, name))):
-                candidate = os.path.join(target, name, seed)
+            group = os.path.join(target, name)
+            # files in the root, such as a summary written by --csv, are not run groups
+            for seed in sorted(os.listdir(group)) if os.path.isdir(group) else []:
+                candidate = os.path.join(group, seed)
                 if os.path.isdir(candidate):
                     run_dirs.append(candidate)
     if not run_dirs:
@@ -508,13 +517,11 @@ def cmd_report(args) -> int:
             f"{row['best_std']:>8.3f} {row['traj_mean']:>8.3f}"
         )
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as f:
-            f.write("name,seeds,best_mean,best_std,traj_mean\n")
-            for row in table:
-                f.write(
-                    f"{row['name']},{row['seeds']},{row['best_mean']},"
-                    f"{row['best_std']},{row['traj_mean']}\n"
-                )
+        fields = ["name", "seeds", "best_mean", "best_std", "traj_mean"]
+        with atomic_write(args.csv, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(fields)
+            writer.writerows([row[k] for k in fields] for row in table)
         print(f"summary written to {args.csv}")
     return 0
 

@@ -1,6 +1,7 @@
 """Gradient estimator coefficients: posterior-weighted (mml), reward-weighted
-(pg), their importance-corrected off-policy forms, reward standardization,
-and the KL-penalized gradient correction.
+(pg), their importance-corrected off-policy forms, and reward
+standardization. A gradient is one weighted backward over these
+coefficients (policy.weighted_seq_grad); the KL penalty folds into them.
 
 Coefficient assembly works in log space; exponentials appear only in the
 final coefficients. Off-policy log ratios are clamped to +-LOG_RATIO_CLAMP
@@ -123,41 +124,3 @@ def offpolicy_coefficients(batch: SampleBatch, kind: str) -> Coefficients:
         return Coefficients(np.exp(weights - denom), "mml_off", clamped)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
-
-def assemble_gradient(coeffs: Coefficients, per_sample_grads) -> np.ndarray:
-    """Exact linear combination sum_j phi_j * grad_j. Zero coefficients are
-    skipped so one-hot coefficients reproduce their gradient bitwise."""
-    grads = list(per_sample_grads)
-    if len(grads) != coeffs.phi.size:
-        raise ValueError(
-            f"coefficient count {coeffs.phi.size} does not match gradient count {len(grads)}"
-        )
-    size = grads[0].shape
-    total = np.zeros(size)
-    for weight, grad in zip(coeffs.phi, grads):
-        if grad.shape != size:
-            raise ValueError("per-sample gradient shapes disagree")
-        if weight == 0.0:
-            continue
-        total += weight * grad
-    return total
-
-
-def kl_penalized_gradient(
-    batch: SampleBatch, per_sample_grads, base: np.ndarray, beta: float
-) -> np.ndarray:
-    """base - beta * mean_j (log s_j + 1) * grad_j over on-policy samples,
-    with log s_j the log-ratio against the anchor snapshot. beta == 0 returns
-    base unchanged (as a copy)."""
-    if beta == 0.0:
-        return base.copy()
-    if batch.fixed_logprobs is None:
-        raise ValueError("KL correction needs anchor log-probs")
-    log_s = batch.cur_logprobs - batch.fixed_logprobs
-    grads = list(per_sample_grads)
-    if len(grads) != batch.m:
-        raise ValueError("gradient count does not match sample count")
-    penalty = np.zeros_like(base)
-    for ratio, grad in zip(log_s, grads):
-        penalty += (ratio + 1.0) * grad
-    return base - beta * penalty / batch.m

@@ -144,9 +144,6 @@ class ParamVector:
     def copy(self) -> "ParamVector":
         return ParamVector(self.segments(), self.values.copy())
 
-    def zeros_like(self) -> "ParamVector":
-        return ParamVector(self.segments())
-
     def freeze(self) -> "ParamVector":
         self.values.setflags(write=False)
         return self

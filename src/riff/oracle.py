@@ -18,7 +18,6 @@ from .numerics import logsumexp, softmax
 from .policy import (
     PolicyParams,
     TokenSeq,
-    transition_logits,
     transition_table,
     weighted_seq_grad,
 )
@@ -35,9 +34,6 @@ class Enumeration:
 
     entries: tuple[tuple[TokenSeq, float], ...]
     tail_mass: float
-
-    def total_mass(self) -> float:
-        return float(np.sum(np.exp([lp for _, lp in self.entries])))
 
 
 def _guard(params: PolicyParams, max_len: int) -> int:
@@ -177,19 +173,3 @@ def exact_kl_gradient(
     coeffs = phi - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
     return weighted_seq_grad(params, x, seqs, coeffs)
 
-
-def greedy_path(params: PolicyParams, x: TokenSeq, max_len: int | None = None) -> TokenSeq:
-    """Stepwise-argmax sequence under the raw policy; ties go to the lowest id."""
-    max_len = params.cfg.max_len if max_len is None else max_len
-    table_logits, _ = transition_logits(params, x)
-    prefix: list[int] = []
-    prev = BOS
-    while True:
-        if len(prefix) == max_len - 1:
-            break
-        tok = int(np.argmax(table_logits[prev]))
-        if tok == EOS:
-            break
-        prefix.append(tok)
-        prev = tok
-    return TokenSeq.from_content(prefix)

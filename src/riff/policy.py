@@ -133,13 +133,8 @@ def check_output_seq(z: TokenSeq, cfg: PolicyConfig) -> None:
 
 def encode_context(params: PolicyParams, x: TokenSeq) -> np.ndarray:
     _check_ids(x, params.cfg.vocab_size)
-    return params.token_embedding[list(x.ids)].mean(axis=0)
-
-
-def step_logits(params: PolicyParams, context: np.ndarray, prev_id: int) -> np.ndarray:
-    u = np.concatenate([context, params.token_embedding[prev_id]])
-    s = np.tanh(params.rec_w @ u + params.rec_b)
-    return s @ params.out_head
+    # bitwise what .mean(axis=0) returns, without numpy's Python-level wrapper
+    return params.token_embedding[list(x.ids)].sum(axis=0) / len(x.ids)
 
 
 def _forward(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -156,9 +151,9 @@ def _forward(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, tu
 
 
 def transition_logits(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
-    """Raw next-token logits for every previous token at once: row p equals
-    step_logits(params, encode_context(params, x), p). Also returns the
-    activations (step inputs, hidden states) the backward pass reuses."""
+    """Raw next-token logits for every previous token at once: row p holds
+    the logits of the step after token p. Also returns the activations
+    (step inputs, hidden states) the backward pass reuses."""
     logits, (u, s) = _forward(params, encode_context(params, x)[None])
     return logits[0], (u[0], s[0])
 
@@ -249,7 +244,7 @@ def weighted_seq_grad(
 
 
 def pair_grads(params: PolicyParams, xs, zs) -> np.ndarray:
-    """Row b is seq_logprob_grad(params, xs[b], zs[b]): one stacked forward
+    """Row b is the gradient of log P(zs[b] | xs[b]): one stacked forward
     and one stacked backward for the whole batch of pairs."""
     if len(xs) != len(zs):
         raise ValueError(f"{len(xs)} inputs for {len(zs)} targets")
@@ -258,11 +253,6 @@ def pair_grads(params: PolicyParams, xs, zs) -> np.ndarray:
     logits, (u, s) = _forward(params, np.stack([encode_context(params, x) for x in xs]))
     counts = _transition_counts(len(xs), params.cfg.vocab_size, [(b, z, 1.0) for b, z in enumerate(zs)])
     return _backward(params, xs, counts, logits, u, s)
-
-
-def seq_logprob_grad(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> np.ndarray:
-    """Analytic gradient of seq_logprob over the full flat parameter vector."""
-    return weighted_seq_grad(params, x, [z], [1.0])
 
 
 def pretrain_mle(
@@ -293,13 +283,6 @@ def pretrain_mle(
             grad /= len(chunk)
             opt.step(out.flat, -grad)
     return out
-
-
-def corpus_logprob(params: PolicyParams, pairs) -> float:
-    """Mean target log-likelihood over a pair corpus."""
-    if not pairs:
-        raise ValueError("no pairs")
-    return float(np.mean([seq_logprob(params, x, z) for x, z in pairs]))
 
 
 def save_policy(path, params: PolicyParams) -> None:

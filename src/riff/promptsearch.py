@@ -49,7 +49,7 @@ def minibatch_loglik(
     verbalizer: Verbalizer,
 ) -> float:
     """Sum of label log-likelihoods over the minibatch, scored in one batch
-    on the label path label_logprobs reads, summed in minibatch order."""
+    on the label path `rewards` reads, summed in minibatch order."""
     if not minibatch:
         return 0.0
     formatted = [format_input(template, instruction.ids, ex.x) for ex in minibatch]

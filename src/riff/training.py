@@ -43,11 +43,6 @@ METRIC_EXCL = "ensemble_acc_excl"
 METRIC_INCL = "ensemble_acc_incl"
 
 
-class CacheMiss(Exception):
-    """Raised when classifier training asks for rewrites that were never
-    generated up front; regenerating mid-training is a bug by design."""
-
-
 @dataclass(frozen=True)
 class FewShotSplit:
     train: tuple[Example, ...]
@@ -180,29 +175,9 @@ def combine_group(scores, include_original: bool) -> np.ndarray:
     return scores[0] + mean if include_original else mean
 
 
-def ensemble_scores(score_fn, x: TokenSeq, paraphrases, include_original: bool) -> np.ndarray:
-    """Per-label ensemble score: original score (if included) plus the mean
-    rewrite score."""
-    return combine_group([score_fn(z) for z in (x, *paraphrases)], include_original)
-
-
-def ensemble_predict(score_fn, x: TokenSeq, paraphrases, include_original: bool) -> int:
-    """Argmax label of the ensemble score; ties break toward the lower label."""
-    return int(np.argmax(ensemble_scores(score_fn, x, paraphrases, include_original)))
-
-
 def templated(template: TaskTemplate, seqs) -> list[TokenSeq]:
     """Raw (untemplated) sequences, scaffold-stripped and formatted."""
     return [format_input(template, template.instruction, strip_scaffold(z)) for z in seqs]
-
-
-def make_score_fn(classifier: clf.ClassifierParams, template: TaskTemplate, verbalizer):
-    """Label scorer over raw (untemplated) sequences, scaffold-stripped."""
-
-    def score(z: TokenSeq) -> np.ndarray:
-        return clf.score_labels(classifier, templated(template, [z])[0], verbalizer)
-
-    return score
 
 
 def make_reward_fn(
@@ -271,6 +246,44 @@ def plain_accuracy(classifier, template, verbalizer, examples) -> float:
     return float(np.mean(np.argmax(scores, axis=1) == [ex.y for ex in examples]))
 
 
+def _batches(n: int, batch_size: int, rng):
+    """Endless minibatches of indices into n examples, refilled with a fresh
+    permutation whenever fewer than batch_size remain."""
+    order: list[int] = []
+    while True:
+        while len(order) < batch_size:
+            order.extend(rng.permutation(n))
+        yield order[:batch_size]
+        order = order[batch_size:]
+
+
+class _RunLog:
+    """Metric rows and checkpoints of one training run. With a run directory,
+    each checkpoint is saved to checkpoints/<kind>_step<step>.ckpt by `save`
+    and the rows go to metrics.csv on close."""
+
+    def __init__(self, run_dir: str | None, kind: str, save, metric: str):
+        self.run_dir, self.kind, self.save, self.metric = run_dir, kind, save, metric
+        self.rows: list[tuple[int, str, str, float]] = []
+        self.checkpoints: list[Checkpoint] = []
+
+    def validation(self, step: int, acc: float, frozen=None) -> None:
+        """Log a validation row; with `frozen` params, keep them as a checkpoint."""
+        if frozen is not None:
+            path = None
+            if self.run_dir is not None:
+                os.makedirs(os.path.join(self.run_dir, "checkpoints"), exist_ok=True)
+                path = os.path.join(self.run_dir, "checkpoints", f"{self.kind}_step{step:05d}.ckpt")
+                self.save(path, frozen)
+            self.checkpoints.append(Checkpoint(step, frozen, path, {self.metric: acc}))
+        self.rows.append((step, "validation", self.metric, acc))
+
+    def close(self) -> list[Checkpoint]:
+        if self.run_dir is not None:
+            write_metrics_csv(os.path.join(self.run_dir, "metrics.csv"), self.rows)
+        return self.checkpoints
+
+
 def _example_gradient(
     policy: PolicyParams,
     fixed: PolicyParams,
@@ -303,7 +316,7 @@ def _example_gradient(
         coeffs = est.pg_coefficients(batch)
     weights = coeffs.phi
     if cfg.regime == "klon":
-        # the KL correction of est.kl_penalized_gradient, folded into the weights
+        # the KL penalty's gradient, -beta * mean_j (log s_j + 1) grad_j, folded into the weights
         weights = weights - cfg.resolved_beta() * (cur - fixed_lp + 1.0) / batch.m
     grad = weighted_seq_grad(policy, ex.x, seqs, weights, transition=(logits, acts))
     info = {"mean_reward": float(raw_rewards.mean()), "clamp_events": coeffs.clamp_events}
@@ -331,13 +344,9 @@ def finetune_paraphraser(
     policy = policy.copy()
     fixed = snapshot(policy)
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
-    reward_fns = {
-        ex.uid: make_reward_fn(classifier, task.template, verbalizer, ex.y)
-        for ex in split.train
-    }
     opt = AdamW(policy.flat.size, AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
-    rows: list[tuple[int, str, str, float]] = []
+    log = _RunLog(run_dir, "policy", save_policy, METRIC_EXCL)
 
     def validation_accuracy(step: int) -> float:
         return evaluate_ensemble_accuracy(
@@ -345,40 +354,30 @@ def finetune_paraphraser(
             cfg.m, False, cfg, derive_seed(cfg.seed, 0xEA1, step),
         )
 
-    rows.append((0, "validation", METRIC_EXCL, validation_accuracy(0)))
-    checkpoints: list[Checkpoint] = []
-    order: list[int] = []
-    for step in range(1, cfg.steps + 1):
-        while len(order) < cfg.batch_size:
-            order.extend(rng.permutation(len(split.train)))
-        batch_idx, order = order[: cfg.batch_size], order[cfg.batch_size :]
+    log.validation(0, validation_accuracy(0))
+    batches = _batches(len(split.train), cfg.batch_size, rng)
+    for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
         total = np.zeros(policy.flat.size)
         mean_reward = 0.0
         clamp_events = 0
         for idx in batch_idx:
             ex = split.train[idx]
-            grad, info = _example_gradient(policy, fixed, ex, reward_fns[ex.uid], cfg, step)
+            reward_fn = make_reward_fn(classifier, task.template, verbalizer, ex.y)
+            grad, info = _example_gradient(policy, fixed, ex, reward_fn, cfg, step)
+            if not np.all(np.isfinite(grad)):
+                raise ValueError(f"non-finite gradient for example {ex.uid} at step {step}")
             total += grad
             mean_reward += info["mean_reward"]
             clamp_events += info["clamp_events"]
         total /= len(batch_idx)
         opt.step(policy.flat, -total)
-        rows.append((step, "train", "mean_reward", mean_reward / len(batch_idx)))
+        log.rows.append((step, "train", "mean_reward", mean_reward / len(batch_idx)))
         if clamp_events:
-            rows.append((step, "train", "is_clamp_events", float(clamp_events)))
+            log.rows.append((step, "train", "is_clamp_events", float(clamp_events)))
         if step % cfg.checkpoint_interval == 0:
             frozen = snapshot(policy)
-            acc = validation_accuracy(step)
-            path = None
-            if run_dir is not None:
-                os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
-                path = os.path.join(run_dir, "checkpoints", f"policy_step{step:05d}.ckpt")
-                save_policy(path, frozen)
-            checkpoints.append(Checkpoint(step, frozen, path, {METRIC_EXCL: acc}))
-            rows.append((step, "validation", METRIC_EXCL, acc))
-    if run_dir is not None:
-        write_metrics_csv(os.path.join(run_dir, "metrics.csv"), rows)
-    return checkpoints
+            log.validation(step, validation_accuracy(step), frozen)
+    return log.close()
 
 
 def generate_paraphrase_cache(
@@ -390,57 +389,6 @@ def generate_paraphrase_cache(
     examples = list(examples)
     rewrites = decode_rewrites(policy, examples, m, cfg, cache_seed)
     return {(key, ex.uid): zs for ex, zs in zip(examples, rewrites)}
-
-
-def cached_paraphrases(cache, policy_key: str, uid: int) -> list[TokenSeq]:
-    try:
-        return cache[(policy_key, uid)]
-    except KeyError:
-        raise CacheMiss(
-            f"no cached rewrites for example {uid} under policy {policy_key}; "
-            "rewrites must be generated before the first epoch"
-        ) from None
-
-
-def augmented_example_grad(
-    classifier: clf.ClassifierParams,
-    ex: Example,
-    paraphrases,
-    template: TaskTemplate,
-    verbalizer,
-    mode: clf.TuningMode,
-) -> np.ndarray:
-    """Gradient of log P(y|x) + (1/m) sum_j log P(y|z_j) under the mode mask."""
-    formatted = format_input(template, template.instruction, ex.x)
-    grad = clf.classifier_grad(classifier, formatted, ex.y, verbalizer, mode)
-    paraphrases = list(paraphrases)
-    if paraphrases:
-        para_grad = np.zeros_like(grad)
-        for z in paraphrases:
-            fz = format_input(template, template.instruction, strip_scaffold(z))
-            para_grad += clf.classifier_grad(classifier, fz, ex.y, verbalizer, mode)
-        grad = grad + para_grad / len(paraphrases)
-    return grad
-
-
-def augmented_example_loss(
-    classifier: clf.ClassifierParams,
-    ex: Example,
-    paraphrases,
-    template: TaskTemplate,
-    verbalizer,
-    mode: clf.TuningMode,
-) -> float:
-    formatted = format_input(template, template.instruction, ex.x)
-    loss = -float(clf.score_labels(classifier, formatted, verbalizer, mode)[ex.y])
-    paraphrases = list(paraphrases)
-    if paraphrases:
-        para = 0.0
-        for z in paraphrases:
-            fz = format_input(template, template.instruction, strip_scaffold(z))
-            para += -float(clf.score_labels(classifier, fz, verbalizer, mode)[ex.y])
-        loss += para / len(paraphrases)
-    return loss
 
 
 def train_classifier_augmented(
@@ -456,8 +404,8 @@ def train_classifier_augmented(
     """Paraphrase-augmented classifier training with a frozen rewriter.
 
     Rewrites for every example are generated and formatted once, before the
-    first step; a cache miss raises. m == 0 degenerates to plain supervised
-    training and skips generation entirely. A step is one weighted classifier
+    first step. m == 0 degenerates to plain supervised training and skips
+    generation entirely. A step is one weighted classifier
     call over the inputs (weight 1/B) and their rewrites (1/(B m)), which
     returns the loss with the gradient. Validation rewrites are decoded once:
     the rewriter is frozen and diverse beam reads no seed.
@@ -474,7 +422,7 @@ def train_classifier_augmented(
         cache = generate_paraphrase_cache(
             policy, split.train, m, cfg, derive_seed(cfg.seed, 0xCAC4E)
         )
-        rewrites = [cached_paraphrases(cache, policy_key, ex.uid) for ex in split.train]
+        rewrites = [cache[(policy_key, ex.uid)] for ex in split.train]
         validation_groups = example_groups(task.template, split.validation, decode_rewrites(
             policy, split.validation, m, cfg, derive_seed(cfg.seed, 0xEA2, 0)
         ))
@@ -485,20 +433,16 @@ def train_classifier_augmented(
     ]
     opt = AdamW(classifier.flat.size, AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xC1A55))
-    rows: list[tuple[int, str, str, float]] = []
-    checkpoints: list[Checkpoint] = []
+    log = _RunLog(run_dir, "classifier", clf.save_classifier, METRIC_INCL)
 
     def validation_accuracy() -> float:
         if m > 0:
             return ensemble_accuracies(classifier, verbalizer, split.validation, validation_groups)[0]
         return plain_accuracy(classifier, task.template, verbalizer, split.validation)
 
-    rows.append((0, "validation", METRIC_INCL, validation_accuracy()))
-    order: list[int] = []
-    for step in range(1, cfg.steps + 1):
-        while len(order) < cfg.batch_size:
-            order.extend(rng.permutation(len(split.train)))
-        batch_idx, order = order[: cfg.batch_size], order[cfg.batch_size :]
+    log.validation(0, validation_accuracy())
+    batches = _batches(len(split.train), cfg.batch_size, rng)
+    for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
         b = len(batch_idx)
         group_weights = [1.0 / b] + [1.0 / (b * m) for _ in range(m)]
         seqs, ys, weights = [], [], []
@@ -508,21 +452,12 @@ def train_classifier_augmented(
             weights.extend(group_weights)
         value, grad = clf.weighted_label_grad(classifier, seqs, ys, weights, verbalizer, mode)
         opt.step(classifier.flat, -grad, trainable=mask)
-        rows.append((step, "train", "loss", -value))
+        log.rows.append((step, "train", "loss", -value))
         if step % cfg.checkpoint_interval == 0:
             frozen = classifier.copy()
             frozen.pv.freeze()
-            acc = validation_accuracy()
-            path = None
-            if run_dir is not None:
-                os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
-                path = os.path.join(run_dir, "checkpoints", f"classifier_step{step:05d}.ckpt")
-                clf.save_classifier(path, frozen)
-            checkpoints.append(Checkpoint(step, frozen, path, {METRIC_INCL: acc}))
-            rows.append((step, "validation", METRIC_INCL, acc))
-    if run_dir is not None:
-        write_metrics_csv(os.path.join(run_dir, "metrics.csv"), rows)
-    return checkpoints
+            log.validation(step, validation_accuracy(), frozen)
+    return log.close()
 
 
 def select_best_checkpoint(checkpoints, metric: str) -> Checkpoint:

@@ -26,7 +26,6 @@ from riff.policy import (
     TokenSeq,
     encode_context,
     policy_segments,
-    step_logits,
     transition_logits,
     transition_table,
 )
@@ -51,6 +50,49 @@ def max_scaled_error(got, want) -> float:
     """Largest absolute difference, relative to the largest reference entry."""
     got, want = np.asarray(got), np.asarray(want)
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def step_logits(params: PolicyParams, context: np.ndarray, prev_id: int) -> np.ndarray:
+    """Raw next-token logits of one step, from the context and the previous token."""
+    u = np.concatenate([context, params.token_embedding[prev_id]])
+    s = np.tanh(params.rec_w @ u + params.rec_b)
+    return s @ params.out_head
+
+
+def greedy_path(params: PolicyParams, x: TokenSeq) -> TokenSeq:
+    """Stepwise-argmax sequence under the raw policy; ties go to the lowest id."""
+    logits, _ = transition_logits(params, x)
+    prefix: list[int] = []
+    prev = BOS
+    while len(prefix) < params.cfg.max_len - 1:
+        tok = int(np.argmax(logits[prev]))
+        if tok == EOS:
+            break
+        prefix.append(tok)
+        prev = tok
+    return TokenSeq.from_content(prefix)
+
+
+def assemble_gradient(coeffs, per_sample_grads) -> np.ndarray:
+    """sum_j phi_j * grad_j, one sample at a time. Zero coefficients are
+    skipped so one-hot coefficients reproduce their gradient bitwise."""
+    total = np.zeros_like(per_sample_grads[0])
+    for weight, grad in zip(coeffs.phi, per_sample_grads):
+        if weight != 0.0:
+            total += weight * grad
+    return total
+
+
+def kl_penalized_gradient(batch, per_sample_grads, base: np.ndarray, beta: float) -> np.ndarray:
+    """base - beta * mean_j (log s_j + 1) * grad_j over the batch's on-policy
+    samples, with log s_j the log-ratio against the anchor; beta == 0 returns
+    a copy of base."""
+    if beta == 0.0:
+        return base.copy()
+    penalty = np.zeros_like(base)
+    for ratio, grad in zip(batch.cur_logprobs - batch.fixed_logprobs, per_sample_grads):
+        penalty += (ratio + 1.0) * grad
+    return base - beta * penalty / batch.m
 
 
 def reference_seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:
@@ -144,6 +186,11 @@ def reference_pretrain_mle(params: PolicyParams, pairs, epochs: int, lr: float,
             grad /= len(chunk)
             opt.step(out.flat, -grad)
     return out
+
+
+def total_mass(enum: Enumeration) -> float:
+    """Probability mass of an enumeration's terminated sequences."""
+    return float(np.sum(np.exp([lp for _, lp in enum.entries])))
 
 
 def reference_enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int) -> Enumeration:

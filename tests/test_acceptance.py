@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import tiny_classifier, tiny_policy
+from conftest import greedy_path, reference_label_grad, step_logits, tiny_classifier, tiny_policy
 from riff import classifier as clf
 from riff import cli, data, oracle, training
 from riff.classifier import TuningMode, Verbalizer
@@ -27,7 +27,6 @@ from riff.policy import (
     TokenSeq,
     encode_context,
     pretrain_mle,
-    step_logits,
 )
 from riff.promptsearch import Instruction, gs_step, minibatch_loglik
 from riff.training import RunConfig, fewshot_split
@@ -40,7 +39,7 @@ def masked_reward_fn(classifier, verbalizer, y):
 
     def reward_fn(z: TokenSeq) -> float:
         content = tuple(t for t in z.content if t != MASK)
-        return clf.reward(classifier, TokenSeq(content + (MASK, EOS)), y, verbalizer)
+        return float(clf.rewards(classifier, [TokenSeq(content + (MASK, EOS))], y, verbalizer)[0])
 
     return reward_fn
 
@@ -158,7 +157,7 @@ def test_criterion_4_decoder_contracts():
         policy = tiny_policy(seed=4000 + trial, vocab=vocab, max_len=max_len)
         x = TokenSeq.from_content([int(gen.integers(1, vocab))])
         cfg = DecodeConfig(m=1, diversity_penalty=0.0, repetition_penalty=1.0, seed=trial)
-        assert diverse_beam(policy, x, cfg)[0].ids == oracle.greedy_path(policy, x).ids
+        assert diverse_beam(policy, x, cfg)[0].ids == greedy_path(policy, x).ids
 
     policy = tiny_policy(seed=4100, vocab=3, max_len=2)
     x = TokenSeq.from_content([1])
@@ -203,15 +202,15 @@ def test_criterion_5_tuning_masks_and_search():
                 params.seg("lora_b_v")[:] = gen.normal(0, 0.1, params.seg("lora_b_v").shape)
             content = [int(gen.integers(4, 10)) for _ in range(3)]
             inp = TokenSeq(tuple(content) + (MASK, EOS))
-            grad = clf.classifier_grad(params, inp, int(gen.integers(2)), verb)
+            grad = clf.weighted_label_grad(params, [inp], [int(gen.integers(2))], [1.0], verb)[1]
             outside = ~clf.trainable_mask(params, mode)
             assert np.all(grad[outside] == 0.0)
 
     lora_params = tiny_classifier(seed=55, vocab=10, embed=4, mode=TuningMode.LORA)
     inp = TokenSeq((4, 7, MASK, EOS))
     assert np.array_equal(
-        clf.label_logprobs(lora_params, inp, verb, mode=TuningMode.LORA),
-        clf.label_logprobs(lora_params, inp, verb, mode=TuningMode.NONE),
+        clf.label_logprobs_batch(lora_params, [inp], verb, TuningMode.LORA)[0],
+        clf.label_logprobs_batch(lora_params, [inp], verb, TuningMode.NONE)[0],
     )
 
     task = data.gen_synthetic_task(20, 2, 64, 0, seed=5)
@@ -293,35 +292,48 @@ def test_criterion_7_end_to_end_directional():
           f"{wins}/5 seeds ({detail}), {elapsed:.0f}s")
 
 
-def test_criterion_8_augmentation_reduction_and_ensemble():
+def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
     task = data.gen_synthetic_task(20, 2, 64, 0, seed=8)
     split = fewshot_split(task.train, 4, seed=8)
     classifier = tiny_classifier(seed=88, vocab=20, embed=8)
+    rewriter = tiny_policy(seed=89, vocab=20, max_len=6, embed=6, hidden=8)
     verb = Verbalizer(task.verbalizer_ids)
-    for ex in split.train:
-        aug = training.augmented_example_grad(
-            classifier, ex, [], task.template, verb, TuningMode.ALL
-        )
-        formatted = data.format_input(task.template, task.template.instruction, ex.x)
-        plain = clf.classifier_grad(classifier, formatted, ex.y, verb, TuningMode.ALL)
-        assert np.max(np.abs(aug - plain)) <= 1e-12
+    kernel, calls = clf.weighted_label_grad, []
 
-    scores = {
-        (4, 0): np.array([-0.2, -1.7]),
-        (5, 0): np.array([-1.6, -0.2]),
-        (6, 0): np.array([-1.4, -0.3]),
-    }
-    combined = training.ensemble_scores(
-        lambda s: scores[s.ids],
-        TokenSeq.from_content([4]),
-        [TokenSeq.from_content([5]), TokenSeq.from_content([6])],
-        include_original=True,
-    )
+    def recorded(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(clf, "weighted_label_grad", recorded)
+    b = len(split.train)
+    inputs = sorted(data.format_input(task.template, task.template.instruction, ex.x).ids
+                    for ex in split.train)
+    for m in (0, 2):
+        calls.clear()
+        cfg = RunConfig(m=m, lr=0.1, steps=1, batch_size=b, checkpoint_interval=1, seed=8)
+        training.train_classifier_augmented(
+            classifier, rewriter if m else None, task, split, m=m, mode=TuningMode.ALL, cfg=cfg
+        )
+        ((_, seqs, ys, *_), (_, grad)), = calls
+        # the step's one call: each example's formatted input, then its m rewrites
+        groups = [(seqs[i : i + m + 1], ys[i]) for i in range(0, len(seqs), m + 1)]
+        assert sorted(group[0].ids for group, _ in groups) == inputs
+        want = np.zeros_like(grad)
+        for group, y in groups:
+            want += reference_label_grad(classifier, group[0], y, verb, TuningMode.ALL)
+            for z in group[1:]:
+                want += reference_label_grad(classifier, z, y, verb, TuningMode.ALL) / m
+        assert np.max(np.abs(grad - want / b)) <= 1e-12
+
+    # rows: the original input, then its two rewrites
+    scores = np.array([[-0.2, -1.7], [-1.6, -0.2], [-1.4, -0.3]])
+    combined = training.combine_group(scores, include_original=True)
     assert combined[0] == pytest.approx(-1.7, abs=1e-12)
     assert combined[1] == pytest.approx(-1.95, abs=1e-12)
     assert int(np.argmax(combined)) == 0
-    print("\nACCEPTANCE 8 PASS: m=0 augmentation equals supervised gradient, "
-          "worked ensemble case reproduces")
+    print("\nACCEPTANCE 8 PASS: augmented steps at m=0 and m=2 equal the batch mean of "
+          "reference gradients, worked ensemble case reproduces")
 
 
 def test_criterion_9_metrics_exactness():

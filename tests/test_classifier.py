@@ -11,16 +11,13 @@ from riff.classifier import (
     TRAINABLE_SEGMENTS,
     TuningMode,
     Verbalizer,
-    classifier_grad,
-    cls_forward,
-    input_position_grads,
-    label_logprobs,
+    input_row_grads,
     label_logprobs_batch,
+    label_path_mode,
     load_classifier,
-    lora_apply,
-    reward,
+    lora_weight,
+    rewards,
     save_classifier,
-    score_labels,
     trainable_mask,
     weighted_label_grad,
 )
@@ -37,7 +34,7 @@ INPUT = TokenSeq((1, 5, 7, MASK, EOS))
 def test_zero_head_gives_uniform_labels():
     p = tiny_classifier(seed=0)
     p.seg("lm_head")[:] = 0.0
-    out = label_logprobs(p, INPUT, VERB)
+    out = label_logprobs_batch(p, [INPUT], VERB)[0]
     assert np.allclose(out, [math.log(0.5)] * 2, atol=1e-15)
 
 
@@ -45,23 +42,23 @@ def test_equal_verbalizer_logits_give_half():
     p = tiny_classifier(seed=1)
     # same head column at both verbalizer ids -> identical logits
     p.seg("lm_head")[:, 6] = p.seg("lm_head")[:, 4]
-    out = label_logprobs(p, INPUT, VERB)
+    out = label_logprobs_batch(p, [INPUT], VERB)[0]
     assert np.allclose(out, [math.log(0.5)] * 2, atol=1e-14)
 
 
 def test_label_probabilities_sum_to_one():
     p = tiny_classifier(seed=2, labels=3, vocab=10)
     verb = Verbalizer((4, 6, 8))
-    out = label_logprobs(p, INPUT, verb)
+    out = label_logprobs_batch(p, [INPUT], verb)[0]
     assert abs(np.exp(out).sum() - 1.0) < 1e-12
 
 
 def test_mask_count_errors():
     p = tiny_classifier(seed=3)
     with pytest.raises(ValueError, match="exactly one mask"):
-        label_logprobs(p, TokenSeq((1, 5, EOS)), VERB)
+        label_logprobs_batch(p, [TokenSeq((1, 5, EOS))], VERB)
     with pytest.raises(ValueError, match="exactly one mask"):
-        label_logprobs(p, TokenSeq((MASK, MASK, EOS)), VERB)
+        label_logprobs_batch(p, [TokenSeq((MASK, MASK, EOS))], VERB)
 
 
 def _mp_forward_label(params, ids, verbalizer_ids, y):
@@ -104,7 +101,7 @@ def test_forward_matches_high_precision_straight_line():
     cfg = ClassifierConfig(vocab_size=8, num_labels=2, embed_dim=2, lora_rank=1, cls_hidden=3)
     p = ClassifierParams.init_random(cfg, TuningMode.ALL, seed=17, scale=0.7)
     inp = TokenSeq((5, MASK, EOS))
-    got = label_logprobs(p, inp, VERB)
+    got = label_logprobs_batch(p, [inp], VERB)[0]
     for y in (0, 1):
         expected = _mp_forward_label(p, inp.ids, VERB.token_ids, y)
         assert got[y] == pytest.approx(expected, abs=1e-12)
@@ -112,33 +109,33 @@ def test_forward_matches_high_precision_straight_line():
 
 def test_reward_is_label_logprob_and_nonpositive():
     p = tiny_classifier(seed=4)
-    r = reward(p, INPUT, 1, VERB)
-    assert r == pytest.approx(float(label_logprobs(p, INPUT, VERB)[1]), abs=0)
+    r = rewards(p, [INPUT], 1, VERB)[0]
+    assert r == pytest.approx(float(label_logprobs_batch(p, [INPUT], VERB)[0][1]), abs=0)
     assert r <= 0.0
 
 
 def test_reward_uniform_classifier():
     p = tiny_classifier(seed=5)
     p.seg("lm_head")[:] = 0.0
-    assert reward(p, INPUT, 0, VERB) == pytest.approx(math.log(0.5), abs=1e-14)
+    assert rewards(p, [INPUT], 0, VERB)[0] == pytest.approx(math.log(0.5), abs=1e-14)
 
 
 def test_reward_monotone_in_true_label_logit():
     p = tiny_classifier(seed=6)
-    base = reward(p, INPUT, 0, VERB)
+    base = rewards(p, [INPUT], 0, VERB)[0]
     # the head-mode gradient column at the true verbalizer token is a positive
     # multiple of the mask hidden state, so moving along it raises that logit
     # while leaving every other label's logit fixed
-    g = classifier_grad(p, INPUT, 0, VERB, mode=TuningMode.HEAD)
+    g = weighted_label_grad(p, [INPUT], [0], [1.0], VERB, TuningMode.HEAD)[1]
     direction = g[p.pv.segment_slice("lm_head")].reshape(p.cfg.embed_dim, p.cfg.vocab_size)
     boosted = p.copy()
     boosted.seg("lm_head")[:, VERB.token_ids[0]] += 0.5 * direction[:, VERB.token_ids[0]]
-    assert reward(boosted, INPUT, 0, VERB) > base
+    assert rewards(boosted, [INPUT], 0, VERB)[0] > base
 
 
 def test_head_mode_mask():
     p = tiny_classifier(seed=7, mode=TuningMode.HEAD)
-    g = classifier_grad(p, INPUT, 0, VERB)
+    g = weighted_label_grad(p, [INPUT], [0], [1.0], VERB)[1]
     head = p.pv.segment_slice("lm_head")
     outside = np.ones(p.pv.size, dtype=bool)
     outside[head] = False
@@ -148,12 +145,12 @@ def test_head_mode_mask():
 
 def test_all_mode_gradient_matches_finite_differences():
     p = tiny_classifier(seed=8)
-    g = classifier_grad(p, INPUT, 1, VERB)
+    g = weighted_label_grad(p, [INPUT], [1], [1.0], VERB)[1]
 
     def f(flat):
         probe = ClassifierParams(p.cfg, TuningMode.ALL)
         probe.pv.values[:] = flat
-        return float(label_logprobs(probe, INPUT, VERB)[1])
+        return float(label_logprobs_batch(probe, [INPUT], VERB)[0][1])
 
     fd = finite_diff_grad(f, p.flat, h=1e-5)
     assert max_relative_error(g, fd) < 1e-4
@@ -161,7 +158,7 @@ def test_all_mode_gradient_matches_finite_differences():
 
 def test_lora_gradients_at_zero_b():
     p = tiny_classifier(seed=9, mode=TuningMode.LORA)  # init keeps B = 0
-    g = classifier_grad(p, INPUT, 0, VERB)
+    g = weighted_label_grad(p, [INPUT], [0], [1.0], VERB)[1]
     for name in ("lora_b_q", "lora_b_v"):
         assert np.any(g[p.pv.segment_slice(name)] != 0.0)
     # with B = 0 the delta is insensitive to A
@@ -171,7 +168,7 @@ def test_lora_gradients_at_zero_b():
     def f(flat):
         probe = ClassifierParams(p.cfg, TuningMode.LORA)
         probe.pv.values[:] = flat
-        return float(label_logprobs(probe, INPUT, VERB)[0])
+        return float(label_logprobs_batch(probe, [INPUT], VERB)[0][0])
 
     fd = finite_diff_grad(f, p.flat, h=1e-5)
     mask = trainable_mask(p)
@@ -180,26 +177,26 @@ def test_lora_gradients_at_zero_b():
 
 def test_lora_identity_at_init_bitwise():
     p = tiny_classifier(seed=10, mode=TuningMode.LORA)
-    base = label_logprobs(p, INPUT, VERB, mode=TuningMode.NONE)
-    adapted = label_logprobs(p, INPUT, VERB, mode=TuningMode.LORA)
+    base = label_logprobs_batch(p, [INPUT], VERB, TuningMode.NONE)[0]
+    adapted = label_logprobs_batch(p, [INPUT], VERB, TuningMode.LORA)[0]
     assert np.array_equal(base, adapted)
 
 
 def test_soft_prompt_isolation():
     p = tiny_classifier(seed=11, prompt_len=3, mode=TuningMode.ALL)
-    before = label_logprobs(p, INPUT, VERB)
+    before = label_logprobs_batch(p, [INPUT], VERB)[0]
     p.seg("prompt_table")[:] += 10.0
     # prompts join the forward pass only in soft-prompt mode
-    assert np.array_equal(label_logprobs(p, INPUT, VERB), before)
+    assert np.array_equal(label_logprobs_batch(p, [INPUT], VERB)[0], before)
 
 
 def test_soft_prompt_mode_uses_and_trains_prompts():
     p = tiny_classifier(seed=12, prompt_len=3, mode=TuningMode.SOFT_PROMPT)
-    out_a = label_logprobs(p, INPUT, VERB)
+    out_a = label_logprobs_batch(p, [INPUT], VERB)[0]
     p.seg("prompt_table")[:] += 0.5
-    out_b = label_logprobs(p, INPUT, VERB)
+    out_b = label_logprobs_batch(p, [INPUT], VERB)[0]
     assert not np.allclose(out_a, out_b)
-    g = classifier_grad(p, INPUT, 0, VERB)
+    g = weighted_label_grad(p, [INPUT], [0], [1.0], VERB)[1]
     assert np.any(g[p.pv.segment_slice("prompt_table")] != 0.0)
 
 
@@ -213,7 +210,7 @@ def test_every_mode_mask_is_exact():
         if mode is TuningMode.LORA:
             p.seg("lora_b_q")[:] = gen.normal(0, 0.1, p.seg("lora_b_q").shape)
             p.seg("lora_b_v")[:] = gen.normal(0, 0.1, p.seg("lora_b_v").shape)
-        g = classifier_grad(p, INPUT, int(gen.integers(2)), VERB)
+        g = weighted_label_grad(p, [INPUT], [int(gen.integers(2))], [1.0], VERB)[1]
         mask = trainable_mask(p, mode)
         assert np.all(g[~mask] == 0.0)
         assert np.any(g[mask] != 0.0), mode
@@ -224,7 +221,7 @@ def test_lora_apply_zero_update():
     a = np.array([[0.5, -0.5]])
     b = np.zeros((2, 1))
     v = np.array([1.0, -1.0])
-    assert np.array_equal(lora_apply(w, a, b, alpha=32.0, rank=1, v=v), w @ v)
+    assert np.array_equal(lora_weight(w, a, b, alpha=32.0, rank=1) @ v, w @ v)
 
 
 def test_lora_apply_zero_alpha():
@@ -232,7 +229,7 @@ def test_lora_apply_zero_alpha():
     a = np.array([[0.5, -0.5]])
     b = np.array([[1.0], [2.0]])
     v = np.array([1.0, -1.0])
-    assert np.array_equal(lora_apply(w, a, b, alpha=0.0, rank=1, v=v), w @ v)
+    assert np.array_equal(lora_weight(w, a, b, alpha=0.0, rank=1) @ v, w @ v)
 
 
 def test_lora_apply_hand_values():
@@ -241,27 +238,27 @@ def test_lora_apply_hand_values():
     b = np.array([[2.0], [1.0]])
     v = np.array([1.0, 1.0])
     expected = (w + 4.0 * (b @ a)) @ v
-    assert np.allclose(lora_apply(w, a, b, alpha=4.0, rank=1, v=v), expected, atol=1e-15)
+    assert np.allclose(lora_weight(w, a, b, alpha=4.0, rank=1) @ v, expected, atol=1e-15)
 
 
 def test_lora_apply_rank_mismatch():
     w = np.eye(2)
     with pytest.raises(ValueError, match="rank"):
-        lora_apply(w, np.zeros((2, 2)), np.zeros((2, 1)), alpha=1.0, rank=1, v=np.ones(2))
+        lora_weight(w, np.zeros((2, 2)), np.zeros((2, 1)), alpha=1.0, rank=1)
 
 
 def test_cls_forward_zero_head_uniform():
     p = tiny_classifier(seed=14, mode=TuningMode.CLS_HEAD)
     for name in ("cls_w1", "cls_b1", "cls_w2", "cls_b2"):
         p.seg(name)[:] = 0.0
-    out = cls_forward(p, INPUT)
+    out = label_logprobs_batch(p, [INPUT], None, TuningMode.CLS_HEAD)[0]
     assert np.allclose(out, [math.log(0.5)] * 2, atol=1e-15)
 
 
 def test_cls_forward_permutation_invariant():
     p = tiny_classifier(seed=15, mode=TuningMode.CLS_HEAD)
-    a = cls_forward(p, TokenSeq((1, 5, 7, MASK, EOS)))
-    b = cls_forward(p, TokenSeq((7, MASK, 1, 5, EOS)))
+    a = label_logprobs_batch(p, [TokenSeq((1, 5, 7, MASK, EOS))], None, TuningMode.CLS_HEAD)[0]
+    b = label_logprobs_batch(p, [TokenSeq((7, MASK, 1, 5, EOS))], None, TuningMode.CLS_HEAD)[0]
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -284,17 +281,17 @@ def test_cls_forward_hand_evaluation():
     a1 = p.seg("cls_w1") @ pooled + p.seg("cls_b1")
     logits = p.seg("cls_w2") @ np.array([gelu(v) for v in a1]) + p.seg("cls_b2")
     expected = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
-    assert np.allclose(cls_forward(p, inp), expected, atol=1e-12)
+    assert np.allclose(label_logprobs_batch(p, [inp], None, TuningMode.CLS_HEAD)[0], expected, atol=1e-12)
 
 
 def test_cls_mode_gradient_matches_finite_differences():
     p = tiny_classifier(seed=18, mode=TuningMode.CLS_HEAD)
-    g = classifier_grad(p, INPUT, 1, VERB)
+    g = weighted_label_grad(p, [INPUT], [1], [1.0], VERB)[1]
 
     def f(flat):
         probe = ClassifierParams(p.cfg, TuningMode.CLS_HEAD)
         probe.pv.values[:] = flat
-        return float(cls_forward(probe, INPUT)[1])
+        return float(label_logprobs_batch(probe, [INPUT], None, TuningMode.CLS_HEAD)[0][1])
 
     fd = finite_diff_grad(f, p.flat, h=1e-5)
     mask = trainable_mask(p)
@@ -302,10 +299,18 @@ def test_cls_mode_gradient_matches_finite_differences():
 
 
 def test_score_labels_dispatch():
+    # with no mode given, params are scored on their own mode's path; rewards
+    # read the mask-row label path, which under CLS_HEAD is the plain one
     p = tiny_classifier(seed=19, mode=TuningMode.CLS_HEAD)
-    assert np.array_equal(score_labels(p, INPUT, VERB), cls_forward(p, INPUT))
+    pooled = label_logprobs_batch(p, [INPUT], None, TuningMode.CLS_HEAD)[0]
+    assert np.array_equal(label_logprobs_batch(p, [INPUT], VERB)[0], pooled)
+    plain = label_logprobs_batch(p, [INPUT], VERB, label_path_mode(TuningMode.CLS_HEAD))[0]
+    assert np.array_equal(plain, label_logprobs_batch(p, [INPUT], VERB, TuningMode.NONE)[0])
+    assert rewards(p, [INPUT], 1, VERB)[0] == plain[1] != pooled[1]
     p2 = tiny_classifier(seed=19, mode=TuningMode.HEAD)
-    assert np.array_equal(score_labels(p2, INPUT, VERB), label_logprobs(p2, INPUT, VERB))
+    assert np.array_equal(
+        label_logprobs_batch(p2, [INPUT], VERB)[0], label_logprobs_batch(p2, [INPUT], VERB, TuningMode.HEAD)[0]
+    )
 
 
 def test_verbalizer_validation():
@@ -313,7 +318,7 @@ def test_verbalizer_validation():
         Verbalizer((4, 4))
     p = tiny_classifier(seed=20, vocab=8)
     with pytest.raises(ValueError, match="vocabulary"):
-        label_logprobs(p, INPUT, Verbalizer((4, 9)))
+        label_logprobs_batch(p, [INPUT], Verbalizer((4, 9)))
 
 
 def test_classifier_checkpoint_roundtrip(tmp_path):
@@ -336,7 +341,8 @@ MIXED_BATCH = [
 
 
 def kernel_params(mode, seed):
-    p = tiny_classifier(seed=seed, prompt_len=3, mode=TuningMode.ALL).with_mode(mode)
+    p = tiny_classifier(seed=seed, prompt_len=3, mode=TuningMode.ALL)
+    p = ClassifierParams(p.cfg, mode, p.pv)
     if mode is TuningMode.LORA:
         gen = np.random.default_rng(seed)
         p.seg("lora_b_q")[:] = gen.normal(0, 0.1, p.seg("lora_b_q").shape)
@@ -379,9 +385,11 @@ def test_kernel_scores_a_sequence_the_same_alone_and_padded(mode):
 
 def test_input_position_grads_match_reference_rows():
     p = kernel_params(TuningMode.NONE, seed=33)
-    for seq in MIXED_BATCH:
+    rows = input_row_grads(p, MIXED_BATCH, [1] * len(MIXED_BATCH), VERB)
+    for seq, got in zip(MIXED_BATCH, rows):
         _, want = reference_label_grad(p, seq, 1, VERB, TuningMode.NONE, rows=True)
-        assert max_scaled_error(input_position_grads(p, seq, 1, VERB), want) < 1e-12
+        assert max_scaled_error(got[: len(seq)], want) < 1e-12
+        assert np.all(got[len(seq) :] == 0.0)
 
 
 def test_kernel_errors_name_the_batch_index():

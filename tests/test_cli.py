@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import warnings
@@ -239,6 +240,47 @@ def test_report_recomputation_matches_summary(tmp_path, capsys):
     assert (tmp_path / "summary.csv").exists()
     out = capsys.readouterr().out
     assert "reprun" in out
+
+
+def test_report_skips_files_in_root_and_quotes_csv_fields(tmp_path, capsys):
+    root = tmp_path / "runs"
+    for seed, acc in ((0, 0.5), (1, 0.75)):
+        run_dir = root / "lr=0.1,m=8" / str(seed)
+        run_dir.mkdir(parents=True)
+        training.write_metrics_csv(run_dir / "metrics.csv", [(8, "validation", training.METRIC_EXCL, acc)])
+    summary = root / "summary.csv"
+    assert cli.main(["report", str(root), "--csv", str(summary)]) == 0
+    # the summary now sits in the root; a later report reads past it
+    assert cli.main(["report", str(root)]) == 0
+    assert "lr=0.1,m=8" in capsys.readouterr().out
+    with open(summary, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["name", "seeds", "best_mean", "best_std", "traj_mean"]
+    assert rows[1] == ["lr=0.1,m=8", "2", "0.625", "0.125", "0.625"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("normalize", "no", "'normalize' must be bool"),
+    ("normalize", 1, "'normalize' must be bool"),
+    ("shots", "abc", "'shots' must be int"),
+    ("m", "8", "'m' must be int"),
+    ("steps", True, "'steps' must be int"),
+    ("task_vocab_size", 2.5, "'task_vocab_size' must be int"),
+    ("lr", "x", "'lr' must be float"),
+    ("lr", False, "'lr' must be float"),
+    ("tuning_mode", 3, "'tuning_mode' must be str"),
+    ("beta", "0.1", "'beta' must be float or null"),
+    ("policy_checkpoint", 7, "'policy_checkpoint' must be str or null"),
+])
+def test_load_config_rejects_wrong_types_naming_the_field(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config({field: value})
+
+
+def test_load_config_accepts_ints_for_floats_and_null_where_allowed():
+    config = load_config({"lr": 1, "beta": None, "classifier_checkpoint": None, "top_p": 1})
+    assert config["lr"] == 1 and config["beta"] is None and config["classifier_checkpoint"] is None
+    assert load_config({"beta": 0})["beta"] == 0
 
 
 def test_report_flags_incomplete_runs(tmp_path, capsys):

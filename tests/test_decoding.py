@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import reference_diverse_beam, reference_top_p_sample, tiny_policy
+from conftest import greedy_path, reference_diverse_beam, reference_top_p_sample, step_logits, tiny_policy
 from riff.decoding import DecodeConfig, decode_samples, diverse_beam, mixed_decode, top_p_sample
 from riff.numerics import softmax
-from riff.oracle import greedy_path
 from riff.policy import (
     TokenSeq,
     encode_context,
     seq_logprob,
-    step_logits,
     transition_logits,
     transition_table,
 )

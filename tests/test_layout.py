@@ -1,0 +1,59 @@
+"""Every public top-level function and class in `src/riff` is reached from
+the program itself (`src/`, `scripts/` or `perfbench/`), not only from tests,
+unless it is documented library API listed below."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+LIBRARY_API = {
+    "data.load_template": "template I/O for user-supplied tasks",
+    "data.save_template": "template I/O for user-supplied tasks",
+    "data.load_examples_jsonl": "JSONL dataset I/O for user-supplied tasks",
+    "data.save_examples_jsonl": "JSONL dataset I/O for user-supplied tasks",
+    "data.majority_label": "the synthetic task's rule-based oracle classifier",
+    "metrics.tokenize_text": "text tokenizer for external scorer inputs",
+    "metrics.external_score": "external scorer boundary; scripts/echo_score_adapter.py is its stub",
+    "promptsearch.gs_search": "discrete instruction search, a library entry point no command runs",
+}
+
+
+def public_definitions() -> dict[str, str]:
+    """module.name of each public top-level function and class, by name."""
+    found = {}
+    for path in sorted((ROOT / "src" / "riff").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found[f"{path.stem}.{node.name}"] = node.name
+    return found
+
+
+def referenced_names(*dirs: str) -> set[str]:
+    """Names loaded, read as attributes or imported anywhere under `dirs`;
+    definitions, comments and docstrings do not count."""
+    names = set()
+    for d in dirs:
+        for path in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_public_name_is_reached_only_from_tests():
+    program = referenced_names("src", "scripts", "perfbench")
+    test_only = sorted(
+        qualified
+        for qualified, name in public_definitions().items()
+        if name not in program and qualified not in LIBRARY_API
+    )
+    assert test_only == [], f"public names no program code uses: {test_only}"
+
+
+def test_library_api_allowlist_names_existing_definitions():
+    assert set(LIBRARY_API) <= set(public_definitions())

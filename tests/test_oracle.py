@@ -4,16 +4,21 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import reference_enumerate_sequences, reference_weighted_seq_grad, table_reward, tiny_policy
+from conftest import (
+    greedy_path,
+    reference_enumerate_sequences,
+    reference_weighted_seq_grad,
+    table_reward,
+    tiny_policy,
+    total_mass,
+)
 from riff.numerics import finite_diff_grad, logsumexp, max_relative_error, softmax
 from riff.oracle import (
-    Enumeration,
     enumerate_sequences,
     exact_gradient,
     exact_kl_gradient,
     exact_kl_objective,
     exact_objective,
-    greedy_path,
 )
 from riff.policy import PolicyConfig, PolicyParams, TokenSeq, seq_logprob, seq_logprobs, weighted_seq_grad
 from riff.vocab import BOS, EOS
@@ -31,7 +36,7 @@ def test_enumeration_lists_two_token_space():
 def test_enumeration_mass_and_tail():
     p = tiny_policy(seed=2, vocab=3, max_len=3)
     enum = enumerate_sequences(p, TokenSeq.from_content([1]))
-    assert abs(enum.total_mass() + enum.tail_mass - 1.0) < 1e-10
+    assert abs(total_mass(enum) + enum.tail_mass - 1.0) < 1e-10
     # independent tail: probability of two content steps without termination
     probs = {}
     for z, lp in enum.entries:
@@ -128,7 +133,7 @@ def test_exact_objective_constant_reward_factors_out():
     constant = math.log(0.5)
     enum = enumerate_sequences(p, x)
     got = exact_objective(p, x, lambda z: constant)
-    assert got == pytest.approx(constant + math.log(enum.total_mass()), abs=1e-12)
+    assert got == pytest.approx(constant + math.log(total_mass(enum)), abs=1e-12)
 
 
 def test_exact_objective_single_sequence_space():
@@ -187,7 +192,7 @@ def test_exact_gradient_constant_reward_is_mass_gradient():
     def log_mass(flat):
         probe = PolicyParams(p.cfg)
         probe.pv.values[:] = flat
-        return math.log(enumerate_sequences(probe, x).total_mass())
+        return math.log(total_mass(enumerate_sequences(probe, x)))
 
     fd = finite_diff_grad(log_mass, p.flat, h=1e-5)
     assert max_relative_error(analytic, fd) < 1e-4

@@ -15,23 +15,23 @@ from conftest import (
     reference_seq_logprob_grad,
     reference_transition_logits,
     reference_weighted_seq_grad,
+    step_logits,
     tiny_policy,
+    total_mass,
 )
 from riff.numerics import finite_diff_grad, log_softmax, max_relative_error
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
-    corpus_logprob,
     encode_context,
     load_policy,
     pair_grads,
     pretrain_mle,
     save_policy,
     seq_logprob,
-    seq_logprob_grad,
+    seq_logprobs,
     snapshot,
-    step_logits,
     transition_logits,
     transition_table,
     weighted_seq_grad,
@@ -94,7 +94,7 @@ def test_enumeration_mass_tiny_configs():
         p = tiny_policy(seed=seed, vocab=vocab, max_len=max_len)
         x = TokenSeq.from_content([1])
         enum = enumerate_sequences(p, x)
-        assert abs(enum.total_mass() + enum.tail_mass - 1.0) < 1e-10
+        assert abs(total_mass(enum) + enum.tail_mass - 1.0) < 1e-10
 
 
 def test_gradient_matches_finite_differences():
@@ -106,7 +106,7 @@ def test_gradient_matches_finite_differences():
         z = TokenSeq.from_content(
             [int(gen.integers(1, vocab)) for _ in range(int(gen.integers(0, 4)))]
         )
-        analytic = seq_logprob_grad(p, x, z)
+        analytic = weighted_seq_grad(p, x, [z], [1.0])
 
         def f(flat, cfg=p.cfg, x=x, z=z):
             probe = PolicyParams(cfg)
@@ -173,7 +173,7 @@ def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
     for j, z in enumerate(seqs):
         one_hot = np.zeros(len(seqs))
         one_hot[j] = 1.0
-        single = seq_logprob_grad(p, x, z)
+        single = weighted_seq_grad(p, x, [z], [1.0])
         assert np.array_equal(weighted_seq_grad(p, x, seqs, one_hot), single)
         # handing over the table's logits and activations changes nothing
         given = weighted_seq_grad(p, x, seqs, one_hot, transition=transition_logits(p, x))
@@ -218,7 +218,7 @@ def test_pair_grads_rows_bitwise_equal_seq_logprob_grad():
         rows = pair_grads(p, [x for x, _ in chunk], [z for _, z in chunk])
         assert rows.shape == (len(chunk), p.flat.size)
         for row, (x, z) in zip(rows, chunk):
-            assert np.array_equal(row, seq_logprob_grad(p, x, z))
+            assert np.array_equal(row, weighted_seq_grad(p, x, [z], [1.0]))
             assert np.array_equal(row, reference_weighted_seq_grad(p, x, [z], [1.0]))
 
 
@@ -244,7 +244,7 @@ def test_gradient_finite_for_improbable_token():
     p = tiny_policy(seed=0, vocab=4)
     # make token 3 extremely unlikely at every step
     p.out_head[:, 3] = -40.0
-    g = seq_logprob_grad(p, TokenSeq.from_content([1]), TokenSeq.from_content([3]))
+    g = weighted_seq_grad(p, TokenSeq.from_content([1]), [TokenSeq.from_content([3])], [1.0])
     assert np.all(np.isfinite(g))
 
 
@@ -253,13 +253,13 @@ def test_head_column_shift_leaves_probs_and_embedding_grad():
     x = TokenSeq.from_content([1, 2])
     z = TokenSeq.from_content([2, 1])
     base_lp = seq_logprob(p, x, z)
-    base_grad = seq_logprob_grad(p, x, z)
+    base_grad = weighted_seq_grad(p, x, [z], [1.0])
     shifted = p.copy()
     shifted.out_head[:] += np.full((p.cfg.hidden_dim, 1), 0.73)  # same h-vector on every column
     assert seq_logprob(shifted, x, z) == pytest.approx(base_lp, abs=1e-12)
     emb_slice = p.pv.segment_slice("token_embedding")
     assert np.allclose(
-        seq_logprob_grad(shifted, x, z)[emb_slice], base_grad[emb_slice], atol=1e-12
+        weighted_seq_grad(shifted, x, [z], [1.0])[emb_slice], base_grad[emb_slice], atol=1e-12
     )
 
 
@@ -314,7 +314,11 @@ def test_pretrain_improves_heldout_rewrites():
     cfg = PolicyConfig(vocab_size=16, embed_dim=8, hidden_dim=16, max_len=24)
     init = PolicyParams.init_random(cfg, seed=9)
     trained = pretrain_mle(init, train_pairs, epochs=12, lr=0.02, seed=1)
-    assert corpus_logprob(trained, heldout) > corpus_logprob(init, heldout)
+
+    def mean_logprob(params):
+        return float(np.mean([seq_logprobs(params, x, [z])[0] for x, z in heldout]))
+
+    assert mean_logprob(trained) > mean_logprob(init)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -417,6 +421,16 @@ def test_encode_context_is_mean_embedding():
     x = TokenSeq.from_content([1, 2])
     expected = (p.token_embedding[1] + p.token_embedding[2] + p.token_embedding[EOS]) / 3
     assert np.allclose(encode_context(p, x), expected, atol=1e-15)
+
+
+def test_encode_context_sum_over_length_is_mean_bitwise():
+    gen = np.random.default_rng(29)
+    for n in range(1, 30):
+        for _ in range(3):
+            cfg = PolicyConfig(vocab_size=int(gen.integers(2, 40)), embed_dim=int(gen.integers(1, 16)))
+            p = PolicyParams.init_random(cfg, seed=int(gen.integers(2**31)), scale=float(gen.uniform(0.01, 3.0)))
+            x = TokenSeq.from_content(gen.integers(1, cfg.vocab_size, size=n - 1).tolist())
+            assert np.array_equal(encode_context(p, x), p.token_embedding[list(x.ids)].mean(axis=0))
 
 
 def test_step_logits_shape():

@@ -38,7 +38,7 @@ def test_candidates_k_equals_vocab_returns_sorted_scores():
     grad = np.zeros(p.cfg.embed_dim)
     for ex in batch:
         formatted = format_input(TEMPLATE, inst.ids, ex.x)
-        grad += clf.input_position_grads(p, formatted, ex.y, VERB)[1]
+        grad += clf.input_row_grads(p, [formatted], [ex.y], VERB)[0][1]
     scores = p.seg("token_embedding") @ grad
     for earlier, later in zip(cands, cands[1:]):
         assert (scores[earlier], -earlier) >= (scores[later], -later)
@@ -54,12 +54,12 @@ def test_batched_search_matches_per_example_sums(mode):
     formatted = [format_input(TEMPLATE, inst.ids, ex.x) for ex in batch]
     want = 0.0
     for seq, ex in zip(formatted, batch):
-        want += float(clf.label_logprobs(p, seq, VERB)[ex.y])
+        want += float(clf.label_logprobs_batch(p, [seq], VERB, clf.label_path_mode(mode))[0][ex.y])
     assert abs(minibatch_loglik(p, TEMPLATE, inst, batch, VERB) - want) <= 1e-12 * abs(want)
     for position in (0, 1):
         grad = np.zeros(p.cfg.embed_dim)
         for seq, ex in zip(formatted, batch):
-            grad += clf.input_position_grads(p, seq, ex.y, VERB)[1 + position]
+            grad += clf.input_row_grads(p, [seq], [ex.y], VERB)[0][1 + position]
         rows = clf.input_row_grads(p, formatted, [ex.y for ex in batch], VERB)
         assert max_scaled_error(rows[:, 1 + position].sum(axis=0), grad) <= 1e-12
         scores = p.seg("token_embedding") @ grad
@@ -174,7 +174,7 @@ def test_search_improves_validation_accuracy_most_seeds():
         cks = training.train_classifier_augmented(
             cparams, None, task, split, m=0, mode=clf.TuningMode.ALL, cfg=warm_cfg
         )
-        frozen = cks[-1].params.with_mode(clf.TuningMode.NONE)
+        frozen = clf.ClassifierParams(cks[-1].params.cfg, clf.TuningMode.NONE, cks[-1].params.pv)
         verb = clf.Verbalizer(task.verbalizer_ids)
         start = Instruction((4, 5, 4))
 
@@ -182,7 +182,7 @@ def test_search_improves_validation_accuracy_most_seeds():
             correct = 0
             for ex in split.validation:
                 formatted = format_input(task.template, instruction.ids, ex.x)
-                pred = int(np.argmax(clf.label_logprobs(frozen, formatted, verb)))
+                pred = int(np.argmax(clf.label_logprobs_batch(frozen, [formatted], verb)[0]))
                 correct += pred == ex.y
             return correct / len(split.validation)
 

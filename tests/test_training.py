@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assemble_gradient,
+    kl_penalized_gradient,
     max_scaled_error,
     reference_seq_logprob,
     reference_seq_logprob_grad,
@@ -9,7 +11,7 @@ from conftest import (
     tiny_classifier,
 )
 from riff import classifier as clf
-from riff import data, training
+from riff import training
 from riff import estimators as est
 from riff.data import Example, format_input, gen_synthetic_task
 from riff.decoding import decode_samples
@@ -17,14 +19,9 @@ from riff.optim import AdamConfig, AdamW
 from riff.policy import PolicyConfig, PolicyParams, TokenSeq, snapshot
 from riff.training import (
     Checkpoint,
-    CacheMiss,
     RunConfig,
-    augmented_example_grad,
-    augmented_example_loss,
-    cached_paraphrases,
+    combine_group,
     derive_seed,
-    ensemble_predict,
-    ensemble_scores,
     fewshot_split,
     finetune_paraphraser,
     generate_paraphrase_cache,
@@ -185,6 +182,24 @@ def test_finetune_off_policy_regime_runs():
     assert len(checkpoints) == 1
 
 
+def test_finetune_names_the_example_with_a_non_finite_gradient(monkeypatch):
+    task, split, classifier, policy = make_pipeline()
+    bad = split.train[3]
+    kernel = training.weighted_seq_grad
+
+    def poisoned(params, x, seqs, weights, transition=None):
+        grad = kernel(params, x, seqs, weights, transition=transition)
+        if x is bad.x:
+            grad[0] = np.nan
+        return grad
+
+    monkeypatch.setattr(training, "weighted_seq_grad", poisoned)
+    # one batch holds every training example, so step 1 reaches the bad one
+    cfg = RunConfig(m=2, decoder="beam", steps=2, batch_size=len(split.train), checkpoint_interval=2)
+    with pytest.raises(ValueError, match=f"non-finite gradient for example {bad.uid} at step 1$"):
+        finetune_paraphraser(policy, classifier, task, split, cfg)
+
+
 @pytest.mark.parametrize("estimator", training.ESTIMATORS)
 @pytest.mark.parametrize("regime", training.REGIMES)
 def test_example_gradient_equals_reference_assembly(estimator, regime):
@@ -214,9 +229,9 @@ def test_example_gradient_equals_reference_assembly(estimator, regime):
             coeffs = est.mml_coefficients(batch)
         else:
             coeffs = est.pg_coefficients(batch)
-        want = est.assemble_gradient(coeffs, grads)
+        want = assemble_gradient(coeffs, grads)
         if regime == "klon":
-            want = est.kl_penalized_gradient(batch, grads, want, cfg.resolved_beta())
+            want = kl_penalized_gradient(batch, grads, want, cfg.resolved_beta())
         assert max_scaled_error(got, want) < 1e-12
 
 
@@ -300,22 +315,27 @@ def test_lora_augmented_training_reproduces_pinned_run(tmp_path):
 def test_augmented_m0_equals_plain_supervised_gradient():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
-    for ex in split.train:
-        aug = augmented_example_grad(classifier, ex, [], task.template, verb, clf.TuningMode.ALL)
-        formatted = format_input(task.template, task.template.instruction, ex.x)
-        plain = clf.classifier_grad(classifier, formatted, ex.y, verb, clf.TuningMode.ALL)
-        assert np.allclose(aug, plain, atol=1e-12)
-        assert np.array_equal(aug, plain)
+    inputs = [format_input(task.template, task.template.instruction, ex.x) for ex in split.train]
+    ys = [ex.y for ex in split.train]
+    b = len(inputs)
+    # at m = 0 a step's call holds only the inputs, each weighted 1/B
+    _, aug = clf.weighted_label_grad(classifier, inputs, ys, [1.0 / b] * b, verb, clf.TuningMode.ALL)
+    plain = sum(
+        clf.weighted_label_grad(classifier, [s], [y], [1.0], verb, clf.TuningMode.ALL)[1]
+        for s, y in zip(inputs, ys)
+    )
+    assert np.allclose(aug, plain / b, atol=1e-12)
 
 
 def test_augmented_rewrites_equal_to_input_double_loss():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
     ex = split.train[0]
-    plain = augmented_example_loss(classifier, ex, [], task.template, verb, clf.TuningMode.ALL)
-    doubled = augmented_example_loss(
-        classifier, ex, [ex.x, ex.x], task.template, verb, clf.TuningMode.ALL
-    )
+    # one example's step loss: the input at weight 1, its m rewrites at 1/m
+    group = training.example_groups(task.template, [ex], [[ex.x, ex.x]])[0]
+    mode = clf.TuningMode.ALL
+    plain = -clf.weighted_label_grad(classifier, group[:1], [ex.y], [1.0], verb, mode)[0]
+    doubled = -clf.weighted_label_grad(classifier, group, [ex.y] * 3, [1.0, 0.5, 0.5], verb, mode)[0]
     assert doubled == pytest.approx(2 * plain, abs=1e-12)
 
 
@@ -327,59 +347,49 @@ def test_augmented_two_rewrite_hand_arithmetic():
     z2 = TokenSeq.from_content([6, 6])
     def lp(seq):
         formatted = format_input(task.template, task.template.instruction, seq)
-        return float(clf.label_logprobs(classifier, formatted, verb)[ex.y])
+        return float(clf.label_logprobs_batch(classifier, [formatted], verb)[0][ex.y])
     expected = -(lp(ex.x) + 0.5 * (lp(z1) + lp(z2)))
-    got = augmented_example_loss(classifier, ex, [z1, z2], task.template, verb, clf.TuningMode.ALL)
-    assert got == pytest.approx(expected, abs=1e-12)
+    group = training.example_groups(task.template, [ex], [[z1, z2]])[0]
+    value, _ = clf.weighted_label_grad(classifier, group, [ex.y] * 3, [1.0, 0.5, 0.5], verb, clf.TuningMode.ALL)
+    assert -value == pytest.approx(expected, abs=1e-12)
 
 
 def test_ensemble_predict_worked_case():
-    scores = {
-        "x": np.array([-0.2, -1.7]),
-        "z1": np.array([-1.6, -0.2]),
-        "z2": np.array([-1.4, -0.3]),
-    }
-    table = {(4, 0): "x", (5, 0): "z1", (6, 0): "z2"}
-
-    def score_fn(seq):
-        return scores[table[seq.ids]]
-
-    x = TokenSeq.from_content([4])
-    zs = [TokenSeq.from_content([5]), TokenSeq.from_content([6])]
-    combined = ensemble_scores(score_fn, x, zs, include_original=True)
+    # rows: the input x, then its rewrites z1 and z2
+    scores = np.array([[-0.2, -1.7], [-1.6, -0.2], [-1.4, -0.3]])
+    combined = combine_group(scores, include_original=True)
     assert np.allclose(combined, [-1.7, -1.95], atol=1e-12)
-    assert ensemble_predict(score_fn, x, zs, include_original=True) == 0
+    assert int(np.argmax(combined)) == 0
 
 
 def test_ensemble_identical_rewrites_match_plain_argmax():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
-    score = training.make_score_fn(classifier, task.template, verb)
     ex = split.train[0]
-    plain = int(np.argmax(score(ex.x)))
-    assert ensemble_predict(score, ex.x, [ex.x] * 3, include_original=True) == plain
+    scores = clf.label_logprobs_batch(
+        classifier, training.example_groups(task.template, [ex], [[ex.x] * 3])[0], verb
+    )
+    plain = int(np.argmax(scores[0]))
+    assert int(np.argmax(combine_group(scores, include_original=True))) == plain
 
 
 def test_ensemble_single_rewrite_exclusion_is_plain_on_rewrite():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
-    score = training.make_score_fn(classifier, task.template, verb)
     z = TokenSeq.from_content([4, 6])
-    assert ensemble_predict(score, split.train[0].x, [z], include_original=False) == int(
-        np.argmax(score(z))
-    )
+    group = training.example_groups(task.template, [split.train[0]], [[z]])[0]
+    scores = clf.label_logprobs_batch(classifier, group, verb)
+    alone = clf.label_logprobs_batch(classifier, training.templated(task.template, [z]), verb)[0]
+    assert int(np.argmax(combine_group(scores, include_original=False))) == int(np.argmax(alone))
 
 
 def test_ensemble_tie_breaks_to_lower_label():
-    def score_fn(seq):
-        return np.array([-1.0, -1.0])
-
-    assert ensemble_predict(score_fn, TokenSeq.from_content([4]), [], include_original=True) == 0
+    assert int(np.argmax(combine_group([[-1.0, -1.0]], include_original=True))) == 0
 
 
 def test_ensemble_exclusion_without_rewrites_errors():
     with pytest.raises(ValueError, match="rewrite"):
-        ensemble_predict(lambda s: np.zeros(2), TokenSeq.from_content([4]), [], include_original=False)
+        combine_group(np.zeros((1, 2)), include_original=False)
 
 
 def test_select_best_checkpoint_rules():
@@ -414,13 +424,11 @@ def test_paraphrase_cache_hit_and_miss():
     cache = generate_paraphrase_cache(policy, split.train, 2, cfg, cache_seed=1)
     from riff.checkpoint import params_hash
 
+    # keyed by (policy hash, example uid); nothing else is in it
     key = params_hash(policy.flat)
-    uid = split.train[0].uid
-    assert len(cached_paraphrases(cache, key, uid)) == 2
-    with pytest.raises(CacheMiss, match="before the first epoch"):
-        cached_paraphrases(cache, key, 10_000)
-    with pytest.raises(CacheMiss):
-        cached_paraphrases(cache, "someotherpolicy", uid)
+    assert set(cache) == {(key, ex.uid) for ex in split.train}
+    assert all(len(zs) == 2 for zs in cache.values())
+    assert (key, 10_000) not in cache and ("someotherpolicy", split.train[0].uid) not in cache
 
 
 def test_train_classifier_augmented_smoke_and_cadence(tmp_path):
