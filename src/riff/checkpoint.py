@@ -62,7 +62,8 @@ def _read(f, n: int, path, what: str) -> bytes:
     return data
 
 
-def load_segments(path) -> tuple[dict, ParamVector]:
+def load_segments(path, kind: str) -> tuple[dict, ParamVector]:
+    """Header and parameters of a checkpoint whose header names `kind`."""
     with open(path, "rb") as f:
         magic = _read(f, 8, path, "magic")
         if magic != MAGIC:
@@ -72,6 +73,8 @@ def load_segments(path) -> tuple[dict, ParamVector]:
             raise ValueError(f"unsupported checkpoint version {version} in {path}")
         (hlen,) = struct.unpack("<I", _read(f, 4, path, "header length"))
         header = json.loads(_read(f, hlen, path, "header").decode("utf-8"))
+        if header.get("kind") != kind:
+            raise ValueError(f"expected a {kind} checkpoint in {path}, got {header.get('kind')!r}")
         segments = [(name, tuple(shape)) for name, shape in header["segments"]]
         count = sum(math.prod(shape) for _, shape in segments)
         raw = _read(f, 8 * count, path, "parameter payload")

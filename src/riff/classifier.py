@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -388,32 +388,11 @@ def input_row_grads(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) 
 
 
 def save_classifier(path, params: ClassifierParams) -> None:
-    cfg = params.cfg
-    header = {
-        "kind": "classifier",
-        "mode": params.mode.value,
-        "vocab_size": cfg.vocab_size,
-        "num_labels": cfg.num_labels,
-        "embed_dim": cfg.embed_dim,
-        "prompt_len": cfg.prompt_len,
-        "lora_rank": cfg.lora_rank,
-        "lora_alpha": cfg.lora_alpha,
-        "cls_hidden": cfg.cls_hidden,
-    }
+    header = {"kind": "classifier", "mode": params.mode.value, **asdict(params.cfg)}
     save_segments(path, header, params.pv)
 
 
 def load_classifier(path) -> ClassifierParams:
-    header, pv = load_segments(path)
-    if header.get("kind") != "classifier":
-        raise ValueError(f"expected a classifier checkpoint, got {header.get('kind')!r}")
-    cfg = ClassifierConfig(
-        vocab_size=header["vocab_size"],
-        num_labels=header["num_labels"],
-        embed_dim=header["embed_dim"],
-        prompt_len=header["prompt_len"],
-        lora_rank=header["lora_rank"],
-        lora_alpha=header["lora_alpha"],
-        cls_hidden=header["cls_hidden"],
-    )
+    header, pv = load_segments(path, "classifier")
+    cfg = ClassifierConfig(**{f.name: header[f.name] for f in fields(ClassifierConfig)})
     return ClassifierParams(cfg, TuningMode(header["mode"]), pv)

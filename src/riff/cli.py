@@ -115,6 +115,8 @@ def load_config(source) -> dict:
     merged.update(run_cfg.to_dict())
     if merged["tuning_mode"] not in {m.value for m in clf.TuningMode}:
         raise ConfigError(f"unknown tuning_mode {merged['tuning_mode']!r}")
+    if merged["shots"] < 1:
+        raise ConfigError(f"config field 'shots' must be at least 1, got {merged['shots']}")
     return merged
 
 
@@ -345,6 +347,8 @@ def oracle_check(seed: int, instances: int = 20) -> float:
     Random policies carry large unterminated tail mass by construction; the
     objective excludes it consistently, so the tail warning is muted here.
     """
+    if instances < 1:
+        raise ConfigError(f"--instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     with warnings.catch_warnings():
@@ -412,7 +416,10 @@ def cmd_grid(args) -> int:
         normalize_axis = [args.normalize == "on"]
     else:
         raise ConfigError(f"normalize must be on, off or both, got {args.normalize!r}")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds must be comma-separated integers: {exc}") from exc
     if not seeds:
         raise ConfigError("empty seed list")
     if args.workers < 1:

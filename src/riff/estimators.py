@@ -1,91 +1,76 @@
 """Gradient estimator coefficients: posterior-weighted (mml), reward-weighted
-(pg), their importance-corrected off-policy forms, and reward
-standardization. A gradient is one weighted backward over these
-coefficients (policy.weighted_seq_grad); the KL penalty folds into them.
+(pg), their importance-corrected off-policy forms, the KL-penalized regime,
+and reward standardization. A gradient is one weighted backward over these
+coefficients (policy.weighted_seq_grad).
 
 Coefficient assembly works in log space; exponentials appear only in the
 final coefficients. Off-policy log ratios are clamped to +-LOG_RATIO_CLAMP
-before exponentiation and the clamp count is surfaced on the result so
-divergence shows up in run reports instead of silently wrecking training.
+before exponentiation and the clamp count is returned with the coefficients
+so divergence shows up in run reports instead of silently wrecking training.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .numerics import logsumexp
-from .policy import TokenSeq
 
+ESTIMATORS = ("mml", "pg")
+REGIMES = ("on", "off", "klon")
+DEFAULT_BETA = {"mml": 0.1, "pg": 0.6}
 LOG_RATIO_CLAMP = 30.0
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """m rewrites of one input with their log-probs and rewards.
+def coefficients(cur, fixed, rewards, estimator: str, regime: str, beta: float):
+    """Per-sample coefficients phi of m rewrites of one input, and the number
+    of clamped off-policy log ratios, from their log-probs under the live
+    (`cur`) and fixed (`fixed`, ignored under "on") policies and their rewards
+    (raw or standardized).
 
-    `rewards` may be raw (always <= 0) or standardized; estimators treat them
-    uniformly. `fixed_logprobs` is required only for off-policy coefficients
-    and the KL correction.
+    mml: phi_j proportional to P(z_j|x) * exp(R_j), normalized over the batch.
+    pg: phi_j = P(z_j|x) * R_j, unnormalized.
+    off: samples come from the fixed policy, so P(z_j|x) becomes the clamped
+    ratio s_j = P_cur / P_fixed. klon: on-policy phi minus the KL penalty's
+    gradient weights, beta * (log s_j + 1) / m.
     """
-
-    seqs: tuple[TokenSeq, ...]
-    cur_logprobs: np.ndarray
-    rewards: np.ndarray
-    fixed_logprobs: np.ndarray | None = None
-
-    def __post_init__(self):
-        cur = np.asarray(self.cur_logprobs, dtype=np.float64)
-        rew = np.asarray(self.rewards, dtype=np.float64)
-        object.__setattr__(self, "cur_logprobs", cur)
-        object.__setattr__(self, "rewards", rew)
-        if len(self.seqs) < 1:
-            raise ValueError("sample batch must contain at least one sequence")
-        if cur.shape != (len(self.seqs),) or rew.shape != (len(self.seqs),):
-            raise ValueError("field lengths do not match sample count")
-        if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(rew))):
-            raise ValueError("non-finite log-probs or rewards")
-        if self.fixed_logprobs is not None:
-            fixed = np.asarray(self.fixed_logprobs, dtype=np.float64)
-            object.__setattr__(self, "fixed_logprobs", fixed)
-            if fixed.shape != (len(self.seqs),):
-                raise ValueError("fixed log-prob length does not match sample count")
-            if not np.all(np.isfinite(fixed)):
-                raise ValueError("non-finite fixed log-probs")
-
-    @property
-    def m(self) -> int:
-        return len(self.seqs)
-
-
-@dataclass(frozen=True)
-class Coefficients:
-    phi: np.ndarray
-    kind: str
-    clamp_events: int = field(default=0)
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.float64)
-        object.__setattr__(self, "phi", phi)
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("non-finite coefficients")
-        if self.kind in ("mml", "mml_off") and abs(float(phi.sum()) - 1.0) > 1e-9:
+    cur = np.asarray(cur, dtype=np.float64)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    if estimator not in ESTIMATORS or regime not in REGIMES:
+        raise ValueError(f"unknown estimator cell {estimator!r}/{regime!r}")
+    if cur.ndim != 1 or cur.size < 1:
+        raise ValueError("coefficients need at least one sample")
+    m = cur.size
+    if rewards.shape != (m,):
+        raise ValueError("reward count does not match sample count")
+    if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(rewards))):
+        raise ValueError("non-finite log-probs or rewards")
+    if regime != "on":
+        fixed = np.asarray(fixed, dtype=np.float64)
+        if fixed.shape != (m,):
+            raise ValueError(f"{regime} coefficients need one fixed-policy log-prob per sample")
+        if not np.all(np.isfinite(fixed)):
+            raise ValueError("non-finite fixed log-probs")
+    log_p, clamped = cur, 0
+    if regime == "off":
+        raw = cur - fixed
+        clamped = int(np.sum(np.abs(raw) > LOG_RATIO_CLAMP))
+        log_p = np.clip(raw, -LOG_RATIO_CLAMP, LOG_RATIO_CLAMP)
+    if estimator == "mml":
+        weights = log_p + rewards
+        denom = logsumexp(weights)
+        if not np.isfinite(denom):
+            raise ValueError("degenerate batch: no posterior mass")
+        phi = np.exp(weights - denom)
+        if abs(float(phi.sum()) - 1.0) > 1e-9:
             raise ValueError("posterior coefficients must sum to 1")
-
-
-def mml_coefficients(batch: SampleBatch) -> Coefficients:
-    """phi_j proportional to P(z_j|x) * exp(R_j), normalized over the batch."""
-    weights = batch.cur_logprobs + batch.rewards
-    denom = logsumexp(weights)
-    if not np.isfinite(denom):
-        raise ValueError("degenerate batch: no posterior mass")
-    return Coefficients(np.exp(weights - denom), "mml")
-
-
-def pg_coefficients(batch: SampleBatch) -> Coefficients:
-    """phi_j = P(z_j|x) * R_j, unnormalized."""
-    return Coefficients(np.exp(batch.cur_logprobs) * batch.rewards, "pg")
+    else:
+        phi = np.exp(log_p) * rewards
+    if regime == "klon":
+        # the KL penalty's gradient, -beta * mean_j (log s_j + 1) grad_j, folded into the weights
+        phi = phi - beta * (cur - fixed + 1.0) / m
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("non-finite coefficients")
+    return phi, clamped
 
 
 def normalize_rewards(rewards) -> np.ndarray:
@@ -100,27 +85,3 @@ def normalize_rewards(rewards) -> np.ndarray:
     if sigma == 0.0:
         return np.zeros_like(rew)
     return (rew - mu) / sigma
-
-
-def _clamped_log_ratios(batch: SampleBatch) -> tuple[np.ndarray, int]:
-    if batch.fixed_logprobs is None:
-        raise ValueError("off-policy coefficients need fixed-policy log-probs")
-    raw = batch.cur_logprobs - batch.fixed_logprobs
-    clamped = int(np.sum(np.abs(raw) > LOG_RATIO_CLAMP))
-    return np.clip(raw, -LOG_RATIO_CLAMP, LOG_RATIO_CLAMP), clamped
-
-
-def offpolicy_coefficients(batch: SampleBatch, kind: str) -> Coefficients:
-    """Importance-corrected coefficients for samples drawn from the fixed policy:
-    s_j = P_cur / P_fixed; pg uses s_j * R_j, mml softmaxes log s_j + R_j."""
-    log_s, clamped = _clamped_log_ratios(batch)
-    if kind == "pg":
-        return Coefficients(np.exp(log_s) * batch.rewards, "pg_off", clamped)
-    if kind == "mml":
-        weights = log_s + batch.rewards
-        denom = logsumexp(weights)
-        if not np.isfinite(denom):
-            raise ValueError("degenerate batch: no posterior mass")
-        return Coefficients(np.exp(weights - denom), "mml_off", clamped)
-    raise ValueError(f"unknown estimator kind {kind!r}")
-

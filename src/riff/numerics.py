@@ -25,18 +25,15 @@ def logsumexp(xs) -> float:
     return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
-def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+def log_softmax(logits) -> np.ndarray:
     arr = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite logits")
-    x = arr / temperature
-    return x - logsumexp(x)
+    return arr - logsumexp(arr)
 
 
-def softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    return np.exp(log_softmax(logits, temperature))
+def softmax(logits) -> np.ndarray:
+    return np.exp(log_softmax(logits))
 
 
 def log_softmax_rows(logits) -> np.ndarray:
@@ -147,7 +144,3 @@ class ParamVector:
     def freeze(self) -> "ParamVector":
         self.values.setflags(write=False)
         return self
-
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite parameter values")

@@ -9,7 +9,7 @@ finite-difference checks depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -288,27 +288,11 @@ def pretrain_mle(
 def save_policy(path, params: PolicyParams) -> None:
     from .checkpoint import save_segments
 
-    cfg = params.cfg
-    header = {
-        "kind": "policy",
-        "vocab_size": cfg.vocab_size,
-        "embed_dim": cfg.embed_dim,
-        "hidden_dim": cfg.hidden_dim,
-        "max_len": cfg.max_len,
-    }
-    save_segments(path, header, params.pv)
+    save_segments(path, {"kind": "policy", **asdict(params.cfg)}, params.pv)
 
 
 def load_policy(path) -> PolicyParams:
     from .checkpoint import load_segments
 
-    header, pv = load_segments(path)
-    if header.get("kind") != "policy":
-        raise ValueError(f"expected a policy checkpoint, got {header.get('kind')!r}")
-    cfg = PolicyConfig(
-        vocab_size=header["vocab_size"],
-        embed_dim=header["embed_dim"],
-        hidden_dim=header["hidden_dim"],
-        max_len=header["max_len"],
-    )
-    return PolicyParams(cfg, pv)
+    header, pv = load_segments(path, "policy")
+    return PolicyParams(PolicyConfig(**{f.name: header[f.name] for f in fields(PolicyConfig)}), pv)

@@ -21,6 +21,7 @@ from . import estimators as est
 from .checkpoint import atomic_write, params_hash
 from .data import Example, SyntheticTask, TaskTemplate, format_input, strip_scaffold
 from .decoding import DecodeConfig, decode_samples, diverse_beam
+from .estimators import DEFAULT_BETA, ESTIMATORS, REGIMES
 from .numerics import log_softmax_rows
 from .optim import AdamConfig, AdamW
 from .policy import (
@@ -34,10 +35,7 @@ from .policy import (
 )
 from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads training.seq_logprob
 
-ESTIMATORS = ("mml", "pg")
-REGIMES = ("on", "off", "klon")
 DECODERS = ("beam", "top_p", "mixed")
-DEFAULT_BETA = {"mml": 0.1, "pg": 0.6}
 
 METRIC_EXCL = "ensemble_acc_excl"
 METRIC_INCL = "ensemble_acc_incl"
@@ -52,6 +50,8 @@ class FewShotSplit:
 
 def fewshot_split(examples, n: int, seed: int) -> FewShotSplit:
     """Disjoint per-label samples of size n for train and validation."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     by_label: dict[int, list[Example]] = {}
     for ex in examples:
         by_label.setdefault(ex.y, []).append(ex)
@@ -180,17 +180,6 @@ def templated(template: TaskTemplate, seqs) -> list[TokenSeq]:
     return [format_input(template, template.instruction, strip_scaffold(z)) for z in seqs]
 
 
-def make_reward_fn(
-    classifier: clf.ClassifierParams, template: TaskTemplate, verbalizer, y: int
-):
-    """Rewards of a list of raw rewrites, from one classifier call."""
-
-    def rewards_of(seqs) -> np.ndarray:
-        return clf.rewards(classifier, templated(template, seqs), y, verbalizer)
-
-    return rewards_of
-
-
 def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig, seed: int):
     """Test-style rewrites (diverse beam, m per input) of each example."""
     return [
@@ -307,19 +296,11 @@ def _example_gradient(
     rewards = est.normalize_rewards(raw_rewards) if cfg.normalize else raw_rewards
     cur = np.array([path_logprob(table, z) for z in seqs])
     fixed_lp = np.array([path_logprob(fixed_table, z) for z in seqs])
-    batch = est.SampleBatch(tuple(seqs), cur, rewards, fixed_lp)
-    if cfg.regime == "off":
-        coeffs = est.offpolicy_coefficients(batch, cfg.estimator)
-    elif cfg.estimator == "mml":
-        coeffs = est.mml_coefficients(batch)
-    else:
-        coeffs = est.pg_coefficients(batch)
-    weights = coeffs.phi
-    if cfg.regime == "klon":
-        # the KL penalty's gradient, -beta * mean_j (log s_j + 1) grad_j, folded into the weights
-        weights = weights - cfg.resolved_beta() * (cur - fixed_lp + 1.0) / batch.m
+    weights, clamp_events = est.coefficients(
+        cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
+    )
     grad = weighted_seq_grad(policy, ex.x, seqs, weights, transition=(logits, acts))
-    info = {"mean_reward": float(raw_rewards.mean()), "clamp_events": coeffs.clamp_events}
+    info = {"mean_reward": float(raw_rewards.mean()), "clamp_events": clamp_events}
     return grad, info
 
 
@@ -362,8 +343,11 @@ def finetune_paraphraser(
         clamp_events = 0
         for idx in batch_idx:
             ex = split.train[idx]
-            reward_fn = make_reward_fn(classifier, task.template, verbalizer, ex.y)
-            grad, info = _example_gradient(policy, fixed, ex, reward_fn, cfg, step)
+            grad, info = _example_gradient(
+                policy, fixed, ex,
+                lambda seqs: clf.rewards(classifier, templated(task.template, seqs), ex.y, verbalizer),
+                cfg, step,
+            )
             if not np.all(np.isfinite(grad)):
                 raise ValueError(f"non-finite gradient for example {ex.uid} at step {step}")
             total += grad

@@ -73,26 +73,26 @@ def greedy_path(params: PolicyParams, x: TokenSeq) -> TokenSeq:
     return TokenSeq.from_content(prefix)
 
 
-def assemble_gradient(coeffs, per_sample_grads) -> np.ndarray:
+def assemble_gradient(phi, per_sample_grads) -> np.ndarray:
     """sum_j phi_j * grad_j, one sample at a time. Zero coefficients are
     skipped so one-hot coefficients reproduce their gradient bitwise."""
     total = np.zeros_like(per_sample_grads[0])
-    for weight, grad in zip(coeffs.phi, per_sample_grads):
+    for weight, grad in zip(phi, per_sample_grads):
         if weight != 0.0:
             total += weight * grad
     return total
 
 
-def kl_penalized_gradient(batch, per_sample_grads, base: np.ndarray, beta: float) -> np.ndarray:
-    """base - beta * mean_j (log s_j + 1) * grad_j over the batch's on-policy
-    samples, with log s_j the log-ratio against the anchor; beta == 0 returns
-    a copy of base."""
+def kl_penalized_gradient(cur, fixed, per_sample_grads, base: np.ndarray, beta: float) -> np.ndarray:
+    """base - beta * mean_j (log s_j + 1) * grad_j over m on-policy samples,
+    with log s_j = cur_j - fixed_j the log-ratio against the anchor; beta == 0
+    returns a copy of base."""
     if beta == 0.0:
         return base.copy()
     penalty = np.zeros_like(base)
-    for ratio, grad in zip(batch.cur_logprobs - batch.fixed_logprobs, per_sample_grads):
+    for ratio, grad in zip(np.subtract(cur, fixed), per_sample_grads):
         penalty += (ratio + 1.0) * grad
-    return base - beta * penalty / batch.m
+    return base - beta * penalty / len(cur)
 
 
 def reference_seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:

@@ -13,13 +13,7 @@ from riff import classifier as clf
 from riff import cli, data, oracle, training
 from riff.classifier import TuningMode, Verbalizer
 from riff.decoding import DecodeConfig, diverse_beam, mixed_decode, top_p_sample
-from riff.estimators import (
-    SampleBatch,
-    mml_coefficients,
-    normalize_rewards,
-    offpolicy_coefficients,
-    pg_coefficients,
-)
+from riff.estimators import coefficients, normalize_rewards
 from riff.numerics import finite_diff_grad, max_relative_error, softmax
 from riff.policy import (
     PolicyConfig,
@@ -118,24 +112,22 @@ def test_criterion_2_kl_anchor():
 def test_criterion_3_coefficient_algebra():
     start = time.monotonic()
     gen = np.random.default_rng(3003)
-    z = TokenSeq.from_content([1])
     for _ in range(1000):
         m = int(gen.integers(1, 10))
         cur = -4.0 * gen.random(m)
         rewards = -3.0 * gen.random(m)
-        seqs = tuple(z for _ in range(m))
-        batch = SampleBatch(seqs, cur, rewards)
-        phi = mml_coefficients(batch).phi
+        phi, _ = coefficients(cur, None, rewards, "mml", "on", 0.0)
         assert abs(phi.sum() - 1.0) < 1e-9
-        shifted = mml_coefficients(SampleBatch(seqs, cur, rewards + 2.3)).phi
+        shifted, _ = coefficients(cur, None, rewards + 2.3, "mml", "on", 0.0)
         assert int(np.argmax(phi)) == int(np.argmax(shifted))
         lam = float(gen.normal())
-        pg = pg_coefficients(batch).phi
-        pg_scaled = pg_coefficients(SampleBatch(seqs, cur, lam * rewards)).phi
+        pg, _ = coefficients(cur, None, rewards, "pg", "on", 0.0)
+        pg_scaled, _ = coefficients(cur, None, lam * rewards, "pg", "on", 0.0)
         assert np.allclose(pg_scaled, lam * pg, atol=1e-12)
-        fresh = SampleBatch(seqs, cur, rewards, fixed_logprobs=cur.copy())
-        assert np.allclose(offpolicy_coefficients(fresh, "mml").phi, softmax(rewards), atol=1e-12)
-        assert np.allclose(offpolicy_coefficients(fresh, "pg").phi, rewards, atol=1e-12)
+        mml_off, _ = coefficients(cur, cur.copy(), rewards, "mml", "off", 0.0)
+        pg_off, _ = coefficients(cur, cur.copy(), rewards, "pg", "off", 0.0)
+        assert np.allclose(mml_off, softmax(rewards), atol=1e-12)
+        assert np.allclose(pg_off, rewards, atol=1e-12)
         normalized = normalize_rewards(rewards)
         if np.all(rewards == rewards[0]):
             assert np.all(normalized == 0.0)

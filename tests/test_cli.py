@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -74,6 +75,28 @@ def test_invalid_config_field_exits_2(tmp_path, capsys):
     rc = cli.main(["riff-finetune", "--config", str(path)])
     assert rc == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle-check", "--instances", "0"], "--instances must be at least 1, got 0"),
+    (["oracle-check", "--instances", "-2"], "--instances must be at least 1, got -2"),
+    (["grid", "--seeds", "a,b"], "--seeds .*'a'"),
+    (["riff-finetune", "--config", {"shots": 0}], "'shots' must be at least 1, got 0"),
+    (["train-classifier", "--config", {"shots": -3}], "'shots' must be at least 1, got -3"),
+], ids=["instances_0", "instances_negative", "seeds_not_int", "shots_0", "shots_negative"])
+def test_invalid_settings_exit_2_naming_the_field(tmp_path, capsys, argv, message):
+    if isinstance(argv[-1], dict):
+        (tmp_path / "config.json").write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(tmp_path / "config.json")]
+    assert cli.main(["--out", str(tmp_path / "runs"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and re.search(message, err)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_oracle_check_rejects_fewer_than_one_instance():
+    with pytest.raises(ConfigError, match="--instances"):
+        oracle_check(seed=0, instances=0)
 
 
 def test_oracle_check_passes_and_exits_zero(capsys):

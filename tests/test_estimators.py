@@ -6,57 +6,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assemble_gradient, kl_penalized_gradient, table_reward, tiny_policy
-from riff.estimators import (
-    Coefficients,
-    SampleBatch,
-    mml_coefficients,
-    normalize_rewards,
-    offpolicy_coefficients,
-    pg_coefficients,
-)
+from riff import estimators as est
+from riff.estimators import coefficients, normalize_rewards
 from riff.numerics import finite_diff_grad, max_relative_error, softmax
 from riff.oracle import enumerate_sequences, exact_gradient, exact_kl_objective, exact_objective
 from riff.policy import PolicyParams, TokenSeq, seq_logprob, weighted_seq_grad
 
-Z = TokenSeq.from_content([1])
 
-
-def make_batch(cur, rewards, fixed=None):
-    seqs = tuple(Z for _ in cur)
-    return SampleBatch(seqs, np.asarray(cur, float), np.asarray(rewards, float),
-                       None if fixed is None else np.asarray(fixed, float))
+def phi_of(cur, rewards, estimator, regime="on", fixed=None, beta=0.0):
+    return coefficients(cur, fixed, rewards, estimator, regime, beta)[0]
 
 
 def test_batch_validation():
-    with pytest.raises(ValueError):
-        SampleBatch((), np.array([]), np.array([]))
-    with pytest.raises(ValueError):
-        make_batch([0.0], [float("-inf")])
-    with pytest.raises(ValueError):
-        make_batch([0.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="at least one sample"):
+        coefficients([], None, [], "mml", "on", 0.0)
+    with pytest.raises(ValueError, match="non-finite log-probs or rewards"):
+        coefficients([0.0], None, [float("-inf")], "pg", "on", 0.0)
+    with pytest.raises(ValueError, match="reward count"):
+        coefficients([0.0, 0.0], None, [0.0], "mml", "on", 0.0)
+    with pytest.raises(ValueError, match="non-finite fixed"):
+        coefficients([0.0], [np.nan], [0.0], "mml", "klon", 0.1)
+    with pytest.raises(ValueError, match="unknown estimator cell"):
+        coefficients([0.0], [0.0], [0.0], "mml", "offline", 0.1)
+
+
+def test_on_policy_ignores_fixed_logprobs():
+    for estimator in est.ESTIMATORS:
+        want, clamped = coefficients([-0.4, -1.2], None, [-0.5, -0.1], estimator, "on", 0.3)
+        got = coefficients([-0.4, -1.2], [np.nan], [-0.5, -0.1], estimator, "on", 0.3)
+        assert np.array_equal(got[0], want) and got[1] == clamped == 0
 
 
 def test_mml_single_sample_is_one():
-    coeffs = mml_coefficients(make_batch([-0.7], [-0.3]))
-    assert coeffs.phi.tolist() == [1.0]
+    assert phi_of([-0.7], [-0.3], "mml").tolist() == [1.0]
 
 
 def test_mml_symmetric_batch_uniform():
-    coeffs = mml_coefficients(make_batch([-1.0] * 4, [-0.5] * 4))
-    assert np.allclose(coeffs.phi, [0.25] * 4, atol=1e-15)
+    assert np.allclose(phi_of([-1.0] * 4, [-0.5] * 4, "mml"), [0.25] * 4, atol=1e-15)
 
 
 def test_mml_hand_values():
-    batch = make_batch(np.log([0.5, 0.5]), np.log([0.8, 0.2]))
     # weights proportional to .5*.8 and .5*.2
-    assert np.allclose(mml_coefficients(batch).phi, [0.8, 0.2], atol=1e-12)
+    assert np.allclose(phi_of(np.log([0.5, 0.5]), np.log([0.8, 0.2]), "mml"), [0.8, 0.2], atol=1e-12)
 
 
 def test_mml_degenerate_batch_errors():
-    batch = make_batch([-1.0, -1.0], [-1.0, -1.0])
-    object.__setattr__(batch, "rewards", np.array([-np.inf, -np.inf]))
-    with pytest.raises(ValueError, match="degenerate|non-finite"):
-        mml_coefficients(batch)
+    # finite inputs whose log-space weights overflow leave no posterior mass
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="degenerate|non-finite"):
+        phi_of([1e308, 1e308], [1e308, 1e308], "mml")
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -64,24 +61,21 @@ def test_mml_degenerate_batch_errors():
 def test_mml_sums_to_one_and_shift_invariant(seed):
     gen = np.random.default_rng(seed)
     m = int(gen.integers(1, 9))
-    batch = make_batch(-3 * gen.random(m), -2 * gen.random(m))
-    phi = mml_coefficients(batch).phi
+    cur, rewards = -3 * gen.random(m), -2 * gen.random(m)
+    phi = phi_of(cur, rewards, "mml")
     assert abs(phi.sum() - 1.0) < 1e-9
     assert np.all(phi >= 0.0)
-    shifted = make_batch(batch.cur_logprobs, batch.rewards + 1.7)
-    phi_shift = mml_coefficients(shifted).phi
+    phi_shift = phi_of(cur, rewards + 1.7, "mml")
     assert int(np.argmax(phi)) == int(np.argmax(phi_shift))
     assert np.allclose(phi, phi_shift, atol=1e-9)
 
 
 def test_pg_zero_rewards_zero_coefficients():
-    coeffs = pg_coefficients(make_batch([-1.0, -2.0], [0.0, 0.0]))
-    assert np.all(coeffs.phi == 0.0)
+    assert np.all(phi_of([-1.0, -2.0], [0.0, 0.0], "pg") == 0.0)
 
 
 def test_pg_hand_values():
-    coeffs = pg_coefficients(make_batch(np.log([0.5, 0.5]), [-1.0, -2.0]))
-    assert np.allclose(coeffs.phi, [-0.5, -1.0], atol=1e-15)
+    assert np.allclose(phi_of(np.log([0.5, 0.5]), [-1.0, -2.0], "pg"), [-0.5, -1.0], atol=1e-15)
 
 
 @given(st.integers(0, 2**31 - 1), st.floats(-3, 3))
@@ -91,8 +85,8 @@ def test_pg_homogeneous_in_rewards(seed, lam):
     m = int(gen.integers(1, 9))
     cur = -3 * gen.random(m)
     rewards = -2 * gen.random(m)
-    base = pg_coefficients(make_batch(cur, rewards)).phi
-    scaled = pg_coefficients(make_batch(cur, lam * rewards)).phi
+    base = phi_of(cur, rewards, "pg")
+    scaled = phi_of(cur, lam * rewards, "pg")
     assert np.allclose(scaled, lam * base, atol=1e-12)
 
 
@@ -106,9 +100,8 @@ def test_pg_matches_enumeration_finite_differences():
     seqs = [z for z, _ in enum.entries]
     rewards = np.array([reward_fn(z) for z in seqs])
     cur = np.array([lp for _, lp in enum.entries])
-    batch = SampleBatch(tuple(seqs), cur, rewards)
     grads = [weighted_seq_grad(p, x, [z], [1.0]) for z in seqs]
-    analytic = assemble_gradient(pg_coefficients(batch), grads)
+    analytic = assemble_gradient(phi_of(cur, rewards, "pg"), grads)
 
     def expected_reward(flat):
         probe = PolicyParams(p.cfg)
@@ -146,49 +139,68 @@ def test_normalize_standardizes(seed):
 def test_offpolicy_fresh_snapshot_reduces_to_softmax():
     cur = np.log([0.4, 0.3, 0.3])
     rewards = np.array([-0.2, -1.0, -0.1])
-    batch = make_batch(cur, rewards, fixed=cur)
-    mml_off = offpolicy_coefficients(batch, "mml")
-    assert np.allclose(mml_off.phi, softmax(rewards), atol=1e-12)
-    pg_off = offpolicy_coefficients(batch, "pg")
-    assert np.allclose(pg_off.phi, rewards, atol=1e-12)
+    mml_off = phi_of(cur, rewards, "mml", "off", fixed=cur)
+    assert np.allclose(mml_off, softmax(rewards), atol=1e-12)
+    pg_off = phi_of(cur, rewards, "pg", "off", fixed=cur)
+    assert np.allclose(pg_off, rewards, atol=1e-12)
 
 
 def test_offpolicy_equal_rewards_uniform():
     cur = np.log([0.4, 0.6])
-    batch = make_batch(cur, [-0.5, -0.5], fixed=cur)
-    assert np.allclose(offpolicy_coefficients(batch, "mml").phi, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(phi_of(cur, [-0.5, -0.5], "mml", "off", fixed=cur), [0.5, 0.5], atol=1e-12)
 
 
 def test_offpolicy_hand_values():
     # s = [2, .5], e^R = [.1, .4] -> posterior [.5, .5]
-    batch = make_batch(
-        np.log([0.4, 0.1]), np.log([0.1, 0.4]), fixed=np.log([0.2, 0.2])
-    )
-    assert np.allclose(offpolicy_coefficients(batch, "mml").phi, [0.5, 0.5], atol=1e-12)
+    phi = phi_of(np.log([0.4, 0.1]), np.log([0.1, 0.4]), "mml", "off", fixed=np.log([0.2, 0.2]))
+    assert np.allclose(phi, [0.5, 0.5], atol=1e-12)
 
 
 def test_offpolicy_requires_fixed_logprobs():
-    with pytest.raises(ValueError, match="fixed-policy"):
-        offpolicy_coefficients(make_batch([-1.0], [-0.5]), "mml")
+    for regime in ("off", "klon"):
+        with pytest.raises(ValueError, match="fixed-policy"):
+            coefficients([-1.0], None, [-0.5], "mml", regime, 0.1)
 
 
 def test_offpolicy_clamps_extreme_ratios():
-    batch = make_batch([0.0, -1.0], [-0.5, -0.5], fixed=[-80.0, -1.0])
-    coeffs = offpolicy_coefficients(batch, "pg")
-    assert coeffs.clamp_events == 1
-    assert np.all(np.isfinite(coeffs.phi))
-    assert coeffs.phi[0] == pytest.approx(math.exp(30) * -0.5)
+    phi, clamped = coefficients([0.0, -1.0], [-80.0, -1.0], [-0.5, -0.5], "pg", "off", 0.0)
+    assert clamped == 1
+    assert np.all(np.isfinite(phi))
+    assert phi[0] == pytest.approx(math.exp(30) * -0.5)
+
+
+@pytest.mark.parametrize("estimator", est.ESTIMATORS)
+def test_offpolicy_clamps_both_signs(estimator):
+    # log ratios of +40 and -40 are both clamped to +-30
+    cur, fixed, rewards = [-1.0, -41.0], [-41.0, -1.0], [-0.5, -0.25]
+    phi, clamped = coefficients(cur, fixed, rewards, estimator, "off", 0.0)
+    assert clamped == 2
+    if estimator == "pg":
+        assert phi.tolist() == [math.exp(30.0) * -0.5, math.exp(-30.0) * -0.25]
+    else:
+        assert np.allclose(phi, softmax([30.0 - 0.5, -30.0 - 0.25]), rtol=1e-15, atol=0.0)
+
+
+def test_klon_mml_hand_values():
+    # P_cur = (.5, .5), exp(R) = (.8, .2): phi = (.8, .2) before the fold.
+    # P_fixed = (.25, .5): log s = (log 2, 0), so with beta = .1 and m = 2
+    # phi_j -= .05 * (log s_j + 1), i.e. .8 - .05 * 1.6931471805599453 and .2 - .05.
+    phi, clamped = coefficients(
+        np.log([0.5, 0.5]), np.log([0.25, 0.5]), np.log([0.8, 0.2]), "mml", "klon", 0.1
+    )
+    assert clamped == 0
+    assert np.allclose(phi, [0.7153426409720027, 0.15], rtol=0.0, atol=1e-15)
 
 
 def test_assemble_one_hot_bitwise():
     g1 = np.array([0.1, -0.2, 0.3])
     g2 = np.array([9.0, 9.0, 9.0])
-    out = assemble_gradient(Coefficients(np.array([1.0, 0.0]), "pg"), [g1, g2])
+    out = assemble_gradient(np.array([1.0, 0.0]), [g1, g2])
     assert np.array_equal(out, g1)
 
 
 def test_assemble_zero_coefficients():
-    out = assemble_gradient(Coefficients(np.zeros(2), "pg"), [np.ones(3), np.ones(3)])
+    out = assemble_gradient(np.zeros(2), [np.ones(3), np.ones(3)])
     assert np.all(out == 0.0)
 
 
@@ -202,9 +214,8 @@ def test_full_enumeration_mml_equals_exact_gradient():
     seqs = [z for z, _ in enum.entries]
     cur = np.array([lp for _, lp in enum.entries])
     rewards = np.array([reward_fn(z) for z in seqs])
-    batch = SampleBatch(tuple(seqs), cur, rewards)
     grads = [weighted_seq_grad(p, x, [z], [1.0]) for z in seqs]
-    assembled = assemble_gradient(mml_coefficients(batch), grads)
+    assembled = assemble_gradient(phi_of(cur, rewards, "mml"), grads)
     assert np.allclose(assembled, exact_gradient(p, x, reward_fn), atol=1e-12)
 
     def objective(flat):
@@ -218,8 +229,7 @@ def test_full_enumeration_mml_equals_exact_gradient():
 
 def test_kl_zero_beta_returns_base_bitwise():
     base = np.array([0.5, -0.5])
-    batch = make_batch([-1.0], [-0.5], fixed=[-1.0])
-    out = kl_penalized_gradient(batch, [np.ones(2)], base, 0.0)
+    out = kl_penalized_gradient([-1.0], [-1.0], [np.ones(2)], base, 0.0)
     assert np.array_equal(out, base)
 
 
@@ -227,9 +237,8 @@ def test_kl_fresh_snapshot_penalty_is_mean_gradient():
     g1 = np.array([1.0, 0.0])
     g2 = np.array([0.0, 2.0])
     cur = np.log([0.5, 0.5])
-    batch = make_batch(cur, [-0.5, -0.5], fixed=cur)
     base = np.array([3.0, 3.0])
-    out = kl_penalized_gradient(batch, [g1, g2], base, 0.4)
+    out = kl_penalized_gradient(cur, cur, [g1, g2], base, 0.4)
     assert np.allclose(out, base - 0.4 * (g1 + g2) / 2, atol=1e-15)
 
 
@@ -246,11 +255,10 @@ def test_kl_full_enumeration_matches_finite_differences():
     cur = np.array([lp for _, lp in enum.entries])
     fixed_lp = np.array([seq_logprob(fixed, x, z) for z in seqs])
     rewards = np.array([reward_fn(z) for z in seqs])
-    batch = SampleBatch(tuple(seqs), cur, rewards, fixed_lp)
     grads = [weighted_seq_grad(p, x, [z], [1.0]) for z in seqs]
-    base = assemble_gradient(mml_coefficients(batch), grads)
+    base = assemble_gradient(phi_of(cur, rewards, "mml"), grads)
     weighted = [len(seqs) * math.exp(lp) * g for lp, g in zip(cur, grads)]
-    out = kl_penalized_gradient(batch, weighted, base, beta)
+    out = kl_penalized_gradient(cur, fixed_lp, weighted, base, beta)
 
     def objective(flat):
         probe = PolicyParams(p.cfg)
@@ -261,8 +269,10 @@ def test_kl_full_enumeration_matches_finite_differences():
     assert max_relative_error(out, fd) < 1e-3
 
 
-def test_coefficients_validation():
+def test_coefficients_validation(monkeypatch):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite coefficients"):
+        phi_of([800.0], [-0.5], "pg")
+    # a wrong normalizer leaves posterior weights that do not sum to 1
+    monkeypatch.setattr(est, "logsumexp", lambda weights: 0.0)
     with pytest.raises(ValueError, match="sum to 1"):
-        Coefficients(np.array([0.5, 0.2]), "mml")
-    with pytest.raises(ValueError, match="non-finite"):
-        Coefficients(np.array([np.nan]), "pg")
+        phi_of(np.log([0.5, 0.2]), [0.0, 0.0], "mml")

@@ -1,6 +1,7 @@
-"""Every public top-level function and class in `src/riff` is reached from
-the program itself (`src/`, `scripts/` or `perfbench/`), not only from tests,
-unless it is documented library API listed below."""
+"""Every public top-level function and class in `src/riff`, and every public
+method of those classes, is reached from the program itself (`src/`,
+`scripts/` or `perfbench/`), not only from tests, unless it is documented
+library API listed below."""
 
 import ast
 import pathlib
@@ -20,12 +21,16 @@ LIBRARY_API = {
 
 
 def public_definitions() -> dict[str, str]:
-    """module.name of each public top-level function and class, by name."""
+    """module.name of each public top-level function and class, and
+    module.Class.name of each public method of a public class, by name."""
     found = {}
     for path in sorted((ROOT / "src" / "riff").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 found[f"{path.stem}.{node.name}"] = node.name
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        found[f"{path.stem}.{node.name}.{item.name}"] = item.name
     return found
 
 

@@ -20,8 +20,8 @@ from riff.numerics import (
 mpmath.mp.dps = 50
 
 
-def mp_log_softmax(values, temperature=1.0):
-    xs = [mpmath.mpf(v) / mpmath.mpf(temperature) for v in values]
+def mp_log_softmax(values):
+    xs = [mpmath.mpf(v) for v in values]
     denom = mpmath.log(mpmath.fsum(mpmath.e**x for x in xs))
     return [float(x - denom) for x in xs]
 
@@ -29,11 +29,6 @@ def mp_log_softmax(values, temperature=1.0):
 def test_log_softmax_symmetric_pair():
     out = log_softmax([0.0, 0.0])
     assert np.allclose(out, [-math.log(2)] * 2, atol=1e-15)
-
-
-def test_log_softmax_equal_logits_any_temperature():
-    out = log_softmax([5.0, 5.0, 5.0], temperature=0.7)
-    assert np.allclose(out, [-math.log(3)] * 3, atol=1e-15)
 
 
 def test_log_softmax_against_high_precision():
@@ -47,11 +42,6 @@ def test_log_softmax_rejects_nonfinite():
         log_softmax([1.0, float("nan")])
     with pytest.raises(ValueError):
         log_softmax([1.0, float("inf")])
-
-
-def test_log_softmax_rejects_bad_temperature():
-    with pytest.raises(ValueError):
-        log_softmax([1.0, 2.0], temperature=0.0)
 
 
 def test_log_softmax_normalization_bulk():
@@ -174,13 +164,6 @@ def test_param_vector_freeze():
     pv.freeze()
     with pytest.raises(ValueError):
         pv.values[0] = 1.0
-
-
-def test_param_vector_check_finite():
-    pv = ParamVector([("a", (2,))])
-    pv.values[0] = np.inf
-    with pytest.raises(ValueError):
-        pv.check_finite()
 
 
 def test_max_relative_error_skips_tiny_components():

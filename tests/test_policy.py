@@ -16,9 +16,12 @@ from conftest import (
     reference_transition_logits,
     reference_weighted_seq_grad,
     step_logits,
+    tiny_classifier,
     tiny_policy,
     total_mass,
 )
+from riff.checkpoint import file_hash
+from riff.classifier import TuningMode, load_classifier, save_classifier
 from riff.numerics import finite_diff_grad, log_softmax, max_relative_error
 from riff.policy import (
     PolicyConfig,
@@ -328,6 +331,21 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_policy(path)
     assert loaded.cfg == p.cfg
     assert np.array_equal(loaded.flat, p.flat)
+
+
+def test_checkpoint_files_are_byte_identical_to_pinned(tmp_path):
+    # sha256 of the files written when each header field was spelled out by
+    # hand; headers built from the config dataclasses must write the same bytes
+    policy_path, clf_path = tmp_path / "policy.ckpt", tmp_path / "clf.ckpt"
+    save_policy(policy_path, tiny_policy(seed=21, vocab=6, max_len=9))
+    save_classifier(clf_path, tiny_classifier(seed=21, prompt_len=2, mode=TuningMode.LORA))
+    assert file_hash(policy_path) == "6404daf49f9154bce9b5f78b6c1ecd40056831c791657db81a31a2f49317ab42"
+    assert file_hash(clf_path) == "6d361edefaff2c7b5a077d0605eb5ac9a6fa816195ffc9e3f99a2956ec8ba974"
+    wrong_kind = f"expected a policy checkpoint in {re.escape(str(clf_path))}, got 'classifier'"
+    with pytest.raises(ValueError, match=wrong_kind):
+        load_policy(clf_path)
+    with pytest.raises(ValueError, match="expected a classifier checkpoint .*, got 'policy'"):
+        load_classifier(policy_path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

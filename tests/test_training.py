@@ -54,6 +54,12 @@ def test_fewshot_split_single_shot():
     assert len(split.train) == 2 and len(split.validation) == 2
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_fewshot_split_rejects_fewer_than_one_shot(n):
+    with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+        fewshot_split(small_task().train, n, seed=0)
+
+
 def test_fewshot_split_deterministic():
     task = small_task()
     a = fewshot_split(task.train, 4, seed=9)
@@ -216,22 +222,15 @@ def test_example_gradient_equals_reference_assembly(estimator, regime):
         dc = training.decode_config(cfg, derive_seed(cfg.seed, 2, ex.uid))
         seqs = decode_samples(fixed if regime == "off" else policy, ex.x, "mixed", dc)
         rewards = est.normalize_rewards([reward_fn(z) for z in seqs])
-        batch = est.SampleBatch(
-            tuple(seqs),
-            np.array([reference_seq_logprob(policy, ex.x, z) for z in seqs]),
-            rewards,
-            np.array([reference_seq_logprob(fixed, ex.x, z) for z in seqs]),
-        )
+        cur = np.array([reference_seq_logprob(policy, ex.x, z) for z in seqs])
+        fixed_lp = np.array([reference_seq_logprob(fixed, ex.x, z) for z in seqs])
         grads = [reference_seq_logprob_grad(policy, ex.x, z) for z in seqs]
-        if regime == "off":
-            coeffs = est.offpolicy_coefficients(batch, estimator)
-        elif estimator == "mml":
-            coeffs = est.mml_coefficients(batch)
-        else:
-            coeffs = est.pg_coefficients(batch)
-        want = assemble_gradient(coeffs, grads)
+        # the KL term comes from the reference assembly, not from the fold
+        base_regime = "off" if regime == "off" else "on"
+        phi, _ = est.coefficients(cur, fixed_lp, rewards, estimator, base_regime, 0.0)
+        want = assemble_gradient(phi, grads)
         if regime == "klon":
-            want = kl_penalized_gradient(batch, grads, want, cfg.resolved_beta())
+            want = kl_penalized_gradient(cur, fixed_lp, grads, want, cfg.resolved_beta())
         assert max_scaled_error(got, want) < 1e-12
 
 
