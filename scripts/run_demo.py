@@ -9,7 +9,7 @@ import argparse
 import time
 
 from riff import classifier as clf
-from riff import data, training
+from riff import data, decoding, training
 from riff.classifier import TuningMode, Verbalizer
 from riff.policy import PolicyConfig, PolicyParams, pretrain_mle
 from riff.training import RunConfig, fewshot_split
@@ -50,8 +50,7 @@ def main() -> int:
     cfg = RunConfig(m=8, lr=2e-3, steps=args.steps, batch_size=8,
                     checkpoint_interval=8, seed=args.seed)
     baseline = training.evaluate_ensemble_accuracy(
-        policy, classifier, task.template, verb, split.validation, cfg.m, False, cfg,
-        training.derive_seed(cfg.seed, 0xEA1, 0),
+        policy, classifier, task.template, verb, split.validation, cfg.m, False, cfg
     )
     checkpoints = training.finetune_paraphraser(policy, classifier, task, split, cfg)
     best = training.select_best_checkpoint(checkpoints, training.METRIC_EXCL)
@@ -69,14 +68,13 @@ def main() -> int:
 
     plain_test = training.plain_accuracy(aug_best, task.template, verb, task.test)
     ensemble_test = training.evaluate_ensemble_accuracy(
-        tuned_policy, aug_best, task.template, verb, task.test, 8, True, cfg,
-        training.derive_seed(cfg.seed, 0x7E57),
+        tuned_policy, aug_best, task.template, verb, task.test, 8, True, cfg
     )
     print(f"test accuracy: plain {plain_test:.3f}, rewrite ensemble {ensemble_test:.3f}")
 
     sample = task.test[0]
     dc = training.decode_config(cfg, training.derive_seed(cfg.seed, 0xD3))
-    rewrites = training.diverse_beam(tuned_policy, sample.x, dc)
+    rewrites = decoding.diverse_beam(tuned_policy, sample.x, dc)
     print(f"input {sample.x.content} (label {sample.y}) rewrites:")
     for z in rewrites[:4]:
         print(f"  {data.strip_scaffold(z).content}")

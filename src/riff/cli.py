@@ -305,9 +305,7 @@ def cmd_evaluate(args) -> int:
     for name, examples in (("validation", split.validation), ("test", task.test)):
         plain = training.plain_accuracy(classifier, task.template, verbalizer, examples)
         # one decode per example serves both ensembles and the diversity rows
-        rewrites[name] = training.decode_rewrites(
-            policy, examples, cfg.m, cfg, training.derive_seed(cfg.seed, 0xE7A1)
-        )
+        rewrites[name] = training.decode_rewrites(policy, examples, cfg.m, cfg)
         incl, excl = training.ensemble_accuracies(
             classifier, verbalizer, examples,
             training.example_groups(task.template, examples, rewrites[name]),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log_softmax_rows
 from .policy import (
     PolicyParams,
     TokenSeq,
@@ -108,62 +107,70 @@ def _nucleus(logprobs: np.ndarray, top_p: float, row: int) -> tuple[list[int], l
     return keep.tolist(), cdf.tolist()
 
 
-def diverse_beam(
-    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, logits: np.ndarray | None = None
-) -> list[TokenSeq]:
-    """m groups of beam width 1, expanded sequentially per step.
-
-    Per step and group: the group's own prefix tokens get the repetition
-    penalty on raw logits (positive logits divided, negative multiplied),
-    temperature rescales, and tokens already chosen by earlier groups at this
-    step are pushed down by diversity_penalty * count. Groups are ranked by
-    cumulative penalized score. Fully deterministic: cfg.seed is never read.
-    A caller already holding transition_logits(policy, x) passes the logits.
-
-    The penalties are single float operations on list rows, which round as
-    numpy's do; the log-normalizer stays numpy's exp and pairwise sum.
-    """
-    table_logits = transition_logits(policy, x)[0] if logits is None else logits
-    rows = table_logits.tolist()
-    max_len = policy.cfg.max_len
-    rep, temp, div = cfg.repetition_penalty, cfg.temperature, cfg.diversity_penalty
-    prefixes: list[list[int]] = [[] for _ in range(cfg.m)]
-    scores = [0.0] * cfg.m
-    done = [False] * cfg.m
-    while not all(done):
-        chosen: dict[int, int] = {}
-        for gidx in range(cfg.m):
-            if done[gidx]:
-                continue
-            prefix = prefixes[gidx]
-            pen = rows[prefix[-1] if prefix else BOS][:]
-            for tok in set(prefix):
-                v = pen[tok]
-                pen[tok] = v / rep if v > 0 else v * rep
-            pen = [v / temp for v in pen]
-            for tok, count in chosen.items():
-                pen[tok] -= div * count
-            lse = _logsumexp(pen)
-            step = [v - lse for v in pen]
-            tok = EOS if len(prefix) == max_len - 1 else step.index(max(step))
-            scores[gidx] += step[tok]
-            prefix.append(tok)
-            chosen[tok] = chosen.get(tok, 0) + 1
-            if tok == EOS:
-                done[gidx] = True
-    ranked = sorted(range(cfg.m), key=lambda i: (-scores[i], i))
-    return [TokenSeq(tuple(prefixes[i])) for i in ranked]
+def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
+    """m groups of beam width 1 for one input: diverse_beam_batch of a batch of one."""
+    return diverse_beam_batch(policy, transition_logits(policy, x)[0][None], cfg)[0]
 
 
-def _logsumexp(values: list[float]) -> float:
-    """numerics.logsumexp of a list, through the same numpy exp and pairwise
-    sum, so the same bits."""
-    top = max(values)
-    if math.isfinite(top):
-        lse = top + math.log(float(np.sum(np.exp(np.array(values) - top))))
-        if math.isfinite(lse):  # false when a NaN sits below the maximum
-            return lse
-    raise ValueError("non-finite input to logsumexp")
+def diverse_beam_batch(
+    policy: PolicyParams, logits: np.ndarray, cfg: DecodeConfig
+) -> list[list[TokenSeq]]:
+    """diverse_beam of each input of a (B, V, V) transition-logits stack: m
+    groups of beam width 1, expanded sequentially per step. Per step and
+    group, the group's own prefix tokens get the repetition penalty on raw
+    logits (positive logits divided, negative multiplied), temperature
+    rescales, and tokens chosen by earlier groups at this step are pushed down
+    by diversity_penalty * count. Groups rank by cumulative penalized score;
+    cfg.seed is never read. Each (step, group) runs over all B inputs as (B, V)
+    rows that round as they would alone (row max, numpy's exp and pairwise row
+    sum, math.log, first-index argmax); finished groups are masked out, and a
+    non-finite row of a live one raises."""
+    n, v = logits.shape[0], logits.shape[-1]
+    m, max_len, div, rep = cfg.m, policy.cfg.max_len, cfg.diversity_penalty, cfg.repetition_penalty
+    # row b * V + p: the plain and the repetition-penalized logits after p, over temperature
+    both = np.concatenate([logits, np.where(logits > 0, logits / rep, logits * rep)], axis=-1)
+    both = both.reshape(n * v, 2 * v) / cfg.temperature
+    base = np.arange(n) * v  # (b, token) is cell base[b] + token of a flat (B * V) array
+    tokens = np.full((max_len + 1, m, n), BOS)  # tokens[t + 1]: chosen at step t
+    gains = np.zeros((max_len, m, n))
+    in_prefix = np.zeros((m, n * v), dtype=bool)
+    live = np.ones((max_len + 1, m, n), dtype=bool)  # live[t]: unfinished before step t
+    with np.errstate(invalid="ignore"):  # finished rows may read anything
+        for t in range(max_len):
+            chosen = np.zeros(n * v)
+            live[t + 1] = live[t]
+            for g in range(m):
+                if not np.count_nonzero(live[t, g]):
+                    continue
+                pair = both.take(base + tokens[t, g], axis=0)
+                pen = np.where(in_prefix[g].reshape(n, v), pair[:, v:], pair[:, :v])
+                pen -= div * chosen.reshape(n, v)
+                top = pen.max(axis=1)
+                sums = np.exp(pen - top[:, None]).sum(axis=1)
+                lse = [a + math.log(b) for a, b in zip(top.tolist(), sums.tolist())]
+                if not all(map(math.isfinite, lse)):
+                    bad = [b for b, a in enumerate(lse) if not math.isfinite(a) and live[t, g, b]]
+                    if bad:
+                        raise ValueError(
+                            f"non-finite transition logits for batch input {bad[0]} at decode step {t}"
+                        )
+                step = pen - np.array(lse)[:, None]
+                tok = np.full(n, EOS) if t == max_len - 1 else step.argmax(axis=1)
+                gains[t, g] = step.take(base + tok)
+                tokens[t + 1, g] = tok
+                in_prefix[g, base + tok] = True
+                chosen[base + tok] += live[t, g]
+                live[t + 1, g] &= tok != EOS
+            if not np.count_nonzero(live[t + 1]):
+                break
+    scores = np.zeros((m, n))
+    for gain, alive in zip(gains, live):
+        scores += np.where(alive, gain, 0.0)  # the running score, step by step
+    out = []
+    for row, seqs in zip(scores.T.tolist(), tokens[1:].transpose(2, 1, 0).tolist()):
+        ranked = sorted(range(m), key=lambda i: (-row[i], i))
+        out.append([TokenSeq(seqs[i][: seqs[i].index(EOS) + 1]) for i in ranked])
+    return out
 
 
 def _by_logprob(scored) -> list[TokenSeq]:
@@ -172,21 +179,19 @@ def _by_logprob(scored) -> list[TokenSeq]:
 
 
 def mixed_decode(
-    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, tables: tuple | None = None
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None, beam=None
 ) -> list[TokenSeq]:
     """Run both decoders at m samples each, then keep the top m/2 from each
     ranked by policy log-probability. Duplicates across the halves are skipped
     in favor of the same source's next-ranked sample; repeats appear only when
-    a source has no fresh sequences left. Both decoders and the ranking read
-    one table; `tables` is its (logits, log-softmax) pair if the caller has it."""
+    a source has no fresh sequences left. The nucleus draws and the ranking
+    read one table; a caller already holding transition_table(policy, x) and
+    diverse_beam(policy, x, cfg) passes them as `table` and `beam`."""
     if cfg.m % 2 != 0:
         raise ValueError("mixed decoding needs an even sample count")
-    if tables is None:
-        logits = transition_logits(policy, x)[0]
-        tables = (logits, log_softmax_rows(logits))
-    logits, table = tables
+    table = transition_table(policy, x) if table is None else table
+    beam = diverse_beam(policy, x, cfg) if beam is None else beam
     half = cfg.m // 2
-    beam = diverse_beam(policy, x, cfg, logits)
     beam_ranked = _by_logprob((z, path_logprob(table, z)) for z in beam)
     nucleus_ranked = _by_logprob(top_p_sample(policy, x, cfg, table))
     picks: list[TokenSeq] = []
@@ -209,15 +214,14 @@ def mixed_decode(
 
 
 def decode_samples(
-    policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig, tables: tuple | None = None
+    policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig, table=None, beam=None
 ) -> list[TokenSeq]:
-    """`tables` is the (transition_logits(policy, x)[0], transition_table(policy, x))
-    pair when the caller already holds it."""
-    logits, table = (None, None) if tables is None else tables
+    """`table` is transition_table(policy, x) and `beam` diverse_beam(policy,
+    x, cfg) when the caller already holds them."""
     if scheme == "beam":
-        return diverse_beam(policy, x, cfg, logits)
+        return diverse_beam(policy, x, cfg) if beam is None else beam
     if scheme == "top_p":
         return [z for z, _ in top_p_sample(policy, x, cfg, table)]
     if scheme == "mixed":
-        return mixed_decode(policy, x, cfg, tables)
+        return mixed_decode(policy, x, cfg, table, beam)
     raise ValueError(f"unknown decode scheme {scheme!r}")

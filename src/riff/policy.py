@@ -158,6 +158,12 @@ def transition_logits(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tu
     return logits[0], (u[0], s[0])
 
 
+def transition_logits_batch(params: PolicyParams, xs) -> tuple[np.ndarray, tuple]:
+    """transition_logits of each input, stacked: (B, V, V) logits and (B, ...)
+    activations from one forward."""
+    return _forward(params, np.array([encode_context(params, x) for x in xs]))
+
+
 def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
     """log P(next = t | previous = p, x) at [p, t]. The context is fixed per
     input, so this one table fixes every log-prob of every rewrite of x."""
@@ -227,20 +233,24 @@ def _backward(params: PolicyParams, xs, counts, logits, u, s) -> np.ndarray:
     return g
 
 
-def weighted_seq_grad(
-    params: PolicyParams, x: TokenSeq, seqs, weights, transition: tuple | None = None
-) -> np.ndarray:
-    """Gradient of sum_j weights[j] * seq_logprob(params, x, seqs[j]) by one
-    backward through the table, from the weighted transition counts.
-    A caller already holding transition_logits(params, x) passes it as
-    `transition` instead of having it rebuilt."""
+def weighted_seq_grads(params: PolicyParams, xs, items, transition: tuple | None = None) -> np.ndarray:
+    """Gradient rows (B, P): row b is the gradient of the sum of
+    w * log P(z | xs[b]) over the (b, z, w) items, by one stacked backward
+    from the weighted transition counts. A caller already holding
+    transition_logits_batch(params, xs) passes it as `transition`."""
+    for _, z, _ in items:
+        check_output_seq(z, params.cfg)
+    counts = _transition_counts(len(xs), params.cfg.vocab_size, items)
+    logits, (u, s) = transition_logits_batch(params, xs) if transition is None else transition
+    return _backward(params, xs, counts, logits, u, s)
+
+
+def weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights) -> np.ndarray:
+    """Gradient of sum_j weights[j] * seq_logprob(params, x, seqs[j]):
+    weighted_seq_grads of one input."""
     if len(weights) != len(seqs):
         raise ValueError(f"{len(weights)} weights for {len(seqs)} sequences")
-    for z in seqs:
-        check_output_seq(z, params.cfg)
-    counts = _transition_counts(1, params.cfg.vocab_size, [(0, z, w) for z, w in zip(seqs, weights)])
-    logits, (u, s) = transition_logits(params, x) if transition is None else transition
-    return _backward(params, [x], counts, logits[None], u[None], s[None])[0]
+    return weighted_seq_grads(params, [x], [(0, z, w) for z, w in zip(seqs, weights)])[0]
 
 
 def pair_grads(params: PolicyParams, xs, zs) -> np.ndarray:
@@ -248,11 +258,7 @@ def pair_grads(params: PolicyParams, xs, zs) -> np.ndarray:
     and one stacked backward for the whole batch of pairs."""
     if len(xs) != len(zs):
         raise ValueError(f"{len(xs)} inputs for {len(zs)} targets")
-    for z in zs:
-        check_output_seq(z, params.cfg)
-    logits, (u, s) = _forward(params, np.stack([encode_context(params, x) for x in xs]))
-    counts = _transition_counts(len(xs), params.cfg.vocab_size, [(b, z, 1.0) for b, z in enumerate(zs)])
-    return _backward(params, xs, counts, logits, u, s)
+    return weighted_seq_grads(params, xs, [(b, z, 1.0) for b, z in enumerate(zs)])
 
 
 def pretrain_mle(

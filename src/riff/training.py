@@ -20,7 +20,7 @@ from . import classifier as clf
 from . import estimators as est
 from .checkpoint import atomic_write, params_hash
 from .data import Example, SyntheticTask, TaskTemplate, format_input, strip_scaffold
-from .decoding import DecodeConfig, decode_samples, diverse_beam
+from .decoding import DecodeConfig, decode_samples, diverse_beam_batch
 from .estimators import DEFAULT_BETA, ESTIMATORS, REGIMES
 from .numerics import log_softmax_rows
 from .optim import AdamConfig, AdamW
@@ -30,8 +30,8 @@ from .policy import (
     path_logprob,
     save_policy,
     snapshot,
-    transition_logits,
-    weighted_seq_grad,
+    transition_logits_batch,
+    weighted_seq_grads,
 )
 from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads training.seq_logprob
 
@@ -180,12 +180,17 @@ def templated(template: TaskTemplate, seqs) -> list[TokenSeq]:
     return [format_input(template, template.instruction, strip_scaffold(z)) for z in seqs]
 
 
-def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig, seed: int):
-    """Test-style rewrites (diverse beam, m per input) of each example."""
-    return [
-        diverse_beam(policy, ex.x, decode_config(replace(cfg, m=m), derive_seed(seed, ex.uid)))
-        for ex in examples
-    ]
+def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig) -> list[list[TokenSeq]]:
+    """Test-style rewrites (diverse beam, m per input) of each example: one
+    stacked forward and one batched beam per cfg.batch_size inputs. Diverse
+    beam reads no seed, so rewrites depend only on the policy and input."""
+    examples = list(examples)
+    dc = decode_config(replace(cfg, m=m), cfg.seed)
+    rewrites = []
+    for start in range(0, len(examples), cfg.batch_size):
+        xs = [ex.x for ex in examples[start : start + cfg.batch_size]]
+        rewrites += diverse_beam_batch(policy, transition_logits_batch(policy, xs)[0], dc)
+    return rewrites
 
 
 def example_groups(template: TaskTemplate, examples, rewrites) -> list[list[TokenSeq]]:
@@ -209,19 +214,12 @@ def ensemble_accuracies(
 
 
 def evaluate_ensemble_accuracy(
-    policy: PolicyParams,
-    classifier: clf.ClassifierParams,
-    task_template: TaskTemplate,
-    verbalizer,
-    examples,
-    m: int,
-    include_original: bool,
-    cfg: RunConfig,
-    eval_seed: int,
+    policy: PolicyParams, classifier: clf.ClassifierParams, task_template: TaskTemplate, verbalizer,
+    examples, m: int, include_original: bool, cfg: RunConfig,
 ) -> float:
     """Ensemble accuracy with test-style decoding (always diverse beam)."""
     examples = list(examples)
-    rewrites = decode_rewrites(policy, examples, m, cfg, eval_seed)
+    rewrites = decode_rewrites(policy, examples, m, cfg)
     groups = example_groups(task_template, examples, rewrites)
     incl, excl = ensemble_accuracies(classifier, verbalizer, examples, groups)
     return incl if include_original else excl
@@ -273,35 +271,40 @@ class _RunLog:
         return self.checkpoints
 
 
-def _example_gradient(
-    policy: PolicyParams,
-    fixed: PolicyParams,
-    ex: Example,
-    reward_fn,
-    cfg: RunConfig,
-    step: int,
-) -> tuple[np.ndarray, dict]:
-    """Assembled objective gradient for one example at one step; `reward_fn`
-    maps the samples to their rewards. One transition table per policy serves
-    the decoder, the log-probs and, for the live policy, the backward."""
-    logits, acts = transition_logits(policy, ex.x)
-    fixed_logits, _ = transition_logits(fixed, ex.x)
+def _minibatch_gradient(policy, fixed, batch, reward_fn, cfg: RunConfig, step: int):
+    """(mean objective gradient, mean raw reward, clamp events) of a minibatch
+    at one step; `reward_fn(ex, seqs)` scores an example's samples. One stacked
+    forward per policy, one batched beam, and one stacked backward whose rows
+    are summed in batch order, bitwise a running sum of per-example gradients."""
+    xs = [ex.x for ex in batch]
+    logits, acts = transition_logits_batch(policy, xs)
+    fixed_logits = transition_logits_batch(fixed, xs)[0]
     table, fixed_table = log_softmax_rows(logits), log_softmax_rows(fixed_logits)
-    dc = decode_config(cfg, derive_seed(cfg.seed, step, ex.uid))
-    if cfg.regime == "off":
-        seqs = decode_samples(fixed, ex.x, cfg.decoder, dc, (fixed_logits, fixed_table))
-    else:
-        seqs = decode_samples(policy, ex.x, cfg.decoder, dc, (logits, table))
-    raw_rewards = np.asarray(reward_fn(seqs), dtype=np.float64)
-    rewards = est.normalize_rewards(raw_rewards) if cfg.normalize else raw_rewards
-    cur = np.array([path_logprob(table, z) for z in seqs])
-    fixed_lp = np.array([path_logprob(fixed_table, z) for z in seqs])
-    weights, clamp_events = est.coefficients(
-        cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
-    )
-    grad = weighted_seq_grad(policy, ex.x, seqs, weights, transition=(logits, acts))
-    info = {"mean_reward": float(raw_rewards.mean()), "clamp_events": clamp_events}
-    return grad, info
+    off = cfg.regime == "off"  # off-policy samples come from the frozen snapshot
+    sampler, sample_table = (fixed, fixed_table) if off else (policy, table)
+    beams = [None] * len(batch)
+    if cfg.decoder != "top_p":  # diverse beam reads no seed
+        beams = diverse_beam_batch(sampler, fixed_logits if off else logits, decode_config(cfg, 0))
+    items, mean_reward, clamp_events = [], 0.0, 0
+    for b, ex in enumerate(batch):
+        dc = decode_config(cfg, derive_seed(cfg.seed, step, ex.uid))
+        seqs = decode_samples(sampler, ex.x, cfg.decoder, dc, sample_table[b], beams[b])
+        raw_rewards = np.asarray(reward_fn(ex, seqs), dtype=np.float64)
+        rewards = est.normalize_rewards(raw_rewards) if cfg.normalize else raw_rewards
+        cur = np.array([path_logprob(table[b], z) for z in seqs])
+        fixed_lp = np.array([path_logprob(fixed_table[b], z) for z in seqs])
+        weights, events = est.coefficients(
+            cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
+        )
+        items += [(b, z, w) for z, w in zip(seqs, weights)]
+        mean_reward += float(raw_rewards.mean())
+        clamp_events += events
+    total = np.zeros(policy.flat.size)
+    for ex, grad in zip(batch, weighted_seq_grads(policy, xs, items, (logits, acts))):
+        if not np.all(np.isfinite(grad)):
+            raise ValueError(f"non-finite gradient for example {ex.uid} at step {step}")
+        total += grad
+    return total / len(batch), mean_reward / len(batch), clamp_events
 
 
 def finetune_paraphraser(
@@ -329,38 +332,26 @@ def finetune_paraphraser(
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
     log = _RunLog(run_dir, "policy", save_policy, METRIC_EXCL)
 
-    def validation_accuracy(step: int) -> float:
+    def validation_accuracy() -> float:
         return evaluate_ensemble_accuracy(
-            policy, classifier, task.template, verbalizer, split.validation,
-            cfg.m, False, cfg, derive_seed(cfg.seed, 0xEA1, step),
+            policy, classifier, task.template, verbalizer, split.validation, cfg.m, False, cfg
         )
 
-    log.validation(0, validation_accuracy(0))
+    def reward_fn(ex: Example, seqs) -> list[float]:
+        return clf.rewards(classifier, templated(task.template, seqs), ex.y, verbalizer)
+
+    log.validation(0, validation_accuracy())
     batches = _batches(len(split.train), cfg.batch_size, rng)
     for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
-        total = np.zeros(policy.flat.size)
-        mean_reward = 0.0
-        clamp_events = 0
-        for idx in batch_idx:
-            ex = split.train[idx]
-            grad, info = _example_gradient(
-                policy, fixed, ex,
-                lambda seqs: clf.rewards(classifier, templated(task.template, seqs), ex.y, verbalizer),
-                cfg, step,
-            )
-            if not np.all(np.isfinite(grad)):
-                raise ValueError(f"non-finite gradient for example {ex.uid} at step {step}")
-            total += grad
-            mean_reward += info["mean_reward"]
-            clamp_events += info["clamp_events"]
-        total /= len(batch_idx)
-        opt.step(policy.flat, -total)
-        log.rows.append((step, "train", "mean_reward", mean_reward / len(batch_idx)))
-        if clamp_events:
-            log.rows.append((step, "train", "is_clamp_events", float(clamp_events)))
+        batch = [split.train[idx] for idx in batch_idx]
+        grad, reward, clamps = _minibatch_gradient(policy, fixed, batch, reward_fn, cfg, step)
+        opt.step(policy.flat, -grad)
+        log.rows.append((step, "train", "mean_reward", reward))
+        if clamps:
+            log.rows.append((step, "train", "is_clamp_events", float(clamps)))
         if step % cfg.checkpoint_interval == 0:
             frozen = snapshot(policy)
-            log.validation(step, validation_accuracy(step), frozen)
+            log.validation(step, validation_accuracy(), frozen)
     return log.close()
 
 
@@ -368,10 +359,11 @@ def generate_paraphrase_cache(
     policy: PolicyParams, examples, m: int, cfg: RunConfig, cache_seed: int
 ) -> dict[tuple[str, int], list[TokenSeq]]:
     """Test-style rewrites for every example, generated once and keyed by
-    (policy hash, example uid)."""
+    (policy hash, example uid). Diverse beam reads no seed, so `cache_seed`
+    does not change the rewrites."""
     key = params_hash(policy.flat)
     examples = list(examples)
-    rewrites = decode_rewrites(policy, examples, m, cfg, cache_seed)
+    rewrites = decode_rewrites(policy, examples, m, cfg)
     return {(key, ex.uid): zs for ex, zs in zip(examples, rewrites)}
 
 
@@ -407,9 +399,9 @@ def train_classifier_augmented(
             policy, split.train, m, cfg, derive_seed(cfg.seed, 0xCAC4E)
         )
         rewrites = [cache[(policy_key, ex.uid)] for ex in split.train]
-        validation_groups = example_groups(task.template, split.validation, decode_rewrites(
-            policy, split.validation, m, cfg, derive_seed(cfg.seed, 0xEA2, 0)
-        ))
+        validation_groups = example_groups(
+            task.template, split.validation, decode_rewrites(policy, split.validation, m, cfg)
+        )
     # inputs are formatted as they are; only decoded rewrites carry scaffold to strip
     groups = [
         [format_input(task.template, task.template.instruction, ex.x), *templated(task.template, zs)]

@@ -8,7 +8,8 @@ from riff.classifier import (
     classifier_segments,
     trainable_mask,
 )
-from riff.decoding import DecodeConfig
+from riff import estimators as est
+from riff.decoding import DecodeConfig, decode_samples
 from riff.numerics import (
     ParamVector,
     gelu_grad_vec,
@@ -26,9 +27,12 @@ from riff.policy import (
     TokenSeq,
     encode_context,
     policy_segments,
+    path_logprob,
     transition_logits,
     transition_table,
+    weighted_seq_grad,
 )
+from riff.training import decode_config, derive_seed
 from riff.vocab import BOS, EOS, MASK
 
 
@@ -290,6 +294,28 @@ def reference_diverse_beam(
                 done[gidx] = True
     ranked = sorted(range(cfg.m), key=lambda i: (-scores[i], i))
     return [TokenSeq(tuple(prefixes[i])) for i in ranked]
+
+
+def reference_example_gradient(policy: PolicyParams, fixed: PolicyParams, ex, reward_fn, cfg, step: int):
+    """One example's objective gradient from its own tables, decode and
+    backward, with its mean raw reward and clamp-event count; `reward_fn`
+    maps the samples to their rewards. training._minibatch_gradient must
+    return the batch mean of these gradients bitwise."""
+    table, fixed_table = transition_table(policy, ex.x), transition_table(fixed, ex.x)
+    dc = decode_config(cfg, derive_seed(cfg.seed, step, ex.uid))
+    if cfg.regime == "off":
+        seqs = decode_samples(fixed, ex.x, cfg.decoder, dc, fixed_table)
+    else:
+        seqs = decode_samples(policy, ex.x, cfg.decoder, dc, table)
+    raw_rewards = np.asarray(reward_fn(seqs), dtype=np.float64)
+    rewards = est.normalize_rewards(raw_rewards) if cfg.normalize else raw_rewards
+    cur = np.array([path_logprob(table, z) for z in seqs])
+    fixed_lp = np.array([path_logprob(fixed_table, z) for z in seqs])
+    weights, clamp_events = est.coefficients(
+        cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
+    )
+    grad = weighted_seq_grad(policy, ex.x, seqs, weights)
+    return grad, float(raw_rewards.mean()), clamp_events
 
 
 def table_reward(table_seed: int):

@@ -270,8 +270,7 @@ def test_criterion_7_end_to_end_directional():
         checkpoints = training.finetune_paraphraser(policy, classifier, task, split, cfg)
         verb = Verbalizer(task.verbalizer_ids)
         baseline = training.evaluate_ensemble_accuracy(
-            policy, classifier, task.template, verb, split.validation, cfg.m, False, cfg,
-            training.derive_seed(cfg.seed, 0xEA1, 0),
+            policy, classifier, task.template, verb, split.validation, cfg.m, False, cfg
         )
         best = training.select_best_checkpoint(checkpoints, training.METRIC_EXCL)
         results.append((baseline, best.metrics[training.METRIC_EXCL]))

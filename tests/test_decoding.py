@@ -7,9 +7,18 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import greedy_path, reference_diverse_beam, reference_top_p_sample, step_logits, tiny_policy
-from riff.decoding import DecodeConfig, decode_samples, diverse_beam, mixed_decode, top_p_sample
+from riff.decoding import (
+    DecodeConfig,
+    decode_samples,
+    diverse_beam,
+    diverse_beam_batch,
+    mixed_decode,
+    top_p_sample,
+)
 from riff.numerics import softmax
 from riff.policy import (
+    PolicyConfig,
+    PolicyParams,
     TokenSeq,
     encode_context,
     seq_logprob,
@@ -136,12 +145,48 @@ def test_diverse_beam_deterministic():
     assert [z.ids for z in diverse_beam(p, X, cfg)] == [z.ids for z in diverse_beam(p, X, other)]
 
 
+@pytest.mark.parametrize("kind", ["zero", "large"])
+@pytest.mark.parametrize("diversity_penalty", [0.0, 3.0])
+@pytest.mark.parametrize("repetition_penalty", [1.0, 10.0])
+@pytest.mark.parametrize("max_len", [1, 2, 4, 24])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_diverse_beam_batch_equals_reference_per_input(m, max_len, repetition_penalty, diversity_penalty, kind):
+    cfg = PolicyConfig(vocab_size=7, embed_dim=4, hidden_dim=5, max_len=max_len)
+    # zero parameters tie every row exactly; a large scale gives sharp rows
+    p = PolicyParams(cfg) if kind == "zero" else PolicyParams.init_random(cfg, seed=max_len + m, scale=4.0)
+    gen = np.random.default_rng([m, max_len])
+    xs = [TokenSeq.from_content(gen.integers(1, 7, size=int(gen.integers(1, 5))).tolist()) for _ in range(9)]
+    dc = DecodeConfig(m=m, repetition_penalty=repetition_penalty, diversity_penalty=diversity_penalty)
+    want = [[z.ids for z in reference_diverse_beam(p, x, dc)] for x in xs]
+    logits = np.stack([transition_logits(p, x)[0] for x in xs])
+    for b in range(1, 10):
+        got = diverse_beam_batch(p, logits[:b], dc)
+        assert [[z.ids for z in zs] for zs in got] == want[:b]
+
+
+def test_diverse_beam_batch_names_the_input_and_step_of_a_non_finite_row():
+    p = tiny_policy(seed=13, vocab=6, max_len=6)
+    xs = [TokenSeq.from_content([t]) for t in (1, 2, 3)]
+    logits = np.stack([transition_logits(p, x)[0] for x in xs])
+    cfg = DecodeConfig(m=3)
+    beams = diverse_beam_batch(p, logits, cfg)
+    # a finished group's previous token is EOS: only live rows are read and checked
+    unread = logits.copy()
+    unread[1, EOS] = np.nan
+    assert [[z.ids for z in zs] for zs in diverse_beam_batch(p, unread, cfg)] == [
+        [z.ids for z in zs] for zs in beams
+    ]
+    logits[2, BOS, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite transition logits for batch input 2 at decode step 0$"):
+        diverse_beam_batch(p, logits, cfg)
+
+
 def test_decoders_reject_non_finite_rows():
     p = tiny_policy(seed=13)
     logits = transition_logits(p, X)[0].copy()
     logits[BOS, 2] = np.inf
-    with pytest.raises(ValueError, match="non-finite input to logsumexp"):
-        diverse_beam(p, X, DecodeConfig(m=2), logits)
+    with pytest.raises(ValueError, match="non-finite transition logits for batch input 0 at decode step 0"):
+        diverse_beam_batch(p, logits[None], DecodeConfig(m=2))
     table = transition_table(p, X).copy()
     table[BOS, 1] = np.nan
     with pytest.raises(ValueError, match=f"transition row {BOS}"):
@@ -277,10 +322,9 @@ def test_decoders_return_wellformed_sequences(seed, scheme):
         assert z.ids[-1] == EOS
         assert sum(1 for t in z.ids if t == EOS) == 1
         assert len(z) <= max_len
-    # decoding from tables the caller already holds is bitwise the same
-    logits = transition_logits(p, x)[0]
-    tables = (logits, transition_table(p, x))
-    assert [z.ids for z in decode_samples(p, x, scheme, cfg, tables)] == [
+    # decoding from a table and beam the caller already holds is bitwise the same
+    held = (transition_table(p, x), diverse_beam(p, x, cfg))
+    assert [z.ids for z in decode_samples(p, x, scheme, cfg, *held)] == [
         z.ids for z in decode_samples(p, x, scheme, cfg)
     ]
     # and the decoders return the straight-line references' ids and log-probs

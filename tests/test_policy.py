@@ -36,8 +36,10 @@ from riff.policy import (
     seq_logprobs,
     snapshot,
     transition_logits,
+    transition_logits_batch,
     transition_table,
     weighted_seq_grad,
+    weighted_seq_grads,
 )
 from riff.vocab import BOS, EOS
 
@@ -179,7 +181,8 @@ def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
         single = weighted_seq_grad(p, x, [z], [1.0])
         assert np.array_equal(weighted_seq_grad(p, x, seqs, one_hot), single)
         # handing over the table's logits and activations changes nothing
-        given = weighted_seq_grad(p, x, seqs, one_hot, transition=transition_logits(p, x))
+        items = [(0, seq, w) for seq, w in zip(seqs, one_hot)]
+        given = weighted_seq_grads(p, [x], items, transition_logits_batch(p, [x]))[0]
         assert np.array_equal(given, single)
         assert max_scaled_error(single, reference_seq_logprob_grad(p, x, z)) < 1e-12
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from conftest import (
     assemble_gradient,
     kl_penalized_gradient,
     max_scaled_error,
+    reference_diverse_beam,
+    reference_example_gradient,
     reference_seq_logprob,
     reference_seq_logprob_grad,
     table_reward,
@@ -191,15 +195,16 @@ def test_finetune_off_policy_regime_runs():
 def test_finetune_names_the_example_with_a_non_finite_gradient(monkeypatch):
     task, split, classifier, policy = make_pipeline()
     bad = split.train[3]
-    kernel = training.weighted_seq_grad
+    kernel = training.weighted_seq_grads
 
-    def poisoned(params, x, seqs, weights, transition=None):
-        grad = kernel(params, x, seqs, weights, transition=transition)
-        if x is bad.x:
-            grad[0] = np.nan
-        return grad
+    def poisoned(params, xs, items, transition):
+        grads = kernel(params, xs, items, transition)
+        for row, x in zip(grads, xs):
+            if x is bad.x:
+                row[0] = np.nan
+        return grads
 
-    monkeypatch.setattr(training, "weighted_seq_grad", poisoned)
+    monkeypatch.setattr(training, "weighted_seq_grads", poisoned)
     # one batch holds every training example, so step 1 reaches the bad one
     cfg = RunConfig(m=2, decoder="beam", steps=2, batch_size=len(split.train), checkpoint_interval=2)
     with pytest.raises(ValueError, match=f"non-finite gradient for example {bad.uid} at step 1$"):
@@ -215,8 +220,8 @@ def test_example_gradient_equals_reference_assembly(estimator, regime):
     cfg = RunConfig(estimator=estimator, regime=regime, decoder="mixed", m=6, seed=4)
     reward_fn = table_reward(17)
     for ex in split.train[:3]:
-        got, _ = training._example_gradient(
-            policy, fixed, ex, lambda seqs: [reward_fn(z) for z in seqs], cfg, step=2
+        got, _, _ = training._minibatch_gradient(
+            policy, fixed, [ex], lambda _, seqs: [reward_fn(z) for z in seqs], cfg, step=2
         )
         # the same samples, scored and differentiated one sequence at a time
         dc = training.decode_config(cfg, derive_seed(cfg.seed, 2, ex.uid))
@@ -232,6 +237,33 @@ def test_example_gradient_equals_reference_assembly(estimator, regime):
         if regime == "klon":
             want = kl_penalized_gradient(cur, fixed_lp, grads, want, cfg.resolved_beta())
         assert max_scaled_error(got, want) < 1e-12
+
+
+@pytest.mark.parametrize("decoder", training.DECODERS)
+@pytest.mark.parametrize("estimator", training.ESTIMATORS)
+@pytest.mark.parametrize("regime", training.REGIMES)
+def test_minibatch_gradient_is_the_mean_of_per_example_references(estimator, regime, decoder):
+    _, split, _, policy = make_pipeline()
+    fixed = snapshot(policy)
+    policy.flat[:] += np.random.default_rng(5).normal(0.0, 0.3, policy.flat.size)
+    cfg = RunConfig(estimator=estimator, regime=regime, decoder=decoder, m=6, seed=8)
+    reward_fn = table_reward(23)
+    batch = list(split.train[:5])
+    got, got_reward, got_events = training._minibatch_gradient(
+        policy, fixed, batch, lambda _, seqs: [reward_fn(z) for z in seqs], cfg, step=3
+    )
+    # one table, decode and backward per example, summed in batch order
+    want, reward, events = np.zeros(policy.flat.size), 0.0, 0
+    for ex in batch:
+        grad, mean_reward, clamp_events = reference_example_gradient(
+            policy, fixed, ex, lambda seqs: [reward_fn(z) for z in seqs], cfg, 3
+        )
+        want += grad
+        reward += mean_reward
+        events += clamp_events
+    want /= len(batch)
+    assert np.array_equal(got, want)
+    assert got_reward == reward / len(batch) and got_events == events
 
 
 # Recorded from the per-token rewriter (one step_logits call per decoder step
@@ -428,6 +460,19 @@ def test_paraphrase_cache_hit_and_miss():
     assert set(cache) == {(key, ex.uid) for ex in split.train}
     assert all(len(zs) == 2 for zs in cache.values())
     assert (key, 10_000) not in cache and ("someotherpolicy", split.train[0].uid) not in cache
+
+
+def test_decode_rewrites_ids_do_not_depend_on_the_chunk_size():
+    _, split, _, policy = make_pipeline()
+    examples = [*split.train, *split.validation]
+    cfg = RunConfig(seed=2)
+    want = [
+        [z.ids for z in reference_diverse_beam(policy, ex.x, training.decode_config(replace(cfg, m=3), 0))]
+        for ex in examples
+    ]
+    for batch_size in (1, 3, len(examples)):
+        got = training.decode_rewrites(policy, examples, 3, replace(cfg, batch_size=batch_size))
+        assert [[z.ids for z in zs] for zs in got] == want
 
 
 def test_train_classifier_augmented_smoke_and_cadence(tmp_path):
