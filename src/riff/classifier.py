@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .checkpoint import load_segments, save_segments
+from .data import Padded, RowError, pad
 from .numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
 from .vocab import MASK
 
@@ -168,26 +169,22 @@ def _check_verbalizer(params: ClassifierParams, verbalizer: Verbalizer) -> None:
 
 
 def _first_bad(bad: np.ndarray, message) -> None:
-    """Raise for the first sequence flagged in `bad`, naming its batch index;
-    `message(i)` says what is wrong with sequence i."""
+    """Raise a RowError for the first sequence flagged in `bad`; `message(i)`
+    says what is wrong with sequence i."""
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(f"batch sequence {i}: {message(i)}")
+        raise RowError(i, message(i))
 
 
-def _batch_ids(params: ClassifierParams, seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Token ids padded to the longest sequence, and the mask of real positions."""
-    if not seqs:
-        raise ValueError("empty batch")
-    lengths = np.array([len(s.ids) for s in seqs])
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    ids = np.zeros(valid.shape, dtype=np.intp)
-    ids[valid] = [t for s in seqs for t in s.ids]
+def _batch_ids(params: ClassifierParams, seqs) -> Padded:
+    """The padded batch of `seqs` (TokenSeqs, or already a Padded batch),
+    its ids checked against the vocabulary."""
+    ids, valid = seqs if isinstance(seqs, Padded) else pad(list(seqs))
     v = params.cfg.vocab_size
     out = valid & (ids >= v)
     _first_bad(out.any(axis=1), lambda i: (
         f"token id {ids[i][out[i]][0]} out of range for vocabulary of size {v}"))
-    return ids, valid
+    return Padded(ids, valid)
 
 
 class _MaskRowPass:
@@ -334,11 +331,11 @@ def _kernel(params: ClassifierParams, seqs, ys, weights, verbalizer, mode, want_
 def label_logprobs_batch(
     params: ClassifierParams, seqs, verbalizer: Verbalizer, mode: TuningMode | None = None
 ) -> np.ndarray:
-    """(B, C) label log-probabilities of each sequence under the mode's own
-    scoring path (the mask-row head, or the pooled head under CLS_HEAD),
-    from one batched forward."""
+    """(B, C) label log-probabilities of each sequence (TokenSeqs or a Padded
+    batch) under the mode's own scoring path (the mask-row head, or the
+    pooled head under CLS_HEAD), from one batched forward."""
     mode = params.mode if mode is None else mode
-    ids, valid = _batch_ids(params, list(seqs))
+    ids, valid = _batch_ids(params, seqs)
     if mode is TuningMode.CLS_HEAD:
         return _cls_head(params, _pooled(params, ids, valid))[2]
     _check_verbalizer(params, verbalizer)
@@ -366,12 +363,20 @@ def label_path_mode(mode: TuningMode) -> TuningMode:
     return TuningMode.NONE if mode is TuningMode.CLS_HEAD else mode
 
 
-def rewards(params: ClassifierParams, seqs, y: int, verbalizer: Verbalizer) -> np.ndarray:
-    """Terminal rewards log P(y | rewrite) of many formatted rewrites, from
-    one batched forward. Always <= 0."""
-    if not 0 <= y < params.cfg.num_labels:
-        raise ValueError(f"label {y} out of range")
-    return label_logprobs_batch(params, seqs, verbalizer, label_path_mode(params.mode))[:, y]
+def rewards(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) -> np.ndarray:
+    """Terminal rewards log P(ys[i] | seqs[i]) of formatted rewrites
+    (TokenSeqs or a Padded batch; one label `ys` may score every row), from
+    one batched forward over the distinct rows. Always <= 0."""
+    ids, valid = _batch_ids(params, seqs)
+    ys = np.broadcast_to(np.asarray(ys, dtype=np.intp), len(ids))
+    _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
+    # a row's scores depend on that row alone, so each distinct padded row is scored once
+    seen: dict[bytes, int] = {}  # row bytes -> index among the distinct rows
+    row = np.array([seen.setdefault(k.tobytes(), len(seen)) for k in np.where(valid, ids, -1)])
+    first = np.unique(row, return_index=True)[1]
+    distinct = Padded(ids[first], valid[first])
+    logp = label_logprobs_batch(params, distinct, verbalizer, label_path_mode(params.mode))
+    return logp[row, ys]
 
 
 def input_row_grads(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) -> np.ndarray:

@@ -11,11 +11,37 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .policy import TokenSeq
 from .vocab import BOS, EOS, FIRST_CONTENT_ID, MASK, SEP, is_scaffold
+
+
+class RowError(ValueError):
+    """A bad sequence of a batch, named by its index `row`."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"batch sequence {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
+class Padded(NamedTuple):
+    """Token ids of a batch, zero-padded to its longest sequence, and the mask of real positions."""
+
+    ids: np.ndarray
+    valid: np.ndarray
+
+
+def pad(seqs) -> Padded:
+    if not seqs:
+        raise ValueError("empty batch")
+    lengths = np.array([len(s.ids) for s in seqs])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(valid.shape, dtype=np.intp)
+    ids[valid] = [t for s in seqs for t in s.ids]
+    return Padded(ids, valid)
 
 
 @dataclass(frozen=True)
@@ -70,6 +96,29 @@ def format_input(template: TaskTemplate, instruction, x: TokenSeq) -> TokenSeq:
             f"formatted input of {len(ids)} tokens exceeds the {template.max_input_len} limit"
         )
     return TokenSeq(ids)
+
+
+def format_rewrites(template: TaskTemplate, seqs) -> Padded:
+    """pad() of format_input(template, template.instruction, strip_scaffold(z))
+    for each decoded rewrite z, built without the intermediate sequences; a
+    row over max_input_len raises a RowError."""
+    raw = pad(seqs).ids
+    keep = raw >= FIRST_CONTENT_ID  # scaffold ids and the zero padding drop out
+    n = keep.sum(axis=1)
+    head = (BOS, *template.instruction, *((MASK, SEP) if template.mask_first else ()))
+    tail = (EOS,) if template.mask_first else (SEP, MASK, EOS)
+    lengths = len(head) + n + len(tail)
+    long = lengths > template.max_input_len
+    if long.any():
+        i = int(np.argmax(long))
+        limit = template.max_input_len
+        raise RowError(i, f"formatted input of {lengths[i]} tokens exceeds the {limit} limit")
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(valid.shape, dtype=np.intp)
+    ids[:, : len(head)] = head
+    ids[np.nonzero(keep)[0], len(head) + np.cumsum(keep, axis=1)[keep] - 1] = raw[keep]
+    ids[np.arange(len(raw))[:, None], (len(head) + n)[:, None] + np.arange(len(tail))] = tail
+    return Padded(ids, valid)
 
 
 def strip_scaffold(z: TokenSeq) -> TokenSeq:

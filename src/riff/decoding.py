@@ -47,8 +47,39 @@ class DecodeConfig:
             raise ValueError("repetition penalty must be at least 1")
 
 
+def nucleus_stack(tables: np.ndarray, top_p: float) -> list[tuple]:
+    """Per input of a (B, V, V) stack of log-transition tables, from one exp,
+    stable argsort and cumsum over the stack: its probabilities, each row's
+    token ids most probable first, and each row's cut, the first sorted
+    position whose cumulative mass reaches top_p (at most the last). An
+    input's entry is top_p_sample's `nuclei`."""
+    probs = np.exp(tables)
+    order = np.argsort(-probs, axis=-1, kind="stable")
+    csum = np.cumsum(np.take_along_axis(probs, order, axis=-1), axis=-1)
+    # csum never decreases and NaN sorts last, so this counts what searchsorted(left) would
+    cut = np.minimum(np.count_nonzero(csum < top_p, axis=-1), tables.shape[-1] - 1)
+    return list(zip(probs, order, cut))
+
+
+def _nucleus_row(nuclei, row: int) -> tuple[list[int], list[float]]:
+    """The nucleus of one row of an input's nucleus_stack entry: its token
+    ids, most probable first, and the normalized cumulative sum a uniform
+    draw is looked up in. The bits depend on numpy's pairwise sum over the
+    nucleus's own length, so this part runs per row."""
+    probs, order, cut = nuclei
+    keep = order[row, : cut[row] + 1]
+    kept = probs[row, keep]
+    mass = kept.sum()
+    if not 0.0 < mass < math.inf:  # kept holds probabilities: kept / mass is finite just then
+        raise ValueError(f"non-finite probabilities in transition row {row}")
+    cdf = (kept / mass).cumsum()
+    cdf /= cdf[-1]
+    return keep.tolist(), cdf.tolist()
+
+
 def top_p_sample(
-    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None,
+    nuclei=None,
 ) -> list[tuple[TokenSeq, float]]:
     """Draw m sequences by nucleus sampling at temperature 1.
 
@@ -56,7 +87,7 @@ def top_p_sample(
     mass reaches cfg.top_p, renormalizes, and samples from it. The returned
     log-probs are exact values under the unmodified policy, summed while
     sampling. A caller already holding transition_table(policy, x) passes it
-    as `table`.
+    as `table`, and its nucleus_stack entry as `nuclei`.
 
     A row's nucleus depends only on the row, so it is built once, on the
     first visit. A draw is keep[bisect_right(cdf, u)] with cdf the nucleus's
@@ -65,10 +96,11 @@ def top_p_sample(
     """
     rng = np.random.default_rng(cfg.seed)
     table = transition_table(policy, x) if table is None else table
+    nuclei = nucleus_stack(table[None], cfg.top_p)[0] if nuclei is None else nuclei
     rows = table.tolist()
     max_len = policy.cfg.max_len
     uniforms = iter(rng.random(cfg.m * (max_len - 1)).tolist())
-    nuclei: dict[int, tuple[list[int], list[float]]] = {}
+    built: dict[int, tuple[list[int], list[float]]] = {}
     out = []
     for _ in range(cfg.m):
         ids: list[int] = []
@@ -78,9 +110,9 @@ def top_p_sample(
             if len(ids) == max_len - 1:
                 tok = EOS
             else:
-                if prev not in nuclei:
-                    nuclei[prev] = _nucleus(table[prev], cfg.top_p, prev)
-                keep, cdf = nuclei[prev]
+                if prev not in built:
+                    built[prev] = _nucleus_row(nuclei, prev)
+                keep, cdf = built[prev]
                 tok = keep[bisect.bisect_right(cdf, next(uniforms))]
             ids.append(tok)
             logprob += rows[prev][tok]
@@ -89,22 +121,6 @@ def top_p_sample(
             prev = tok
         out.append((TokenSeq(tuple(ids)), logprob))
     return out
-
-
-def _nucleus(logprobs: np.ndarray, top_p: float, row: int) -> tuple[list[int], list[float]]:
-    """The nucleus of one transition row: its token ids, most probable first,
-    and the normalized cumulative sum a uniform draw is looked up in."""
-    probs = np.exp(logprobs)
-    order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
-    cut = min(int(np.searchsorted(csum, top_p, side="left")), len(order) - 1)
-    keep = order[: cut + 1]
-    nucleus = probs[keep] / probs[keep].sum()
-    if not np.all(np.isfinite(nucleus)):
-        raise ValueError(f"non-finite probabilities in transition row {row}")
-    cdf = nucleus.cumsum()
-    cdf /= cdf[-1]
-    return keep.tolist(), cdf.tolist()
 
 
 def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
@@ -179,21 +195,23 @@ def _by_logprob(scored) -> list[TokenSeq]:
 
 
 def mixed_decode(
-    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None, beam=None
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None,
+    beam=None, nuclei=None,
 ) -> list[TokenSeq]:
     """Run both decoders at m samples each, then keep the top m/2 from each
     ranked by policy log-probability. Duplicates across the halves are skipped
     in favor of the same source's next-ranked sample; repeats appear only when
     a source has no fresh sequences left. The nucleus draws and the ranking
-    read one table; a caller already holding transition_table(policy, x) and
-    diverse_beam(policy, x, cfg) passes them as `table` and `beam`."""
+    read one table; a caller already holding transition_table(policy, x),
+    diverse_beam(policy, x, cfg) and the table's nucleus_stack entry passes
+    them as `table`, `beam` and `nuclei`."""
     if cfg.m % 2 != 0:
         raise ValueError("mixed decoding needs an even sample count")
     table = transition_table(policy, x) if table is None else table
     beam = diverse_beam(policy, x, cfg) if beam is None else beam
     half = cfg.m // 2
     beam_ranked = _by_logprob((z, path_logprob(table, z)) for z in beam)
-    nucleus_ranked = _by_logprob(top_p_sample(policy, x, cfg, table))
+    nucleus_ranked = _by_logprob(top_p_sample(policy, x, cfg, table, nuclei))
     picks: list[TokenSeq] = []
     seen: set[tuple[int, ...]] = set()
     for source in (beam_ranked, nucleus_ranked):
@@ -214,14 +232,16 @@ def mixed_decode(
 
 
 def decode_samples(
-    policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig, table=None, beam=None
+    policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig, table=None, beam=None,
+    nuclei=None,
 ) -> list[TokenSeq]:
-    """`table` is transition_table(policy, x) and `beam` diverse_beam(policy,
-    x, cfg) when the caller already holds them."""
+    """`table` is transition_table(policy, x), `beam` diverse_beam(policy, x,
+    cfg) and `nuclei` the table's nucleus_stack entry when the caller
+    already holds them."""
     if scheme == "beam":
         return diverse_beam(policy, x, cfg) if beam is None else beam
     if scheme == "top_p":
-        return [z for z, _ in top_p_sample(policy, x, cfg, table)]
+        return [z for z, _ in top_p_sample(policy, x, cfg, table, nuclei)]
     if scheme == "mixed":
-        return mixed_decode(policy, x, cfg, table, beam)
+        return mixed_decode(policy, x, cfg, table, beam, nuclei)
     raise ValueError(f"unknown decode scheme {scheme!r}")

@@ -19,8 +19,9 @@ import numpy as np
 from . import classifier as clf
 from . import estimators as est
 from .checkpoint import atomic_write, params_hash
-from .data import Example, SyntheticTask, TaskTemplate, format_input, strip_scaffold
-from .decoding import DecodeConfig, decode_samples, diverse_beam_batch
+from .data import Example, Padded, RowError, SyntheticTask, TaskTemplate, format_input
+from .data import format_rewrites, strip_scaffold
+from .decoding import DecodeConfig, decode_samples, diverse_beam_batch, nucleus_stack
 from .estimators import DEFAULT_BETA, ESTIMATORS, REGIMES
 from .numerics import log_softmax_rows
 from .optim import AdamConfig, AdamW
@@ -175,11 +176,6 @@ def combine_group(scores, include_original: bool) -> np.ndarray:
     return scores[0] + mean if include_original else mean
 
 
-def templated(template: TaskTemplate, seqs) -> list[TokenSeq]:
-    """Raw (untemplated) sequences, scaffold-stripped and formatted."""
-    return [format_input(template, template.instruction, strip_scaffold(z)) for z in seqs]
-
-
 def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig) -> list[list[TokenSeq]]:
     """Test-style rewrites (diverse beam, m per input) of each example: one
     stacked forward and one batched beam per cfg.batch_size inputs. Diverse
@@ -193,9 +189,10 @@ def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig) -> l
     return rewrites
 
 
-def example_groups(template: TaskTemplate, examples, rewrites) -> list[list[TokenSeq]]:
+def example_groups(template: TaskTemplate, examples, rewrites) -> list[Padded]:
     """Each example's input followed by its rewrites, formatted for scoring."""
-    return [templated(template, [ex.x, *zs]) for ex, zs in zip(examples, rewrites, strict=True)]
+    pairs = zip(examples, rewrites, strict=True)
+    return [format_rewrites(template, [ex.x, *zs]) for ex, zs in pairs]
 
 
 def ensemble_accuracies(
@@ -228,7 +225,7 @@ def evaluate_ensemble_accuracy(
 def plain_accuracy(classifier, template, verbalizer, examples) -> float:
     examples = list(examples)
     scores = clf.label_logprobs_batch(
-        classifier, templated(template, [ex.x for ex in examples]), verbalizer
+        classifier, format_rewrites(template, [ex.x for ex in examples]), verbalizer
     )
     return float(np.mean(np.argmax(scores, axis=1) == [ex.y for ex in examples]))
 
@@ -271,31 +268,55 @@ class _RunLog:
         return self.checkpoints
 
 
+def _sample_rewards(batch, samples, reward_fn, step: int) -> list[np.ndarray]:
+    """Raw rewards of each example's samples from one `reward_fn(seqs, ys)`
+    call over the whole minibatch; a RowError from it is re-raised naming
+    the example whose rewrite is bad."""
+    owners = [ex for ex, zs in zip(batch, samples) for _ in zs]
+    try:
+        scores = reward_fn([z for zs in samples for z in zs], [ex.y for ex in owners])
+    except RowError as exc:
+        uid = owners[exc.row].uid
+        raise ValueError(f"rewrite of example {uid} at step {step}: {exc.reason}") from exc
+    ends = np.cumsum([len(zs) for zs in samples])
+    return np.split(np.asarray(scores, dtype=np.float64), ends[:-1])
+
+
 def _minibatch_gradient(policy, fixed, batch, reward_fn, cfg: RunConfig, step: int):
     """(mean objective gradient, mean raw reward, clamp events) of a minibatch
-    at one step; `reward_fn(ex, seqs)` scores an example's samples. One stacked
-    forward per policy, one batched beam, and one stacked backward whose rows
-    are summed in batch order, bitwise a running sum of per-example gradients."""
+    at one step: one stacked forward per policy, one batched beam, one nucleus
+    prep per table stack, one reward call (_sample_rewards) and one stacked
+    backward whose rows are summed in batch order, bitwise a running sum of
+    per-example gradients. Draws, reward standardization and coefficients
+    stay per input, and their errors name the example and step."""
     xs = [ex.x for ex in batch]
     logits, acts = transition_logits_batch(policy, xs)
     fixed_logits = transition_logits_batch(fixed, xs)[0]
     table, fixed_table = log_softmax_rows(logits), log_softmax_rows(fixed_logits)
     off = cfg.regime == "off"  # off-policy samples come from the frozen snapshot
     sampler, sample_table = (fixed, fixed_table) if off else (policy, table)
-    beams = [None] * len(batch)
+    beams = nuclei = [None] * len(batch)
     if cfg.decoder != "top_p":  # diverse beam reads no seed
         beams = diverse_beam_batch(sampler, fixed_logits if off else logits, decode_config(cfg, 0))
+    if cfg.decoder != "beam":
+        nuclei = nucleus_stack(sample_table, cfg.top_p)
+    dcs = [decode_config(cfg, derive_seed(cfg.seed, step, ex.uid)) for ex in batch]
+    samples = [
+        decode_samples(sampler, ex.x, cfg.decoder, dc, sample_table[b], beams[b], nuclei[b])
+        for b, (ex, dc) in enumerate(zip(batch, dcs))
+    ]
+    raw = _sample_rewards(batch, samples, reward_fn, step)
     items, mean_reward, clamp_events = [], 0.0, 0
-    for b, ex in enumerate(batch):
-        dc = decode_config(cfg, derive_seed(cfg.seed, step, ex.uid))
-        seqs = decode_samples(sampler, ex.x, cfg.decoder, dc, sample_table[b], beams[b])
-        raw_rewards = np.asarray(reward_fn(ex, seqs), dtype=np.float64)
+    for b, (ex, seqs, raw_rewards) in enumerate(zip(batch, samples, raw)):
         rewards = est.normalize_rewards(raw_rewards) if cfg.normalize else raw_rewards
         cur = np.array([path_logprob(table[b], z) for z in seqs])
         fixed_lp = np.array([path_logprob(fixed_table[b], z) for z in seqs])
-        weights, events = est.coefficients(
-            cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
-        )
+        try:
+            weights, events = est.coefficients(
+                cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
+            )
+        except ValueError as exc:
+            raise ValueError(f"example {ex.uid} at step {step}: {exc}") from exc
         items += [(b, z, w) for z, w in zip(seqs, weights)]
         mean_reward += float(raw_rewards.mean())
         clamp_events += events
@@ -337,8 +358,8 @@ def finetune_paraphraser(
             policy, classifier, task.template, verbalizer, split.validation, cfg.m, False, cfg
         )
 
-    def reward_fn(ex: Example, seqs) -> list[float]:
-        return clf.rewards(classifier, templated(task.template, seqs), ex.y, verbalizer)
+    def reward_fn(seqs, ys) -> np.ndarray:
+        return clf.rewards(classifier, format_rewrites(task.template, seqs), ys, verbalizer)
 
     log.validation(0, validation_accuracy())
     batches = _batches(len(split.train), cfg.batch_size, rng)
@@ -403,8 +424,9 @@ def train_classifier_augmented(
             task.template, split.validation, decode_rewrites(policy, split.validation, m, cfg)
         )
     # inputs are formatted as they are; only decoded rewrites carry scaffold to strip
+    instruction = task.template.instruction
     groups = [
-        [format_input(task.template, task.template.instruction, ex.x), *templated(task.template, zs)]
+        [format_input(task.template, instruction, z) for z in [ex.x, *map(strip_scaffold, zs)]]
         for ex, zs in zip(split.train, rewrites)
     ]
     opt = AdamW(classifier.flat.size, AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))

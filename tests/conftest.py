@@ -256,6 +256,23 @@ def reference_top_p_sample(
     return out
 
 
+def reference_nucleus(logprobs: np.ndarray, top_p: float, row: int) -> tuple[list[int], list[float]]:
+    """The nucleus of one transition row built from that row alone: its token
+    ids, most probable first, and the normalized cumulative sum a uniform
+    draw is looked up in. decoding's stacked prep must return these bitwise."""
+    probs = np.exp(logprobs)
+    order = np.argsort(-probs, kind="stable")
+    csum = np.cumsum(probs[order])
+    cut = min(int(np.searchsorted(csum, top_p, side="left")), len(order) - 1)
+    keep = order[: cut + 1]
+    nucleus = probs[keep] / probs[keep].sum()
+    if not np.all(np.isfinite(nucleus)):
+        raise ValueError(f"non-finite probabilities in transition row {row}")
+    cdf = nucleus.cumsum()
+    cdf /= cdf[-1]
+    return keep.tolist(), cdf.tolist()
+
+
 def reference_diverse_beam(
     policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, logits: np.ndarray | None = None
 ) -> list[TokenSeq]:

@@ -114,6 +114,20 @@ def test_reward_is_label_logprob_and_nonpositive():
     assert r <= 0.0
 
 
+def test_rewards_read_each_row_at_its_own_label():
+    p = tiny_classifier(seed=4)
+    other = TokenSeq((6, 4, MASK, EOS))
+    seqs = [INPUT, other, INPUT, other]
+    rows = label_logprobs_batch(p, [INPUT, other], VERB)
+    got = rewards(p, seqs, [1, 0, 0, 1], VERB)
+    assert max_scaled_error(got, [rows[0, 1], rows[1, 0], rows[0, 0], rows[1, 1]]) <= 1e-12
+    assert got[0] != got[2]
+    with pytest.raises(ValueError, match="batch sequence 3: label 2 out of range"):
+        rewards(p, seqs, [0, 1, 1, 2], VERB)
+    with pytest.raises(ValueError, match="batch sequence 0: label -1 out of range"):
+        rewards(p, seqs, -1, VERB)
+
+
 def test_reward_uniform_classifier():
     p = tiny_classifier(seed=5)
     p.seg("lm_head")[:] = 0.0

@@ -5,13 +5,16 @@ import pytest
 
 from riff.data import (
     Example,
+    RowError,
     TaskTemplate,
     family_tokens,
     format_input,
+    format_rewrites,
     gen_rewriter_corpus,
     gen_synthetic_task,
     load_examples_jsonl,
     majority_label,
+    pad,
     save_examples_jsonl,
     strip_scaffold,
     token_family,
@@ -69,6 +72,30 @@ def test_format_input_rejects_oversized():
     template = TaskTemplate(max_input_len=6)
     with pytest.raises(ValueError, match="exceeds"):
         format_input(template, (), TokenSeq.from_content([4] * 5))
+
+
+@pytest.mark.parametrize("mask_first", [False, True])
+@pytest.mark.parametrize("instruction", [(), (9, 17, 4)])
+def test_format_rewrites_is_the_padded_sequence_path(mask_first, instruction):
+    template = TaskTemplate(instruction=instruction, mask_first=mask_first, max_input_len=32)
+    gen = np.random.default_rng(len(instruction) + mask_first)
+    # decoded rewrites of mixed lengths carry scaffold ids (1..3) anywhere before their EOS
+    seqs = [TokenSeq.from_content(gen.integers(1, 20, int(gen.integers(0, 12)))) for _ in range(40)]
+    seqs.append(TokenSeq((BOS, SEP, MASK, EOS)))  # nothing but scaffold
+    want = pad([format_input(template, instruction, strip_scaffold(z)) for z in seqs])
+    got = format_rewrites(template, seqs)
+    assert got.ids.dtype == want.ids.dtype
+    assert np.array_equal(got.ids, want.ids) and np.array_equal(got.valid, want.valid)
+
+
+def test_format_rewrites_names_an_over_long_row():
+    template = TaskTemplate(instruction=(9,), max_input_len=8)
+    fits, long = TokenSeq.from_content([4] * 3), TokenSeq.from_content([4, BOS, 5, 6, 7])
+    assert format_rewrites(template, [fits, long][:1]).ids.shape == (1, 8)
+    with pytest.raises(RowError, match="^batch sequence 1: formatted input of 9 tokens exceeds the 8 limit$"):
+        format_rewrites(template, [fits, long, long])
+    with pytest.raises(ValueError, match="formatted input of 9 tokens exceeds the 8 limit"):
+        format_input(template, template.instruction, strip_scaffold(long))
 
 
 def test_strip_scaffold():

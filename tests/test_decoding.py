@@ -6,16 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import greedy_path, reference_diverse_beam, reference_top_p_sample, step_logits, tiny_policy
+from conftest import (
+    greedy_path,
+    reference_diverse_beam,
+    reference_nucleus,
+    reference_top_p_sample,
+    step_logits,
+    tiny_policy,
+)
 from riff.decoding import (
     DecodeConfig,
+    _nucleus_row,
     decode_samples,
     diverse_beam,
     diverse_beam_batch,
     mixed_decode,
+    nucleus_stack,
     top_p_sample,
 )
-from riff.numerics import softmax
+from riff.numerics import log_softmax_rows, softmax
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
@@ -307,6 +316,46 @@ def test_nucleus_lookup_reproduces_generator_choice():
         want = [int(by_choice.choice(keep, p=nucleus)) for _ in range(50)]
         got = [int(keep[bisect.bisect_right(cdf.tolist(), u)]) for u in by_block]
         assert got == want
+
+
+def _nucleus_tables() -> np.ndarray:
+    """A (4, 9, 9) stack of log-transition tables: random rows, plus rows
+    that tie, peak on one token, or need every token to reach top_p."""
+    gen = np.random.default_rng(21)
+    tables = log_softmax_rows(gen.normal(0.0, 3.0, (4, 9, 9)))
+    tables[0, 0] = np.log(np.full(9, 1.0 / 9.0))  # every token ties
+    with np.errstate(divide="ignore"):
+        tables[1, 2] = np.log(np.eye(9)[5])  # one-hot: probability 1 on token 5, 0 elsewhere
+    tables[1, 3] = log_softmax_rows(np.where(np.arange(9) == 6, 40.0, 0.0))  # peaked, not one-hot
+    # sorted, the first eight hold 0.98 < 0.99 of the mass: the cut lands on the last index
+    tables[2, 4] = np.log([0.02, 0.4, 0.05, 0.2, 0.1, 0.05, 0.1, 0.05, 0.03])
+    return tables
+
+
+@pytest.mark.parametrize("top_p", [1e-12, 0.5, 0.9, 0.99, 1.0])
+def test_nucleus_stack_equals_per_row_reference_bitwise(top_p):
+    tables = _nucleus_tables()
+    stack = nucleus_stack(tables, top_p)
+    for b, table in enumerate(tables):
+        for row in range(len(table)):
+            assert _nucleus_row(stack[b], row) == reference_nucleus(table[row], top_p, row)
+    assert reference_nucleus(tables[1, 2], top_p, 2)[0] == [5]
+    if top_p == 0.99:
+        assert len(reference_nucleus(tables[2, 4], top_p, 4)[0]) == 9
+
+
+def test_nucleus_stack_names_a_non_finite_row():
+    tables = _nucleus_tables()
+    tables[2, 7, 3] = np.nan
+    stack = nucleus_stack(tables, 1.0)
+    with pytest.raises(ValueError, match="non-finite probabilities in transition row 7$"):
+        _nucleus_row(stack[2], 7)
+    with pytest.raises(ValueError, match="non-finite probabilities in transition row 7$"):
+        reference_nucleus(tables[2, 7], 1.0, 7)
+    # a NaN the nucleus never reaches is never read, row by row or stacked
+    tables[2, 6] = np.log(np.eye(9)[1] * 0.999 + 0.001 / 9)
+    tables[2, 6, 8] = np.nan
+    assert _nucleus_row(nucleus_stack(tables, 0.5)[2], 6) == reference_nucleus(tables[2, 6], 0.5, 6)
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["beam", "top_p", "mixed"]))

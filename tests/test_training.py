@@ -17,7 +17,7 @@ from conftest import (
 from riff import classifier as clf
 from riff import training
 from riff import estimators as est
-from riff.data import Example, format_input, gen_synthetic_task
+from riff.data import Example, format_input, format_rewrites, gen_synthetic_task, strip_scaffold
 from riff.decoding import decode_samples
 from riff.optim import AdamConfig, AdamW
 from riff.policy import PolicyConfig, PolicyParams, TokenSeq, snapshot
@@ -211,6 +211,104 @@ def test_finetune_names_the_example_with_a_non_finite_gradient(monkeypatch):
         finetune_paraphraser(policy, classifier, task, split, cfg)
 
 
+def finetune_reward_fn(monkeypatch, task, split, classifier, policy):
+    """The batch reward call finetune_paraphraser hands its fine-tune steps."""
+    calls = []
+
+    def record(policy, fixed, batch, reward_fn, cfg, step):
+        calls.append(reward_fn)
+        return np.zeros(policy.flat.size), 0.0, 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_minibatch_gradient", record)
+        cfg = RunConfig(m=2, decoder="beam", steps=1, batch_size=2, checkpoint_interval=1)
+        finetune_paraphraser(policy, classifier, task, split, cfg)
+    return calls[0]
+
+
+def per_example_rewards(classifier, task, ex, zs):
+    """clf.rewards of one example's rewrites, formatted one sequence at a time."""
+    formatted = [format_input(task.template, task.template.instruction, strip_scaffold(z)) for z in zs]
+    return clf.rewards(classifier, formatted, ex.y, clf.Verbalizer(task.verbalizer_ids))
+
+
+@pytest.mark.parametrize("mode", [clf.TuningMode.ALL, clf.TuningMode.LORA,
+                                  clf.TuningMode.SOFT_PROMPT, clf.TuningMode.CLS_HEAD])
+def test_minibatch_rewards_equal_per_example_rewards(monkeypatch, mode):
+    task, split, _, policy = make_pipeline()
+    classifier = tiny_classifier(seed=5, vocab=20, embed=8, prompt_len=3, mode=mode)
+    gen = np.random.default_rng(2)
+    for name in ("lora_b_q", "lora_b_v"):  # adapters that change the scores under LORA
+        classifier.seg(name)[:] = gen.normal(0.0, 0.3, classifier.seg(name).shape)
+    reward_fn = finetune_reward_fn(monkeypatch, task, split, classifier, policy)
+    batch = list(split.train)
+    cfg = RunConfig(m=6, decoder="mixed", seed=3)
+    samples = [decode_samples(policy, ex.x, "mixed", training.decode_config(cfg, ex.uid)) for ex in batch]
+    got = training._sample_rewards(batch, samples, reward_fn, step=1)
+    for ex, zs, rewards in zip(batch, samples, got):
+        assert max_scaled_error(rewards, per_example_rewards(classifier, task, ex, zs)) <= 1e-12
+
+
+def test_minibatch_rewards_score_each_distinct_rewrite_once(monkeypatch):
+    task, split, classifier, policy = make_pipeline()
+    reward_fn = finetune_reward_fn(monkeypatch, task, split, classifier, policy)
+    a, b = [ex for ex in split.train if ex.y == 0][:2]
+    c = next(ex for ex in split.train if ex.y == 1)
+    z1, z2, z3 = (TokenSeq.from_content(content) for content in ([4, 6], [5, 7, 9], [8]))
+    samples = [[z1, z2, z1], [z2, z3], [z1]]
+    rows = []
+    kernel = clf._MaskRowPass
+
+    def counted(params, ids, *args):
+        rows.append(len(ids))
+        return kernel(params, ids, *args)
+
+    monkeypatch.setattr(clf, "_MaskRowPass", counted)
+    got = training._sample_rewards([a, b, c], samples, reward_fn, step=1)
+    assert rows == [3]  # one forward, one row per distinct rewrite, whichever labels read it
+    for ex, zs, rewards in zip([a, b, c], samples, got):
+        assert max_scaled_error(rewards, per_example_rewards(classifier, task, ex, zs)) <= 1e-12
+    assert got[0][0] == got[0][2] and got[0][1] == got[1][0]
+
+
+@pytest.mark.parametrize("content, reason", [
+    ([5] * 60, "formatted input of 67 tokens exceeds the 64 limit"),
+    ([4, 25], "token id 25 out of range for vocabulary of size 20"),
+])
+def test_reward_errors_name_the_example_and_step(monkeypatch, content, reason):
+    task, split, classifier, policy = make_pipeline()
+    reward_fn = finetune_reward_fn(monkeypatch, task, split, classifier, policy)
+    good, bad = split.train[0], split.train[5]
+    samples = [[TokenSeq.from_content([4, 6])], [TokenSeq.from_content([7]), TokenSeq.from_content(content)]]
+    with pytest.raises(ValueError, match=f"^rewrite of example {bad.uid} at step 2: {reason}$"):
+        training._sample_rewards([good, bad], samples, reward_fn, step=2)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("nan", "non-finite log-probs or rewards"),
+    ("no_mass", "degenerate batch: no posterior mass"),
+    ("mass_off", "posterior coefficients must sum to 1"),
+])
+def test_coefficient_errors_name_the_example_and_step(monkeypatch, case, message):
+    _, split, _, policy = make_pipeline()
+    bad = next(ex for ex in split.train if ex.y == 1)
+    batch = [ex for ex in split.train if ex.y == 0][:2] + [bad]
+    # only the bad example (the one with label 1) gets this reward
+    bad_reward = np.nan if case == "nan" else -1000.0
+
+    def reward_fn(seqs, ys):
+        return np.where(np.asarray(ys) == bad.y, bad_reward, -1.0)
+
+    if case != "nan":
+        shift = -np.inf if case == "no_mass" else 1.0
+        exact = est.logsumexp
+        # the bad example's posterior weights are all below -500; nobody else's are
+        monkeypatch.setattr(est, "logsumexp", lambda w: exact(w) + (shift if np.max(w) < -500 else 0.0))
+    cfg = RunConfig(m=2, decoder="beam", normalize=False)
+    with pytest.raises(ValueError, match=f"^example {bad.uid} at step 4: {message}$"):
+        training._minibatch_gradient(policy, snapshot(policy), batch, reward_fn, cfg, step=4)
+
+
 @pytest.mark.parametrize("estimator", training.ESTIMATORS)
 @pytest.mark.parametrize("regime", training.REGIMES)
 def test_example_gradient_equals_reference_assembly(estimator, regime):
@@ -221,7 +319,7 @@ def test_example_gradient_equals_reference_assembly(estimator, regime):
     reward_fn = table_reward(17)
     for ex in split.train[:3]:
         got, _, _ = training._minibatch_gradient(
-            policy, fixed, [ex], lambda _, seqs: [reward_fn(z) for z in seqs], cfg, step=2
+            policy, fixed, [ex], lambda seqs, _: [reward_fn(z) for z in seqs], cfg, step=2
         )
         # the same samples, scored and differentiated one sequence at a time
         dc = training.decode_config(cfg, derive_seed(cfg.seed, 2, ex.uid))
@@ -250,7 +348,7 @@ def test_minibatch_gradient_is_the_mean_of_per_example_references(estimator, reg
     reward_fn = table_reward(23)
     batch = list(split.train[:5])
     got, got_reward, got_events = training._minibatch_gradient(
-        policy, fixed, batch, lambda _, seqs: [reward_fn(z) for z in seqs], cfg, step=3
+        policy, fixed, batch, lambda seqs, _: [reward_fn(z) for z in seqs], cfg, step=3
     )
     # one table, decode and backward per example, summed in batch order
     want, reward, events = np.zeros(policy.flat.size), 0.0, 0
@@ -363,7 +461,7 @@ def test_augmented_rewrites_equal_to_input_double_loss():
     verb = clf.Verbalizer(task.verbalizer_ids)
     ex = split.train[0]
     # one example's step loss: the input at weight 1, its m rewrites at 1/m
-    group = training.example_groups(task.template, [ex], [[ex.x, ex.x]])[0]
+    group = [format_input(task.template, task.template.instruction, ex.x)] * 3
     mode = clf.TuningMode.ALL
     plain = -clf.weighted_label_grad(classifier, group[:1], [ex.y], [1.0], verb, mode)[0]
     doubled = -clf.weighted_label_grad(classifier, group, [ex.y] * 3, [1.0, 0.5, 0.5], verb, mode)[0]
@@ -380,7 +478,7 @@ def test_augmented_two_rewrite_hand_arithmetic():
         formatted = format_input(task.template, task.template.instruction, seq)
         return float(clf.label_logprobs_batch(classifier, [formatted], verb)[0][ex.y])
     expected = -(lp(ex.x) + 0.5 * (lp(z1) + lp(z2)))
-    group = training.example_groups(task.template, [ex], [[z1, z2]])[0]
+    group = [format_input(task.template, task.template.instruction, z) for z in (ex.x, z1, z2)]
     value, _ = clf.weighted_label_grad(classifier, group, [ex.y] * 3, [1.0, 0.5, 0.5], verb, clf.TuningMode.ALL)
     assert -value == pytest.approx(expected, abs=1e-12)
 
@@ -410,7 +508,7 @@ def test_ensemble_single_rewrite_exclusion_is_plain_on_rewrite():
     z = TokenSeq.from_content([4, 6])
     group = training.example_groups(task.template, [split.train[0]], [[z]])[0]
     scores = clf.label_logprobs_batch(classifier, group, verb)
-    alone = clf.label_logprobs_batch(classifier, training.templated(task.template, [z]), verb)[0]
+    alone = clf.label_logprobs_batch(classifier, format_rewrites(task.template, [z]), verb)[0]
     assert int(np.argmax(combine_group(scores, include_original=False))) == int(np.argmax(alone))
 
 
