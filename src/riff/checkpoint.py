@@ -62,8 +62,9 @@ def _read(f, n: int, path, what: str) -> bytes:
     return data
 
 
-def load_segments(path, kind: str) -> tuple[dict, ParamVector]:
-    """Header and parameters of a checkpoint whose header names `kind`."""
+def load_segments(path, kind: str, build):
+    """build(header, parameters) of a checkpoint whose header names `kind`; a header
+    that does not parse or build raises a ValueError naming the file."""
     with open(path, "rb") as f:
         magic = _read(f, 8, path, "magic")
         if magic != MAGIC:
@@ -72,10 +73,14 @@ def load_segments(path, kind: str) -> tuple[dict, ParamVector]:
         if version not in (1, VERSION):
             raise ValueError(f"unsupported checkpoint version {version} in {path}")
         (hlen,) = struct.unpack("<I", _read(f, 4, path, "header length"))
-        header = json.loads(_read(f, hlen, path, "header").decode("utf-8"))
+        blob = _read(f, hlen, path, "header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            segments = [(name, tuple(shape)) for name, shape in header["segments"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"corrupt checkpoint {path}: unreadable header: {exc!r}") from exc
         if header.get("kind") != kind:
             raise ValueError(f"expected a {kind} checkpoint in {path}, got {header.get('kind')!r}")
-        segments = [(name, tuple(shape)) for name, shape in header["segments"]]
         count = sum(math.prod(shape) for _, shape in segments)
         raw = _read(f, 8 * count, path, "parameter payload")
         if f.read(1):
@@ -89,8 +94,10 @@ def load_segments(path, kind: str) -> tuple[dict, ParamVector]:
         if hashlib.sha256(raw).hexdigest() != header.get("payload_sha256"):
             raise ValueError(f"corrupt checkpoint {path}: payload sha256 does not match its header")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    pv = ParamVector(segments, values)
-    return header, pv
+    try:
+        return build(header, ParamVector(segments, values))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"corrupt checkpoint {path}: header does not describe its parameters: {exc!r}") from exc
 
 
 def file_hash(path) -> str:

@@ -398,6 +398,6 @@ def save_classifier(path, params: ClassifierParams) -> None:
 
 
 def load_classifier(path) -> ClassifierParams:
-    header, pv = load_segments(path, "classifier")
-    cfg = ClassifierConfig(**{f.name: header[f.name] for f in fields(ClassifierConfig)})
-    return ClassifierParams(cfg, TuningMode(header["mode"]), pv)
+    return load_segments(path, "classifier", lambda header, pv: ClassifierParams(
+        ClassifierConfig(**{f.name: header[f.name] for f in fields(ClassifierConfig)}),
+        TuningMode(header["mode"]), pv))

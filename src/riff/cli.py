@@ -64,9 +64,6 @@ CONFIG_DEFAULTS = {
     "cls_hidden": 16,
     "classifier_warmup_steps": 200,
     "classifier_warmup_lr": 0.01,
-    # gradient-search
-    "gs_k": 4,
-    "gs_batch_size": 2,
     # checkpoints to reuse instead of building fresh models
     "policy_checkpoint": None,
     "classifier_checkpoint": None,
@@ -109,15 +106,33 @@ def load_config(source) -> dict:
             raise ConfigError(f"config field {key!r} must be {kind}, got {value!r}")
         merged[key] = value
     try:
-        run_cfg = RunConfig.from_dict({k: merged[k] for k in run_fields})
+        run_cfg = run_config_of(merged)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     merged.update(run_cfg.to_dict())
     if merged["tuning_mode"] not in {m.value for m in clf.TuningMode}:
         raise ConfigError(f"unknown tuning_mode {merged['tuning_mode']!r}")
-    if merged["shots"] < 1:
-        raise ConfigError(f"config field 'shots' must be at least 1, got {merged['shots']}")
+    for key, low in (("shots", 1), ("pretrain_epochs", 0), ("pretrain_lr", 0),
+                     ("classifier_warmup_steps", 0), ("classifier_warmup_lr", 0)):
+        if merged[key] < low:
+            raise ConfigError(f"config field {key!r} must be at least {low}, got {merged[key]}")
+    if error := _shape_error(merged):
+        # the defaults pass: name a set field that fails on its own, else one whose default passes
+        alone = [k for k in raw if _shape_error({**CONFIG_DEFAULTS, k: raw[k]})]
+        fixes = [k for k in raw if k in CONFIG_DEFAULTS and not _shape_error({**merged, k: CONFIG_DEFAULTS[k]})]
+        raise ConfigError(f"config field {(alone or fixes or sorted(raw))[0]!r}: {error}")
     return merged
+
+
+def _shape_error(config: dict) -> str | None:
+    """What the model configs and the task's vocabulary bound reject in `config`, if anything."""
+    try:
+        policy_config(config)
+        classifier_config(config)
+        data.gen_synthetic_task(config["task_vocab_size"], config["num_labels"], 0, 0, 0)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _experiment(args):
@@ -128,9 +143,7 @@ def _experiment(args):
 
 
 def run_config_of(config: dict) -> RunConfig:
-    return RunConfig.from_dict(
-        {f: config[f] for f in RunConfig.__dataclass_fields__}
-    )
+    return RunConfig.from_dict({f: config[f] for f in RunConfig.__dataclass_fields__})
 
 
 def out_root(args) -> str:

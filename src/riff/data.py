@@ -1,15 +1,14 @@
-"""Datasets and input formatting.
+"""The synthetic task, the rewriter's pretraining corpus, and input formatting.
 
-The synthetic task is a majority-vote construction: each label owns a family
-of two interchangeable content tokens, distractor tokens are label-neutral,
-and the label is the family with the strict majority count. A rule-based
-oracle therefore classifies every generated example perfectly, which pins
-down what "signal" means in end-to-end checks.
+Every command builds its data in-process from a seed. The synthetic task is a
+majority-vote construction: each label owns a family of two interchangeable
+content tokens, distractors are label-neutral, and the label is the family with
+the strict majority count. A rule-based oracle therefore classifies every
+generated example perfectly, which pins down what "signal" means in checks.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,7 +48,6 @@ class Example:
     uid: int
     x: TokenSeq
     y: int
-    text: str | None = None
 
 
 @dataclass(frozen=True)
@@ -61,24 +59,6 @@ class TaskTemplate:
     instruction: tuple[int, ...] = ()
     mask_first: bool = False
     max_input_len: int = 128
-
-    def __post_init__(self):
-        object.__setattr__(self, "instruction", tuple(int(t) for t in self.instruction))
-
-    def to_dict(self) -> dict:
-        return {
-            "instruction": list(self.instruction),
-            "mask_first": self.mask_first,
-            "max_input_len": self.max_input_len,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskTemplate":
-        return cls(
-            instruction=tuple(d.get("instruction", ())),
-            mask_first=bool(d.get("mask_first", False)),
-            max_input_len=int(d.get("max_input_len", 128)),
-        )
 
 
 def format_input(template: TaskTemplate, instruction, x: TokenSeq) -> TokenSeq:
@@ -231,39 +211,3 @@ def gen_rewriter_corpus(examples, num_labels: int, seed: int) -> list[tuple[Toke
         pairs.append((ex.x, TokenSeq.from_content(tokens)))
     return pairs
 
-
-def load_template(path) -> TaskTemplate:
-    with open(path, "r", encoding="utf-8") as f:
-        return TaskTemplate.from_dict(json.load(f))
-
-
-def save_template(path, template: TaskTemplate) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(template.to_dict(), f, indent=2)
-
-
-def load_examples_jsonl(path) -> list[Example]:
-    """Read {"text": "<space-separated token ids>", "label": int} records."""
-    examples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            try:
-                ids = [int(t) for t in str(rec["text"]).split()]
-                label = int(rec["label"])
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"bad dataset record on line {lineno + 1}") from exc
-            examples.append(
-                Example(uid=len(examples), x=TokenSeq.from_content(ids), y=label, text=rec["text"])
-            )
-    return examples
-
-
-def save_examples_jsonl(path, examples) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(json.dumps({"text": " ".join(str(t) for t in ex.x.content), "label": ex.y}))
-            f.write("\n")

@@ -36,15 +36,15 @@ class DecodeConfig:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("sample count must be at least 1")
+            raise ValueError("m must be at least 1")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.diversity_penalty < 0:
-            raise ValueError("diversity penalty must be nonnegative")
+            raise ValueError("diversity_penalty must be nonnegative")
         if self.repetition_penalty < 1:
-            raise ValueError("repetition penalty must be at least 1")
+            raise ValueError("repetition_penalty must be at least 1")
 
 
 def nucleus_stack(tables: np.ndarray, top_p: float) -> list[tuple]:

@@ -1,10 +1,8 @@
-"""Rewrite-quality metrics computable in-process (n-gram lexical diversity)
-plus the subprocess boundary for external scorers."""
+"""Rewrite-quality metrics: n-gram overlap and the lexical diversity of
+rewrites against their input and against each other, on token id lists."""
 
 from __future__ import annotations
 
-import json
-import subprocess
 from collections import Counter
 from itertools import combinations
 
@@ -49,46 +47,3 @@ def pairwise_ld(paraphrases) -> float:
     values = [lexical_diversity(a, b) for a, b in combinations(items, 2)]
     return float(sum(values) / len(values))
 
-
-def tokenize_text(text: str) -> list[str]:
-    return text.lower().split()
-
-
-def external_score(adapter_cmd, pairs) -> list[tuple[str, float]]:
-    """Score (text_a, text_b) pairs through an external adapter process.
-
-    Requests go to the adapter's stdin as JSONL {"id","text_a","text_b"};
-    responses come back as JSONL {"id","score"} in any order and are matched
-    by id. The adapter must exit 0. An empty pair list short-circuits without
-    invoking anything.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    request_ids = [str(pid) for pid, _, _ in pairs]
-    if len(set(request_ids)) != len(request_ids):
-        raise ValueError("request ids must be unique")
-    payload = "\n".join(
-        json.dumps({"id": str(pid), "text_a": a, "text_b": b}) for pid, a, b in pairs
-    )
-    proc = subprocess.run(
-        list(adapter_cmd), input=payload + "\n", capture_output=True, text=True
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"adapter exited with status {proc.returncode}: {proc.stderr.strip()}"
-        )
-    scores: dict[str, float] = {}
-    for line in proc.stdout.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-            scores[str(rec["id"])] = float(rec["score"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed adapter response line {line!r}") from exc
-    missing = [pid for pid in request_ids if pid not in scores]
-    if missing:
-        raise ValueError(f"adapter response missing ids: {missing}")
-    return [(pid, scores[pid]) for pid in request_ids]

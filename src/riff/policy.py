@@ -300,5 +300,5 @@ def save_policy(path, params: PolicyParams) -> None:
 def load_policy(path) -> PolicyParams:
     from .checkpoint import load_segments
 
-    header, pv = load_segments(path, "policy")
-    return PolicyParams(PolicyConfig(**{f.name: header[f.name] for f in fields(PolicyConfig)}), pv)
+    return load_segments(path, "policy", lambda header, pv: PolicyParams(
+        PolicyConfig(**{f.name: header[f.name] for f in fields(PolicyConfig)}), pv))

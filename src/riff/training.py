@@ -111,14 +111,14 @@ class RunConfig:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
-        if self.m < 0:
-            raise ValueError("m must be nonnegative")
+        for name in ("m", "beta", "lr", "weight_decay"):  # beta None is the estimator default
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.decoder == "mixed" and self.m % 2 != 0:
             raise ValueError("mixed decoding needs an even m")
         if self.steps < 1 or self.batch_size < 1 or self.checkpoint_interval < 1:
             raise ValueError("steps, batch_size and checkpoint_interval must be positive")
-        if self.beta is not None and self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        decode_config(replace(self, m=self.m or 1), self.seed)  # DecodeConfig checks the decoding knobs
 
     def resolved_beta(self) -> float:
         return DEFAULT_BETA[self.estimator] if self.beta is None else self.beta

@@ -49,8 +49,6 @@ def test_load_config_applies_defaults():
     assert config["m"] == 8
     assert config["checkpoint_interval"] == 8
     assert config["top_p"] == 0.99
-    assert config["gs_k"] == 4
-    assert config["gs_batch_size"] == 2
 
 
 def test_load_config_rejects_unknown_field():
@@ -83,7 +81,27 @@ def test_invalid_config_field_exits_2(tmp_path, capsys):
     (["grid", "--seeds", "a,b"], "--seeds .*'a'"),
     (["riff-finetune", "--config", {"shots": 0}], "'shots' must be at least 1, got 0"),
     (["train-classifier", "--config", {"shots": -3}], "'shots' must be at least 1, got -3"),
-], ids=["instances_0", "instances_negative", "seeds_not_int", "shots_0", "shots_negative"])
+    (["riff-finetune", "--config", {"top_p": 0.0}], r"top_p must lie in \(0, 1\]"),
+    (["riff-finetune", "--config", {"temperature": 0.0, "m": 0}], "temperature must be positive"),
+    (["riff-finetune", "--config", {"diversity_penalty": -1.0}], "diversity_penalty must be nonnegative"),
+    (["riff-finetune", "--config", {"repetition_penalty": 0.5}], "repetition_penalty must be at least 1"),
+    (["riff-finetune", "--config", {"lr": -1.0}], "lr must be nonnegative, got -1.0"),
+    (["train-classifier", "--config", {"weight_decay": -0.1}], "weight_decay must be nonnegative, got -0.1"),
+    (["riff-finetune", "--config", {"policy_max_len": 0}], "'policy_max_len': max_len must be positive"),
+    (["riff-finetune", "--config", {"num_labels": 1}], "'num_labels': need at least two .* labels"),
+    (["riff-finetune", "--config", {"lora_rank": 99}], r"'lora_rank': lora rank must lie in \[1, embed_dim\]"),
+    (["riff-finetune", "--config", {"task_vocab_size": 6}], "'task_vocab_size': vocabulary of 6 too small"),
+    (["pretrain", "--config", {"pretrain_epochs": -3}], "'pretrain_epochs' must be at least 0, got -3"),
+    (["pretrain", "--config", {"pretrain_lr": -0.5}], "'pretrain_lr' must be at least 0, got -0.5"),
+    (["riff-finetune", "--config", {"classifier_warmup_steps": -1}],
+     "'classifier_warmup_steps' must be at least 0, got -1"),
+    (["riff-finetune", "--config", {"classifier_warmup_lr": -0.01}],
+     "'classifier_warmup_lr' must be at least 0, got -0.01"),
+], ids=["instances_0", "instances_negative", "seeds_not_int", "shots_0", "shots_negative",
+        "top_p_0", "temperature_0_with_m_0", "diversity_penalty_negative", "repetition_penalty_below_1",
+        "lr_negative", "weight_decay_negative", "policy_max_len_0", "num_labels_1", "lora_rank_over_embed_dim",
+        "task_vocab_size_too_small", "pretrain_epochs_negative", "pretrain_lr_negative",
+        "classifier_warmup_steps_negative", "classifier_warmup_lr_negative"])
 def test_invalid_settings_exit_2_naming_the_field(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):
         (tmp_path / "config.json").write_text(json.dumps(argv[-1]))

@@ -1,10 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
 from riff.data import (
-    Example,
     RowError,
     TaskTemplate,
     family_tokens,
@@ -12,10 +9,8 @@ from riff.data import (
     format_rewrites,
     gen_rewriter_corpus,
     gen_synthetic_task,
-    load_examples_jsonl,
     majority_label,
     pad,
-    save_examples_jsonl,
     strip_scaffold,
     token_family,
 )
@@ -179,36 +174,3 @@ def test_rewriter_corpus_mostly_diverse():
     diverse = sum(lexical_diversity(x.content, z.content) > 0 for x, z in pairs)
     assert diverse >= 0.9 * len(pairs)
 
-
-def test_jsonl_roundtrip(tmp_path):
-    task = gen_synthetic_task(16, 2, 10, 0, seed=12)
-    path = tmp_path / "data.jsonl"
-    save_examples_jsonl(path, task.train)
-    loaded = load_examples_jsonl(path)
-    assert len(loaded) == 10
-    for orig, back in zip(task.train, loaded):
-        assert back.x.ids == orig.x.ids
-        assert back.y == orig.y
-
-
-def test_jsonl_rejects_bad_records(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(json.dumps({"text": "4 banana", "label": 0}) + "\n")
-    with pytest.raises(ValueError, match="line 1"):
-        load_examples_jsonl(path)
-
-
-def test_template_dict_roundtrip():
-    template = TaskTemplate(instruction=(4, 5), mask_first=True, max_input_len=32)
-    assert TaskTemplate.from_dict(template.to_dict()) == template
-
-
-def test_template_file_roundtrip(tmp_path):
-    from riff.data import load_template, save_template
-
-    template = TaskTemplate(instruction=(8, 9, 10), mask_first=False, max_input_len=48)
-    path = tmp_path / "template.json"
-    save_template(path, template)
-    raw = json.loads(path.read_text())
-    assert raw == {"instruction": [8, 9, 10], "mask_first": False, "max_input_len": 48}
-    assert load_template(path) == template

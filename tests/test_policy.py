@@ -402,19 +402,58 @@ def test_checkpoint_flipped_payload_byte_names_file(tmp_path):
         load_policy(path)
 
 
+def rewrite_header(path, edit, version=2):
+    """Replace a saved checkpoint's JSON header by edit(header) and its
+    version field by `version`, keeping the payload bytes."""
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[12:16], "little")
+    assert int.from_bytes(blob[8:12], "little") == 2
+    header = json.dumps(edit(json.loads(blob[16 : 16 + hlen])), sort_keys=True).encode("utf-8")
+    path.write_bytes(
+        blob[:8] + version.to_bytes(4, "little") + len(header).to_bytes(4, "little")
+        + header + blob[16 + hlen :]
+    )
+
+
+def test_checkpoint_header_byte_not_utf8_names_file(tmp_path):
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, tiny_policy(seed=21))
+    blob = bytearray(path.read_bytes())
+    blob[20] = 0xFF  # inside the JSON header, which starts at byte 16
+    path.write_bytes(bytes(blob))
+    where = f"corrupt checkpoint {re.escape(str(path))}"
+    with pytest.raises(ValueError, match=f"{where}: unreadable header: UnicodeDecodeError"):
+        load_policy(path)
+
+
+def test_checkpoint_header_without_segments_names_file(tmp_path):
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, tiny_policy(seed=21))
+    rewrite_header(path, lambda h: {k: v for k, v in h.items() if k != "segments"})
+    with pytest.raises(ValueError, match=f"corrupt checkpoint {re.escape(str(path))}: unreadable header: KeyError"):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("kind", ["policy", "classifier"])
+def test_checkpoint_dimensions_disagreeing_with_segments_name_file(tmp_path, kind):
+    path = tmp_path / f"{kind}.ckpt"
+    if kind == "policy":
+        save_policy(path, tiny_policy(seed=21, vocab=6))
+    else:
+        save_classifier(path, tiny_classifier(seed=21, vocab=8))
+    rewrite_header(path, lambda h: {**h, "vocab_size": h["vocab_size"] + 1})
+    with pytest.raises(ValueError, match=f"corrupt checkpoint {re.escape(str(path))}: header does not describe"):
+        (load_policy if kind == "policy" else load_classifier)(path)
+
+
 def test_version_1_checkpoint_still_loads(tmp_path):
     # version 1: the same layout, without the payload's byte count and hash
     p = tiny_policy(seed=22, vocab=6, max_len=9)
     path = tmp_path / "policy.ckpt"
     save_policy(path, p)
-    blob = path.read_bytes()
-    hlen = int.from_bytes(blob[12:16], "little")
-    header = json.loads(blob[16 : 16 + hlen])
-    assert int.from_bytes(blob[8:12], "little") == 2
-    del header["payload_bytes"], header["payload_sha256"]
-    old = json.dumps(header, sort_keys=True).encode("utf-8")
-    v1 = blob[:8] + (1).to_bytes(4, "little") + len(old).to_bytes(4, "little") + old + blob[16 + hlen :]
-    path.write_bytes(v1)
+    rewrite_header(
+        path, lambda h: {k: v for k, v in h.items() if k not in ("payload_bytes", "payload_sha256")}, version=1
+    )
     loaded = load_policy(path)
     assert loaded.cfg == p.cfg
     assert np.array_equal(loaded.flat, p.flat)
