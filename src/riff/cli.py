@@ -121,7 +121,34 @@ def load_config(source) -> dict:
         alone = [k for k in raw if _shape_error({**CONFIG_DEFAULTS, k: raw[k]})]
         fixes = [k for k in raw if k in CONFIG_DEFAULTS and not _shape_error({**merged, k: CONFIG_DEFAULTS[k]})]
         raise ConfigError(f"config field {(alone or fixes or sorted(raw))[0]!r}: {error}")
+    _check_inputs(merged)
     return merged
+
+
+def _check_inputs(config: dict) -> None:
+    """Reject, before any run directory exists, what a command would only
+    fail on after warming up or pretraining."""
+    warmup, interval = config["classifier_warmup_steps"], config["checkpoint_interval"]
+    if not config["classifier_checkpoint"] and 0 < warmup < interval:  # warmup selects its last checkpoint
+        raise ConfigError(
+            f"config field 'classifier_warmup_steps' must be 0 or at least checkpoint_interval ({interval}), "
+            f"got {warmup}"
+        )
+    if not config["policy_checkpoint"] and config["pretrain_pool"] < 1:
+        raise ConfigError(
+            "config field 'pretrain_pool' must be at least 1 without a policy_checkpoint, "
+            f"got {config['pretrain_pool']}"
+        )
+    for key in ("policy_checkpoint", "classifier_checkpoint"):
+        if config[key] and not os.path.isfile(config[key]):
+            raise ConfigError(f"config field {key!r}: no checkpoint file at {config[key]}")
+    # gen_synthetic_task deals labels round-robin, so its rarest label has pool // num_labels examples
+    per_label = config["task_pool"] // config["num_labels"]
+    if per_label < 2 * config["shots"]:
+        raise ConfigError(
+            f"config fields 'task_pool' and 'shots': a task_pool of {config['task_pool']} gives "
+            f"{max(per_label, 0)} examples of some label, and shots {config['shots']} needs {2 * config['shots']}"
+        )
 
 
 def _shape_error(config: dict) -> str | None:

@@ -128,6 +128,48 @@ def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[T
     return diverse_beam_batch(policy, transition_logits(policy, x)[0][None], cfg)[0]
 
 
+def _log_normalizers(rows: np.ndarray) -> np.ndarray:
+    """Each row's log-normalizer: the row max plus math.log of numpy's exp and
+    pairwise row sum, so a row rounds as it would alone."""
+    top = rows.max(axis=1)
+    sums = np.exp(rows - top[:, None]).sum(axis=1)
+    return top + list(map(math.log, sums.tolist()))
+
+
+def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, last: bool, exact: bool):
+    """The (m, B) picks of one decode step of diverse_beam_batch from the
+    groups' (m, B, V) penalized rows, which end the step holding its
+    normalized scores. With exact=False the groups pick from raw rows and
+    the live rows are normalized once afterwards; it returns None unless
+    every normalizer is finite and every pick is its normalized row's argmax.
+    With exact=True each group normalizes before it picks, and a non-finite
+    live row raises."""
+    m, n, v = rows.shape
+    counts = np.zeros((n, v))
+    flat_counts = counts.reshape(-1)
+    picks = np.full((m, n), EOS)
+    for g in np.flatnonzero(alive.any(axis=1)).tolist():
+        row = rows[g]
+        row -= div * counts
+        if exact:
+            lse = _log_normalizers(row)
+            bad = np.flatnonzero(alive[g] & ~np.isfinite(lse))
+            if bad.size:
+                raise ValueError(f"non-finite transition logits for batch input {bad[0]} at decode step {t}")
+            row -= lse[:, None]
+        if not last:
+            picks[g] = row.argmax(axis=1)
+        flat_counts[base + picks[g]] += alive[g]
+    if not exact:
+        live_rows = rows[alive]
+        lse = _log_normalizers(live_rows)
+        live_rows -= lse[:, None]
+        if not np.isfinite(lse).all() or not (last or (live_rows.argmax(axis=1) == picks[alive]).all()):
+            return None
+        rows[alive] = live_rows
+    return picks
+
+
 def diverse_beam_batch(
     policy: PolicyParams, logits: np.ndarray, cfg: DecodeConfig
 ) -> list[list[TokenSeq]]:
@@ -136,52 +178,48 @@ def diverse_beam_batch(
     group, the group's own prefix tokens get the repetition penalty on raw
     logits (positive logits divided, negative multiplied), temperature
     rescales, and tokens chosen by earlier groups at this step are pushed down
-    by diversity_penalty * count. Groups rank by cumulative penalized score;
-    cfg.seed is never read. Each (step, group) runs over all B inputs as (B, V)
-    rows that round as they would alone (row max, numpy's exp and pairwise row
-    sum, math.log, first-index argmax); finished groups are masked out, and a
-    non-finite row of a live one raises."""
+    by diversity_penalty * count. Groups rank by cumulative normalized score;
+    cfg.seed is never read.
+
+    Each step gathers all m groups' (B, V) rows at once, taking each column
+    from the plain or the penalized logits by whether the token is in the
+    group's prefix. The loop over groups only subtracts the diversity
+    penalty, takes the first-index argmax and counts the picks; one pass over
+    the step's live rows then takes their log-normalizers. Subtracting a
+    row's normalizer keeps its argmax unless rounding collapses a near-tie
+    onto the first index, so a step whose normalizers are not all finite or
+    whose picks are not all their normalized rows' argmax reruns with the
+    normalizer inside the group loop. That rerun raises on a non-finite live
+    row, naming the batch input and the step. Finished groups are masked
+    out and their rows never checked."""
     n, v = logits.shape[0], logits.shape[-1]
     m, max_len, div, rep = cfg.m, policy.cfg.max_len, cfg.diversity_penalty, cfg.repetition_penalty
-    # row b * V + p: the plain and the repetition-penalized logits after p, over temperature
+    # cell (b * V + p) * 2V + c: the plain (c < V) or repetition-penalized (c - V) logit of
+    # token c mod V after p, over temperature
     both = np.concatenate([logits, np.where(logits > 0, logits / rep, logits * rep)], axis=-1)
-    both = both.reshape(n * v, 2 * v) / cfg.temperature
+    both = both.reshape(-1) / cfg.temperature
     base = np.arange(n) * v  # (b, token) is cell base[b] + token of a flat (B * V) array
+    cols = np.tile(np.arange(v), (m, n, 1))  # cols[g, b, c]: c, or V + c once c is in the prefix
+    cells = np.arange(m * n).reshape(m, n) * v  # (g, b, c) is cell cells[g, b] + c of an (m, B, V) array
     tokens = np.full((max_len + 1, m, n), BOS)  # tokens[t + 1]: chosen at step t
-    gains = np.zeros((max_len, m, n))
-    in_prefix = np.zeros((m, n * v), dtype=bool)
-    live = np.ones((max_len + 1, m, n), dtype=bool)  # live[t]: unfinished before step t
+    alive = np.ones((m, n), dtype=bool)  # unfinished before the current step
+    scores = np.zeros((m, n))
     with np.errstate(invalid="ignore"):  # finished rows may read anything
         for t in range(max_len):
-            chosen = np.zeros(n * v)
-            live[t + 1] = live[t]
-            for g in range(m):
-                if not np.count_nonzero(live[t, g]):
-                    continue
-                pair = both.take(base + tokens[t, g], axis=0)
-                pen = np.where(in_prefix[g].reshape(n, v), pair[:, v:], pair[:, :v])
-                pen -= div * chosen.reshape(n, v)
-                top = pen.max(axis=1)
-                sums = np.exp(pen - top[:, None]).sum(axis=1)
-                lse = [a + math.log(b) for a, b in zip(top.tolist(), sums.tolist())]
-                if not all(map(math.isfinite, lse)):
-                    bad = [b for b, a in enumerate(lse) if not math.isfinite(a) and live[t, g, b]]
-                    if bad:
-                        raise ValueError(
-                            f"non-finite transition logits for batch input {bad[0]} at decode step {t}"
-                        )
-                step = pen - np.array(lse)[:, None]
-                tok = np.full(n, EOS) if t == max_len - 1 else step.argmax(axis=1)
-                gains[t, g] = step.take(base + tok)
-                tokens[t + 1, g] = tok
-                in_prefix[g, base + tok] = True
-                chosen[base + tok] += live[t, g]
-                live[t + 1, g] &= tok != EOS
-            if not np.count_nonzero(live[t + 1]):
+            last = t == max_len - 1
+            starts = ((base + tokens[t]) * (2 * v))[..., None]
+            rows = both.take(starts + cols)
+            picks = _beam_step(rows, alive, base, div, t, last, exact=False)
+            if picks is None:
+                rows = both.take(starts + cols)
+                picks = _beam_step(rows, alive, base, div, t, last, exact=True)
+            chosen = cells + picks
+            scores += np.where(alive, rows.reshape(-1).take(chosen), 0.0)  # the running score
+            tokens[t + 1] = picks
+            cols.reshape(-1)[chosen] = v + picks
+            alive &= picks != EOS
+            if not np.count_nonzero(alive):
                 break
-    scores = np.zeros((m, n))
-    for gain, alive in zip(gains, live):
-        scores += np.where(alive, gain, 0.0)  # the running score, step by step
     out = []
     for row, seqs in zip(scores.T.tolist(), tokens[1:].transpose(2, 1, 0).tolist()):
         ranked = sorted(range(m), key=lambda i: (-row[i], i))

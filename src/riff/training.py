@@ -118,6 +118,11 @@ class RunConfig:
             raise ValueError("mixed decoding needs an even m")
         if self.steps < 1 or self.batch_size < 1 or self.checkpoint_interval < 1:
             raise ValueError("steps, batch_size and checkpoint_interval must be positive")
+        if self.steps < self.checkpoint_interval:  # else no checkpoint is ever taken
+            raise ValueError(
+                f"steps must be at least checkpoint_interval, got steps {self.steps} "
+                f"and checkpoint_interval {self.checkpoint_interval}"
+            )
         decode_config(replace(self, m=self.m or 1), self.seed)  # DecodeConfig checks the decoding knobs
 
     def resolved_beta(self) -> float:

@@ -97,11 +97,28 @@ def test_invalid_config_field_exits_2(tmp_path, capsys):
      "'classifier_warmup_steps' must be at least 0, got -1"),
     (["riff-finetune", "--config", {"classifier_warmup_lr": -0.01}],
      "'classifier_warmup_lr' must be at least 0, got -0.01"),
+    (["riff-finetune", "--config", {"steps": 4}],
+     "steps must be at least checkpoint_interval, got steps 4 and checkpoint_interval 8"),
+    (["train-classifier", "--config", {"steps": 4}],
+     "steps must be at least checkpoint_interval, got steps 4 and checkpoint_interval 8"),
+    (["riff-finetune", "--config", {"classifier_warmup_steps": 4}],
+     r"'classifier_warmup_steps' must be 0 or at least checkpoint_interval \(8\), got 4"),
+    (["riff-finetune", "--config", {"pretrain_pool": 0}],
+     "'pretrain_pool' must be at least 1 without a policy_checkpoint, got 0"),
+    (["riff-finetune", "--config", {"policy_checkpoint": "no/such/policy.ckpt"}],
+     "'policy_checkpoint': no checkpoint file at no/such/policy.ckpt"),
+    (["riff-finetune", "--config", {"classifier_checkpoint": "no/such/classifier.ckpt"}],
+     "'classifier_checkpoint': no checkpoint file at no/such/classifier.ckpt"),
+    (["riff-finetune", "--config", {"task_pool": 10}],
+     "'task_pool' and 'shots': a task_pool of 10 gives 5 examples of some label, and shots 16 needs 32"),
 ], ids=["instances_0", "instances_negative", "seeds_not_int", "shots_0", "shots_negative",
         "top_p_0", "temperature_0_with_m_0", "diversity_penalty_negative", "repetition_penalty_below_1",
         "lr_negative", "weight_decay_negative", "policy_max_len_0", "num_labels_1", "lora_rank_over_embed_dim",
         "task_vocab_size_too_small", "pretrain_epochs_negative", "pretrain_lr_negative",
-        "classifier_warmup_steps_negative", "classifier_warmup_lr_negative"])
+        "classifier_warmup_steps_negative", "classifier_warmup_lr_negative",
+        "steps_below_checkpoint_interval", "train_classifier_steps_below_checkpoint_interval",
+        "classifier_warmup_steps_below_checkpoint_interval", "pretrain_pool_0", "policy_checkpoint_missing",
+        "classifier_checkpoint_missing", "task_pool_too_small_for_shots"])
 def test_invalid_settings_exit_2_naming_the_field(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):
         (tmp_path / "config.json").write_text(json.dumps(argv[-1]))

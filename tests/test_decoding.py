@@ -24,7 +24,7 @@ from riff.decoding import (
     nucleus_stack,
     top_p_sample,
 )
-from riff.numerics import log_softmax_rows, softmax
+from riff.numerics import log_softmax_rows, logsumexp, softmax
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
@@ -185,9 +185,66 @@ def test_diverse_beam_batch_names_the_input_and_step_of_a_non_finite_row():
     assert [[z.ids for z in zs] for zs in diverse_beam_batch(p, unread, cfg)] == [
         [z.ids for z in zs] for zs in beams
     ]
-    logits[2, BOS, 4] = np.nan
-    with pytest.raises(ValueError, match="non-finite transition logits for batch input 2 at decode step 0$"):
-        diverse_beam_batch(p, logits, cfg)
+    # at column 0 the pick is also the argmax of the normalized all-NaN row, so only the
+    # normalizer's own check sees it
+    for col, value in ((4, np.nan), (EOS, np.nan), (EOS, np.inf)):
+        bad = logits.copy()
+        bad[2, BOS, col] = value
+        with pytest.raises(ValueError, match="non-finite transition logits for batch input 2 at decode step 0$"):
+            diverse_beam_batch(p, bad, cfg)
+
+
+def test_diverse_beam_batch_reruns_a_step_whose_normalization_collapses_a_near_tie():
+    # x and nextafter(x, inf) top the BOS row: the raw argmax is the later token, but
+    # subtracting the log-normalizer can round both to one value, and then the first wins
+    p = PolicyParams(PolicyConfig(vocab_size=6, embed_dim=2, hidden_dim=2, max_len=4))
+    cfg = DecodeConfig(m=1, temperature=1.0)
+    gen = np.random.default_rng(0)
+    for _ in range(100):
+        logits = gen.uniform(-3.0, 0.0, size=(1, 6, 6))
+        x = gen.uniform(0.0, 1.0)
+        logits[0, BOS, 4], logits[0, BOS, 5] = x, np.nextafter(x, np.inf)
+        row = logits[0, BOS] / cfg.temperature
+        if np.argmax(row - logsumexp(row)) != np.argmax(row):
+            break
+    assert (np.argmax(row), np.argmax(row - logsumexp(row))) == (5, 4)
+    got = [z.ids for z in diverse_beam_batch(p, logits, cfg)[0]]
+    assert got == [z.ids for z in reference_diverse_beam(p, X, cfg, logits[0])]
+    assert got[0][0] == 4
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.sampled_from([0.7, 1.0, 1.3]),
+    st.sampled_from([0.0, 3.0]),
+    st.sampled_from([1.0, 10.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_diverse_beam_batch_equals_reference_on_ties_infinities_and_near_ties(
+    seed, m, max_len, temperature, diversity_penalty, repetition_penalty
+):
+    gen = np.random.default_rng(seed)
+    n, v = int(gen.integers(1, 5)), int(gen.integers(3, 9))
+    p = PolicyParams(PolicyConfig(vocab_size=v, embed_dim=2, hidden_dim=2, max_len=max_len))
+    cfg = DecodeConfig(
+        m=m, temperature=temperature, diversity_penalty=diversity_penalty,
+        repetition_penalty=repetition_penalty,
+    )
+    logits = gen.normal(0.0, 2.0, size=(n, v, v))
+    logits[gen.random((n, v)) < 0.2] = 0.0  # rows of exact ties
+    # ulp near-ties on top: x in (0, 1) and nextafter(x, inf) at a later column
+    for b, r in zip(*np.nonzero(gen.random((n, v)) < 0.5)):
+        lo, hi = np.sort(gen.choice(v, 2, replace=False))
+        x = gen.uniform(0.0, 1.0)
+        logits[b, r] = np.minimum(logits[b, r], x - 1.0)
+        logits[b, r, lo], logits[b, r, hi] = x, np.nextafter(x, np.inf)
+    minus_inf = gen.random((n, v, v)) < 0.2
+    minus_inf[..., gen.integers(v)] = False  # one column stays finite, so every row has a max
+    logits[minus_inf] = -np.inf
+    want = [[z.ids for z in reference_diverse_beam(p, X, cfg, logits[b])] for b in range(n)]
+    assert [[z.ids for z in zs] for zs in diverse_beam_batch(p, logits, cfg)] == want
 
 
 def test_decoders_reject_non_finite_rows():

@@ -227,6 +227,28 @@ def test_full_enumeration_mml_equals_exact_gradient():
     assert max_relative_error(assembled, fd) < 1e-4
 
 
+def test_full_enumeration_pg_equals_gradient_of_expected_reward():
+    # over the whole support, reward-weighted coefficients P(z) R(z) rebuild the
+    # gradient of sum_z P(z) R(z), which finite differences of that sum confirm
+    p = tiny_policy(seed=31, vocab=3, max_len=3)
+    x = TokenSeq.from_content([1])
+    reward_fn = table_reward(77)
+    enum = enumerate_sequences(p, x)
+    seqs = [z for z, _ in enum.entries]
+    cur = np.array([lp for _, lp in enum.entries])
+    rewards = np.array([reward_fn(z) for z in seqs])
+    grads = [weighted_seq_grad(p, x, [z], [1.0]) for z in seqs]
+    assembled = assemble_gradient(phi_of(cur, rewards, "pg"), grads)
+
+    def expected_reward(flat):
+        probe = PolicyParams(p.cfg)
+        probe.pv.values[:] = flat
+        return sum(math.exp(lp) * reward_fn(z) for z, lp in enumerate_sequences(probe, x).entries)
+
+    fd = finite_diff_grad(expected_reward, p.flat, h=1e-5)
+    assert max_relative_error(assembled, fd) < 1e-4
+
+
 def test_kl_zero_beta_returns_base_bitwise():
     base = np.array([0.5, -0.5])
     out = kl_penalized_gradient([-1.0], [-1.0], [np.ones(2)], base, 0.0)
