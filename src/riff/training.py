@@ -200,17 +200,43 @@ def example_groups(template: TaskTemplate, examples, rewrites) -> list[Padded]:
     return [format_rewrites(template, [ex.x, *zs]) for ex, zs in pairs]
 
 
+def _row_name(j: int) -> str:
+    """Row j of an example group: the input, then its rewrites from 1."""
+    return "input" if j == 0 else f"rewrite {j}"
+
+
 def ensemble_accuracies(
     classifier: clf.ClassifierParams, verbalizer, examples, groups
 ) -> tuple[float, float]:
-    """Ensemble accuracy with and without the original input, from one
-    classifier call per example group (see example_groups)."""
-    examples = list(examples)
+    """Ensemble accuracy with and without the original input.
+
+    Example groups (see example_groups) padded to the same width share one
+    classifier call, and its scores are split back per group. Groups are
+    never re-padded: the attention normalizer sums over the padded key axis,
+    and numpy groups that sum by row length, so a wider padding can change
+    the last bits. Within one width each group scores bitwise as it would
+    alone. A bad row raises a ValueError naming the example and the row."""
+    examples, groups = list(examples), list(groups)
+    buckets: dict[int, list[int]] = {}  # padded width -> group indices
+    for k, group in enumerate(groups):
+        buckets.setdefault(group.ids.shape[1], []).append(k)
+    scores = [None] * len(groups)
+    for members in buckets.values():
+        ids = np.concatenate([groups[k].ids for k in members])
+        valid = np.concatenate([groups[k].valid for k in members])
+        owners = [(k, j) for k in members for j in range(len(groups[k].ids))]
+        try:
+            logp = clf.label_logprobs_batch(classifier, Padded(ids, valid), verbalizer)
+        except RowError as exc:
+            k, j = owners[exc.row]
+            raise ValueError(f"{_row_name(j)} of example {examples[k].uid}: {exc.reason}") from exc
+        ends = np.cumsum([len(groups[k].ids) for k in members])
+        for k, group_scores in zip(members, np.split(logp, ends[:-1])):
+            scores[k] = group_scores
     correct = np.zeros(2)
-    for ex, group in zip(examples, groups, strict=True):
-        scores = clf.label_logprobs_batch(classifier, group, verbalizer)
+    for ex, group_scores in zip(examples, scores, strict=True):
         for i, include_original in enumerate((True, False)):
-            correct[i] += int(np.argmax(combine_group(scores, include_original))) == ex.y
+            correct[i] += int(np.argmax(combine_group(group_scores, include_original))) == ex.y
     incl, excl = correct / len(examples)
     return float(incl), float(excl)
 
@@ -453,7 +479,12 @@ def train_classifier_augmented(
             seqs.extend(groups[idx])
             ys.extend([split.train[idx].y] * (m + 1))
             weights.extend(group_weights)
-        value, grad = clf.weighted_label_grad(classifier, seqs, ys, weights, verbalizer, mode)
+        try:
+            value, grad = clf.weighted_label_grad(classifier, seqs, ys, weights, verbalizer, mode)
+        except RowError as exc:
+            uid = split.train[batch_idx[exc.row // (m + 1)]].uid
+            what = _row_name(exc.row % (m + 1))
+            raise ValueError(f"{what} of example {uid} at step {step}: {exc.reason}") from exc
         opt.step(classifier.flat, -grad, trainable=mask)
         log.rows.append((step, "train", "loss", -value))
         if step % cfg.checkpoint_interval == 0:

@@ -249,6 +249,33 @@ def test_full_enumeration_pg_equals_gradient_of_expected_reward():
     assert max_relative_error(assembled, fd) < 1e-4
 
 
+def test_full_enumeration_off_policy_pg_weighted_by_fixed_equals_gradient_of_expected_reward():
+    # off-policy pg coefficients are P_cur/P_fixed R; weighting each by its
+    # sampling probability P_fixed rebuilds the gradient of sum_z P_cur(z) R(z)
+    p = tiny_policy(seed=31, vocab=3, max_len=3)
+    fixed = tiny_policy(seed=33, vocab=3, max_len=3)
+    x = TokenSeq.from_content([1])
+    reward_fn = table_reward(77)
+    enum = enumerate_sequences(p, x)
+    seqs = [z for z, _ in enum.entries]
+    cur = np.array([lp for _, lp in enum.entries])
+    fixed_lp = np.array([seq_logprob(fixed, x, z) for z in seqs])
+    rewards = np.array([reward_fn(z) for z in seqs])
+    phi, clamped = coefficients(cur, fixed_lp, rewards, "pg", "off", 0.0)
+    assert clamped == 0
+    assert not np.allclose(cur, fixed_lp)  # the ratios are not all one
+    grads = [weighted_seq_grad(p, x, [z], [1.0]) for z in seqs]
+    assembled = assemble_gradient(np.exp(fixed_lp) * phi, grads)
+
+    def expected_reward(flat):
+        probe = PolicyParams(p.cfg)
+        probe.pv.values[:] = flat
+        return sum(math.exp(lp) * reward_fn(z) for z, lp in enumerate_sequences(probe, x).entries)
+
+    fd = finite_diff_grad(expected_reward, p.flat, h=1e-5)
+    assert max_relative_error(assembled, fd) < 1e-4
+
+
 def test_kl_zero_beta_returns_base_bitwise():
     base = np.array([0.5, -0.5])
     out = kl_penalized_gradient([-1.0], [-1.0], [np.ones(2)], base, 0.0)

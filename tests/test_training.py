@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from conftest import (
 from riff import classifier as clf
 from riff import training
 from riff import estimators as est
-from riff.data import Example, format_input, format_rewrites, gen_synthetic_task, strip_scaffold
+from riff.data import Example, Padded, format_input, format_rewrites, gen_synthetic_task, strip_scaffold
 from riff.decoding import decode_samples
 from riff.optim import AdamConfig, AdamW
 from riff.policy import PolicyConfig, PolicyParams, TokenSeq, snapshot
@@ -519,6 +520,97 @@ def test_ensemble_tie_breaks_to_lower_label():
 def test_ensemble_exclusion_without_rewrites_errors():
     with pytest.raises(ValueError, match="rewrite"):
         combine_group(np.zeros((1, 2)), include_original=False)
+
+
+def padded_to(group: Padded, width: int) -> Padded:
+    extra = ((0, 0), (0, width - group.ids.shape[1]))
+    return Padded(np.pad(group.ids, extra), np.pad(group.valid, extra))
+
+
+@pytest.mark.parametrize("mode", list(clf.TuningMode))
+def test_ensemble_accuracies_score_each_width_in_one_call_bitwise_as_each_group_alone(
+    monkeypatch, mode
+):
+    task = small_task()
+    split = fewshot_split(task.train, 8, seed=0)
+    gen = np.random.default_rng(1)
+    # rewrites of 1..24 content ids give padded widths on both sides of 24
+    rewrites = [
+        [TokenSeq.from_content(gen.integers(4, 20, size=gen.integers(1, 25))) for _ in range(4)]
+        for _ in split.validation
+    ]
+    groups = training.example_groups(task.template, split.validation, rewrites)
+    classifier = tiny_classifier(seed=5, vocab=20, embed=8, prompt_len=3, mode=mode)
+    gen = np.random.default_rng(2)
+    for name in ("lora_b_q", "lora_b_v"):  # adapters that change the scores under LORA
+        classifier.seg(name)[:] = gen.normal(0.0, 0.3, classifier.seg(name).shape)
+    verb = clf.Verbalizer(task.verbalizer_ids)
+    alone = [clf.label_logprobs_batch(classifier, g, verb) for g in groups]
+    widths = [g.ids.shape[1] for g in groups]
+    assert len(set(widths)) > 1 and 1 in Counter(widths).values()
+    if mode is not clf.TuningMode.CLS_HEAD:  # the pooled head reads only real rows
+        # re-padding to the widest group changes some scores, so buckets must not mix widths
+        widest = [clf.label_logprobs_batch(classifier, padded_to(g, max(widths)), verb) for g in groups]
+        assert not all(np.array_equal(a, w) for a, w in zip(alone, widest))
+
+    calls, seen = [], []
+    kernel, combine = clf.label_logprobs_batch, training.combine_group
+
+    def counted(params, seqs, verbalizer):
+        calls.append(seqs.ids.shape[1])
+        return kernel(params, seqs, verbalizer)
+
+    def recorded(scores, include_original):
+        if include_original:  # each group is combined twice, first with its input
+            seen.append(scores)
+        return combine(scores, include_original)
+
+    monkeypatch.setattr(clf, "label_logprobs_batch", counted)
+    monkeypatch.setattr(training, "combine_group", recorded)
+    incl, excl = training.ensemble_accuracies(classifier, verb, split.validation, groups)
+    assert sorted(calls) == sorted(set(widths))  # one call per distinct width
+    assert len(seen) == len(groups)
+    assert all(np.array_equal(got, want) for got, want in zip(seen, alone))
+    want = [
+        np.mean([int(np.argmax(combine(s, inc))) == ex.y for ex, s in zip(split.validation, alone)])
+        for inc in (True, False)
+    ]
+    assert (incl, excl) == tuple(want)
+
+
+@pytest.mark.parametrize("row, what", [(0, "input"), (2, "rewrite 2")])
+def test_ensemble_accuracies_name_the_example_and_row_of_a_bad_token(row, what):
+    task, split, classifier, _ = make_pipeline()
+    verb = clf.Verbalizer(task.verbalizer_ids)
+    long = TokenSeq.from_content([4] * 16)  # longer than any input, so both groups share a width
+    good, bad = split.validation[:2]
+    rows = [bad.x, long, TokenSeq.from_content([4, 6])]
+    rows[row] = TokenSeq.from_content([4, 25])
+    bad = Example(bad.uid, rows[0], bad.y)
+    groups = training.example_groups(task.template, [good, bad], [[long, long], rows[1:]])
+    assert groups[0].ids.shape == groups[1].ids.shape
+    reason = "token id 25 out of range for vocabulary of size 20"
+    with pytest.raises(ValueError, match=f"^{what} of example {bad.uid}: {reason}$"):
+        training.ensemble_accuracies(classifier, verb, [good, bad], groups)
+
+
+def test_augmented_step_names_the_example_row_and_step_of_a_bad_token(monkeypatch):
+    task, split, classifier, policy = make_pipeline()
+    bad = split.train[3]
+    cache_fn = training.generate_paraphrase_cache
+
+    def planted(policy, examples, m, cfg, cache_seed):
+        cache = cache_fn(policy, examples, m, cfg, cache_seed)
+        key = next(k for k in cache if k[1] == bad.uid)
+        cache[key] = [cache[key][0], TokenSeq.from_content([4, 25])]
+        return cache
+
+    monkeypatch.setattr(training, "generate_paraphrase_cache", planted)
+    # one batch holds every training example, so step 1 reaches the bad one
+    cfg = RunConfig(m=2, steps=2, batch_size=len(split.train), checkpoint_interval=2)
+    reason = "token id 25 out of range for vocabulary of size 20"
+    with pytest.raises(ValueError, match=f"^rewrite 2 of example {bad.uid} at step 1: {reason}$"):
+        train_classifier_augmented(classifier, policy, task, split, m=2, mode=clf.TuningMode.HEAD, cfg=cfg)
 
 
 def test_select_best_checkpoint_rules():
