@@ -296,13 +296,12 @@ def _cls_head(params: ClassifierParams, pooled: np.ndarray):
 
 def _kernel(params: ClassifierParams, seqs, ys, weights, verbalizer, mode, want_rows=False):
     """(sum_i w_i log P(y_i | s_i), masked gradient, input rows' gradient or None)."""
-    seqs = list(seqs)
+    ids, valid = _batch_ids(params, seqs)
     ys = np.asarray(ys, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
-    if len(ys) != len(seqs) or len(weights) != len(seqs):
-        raise ValueError(f"{len(seqs)} sequences, {len(ys)} labels and {len(weights)} weights")
+    if len(ys) != len(ids) or len(weights) != len(ids):
+        raise ValueError(f"{len(ids)} sequences, {len(ys)} labels and {len(weights)} weights")
     _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
-    ids, valid = _batch_ids(params, seqs)
     g = ParamVector(classifier_segments(params.cfg))
     d_rows = None
     if mode is TuningMode.CLS_HEAD:
@@ -350,9 +349,9 @@ def weighted_label_grad(
     verbalizer: Verbalizer,
     mode: TuningMode | None = None,
 ) -> tuple[float, np.ndarray]:
-    """sum_i weights[i] * log P(ys[i] | seqs[i]) under the mode's scoring
-    path, and its gradient masked so every segment outside the mode's
-    trainable set is exactly zero: one batched forward and one backward."""
+    """sum_i weights[i] * log P(ys[i] | seqs[i]) (TokenSeqs or a Padded batch)
+    under the mode's scoring path, and its gradient masked so every segment
+    outside the mode's trainable set is exactly zero: one forward and backward."""
     mode = params.mode if mode is None else mode
     return _kernel(params, seqs, ys, weights, verbalizer, mode)[:2]
 

@@ -10,11 +10,10 @@ generated example perfectly, which pins down what "signal" means in checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .policy import TokenSeq
+from .policy import Padded, TokenSeq, pad
 from .vocab import BOS, EOS, FIRST_CONTENT_ID, MASK, SEP, is_scaffold
 
 
@@ -24,23 +23,6 @@ class RowError(ValueError):
     def __init__(self, row: int, reason: str):
         super().__init__(f"batch sequence {row}: {reason}")
         self.row, self.reason = row, reason
-
-
-class Padded(NamedTuple):
-    """Token ids of a batch, zero-padded to its longest sequence, and the mask of real positions."""
-
-    ids: np.ndarray
-    valid: np.ndarray
-
-
-def pad(seqs) -> Padded:
-    if not seqs:
-        raise ValueError("empty batch")
-    lengths = np.array([len(s.ids) for s in seqs])
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    ids = np.zeros(valid.shape, dtype=np.intp)
-    ids[valid] = [t for s in seqs for t in s.ids]
-    return Padded(ids, valid)
 
 
 @dataclass(frozen=True)
@@ -80,9 +62,9 @@ def format_input(template: TaskTemplate, instruction, x: TokenSeq) -> TokenSeq:
 
 def format_rewrites(template: TaskTemplate, seqs) -> Padded:
     """pad() of format_input(template, template.instruction, strip_scaffold(z))
-    for each decoded rewrite z, built without the intermediate sequences; a
-    row over max_input_len raises a RowError."""
-    raw = pad(seqs).ids
+    for each decoded rewrite z (TokenSeqs or a Padded batch), built without
+    the intermediate sequences; a row over max_input_len raises a RowError."""
+    raw = (seqs if isinstance(seqs, Padded) else pad(seqs)).ids
     keep = raw >= FIRST_CONTENT_ID  # scaffold ids and the zero padding drop out
     n = keep.sum(axis=1)
     head = (BOS, *template.instruction, *((MASK, SEP) if template.mask_first else ()))

@@ -2,8 +2,9 @@
 mixed scheme that blends the two.
 
 All decoders force EOS once a sequence reaches max_len - 1 content tokens, so
-every returned TokenSeq is well formed. Given a fixed seed the outputs are
-bitwise reproducible; each call owns its own random state.
+every returned sequence is well formed. A batch kernel returns one Padded
+array, input-major (row b * m + j is sample j of input b); the per-input
+decoders wrap them. Given a fixed seed the outputs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import log_softmax_rows
 from .policy import (
+    Padded,
     PolicyParams,
     TokenSeq,
-    path_logprob,
+    path_logprobs,
     transition_logits,
     transition_table,
+    unpad,
 )
 from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads decoding.seq_logprob
 from .vocab import BOS, EOS
@@ -47,85 +51,75 @@ class DecodeConfig:
             raise ValueError("repetition_penalty must be at least 1")
 
 
-def nucleus_stack(tables: np.ndarray, top_p: float) -> list[tuple]:
-    """Per input of a (B, V, V) stack of log-transition tables, from one exp,
-    stable argsort and cumsum over the stack: its probabilities, each row's
-    token ids most probable first, and each row's cut, the first sorted
-    position whose cumulative mass reaches top_p (at most the last). An
-    input's entry is top_p_sample's `nuclei`."""
+def _rows(ids: np.ndarray) -> Padded:
+    """pad() of decoded id rows, each cut after its first EOS."""
+    ends = (ids == EOS).argmax(axis=1) + 1
+    valid = np.arange(ends.max()) < ends[:, None]
+    return Padded(np.where(valid, ids[:, : valid.shape[1]], 0), valid)
+
+
+def _nuclei(tables: np.ndarray, top_p: float):
+    """nucleus(b, row): the fewest most probable tokens of a row of a (B, V, V) log-table
+    stack whose mass reaches top_p and their normalized cdf, as lists; non-finite mass raises.
+    numpy's pairwise sum groups a row's terms by length, so one bucket per size is exact."""
     probs = np.exp(tables)
     order = np.argsort(-probs, axis=-1, kind="stable")
-    csum = np.cumsum(np.take_along_axis(probs, order, axis=-1), axis=-1)
-    # csum never decreases and NaN sorts last, so this counts what searchsorted(left) would
-    cut = np.minimum(np.count_nonzero(csum < top_p, axis=-1), tables.shape[-1] - 1)
-    return list(zip(probs, order, cut))
+    ranked = np.take_along_axis(probs, order, axis=-1)
+    # cumsum never decreases and NaN sorts last, so this counts what searchsorted(left) would
+    size = np.minimum(np.count_nonzero(ranked.cumsum(axis=-1) < top_p, axis=-1), tables.shape[-1] - 1) + 1
+    cdf, mass = np.empty_like(ranked), np.empty(size.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite row raises once a draw visits it
+        for n in sorted(set(size.ravel().tolist())):  # np.unique would import numpy.ma
+            rows = size == n
+            kept = ranked[rows, :n]
+            mass[rows] = total = kept.sum(axis=1)
+            bucket = (kept / total[:, None]).cumsum(axis=1)
+            cdf[rows, :n] = bucket / bucket[:, -1:]
+
+    def nucleus(b: int, row: int) -> tuple[list[int], list[float]]:
+        if not 0.0 < mass[b, row] < math.inf:  # the nucleus holds probabilities: finite just then
+            raise ValueError(f"non-finite probabilities in transition row {row}")
+        return order[b, row, : size[b, row]].tolist(), cdf[b, row, : size[b, row]].tolist()
+
+    return nucleus
 
 
-def _nucleus_row(nuclei, row: int) -> tuple[list[int], list[float]]:
-    """The nucleus of one row of an input's nucleus_stack entry: its token
-    ids, most probable first, and the normalized cumulative sum a uniform
-    draw is looked up in. The bits depend on numpy's pairwise sum over the
-    nucleus's own length, so this part runs per row."""
-    probs, order, cut = nuclei
-    keep = order[row, : cut[row] + 1]
-    kept = probs[row, keep]
-    mass = kept.sum()
-    if not 0.0 < mass < math.inf:  # kept holds probabilities: kept / mass is finite just then
-        raise ValueError(f"non-finite probabilities in transition row {row}")
-    cdf = (kept / mass).cumsum()
-    cdf /= cdf[-1]
-    return keep.tolist(), cdf.tolist()
+def top_p_batch(policy: PolicyParams, tables: np.ndarray, seeds, cfg: DecodeConfig) -> Padded:
+    """m nucleus draws of each input of a (B, V, V) log-table stack, input b's from
+    Generator(seeds[b]), not cfg.seed. A draw is keep[bisect_right(cdf, u)], with (keep,
+    cdf) the row's nucleus, made lists on the first visit, and u the next of one block of
+    uniforms: Generator.choice(keep, p=nucleus), which takes one random() per call."""
+    nucleus = _nuclei(tables, cfg.top_p)
+    max_len = policy.cfg.max_len
+    rows = []
+    for b, seed in enumerate(seeds):
+        uniforms = iter(np.random.default_rng(seed).random(cfg.m * (max_len - 1)).tolist())
+        built: dict[int, tuple[list[int], list[float]]] = {}
+        for _ in range(cfg.m):
+            ids, prev = [], BOS
+            while prev != EOS and len(ids) < max_len - 1:
+                if prev not in built:
+                    built[prev] = nucleus(b, prev)
+                keep, cdf = built[prev]
+                prev = keep[bisect.bisect_right(cdf, next(uniforms))]
+                ids.append(prev)
+            rows.append(ids + [EOS] * (max_len - len(ids)))  # EOS is forced at max_len - 1
+    return _rows(np.array(rows, dtype=np.intp))
 
 
 def top_p_sample(
-    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None,
-    nuclei=None,
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None
 ) -> list[tuple[TokenSeq, float]]:
-    """Draw m sequences by nucleus sampling at temperature 1.
-
-    Each step keeps the minimal probability-sorted token set whose cumulative
-    mass reaches cfg.top_p, renormalizes, and samples from it. The returned
-    log-probs are exact values under the unmodified policy, summed while
-    sampling. A caller already holding transition_table(policy, x) passes it
-    as `table`, and its nucleus_stack entry as `nuclei`.
-
-    A row's nucleus depends only on the row, so it is built once, on the
-    first visit. A draw is keep[bisect_right(cdf, u)] with cdf the nucleus's
-    normalized cumulative sum and u the next uniform of one block: that is
-    Generator.choice(keep, p=nucleus), which takes one random() per call.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    table = transition_table(policy, x) if table is None else table
-    nuclei = nucleus_stack(table[None], cfg.top_p)[0] if nuclei is None else nuclei
-    rows = table.tolist()
-    max_len = policy.cfg.max_len
-    uniforms = iter(rng.random(cfg.m * (max_len - 1)).tolist())
-    built: dict[int, tuple[list[int], list[float]]] = {}
-    out = []
-    for _ in range(cfg.m):
-        ids: list[int] = []
-        logprob = 0.0
-        prev = BOS
-        while True:
-            if len(ids) == max_len - 1:
-                tok = EOS
-            else:
-                if prev not in built:
-                    built[prev] = _nucleus_row(nuclei, prev)
-                keep, cdf = built[prev]
-                tok = keep[bisect.bisect_right(cdf, next(uniforms))]
-            ids.append(tok)
-            logprob += rows[prev][tok]
-            if tok == EOS:
-                break
-            prev = tok
-        out.append((TokenSeq(tuple(ids)), logprob))
-    return out
+    """m nucleus draws of one input seeded by cfg.seed, each with its exact
+    log-prob; a caller holding transition_table(policy, x) passes `table`."""
+    tables = (transition_table(policy, x) if table is None else table)[None]
+    rows = top_p_batch(policy, tables, [cfg.seed], cfg)
+    return list(zip(unpad(rows), path_logprobs(tables, rows).tolist()))
 
 
 def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
     """m groups of beam width 1 for one input: diverse_beam_batch of a batch of one."""
-    return diverse_beam_batch(policy, transition_logits(policy, x)[0][None], cfg)[0]
+    return unpad(diverse_beam_batch(policy, transition_logits(policy, x)[0][None], cfg))
 
 
 def _log_normalizers(rows: np.ndarray) -> np.ndarray:
@@ -172,26 +166,24 @@ def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, la
 
 def diverse_beam_batch(
     policy: PolicyParams, logits: np.ndarray, cfg: DecodeConfig
-) -> list[list[TokenSeq]]:
+) -> Padded:
     """diverse_beam of each input of a (B, V, V) transition-logits stack: m
     groups of beam width 1, expanded sequentially per step. Per step and
     group, the group's own prefix tokens get the repetition penalty on raw
     logits (positive logits divided, negative multiplied), temperature
     rescales, and tokens chosen by earlier groups at this step are pushed down
-    by diversity_penalty * count. Groups rank by cumulative normalized score;
-    cfg.seed is never read.
+    by diversity_penalty * count. Groups rank by cumulative normalized score,
+    a stable sort; cfg.seed is never read.
 
-    Each step gathers all m groups' (B, V) rows at once, taking each column
-    from the plain or the penalized logits by whether the token is in the
-    group's prefix. The loop over groups only subtracts the diversity
-    penalty, takes the first-index argmax and counts the picks; one pass over
-    the step's live rows then takes their log-normalizers. Subtracting a
-    row's normalizer keeps its argmax unless rounding collapses a near-tie
-    onto the first index, so a step whose normalizers are not all finite or
-    whose picks are not all their normalized rows' argmax reruns with the
-    normalizer inside the group loop. That rerun raises on a non-finite live
-    row, naming the batch input and the step. Finished groups are masked
-    out and their rows never checked."""
+    Each step gathers all m groups' (B, V) rows at once, each column plain or
+    penalized by whether the token is in the group's prefix. The group loop
+    only subtracts the diversity penalty, takes the first-index argmax and
+    counts the picks; one pass then takes the live rows' log-normalizers.
+    That keeps each argmax unless rounding collapses a near-tie onto the
+    first index, so a step with a non-finite normalizer or a changed argmax
+    reruns with the normalizer inside the group loop, which raises on a
+    non-finite live row, naming the batch input and the step. Finished
+    groups are masked out and their rows never checked."""
     n, v = logits.shape[0], logits.shape[-1]
     m, max_len, div, rep = cfg.m, policy.cfg.max_len, cfg.diversity_penalty, cfg.repetition_penalty
     # cell (b * V + p) * 2V + c: the plain (c < V) or repetition-penalized (c - V) logit of
@@ -220,66 +212,65 @@ def diverse_beam_batch(
             alive &= picks != EOS
             if not np.count_nonzero(alive):
                 break
-    out = []
-    for row, seqs in zip(scores.T.tolist(), tokens[1:].transpose(2, 1, 0).tolist()):
-        ranked = sorted(range(m), key=lambda i: (-row[i], i))
-        out.append([TokenSeq(seqs[i][: seqs[i].index(EOS) + 1]) for i in ranked])
-    return out
+    ranked = np.take_along_axis(tokens[1:], np.argsort(-scores, axis=0, kind="stable")[None], axis=1)
+    return _rows(ranked.transpose(2, 1, 0).reshape(n * m, max_len))
 
 
-def _by_logprob(scored) -> list[TokenSeq]:
-    """(sequence, log-prob) pairs to sequences by descending log-prob; ties keep order."""
-    return [z for z, _ in sorted(scored, key=lambda pair: -pair[1])]
+def _mix(beams: Padded, draws: Padded, tables: np.ndarray, m: int) -> Padded:
+    """Each input's top m/2 of its m beam rows and of its m nucleus draws by log-probability,
+    ties in order. A row whose ids the input already took is skipped for its source's
+    next-ranked row; repeats appear only when a source has no fresh rows left."""
+    if m % 2 != 0:
+        raise ValueError("mixed decoding needs an even sample count")
+    n = len(tables)
+    ids = np.zeros((2 * n * m, max(beams.ids.shape[1], draws.ids.shape[1])), dtype=np.intp)
+    ids[: n * m, : beams.ids.shape[1]] = beams.ids
+    ids[n * m :, : draws.ids.shape[1]] = draws.ids
+    keys = [row.tobytes() for row in ids]  # rows are zero past their end
+    lps = np.concatenate([path_logprobs(tables, beams), path_logprobs(tables, draws)]).reshape(2 * n, m)
+    # ranked[s * n + b]: the rows of input b's source s (beam, nucleus), best first
+    ranked = (np.argsort(-lps, axis=1, kind="stable") + m * np.arange(2 * n)[:, None]).tolist()
+    picks: list[int] = []
+    for b in range(n):
+        seen: set[bytes] = set()
+        for source in (ranked[b], ranked[n + b]):
+            fresh = []
+            for r in source:
+                if len(fresh) < m // 2 and keys[r] not in seen:
+                    fresh.append(r)
+                    seen.add(keys[r])
+            picks += fresh + [source[i % m] for i in range(m // 2 - len(fresh))]
+    return _rows(ids[picks])
+
+
+def decode_batch(policy: PolicyParams, scheme: str, logits, tables, seeds, cfg: DecodeConfig) -> Padded:
+    """m rewrites by `scheme` of each input of a stack of raw transition
+    logits and their log-softmax tables, input b's draws from seeds[b]."""
+    if scheme == "beam":
+        return diverse_beam_batch(policy, logits, cfg)
+    if scheme == "top_p":
+        return top_p_batch(policy, tables, seeds, cfg)
+    if scheme == "mixed":
+        beams = diverse_beam_batch(policy, logits, cfg)
+        return _mix(beams, top_p_batch(policy, tables, seeds, cfg), tables, cfg.m)
+    raise ValueError(f"unknown decode scheme {scheme!r}")
 
 
 def mixed_decode(
-    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None,
-    beam=None, nuclei=None,
+    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None
 ) -> list[TokenSeq]:
-    """Run both decoders at m samples each, then keep the top m/2 from each
-    ranked by policy log-probability. Duplicates across the halves are skipped
-    in favor of the same source's next-ranked sample; repeats appear only when
-    a source has no fresh sequences left. The nucleus draws and the ranking
-    read one table; a caller already holding transition_table(policy, x),
-    diverse_beam(policy, x, cfg) and the table's nucleus_stack entry passes
-    them as `table`, `beam` and `nuclei`."""
-    if cfg.m % 2 != 0:
-        raise ValueError("mixed decoding needs an even sample count")
-    table = transition_table(policy, x) if table is None else table
-    beam = diverse_beam(policy, x, cfg) if beam is None else beam
-    half = cfg.m // 2
-    beam_ranked = _by_logprob((z, path_logprob(table, z)) for z in beam)
-    nucleus_ranked = _by_logprob(top_p_sample(policy, x, cfg, table, nuclei))
-    picks: list[TokenSeq] = []
-    seen: set[tuple[int, ...]] = set()
-    for source in (beam_ranked, nucleus_ranked):
-        taken = 0
-        for z in source:
-            if taken == half:
-                break
-            if z.ids not in seen:
-                picks.append(z)
-                seen.add(z.ids)
-                taken += 1
-        backfill = 0
-        while taken < half:
-            picks.append(source[backfill % len(source)])
-            backfill += 1
-            taken += 1
-    return picks
+    """Both decoders' m samples of one input, cut to the top m/2 of each by
+    log-probability: decode_samples by the mixed scheme."""
+    return decode_samples(policy, x, "mixed", cfg, table)
 
 
 def decode_samples(
-    policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig, table=None, beam=None,
-    nuclei=None,
+    policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig, table: np.ndarray | None = None
 ) -> list[TokenSeq]:
-    """`table` is transition_table(policy, x), `beam` diverse_beam(policy, x,
-    cfg) and `nuclei` the table's nucleus_stack entry when the caller
-    already holds them."""
-    if scheme == "beam":
-        return diverse_beam(policy, x, cfg) if beam is None else beam
+    """m rewrites of one input by `scheme`, its draws seeded by cfg.seed; a
+    caller holding transition_table(policy, x) passes it as `table`."""
     if scheme == "top_p":
-        return [z for z, _ in top_p_sample(policy, x, cfg, table, nuclei)]
-    if scheme == "mixed":
-        return mixed_decode(policy, x, cfg, table, beam, nuclei)
-    raise ValueError(f"unknown decode scheme {scheme!r}")
+        return [z for z, _ in top_p_sample(policy, x, cfg, table)]
+    logits = transition_logits(policy, x)[0][None]
+    tables = log_softmax_rows(logits) if table is None else table[None]
+    return unpad(decode_batch(policy, scheme, logits, tables, [cfg.seed], cfg))

@@ -10,6 +10,7 @@ finite-difference checks depend on.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,28 @@ class TokenSeq:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+class Padded(NamedTuple):
+    """Token ids of a batch, zero-padded to its longest sequence, and the mask of real positions."""
+
+    ids: np.ndarray
+    valid: np.ndarray
+
+
+def pad(seqs) -> Padded:
+    if not seqs:
+        raise ValueError("empty batch")
+    lengths = np.array([len(s.ids) for s in seqs])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(valid.shape, dtype=np.intp)
+    ids[valid] = [t for s in seqs for t in s.ids]
+    return Padded(ids, valid)
+
+
+def unpad(rows: Padded) -> list[TokenSeq]:
+    """The sequences of a padded batch, in row order."""
+    return [TokenSeq(tuple(ids[:n])) for ids, n in zip(rows.ids.tolist(), rows.valid.sum(axis=1).tolist())]
 
 
 @dataclass(frozen=True)
@@ -131,10 +154,33 @@ def check_output_seq(z: TokenSeq, cfg: PolicyConfig) -> None:
         raise ValueError(f"sequence length {len(z)} exceeds max_len {cfg.max_len}")
 
 
+def _check_rows(rows: Padded, cfg: PolicyConfig) -> None:
+    """check_output_seq of the first bad row of a padded batch, if any."""
+    ids, valid = rows
+    if ids.shape[1] > cfg.max_len or ids.max() >= cfg.vocab_size:  # else every row passes: padding is zero
+        lengths = valid.sum(axis=1)
+        for i in np.flatnonzero((valid & (ids >= cfg.vocab_size)).any(axis=1) | (lengths > cfg.max_len))[:1]:
+            check_output_seq(TokenSeq(tuple(ids[i, : lengths[i]])), cfg)
+
+
 def encode_context(params: PolicyParams, x: TokenSeq) -> np.ndarray:
     _check_ids(x, params.cfg.vocab_size)
     # bitwise what .mean(axis=0) returns, without numpy's Python-level wrapper
     return params.token_embedding[list(x.ids)].sum(axis=0) / len(x.ids)
+
+
+def encode_contexts(params: PolicyParams, inputs: Padded) -> np.ndarray:
+    """encode_context of each padded input, stacked, bitwise: positions sum in
+    order, padding adds exact zeros. numpy sums a single embedding column
+    pairwise by padded length, so that case encodes inputs one at a time."""
+    emb, (ids, valid) = params.token_embedding, inputs
+    if ids.max() >= len(emb):  # padding is zero
+        for i in np.flatnonzero((valid & (ids >= len(emb))).any(axis=1))[:1]:
+            _check_ids(TokenSeq(tuple(ids[i][valid[i]])), len(emb))
+    if emb.shape[1] == 1:
+        return np.array([emb[row[keep]].sum(axis=0) / keep.sum() for row, keep in zip(ids, valid)])
+    gathered = np.concatenate([emb, np.zeros_like(emb[:1])])[np.where(valid, ids, len(emb))]
+    return gathered.sum(axis=1) / valid.sum(axis=1)[:, None]
 
 
 def _forward(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -160,8 +206,8 @@ def transition_logits(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tu
 
 def transition_logits_batch(params: PolicyParams, xs) -> tuple[np.ndarray, tuple]:
     """transition_logits of each input, stacked: (B, V, V) logits and (B, ...)
-    activations from one forward."""
-    return _forward(params, np.array([encode_context(params, x) for x in xs]))
+    activations from one forward over the batched contexts."""
+    return _forward(params, encode_contexts(params, pad(xs)))
 
 
 def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
@@ -170,53 +216,48 @@ def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
     return log_softmax_rows(transition_logits(params, x)[0])
 
 
-def path_logprob(table: np.ndarray, z: TokenSeq) -> float:
-    """Sum of table lookups along z, starting from BOS."""
-    total = 0.0
-    for prev, tok in zip((BOS,) + z.ids[:-1], z.ids):
-        total += float(table[prev, tok])
+def _cells(rows: Padded, batch: int, v: int) -> np.ndarray:
+    """Each position's flat (input, previous token, token) cell in a (batch, V, V) stack."""
+    ids = rows.ids
+    cells = ids + np.repeat(np.arange(0, batch * v * v, v * v), len(ids) // batch)[:, None]
+    cells[:, 0] += BOS * v
+    cells[:, 1:] += ids[:, :-1] * v
+    return cells
+
+
+def path_logprobs(tables: np.ndarray, rows: Padded) -> np.ndarray:
+    """log P of each input-major row under its input's log-transition table:
+    one gather, 0.0 past each row's end, summed in path order from 0.0."""
+    cells = np.where(rows.valid, tables.reshape(-1).take(_cells(rows, *tables.shape[:2])), 0.0)
+    total = np.zeros(len(cells))
+    for col in cells.T:
+        total += col
     return total
-
-
-def seq_logprobs(params: PolicyParams, x: TokenSeq, seqs) -> np.ndarray:
-    """Exact log P(z | x) of each z in seqs, all read off one table. Always <= 0."""
-    for z in seqs:
-        check_output_seq(z, params.cfg)
-    table = transition_table(params, x)
-    return np.array([path_logprob(table, z) for z in seqs])
 
 
 def seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:
     """Exact log P(z | x): sum of per-step log-softmax terms. Always <= 0."""
-    return float(seq_logprobs(params, x, [z])[0])
+    check_output_seq(z, params.cfg)
+    return float(path_logprobs(transition_table(params, x)[None], pad([z]))[0])
 
 
-def _transition_counts(batch: int, vocab_size: int, items) -> np.ndarray:
-    """(batch, V, V) weighted transition counts from (row, sequence, weight)
-    items: one unbuffered add.at, so each cell accumulates in item order."""
-    rows, prevs, toks, ws = [], [], [], []
-    for row, z, w in items:
-        ids = z.ids
-        rows += [row] * len(ids)
-        prevs.append(BOS)
-        prevs += ids[:-1]
-        toks += ids
-        ws += [w] * len(ids)
-    counts = np.zeros((batch, vocab_size, vocab_size))
-    index = tuple(np.array(a, dtype=np.intp) for a in (rows, prevs, toks))
-    np.add.at(counts, index, np.array(ws, dtype=np.float64))
-    return counts
+def _transition_counts(batch: int, v: int, rows: Padded, weights) -> np.ndarray:
+    """(batch, V, V) weighted transition counts of input-major rows: bincount adds each
+    step's weight in row-major order, so each cell adds in path order. Padding steps weigh
+    0 and fall on the (EOS, EOS) cell, which no real step reaches."""
+    steps = np.asarray(weights, dtype=np.float64)[:, None] * rows.valid
+    return np.bincount(_cells(rows, batch, v).ravel(), steps.ravel(), batch * v * v).reshape(batch, v, v)
 
 
-def _backward(params: PolicyParams, xs, counts, logits, u, s) -> np.ndarray:
+def _backward(params: PolicyParams, inputs: Padded, counts, logits, u, s) -> np.ndarray:
     """Gradient rows (B, P): row b is the gradient of sum_{p,t} counts[b, p, t]
-    * log P(t | p, xs[b]), one stacked backward through the tables. With C the
-    counts, the logit gradient is C - rowsum(C) * softmax(logits)."""
+    * log P(t | p, input b), one stacked backward through the tables. With C
+    the counts, the logit gradient is C - rowsum(C) * softmax(logits)."""
     d = params.cfg.embed_dim
     glogits = counts - counts.sum(axis=-1, keepdims=True) * np.exp(log_softmax_rows(logits))
-    g = np.empty((len(xs), params.pv.size))
+    g = np.empty((len(logits), params.pv.size))
     seg = {
-        name: g[:, params.pv.segment_slice(name)].reshape(len(xs), *shape)
+        name: g[:, params.pv.segment_slice(name)].reshape(len(logits), *shape)
         for name, shape in params.pv.segments()
     }
     seg["out_head"][:] = s.transpose(0, 2, 1) @ glogits
@@ -226,39 +267,30 @@ def _backward(params: PolicyParams, xs, counts, logits, u, s) -> np.ndarray:
     gu = ga @ params.rec_w
     seg["token_embedding"][:] = gu[:, :, d:]
     # the context is the mean of the input's embeddings
-    rows = [b for b, x in enumerate(xs) for _ in x.ids]
-    lens = np.array([len(x.ids) for x in xs])[:, None]
-    g_ctx = gu[:, :, :d].sum(axis=1) / lens
-    np.add.at(seg["token_embedding"], (rows, [t for x in xs for t in x.ids]), g_ctx[rows])
+    rows = np.nonzero(inputs.valid)[0]
+    g_ctx = gu[:, :, :d].sum(axis=1) / inputs.valid.sum(axis=1)[:, None]
+    np.add.at(seg["token_embedding"], (rows, inputs.ids[inputs.valid]), g_ctx[rows])
     return g
 
 
-def weighted_seq_grads(params: PolicyParams, xs, items, transition: tuple | None = None) -> np.ndarray:
-    """Gradient rows (B, P): row b is the gradient of the sum of
-    w * log P(z | xs[b]) over the (b, z, w) items, by one stacked backward
-    from the weighted transition counts. A caller already holding
-    transition_logits_batch(params, xs) passes it as `transition`."""
-    for _, z, _ in items:
-        check_output_seq(z, params.cfg)
-    counts = _transition_counts(len(xs), params.cfg.vocab_size, items)
-    logits, (u, s) = transition_logits_batch(params, xs) if transition is None else transition
-    return _backward(params, xs, counts, logits, u, s)
+def weighted_seq_grads(
+    params: PolicyParams, inputs: Padded, rows: Padded, weights, transition=None
+) -> np.ndarray:
+    """Gradient rows (B, P): row b is the gradient of sum_r weights[r] * log P(row r | input b)
+    over input b's rows (input-major), by one stacked backward from the weighted transition
+    counts; a caller holding transition_logits_batch of the inputs passes it as `transition`."""
+    if len(weights) != len(rows.ids):
+        raise ValueError(f"{len(weights)} weights for {len(rows.ids)} sequences")
+    _check_rows(rows, params.cfg)
+    counts = _transition_counts(len(inputs.ids), params.cfg.vocab_size, rows, weights)
+    logits, (u, s) = _forward(params, encode_contexts(params, inputs)) if transition is None else transition
+    return _backward(params, inputs, counts, logits, u, s)
 
 
 def weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights) -> np.ndarray:
-    """Gradient of sum_j weights[j] * seq_logprob(params, x, seqs[j]):
-    weighted_seq_grads of one input."""
-    if len(weights) != len(seqs):
-        raise ValueError(f"{len(weights)} weights for {len(seqs)} sequences")
-    return weighted_seq_grads(params, [x], [(0, z, w) for z, w in zip(seqs, weights)])[0]
-
-
-def pair_grads(params: PolicyParams, xs, zs) -> np.ndarray:
-    """Row b is the gradient of log P(zs[b] | xs[b]): one stacked forward
-    and one stacked backward for the whole batch of pairs."""
-    if len(xs) != len(zs):
-        raise ValueError(f"{len(xs)} inputs for {len(zs)} targets")
-    return weighted_seq_grads(params, xs, [(b, z, 1.0) for b, z in enumerate(zs)])
+    """Gradient of sum_j weights[j] * seq_logprob(params, x, seqs[j])."""
+    logits, (u, s) = transition_logits(params, x)
+    return weighted_seq_grads(params, pad([x]), pad(seqs), weights, (logits[None], (u[None], s[None])))[0]
 
 
 def pretrain_mle(
@@ -269,22 +301,26 @@ def pretrain_mle(
     batch_size: int = 8,
     seed: int = 0,
 ) -> PolicyParams:
-    """Maximum-likelihood pretraining on (input, rewrite-target) pairs.
-
-    Returns an updated copy; the argument is left untouched.
-    """
+    """Maximum-likelihood pretraining on (input, rewrite-target) pairs: the inputs are
+    padded and each target's transitions counted once, and a minibatch is one stacked
+    forward and backward over its rows. Returns an updated copy; the argument is left untouched."""
     if not pairs:
         raise ValueError("no training pairs")
+    n = len(pairs)
+    inputs, targets = pad([x for x, _ in pairs]), pad([z for _, z in pairs])
+    _check_rows(targets, params.cfg)
+    counts = _transition_counts(n, params.cfg.vocab_size, targets, np.ones(n))
     out = params.copy()
     opt = AdamW(out.flat.size, AdamConfig(lr=lr))
     rng = np.random.default_rng(seed)
-    n = len(pairs)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             chunk = order[start : start + batch_size]
+            batch = Padded(inputs.ids[chunk], inputs.valid[chunk])
+            logits, (u, s) = _forward(out, encode_contexts(out, batch))
             grad = np.zeros(out.flat.size)
-            for row in pair_grads(out, [pairs[i][0] for i in chunk], [pairs[i][1] for i in chunk]):
+            for row in _backward(out, batch, counts[chunk], logits, u, s):
                 grad += row
             grad /= len(chunk)
             opt.step(out.flat, -grad)

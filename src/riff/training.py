@@ -20,18 +20,19 @@ from . import classifier as clf
 from . import estimators as est
 from .checkpoint import atomic_write, params_hash
 from .data import Example, Padded, RowError, SyntheticTask, TaskTemplate, format_input
-from .data import format_rewrites, strip_scaffold
-from .decoding import DecodeConfig, decode_samples, diverse_beam_batch, nucleus_stack
+from .data import format_rewrites, pad, strip_scaffold
+from .decoding import DecodeConfig, decode_batch, diverse_beam_batch
 from .estimators import DEFAULT_BETA, ESTIMATORS, REGIMES
 from .numerics import log_softmax_rows
 from .optim import AdamConfig, AdamW
 from .policy import (
     PolicyParams,
     TokenSeq,
-    path_logprob,
+    path_logprobs,
     save_policy,
     snapshot,
     transition_logits_batch,
+    unpad,
     weighted_seq_grads,
 )
 from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads training.seq_logprob
@@ -187,11 +188,11 @@ def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig) -> l
     beam reads no seed, so rewrites depend only on the policy and input."""
     examples = list(examples)
     dc = decode_config(replace(cfg, m=m), cfg.seed)
-    rewrites = []
+    seqs = []
     for start in range(0, len(examples), cfg.batch_size):
         xs = [ex.x for ex in examples[start : start + cfg.batch_size]]
-        rewrites += diverse_beam_batch(policy, transition_logits_batch(policy, xs)[0], dc)
-    return rewrites
+        seqs += unpad(diverse_beam_batch(policy, transition_logits_batch(policy, xs)[0], dc))
+    return [seqs[start : start + m] for start in range(0, len(seqs), m)]
 
 
 def example_groups(template: TaskTemplate, examples, rewrites) -> list[Padded]:
@@ -299,60 +300,49 @@ class _RunLog:
         return self.checkpoints
 
 
-def _sample_rewards(batch, samples, reward_fn, step: int) -> list[np.ndarray]:
-    """Raw rewards of each example's samples from one `reward_fn(seqs, ys)`
-    call over the whole minibatch; a RowError from it is re-raised naming
-    the example whose rewrite is bad."""
-    owners = [ex for ex, zs in zip(batch, samples) for _ in zs]
+def _sample_rewards(batch, rewrites: Padded, reward_fn, step: int) -> np.ndarray:
+    """(B, m) raw rewards of the minibatch's rewrites (rows input-major, m
+    per example) from one `reward_fn(rewrites, ys)` call; a RowError from it
+    is re-raised naming the example whose rewrite is bad."""
+    m = len(rewrites.ids) // len(batch)
     try:
-        scores = reward_fn([z for zs in samples for z in zs], [ex.y for ex in owners])
+        scores = reward_fn(rewrites, np.repeat([ex.y for ex in batch], m))
     except RowError as exc:
-        uid = owners[exc.row].uid
-        raise ValueError(f"rewrite of example {uid} at step {step}: {exc.reason}") from exc
-    ends = np.cumsum([len(zs) for zs in samples])
-    return np.split(np.asarray(scores, dtype=np.float64), ends[:-1])
+        raise ValueError(f"rewrite of example {batch[exc.row // m].uid} at step {step}: {exc.reason}") from exc
+    return np.asarray(scores, dtype=np.float64).reshape(len(batch), m)
 
 
 def _minibatch_gradient(policy, fixed, batch, reward_fn, cfg: RunConfig, step: int):
     """(mean objective gradient, mean raw reward, clamp events) of a minibatch
-    at one step: one stacked forward per policy, one batched beam, one nucleus
-    prep per table stack, one reward call (_sample_rewards) and one stacked
-    backward whose rows are summed in batch order, bitwise a running sum of
-    per-example gradients. Draws, reward standardization and coefficients
-    stay per input, and their errors name the example and step."""
+    at one step: one stacked forward per policy, one batch decode into one
+    padded rewrite array, one reward call, one log-prob gather per table
+    stack and one stacked backward whose rows are summed in batch order,
+    bitwise a running sum of per-example gradients. Coefficients stay per
+    input, and their errors name the example and step."""
     xs = [ex.x for ex in batch]
     logits, acts = transition_logits_batch(policy, xs)
     fixed_logits = transition_logits_batch(fixed, xs)[0]
     table, fixed_table = log_softmax_rows(logits), log_softmax_rows(fixed_logits)
-    off = cfg.regime == "off"  # off-policy samples come from the frozen snapshot
-    sampler, sample_table = (fixed, fixed_table) if off else (policy, table)
-    beams = nuclei = [None] * len(batch)
-    if cfg.decoder != "top_p":  # diverse beam reads no seed
-        beams = diverse_beam_batch(sampler, fixed_logits if off else logits, decode_config(cfg, 0))
-    if cfg.decoder != "beam":
-        nuclei = nucleus_stack(sample_table, cfg.top_p)
-    dcs = [decode_config(cfg, derive_seed(cfg.seed, step, ex.uid)) for ex in batch]
-    samples = [
-        decode_samples(sampler, ex.x, cfg.decoder, dc, sample_table[b], beams[b], nuclei[b])
-        for b, (ex, dc) in enumerate(zip(batch, dcs))
-    ]
-    raw = _sample_rewards(batch, samples, reward_fn, step)
-    items, mean_reward, clamp_events = [], 0.0, 0
-    for b, (ex, seqs, raw_rewards) in enumerate(zip(batch, samples, raw)):
-        rewards = est.normalize_rewards(raw_rewards) if cfg.normalize else raw_rewards
-        cur = np.array([path_logprob(table[b], z) for z in seqs])
-        fixed_lp = np.array([path_logprob(fixed_table[b], z) for z in seqs])
+    # off-policy samples come from the frozen snapshot; diverse beam reads no seed
+    sampler = (fixed, fixed_logits, fixed_table) if cfg.regime == "off" else (policy, logits, table)
+    seeds = [derive_seed(cfg.seed, step, ex.uid) for ex in batch]
+    rewrites = decode_batch(sampler[0], cfg.decoder, *sampler[1:], seeds, decode_config(cfg, 0))
+    raw = _sample_rewards(batch, rewrites, reward_fn, step)
+    cur = path_logprobs(table, rewrites).reshape(raw.shape)
+    fixed_lp = path_logprobs(fixed_table, rewrites).reshape(raw.shape)
+    weights, mean_reward, clamp_events = np.empty(raw.shape), 0.0, 0
+    for b, ex in enumerate(batch):
+        rewards = est.normalize_rewards(raw[b]) if cfg.normalize else raw[b]
         try:
-            weights, events = est.coefficients(
-                cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
+            weights[b], events = est.coefficients(
+                cur[b], fixed_lp[b], rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
             )
         except ValueError as exc:
             raise ValueError(f"example {ex.uid} at step {step}: {exc}") from exc
-        items += [(b, z, w) for z, w in zip(seqs, weights)]
-        mean_reward += float(raw_rewards.mean())
+        mean_reward += float(raw[b].mean())
         clamp_events += events
     total = np.zeros(policy.flat.size)
-    for ex, grad in zip(batch, weighted_seq_grads(policy, xs, items, (logits, acts))):
+    for ex, grad in zip(batch, weighted_seq_grads(policy, pad(xs), rewrites, weights.ravel(), (logits, acts))):
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite gradient for example {ex.uid} at step {step}")
         total += grad
@@ -389,8 +379,8 @@ def finetune_paraphraser(
             policy, classifier, task.template, verbalizer, split.validation, cfg.m, False, cfg
         )
 
-    def reward_fn(seqs, ys) -> np.ndarray:
-        return clf.rewards(classifier, format_rewrites(task.template, seqs), ys, verbalizer)
+    def reward_fn(rewrites: Padded, ys) -> np.ndarray:
+        return clf.rewards(classifier, format_rewrites(task.template, rewrites), ys, verbalizer)
 
     log.validation(0, validation_accuracy())
     batches = _batches(len(split.train), cfg.batch_size, rng)
@@ -454,12 +444,12 @@ def train_classifier_augmented(
         validation_groups = example_groups(
             task.template, split.validation, decode_rewrites(policy, split.validation, m, cfg)
         )
-    # inputs are formatted as they are; only decoded rewrites carry scaffold to strip
-    instruction = task.template.instruction
-    groups = [
-        [format_input(task.template, instruction, z) for z in [ex.x, *map(strip_scaffold, zs)]]
-        for ex, zs in zip(split.train, rewrites)
-    ]
+    # only decoded rewrites carry scaffold to strip; all rows are padded once: (example, row, position)
+    rows = pad([format_input(task.template, task.template.instruction, z)
+                for ex, zs in zip(split.train, rewrites) for z in [ex.x, *map(strip_scaffold, zs)]])
+    ids, valid = (a.reshape(len(split.train), m + 1, -1) for a in rows)
+    lengths = valid.sum(axis=2)
+    labels = np.array([ex.y for ex in split.train])
     opt = AdamW(classifier.flat.size, AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xC1A55))
     log = _RunLog(run_dir, "classifier", clf.save_classifier, METRIC_INCL)
@@ -473,12 +463,11 @@ def train_classifier_augmented(
     batches = _batches(len(split.train), cfg.batch_size, rng)
     for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
         b = len(batch_idx)
-        group_weights = [1.0 / b] + [1.0 / (b * m) for _ in range(m)]
-        seqs, ys, weights = [], [], []
-        for idx in batch_idx:
-            seqs.extend(groups[idx])
-            ys.extend([split.train[idx].y] * (m + 1))
-            weights.extend(group_weights)
+        weights = ([1.0 / b] + [1.0 / (b * m) for _ in range(m)]) * b
+        # cut to the batch's own widest row, the rows are exactly pad() of the batch's sequences
+        width = lengths[batch_idx].max()
+        seqs = Padded(*(a[batch_idx, :, :width].reshape(-1, width) for a in (ids, valid)))
+        ys = np.repeat(labels[batch_idx], m + 1)
         try:
             value, grad = clf.weighted_label_grad(classifier, seqs, ys, weights, verbalizer, mode)
         except RowError as exc:

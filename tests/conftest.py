@@ -27,9 +27,9 @@ from riff.policy import (
     TokenSeq,
     encode_context,
     policy_segments,
-    path_logprob,
     transition_logits,
     transition_table,
+    unpad,
     weighted_seq_grad,
 )
 from riff.training import decode_config, derive_seed
@@ -97,6 +97,31 @@ def kl_penalized_gradient(cur, fixed, per_sample_grads, base: np.ndarray, beta: 
     for ratio, grad in zip(np.subtract(cur, fixed), per_sample_grads):
         penalty += (ratio + 1.0) * grad
     return base - beta * penalty / len(cur)
+
+
+def path_logprob(table: np.ndarray, z: TokenSeq) -> float:
+    """Sum of table lookups along z, starting from BOS, one Python float at a
+    time: policy.path_logprobs must return these bitwise."""
+    total = 0.0
+    for prev, tok in zip((BOS,) + z.ids[:-1], z.ids):
+        total += float(table[prev, tok])
+    return total
+
+
+def reference_transition_counts(batch: int, vocab_size: int, items) -> np.ndarray:
+    """(batch, V, V) weighted transition counts from (row, sequence, weight)
+    items: one unbuffered add.at over the items' steps, in item order."""
+    rows, prevs, toks, ws = [], [], [], []
+    for row, z, w in items:
+        ids = z.ids
+        rows += [row] * len(ids)
+        prevs += [BOS, *ids[:-1]]
+        toks += ids
+        ws += [w] * len(ids)
+    counts = np.zeros((batch, vocab_size, vocab_size))
+    index = tuple(np.array(a, dtype=np.intp) for a in (rows, prevs, toks))
+    np.add.at(counts, index, np.array(ws, dtype=np.float64))
+    return counts
 
 
 def reference_seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:
@@ -271,6 +296,12 @@ def reference_nucleus(logprobs: np.ndarray, top_p: float, row: int) -> tuple[lis
     cdf = nucleus.cumsum()
     cdf /= cdf[-1]
     return keep.tolist(), cdf.tolist()
+
+
+def rewrite_ids(rows, m: int) -> list[list[tuple[int, ...]]]:
+    """The ids of an input-major rewrite array (a Padded, m rows per input), per input."""
+    ids = [z.ids for z in unpad(rows)]
+    return [ids[start : start + m] for start in range(0, len(ids), m)]
 
 
 def reference_diverse_beam(

@@ -21,6 +21,7 @@ from riff.policy import (
     TokenSeq,
     encode_context,
     pretrain_mle,
+    unpad,
 )
 from riff.promptsearch import Instruction, gs_step, minibatch_loglik
 from riff.training import RunConfig, fewshot_split
@@ -306,8 +307,9 @@ def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
         training.train_classifier_augmented(
             classifier, rewriter if m else None, task, split, m=m, mode=TuningMode.ALL, cfg=cfg
         )
-        ((_, seqs, ys, *_), (_, grad)), = calls
-        # the step's one call: each example's formatted input, then its m rewrites
+        ((_, rows, ys, *_), (_, grad)), = calls
+        # the step's one call, on padded rows: each example's formatted input, then its m rewrites
+        seqs = unpad(rows)
         groups = [(seqs[i : i + m + 1], ys[i]) for i in range(0, len(seqs), m + 1)]
         assert sorted(group[0].ids for group, _ in groups) == inputs
         want = np.zeros_like(grad)

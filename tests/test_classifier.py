@@ -22,7 +22,7 @@ from riff.classifier import (
     weighted_label_grad,
 )
 from riff.numerics import finite_diff_grad, max_relative_error
-from riff.policy import TokenSeq
+from riff.policy import TokenSeq, pad
 from riff.vocab import EOS, MASK
 
 mpmath.mp.dps = 40
@@ -418,3 +418,15 @@ def test_kernel_errors_name_the_batch_index():
         weighted_label_grad(p, [INPUT, INPUT], [0, 2], [1.0, 1.0], VERB)
     with pytest.raises(ValueError, match="2 sequences, 2 labels and 1 weights"):
         weighted_label_grad(p, [INPUT, INPUT], [0, 1], [1.0], VERB)
+
+
+@pytest.mark.parametrize("mode", list(TuningMode))
+def test_weighted_label_grad_takes_a_padded_batch_bitwise(mode):
+    # a Padded batch is one batch of len(ids) rows, not a pair of sequences
+    p = kernel_params(mode, seed=33)
+    ys, weights = [0, 1, 1, 0], [0.7, 0.0, -1.3, 2.1]
+    want = weighted_label_grad(p, MIXED_BATCH, ys, weights, VERB, mode)
+    got = weighted_label_grad(p, pad(MIXED_BATCH), ys, weights, VERB, mode)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    with pytest.raises(ValueError, match="4 sequences, 2 labels and 2 weights"):
+        weighted_label_grad(p, pad(MIXED_BATCH), ys[:2], weights[:2], VERB, mode)

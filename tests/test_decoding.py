@@ -1,4 +1,5 @@
 import bisect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,17 +12,19 @@ from conftest import (
     reference_diverse_beam,
     reference_nucleus,
     reference_top_p_sample,
+    rewrite_ids,
     step_logits,
     tiny_policy,
 )
 from riff.decoding import (
     DecodeConfig,
-    _nucleus_row,
+    _nuclei,
+    decode_batch,
     decode_samples,
     diverse_beam,
     diverse_beam_batch,
     mixed_decode,
-    nucleus_stack,
+    top_p_batch,
     top_p_sample,
 )
 from riff.numerics import log_softmax_rows, logsumexp, softmax
@@ -30,8 +33,10 @@ from riff.policy import (
     PolicyParams,
     TokenSeq,
     encode_context,
+    pad,
     seq_logprob,
     transition_logits,
+    transition_logits_batch,
     transition_table,
 )
 from riff.vocab import BOS, EOS
@@ -170,7 +175,7 @@ def test_diverse_beam_batch_equals_reference_per_input(m, max_len, repetition_pe
     logits = np.stack([transition_logits(p, x)[0] for x in xs])
     for b in range(1, 10):
         got = diverse_beam_batch(p, logits[:b], dc)
-        assert [[z.ids for z in zs] for zs in got] == want[:b]
+        assert rewrite_ids(got, m) == want[:b]
 
 
 def test_diverse_beam_batch_names_the_input_and_step_of_a_non_finite_row():
@@ -182,9 +187,7 @@ def test_diverse_beam_batch_names_the_input_and_step_of_a_non_finite_row():
     # a finished group's previous token is EOS: only live rows are read and checked
     unread = logits.copy()
     unread[1, EOS] = np.nan
-    assert [[z.ids for z in zs] for zs in diverse_beam_batch(p, unread, cfg)] == [
-        [z.ids for z in zs] for zs in beams
-    ]
+    assert rewrite_ids(diverse_beam_batch(p, unread, cfg), 3) == rewrite_ids(beams, 3)
     # at column 0 the pick is also the argmax of the normalized all-NaN row, so only the
     # normalizer's own check sees it
     for col, value in ((4, np.nan), (EOS, np.nan), (EOS, np.inf)):
@@ -208,7 +211,7 @@ def test_diverse_beam_batch_reruns_a_step_whose_normalization_collapses_a_near_t
         if np.argmax(row - logsumexp(row)) != np.argmax(row):
             break
     assert (np.argmax(row), np.argmax(row - logsumexp(row))) == (5, 4)
-    got = [z.ids for z in diverse_beam_batch(p, logits, cfg)[0]]
+    got = rewrite_ids(diverse_beam_batch(p, logits, cfg), 1)[0]
     assert got == [z.ids for z in reference_diverse_beam(p, X, cfg, logits[0])]
     assert got[0][0] == 4
 
@@ -244,7 +247,7 @@ def test_diverse_beam_batch_equals_reference_on_ties_infinities_and_near_ties(
     minus_inf[..., gen.integers(v)] = False  # one column stays finite, so every row has a max
     logits[minus_inf] = -np.inf
     want = [[z.ids for z in reference_diverse_beam(p, X, cfg, logits[b])] for b in range(n)]
-    assert [[z.ids for z in zs] for zs in diverse_beam_batch(p, logits, cfg)] == want
+    assert rewrite_ids(diverse_beam_batch(p, logits, cfg), m) == want
 
 
 def test_decoders_reject_non_finite_rows():
@@ -392,10 +395,10 @@ def _nucleus_tables() -> np.ndarray:
 @pytest.mark.parametrize("top_p", [1e-12, 0.5, 0.9, 0.99, 1.0])
 def test_nucleus_stack_equals_per_row_reference_bitwise(top_p):
     tables = _nucleus_tables()
-    stack = nucleus_stack(tables, top_p)
+    nuclei = _nuclei(tables, top_p)
     for b, table in enumerate(tables):
         for row in range(len(table)):
-            assert _nucleus_row(stack[b], row) == reference_nucleus(table[row], top_p, row)
+            assert nuclei(b, row) == reference_nucleus(table[row], top_p, row)
     assert reference_nucleus(tables[1, 2], top_p, 2)[0] == [5]
     if top_p == 0.99:
         assert len(reference_nucleus(tables[2, 4], top_p, 4)[0]) == 9
@@ -404,15 +407,15 @@ def test_nucleus_stack_equals_per_row_reference_bitwise(top_p):
 def test_nucleus_stack_names_a_non_finite_row():
     tables = _nucleus_tables()
     tables[2, 7, 3] = np.nan
-    stack = nucleus_stack(tables, 1.0)
+    nuclei = _nuclei(tables, 1.0)
     with pytest.raises(ValueError, match="non-finite probabilities in transition row 7$"):
-        _nucleus_row(stack[2], 7)
+        nuclei(2, 7)
     with pytest.raises(ValueError, match="non-finite probabilities in transition row 7$"):
         reference_nucleus(tables[2, 7], 1.0, 7)
     # a NaN the nucleus never reaches is never read, row by row or stacked
     tables[2, 6] = np.log(np.eye(9)[1] * 0.999 + 0.001 / 9)
     tables[2, 6, 8] = np.nan
-    assert _nucleus_row(nucleus_stack(tables, 0.5)[2], 6) == reference_nucleus(tables[2, 6], 0.5, 6)
+    assert _nuclei(tables, 0.5)(2, 6) == reference_nucleus(tables[2, 6], 0.5, 6)
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from(["beam", "top_p", "mixed"]))
@@ -428,9 +431,9 @@ def test_decoders_return_wellformed_sequences(seed, scheme):
         assert z.ids[-1] == EOS
         assert sum(1 for t in z.ids if t == EOS) == 1
         assert len(z) <= max_len
-    # decoding from a table and beam the caller already holds is bitwise the same
-    held = (transition_table(p, x), diverse_beam(p, x, cfg))
-    assert [z.ids for z in decode_samples(p, x, scheme, cfg, *held)] == [
+    # decoding from a table the caller already holds is bitwise the same
+    held = transition_table(p, x)
+    assert [z.ids for z in decode_samples(p, x, scheme, cfg, held)] == [
         z.ids for z in decode_samples(p, x, scheme, cfg)
     ]
     # and the decoders return the straight-line references' ids and log-probs
@@ -441,3 +444,64 @@ def test_decode_samples_rejects_unknown_scheme():
     p = tiny_policy(seed=1)
     with pytest.raises(ValueError, match="unknown decode scheme"):
         decode_samples(p, X, "banana", DecodeConfig(m=2, seed=0))
+
+
+def test_nucleus_buckets_equal_per_row_references_on_random_stacks():
+    # nuclei of every size share a stack: ties, one-hot rows and rows cut at the last index
+    gen = np.random.default_rng(22)
+    whole = set()
+    for trial in range(60):
+        b, v = int(gen.integers(1, 5)), int(gen.integers(2, 14))
+        tables = log_softmax_rows(gen.normal(0.0, float(gen.uniform(0.1, 6.0)), (b, v, v)))
+        tables[gen.random((b, v)) < 0.15] = -np.log(v)  # rows that tie everywhere
+        with np.errstate(divide="ignore"):
+            for i, r in zip(*np.nonzero(gen.random((b, v)) < 0.15)):
+                tables[i, r] = np.log(np.eye(v)[gen.integers(v)])  # one-hot rows
+        top_p = float(gen.choice([0.5, 0.9, 0.99, 1.0]))
+        nuclei = _nuclei(tables, top_p)
+        for i, table in enumerate(tables):
+            for r in range(v):
+                got = nuclei(i, r)
+                assert got == reference_nucleus(table[r], top_p, r)
+                whole.add(len(got[0]) == v)
+    assert whole == {True, False}  # some rows, not all, are cut at the last index
+
+
+def test_top_p_batch_raises_only_on_a_non_finite_row_a_draw_visits():
+    p = tiny_policy(seed=7, vocab=6, max_len=2)  # one sampled step: only the BOS row is visited
+    xs = [TokenSeq.from_content([1]), TokenSeq.from_content([2, 3])]
+    tables = np.stack([transition_table(p, x) for x in xs])
+    cfg = DecodeConfig(m=4, top_p=1.0)
+    want = top_p_batch(p, tables, [5, 6], cfg)
+    unvisited = tables.copy()
+    unvisited[1, 4] = np.nan
+    got = top_p_batch(p, unvisited, [5, 6], cfg)
+    assert np.array_equal(got.ids, want.ids) and np.array_equal(got.valid, want.valid)
+    visited = tables.copy()
+    visited[1, BOS, 3] = np.nan
+    with pytest.raises(ValueError, match=f"^non-finite probabilities in transition row {BOS}$"):
+        top_p_batch(p, visited, [5, 6], cfg)
+
+
+@pytest.mark.parametrize("scheme", ["beam", "top_p", "mixed"])
+def test_batch_decoding_equals_the_per_input_decoders(scheme):
+    gen = np.random.default_rng(["beam", "top_p", "mixed"].index(scheme))
+    for trial in range(12):
+        vocab, max_len = int(gen.integers(3, 12)), int(gen.integers(1, 9))
+        p = tiny_policy(seed=trial, vocab=vocab, max_len=max_len, scale=float(gen.uniform(0.1, 3.0)))
+        xs = [
+            TokenSeq.from_content(gen.integers(1, vocab, size=int(gen.integers(1, 5))).tolist())
+            for _ in range(int(gen.integers(1, 6)))
+        ]
+        cfg = DecodeConfig(m=int(gen.choice([2, 4, 8])), top_p=float(gen.choice([0.5, 0.99, 1.0])))
+        seeds = gen.integers(2**31, size=len(xs)).tolist()
+        logits = transition_logits_batch(p, xs)[0]
+        rows = decode_batch(p, scheme, logits, log_softmax_rows(logits), seeds, cfg)
+        want = [
+            [z.ids for z in decode_samples(p, x, scheme, replace(cfg, seed=s))]
+            for x, s in zip(xs, seeds)
+        ]
+        assert rewrite_ids(rows, cfg.m) == want
+        # the rows are exactly pad() of their sequences
+        flat = pad([TokenSeq(ids) for zs in want for ids in zs])
+        assert np.array_equal(rows.ids, flat.ids) and np.array_equal(rows.valid, flat.valid)

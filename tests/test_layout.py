@@ -10,6 +10,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 LIBRARY_API = {
     "data.majority_label": "the synthetic task's rule-based oracle classifier, a test reference",
+    "decoding.mixed_decode": "the per-input mixed decoder, returning TokenSeqs; fine-tuning "
+    "decodes whole minibatches with decode_batch",
     "promptsearch.gs_search": "discrete instruction search, a library entry point no command runs",
 }
 

@@ -20,7 +20,7 @@ from riff.oracle import (
     exact_kl_objective,
     exact_objective,
 )
-from riff.policy import PolicyConfig, PolicyParams, TokenSeq, seq_logprob, seq_logprobs, weighted_seq_grad
+from riff.policy import PolicyConfig, PolicyParams, TokenSeq, seq_logprob, weighted_seq_grad
 from riff.vocab import BOS, EOS
 
 mpmath.mp.dps = 40
@@ -103,7 +103,7 @@ def test_exact_kl_bitwise_equals_seq_logprobs_forms(beta):
         got_grad = exact_kl_gradient(p, fixed, x, reward_fn, beta)
         seqs = [z for z, _ in enum.entries]
         lps = np.array([lp for _, lp in enum.entries])
-        fixed_lps = seq_logprobs(fixed, x, seqs)
+        fixed_lps = np.array([seq_logprob(fixed, x, z) for z in seqs])
         weights = np.array([lp + reward_fn(z) for z, lp in enum.entries])
         want_obj = logsumexp(weights)
         coeffs = softmax(weights)

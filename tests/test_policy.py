@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     max_scaled_error,
+    path_logprob,
     reference_pretrain_mle,
     reference_seq_logprob,
     reference_seq_logprob_grad,
+    reference_transition_counts,
     reference_transition_logits,
     reference_weighted_seq_grad,
     step_logits,
@@ -22,18 +24,20 @@ from conftest import (
 )
 from riff.checkpoint import file_hash
 from riff.classifier import TuningMode, load_classifier, save_classifier
-from riff.numerics import finite_diff_grad, log_softmax, max_relative_error
+from riff.numerics import finite_diff_grad, log_softmax, log_softmax_rows, max_relative_error
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
+    _transition_counts,
     encode_context,
+    encode_contexts,
     load_policy,
-    pair_grads,
+    pad,
+    path_logprobs,
     pretrain_mle,
     save_policy,
     seq_logprob,
-    seq_logprobs,
     snapshot,
     transition_logits,
     transition_logits_batch,
@@ -181,8 +185,7 @@ def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
         single = weighted_seq_grad(p, x, [z], [1.0])
         assert np.array_equal(weighted_seq_grad(p, x, seqs, one_hot), single)
         # handing over the table's logits and activations changes nothing
-        items = [(0, seq, w) for seq, w in zip(seqs, one_hot)]
-        given = weighted_seq_grads(p, [x], items, transition_logits_batch(p, [x]))[0]
+        given = weighted_seq_grads(p, pad([x]), pad(seqs), one_hot, transition_logits_batch(p, [x]))[0]
         assert np.array_equal(given, single)
         assert max_scaled_error(single, reference_seq_logprob_grad(p, x, z)) < 1e-12
 
@@ -221,7 +224,8 @@ def test_pair_grads_rows_bitwise_equal_seq_logprob_grad():
     assert len(corpus) == 128
     for start in range(0, len(corpus), 8):
         chunk = corpus[start : start + 8]
-        rows = pair_grads(p, [x for x, _ in chunk], [z for _, z in chunk])
+        # one stacked backward over pairs: one row per input, each its own target's gradient
+        rows = weighted_seq_grads(p, pad([x for x, _ in chunk]), pad([z for _, z in chunk]), np.ones(len(chunk)))
         assert rows.shape == (len(chunk), p.flat.size)
         for row, (x, z) in zip(rows, chunk):
             assert np.array_equal(row, weighted_seq_grad(p, x, [z], [1.0]))
@@ -242,8 +246,6 @@ def test_weighted_seq_grad_rejects_weight_count_mismatch():
     p, x, seqs, _ = kernel_case(*KERNEL_CONFIGS[0])
     with pytest.raises(ValueError, match="weights"):
         weighted_seq_grad(p, x, seqs, np.ones(len(seqs) + 1))
-    with pytest.raises(ValueError, match="inputs for"):
-        pair_grads(p, [x], seqs[:2])
 
 
 def test_gradient_finite_for_improbable_token():
@@ -322,7 +324,7 @@ def test_pretrain_improves_heldout_rewrites():
     trained = pretrain_mle(init, train_pairs, epochs=12, lr=0.02, seed=1)
 
     def mean_logprob(params):
-        return float(np.mean([seq_logprobs(params, x, [z])[0] for x, z in heldout]))
+        return float(np.mean([seq_logprob(params, x, z) for x, z in heldout]))
 
     assert mean_logprob(trained) > mean_logprob(init)
 
@@ -497,3 +499,69 @@ def test_step_logits_shape():
     p = tiny_policy(seed=1, vocab=4)
     ctx = encode_context(p, TokenSeq.from_content([1]))
     assert step_logits(p, ctx, BOS).shape == (4,)
+
+
+def random_inputs(gen, vocab: int, count: int, longest: int) -> list[TokenSeq]:
+    return [
+        TokenSeq.from_content(gen.integers(1, vocab, size=int(gen.integers(0, longest))).tolist())
+        for _ in range(count)
+    ]
+
+
+def test_batched_contexts_equal_encode_context_bitwise():
+    gen = np.random.default_rng(41)
+    for embed in [1, 2, 3, 8, 12, 16]:  # one column: numpy sums the positions pairwise
+        for _ in range(40):
+            cfg = PolicyConfig(vocab_size=int(gen.integers(2, 40)), embed_dim=embed)
+            p = PolicyParams.init_random(cfg, seed=int(gen.integers(2**31)), scale=float(gen.uniform(0.01, 3.0)))
+            xs = random_inputs(gen, cfg.vocab_size, int(gen.integers(1, 10)), 30)
+            got = encode_contexts(p, pad(xs))
+            assert all(np.array_equal(row, encode_context(p, x)) for row, x in zip(got, xs))
+            logits, (u, s) = transition_logits_batch(p, xs)
+            for b, x in enumerate(xs):
+                want_logits, (want_u, want_s) = transition_logits(p, x)
+                assert np.array_equal(logits[b], want_logits)
+                assert np.array_equal(u[b], want_u) and np.array_equal(s[b], want_s)
+    p = tiny_policy(seed=3, vocab=4)
+    with pytest.raises(ValueError, match="token id 7 out of range for vocabulary of size 4"):
+        transition_logits_batch(p, [TokenSeq.from_content([1]), TokenSeq.from_content([2, 7, 9])])
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 5, 24])
+def test_path_logprobs_equal_per_sequence_sums_bitwise(max_len):
+    gen = np.random.default_rng(max_len)
+    for _ in range(60):
+        vocab, b, m = int(gen.integers(2, 21)), int(gen.integers(1, 6)), int(gen.integers(1, 9))
+        tables = log_softmax_rows(gen.normal(0.0, float(gen.uniform(0.1, 8.0)), (b, vocab, vocab)))
+        seqs = [  # lengths 1..max_len
+            TokenSeq.from_content(gen.integers(1, vocab, size=int(gen.integers(0, max_len))).tolist())
+            for _ in range(b * m)
+        ]
+        got = path_logprobs(tables, pad(seqs))
+        want = [path_logprob(tables[r // m], z) for r, z in enumerate(seqs)]
+        assert got.tolist() == want
+
+
+def test_transition_counts_from_rows_equal_the_items_reference():
+    gen = np.random.default_rng(43)
+    for _ in range(60):
+        vocab, b, m = int(gen.integers(2, 12)), int(gen.integers(1, 6)), int(gen.integers(1, 9))
+        seqs = random_inputs(gen, vocab, b * m, 12)
+        seqs[-1] = seqs[0]  # a repeated sequence hits the same cells again
+        weights = gen.normal(size=b * m)
+        weights[::4] = 0.0
+        items = [(r // m, z, w) for r, (z, w) in enumerate(zip(seqs, weights))]
+        got = _transition_counts(b, vocab, pad(seqs), weights)
+        assert np.array_equal(got, reference_transition_counts(b, vocab, items))
+
+
+def test_weighted_seq_grads_name_the_first_bad_row():
+    p = tiny_policy(seed=2, vocab=4, max_len=4)
+    x = TokenSeq.from_content([1])
+    ok, long, foreign = TokenSeq.from_content([1]), TokenSeq.from_content([1, 2, 3, 1]), TokenSeq((5, EOS))
+    with pytest.raises(ValueError, match="^token id 5 out of range for vocabulary of size 4$"):
+        weighted_seq_grads(p, pad([x]), pad([ok, foreign, long]), np.ones(3))
+    with pytest.raises(ValueError, match="^sequence length 5 exceeds max_len 4$"):
+        weighted_seq_grads(p, pad([x]), pad([ok, long, foreign]), np.ones(3))
+    with pytest.raises(ValueError, match="^2 weights for 3 sequences$"):
+        weighted_seq_grads(p, pad([x]), pad([ok, ok, ok]), np.ones(2))

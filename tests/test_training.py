@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -18,10 +22,10 @@ from conftest import (
 from riff import classifier as clf
 from riff import training
 from riff import estimators as est
-from riff.data import Example, Padded, format_input, format_rewrites, gen_synthetic_task, strip_scaffold
+from riff.data import Example, Padded, format_input, format_rewrites, gen_synthetic_task, pad, strip_scaffold
 from riff.decoding import decode_samples
 from riff.optim import AdamConfig, AdamW
-from riff.policy import PolicyConfig, PolicyParams, TokenSeq, snapshot
+from riff.policy import PolicyConfig, PolicyParams, TokenSeq, snapshot, unpad
 from riff.training import (
     Checkpoint,
     RunConfig,
@@ -36,6 +40,9 @@ from riff.training import (
     train_classifier_augmented,
     write_metrics_csv,
 )
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def small_task(seed=0, n=64):
@@ -198,10 +205,10 @@ def test_finetune_names_the_example_with_a_non_finite_gradient(monkeypatch):
     bad = split.train[3]
     kernel = training.weighted_seq_grads
 
-    def poisoned(params, xs, items, transition):
-        grads = kernel(params, xs, items, transition)
-        for row, x in zip(grads, xs):
-            if x is bad.x:
+    def poisoned(params, inputs, rows, weights, transition):
+        grads = kernel(params, inputs, rows, weights, transition)
+        for row, x in zip(grads, unpad(inputs)):
+            if x == bad.x:
                 row[0] = np.nan
         return grads
 
@@ -245,7 +252,7 @@ def test_minibatch_rewards_equal_per_example_rewards(monkeypatch, mode):
     batch = list(split.train)
     cfg = RunConfig(m=6, decoder="mixed", seed=3)
     samples = [decode_samples(policy, ex.x, "mixed", training.decode_config(cfg, ex.uid)) for ex in batch]
-    got = training._sample_rewards(batch, samples, reward_fn, step=1)
+    got = training._sample_rewards(batch, pad([z for zs in samples for z in zs]), reward_fn, step=1)
     for ex, zs, rewards in zip(batch, samples, got):
         assert max_scaled_error(rewards, per_example_rewards(classifier, task, ex, zs)) <= 1e-12
 
@@ -256,7 +263,7 @@ def test_minibatch_rewards_score_each_distinct_rewrite_once(monkeypatch):
     a, b = [ex for ex in split.train if ex.y == 0][:2]
     c = next(ex for ex in split.train if ex.y == 1)
     z1, z2, z3 = (TokenSeq.from_content(content) for content in ([4, 6], [5, 7, 9], [8]))
-    samples = [[z1, z2, z1], [z2, z3], [z1]]
+    samples = [[z1, z2, z1], [z2, z3, z3], [z1, z1, z3]]
     rows = []
     kernel = clf._MaskRowPass
 
@@ -265,7 +272,7 @@ def test_minibatch_rewards_score_each_distinct_rewrite_once(monkeypatch):
         return kernel(params, ids, *args)
 
     monkeypatch.setattr(clf, "_MaskRowPass", counted)
-    got = training._sample_rewards([a, b, c], samples, reward_fn, step=1)
+    got = training._sample_rewards([a, b, c], pad([z for zs in samples for z in zs]), reward_fn, step=1)
     assert rows == [3]  # one forward, one row per distinct rewrite, whichever labels read it
     for ex, zs, rewards in zip([a, b, c], samples, got):
         assert max_scaled_error(rewards, per_example_rewards(classifier, task, ex, zs)) <= 1e-12
@@ -280,9 +287,10 @@ def test_reward_errors_name_the_example_and_step(monkeypatch, content, reason):
     task, split, classifier, policy = make_pipeline()
     reward_fn = finetune_reward_fn(monkeypatch, task, split, classifier, policy)
     good, bad = split.train[0], split.train[5]
-    samples = [[TokenSeq.from_content([4, 6])], [TokenSeq.from_content([7]), TokenSeq.from_content(content)]]
+    samples = [TokenSeq.from_content([4, 6]), TokenSeq.from_content([7])] * 2
+    samples[3] = TokenSeq.from_content(content)  # the second of the bad example's two rewrites
     with pytest.raises(ValueError, match=f"^rewrite of example {bad.uid} at step 2: {reason}$"):
-        training._sample_rewards([good, bad], samples, reward_fn, step=2)
+        training._sample_rewards([good, bad], pad(samples), reward_fn, step=2)
 
 
 @pytest.mark.parametrize("case, message", [
@@ -320,7 +328,7 @@ def test_example_gradient_equals_reference_assembly(estimator, regime):
     reward_fn = table_reward(17)
     for ex in split.train[:3]:
         got, _, _ = training._minibatch_gradient(
-            policy, fixed, [ex], lambda seqs, _: [reward_fn(z) for z in seqs], cfg, step=2
+            policy, fixed, [ex], lambda rows, _: [reward_fn(z) for z in unpad(rows)], cfg, step=2
         )
         # the same samples, scored and differentiated one sequence at a time
         dc = training.decode_config(cfg, derive_seed(cfg.seed, 2, ex.uid))
@@ -349,7 +357,7 @@ def test_minibatch_gradient_is_the_mean_of_per_example_references(estimator, reg
     reward_fn = table_reward(23)
     batch = list(split.train[:5])
     got, got_reward, got_events = training._minibatch_gradient(
-        policy, fixed, batch, lambda seqs, _: [reward_fn(z) for z in seqs], cfg, step=3
+        policy, fixed, batch, lambda rows, _: [reward_fn(z) for z in unpad(rows)], cfg, step=3
     )
     # one table, decode and backward per example, summed in batch order
     want, reward, events = np.zeros(policy.flat.size), 0.0, 0
@@ -611,6 +619,46 @@ def test_augmented_step_names_the_example_row_and_step_of_a_bad_token(monkeypatc
     reason = "token id 25 out of range for vocabulary of size 20"
     with pytest.raises(ValueError, match=f"^rewrite 2 of example {bad.uid} at step 1: {reason}$"):
         train_classifier_augmented(classifier, policy, task, split, m=2, mode=clf.TuningMode.HEAD, cfg=cfg)
+
+
+def test_augmented_steps_hand_the_kernel_exactly_the_padded_batch(monkeypatch):
+    task, split, classifier, policy = make_pipeline()
+    kernel, widths = clf.weighted_label_grad, []
+
+    def recorded(params, rows, ys, weights, verbalizer, mode):
+        # cut from the rows padded once: each batch at its own widest row, as pad() builds it
+        again = pad(unpad(rows))
+        assert np.array_equal(rows.ids, again.ids) and np.array_equal(rows.valid, again.valid)
+        widths.append(rows.ids.shape[1])
+        return kernel(params, rows, ys, weights, verbalizer, mode)
+
+    monkeypatch.setattr(clf, "weighted_label_grad", recorded)
+    cfg = RunConfig(m=2, steps=8, batch_size=3, checkpoint_interval=8, seed=4)
+    train_classifier_augmented(classifier, policy, task, split, m=2, mode=clf.TuningMode.HEAD, cfg=cfg)
+    assert len(widths) == 8 and len(set(widths)) > 1
+
+
+def test_training_never_imports_numpy_ma():
+    # numpy.ma costs about 1.6 MB of resident memory; np.unique without return_index imports it
+    script = """if True:
+        import sys
+        from riff import classifier as clf, data, training
+        from riff.policy import PolicyConfig, PolicyParams
+        task = data.gen_synthetic_task(20, 2, 64, 0, seed=0)
+        split = training.fewshot_split(task.train, 4, seed=0)
+        cfg = clf.ClassifierConfig(vocab_size=20, num_labels=2, embed_dim=8, lora_rank=2)
+        classifier = clf.ClassifierParams.init_random(cfg, clf.TuningMode.LORA, seed=5)
+        policy = PolicyParams.init_random(PolicyConfig(20, embed_dim=6, hidden_dim=8, max_len=10), seed=7)
+        run = training.RunConfig(m=4, steps=2, batch_size=4, checkpoint_interval=2)
+        training.finetune_paraphraser(policy, classifier, task, split, run)
+        training.train_classifier_augmented(classifier, policy, task, split, 4, clf.TuningMode.LORA, run)
+        print("numpy.ma" in sys.modules)
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_select_best_checkpoint_rules():
