@@ -26,12 +26,14 @@ from . import data, metrics, oracle, training
 from .checkpoint import atomic_write, file_hash
 from .numerics import finite_diff_grad, max_relative_error
 from .policy import (
+    Padded,
     PolicyConfig,
     PolicyParams,
     TokenSeq,
     load_policy,
     pretrain_mle,
     save_policy,
+    unpad,
 )
 from .training import RunConfig
 
@@ -162,9 +164,12 @@ def _shape_error(config: dict) -> str | None:
     return None
 
 
-def _experiment(args):
-    """A command's config, its run config, the task and the few-shot split."""
+def _experiment(args, decoding: str | None = None):
+    """A command's config, its run config, the task and the few-shot split.
+    A `decoding` command (named for the error) needs at least one rewrite per input."""
     config = load_config(args.config)
+    if decoding and config["m"] < 1:
+        raise ConfigError(f"config field 'm' must be at least 1 for {decoding}, got {config['m']}")
     task = build_task(config)
     return config, run_config_of(config), task, build_split(config, task)
 
@@ -285,7 +290,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_riff_finetune(args) -> int:
-    config, cfg, task, split = _experiment(args)
+    config, cfg, task, split = _experiment(args, decoding="riff-finetune")
     run_dir = run_dir_of(out_root(args), config["name"], config["seed"])
     os.makedirs(run_dir, exist_ok=True)
     classifier = warmed_classifier(config, task, split)
@@ -336,7 +341,7 @@ def cmd_train_classifier(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, cfg, task, split = _experiment(args)
+    config, cfg, task, split = _experiment(args, decoding="evaluate")
     classifier = warmed_classifier(config, task, split)
     policy = pretrained_policy(config)
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
@@ -360,8 +365,9 @@ def cmd_evaluate(args) -> int:
         print(f"{name}: plain {plain:.3f} ensemble+orig {incl:.3f} ensemble-only {excl:.3f}")
     ld_values = []
     pld_values = []
-    for ex, decoded in list(zip(task.test, rewrites["test"]))[:16]:
-        zs = [data.strip_scaffold(z) for z in decoded]
+    decoded = unpad(Padded(*(a[: 16 * cfg.m] for a in rewrites["test"])))  # the first 16 test groups
+    for k, ex in enumerate(task.test[:16]):
+        zs = [data.strip_scaffold(z) for z in decoded[k * cfg.m : (k + 1) * cfg.m]]
         zs = [z for z in zs if len(z.content) > 0]
         if len(zs) >= 2:
             ld_values.extend(metrics.lexical_diversity(ex.x.content, z.content) for z in zs)

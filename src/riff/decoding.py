@@ -3,8 +3,8 @@ mixed scheme that blends the two.
 
 All decoders force EOS once a sequence reaches max_len - 1 content tokens, so
 every returned sequence is well formed. A batch kernel returns one Padded
-array, input-major (row b * m + j is sample j of input b); the per-input
-decoders wrap them. Given a fixed seed the outputs are bitwise reproducible.
+array, input-major (row b * m + j is sample j of input b). Given fixed seeds
+the outputs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log_softmax_rows
 from .policy import (
     Padded,
     PolicyParams,
     TokenSeq,
     path_logprobs,
-    transition_logits,
-    transition_table,
+    transition_logits_batch,
     unpad,
 )
 from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads decoding.seq_logprob
@@ -107,19 +105,9 @@ def top_p_batch(policy: PolicyParams, tables: np.ndarray, seeds, cfg: DecodeConf
     return _rows(np.array(rows, dtype=np.intp))
 
 
-def top_p_sample(
-    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None
-) -> list[tuple[TokenSeq, float]]:
-    """m nucleus draws of one input seeded by cfg.seed, each with its exact
-    log-prob; a caller holding transition_table(policy, x) passes `table`."""
-    tables = (transition_table(policy, x) if table is None else table)[None]
-    rows = top_p_batch(policy, tables, [cfg.seed], cfg)
-    return list(zip(unpad(rows), path_logprobs(tables, rows).tolist()))
-
-
 def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
     """m groups of beam width 1 for one input: diverse_beam_batch of a batch of one."""
-    return unpad(diverse_beam_batch(policy, transition_logits(policy, x)[0][None], cfg))
+    return unpad(diverse_beam_batch(policy, transition_logits_batch(policy, [x])[0], cfg))
 
 
 def _log_normalizers(rows: np.ndarray) -> np.ndarray:
@@ -255,22 +243,3 @@ def decode_batch(policy: PolicyParams, scheme: str, logits, tables, seeds, cfg: 
         return _mix(beams, top_p_batch(policy, tables, seeds, cfg), tables, cfg.m)
     raise ValueError(f"unknown decode scheme {scheme!r}")
 
-
-def mixed_decode(
-    policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None
-) -> list[TokenSeq]:
-    """Both decoders' m samples of one input, cut to the top m/2 of each by
-    log-probability: decode_samples by the mixed scheme."""
-    return decode_samples(policy, x, "mixed", cfg, table)
-
-
-def decode_samples(
-    policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig, table: np.ndarray | None = None
-) -> list[TokenSeq]:
-    """m rewrites of one input by `scheme`, its draws seeded by cfg.seed; a
-    caller holding transition_table(policy, x) passes it as `table`."""
-    if scheme == "top_p":
-        return [z for z, _ in top_p_sample(policy, x, cfg, table)]
-    logits = transition_logits(policy, x)[0][None]
-    tables = log_softmax_rows(logits) if table is None else table[None]
-    return unpad(decode_batch(policy, scheme, logits, tables, [cfg.seed], cfg))

@@ -1,7 +1,7 @@
 """Gradient estimator coefficients: posterior-weighted (mml), reward-weighted
 (pg), their importance-corrected off-policy forms, the KL-penalized regime,
 and reward standardization. A gradient is one weighted backward over these
-coefficients (policy.weighted_seq_grad).
+coefficients (policy.weighted_seq_grads).
 
 Coefficient assembly works in log space; exponentials appear only in the
 final coefficients. Off-policy log ratios are clamped to +-LOG_RATIO_CLAMP

@@ -18,8 +18,9 @@ from .numerics import logsumexp, softmax
 from .policy import (
     PolicyParams,
     TokenSeq,
+    pad,
     transition_table,
-    weighted_seq_grad,
+    weighted_seq_grads,
 )
 from .vocab import BOS, EOS
 
@@ -132,7 +133,7 @@ def exact_gradient(
     log-probability gradients over the full enumerated support."""
     enum = enumerate_sequences(params, x, max_len)
     phi = mml_posteriors(enum, reward_fn)
-    return weighted_seq_grad(params, x, [z for z, _ in enum.entries], phi)
+    return weighted_seq_grads(params, pad([x]), pad([z for z, _ in enum.entries]), phi)[0]
 
 
 def exact_kl_objective(
@@ -171,5 +172,5 @@ def exact_kl_gradient(
     seqs = [z for z, _ in enum.entries]
     lps = np.array([lp for _, lp in enum.entries])
     coeffs = phi - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
-    return weighted_seq_grad(params, x, seqs, coeffs)
+    return weighted_seq_grads(params, pad([x]), pad(seqs), coeffs)[0]
 

@@ -163,16 +163,11 @@ def _check_rows(rows: Padded, cfg: PolicyConfig) -> None:
             check_output_seq(TokenSeq(tuple(ids[i, : lengths[i]])), cfg)
 
 
-def encode_context(params: PolicyParams, x: TokenSeq) -> np.ndarray:
-    _check_ids(x, params.cfg.vocab_size)
-    # bitwise what .mean(axis=0) returns, without numpy's Python-level wrapper
-    return params.token_embedding[list(x.ids)].sum(axis=0) / len(x.ids)
-
-
 def encode_contexts(params: PolicyParams, inputs: Padded) -> np.ndarray:
-    """encode_context of each padded input, stacked, bitwise: positions sum in
-    order, padding adds exact zeros. numpy sums a single embedding column
-    pairwise by padded length, so that case encodes inputs one at a time."""
+    """The mean embedding of each padded input, stacked, bitwise each input's
+    own .mean(axis=0): positions sum in order, padding adds exact zeros. numpy
+    sums a single embedding column pairwise by padded length, so that case
+    encodes inputs one at a time."""
     emb, (ids, valid) = params.token_embedding, inputs
     if ids.max() >= len(emb):  # padding is zero
         for i in np.flatnonzero((valid & (ids >= len(emb))).any(axis=1))[:1]:
@@ -196,29 +191,28 @@ def _forward(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, tu
     return s @ params.out_head, (u, s)
 
 
-def transition_logits(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
-    """Raw next-token logits for every previous token at once: row p holds
-    the logits of the step after token p. Also returns the activations
-    (step inputs, hidden states) the backward pass reuses."""
-    logits, (u, s) = _forward(params, encode_context(params, x)[None])
-    return logits[0], (u[0], s[0])
-
-
 def transition_logits_batch(params: PolicyParams, xs) -> tuple[np.ndarray, tuple]:
-    """transition_logits of each input, stacked: (B, V, V) logits and (B, ...)
-    activations from one forward over the batched contexts."""
+    """Raw next-token logits of each input for every previous token at once,
+    stacked: (B, V, V) logits whose [b, p] row holds the logits of the step
+    after token p, and the (B, ...) activations (step inputs, hidden states)
+    the backward reuses, from one forward over the batched contexts."""
     return _forward(params, encode_contexts(params, pad(xs)))
 
 
 def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
     """log P(next = t | previous = p, x) at [p, t]. The context is fixed per
     input, so this one table fixes every log-prob of every rewrite of x."""
-    return log_softmax_rows(transition_logits(params, x)[0])
+    _check_ids(x, params.cfg.vocab_size)
+    # bitwise what .mean(axis=0) returns, without numpy's Python-level wrapper
+    context = params.token_embedding[list(x.ids)].sum(axis=0) / len(x.ids)
+    return log_softmax_rows(_forward(params, context[None])[0][0])
 
 
 def _cells(rows: Padded, batch: int, v: int) -> np.ndarray:
     """Each position's flat (input, previous token, token) cell in a (batch, V, V) stack."""
     ids = rows.ids
+    if len(ids) % batch:
+        raise ValueError(f"{len(ids)} rows for {batch} inputs: each input needs the same number of rows")
     cells = ids + np.repeat(np.arange(0, batch * v * v, v * v), len(ids) // batch)[:, None]
     cells[:, 0] += BOS * v
     cells[:, 1:] += ids[:, :-1] * v
@@ -285,12 +279,6 @@ def weighted_seq_grads(
     counts = _transition_counts(len(inputs.ids), params.cfg.vocab_size, rows, weights)
     logits, (u, s) = _forward(params, encode_contexts(params, inputs)) if transition is None else transition
     return _backward(params, inputs, counts, logits, u, s)
-
-
-def weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights) -> np.ndarray:
-    """Gradient of sum_j weights[j] * seq_logprob(params, x, seqs[j])."""
-    logits, (u, s) = transition_logits(params, x)
-    return weighted_seq_grads(params, pad([x]), pad(seqs), weights, (logits[None], (u[None], s[None])))[0]
 
 
 def pretrain_mle(

@@ -115,29 +115,3 @@ def gs_step(
             best, best_instruction = score, candidate
     return best_instruction
 
-
-def gs_search(
-    classifier: ClassifierParams,
-    template: TaskTemplate,
-    instruction: Instruction,
-    examples,
-    verbalizer: Verbalizer,
-    steps: int,
-    k: int,
-    batch_size: int,
-    seed: int,
-) -> tuple[Instruction, list[tuple[float, float]]]:
-    """Full search loop over random minibatches. Returns the final instruction
-    and per-step (incumbent, accepted) minibatch log-likelihood pairs."""
-    rng = np.random.default_rng(seed)
-    examples = list(examples)
-    history: list[tuple[float, float]] = []
-    current = instruction
-    for _ in range(steps):
-        idx = rng.choice(len(examples), size=min(batch_size, len(examples)), replace=False)
-        minibatch = [examples[i] for i in idx]
-        before = minibatch_loglik(classifier, template, current, minibatch, verbalizer)
-        current = gs_step(classifier, template, current, minibatch, verbalizer, k, rng)
-        after = minibatch_loglik(classifier, template, current, minibatch, verbalizer)
-        history.append((before, after))
-    return current, history

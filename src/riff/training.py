@@ -19,8 +19,7 @@ import numpy as np
 from . import classifier as clf
 from . import estimators as est
 from .checkpoint import atomic_write, params_hash
-from .data import Example, Padded, RowError, SyntheticTask, TaskTemplate, format_input
-from .data import format_rewrites, pad, strip_scaffold
+from .data import Example, Padded, RowError, SyntheticTask, TaskTemplate, format_rewrites, pad
 from .decoding import DecodeConfig, decode_batch, diverse_beam_batch
 from .estimators import DEFAULT_BETA, ESTIMATORS, REGIMES
 from .numerics import log_softmax_rows
@@ -182,28 +181,49 @@ def combine_group(scores, include_original: bool) -> np.ndarray:
     return scores[0] + mean if include_original else mean
 
 
-def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig) -> list[list[TokenSeq]]:
-    """Test-style rewrites (diverse beam, m per input) of each example: one
-    stacked forward and one batched beam per cfg.batch_size inputs. Diverse
-    beam reads no seed, so rewrites depend only on the policy and input."""
-    examples = list(examples)
-    dc = decode_config(replace(cfg, m=m), cfg.seed)
-    seqs = []
-    for start in range(0, len(examples), cfg.batch_size):
-        xs = [ex.x for ex in examples[start : start + cfg.batch_size]]
-        seqs += unpad(diverse_beam_batch(policy, transition_logits_batch(policy, xs)[0], dc))
-    return [seqs[start : start + m] for start in range(0, len(seqs), m)]
-
-
-def example_groups(template: TaskTemplate, examples, rewrites) -> list[Padded]:
-    """Each example's input followed by its rewrites, formatted for scoring."""
-    pairs = zip(examples, rewrites, strict=True)
-    return [format_rewrites(template, [ex.x, *zs]) for ex, zs in pairs]
+def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig) -> Padded:
+    """Test-style rewrites (diverse beam, m per input, input-major) of all
+    examples from one stacked forward and one batched beam. Diverse beam
+    reads no seed, so rewrites depend only on the policy and input."""
+    logits = transition_logits_batch(policy, [ex.x for ex in examples])[0]
+    return diverse_beam_batch(policy, logits, decode_config(replace(cfg, m=m), cfg.seed))
 
 
 def _row_name(j: int) -> str:
     """Row j of an example group: the input, then its rewrites from 1."""
     return "input" if j == 0 else f"rewrite {j}"
+
+
+def _formatted(template: TaskTemplate, examples, rewrites: Padded | None) -> Padded:
+    """Each example's input followed by its m rewrites (input-major rows of
+    `rewrites`; none without), formatted by one format_rewrites call into
+    (example, row, position) arrays. A row too long for the template raises
+    a ValueError naming the example and the row."""
+    n = len(examples)
+    parts = [(slice(0, 1), pad([ex.x for ex in examples]))]
+    if rewrites is not None:
+        parts.append((slice(1, None), rewrites))
+    m = sum(len(part.ids) for _, part in parts) // n - 1
+    width = max(part.ids.shape[1] for _, part in parts)
+    rows = Padded(np.zeros((n, m + 1, width), dtype=np.intp), np.zeros((n, m + 1, width), dtype=bool))
+    for group_rows, part in parts:
+        for whole, a in zip(rows, part):
+            whole[:, group_rows, : a.shape[1]] = a.reshape(n, -1, a.shape[1])
+    try:
+        formatted = format_rewrites(template, Padded(*(a.reshape(n * (m + 1), width) for a in rows)))
+    except RowError as exc:
+        uid = examples[exc.row // (m + 1)].uid
+        raise ValueError(f"{_row_name(exc.row % (m + 1))} of example {uid}: {exc.reason}") from exc
+    return Padded(*(a.reshape(n, m + 1, -1) for a in formatted))
+
+
+def example_groups(template: TaskTemplate, examples, rewrites: Padded) -> list[Padded]:
+    """Each example's input followed by its rewrites (input-major rows, the
+    same count per example), formatted for scoring and cut at the group's
+    own widest row: bitwise format_rewrites(template, [ex.x, *its rewrites])."""
+    ids, valid = _formatted(template, list(examples), rewrites)
+    widths = valid.sum(axis=2).max(axis=1).tolist()
+    return [Padded(i[:, :w], v[:, :w]) for i, v, w in zip(ids, valid, widths)]
 
 
 def ensemble_accuracies(
@@ -405,8 +425,8 @@ def generate_paraphrase_cache(
     does not change the rewrites."""
     key = params_hash(policy.flat)
     examples = list(examples)
-    rewrites = decode_rewrites(policy, examples, m, cfg)
-    return {(key, ex.uid): zs for ex, zs in zip(examples, rewrites)}
+    rewrites = unpad(decode_rewrites(policy, examples, m, cfg))
+    return {(key, ex.uid): rewrites[k * m : (k + 1) * m] for k, ex in enumerate(examples)}
 
 
 def train_classifier_augmented(
@@ -421,12 +441,12 @@ def train_classifier_augmented(
 ) -> list[Checkpoint]:
     """Paraphrase-augmented classifier training with a frozen rewriter.
 
-    Rewrites for every example are generated and formatted once, before the
-    first step. m == 0 degenerates to plain supervised training and skips
-    generation entirely. A step is one weighted classifier
-    call over the inputs (weight 1/B) and their rewrites (1/(B m)), which
-    returns the loss with the gradient. Validation rewrites are decoded once:
-    the rewriter is frozen and diverse beam reads no seed.
+    Rewrites for every example are decoded and formatted once, before the
+    first step, into (example, row, position) arrays. m == 0 degenerates to
+    plain supervised training and skips decoding. A step is one weighted
+    classifier call over the inputs (weight 1/B) and their rewrites
+    (1/(B m)), which returns the loss with the gradient. Validation rewrites
+    are decoded once: the rewriter is frozen and diverse beam reads no seed.
     """
     cfg.validate()
     if m > 0 and policy is None:
@@ -434,20 +454,12 @@ def train_classifier_augmented(
     classifier = classifier.copy()
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
     mask = clf.trainable_mask(classifier, mode)
-    rewrites = [[] for _ in split.train]
+    rewrites = decode_rewrites(policy, split.train, m, cfg) if m > 0 else None
+    ids, valid = _formatted(task.template, split.train, rewrites)
     if m > 0:
-        policy_key = params_hash(policy.flat)
-        cache = generate_paraphrase_cache(
-            policy, split.train, m, cfg, derive_seed(cfg.seed, 0xCAC4E)
-        )
-        rewrites = [cache[(policy_key, ex.uid)] for ex in split.train]
         validation_groups = example_groups(
             task.template, split.validation, decode_rewrites(policy, split.validation, m, cfg)
         )
-    # only decoded rewrites carry scaffold to strip; all rows are padded once: (example, row, position)
-    rows = pad([format_input(task.template, task.template.instruction, z)
-                for ex, zs in zip(split.train, rewrites) for z in [ex.x, *map(strip_scaffold, zs)]])
-    ids, valid = (a.reshape(len(split.train), m + 1, -1) for a in rows)
     lengths = valid.sum(axis=2)
     labels = np.array([ex.y for ex in split.train])
     opt = AdamW(classifier.flat.size, AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))

@@ -9,7 +9,7 @@ from riff.classifier import (
     trainable_mask,
 )
 from riff import estimators as est
-from riff.decoding import DecodeConfig, decode_samples
+from riff.decoding import DecodeConfig, decode_batch
 from riff.numerics import (
     ParamVector,
     gelu_grad_vec,
@@ -25,12 +25,12 @@ from riff.policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
-    encode_context,
+    pad,
     policy_segments,
-    transition_logits,
+    transition_logits_batch,
     transition_table,
     unpad,
-    weighted_seq_grad,
+    weighted_seq_grads,
 )
 from riff.training import decode_config, derive_seed
 from riff.vocab import BOS, EOS, MASK
@@ -63,9 +63,14 @@ def step_logits(params: PolicyParams, context: np.ndarray, prev_id: int) -> np.n
     return s @ params.out_head
 
 
+def reference_context(params: PolicyParams, x: TokenSeq) -> np.ndarray:
+    """The input's context: the mean of its token embeddings."""
+    return params.token_embedding[list(x.ids)].mean(axis=0)
+
+
 def greedy_path(params: PolicyParams, x: TokenSeq) -> TokenSeq:
     """Stepwise-argmax sequence under the raw policy; ties go to the lowest id."""
-    logits, _ = transition_logits(params, x)
+    logits = transition_logits_batch(params, [x])[0][0]
     prefix: list[int] = []
     prev = BOS
     while len(prefix) < params.cfg.max_len - 1:
@@ -126,7 +131,7 @@ def reference_transition_counts(batch: int, vocab_size: int, items) -> np.ndarra
 
 def reference_seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:
     """Straight-line log P(z | x): one step_logits call per output token."""
-    ctx = encode_context(params, x)
+    ctx = reference_context(params, x)
     total = 0.0
     prev = BOS
     for tok in z.ids:
@@ -139,7 +144,7 @@ def reference_seq_logprob_grad(params: PolicyParams, x: TokenSeq, z: TokenSeq) -
     """Straight-line gradient of log P(z | x): one backward per output token."""
     cfg = params.cfg
     emb = params.token_embedding
-    ctx = encode_context(params, x)
+    ctx = reference_context(params, x)
     g = ParamVector(policy_segments(cfg))
     g_emb = g.view("token_embedding")
     g_rw = g.view("rec_w")
@@ -169,7 +174,7 @@ def reference_seq_logprob_grad(params: PolicyParams, x: TokenSeq, z: TokenSeq) -
 
 def reference_transition_logits(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
     """Unbatched forward: V x V logits and the (u, s) activations for one input."""
-    ctx = encode_context(params, x)
+    ctx = reference_context(params, x)
     emb = params.token_embedding
     u = np.hstack([np.broadcast_to(ctx, emb.shape), emb])
     s = np.tanh(u @ params.rec_w.T + params.rec_b)
@@ -251,8 +256,8 @@ def reference_top_p_sample(
     policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig, table: np.ndarray | None = None
 ) -> list[tuple[TokenSeq, float]]:
     """Straight-line nucleus sampling, the nucleus rebuilt and one rng.choice
-    made per token: decoding.top_p_sample must return these ids and
-    log-probs bitwise."""
+    made per token: decoding.top_p_batch must draw these ids, and
+    policy.path_logprobs must return these log-probs, bitwise."""
     rng = np.random.default_rng(cfg.seed)
     table = transition_table(policy, x) if table is None else table
     max_len = policy.cfg.max_len
@@ -309,7 +314,7 @@ def reference_diverse_beam(
 ) -> list[TokenSeq]:
     """Straight-line diverse beam, penalties and log-normalizer on numpy rows
     per group-step: decoding.diverse_beam must return these ids bitwise."""
-    table_logits = transition_logits(policy, x)[0] if logits is None else logits
+    table_logits = transition_logits_batch(policy, [x])[0][0] if logits is None else logits
     max_len = policy.cfg.max_len
     prefixes: list[list[int]] = [[] for _ in range(cfg.m)]
     scores = [0.0] * cfg.m
@@ -344,6 +349,12 @@ def reference_diverse_beam(
     return [TokenSeq(tuple(prefixes[i])) for i in ranked]
 
 
+def decode_one(policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig) -> list[TokenSeq]:
+    """m rewrites of one input by `scheme`, its draws seeded by cfg.seed: decode_batch of a batch of one."""
+    logits = transition_logits_batch(policy, [x])[0]
+    return unpad(decode_batch(policy, scheme, logits, log_softmax_rows(logits), [cfg.seed], cfg))
+
+
 def reference_example_gradient(policy: PolicyParams, fixed: PolicyParams, ex, reward_fn, cfg, step: int):
     """One example's objective gradient from its own tables, decode and
     backward, with its mean raw reward and clamp-event count; `reward_fn`
@@ -351,10 +362,7 @@ def reference_example_gradient(policy: PolicyParams, fixed: PolicyParams, ex, re
     return the batch mean of these gradients bitwise."""
     table, fixed_table = transition_table(policy, ex.x), transition_table(fixed, ex.x)
     dc = decode_config(cfg, derive_seed(cfg.seed, step, ex.uid))
-    if cfg.regime == "off":
-        seqs = decode_samples(fixed, ex.x, cfg.decoder, dc, fixed_table)
-    else:
-        seqs = decode_samples(policy, ex.x, cfg.decoder, dc, table)
+    seqs = decode_one(fixed if cfg.regime == "off" else policy, ex.x, cfg.decoder, dc)
     raw_rewards = np.asarray(reward_fn(seqs), dtype=np.float64)
     rewards = est.normalize_rewards(raw_rewards) if cfg.normalize else raw_rewards
     cur = np.array([path_logprob(table, z) for z in seqs])
@@ -362,7 +370,7 @@ def reference_example_gradient(policy: PolicyParams, fixed: PolicyParams, ex, re
     weights, clamp_events = est.coefficients(
         cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
     )
-    grad = weighted_seq_grad(policy, ex.x, seqs, weights)
+    grad = weighted_seq_grads(policy, pad([ex.x]), pad(seqs), weights)[0]
     return grad, float(raw_rewards.mean()), clamp_events
 
 

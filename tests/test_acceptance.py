@@ -8,19 +8,28 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import greedy_path, reference_label_grad, step_logits, tiny_classifier, tiny_policy
+from conftest import (
+    decode_one,
+    greedy_path,
+    reference_context,
+    reference_label_grad,
+    step_logits,
+    tiny_classifier,
+    tiny_policy,
+)
 from riff import classifier as clf
 from riff import cli, data, oracle, training
 from riff.classifier import TuningMode, Verbalizer
-from riff.decoding import DecodeConfig, diverse_beam, mixed_decode, top_p_sample
+from riff.decoding import DecodeConfig, diverse_beam, top_p_batch
 from riff.estimators import coefficients, normalize_rewards
 from riff.numerics import finite_diff_grad, max_relative_error, softmax
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
-    encode_context,
+    path_logprobs,
     pretrain_mle,
+    transition_table,
     unpad,
 )
 from riff.promptsearch import Instruction, gs_step, minibatch_loglik
@@ -155,9 +164,9 @@ def test_criterion_4_decoder_contracts():
     policy = tiny_policy(seed=4100, vocab=3, max_len=2)
     x = TokenSeq.from_content([1])
     cfg = DecodeConfig(m=10_000, top_p=1.0, seed=44)
-    firsts = [z.ids[0] for z, _ in top_p_sample(policy, x, cfg)]
+    firsts = [z.ids[0] for z in decode_one(policy, x, "top_p", cfg)]
     counts = np.array([firsts.count(t) for t in range(3)])
-    probs = softmax(step_logits(policy, encode_context(policy, x), BOS))
+    probs = softmax(step_logits(policy, reference_context(policy, x), BOS))
     pvalue = stats.chisquare(counts, f_exp=probs * len(firsts)).pvalue
     assert pvalue > 0.01
 
@@ -166,11 +175,13 @@ def test_criterion_4_decoder_contracts():
     assert [z.ids for z in diverse_beam(policy, x, cfg)] == [
         z.ids for z in diverse_beam(policy, x, cfg)
     ]
-    assert [(z.ids, lp) for z, lp in top_p_sample(policy, x, cfg)] == [
-        (z.ids, lp) for z, lp in top_p_sample(policy, x, cfg)
+    tables = transition_table(policy, x)[None]
+    first, again = (top_p_batch(policy, tables, [cfg.seed], cfg) for _ in range(2))
+    assert [(z.ids, lp) for z, lp in zip(unpad(first), path_logprobs(tables, first).tolist())] == [
+        (z.ids, lp) for z, lp in zip(unpad(again), path_logprobs(tables, again).tolist())
     ]
-    assert [z.ids for z in mixed_decode(policy, x, cfg)] == [
-        z.ids for z in mixed_decode(policy, x, cfg)
+    assert [z.ids for z in decode_one(policy, x, "mixed", cfg)] == [
+        z.ids for z in decode_one(policy, x, "mixed", cfg)
     ]
     print(
         f"\nACCEPTANCE 4 PASS: 50 greedy reductions, chi-square p={pvalue:.3f}, "

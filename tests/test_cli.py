@@ -111,6 +111,8 @@ def test_invalid_config_field_exits_2(tmp_path, capsys):
      "'classifier_checkpoint': no checkpoint file at no/such/classifier.ckpt"),
     (["riff-finetune", "--config", {"task_pool": 10}],
      "'task_pool' and 'shots': a task_pool of 10 gives 5 examples of some label, and shots 16 needs 32"),
+    (["riff-finetune", "--config", {"m": 0}], "config field 'm' must be at least 1 for riff-finetune, got 0"),
+    (["evaluate", "--config", {"m": 0}], "config field 'm' must be at least 1 for evaluate, got 0"),
 ], ids=["instances_0", "instances_negative", "seeds_not_int", "shots_0", "shots_negative",
         "top_p_0", "temperature_0_with_m_0", "diversity_penalty_negative", "repetition_penalty_below_1",
         "lr_negative", "weight_decay_negative", "policy_max_len_0", "num_labels_1", "lora_rank_over_embed_dim",
@@ -118,7 +120,7 @@ def test_invalid_config_field_exits_2(tmp_path, capsys):
         "classifier_warmup_steps_negative", "classifier_warmup_lr_negative",
         "steps_below_checkpoint_interval", "train_classifier_steps_below_checkpoint_interval",
         "classifier_warmup_steps_below_checkpoint_interval", "pretrain_pool_0", "policy_checkpoint_missing",
-        "classifier_checkpoint_missing", "task_pool_too_small_for_shots"])
+        "classifier_checkpoint_missing", "task_pool_too_small_for_shots", "finetune_m_0", "evaluate_m_0"])
 def test_invalid_settings_exit_2_naming_the_field(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):
         (tmp_path / "config.json").write_text(json.dumps(argv[-1]))

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
+    decode_one,
     greedy_path,
+    reference_context,
     reference_diverse_beam,
     reference_nucleus,
     reference_top_p_sample,
@@ -20,28 +22,33 @@ from riff.decoding import (
     DecodeConfig,
     _nuclei,
     decode_batch,
-    decode_samples,
     diverse_beam,
     diverse_beam_batch,
-    mixed_decode,
     top_p_batch,
-    top_p_sample,
 )
 from riff.numerics import log_softmax_rows, logsumexp, softmax
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
-    encode_context,
     pad,
+    path_logprobs,
     seq_logprob,
-    transition_logits,
     transition_logits_batch,
     transition_table,
+    unpad,
 )
 from riff.vocab import BOS, EOS
 
 X = TokenSeq.from_content([1, 2])
+
+
+def top_p_draws(p, x, cfg, table=None) -> list[tuple[TokenSeq, float]]:
+    """One input's m nucleus draws seeded by cfg.seed, each with its log-prob
+    under the table (by default the input's own transition table)."""
+    tables = (transition_table(p, x) if table is None else table)[None]
+    rows = top_p_batch(p, tables, [cfg.seed], cfg)
+    return list(zip(unpad(rows), path_logprobs(tables, rows).tolist()))
 
 
 def test_config_defaults_match_shared_table():
@@ -73,10 +80,10 @@ def test_top_p_full_nucleus_matches_categorical():
     # goodness of fit against the exact step distribution over 10k draws
     p = tiny_policy(seed=6, vocab=3, max_len=2)
     cfg = DecodeConfig(m=10_000, top_p=1.0, seed=99)
-    draws = top_p_sample(p, X_SMALL, cfg)
+    draws = top_p_draws(p, X_SMALL, cfg)
     firsts = [z.ids[0] for z, _ in draws]
     counts = np.array([firsts.count(t) for t in range(3)])
-    probs = softmax(step_logits(p, encode_context(p, X_SMALL), BOS))
+    probs = softmax(step_logits(p, reference_context(p, X_SMALL), BOS))
     result = stats.chisquare(counts, f_exp=probs * len(firsts))
     assert result.pvalue > 0.01
 
@@ -88,15 +95,15 @@ def test_top_p_tiny_threshold_is_greedy():
     p = tiny_policy(seed=3)
     cfg = DecodeConfig(m=4, top_p=1e-12, seed=5)
     expected = greedy_path(p, X)
-    for z, _ in top_p_sample(p, X, cfg):
+    for z, _ in top_p_draws(p, X, cfg):
         assert z.ids == expected.ids
 
 
 def test_top_p_deterministic_under_seed():
     p = tiny_policy(seed=4)
     cfg = DecodeConfig(m=6, seed=42)
-    a = top_p_sample(p, X, cfg)
-    b = top_p_sample(p, X, cfg)
+    a = top_p_draws(p, X, cfg)
+    b = top_p_draws(p, X, cfg)
     assert [z.ids for z, _ in a] == [z.ids for z, _ in b]
     assert [lp for _, lp in a] == [lp for _, lp in b]
 
@@ -104,12 +111,12 @@ def test_top_p_deterministic_under_seed():
 def test_top_p_logprobs_are_model_logprobs():
     p = tiny_policy(seed=7)
     cfg = DecodeConfig(m=5, top_p=0.9, seed=11)
-    for z, lp in top_p_sample(p, X, cfg):
+    for z, lp in top_p_draws(p, X, cfg):
         assert lp == seq_logprob(p, X, z)
     # longer rewrites over a wider vocabulary, at several nucleus sizes
     for seed, top_p in ((8, 1.0), (9, 0.5), (10, 0.99)):
         p = tiny_policy(seed=seed, vocab=5, max_len=6, scale=1.0)
-        for z, lp in top_p_sample(p, X, DecodeConfig(m=12, top_p=top_p, seed=11)):
+        for z, lp in top_p_draws(p, X, DecodeConfig(m=12, top_p=top_p, seed=11)):
             assert lp == seq_logprob(p, X, z)
 
 
@@ -172,7 +179,7 @@ def test_diverse_beam_batch_equals_reference_per_input(m, max_len, repetition_pe
     xs = [TokenSeq.from_content(gen.integers(1, 7, size=int(gen.integers(1, 5))).tolist()) for _ in range(9)]
     dc = DecodeConfig(m=m, repetition_penalty=repetition_penalty, diversity_penalty=diversity_penalty)
     want = [[z.ids for z in reference_diverse_beam(p, x, dc)] for x in xs]
-    logits = np.stack([transition_logits(p, x)[0] for x in xs])
+    logits = transition_logits_batch(p, xs)[0]
     for b in range(1, 10):
         got = diverse_beam_batch(p, logits[:b], dc)
         assert rewrite_ids(got, m) == want[:b]
@@ -181,7 +188,7 @@ def test_diverse_beam_batch_equals_reference_per_input(m, max_len, repetition_pe
 def test_diverse_beam_batch_names_the_input_and_step_of_a_non_finite_row():
     p = tiny_policy(seed=13, vocab=6, max_len=6)
     xs = [TokenSeq.from_content([t]) for t in (1, 2, 3)]
-    logits = np.stack([transition_logits(p, x)[0] for x in xs])
+    logits = transition_logits_batch(p, xs)[0]
     cfg = DecodeConfig(m=3)
     beams = diverse_beam_batch(p, logits, cfg)
     # a finished group's previous token is EOS: only live rows are read and checked
@@ -252,26 +259,26 @@ def test_diverse_beam_batch_equals_reference_on_ties_infinities_and_near_ties(
 
 def test_decoders_reject_non_finite_rows():
     p = tiny_policy(seed=13)
-    logits = transition_logits(p, X)[0].copy()
+    logits = transition_logits_batch(p, [X])[0][0].copy()
     logits[BOS, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite transition logits for batch input 0 at decode step 0"):
         diverse_beam_batch(p, logits[None], DecodeConfig(m=2))
     table = transition_table(p, X).copy()
     table[BOS, 1] = np.nan
     with pytest.raises(ValueError, match=f"transition row {BOS}"):
-        top_p_sample(p, X, DecodeConfig(m=2, top_p=1.0), table)
+        top_p_draws(p, X, DecodeConfig(m=2, top_p=1.0), table)
 
 
 def test_mixed_rejects_odd_m():
     p = tiny_policy(seed=1)
     with pytest.raises(ValueError, match="even"):
-        mixed_decode(p, X, DecodeConfig(m=3, seed=0))
+        decode_one(p, X, "mixed", DecodeConfig(m=3, seed=0))
 
 
 def test_mixed_two_takes_one_from_each():
     p = tiny_policy(seed=14)
     cfg = DecodeConfig(m=2, seed=3)
-    picks = mixed_decode(p, X, cfg)
+    picks = decode_one(p, X, "mixed", cfg)
     assert len(picks) == 2
     beam_sorted = sorted(
         diverse_beam(p, X, cfg), key=lambda z: -seq_logprob(p, X, z)
@@ -282,7 +289,7 @@ def test_mixed_two_takes_one_from_each():
 def test_mixed_beam_half_matches_reranked_beam():
     p = tiny_policy(seed=15, vocab=5, max_len=5)
     cfg = DecodeConfig(m=4, seed=8)
-    picks = mixed_decode(p, X, cfg)
+    picks = decode_one(p, X, "mixed", cfg)
     beam = diverse_beam(p, X, cfg)
     lps = [seq_logprob(p, X, z) for z in beam]
     order = sorted(range(len(beam)), key=lambda i: (-lps[i], i))
@@ -306,7 +313,7 @@ def test_mixed_degenerate_pool_backfills_with_repeats():
     head = p.out_head
     head[:, EOS] = 30.0  # EOS dominates every step
     cfg = DecodeConfig(m=4, top_p=0.5, seed=2)
-    picks = mixed_decode(p, X_SMALL, cfg)
+    picks = decode_one(p, X_SMALL, "mixed", cfg)
     assert len(picks) == 4
     assert all(z.ids == (EOS,) for z in picks)
 
@@ -314,11 +321,11 @@ def test_mixed_degenerate_pool_backfills_with_repeats():
 def test_mixed_deterministic():
     p = tiny_policy(seed=17)
     cfg = DecodeConfig(m=4, seed=21)
-    assert [z.ids for z in mixed_decode(p, X, cfg)] == [z.ids for z in mixed_decode(p, X, cfg)]
+    assert [z.ids for z in decode_one(p, X, "mixed", cfg)] == [z.ids for z in decode_one(p, X, "mixed", cfg)]
 
 
 def _assert_matches_references(p, x, cfg):
-    got, want = top_p_sample(p, x, cfg), reference_top_p_sample(p, x, cfg)
+    got, want = top_p_draws(p, x, cfg), reference_top_p_sample(p, x, cfg)
     assert [z.ids for z, _ in got] == [z.ids for z, _ in want]
     assert [lp for _, lp in got] == [lp for _, lp in want]
     assert [z.ids for z in diverse_beam(p, x, cfg)] == [
@@ -355,13 +362,13 @@ def test_decoders_bitwise_equal_references_on_ties_and_negative_logits():
     p.rec_b[:] = 1.0
     p.rec_w[:] = 0.0
     p.out_head[:] = -np.abs(p.out_head) - 0.1
-    assert np.all(transition_logits(p, X)[0] < 0)
+    assert np.all(transition_logits_batch(p, [X])[0] < 0)
     for m in (1, 8):
         _assert_matches_references(p, X, DecodeConfig(m=m, repetition_penalty=10.0, seed=m))
 
 
 def test_nucleus_lookup_reproduces_generator_choice():
-    # premise of top_p_sample: Generator.choice(keep, p=nucleus) takes one
+    # premise of top_p_batch: Generator.choice(keep, p=nucleus) takes one
     # random() per call and returns keep[bisect_right(cdf, u)]
     gen = np.random.default_rng(7)
     for trial in range(300):
@@ -427,23 +434,22 @@ def test_decoders_return_wellformed_sequences(seed, scheme):
     p = tiny_policy(seed=seed % 997, vocab=vocab, max_len=max_len)
     x = TokenSeq.from_content([int(gen.integers(1, vocab))])
     cfg = DecodeConfig(m=4, seed=seed % 65521)
-    for z in decode_samples(p, x, scheme, cfg):
+    for z in decode_one(p, x, scheme, cfg):
         assert z.ids[-1] == EOS
         assert sum(1 for t in z.ids if t == EOS) == 1
         assert len(z) <= max_len
-    # decoding from a table the caller already holds is bitwise the same
-    held = transition_table(p, x)
-    assert [z.ids for z in decode_samples(p, x, scheme, cfg, held)] == [
-        z.ids for z in decode_samples(p, x, scheme, cfg)
-    ]
+    # decoding from the input's transition table is bitwise the same
+    logits = transition_logits_batch(p, [x])[0]
+    held = decode_batch(p, scheme, logits, transition_table(p, x)[None], [cfg.seed], cfg)
+    assert [z.ids for z in unpad(held)] == [z.ids for z in decode_one(p, x, scheme, cfg)]
     # and the decoders return the straight-line references' ids and log-probs
     _assert_matches_references(p, x, cfg)
 
 
-def test_decode_samples_rejects_unknown_scheme():
+def test_decode_batch_rejects_unknown_scheme():
     p = tiny_policy(seed=1)
     with pytest.raises(ValueError, match="unknown decode scheme"):
-        decode_samples(p, X, "banana", DecodeConfig(m=2, seed=0))
+        decode_one(p, X, "banana", DecodeConfig(m=2, seed=0))
 
 
 def test_nucleus_buckets_equal_per_row_references_on_random_stacks():
@@ -498,7 +504,7 @@ def test_batch_decoding_equals_the_per_input_decoders(scheme):
         logits = transition_logits_batch(p, xs)[0]
         rows = decode_batch(p, scheme, logits, log_softmax_rows(logits), seeds, cfg)
         want = [
-            [z.ids for z in decode_samples(p, x, scheme, replace(cfg, seed=s))]
+            [z.ids for z in decode_one(p, x, scheme, replace(cfg, seed=s))]
             for x, s in zip(xs, seeds)
         ]
         assert rewrite_ids(rows, cfg.m) == want

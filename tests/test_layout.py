@@ -10,9 +10,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 LIBRARY_API = {
     "data.majority_label": "the synthetic task's rule-based oracle classifier, a test reference",
-    "decoding.mixed_decode": "the per-input mixed decoder, returning TokenSeqs; fine-tuning "
-    "decodes whole minibatches with decode_batch",
-    "promptsearch.gs_search": "discrete instruction search, a library entry point no command runs",
+    "promptsearch.gs_step": "one step of discrete instruction search, the prompt-optimizing baseline "
+    "criterion 5 checks; no command runs it",
 }
 
 

@@ -20,7 +20,7 @@ from riff.oracle import (
     exact_kl_objective,
     exact_objective,
 )
-from riff.policy import PolicyConfig, PolicyParams, TokenSeq, seq_logprob, weighted_seq_grad
+from riff.policy import PolicyConfig, PolicyParams, TokenSeq, pad, seq_logprob, weighted_seq_grads
 from riff.vocab import BOS, EOS
 
 mpmath.mp.dps = 40
@@ -111,7 +111,7 @@ def test_exact_kl_bitwise_equals_seq_logprobs_forms(beta):
             want_obj = want_obj - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
             coeffs = coeffs - beta * np.exp(lps) * (lps - fixed_lps + 1.0)
         assert got_obj == want_obj
-        assert np.array_equal(got_grad, weighted_seq_grad(p, x, seqs, coeffs))
+        assert np.array_equal(got_grad, weighted_seq_grads(p, pad([x]), pad(seqs), coeffs)[0])
         assert np.array_equal(got_grad, reference_weighted_seq_grad(p, x, seqs, coeffs))
 
 

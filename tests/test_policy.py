@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     max_scaled_error,
     path_logprob,
+    reference_context,
     reference_pretrain_mle,
     reference_seq_logprob,
     reference_seq_logprob_grad,
@@ -30,7 +31,6 @@ from riff.policy import (
     PolicyParams,
     TokenSeq,
     _transition_counts,
-    encode_context,
     encode_contexts,
     load_policy,
     pad,
@@ -39,10 +39,8 @@ from riff.policy import (
     save_policy,
     seq_logprob,
     snapshot,
-    transition_logits,
     transition_logits_batch,
     transition_table,
-    weighted_seq_grad,
     weighted_seq_grads,
 )
 from riff.vocab import BOS, EOS
@@ -115,7 +113,7 @@ def test_gradient_matches_finite_differences():
         z = TokenSeq.from_content(
             [int(gen.integers(1, vocab)) for _ in range(int(gen.integers(0, 4)))]
         )
-        analytic = weighted_seq_grad(p, x, [z], [1.0])
+        analytic = weighted_seq_grads(p, pad([x]), pad([z]), [1.0])[0]
 
         def f(flat, cfg=p.cfg, x=x, z=z):
             probe = PolicyParams(cfg)
@@ -150,8 +148,8 @@ def kernel_case(vocab, max_len, embed, hidden, seed, scale):
 @pytest.mark.parametrize("case", KERNEL_CONFIGS)
 def test_transition_table_rows_equal_step_log_softmax(case):
     p, x, seqs, _ = kernel_case(*case)
-    ctx = encode_context(p, x)
-    logits, _ = transition_logits(p, x)
+    ctx = reference_context(p, x)
+    logits = transition_logits_batch(p, [x])[0][0]
     table = transition_table(p, x)
     for prev in range(p.cfg.vocab_size):
         raw = step_logits(p, ctx, prev)
@@ -173,7 +171,7 @@ def test_weighted_seq_grad_matches_reference_sum(case, kind):
     else:
         weights[::3] = 0.0
     want = sum(w * reference_seq_logprob_grad(p, x, z) for w, z in zip(weights, seqs))
-    assert max_scaled_error(weighted_seq_grad(p, x, seqs, weights), want) < 1e-12
+    assert max_scaled_error(weighted_seq_grads(p, pad([x]), pad(seqs), weights)[0], want) < 1e-12
 
 
 @pytest.mark.parametrize("case", KERNEL_CONFIGS)
@@ -182,8 +180,8 @@ def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
     for j, z in enumerate(seqs):
         one_hot = np.zeros(len(seqs))
         one_hot[j] = 1.0
-        single = weighted_seq_grad(p, x, [z], [1.0])
-        assert np.array_equal(weighted_seq_grad(p, x, seqs, one_hot), single)
+        single = weighted_seq_grads(p, pad([x]), pad([z]), [1.0])[0]
+        assert np.array_equal(weighted_seq_grads(p, pad([x]), pad(seqs), one_hot)[0], single)
         # handing over the table's logits and activations changes nothing
         given = weighted_seq_grads(p, pad([x]), pad(seqs), one_hot, transition_logits_batch(p, [x]))[0]
         assert np.array_equal(given, single)
@@ -202,11 +200,12 @@ def test_weighted_seq_grad_bitwise_equals_unbatched_reference(case, kind):
         weights = -np.abs(weights)
     else:
         weights[::3] = 0.0
-    logits, (u, s) = transition_logits(p, x)
+    logits, (u, s) = transition_logits_batch(p, [x])
     want_logits, (want_u, want_s) = reference_transition_logits(p, x)
-    assert np.array_equal(logits, want_logits)
-    assert np.array_equal(u, want_u) and np.array_equal(s, want_s)
-    assert np.array_equal(weighted_seq_grad(p, x, seqs, weights), reference_weighted_seq_grad(p, x, seqs, weights))
+    assert np.array_equal(logits[0], want_logits)
+    assert np.array_equal(u[0], want_u) and np.array_equal(s[0], want_s)
+    got = weighted_seq_grads(p, pad([x]), pad(seqs), weights)[0]
+    assert np.array_equal(got, reference_weighted_seq_grad(p, x, seqs, weights))
 
 
 def recipe_corpus():
@@ -228,7 +227,7 @@ def test_pair_grads_rows_bitwise_equal_seq_logprob_grad():
         rows = weighted_seq_grads(p, pad([x for x, _ in chunk]), pad([z for _, z in chunk]), np.ones(len(chunk)))
         assert rows.shape == (len(chunk), p.flat.size)
         for row, (x, z) in zip(rows, chunk):
-            assert np.array_equal(row, weighted_seq_grad(p, x, [z], [1.0]))
+            assert np.array_equal(row, weighted_seq_grads(p, pad([x]), pad([z]), [1.0])[0])
             assert np.array_equal(row, reference_weighted_seq_grad(p, x, [z], [1.0]))
 
 
@@ -245,14 +244,14 @@ def test_pretrain_mle_bitwise_equals_per_pair_reference(batch_size):
 def test_weighted_seq_grad_rejects_weight_count_mismatch():
     p, x, seqs, _ = kernel_case(*KERNEL_CONFIGS[0])
     with pytest.raises(ValueError, match="weights"):
-        weighted_seq_grad(p, x, seqs, np.ones(len(seqs) + 1))
+        weighted_seq_grads(p, pad([x]), pad(seqs), np.ones(len(seqs) + 1))
 
 
 def test_gradient_finite_for_improbable_token():
     p = tiny_policy(seed=0, vocab=4)
     # make token 3 extremely unlikely at every step
     p.out_head[:, 3] = -40.0
-    g = weighted_seq_grad(p, TokenSeq.from_content([1]), [TokenSeq.from_content([3])], [1.0])
+    g = weighted_seq_grads(p, pad([TokenSeq.from_content([1])]), pad([TokenSeq.from_content([3])]), [1.0])[0]
     assert np.all(np.isfinite(g))
 
 
@@ -261,13 +260,13 @@ def test_head_column_shift_leaves_probs_and_embedding_grad():
     x = TokenSeq.from_content([1, 2])
     z = TokenSeq.from_content([2, 1])
     base_lp = seq_logprob(p, x, z)
-    base_grad = weighted_seq_grad(p, x, [z], [1.0])
+    base_grad = weighted_seq_grads(p, pad([x]), pad([z]), [1.0])[0]
     shifted = p.copy()
     shifted.out_head[:] += np.full((p.cfg.hidden_dim, 1), 0.73)  # same h-vector on every column
     assert seq_logprob(shifted, x, z) == pytest.approx(base_lp, abs=1e-12)
     emb_slice = p.pv.segment_slice("token_embedding")
     assert np.allclose(
-        weighted_seq_grad(shifted, x, [z], [1.0])[emb_slice], base_grad[emb_slice], atol=1e-12
+        weighted_seq_grads(shifted, pad([x]), pad([z]), [1.0])[0][emb_slice], base_grad[emb_slice], atol=1e-12
     )
 
 
@@ -482,7 +481,7 @@ def test_encode_context_is_mean_embedding():
     p = tiny_policy(seed=1)
     x = TokenSeq.from_content([1, 2])
     expected = (p.token_embedding[1] + p.token_embedding[2] + p.token_embedding[EOS]) / 3
-    assert np.allclose(encode_context(p, x), expected, atol=1e-15)
+    assert np.allclose(encode_contexts(p, pad([x]))[0], expected, atol=1e-15)
 
 
 def test_encode_context_sum_over_length_is_mean_bitwise():
@@ -492,12 +491,12 @@ def test_encode_context_sum_over_length_is_mean_bitwise():
             cfg = PolicyConfig(vocab_size=int(gen.integers(2, 40)), embed_dim=int(gen.integers(1, 16)))
             p = PolicyParams.init_random(cfg, seed=int(gen.integers(2**31)), scale=float(gen.uniform(0.01, 3.0)))
             x = TokenSeq.from_content(gen.integers(1, cfg.vocab_size, size=n - 1).tolist())
-            assert np.array_equal(encode_context(p, x), p.token_embedding[list(x.ids)].mean(axis=0))
+            assert np.array_equal(encode_contexts(p, pad([x]))[0], p.token_embedding[list(x.ids)].mean(axis=0))
 
 
 def test_step_logits_shape():
     p = tiny_policy(seed=1, vocab=4)
-    ctx = encode_context(p, TokenSeq.from_content([1]))
+    ctx = reference_context(p, TokenSeq.from_content([1]))
     assert step_logits(p, ctx, BOS).shape == (4,)
 
 
@@ -516,12 +515,14 @@ def test_batched_contexts_equal_encode_context_bitwise():
             p = PolicyParams.init_random(cfg, seed=int(gen.integers(2**31)), scale=float(gen.uniform(0.01, 3.0)))
             xs = random_inputs(gen, cfg.vocab_size, int(gen.integers(1, 10)), 30)
             got = encode_contexts(p, pad(xs))
-            assert all(np.array_equal(row, encode_context(p, x)) for row, x in zip(got, xs))
+            assert all(np.array_equal(row, reference_context(p, x)) for row, x in zip(got, xs))
             logits, (u, s) = transition_logits_batch(p, xs)
             for b, x in enumerate(xs):
-                want_logits, (want_u, want_s) = transition_logits(p, x)
-                assert np.array_equal(logits[b], want_logits)
-                assert np.array_equal(u[b], want_u) and np.array_equal(s[b], want_s)
+                want_logits, (want_u, want_s) = transition_logits_batch(p, [x])
+                assert np.array_equal(logits[b], want_logits[0])
+                assert np.array_equal(u[b], want_u[0]) and np.array_equal(s[b], want_s[0])
+                # the oracle's one-input table encodes its context inline, bitwise the same
+                assert np.array_equal(transition_table(p, x), log_softmax_rows(logits[b]))
     p = tiny_policy(seed=3, vocab=4)
     with pytest.raises(ValueError, match="token id 7 out of range for vocabulary of size 4"):
         transition_logits_batch(p, [TokenSeq.from_content([1]), TokenSeq.from_content([2, 7, 9])])
@@ -565,3 +566,13 @@ def test_weighted_seq_grads_name_the_first_bad_row():
         weighted_seq_grads(p, pad([x]), pad([ok, long, foreign]), np.ones(3))
     with pytest.raises(ValueError, match="^2 weights for 3 sequences$"):
         weighted_seq_grads(p, pad([x]), pad([ok, ok, ok]), np.ones(2))
+
+
+def test_path_kernels_name_the_row_and_input_counts():
+    p = tiny_policy(seed=2, vocab=4, max_len=4)
+    x, z = TokenSeq.from_content([1]), TokenSeq.from_content([2])
+    message = "^3 rows for 2 inputs: each input needs the same number of rows$"
+    with pytest.raises(ValueError, match=message):
+        weighted_seq_grads(p, pad([x, x]), pad([z, z, z]), np.ones(3))
+    with pytest.raises(ValueError, match=message):
+        path_logprobs(np.stack([transition_table(p, x)] * 2), pad([z, z, z]))

@@ -10,12 +10,14 @@ import pytest
 
 from conftest import (
     assemble_gradient,
+    decode_one,
     kl_penalized_gradient,
     max_scaled_error,
     reference_diverse_beam,
     reference_example_gradient,
     reference_seq_logprob,
     reference_seq_logprob_grad,
+    rewrite_ids,
     table_reward,
     tiny_classifier,
 )
@@ -23,9 +25,9 @@ from riff import classifier as clf
 from riff import training
 from riff import estimators as est
 from riff.data import Example, Padded, format_input, format_rewrites, gen_synthetic_task, pad, strip_scaffold
-from riff.decoding import decode_samples
 from riff.optim import AdamConfig, AdamW
 from riff.policy import PolicyConfig, PolicyParams, TokenSeq, snapshot, unpad
+from riff.vocab import FIRST_CONTENT_ID
 from riff.training import (
     Checkpoint,
     RunConfig,
@@ -251,7 +253,7 @@ def test_minibatch_rewards_equal_per_example_rewards(monkeypatch, mode):
     reward_fn = finetune_reward_fn(monkeypatch, task, split, classifier, policy)
     batch = list(split.train)
     cfg = RunConfig(m=6, decoder="mixed", seed=3)
-    samples = [decode_samples(policy, ex.x, "mixed", training.decode_config(cfg, ex.uid)) for ex in batch]
+    samples = [decode_one(policy, ex.x, "mixed", training.decode_config(cfg, ex.uid)) for ex in batch]
     got = training._sample_rewards(batch, pad([z for zs in samples for z in zs]), reward_fn, step=1)
     for ex, zs, rewards in zip(batch, samples, got):
         assert max_scaled_error(rewards, per_example_rewards(classifier, task, ex, zs)) <= 1e-12
@@ -332,7 +334,7 @@ def test_example_gradient_equals_reference_assembly(estimator, regime):
         )
         # the same samples, scored and differentiated one sequence at a time
         dc = training.decode_config(cfg, derive_seed(cfg.seed, 2, ex.uid))
-        seqs = decode_samples(fixed if regime == "off" else policy, ex.x, "mixed", dc)
+        seqs = decode_one(fixed if regime == "off" else policy, ex.x, "mixed", dc)
         rewards = est.normalize_rewards([reward_fn(z) for z in seqs])
         cur = np.array([reference_seq_logprob(policy, ex.x, z) for z in seqs])
         fixed_lp = np.array([reference_seq_logprob(fixed, ex.x, z) for z in seqs])
@@ -407,7 +409,7 @@ def test_finetune_reproduces_pinned_run(tmp_path):
     for ck in checkpoints:
         for ex in split.train[:2]:
             dc = training.decode_config(cfg, derive_seed(cfg.seed, ck.step, ex.uid))
-            rewrites.append([z.ids for z in decode_samples(ck.params, ex.x, "mixed", dc)])
+            rewrites.append([z.ids for z in decode_one(ck.params, ex.x, "mixed", dc)])
     assert rewrites == PINNED_REWRITES
     rows = read_metrics_csv(tmp_path / "metrics.csv")
     assert [(r["step"], r["split"], r["metric"]) for r in rows] == [r[:3] for r in PINNED_ROWS]
@@ -505,7 +507,7 @@ def test_ensemble_identical_rewrites_match_plain_argmax():
     verb = clf.Verbalizer(task.verbalizer_ids)
     ex = split.train[0]
     scores = clf.label_logprobs_batch(
-        classifier, training.example_groups(task.template, [ex], [[ex.x] * 3])[0], verb
+        classifier, training.example_groups(task.template, [ex], pad([ex.x] * 3))[0], verb
     )
     plain = int(np.argmax(scores[0]))
     assert int(np.argmax(combine_group(scores, include_original=True))) == plain
@@ -515,7 +517,7 @@ def test_ensemble_single_rewrite_exclusion_is_plain_on_rewrite():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
     z = TokenSeq.from_content([4, 6])
-    group = training.example_groups(task.template, [split.train[0]], [[z]])[0]
+    group = training.example_groups(task.template, [split.train[0]], pad([z]))[0]
     scores = clf.label_logprobs_batch(classifier, group, verb)
     alone = clf.label_logprobs_batch(classifier, format_rewrites(task.template, [z]), verb)[0]
     assert int(np.argmax(combine_group(scores, include_original=False))) == int(np.argmax(alone))
@@ -547,7 +549,7 @@ def test_ensemble_accuracies_score_each_width_in_one_call_bitwise_as_each_group_
         [TokenSeq.from_content(gen.integers(4, 20, size=gen.integers(1, 25))) for _ in range(4)]
         for _ in split.validation
     ]
-    groups = training.example_groups(task.template, split.validation, rewrites)
+    groups = training.example_groups(task.template, split.validation, pad([z for zs in rewrites for z in zs]))
     classifier = tiny_classifier(seed=5, vocab=20, embed=8, prompt_len=3, mode=mode)
     gen = np.random.default_rng(2)
     for name in ("lora_b_q", "lora_b_v"):  # adapters that change the scores under LORA
@@ -595,25 +597,31 @@ def test_ensemble_accuracies_name_the_example_and_row_of_a_bad_token(row, what):
     rows = [bad.x, long, TokenSeq.from_content([4, 6])]
     rows[row] = TokenSeq.from_content([4, 25])
     bad = Example(bad.uid, rows[0], bad.y)
-    groups = training.example_groups(task.template, [good, bad], [[long, long], rows[1:]])
+    groups = training.example_groups(task.template, [good, bad], pad([long, long, *rows[1:]]))
     assert groups[0].ids.shape == groups[1].ids.shape
     reason = "token id 25 out of range for vocabulary of size 20"
     with pytest.raises(ValueError, match=f"^{what} of example {bad.uid}: {reason}$"):
         training.ensemble_accuracies(classifier, verb, [good, bad], groups)
 
 
+def plant_rewrite(monkeypatch, uid: int, j: int, z: TokenSeq) -> None:
+    """Make decode_rewrites return z as rewrite j (from 1) of example uid."""
+    decode = training.decode_rewrites
+
+    def planted(policy, examples, m, cfg):
+        rewrites = unpad(decode(policy, examples, m, cfg))
+        for k, ex in enumerate(examples):
+            if ex.uid == uid:
+                rewrites[k * m + j - 1] = z
+        return pad(rewrites)
+
+    monkeypatch.setattr(training, "decode_rewrites", planted)
+
+
 def test_augmented_step_names_the_example_row_and_step_of_a_bad_token(monkeypatch):
     task, split, classifier, policy = make_pipeline()
     bad = split.train[3]
-    cache_fn = training.generate_paraphrase_cache
-
-    def planted(policy, examples, m, cfg, cache_seed):
-        cache = cache_fn(policy, examples, m, cfg, cache_seed)
-        key = next(k for k in cache if k[1] == bad.uid)
-        cache[key] = [cache[key][0], TokenSeq.from_content([4, 25])]
-        return cache
-
-    monkeypatch.setattr(training, "generate_paraphrase_cache", planted)
+    plant_rewrite(monkeypatch, bad.uid, 2, TokenSeq.from_content([4, 25]))
     # one batch holds every training example, so step 1 reaches the bad one
     cfg = RunConfig(m=2, steps=2, batch_size=len(split.train), checkpoint_interval=2)
     reason = "token id 25 out of range for vocabulary of size 20"
@@ -700,7 +708,7 @@ def test_paraphrase_cache_hit_and_miss():
     assert (key, 10_000) not in cache and ("someotherpolicy", split.train[0].uid) not in cache
 
 
-def test_decode_rewrites_ids_do_not_depend_on_the_chunk_size():
+def test_decode_rewrites_rows_equal_each_inputs_reference_beam():
     _, split, _, policy = make_pipeline()
     examples = [*split.train, *split.validation]
     cfg = RunConfig(seed=2)
@@ -708,9 +716,74 @@ def test_decode_rewrites_ids_do_not_depend_on_the_chunk_size():
         [z.ids for z in reference_diverse_beam(policy, ex.x, training.decode_config(replace(cfg, m=3), 0))]
         for ex in examples
     ]
-    for batch_size in (1, 3, len(examples)):
-        got = training.decode_rewrites(policy, examples, 3, replace(cfg, batch_size=batch_size))
-        assert [[z.ids for z in zs] for zs in got] == want
+    # one batched beam over however many inputs: an input's rows do not depend on the batch
+    for count in (1, 3, len(examples)):
+        got = training.decode_rewrites(policy, examples[:count], 3, cfg)
+        assert rewrite_ids(got, 3) == want[:count]
+
+
+def random_rewrites(gen, examples, m: int) -> Padded:
+    """m rewrites per example of 1..24 ids, scaffold ids among them, input-major."""
+    return pad([TokenSeq.from_content(gen.integers(1, 20, size=gen.integers(1, 25)))
+                for _ in range(m * len(examples))])
+
+
+def test_example_groups_equal_each_groups_own_format_rewrites_bitwise():
+    task = small_task()
+    split = fewshot_split(task.train, 8, seed=0)
+    rewrites = random_rewrites(np.random.default_rng(3), split.validation, 4)
+    zs = unpad(rewrites)
+    groups = training.example_groups(task.template, split.validation, rewrites)
+    assert len(groups) == len(split.validation) and len({g.ids.shape[1] for g in groups}) > 1
+    for k, (ex, group) in enumerate(zip(split.validation, groups)):
+        want = format_rewrites(task.template, [ex.x, *zs[4 * k : 4 * k + 4]])
+        assert np.array_equal(group.ids, want.ids) and np.array_equal(group.valid, want.valid)
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_augmented_rows_equal_the_formatted_inputs_and_stripped_rewrites(m):
+    task, split, _, _ = make_pipeline()
+    gen = np.random.default_rng(m)
+    rewrites = random_rewrites(gen, split.train, m) if m else None
+    zs = unpad(rewrites) if m else []
+    assert not m or any(t < FIRST_CONTENT_ID for z in zs for t in z.content)  # some scaffold ids to strip
+    # the rows the augmented step read before: each input, then its rewrites stripped of scaffold
+    want = pad([format_input(task.template, task.template.instruction, z)
+                for k, ex in enumerate(split.train) for z in [ex.x, *map(strip_scaffold, zs[m * k : m * k + m])]])
+    ids, valid = training._formatted(task.template, split.train, rewrites)
+    assert ids.shape[:2] == (len(split.train), m + 1)
+    assert np.array_equal(ids.reshape(len(want.ids), -1), want.ids)
+    assert np.array_equal(valid.reshape(len(want.ids), -1), want.valid)
+
+
+LONG = TokenSeq.from_content([5] * 60)  # 67 formatted tokens, over the template's 64
+
+
+@pytest.mark.parametrize("row, what", [(0, "input"), (2, "rewrite 2")])
+def test_example_groups_name_the_example_and_row_of_an_over_long_row(row, what):
+    task, split, _, _ = make_pipeline()
+    good, bad = split.validation[:2]
+    rows = [bad.x, TokenSeq.from_content([4]), TokenSeq.from_content([4, 6])]
+    rows[row] = LONG
+    bad = Example(bad.uid, rows[0], bad.y)
+    reason = "formatted input of 67 tokens exceeds the 64 limit"
+    with pytest.raises(ValueError, match=f"^{what} of example {bad.uid}: {reason}$"):
+        training.example_groups(task.template, [good, bad], pad([good.x, good.x, *rows[1:]]))
+
+
+@pytest.mark.parametrize("row, what", [(0, "input"), (2, "rewrite 2")])
+def test_augmented_training_names_the_example_and_row_of_an_over_long_row(monkeypatch, row, what):
+    task, split, classifier, policy = make_pipeline()
+    bad = split.train[3]
+    if row:
+        plant_rewrite(monkeypatch, bad.uid, row, LONG)
+    else:
+        bad = Example(bad.uid, LONG, bad.y)
+        split = replace(split, train=(*split.train[:3], bad, *split.train[4:]))
+    cfg = RunConfig(m=2, steps=2, checkpoint_interval=2)
+    reason = "formatted input of 67 tokens exceeds the 64 limit"
+    with pytest.raises(ValueError, match=f"^{what} of example {bad.uid}: {reason}$"):
+        train_classifier_augmented(classifier, policy, task, split, m=2, mode=clf.TuningMode.HEAD, cfg=cfg)
 
 
 def test_train_classifier_augmented_smoke_and_cadence(tmp_path):
