@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .checkpoint import load_segments, save_segments
-from .data import Padded, RowError, pad
+from .data import Padded, _first_bad, pad
 from .numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
 from .vocab import MASK
 
@@ -166,14 +166,6 @@ def _check_verbalizer(params: ClassifierParams, verbalizer: Verbalizer) -> None:
         raise ValueError("verbalizer size does not match label count")
     if any(t >= params.cfg.vocab_size for t in verbalizer.token_ids):
         raise ValueError("verbalizer token id out of vocabulary range")
-
-
-def _first_bad(bad: np.ndarray, message) -> None:
-    """Raise a RowError for the first sequence flagged in `bad`; `message(i)`
-    says what is wrong with sequence i."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise RowError(i, message(i))
 
 
 def _batch_ids(params: ClassifierParams, seqs) -> Padded:

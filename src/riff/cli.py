@@ -353,7 +353,7 @@ def cmd_evaluate(args) -> int:
         rewrites[name] = training.decode_rewrites(policy, examples, cfg.m, cfg)
         incl, excl = training.ensemble_accuracies(
             classifier, verbalizer, examples,
-            training.example_groups(task.template, examples, rewrites[name]),
+            training.format_groups(task.template, examples, rewrites[name]),
         )
         rows.extend(
             [

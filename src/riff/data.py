@@ -25,6 +25,14 @@ class RowError(ValueError):
         self.row, self.reason = row, reason
 
 
+def _first_bad(bad: np.ndarray, message) -> None:
+    """Raise a RowError for the first sequence flagged in `bad`; `message(i)`
+    says what is wrong with sequence i."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RowError(i, message(i))
+
+
 @dataclass(frozen=True)
 class Example:
     uid: int

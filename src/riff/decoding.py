@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _log_normalizers
 from .policy import (
     Padded,
     PolicyParams,
@@ -108,14 +109,6 @@ def top_p_batch(policy: PolicyParams, tables: np.ndarray, seeds, cfg: DecodeConf
 def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
     """m groups of beam width 1 for one input: diverse_beam_batch of a batch of one."""
     return unpad(diverse_beam_batch(policy, transition_logits_batch(policy, [x])[0], cfg))
-
-
-def _log_normalizers(rows: np.ndarray) -> np.ndarray:
-    """Each row's log-normalizer: the row max plus math.log of numpy's exp and
-    pairwise row sum, so a row rounds as it would alone."""
-    top = rows.max(axis=1)
-    sums = np.exp(rows - top[:, None]).sum(axis=1)
-    return top + list(map(math.log, sums.tolist()))
 
 
 def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, last: bool, exact: bool):

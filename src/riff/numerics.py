@@ -25,6 +25,14 @@ def logsumexp(xs) -> float:
     return m + math.log(float(np.sum(np.exp(arr - m))))
 
 
+def _log_normalizers(rows: np.ndarray) -> np.ndarray:
+    """Each row's log-normalizer by logsumexp's own operations (the row max plus math.log
+    of numpy's exp and pairwise row sum), so a row rounds as it would alone."""
+    top = rows.max(axis=1)
+    sums = np.exp(rows - top[:, None]).sum(axis=1)
+    return top + list(map(math.log, sums.tolist()))
+
+
 def log_softmax(logits) -> np.ndarray:
     arr = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -88,9 +96,14 @@ def finite_diff_grad(f, theta, h: float = 1e-5) -> np.ndarray:
 
 
 def max_relative_error(a, b, floor: float = 1e-8) -> float:
-    """Componentwise |a-b| / max(|a|,|b|), skipping entries below `floor`."""
+    """Componentwise |a-b| / max(|a|,|b|), skipping entries below `floor`. A non-finite
+    entry is no match: it raises, naming its argument and its flat index there."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    for name, arr in (("a", a), ("b", b)):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"non-finite entry {arr.ravel()[bad[0]]} at index {bad[0]} of {name}")
     scale = np.maximum(np.abs(a), np.abs(b))
     keep = scale >= floor
     if not np.any(keep):

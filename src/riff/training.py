@@ -169,16 +169,17 @@ def protocol_plan(cfg: RunConfig, n_train: int) -> dict:
 
 
 def combine_group(scores, include_original: bool) -> np.ndarray:
-    """Per-label ensemble score of one example group, whose row 0 holds the
-    original input's label scores and rows 1.. its rewrites': the original
-    score (if included) plus the mean rewrite score."""
+    """Per-label ensemble scores of a (..., rows, labels) stack of example groups,
+    whose row 0 holds the original input's label scores and rows 1.. its rewrites':
+    the original score (if included) plus the mean rewrite score."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not include_original and len(scores) < 2:
+    rows = scores.shape[-2]
+    if not include_original and rows < 2:
         raise ValueError("exclusion-mode ensemble needs at least one rewrite")
-    if len(scores) < 2:
-        return scores[0].copy()
-    mean = scores[1:].sum(axis=0) / (len(scores) - 1)
-    return scores[0] + mean if include_original else mean
+    if rows < 2:
+        return scores[..., 0, :].copy()
+    mean = scores[..., 1:, :].sum(axis=-2) / (rows - 1)
+    return scores[..., 0, :] + mean if include_original else mean
 
 
 def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig) -> Padded:
@@ -194,7 +195,7 @@ def _row_name(j: int) -> str:
     return "input" if j == 0 else f"rewrite {j}"
 
 
-def _formatted(template: TaskTemplate, examples, rewrites: Padded | None) -> Padded:
+def format_groups(template: TaskTemplate, examples, rewrites: Padded | None) -> Padded:
     """Each example's input followed by its m rewrites (input-major rows of
     `rewrites`; none without), formatted by one format_rewrites call into
     (example, row, position) arrays. A row too long for the template raises
@@ -217,48 +218,35 @@ def _formatted(template: TaskTemplate, examples, rewrites: Padded | None) -> Pad
     return Padded(*(a.reshape(n, m + 1, -1) for a in formatted))
 
 
-def example_groups(template: TaskTemplate, examples, rewrites: Padded) -> list[Padded]:
-    """Each example's input followed by its rewrites (input-major rows, the
-    same count per example), formatted for scoring and cut at the group's
-    own widest row: bitwise format_rewrites(template, [ex.x, *its rewrites])."""
-    ids, valid = _formatted(template, list(examples), rewrites)
-    widths = valid.sum(axis=2).max(axis=1).tolist()
-    return [Padded(i[:, :w], v[:, :w]) for i, v, w in zip(ids, valid, widths)]
-
-
 def ensemble_accuracies(
-    classifier: clf.ClassifierParams, verbalizer, examples, groups
+    classifier: clf.ClassifierParams, verbalizer, examples, groups: Padded
 ) -> tuple[float, float]:
-    """Ensemble accuracy with and without the original input.
+    """Ensemble accuracy with and without the original input, from the
+    (example, row, position) arrays of format_groups.
 
-    Example groups (see example_groups) padded to the same width share one
-    classifier call, and its scores are split back per group. Groups are
-    never re-padded: the attention normalizer sums over the padded key axis,
-    and numpy groups that sum by row length, so a wider padding can change
-    the last bits. Within one width each group scores bitwise as it would
-    alone. A bad row raises a ValueError naming the example and the row."""
-    examples, groups = list(examples), list(groups)
-    buckets: dict[int, list[int]] = {}  # padded width -> group indices
-    for k, group in enumerate(groups):
-        buckets.setdefault(group.ids.shape[1], []).append(k)
-    scores = [None] * len(groups)
-    for members in buckets.values():
-        ids = np.concatenate([groups[k].ids for k in members])
-        valid = np.concatenate([groups[k].valid for k in members])
-        owners = [(k, j) for k in members for j in range(len(groups[k].ids))]
+    A group's width is its widest row. All groups of one width are cut at it
+    and share one classifier call, in order of each width's first appearance.
+    Groups are never re-padded: the attention normalizer sums over the padded
+    key axis, and numpy groups that sum by row length, so a wider padding can
+    change the last bits. Within one width each group scores bitwise as it
+    would alone. A bad row raises a ValueError naming the example and row."""
+    ids, valid = groups
+    n, rows = ids.shape[:2]
+    if len(examples) != n:
+        raise ValueError(f"{len(examples)} examples for {n} example groups")
+    widths = valid.sum(axis=2).max(axis=1)
+    scores = np.empty((n, rows, classifier.cfg.num_labels))
+    for width in dict.fromkeys(widths.tolist()):
+        members = np.flatnonzero(widths == width)
+        cut = Padded(*(a[members, :, :width].reshape(-1, width) for a in (ids, valid)))
         try:
-            logp = clf.label_logprobs_batch(classifier, Padded(ids, valid), verbalizer)
+            logp = clf.label_logprobs_batch(classifier, cut, verbalizer)
         except RowError as exc:
-            k, j = owners[exc.row]
-            raise ValueError(f"{_row_name(j)} of example {examples[k].uid}: {exc.reason}") from exc
-        ends = np.cumsum([len(groups[k].ids) for k in members])
-        for k, group_scores in zip(members, np.split(logp, ends[:-1])):
-            scores[k] = group_scores
-    correct = np.zeros(2)
-    for ex, group_scores in zip(examples, scores, strict=True):
-        for i, include_original in enumerate((True, False)):
-            correct[i] += int(np.argmax(combine_group(group_scores, include_original))) == ex.y
-    incl, excl = correct / len(examples)
+            k, j = divmod(exc.row, rows)
+            raise ValueError(f"{_row_name(j)} of example {examples[members[k]].uid}: {exc.reason}") from exc
+        scores[members] = logp.reshape(len(members), rows, -1)
+    labels = [ex.y for ex in examples]
+    incl, excl = (np.mean(combine_group(scores, inc).argmax(axis=-1) == labels) for inc in (True, False))
     return float(incl), float(excl)
 
 
@@ -269,7 +257,7 @@ def evaluate_ensemble_accuracy(
     """Ensemble accuracy with test-style decoding (always diverse beam)."""
     examples = list(examples)
     rewrites = decode_rewrites(policy, examples, m, cfg)
-    groups = example_groups(task_template, examples, rewrites)
+    groups = format_groups(task_template, examples, rewrites)
     incl, excl = ensemble_accuracies(classifier, verbalizer, examples, groups)
     return incl if include_original else excl
 
@@ -337,8 +325,9 @@ def _minibatch_gradient(policy, fixed, batch, reward_fn, cfg: RunConfig, step: i
     at one step: one stacked forward per policy, one batch decode into one
     padded rewrite array, one reward call, one log-prob gather per table
     stack and one stacked backward whose rows are summed in batch order,
-    bitwise a running sum of per-example gradients. Coefficients stay per
-    input, and their errors name the example and step."""
+    bitwise a running sum of per-example gradients. Reward standardization
+    and the coefficients take the (B, m) arrays in one call each, and a bad
+    row's error names its example and the step."""
     xs = [ex.x for ex in batch]
     logits, acts = transition_logits_batch(policy, xs)
     fixed_logits = transition_logits_batch(fixed, xs)[0]
@@ -350,17 +339,14 @@ def _minibatch_gradient(policy, fixed, batch, reward_fn, cfg: RunConfig, step: i
     raw = _sample_rewards(batch, rewrites, reward_fn, step)
     cur = path_logprobs(table, rewrites).reshape(raw.shape)
     fixed_lp = path_logprobs(fixed_table, rewrites).reshape(raw.shape)
-    weights, mean_reward, clamp_events = np.empty(raw.shape), 0.0, 0
-    for b, ex in enumerate(batch):
-        rewards = est.normalize_rewards(raw[b]) if cfg.normalize else raw[b]
-        try:
-            weights[b], events = est.coefficients(
-                cur[b], fixed_lp[b], rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
-            )
-        except ValueError as exc:
-            raise ValueError(f"example {ex.uid} at step {step}: {exc}") from exc
-        mean_reward += float(raw[b].mean())
-        clamp_events += events
+    rewards = est.normalize_rewards(raw) if cfg.normalize else raw
+    try:
+        weights, clamp_events = est.coefficients(
+            cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
+        )
+    except RowError as exc:
+        raise ValueError(f"example {batch[exc.row].uid} at step {step}: {exc.reason}") from exc
+    mean_reward = float(raw.mean(axis=1).cumsum()[-1])  # a running sum, in batch order
     total = np.zeros(policy.flat.size)
     for ex, grad in zip(batch, weighted_seq_grads(policy, pad(xs), rewrites, weights.ravel(), (logits, acts))):
         if not np.all(np.isfinite(grad)):
@@ -455,9 +441,9 @@ def train_classifier_augmented(
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
     mask = clf.trainable_mask(classifier, mode)
     rewrites = decode_rewrites(policy, split.train, m, cfg) if m > 0 else None
-    ids, valid = _formatted(task.template, split.train, rewrites)
+    ids, valid = format_groups(task.template, split.train, rewrites)
     if m > 0:
-        validation_groups = example_groups(
+        validation_groups = format_groups(
             task.template, split.validation, decode_rewrites(policy, split.validation, m, cfg)
         )
     lengths = valid.sum(axis=2)

@@ -232,13 +232,28 @@ def test_pretrain_command(tmp_path):
     assert (tmp_path / "runs" / "prerun" / "0" / "policy_pretrained.ckpt").exists()
 
 
+# Recorded before validation scored the formatted (example, row, position)
+# array directly, when it cut it into per-group arrays and split the scores back.
+PINNED_EVAL_ROWS = [
+    (0, "validation", "plain_acc", 0.5),
+    (0, "validation", "ensemble_acc_incl", 0.5),
+    (0, "validation", "ensemble_acc_excl", 0.5),
+    (0, "test", "plain_acc", 0.5),
+    (0, "test", "ensemble_acc_incl", 0.5),
+    (0, "test", "ensemble_acc_excl", 0.5),
+    (0, "test", "lexical_diversity", 0.7793910196054927),
+    (0, "test", "pairwise_lexical_diversity", 0.5112127455877455),
+]
+
+
 def test_evaluate_command(tmp_path, capsys):
     config = fast_config(tmp_path, name="evalrun")
     rc = cli.main(["--out", str(tmp_path / "runs"), "evaluate", "--config", config])
     assert rc == 0
     out = capsys.readouterr().out
     assert "validation" in out and "test" in out
-    assert (tmp_path / "runs" / "evalrun" / "0" / "eval_metrics.csv").exists()
+    rows = read_metrics_csv(tmp_path / "runs" / "evalrun" / "0" / "eval_metrics.csv")
+    assert [(r["step"], r["split"], r["metric"], r["value"]) for r in rows] == PINNED_EVAL_ROWS
 
 
 def test_grid_cardinality_is_axis_product(tmp_path, capsys):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import assemble_gradient, kl_penalized_gradient, table_reward, tiny_policy
 from riff import estimators as est
+from riff.data import RowError
 from riff.estimators import coefficients, normalize_rewards
-from riff.numerics import finite_diff_grad, max_relative_error, softmax
+from riff.numerics import finite_diff_grad, logsumexp, max_relative_error, softmax
 from riff.oracle import enumerate_sequences, exact_gradient, exact_kl_objective, exact_objective
 from riff.policy import PolicyParams, TokenSeq, pad, seq_logprob, weighted_seq_grads
 
@@ -322,6 +323,52 @@ def test_coefficients_validation(monkeypatch):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite coefficients"):
         phi_of([800.0], [-0.5], "pg")
     # a wrong normalizer leaves posterior weights that do not sum to 1
-    monkeypatch.setattr(est, "logsumexp", lambda weights: 0.0)
+    monkeypatch.setattr(est, "_log_normalizers", lambda weights: np.zeros(len(weights)))
     with pytest.raises(ValueError, match="sum to 1"):
         phi_of(np.log([0.5, 0.2]), [0.0, 0.0], "mml")
+
+
+def random_rows(gen, b: int, m: int):
+    """(B, m) live and fixed log-probs, some ratios past the clamp, and rewards
+    with some constant rows."""
+    cur = gen.normal(-8.0, 6.0, (b, m))
+    fixed = cur + gen.normal(0.0, 1.0, (b, m)) * gen.choice([0.1, 5.0, 40.0], (b, 1))
+    rewards = gen.normal(-1.0, 1.0, (b, m))
+    constant = gen.random(b) < 0.3
+    rewards[constant] = rewards[constant, :1]
+    return cur, fixed, rewards
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("estimator", est.ESTIMATORS)
+@pytest.mark.parametrize("regime", est.REGIMES)
+def test_batched_coefficients_equal_each_row_alone_bitwise(estimator, regime, normalize):
+    gen = np.random.default_rng(7)
+    clamps = 0
+    for _ in range(40):
+        cur, fixed, raw = random_rows(gen, int(gen.integers(1, 9)), int(gen.integers(1, 10)))
+        rewards = normalize_rewards(raw) if normalize else raw
+        if normalize:
+            assert all(np.array_equal(r, normalize_rewards(row)) for r, row in zip(rewards, raw))
+        phi, clamped = coefficients(cur, fixed, rewards, estimator, regime, 0.3)
+        rows = [coefficients(*a, estimator, regime, 0.3) for a in zip(cur, fixed, rewards)]
+        assert np.array_equal(phi, [r[0] for r in rows]) and clamped == sum(r[1] for r in rows)
+        clamps += clamped
+    assert (clamps > 0) == (regime == "off")
+
+
+def test_a_rows_posterior_is_normalized_by_its_own_logsumexp_bitwise():
+    gen = np.random.default_rng(8)
+    for m in range(1, 20):
+        cur, _, rewards = random_rows(gen, 1, m)
+        want = np.exp(cur[0] + rewards[0] - logsumexp(cur[0] + rewards[0]))
+        assert np.array_equal(phi_of(cur[0], rewards[0], "mml"), want)
+
+
+def test_coefficients_name_the_first_bad_row_and_its_first_failed_check():
+    cur, rewards = np.zeros((4, 2)), np.full((4, 2), -0.5)
+    cur[3, 0] = np.nan  # fails the first check, but on a later row
+    cur[1, 1] = 800.0  # exp overflows: fails only the last check
+    with np.errstate(over="ignore"), pytest.raises(RowError, match="non-finite coefficients") as err:
+        coefficients(cur, None, rewards, "pg", "on", 0.0)
+    assert err.value.row == 1

@@ -1,7 +1,9 @@
 """Every public top-level function and class in `src/riff`, and every public
 method of those classes, is reached from the program itself (`src/`,
 `scripts/` or `perfbench/`), not only from tests, unless it is documented
-library API listed below; and no listed name is one the program reaches."""
+library API listed below; and no listed name is one the program reaches.
+Every private top-level function and class, and every private method, is
+used somewhere in `src/`."""
 
 import ast
 import pathlib
@@ -64,3 +66,27 @@ def test_library_api_lists_no_name_the_program_uses():
     program = referenced_names("src", "scripts", "perfbench")
     names = public_definitions()
     assert sorted(q for q in LIBRARY_API if names.get(q) in program) == []
+
+
+def private_definitions() -> dict[str, str]:
+    """module.name of each private top-level function and class, and
+    module.Class.name of each private (not dunder) method of any class."""
+    found = {}
+    for path in sorted((ROOT / "src" / "riff").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                found[f"{path.stem}.{node.name}"] = node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                        and not item.name.endswith("__")):
+                    found[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return found
+
+
+def test_no_private_helper_is_left_unused():
+    # a helper left behind by a move shows up here
+    used = referenced_names("src")
+    unused = sorted(qualified for qualified, name in private_definitions().items() if name not in used)
+    assert unused == [], f"private helpers nothing in src/ uses: {unused}"

@@ -172,5 +172,15 @@ def test_max_relative_error_skips_tiny_components():
     assert max_relative_error(a, b) < 2e-6
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_max_relative_error_rejects_a_non_finite_entry_in_either_argument(bad):
+    # a NaN compares False with the floor, so it used to be skipped as a match
+    good, planted = [1.0, 1.0, 1.0], [1.0, bad, 1.0]
+    with pytest.raises(ValueError, match=f"^non-finite entry {bad} at index 1 of a$"):
+        max_relative_error(planted, good)
+    with pytest.raises(ValueError, match=f"^non-finite entry {bad} at index 1 of b$"):
+        max_relative_error(good, planted)
+
+
 def test_softmax_sums_to_one():
     assert abs(softmax([0.3, -2.0, 5.0]).sum() - 1.0) < 1e-12

@@ -312,9 +312,9 @@ def test_coefficient_errors_name_the_example_and_step(monkeypatch, case, message
 
     if case != "nan":
         shift = -np.inf if case == "no_mass" else 1.0
-        exact = est.logsumexp
+        exact = est._log_normalizers
         # the bad example's posterior weights are all below -500; nobody else's are
-        monkeypatch.setattr(est, "logsumexp", lambda w: exact(w) + (shift if np.max(w) < -500 else 0.0))
+        monkeypatch.setattr(est, "_log_normalizers", lambda w: exact(w) + np.where(w.max(axis=1) < -500, shift, 0.0))
     cfg = RunConfig(m=2, decoder="beam", normalize=False)
     with pytest.raises(ValueError, match=f"^example {bad.uid} at step 4: {message}$"):
         training._minibatch_gradient(policy, snapshot(policy), batch, reward_fn, cfg, step=4)
@@ -494,6 +494,11 @@ def test_augmented_two_rewrite_hand_arithmetic():
     assert -value == pytest.approx(expected, abs=1e-12)
 
 
+def one_group(template, ex, rewrites: Padded) -> Padded:
+    """The formatted rows of one example's group: its input, then `rewrites`."""
+    return Padded(*(a[0] for a in training.format_groups(template, [ex], rewrites)))
+
+
 def test_ensemble_predict_worked_case():
     # rows: the input x, then its rewrites z1 and z2
     scores = np.array([[-0.2, -1.7], [-1.6, -0.2], [-1.4, -0.3]])
@@ -506,9 +511,7 @@ def test_ensemble_identical_rewrites_match_plain_argmax():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
     ex = split.train[0]
-    scores = clf.label_logprobs_batch(
-        classifier, training.example_groups(task.template, [ex], pad([ex.x] * 3))[0], verb
-    )
+    scores = clf.label_logprobs_batch(classifier, one_group(task.template, ex, pad([ex.x] * 3)), verb)
     plain = int(np.argmax(scores[0]))
     assert int(np.argmax(combine_group(scores, include_original=True))) == plain
 
@@ -517,7 +520,7 @@ def test_ensemble_single_rewrite_exclusion_is_plain_on_rewrite():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
     z = TokenSeq.from_content([4, 6])
-    group = training.example_groups(task.template, [split.train[0]], pad([z]))[0]
+    group = one_group(task.template, split.train[0], pad([z]))
     scores = clf.label_logprobs_batch(classifier, group, verb)
     alone = clf.label_logprobs_batch(classifier, format_rewrites(task.template, [z]), verb)[0]
     assert int(np.argmax(combine_group(scores, include_original=False))) == int(np.argmax(alone))
@@ -537,6 +540,16 @@ def padded_to(group: Padded, width: int) -> Padded:
     return Padded(np.pad(group.ids, extra), np.pad(group.valid, extra))
 
 
+def test_combine_group_of_a_stack_equals_each_group_alone_bitwise():
+    gen = np.random.default_rng(4)
+    for rows in (1, 2, 5, 9, 17):
+        stack = gen.normal(-1.0, 1.0, (6, rows, 3)) * 10.0 ** gen.integers(-3, 3, (6, 1, 1))
+        for include_original in (True, False)[: 1 + (rows > 1)]:
+            got = combine_group(stack, include_original)
+            want = [combine_group(group, include_original) for group in stack]
+            assert got.shape == (6, 3) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("mode", list(clf.TuningMode))
 def test_ensemble_accuracies_score_each_width_in_one_call_bitwise_as_each_group_alone(
     monkeypatch, mode
@@ -549,18 +562,20 @@ def test_ensemble_accuracies_score_each_width_in_one_call_bitwise_as_each_group_
         [TokenSeq.from_content(gen.integers(4, 20, size=gen.integers(1, 25))) for _ in range(4)]
         for _ in split.validation
     ]
-    groups = training.example_groups(task.template, split.validation, pad([z for zs in rewrites for z in zs]))
+    groups = training.format_groups(task.template, split.validation, pad([z for zs in rewrites for z in zs]))
     classifier = tiny_classifier(seed=5, vocab=20, embed=8, prompt_len=3, mode=mode)
     gen = np.random.default_rng(2)
     for name in ("lora_b_q", "lora_b_v"):  # adapters that change the scores under LORA
         classifier.seg(name)[:] = gen.normal(0.0, 0.3, classifier.seg(name).shape)
     verb = clf.Verbalizer(task.verbalizer_ids)
-    alone = [clf.label_logprobs_batch(classifier, g, verb) for g in groups]
-    widths = [g.ids.shape[1] for g in groups]
+    # each group scored alone: pad() of its own formatted rows
+    own = [format_rewrites(task.template, [ex.x, *zs]) for ex, zs in zip(split.validation, rewrites)]
+    alone = [clf.label_logprobs_batch(classifier, g, verb) for g in own]
+    widths = [g.ids.shape[1] for g in own]
     assert len(set(widths)) > 1 and 1 in Counter(widths).values()
     if mode is not clf.TuningMode.CLS_HEAD:  # the pooled head reads only real rows
-        # re-padding to the widest group changes some scores, so buckets must not mix widths
-        widest = [clf.label_logprobs_batch(classifier, padded_to(g, max(widths)), verb) for g in groups]
+        # re-padding to the widest group changes some scores, so calls must not mix widths
+        widest = [clf.label_logprobs_batch(classifier, padded_to(g, max(widths)), verb) for g in own]
         assert not all(np.array_equal(a, w) for a, w in zip(alone, widest))
 
     calls, seen = [], []
@@ -571,21 +586,29 @@ def test_ensemble_accuracies_score_each_width_in_one_call_bitwise_as_each_group_
         return kernel(params, seqs, verbalizer)
 
     def recorded(scores, include_original):
-        if include_original:  # each group is combined twice, first with its input
-            seen.append(scores)
+        seen.append((scores.copy(), include_original))
         return combine(scores, include_original)
 
     monkeypatch.setattr(clf, "label_logprobs_batch", counted)
     monkeypatch.setattr(training, "combine_group", recorded)
     incl, excl = training.ensemble_accuracies(classifier, verb, split.validation, groups)
-    assert sorted(calls) == sorted(set(widths))  # one call per distinct width
-    assert len(seen) == len(groups)
-    assert all(np.array_equal(got, want) for got, want in zip(seen, alone))
+    assert calls == list(dict.fromkeys(widths))  # one call per distinct width, in first-appearance order
+    assert [inc for _, inc in seen] == [True, False]  # one combine over all groups per accuracy
+    assert all(np.array_equal(scores, np.stack(alone)) for scores, _ in seen)
     want = [
         np.mean([int(np.argmax(combine(s, inc))) == ex.y for ex, s in zip(split.validation, alone)])
         for inc in (True, False)
     ]
     assert (incl, excl) == tuple(want)
+
+
+def test_ensemble_accuracies_reject_a_count_mismatch():
+    task, split, classifier, _ = make_pipeline()
+    verb = clf.Verbalizer(task.verbalizer_ids)
+    examples = split.validation[:3]
+    groups = training.format_groups(task.template, examples, pad([ex.x for ex in examples for _ in range(2)]))
+    with pytest.raises(ValueError, match="^2 examples for 3 example groups$"):
+        training.ensemble_accuracies(classifier, verb, examples[:2], groups)
 
 
 @pytest.mark.parametrize("row, what", [(0, "input"), (2, "rewrite 2")])
@@ -597,8 +620,9 @@ def test_ensemble_accuracies_name_the_example_and_row_of_a_bad_token(row, what):
     rows = [bad.x, long, TokenSeq.from_content([4, 6])]
     rows[row] = TokenSeq.from_content([4, 25])
     bad = Example(bad.uid, rows[0], bad.y)
-    groups = training.example_groups(task.template, [good, bad], pad([long, long, *rows[1:]]))
-    assert groups[0].ids.shape == groups[1].ids.shape
+    groups = training.format_groups(task.template, [good, bad], pad([long, long, *rows[1:]]))
+    widths = groups.valid.sum(axis=2).max(axis=1)
+    assert widths[0] == widths[1]
     reason = "token id 25 out of range for vocabulary of size 20"
     with pytest.raises(ValueError, match=f"^{what} of example {bad.uid}: {reason}$"):
         training.ensemble_accuracies(classifier, verb, [good, bad], groups)
@@ -728,16 +752,18 @@ def random_rewrites(gen, examples, m: int) -> Padded:
                 for _ in range(m * len(examples))])
 
 
-def test_example_groups_equal_each_groups_own_format_rewrites_bitwise():
+def test_format_groups_cut_at_a_groups_widest_row_equal_its_own_format_rewrites_bitwise():
     task = small_task()
     split = fewshot_split(task.train, 8, seed=0)
     rewrites = random_rewrites(np.random.default_rng(3), split.validation, 4)
     zs = unpad(rewrites)
-    groups = training.example_groups(task.template, split.validation, rewrites)
-    assert len(groups) == len(split.validation) and len({g.ids.shape[1] for g in groups}) > 1
-    for k, (ex, group) in enumerate(zip(split.validation, groups)):
+    ids, valid = training.format_groups(task.template, split.validation, rewrites)
+    widths = valid.sum(axis=2).max(axis=1)
+    assert ids.shape[:2] == (len(split.validation), 5) and len(set(widths.tolist())) > 1
+    for k, (ex, w) in enumerate(zip(split.validation, widths)):
         want = format_rewrites(task.template, [ex.x, *zs[4 * k : 4 * k + 4]])
-        assert np.array_equal(group.ids, want.ids) and np.array_equal(group.valid, want.valid)
+        assert np.array_equal(ids[k, :, :w], want.ids) and np.array_equal(valid[k, :, :w], want.valid)
+        assert not ids[k, :, w:].any() and not valid[k, :, w:].any()
 
 
 @pytest.mark.parametrize("m", [0, 3])
@@ -750,7 +776,7 @@ def test_augmented_rows_equal_the_formatted_inputs_and_stripped_rewrites(m):
     # the rows the augmented step read before: each input, then its rewrites stripped of scaffold
     want = pad([format_input(task.template, task.template.instruction, z)
                 for k, ex in enumerate(split.train) for z in [ex.x, *map(strip_scaffold, zs[m * k : m * k + m])]])
-    ids, valid = training._formatted(task.template, split.train, rewrites)
+    ids, valid = training.format_groups(task.template, split.train, rewrites)
     assert ids.shape[:2] == (len(split.train), m + 1)
     assert np.array_equal(ids.reshape(len(want.ids), -1), want.ids)
     assert np.array_equal(valid.reshape(len(want.ids), -1), want.valid)
@@ -760,7 +786,7 @@ LONG = TokenSeq.from_content([5] * 60)  # 67 formatted tokens, over the template
 
 
 @pytest.mark.parametrize("row, what", [(0, "input"), (2, "rewrite 2")])
-def test_example_groups_name_the_example_and_row_of_an_over_long_row(row, what):
+def test_format_groups_name_the_example_and_row_of_an_over_long_row(row, what):
     task, split, _, _ = make_pipeline()
     good, bad = split.validation[:2]
     rows = [bad.x, TokenSeq.from_content([4]), TokenSeq.from_content([4, 6])]
@@ -768,7 +794,7 @@ def test_example_groups_name_the_example_and_row_of_an_over_long_row(row, what):
     bad = Example(bad.uid, rows[0], bad.y)
     reason = "formatted input of 67 tokens exceeds the 64 limit"
     with pytest.raises(ValueError, match=f"^{what} of example {bad.uid}: {reason}$"):
-        training.example_groups(task.template, [good, bad], pad([good.x, good.x, *rows[1:]]))
+        training.format_groups(task.template, [good, bad], pad([good.x, good.x, *rows[1:]]))
 
 
 @pytest.mark.parametrize("row, what", [(0, "input"), (2, "rewrite 2")])
