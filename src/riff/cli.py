@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import classifier as clf
 from . import data, metrics, oracle, training
 from .checkpoint import atomic_write, file_hash
-from .numerics import finite_diff_grad, max_relative_error
+from .numerics import max_relative_error, richardson_grad
 from .policy import (
     Padded,
     PolicyConfig,
@@ -384,9 +385,37 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# Step of the sweep's Richardson anchor. Against 50-digit mpmath derivatives of
+# the exact objective on 252 sweep instances, the median and worst errors were
+# lowest for h in 2e-3..3e-3: rounding grows as 1/h, the truncation as h^4.
+ORACLE_FD_STEP = 2e-3
+
+
+def sweep_instance(rng: np.random.Generator) -> tuple[PolicyParams, TokenSeq, Callable[[TokenSeq], float], int]:
+    """One random tiny oracle_check instance: a policy, an input, a deterministic
+    memoized reward keyed by the rewrite's ids, and max_len, drawn in that order."""
+    vocab = int(rng.integers(3, 5))
+    max_len = int(rng.integers(3, 5))
+    pcfg = PolicyConfig(vocab_size=vocab, embed_dim=4, hidden_dim=5, max_len=max_len)
+    policy = PolicyParams.init_random(pcfg, seed=int(rng.integers(2**31)), scale=0.6)
+    x = TokenSeq.from_content([int(rng.integers(1, vocab)) for _ in range(3)])
+    table_seed = int(rng.integers(2**31))
+    memo: dict[tuple[int, ...], float] = {}
+
+    def reward_fn(z):
+        if z.ids not in memo:
+            memo[z.ids] = float(-2.0 * np.random.default_rng([table_seed, *z.ids]).random())
+        return memo[z.ids]
+
+    return policy, x, reward_fn, max_len
+
+
 def oracle_check(seed: int, instances: int = 20) -> float:
-    """Gradient anchor sweep: exact posterior-weighted gradient vs central
-    finite differences of the exact objective, on random tiny instances.
+    """Gradient anchor sweep: the exact posterior-weighted gradient against
+    Richardson-extrapolated central differences of the exact objective at
+    h = ORACLE_FD_STEP, on random tiny instances. Each instance's 4P perturbed
+    parameter vectors are evaluated as one block by oracle.exact_objectives.
+    (The acceptance criteria keep plain central differences at h = 1e-5.)
 
     Random policies carry large unterminated tail mass by construction; the
     objective excludes it consistently, so the tail warning is muted here.
@@ -398,28 +427,13 @@ def oracle_check(seed: int, instances: int = 20) -> float:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="unterminated tail mass")
         for _ in range(instances):
-            vocab = int(rng.integers(3, 5))
-            max_len = int(rng.integers(3, 5))
-            pcfg = PolicyConfig(vocab_size=vocab, embed_dim=4, hidden_dim=5, max_len=max_len)
-            policy = PolicyParams.init_random(pcfg, seed=int(rng.integers(2**31)), scale=0.6)
-            x = TokenSeq.from_content([int(rng.integers(1, vocab)) for _ in range(3)])
-            table_seed = int(rng.integers(2**31))
-
-            # the reward is a pure function of the ids: memoized per instance
-            memo: dict[tuple[int, ...], float] = {}
-
-            def reward_fn(z, _seed=table_seed, _memo=memo):
-                if z.ids not in _memo:
-                    _memo[z.ids] = float(-2.0 * np.random.default_rng([_seed, *z.ids]).random())
-                return _memo[z.ids]
-
+            policy, x, reward_fn, max_len = sweep_instance(rng)
             analytic = oracle.exact_gradient(policy, x, reward_fn, max_len)
-
-            def objective(flat, _probe=PolicyParams(pcfg), _x=x, _r=reward_fn, _ml=max_len):
-                _probe.pv.values[:] = flat
-                return oracle.exact_objective(_probe, _x, _r, _ml)
-
-            fd = finite_diff_grad(objective, policy.flat, h=1e-5)
+            fd = richardson_grad(
+                lambda flats: oracle.exact_objectives(policy, flats, x, reward_fn, max_len),
+                policy.flat,
+                ORACLE_FD_STEP,
+            )
             worst = max(worst, max_relative_error(analytic, fd))
     return worst
 

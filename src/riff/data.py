@@ -70,9 +70,10 @@ def format_input(template: TaskTemplate, instruction, x: TokenSeq) -> TokenSeq:
 
 def format_rewrites(template: TaskTemplate, seqs) -> Padded:
     """pad() of format_input(template, template.instruction, strip_scaffold(z))
-    for each decoded rewrite z (TokenSeqs or a Padded batch), built without
-    the intermediate sequences; a row over max_input_len raises a RowError."""
-    raw = (seqs if isinstance(seqs, Padded) else pad(seqs)).ids
+    for each decoded rewrite z (TokenSeqs, or the zero-padded ids of a Padded
+    batch), built without the intermediate sequences; a row over
+    max_input_len raises a RowError."""
+    raw = seqs if isinstance(seqs, np.ndarray) else pad(seqs).ids
     keep = raw >= FIRST_CONTENT_ID  # scaffold ids and the zero padding drop out
     n = keep.sum(axis=1)
     head = (BOS, *template.instruction, *((MASK, SEP) if template.mask_first else ()))

@@ -14,12 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import logsumexp, softmax
+from .numerics import ParamVector, _log_normalizers, logsumexp, softmax
 from .policy import (
+    PolicyConfig,
     PolicyParams,
     TokenSeq,
     pad,
+    policy_segments,
     transition_table,
+    transition_tables,
     weighted_seq_grads,
 )
 from .vocab import BOS, EOS
@@ -73,19 +76,23 @@ def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.nd
     return seqs, entry_idx, tail_idx
 
 
-def _path_logprobs(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Log-prob of every path in `idx` (steps x paths), summed step by step
-    from 0.0 in path order, as path_logprob does; padding adds an exact 0.0.
-    policy.path_logprobs over a cached Padded support gives the same bits but
-    rebuilds its cell indices on every call, while these are built once per
-    support shape: a gather took 26 us instead of 9 (V=4, max_len=4)."""
-    v = table.shape[0]
-    padded = np.zeros((v + 1, v + 1))
-    padded[:v, :v] = table
-    vals = padded.ravel()[idx]
-    out = 0.0 + vals[0]
-    for col in vals[1:]:
-        out = out + col
+def _path_logprobs(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Log-prob of every path in `idx` (steps x paths) under a (V, V) table, or
+    under each of a (K, V, V) stack as (K, paths), summed step by step from 0.0
+    in path order, as path_logprob does; padding adds an exact 0.0. One gather
+    per step keeps a stack's temporaries at (K, paths), and `take` keeps them
+    C-contiguous: numpy sums the rows of a transposed (K, paths) array in
+    another order than each row alone, so a row-wise log-sum-exp over it would
+    round differently on some rows. policy.path_logprobs over a cached Padded
+    support gives the same bits but rebuilds its cell indices on every call,
+    while these are built once per support shape."""
+    *lead, v, _ = tables.shape
+    padded = np.zeros((*lead, v + 1, v + 1))
+    padded[..., :v, :v] = tables
+    cells = padded.reshape(*lead, -1)
+    out = 0.0 + cells.take(idx[0], axis=-1)
+    for step in idx[1:]:
+        out += cells.take(step, axis=-1)
     return out
 
 
@@ -106,14 +113,24 @@ def enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int | None =
 
 def _anchor_logprobs(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, max_len) -> np.ndarray:
     """log P_fixed(z | x) of every z that enumerate_sequences(params, x, max_len)
-    lists, in its order, from the same support gather on the anchor's table."""
+    lists, in its order, from the same support gather on the anchor's table.
+    Read-only, and memoized on the anchor's values, x and max_len: a KL
+    objective or gradient keeps one anchor across calls."""
     if fixed.cfg.vocab_size != params.cfg.vocab_size:
         raise ValueError(
             f"anchor vocabulary {fixed.cfg.vocab_size} differs from policy vocabulary "
             f"{params.cfg.vocab_size}"
         )
-    _, entry_idx, _ = _support(params.cfg.vocab_size, _guard(params, max_len))
-    return _path_logprobs(transition_table(fixed, x), entry_idx)
+    return _anchor_support_logprobs(fixed.cfg, fixed.flat.tobytes(), x.ids, _guard(params, max_len))
+
+
+@functools.lru_cache(maxsize=8)
+def _anchor_support_logprobs(cfg: PolicyConfig, flat: bytes, ids: tuple[int, ...], max_len: int) -> np.ndarray:
+    fixed = PolicyParams(cfg, ParamVector(policy_segments(cfg), np.frombuffer(flat)))
+    _, entry_idx, _ = _support(cfg.vocab_size, max_len)
+    out = _path_logprobs(transition_table(fixed, TokenSeq(ids)), entry_idx)
+    out.setflags(write=False)
+    return out
 
 
 def exact_objective(
@@ -122,6 +139,19 @@ def exact_objective(
     """log sum over enumerated z of P(z|x) * exp(R(z)). Tail mass excluded."""
     enum = enumerate_sequences(params, x, max_len)
     return logsumexp([lp + reward_fn(z) for z, lp in enum.entries])
+
+
+def exact_objectives(
+    params: PolicyParams, flats: np.ndarray, x: TokenSeq, reward_fn, max_len: int | None = None
+) -> np.ndarray:
+    """exact_objective of x under each row of a (K, P) block of parameter
+    vectors laid out as `params`' own, each bitwise its own: one stacked
+    forward and log-softmax (transition_tables), a support gather per step
+    summed from 0.0, and a row-wise log-sum-exp (numerics._log_normalizers)
+    with the support's rewards, read once. A non-finite row is returned as is."""
+    seqs, entry_idx, _ = _support(params.cfg.vocab_size, _guard(params, max_len))
+    rewards = np.array([reward_fn(z) for z in seqs])
+    return _log_normalizers(_path_logprobs(transition_tables(params, flats, x), entry_idx) + rewards)
 
 
 def mml_posteriors(enum: Enumeration, reward_fn) -> np.ndarray:
@@ -148,11 +178,12 @@ def exact_kl_objective(
     max_len: int | None = None,
 ) -> float:
     """log E[exp(R)] minus beta times E[log(P_cur / P_fixed)], both expectations
-    taken exactly over the enumerated support."""
+    taken exactly over the enumerated support. beta == 0 returns the plain
+    exact_objective value."""
+    if beta == 0.0:
+        return exact_objective(params, x, reward_fn, max_len)
     enum = enumerate_sequences(params, x, max_len)
     objective = logsumexp([lp + reward_fn(z) for z, lp in enum.entries])
-    if beta == 0.0:
-        return objective
     lps = np.array([lp for _, lp in enum.entries])
     fixed_lps = _anchor_logprobs(params, fixed, x, max_len)
     return objective - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))

@@ -10,6 +10,7 @@ finite-difference checks depend on.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -178,16 +179,18 @@ def encode_contexts(params: PolicyParams, inputs: Padded) -> np.ndarray:
     return gathered.sum(axis=1) / valid.sum(axis=1)[:, None]
 
 
-def _forward(params: PolicyParams, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _forward(params, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Raw next-token logits (B, V, V) for a batch of (B, d) input contexts,
     every previous token at once, plus the activations the backward reuses:
-    step inputs u (B, V, 2d) and hidden states s (B, V, h)."""
+    step inputs u (B, V, 2d) and hidden states s (B, V, h). `params` is a
+    PolicyParams, or its four weight arrays stacked along a leading (B,) axis,
+    one parameter vector per context (transition_tables)."""
     emb = params.token_embedding
-    v, d = emb.shape
+    v, d = emb.shape[-2:]
     u = np.empty((len(contexts), v, 2 * d))
     u[:, :, :d] = contexts[:, None, :]
     u[:, :, d:] = emb
-    s = np.tanh(u @ params.rec_w.T + params.rec_b)
+    s = np.tanh(u @ params.rec_w.swapaxes(-1, -2) + params.rec_b[..., None, :])
     return s @ params.out_head, (u, s)
 
 
@@ -202,10 +205,21 @@ def transition_logits_batch(params: PolicyParams, xs) -> tuple[np.ndarray, tuple
 def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
     """log P(next = t | previous = p, x) at [p, t]. The context is fixed per
     input, so this one table fixes every log-prob of every rewrite of x."""
+    return transition_tables(params, params.flat[None], x)[0]
+
+
+def transition_tables(params: PolicyParams, flats: np.ndarray, x: TokenSeq) -> np.ndarray:
+    """transition_table of x under each row of a (K, P) block of parameter
+    vectors laid out as `params`' own, stacked (K, V, V): one forward with
+    (K, ...) weights, each table bitwise its row's own."""
     _check_ids(x, params.cfg.vocab_size)
-    # bitwise what .mean(axis=0) returns, without numpy's Python-level wrapper
-    context = params.token_embedding[list(x.ids)].sum(axis=0) / len(x.ids)
-    return log_softmax_rows(_forward(params, context[None])[0][0])
+    k = len(flats)
+    weights = SimpleNamespace(**{
+        name: flats[:, params.pv.segment_slice(name)].reshape(k, *shape) for name, shape in params.pv.segments()
+    })
+    # bitwise what .mean(axis=0) of each row's embeddings returns, without numpy's Python-level wrapper
+    contexts = weights.token_embedding[:, list(x.ids)].sum(axis=1) / len(x.ids)
+    return log_softmax_rows(_forward(weights, contexts)[0])
 
 
 def _cells(rows: Padded, batch: int, v: int) -> np.ndarray:

@@ -206,12 +206,11 @@ def format_groups(template: TaskTemplate, examples, rewrites: Padded | None) -> 
         parts.append((slice(1, None), rewrites))
     m = sum(len(part.ids) for _, part in parts) // n - 1
     width = max(part.ids.shape[1] for _, part in parts)
-    rows = Padded(np.zeros((n, m + 1, width), dtype=np.intp), np.zeros((n, m + 1, width), dtype=bool))
+    ids = np.zeros((n, m + 1, width), dtype=np.intp)
     for group_rows, part in parts:
-        for whole, a in zip(rows, part):
-            whole[:, group_rows, : a.shape[1]] = a.reshape(n, -1, a.shape[1])
+        ids[:, group_rows, : part.ids.shape[1]] = part.ids.reshape(n, -1, part.ids.shape[1])
     try:
-        formatted = format_rewrites(template, Padded(*(a.reshape(n * (m + 1), width) for a in rows)))
+        formatted = format_rewrites(template, ids.reshape(n * (m + 1), width))
     except RowError as exc:
         uid = examples[exc.row // (m + 1)].uid
         raise ValueError(f"{_row_name(exc.row % (m + 1))} of example {uid}: {exc.reason}") from exc
@@ -386,7 +385,7 @@ def finetune_paraphraser(
         )
 
     def reward_fn(rewrites: Padded, ys) -> np.ndarray:
-        return clf.rewards(classifier, format_rewrites(task.template, rewrites), ys, verbalizer)
+        return clf.rewards(classifier, format_rewrites(task.template, rewrites.ids), ys, verbalizer)
 
     log.validation(0, validation_accuracy())
     batches = _batches(len(split.train), cfg.batch_size, rng)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ from riff.numerics import (
     softmax,
 )
 from riff.optim import AdamConfig, AdamW
-from riff.oracle import Enumeration
+from riff.oracle import Enumeration, exact_objectives
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
@@ -250,6 +251,55 @@ def reference_enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: in
 
     expand([], 0.0)
     return Enumeration(tuple(entries), tail)
+
+
+def mp_objective_derivative(params: PolicyParams, x: TokenSeq, reward_fn, max_len: int, i: int,
+                            dps: int = 50) -> float:
+    """d exact_objective / d theta_i in mpmath at `dps` digits: central differences
+    at a 10^-(dps/2 - 5) step of a straight-line objective (context, tanh layer,
+    log-softmax table, path sums, log-sum-exp), all in extended precision."""
+    seqs = [z for z, _ in reference_enumerate_sequences(params, x, max_len).entries]
+    v, d = params.cfg.vocab_size, params.cfg.embed_dim
+
+    def objective(flat):
+        views = {n: flat[params.pv.segment_slice(n)] for n, _ in params.pv.segments()}
+        emb = [views["token_embedding"][t * d : (t + 1) * d] for t in range(v)]
+        rec_w, rec_b, out = views["rec_w"], views["rec_b"], views["out_head"]
+        hidden = len(rec_b)
+        ctx = [mpmath.fsum(emb[t][j] for t in x.ids) / len(x.ids) for j in range(d)]
+        table = []
+        for prev in range(v):
+            u = ctx + emb[prev]
+            s = [mpmath.tanh(mpmath.fsum(rec_w[k * 2 * d + j] * u[j] for j in range(2 * d)) + rec_b[k])
+                 for k in range(hidden)]
+            logits = [mpmath.fsum(s[k] * out[k * v + t] for k in range(hidden)) for t in range(v)]
+            norm = mpmath.log(mpmath.fsum(mpmath.exp(a) for a in logits))
+            table.append([a - norm for a in logits])
+        terms = []
+        for z in seqs:
+            lp = mpmath.fsum(table[p][t] for p, t in zip((BOS,) + z.ids[:-1], z.ids))
+            terms.append(lp + mpmath.mpf(reward_fn(z)))
+        return mpmath.log(mpmath.fsum(mpmath.exp(a) for a in terms))
+
+    with mpmath.workdps(dps):
+        step = mpmath.mpf(10) ** -(dps // 2 - 5)
+        base = [mpmath.mpf(float(t)) for t in params.flat]
+        up, down = list(base), list(base)
+        up[i] += step
+        down[i] -= step
+        return float((objective(up) - objective(down)) / (2 * step))
+
+
+def stacked_central_diffs(params: PolicyParams, x: TokenSeq, reward_fn, max_len: int, h: float) -> np.ndarray:
+    """Central differences (f(t + h e_i) - f(t - h e_i)) / 2h of exact_objective,
+    every perturbed vector evaluated in one oracle.exact_objectives block."""
+    n = params.flat.size
+    block = np.repeat(params.flat[None], 2 * n, axis=0)
+    diag = np.arange(n)
+    block[diag, diag] = params.flat + h
+    block[n + diag, diag] = params.flat - h
+    values = exact_objectives(params, block, x, reward_fn, max_len)
+    return (values[:n] - values[n:]) / (2.0 * h)
 
 
 def reference_top_p_sample(

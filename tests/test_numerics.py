@@ -14,6 +14,7 @@ from riff.numerics import (
     log_softmax,
     logsumexp,
     max_relative_error,
+    richardson_grad,
     softmax,
 )
 
@@ -118,6 +119,31 @@ def test_finite_diff_nonfinite_names_coordinate():
 
     with pytest.raises(ValueError, match="coordinate 1"):
         finite_diff_grad(bad, np.array([0.0, 0.5]), h=1e-2)
+
+
+def test_richardson_is_exact_through_quartics_and_rejects_bad_steps():
+    coeffs = np.array([0.5, -1.5, 2.0])
+    theta = np.array([0.2, -0.7, 1.1])
+
+    def quartic(rows):
+        return (rows**4 - rows**3) @ coeffs + rows.sum(axis=1)
+
+    grad = richardson_grad(quartic, theta, h=1e-2)
+    assert np.allclose(grad, coeffs * (4 * theta**3 - 3 * theta**2) + 1.0, rtol=0, atol=1e-11)
+    with pytest.raises(ValueError, match="step size"):
+        richardson_grad(quartic, theta, h=0.0)
+
+
+def test_richardson_nonfinite_names_coordinate():
+    theta = np.array([0.0, 0.5, -0.25])
+    h = 1e-2
+
+    def planted(rows):
+        # non-finite only where coordinate 2 moves by -h/2
+        return np.where(np.isclose(rows[:, 2], theta[2] - h / 2, rtol=0, atol=h / 8), np.inf, rows.sum(axis=1))
+
+    with pytest.raises(ValueError, match="coordinate 2$"):
+        richardson_grad(planted, theta, h)
 
 
 def test_gelu_zero():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,19 +9,32 @@ from conftest import (
     greedy_path,
     reference_enumerate_sequences,
     reference_weighted_seq_grad,
+    stacked_central_diffs,
     table_reward,
     tiny_policy,
     total_mass,
 )
-from riff.numerics import finite_diff_grad, logsumexp, max_relative_error, softmax
+from riff.numerics import finite_diff_grad, logsumexp, max_relative_error, richardson_grad, softmax
 from riff.oracle import (
+    _anchor_logprobs,
+    _path_logprobs,
+    _support,
     enumerate_sequences,
     exact_gradient,
     exact_kl_gradient,
     exact_kl_objective,
     exact_objective,
+    exact_objectives,
 )
-from riff.policy import PolicyConfig, PolicyParams, TokenSeq, pad, seq_logprob, weighted_seq_grads
+from riff.policy import (
+    PolicyConfig,
+    PolicyParams,
+    TokenSeq,
+    pad,
+    seq_logprob,
+    transition_table,
+    weighted_seq_grads,
+)
 from riff.vocab import BOS, EOS
 
 mpmath.mp.dps = 40
@@ -113,6 +127,73 @@ def test_exact_kl_bitwise_equals_seq_logprobs_forms(beta):
         assert got_obj == want_obj
         assert np.array_equal(got_grad, weighted_seq_grads(p, pad([x]), pad(seqs), coeffs)[0])
         assert np.array_equal(got_grad, reference_weighted_seq_grad(p, x, seqs, coeffs))
+
+
+def test_anchor_logprobs_are_memoized_by_value_and_read_only():
+    p = tiny_policy(seed=41, vocab=4, max_len=4)
+    fixed = tiny_policy(seed=42, vocab=4, max_len=4, scale=0.4)
+    x = TokenSeq.from_content([2, 3])
+    _, entry_idx, _ = _support(4, 4)
+
+    def fresh():
+        return _path_logprobs(transition_table(fixed, x), entry_idx)
+
+    first = _anchor_logprobs(p, fixed, x, None)
+    assert not first.flags.writeable
+    assert _anchor_logprobs(p, fixed, x, None) is first
+    assert np.array_equal(first, fresh())
+    # the memo keys on the anchor's values: an anchor updated in place is read again
+    fixed.flat[:] += 0.05
+    second = _anchor_logprobs(p, fixed, x, None)
+    assert np.array_equal(second, fresh()) and not np.array_equal(second, first)
+    assert np.array_equal(_anchor_logprobs(p, fixed, x, 3), _path_logprobs(transition_table(fixed, x), _support(4, 3)[1]))
+
+
+# (vocab size, max_len) classes of cli.oracle_check instances
+SWEEP_SHAPES = [(3, 3), (3, 4), (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("vocab,max_len", SWEEP_SHAPES)
+def test_exact_objectives_rows_equal_exact_objective_bitwise(vocab, max_len):
+    gen = np.random.default_rng(vocab * 10 + max_len)
+    p = tiny_policy(seed=int(gen.integers(2**31)), vocab=vocab, max_len=max_len)
+    x = TokenSeq.from_content([int(t) for t in gen.integers(1, vocab, size=3)])
+    reward_fn = table_reward(int(gen.integers(2**31)))
+    blocks = []
+
+    def stacked(flats):
+        blocks.append(flats.copy())
+        return exact_objectives(p, flats, x, reward_fn)
+
+    richardson_grad(stacked, p.flat, 1e-3)
+    (block,) = blocks
+    assert block.shape == (4 * p.flat.size, p.flat.size)
+    values = exact_objectives(p, block, x, reward_fn)
+
+    def objective(flat):
+        probe = PolicyParams(p.cfg)
+        probe.pv.values[:] = flat
+        return exact_objective(probe, x, reward_fn)
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="unterminated tail mass")
+        assert np.array_equal(values, [objective(row) for row in block])
+        # central differences from the stacked values are finite_diff_grad's, bitwise
+        fd = finite_diff_grad(objective, p.flat, h=1e-5)
+    assert np.array_equal(stacked_central_diffs(p, x, reward_fn, max_len, 1e-5), fd)
+
+
+def test_exact_objectives_keeps_the_straight_line_checks():
+    p = tiny_policy(seed=43, vocab=3, max_len=3)
+    with pytest.raises(ValueError, match="out of range"):
+        exact_objectives(p, p.flat[None], TokenSeq.from_content([5]), table_reward(1))
+    big = PolicyParams.init_random(PolicyConfig(vocab_size=10, embed_dim=2, hidden_dim=2, max_len=8), seed=0)
+    with pytest.raises(ValueError, match="guard"):
+        exact_objectives(big, big.flat[None], TokenSeq.from_content([1]), table_reward(1))
+    flats = np.repeat(p.flat[None], 2, axis=0)
+    flats[1, p.pv.segment_slice("out_head")] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite logits"):
+        exact_objectives(p, flats, TokenSeq.from_content([1]), table_reward(1))
 
 
 def test_exact_kl_rejects_anchor_with_another_vocabulary():
