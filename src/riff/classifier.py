@@ -173,62 +173,70 @@ def _batch_ids(params: ClassifierParams, seqs) -> Padded:
     its ids checked against the vocabulary."""
     ids, valid = seqs if isinstance(seqs, Padded) else pad(list(seqs))
     v = params.cfg.vocab_size
-    out = valid & (ids >= v)
+    out = valid & ((ids < 0) | (ids >= v))
     _first_bad(out.any(axis=1), lambda i: (
         f"token id {ids[i][out[i]][0]} out of range for vocabulary of size {v}"))
     return Padded(ids, valid)
 
 
-class _MaskRowPass:
-    """Label-path forward of a padded batch, kept for the backward.
+def _token_counts(ids, valid, width: int) -> np.ndarray:
+    """(B, width) float counts of each token among a padded batch's real positions."""
+    b = len(ids)
+    flat = (np.arange(b)[:, None] * width + ids)[valid]
+    return np.bincount(flat, minlength=b * width).reshape(b, width).astype(np.float64)
 
-    Only the final hidden state at the mask row r feeds the label head, and
-    keys and values are linear in the embedded rows x_j: the scores are
-    x_j . (Wk^T q_r) / sqrt(d) and the attention output is Wv (sum_j a_j x_j).
-    So a sequence costs one query and one weighted sum of rows each way.
-    Padding keys score -inf. No (B, L, L) array and no per-row q, k or v is
-    built: the largest arrays are the embedded rows (B, L, d) and, only when
-    input rows are trainable or asked for, their gradient.
+
+class _MaskRowPass:
+    """Label-path forward of a padded batch from its token counts, kept for
+    the backward.
+
+    Only the final hidden state at the mask row reaches the label head, and
+    that row always holds E[MASK]: prompt rows and adapters change keys, wq
+    and wv, never the row. So every sequence has the same query q = Wq E[MASK],
+    and with no positional encodings a key's score s = E qk, qk = Wk^T q / sqrt(d),
+    depends only on its token. A sequence's label scores are thus a function
+    of its (V,) token counts N: attention puts A_v = N_v exp(s_v - max) / Z on
+    token v, soft-prompt rows are extra keys of count 1, and the attention
+    output is Wv (A E + A_p P). Equal counts give the same arithmetic at any
+    padding width, so a row scores the same however it is padded. The
+    largest arrays are (B, V + prompt_len).
     """
 
     def __init__(self, params: ClassifierParams, ids, valid, verbalizer: Verbalizer, mode):
         cfg = params.cfg
-        b = len(ids)
         is_mask = valid & (ids == MASK)
-        counts = is_mask.sum(axis=1)
-        _first_bad(counts != 1, lambda i: (
-            f"input must contain exactly one mask token, found {counts[i]}"))
+        n_mask = is_mask.sum(axis=1)
+        _first_bad(n_mask != 1, lambda i: (
+            f"input must contain exactly one mask token, found {n_mask[i]}"))
         self.params, self.mode, self.ids, self.valid = params, mode, ids, valid
-        self.n_prompt = cfg.prompt_len if mode is TuningMode.SOFT_PROMPT else 0
-        self.rows = self.n_prompt + is_mask.argmax(axis=1)
-        x, keys = params.seg("token_embedding")[ids], valid
-        if self.n_prompt:
-            prompt = params.seg("prompt_table")
-            x = np.concatenate([np.broadcast_to(prompt, (b, *prompt.shape)), x], axis=1)
-            keys = np.concatenate([np.ones((b, self.n_prompt), dtype=bool), valid], axis=1)
+        self.pos = is_mask.argmax(axis=1)
+        self.keys = params.seg("token_embedding")
+        if mode is TuningMode.SOFT_PROMPT:
+            self.keys = np.concatenate([self.keys, params.seg("prompt_table")])
+        self.counts = _token_counts(ids, valid, len(self.keys))
+        self.counts[:, cfg.vocab_size :] = 1.0
         self.wq, self.wv = params.seg("wq"), params.seg("wv")
         if mode is TuningMode.LORA:
             ar = (cfg.lora_alpha, cfg.lora_rank)
             self.wq = lora_weight(self.wq, params.seg("lora_a_q"), params.seg("lora_b_q"), *ar)
             self.wv = lora_weight(self.wv, params.seg("lora_a_v"), params.seg("lora_b_v"), *ar)
         self.vids = list(verbalizer.token_ids)
-        self.x = x
-        self.xr = x[np.arange(b), self.rows]
-        self.q = self.xr @ self.wq.T
+        self.xr = self.keys[MASK]
+        self.q = self.wq @ self.xr
         self.qk = (self.q @ params.seg("wk")) / math.sqrt(cfg.embed_dim)
-        scores = (x @ self.qk[:, :, None])[:, :, 0]
-        scores[~keys] = -np.inf
-        expd = np.exp(scores - scores.max(axis=1, keepdims=True))
-        self.attn = expd / expd.sum(axis=1, keepdims=True)
-        self.xbar = (self.attn[:, None, :] @ x)[:, 0, :]
+        # an absent token must not be exponentiated: its score may lie far above the row's max
+        scores = np.where(self.counts > 0, self.keys @ self.qk, -np.inf)
+        weights = self.counts * np.exp(scores - scores.max(axis=1, keepdims=True))
+        self.attn = weights / weights.sum(axis=1, keepdims=True)
+        self.xbar = self.attn @ self.keys
         self.o = self.xbar @ self.wv.T
         self.h = self.xr + self.o @ params.seg("wo").T
         self.logp = log_softmax_rows(self.h @ params.seg("lm_head")[:, self.vids])
 
     def backward(self, g_logits: np.ndarray, g: ParamVector, want_rows: bool):
-        """Write the gradient of sum(g_logits * label logits) into `g`; return
-        the input rows' gradient (B, L, d), prompt rows excluded, or None when
-        it is neither asked for nor needed by a trainable segment."""
+        """Write the gradient of sum(g_logits * label logits) into `g`; with
+        `want_rows`, return the input positions' gradient (B, L, d), prompt
+        rows excluded, else None."""
         p, cfg = self.params, self.params.cfg
         rsqrt = 1.0 / math.sqrt(cfg.embed_dim)
         g.view("lm_head")[:, self.vids] = self.h.T @ g_logits
@@ -237,12 +245,13 @@ class _MaskRowPass:
         d_o = d_h @ p.seg("wo")
         d_wv = d_o.T @ self.xbar
         d_xbar = d_o @ self.wv
-        d_attn = (self.x @ d_xbar[:, :, None])[:, :, 0]
+        d_attn = d_xbar @ self.keys.T
         d_scores = self.attn * (d_attn - (self.attn * d_attn).sum(axis=1, keepdims=True))
-        d_qk = (d_scores[:, None, :] @ self.x)[:, 0, :]
-        g.view("wk")[:] = rsqrt * (self.q.T @ d_qk)
-        d_q = rsqrt * (d_qk @ p.seg("wk").T)
-        d_wq = d_q.T @ self.xr
+        d_s = d_scores.sum(axis=0)
+        d_qk = d_s @ self.keys
+        g.view("wk")[:] = rsqrt * (self.q[:, None] * d_qk)
+        d_q = rsqrt * (p.seg("wk") @ d_qk)
+        d_wq = d_q[:, None] * self.xr
         g.view("wq")[:] = d_wq
         g.view("wv")[:] = d_wv
         if self.mode is TuningMode.LORA:
@@ -251,32 +260,39 @@ class _MaskRowPass:
             g.view("lora_b_q")[:] = scale * (d_wq @ p.seg("lora_a_q").T)
             g.view("lora_a_v")[:] = scale * (p.seg("lora_b_v").T @ d_wv)
             g.view("lora_b_v")[:] = scale * (d_wv @ p.seg("lora_a_v").T)
-        trainable = TRAINABLE_SEGMENTS[self.mode]
-        if not (want_rows or "token_embedding" in trainable or "prompt_table" in trainable):
+        d_keys = self.attn.T @ d_xbar + d_s[:, None] * self.qk
+        d_keys[MASK] += d_h.sum(axis=0) + d_q @ self.wq
+        v = cfg.vocab_size
+        g.view("token_embedding")[:] = d_keys[:v]
+        if len(d_keys) > v:
+            g.view("prompt_table")[:] = d_keys[v:]
+        if not want_rows:
             return None
-        d_x = self.attn[:, :, None] * d_xbar[:, None, :]
-        d_x += d_scores[:, :, None] * self.qk[:, None, :]
-        d_x[np.arange(len(d_x)), self.rows] += d_h + d_q @ self.wq
-        if self.n_prompt:
-            g.view("prompt_table")[:] = d_x[:, : self.n_prompt].sum(axis=0)
-            d_x = d_x[:, self.n_prompt :]
-        np.add.at(g.view("token_embedding"), self.ids[self.valid], d_x[self.valid])
+        # a token's attention and score gradient split evenly over its positions
+        per = np.maximum(self.counts, 1.0)[:, :, None]
+        token_rows = (self.attn[:, :, None] * d_xbar[:, None, :] + d_scores[:, :, None] * self.qk) / per
+        b = np.arange(len(self.ids))
+        d_x = np.where(self.valid[:, :, None], token_rows[b[:, None], self.ids], 0.0)
+        d_x[b, self.pos] += d_h + rsqrt * (d_scores @ self.keys) @ p.seg("wk").T @ self.wq
         return d_x
 
 
 def _pooled(params: ClassifierParams, ids, valid) -> np.ndarray:
-    """Mean final hidden state over every row of each sequence. The pooled
-    head reads all rows, so this path keeps full self-attention, one
-    sequence at a time."""
+    """Mean final hidden state over every row of each sequence, from its
+    token counts. With no positional encodings, the attention logit of
+    a token-u row at a token-v key is the batch-wide (V, V) table
+    (E Wq^T)(E Wk^T)^T / sqrt(d), so a sequence's rows attend by one
+    (V, V) softmax weighted by its counts."""
+    emb = params.seg("token_embedding")
+    counts = _token_counts(ids, valid, len(emb))
     wq, wk, wv, wo = (params.seg(n) for n in ("wq", "wk", "wv", "wo"))
-    pooled = np.empty((len(ids), params.cfg.embed_dim))
-    for i, (row, keep) in enumerate(zip(ids, valid)):
-        x = params.seg("token_embedding")[row[keep]]
-        scores = ((x @ wq.T) @ (x @ wk.T).T) / math.sqrt(params.cfg.embed_dim)
-        expd = np.exp(scores - scores.max(axis=1, keepdims=True))
-        attn = expd / expd.sum(axis=1, keepdims=True)
-        pooled[i] = (x + (attn @ (x @ wv.T)) @ wo.T).mean(axis=0)
-    return pooled
+    table = ((emb @ wq.T) @ (emb @ wk.T).T) / math.sqrt(params.cfg.embed_dim)
+    present = (counts > 0)[:, None, :]
+    scores = np.where(present, table, -np.inf)
+    weights = counts[:, None, :] * np.exp(scores - scores.max(axis=2, keepdims=True))
+    attn = weights / weights.sum(axis=2, keepdims=True)
+    mixed = (counts[:, None, :] @ attn)[:, 0]
+    return (counts @ emb + (mixed @ (emb @ wv.T)) @ wo.T) / counts.sum(axis=1, keepdims=True)
 
 
 def _cls_head(params: ClassifierParams, pooled: np.ndarray):

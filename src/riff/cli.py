@@ -458,11 +458,6 @@ def parse_axis(text: str, allowed, axis_name: str) -> list[str]:
     return values
 
 
-def _grid_cell(cell_config: dict, out: str | None) -> str:
-    cmd_riff_finetune(argparse.Namespace(config=cell_config, out=out))
-    return f"{cell_config['name']}/{cell_config['seed']}"
-
-
 def cmd_grid(args) -> int:
     config = load_config(args.config) if args.config else load_config({})
     estimators = parse_axis(args.estimators, training.ESTIMATORS, "estimator")
@@ -480,37 +475,14 @@ def cmd_grid(args) -> int:
         raise ConfigError(f"--seeds must be comma-separated integers: {exc}") from exc
     if not seeds:
         raise ConfigError("empty seed list")
-    if args.workers < 1:
-        raise ConfigError("workers must be at least 1")
     cells = list(itertools.product(estimators, regimes, decoders, normalize_axis))
     print(f"grid: {len(cells)} cells x {len(seeds)} seeds = {len(cells) * len(seeds)} runs")
-    jobs = []
     for estimator, regime, decoder, normalize in cells:
         name = f"{estimator}-{regime}-{decoder}" + ("-z" if normalize else "")
         for seed in seeds:
-            cell_config = dict(config)
-            cell_config.update(
-                {
-                    "name": name,
-                    "estimator": estimator,
-                    "regime": regime,
-                    "decoder": decoder,
-                    "normalize": normalize,
-                    "beta": None,
-                    "seed": seed,
-                }
-            )
-            jobs.append(cell_config)
-    if args.workers == 1:
-        for cell_config in jobs:
-            _grid_cell(cell_config, args.out)
-    else:
-        # every run owns its directory exclusively, so cells can run in parallel
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for done in pool.map(_grid_cell, jobs, [args.out] * len(jobs)):
-                print(f"completed {done}")
+            cell_config = {**config, "name": name, "estimator": estimator, "regime": regime,
+                           "decoder": decoder, "normalize": normalize, "beta": None, "seed": seed}
+            cmd_riff_finetune(argparse.Namespace(config=cell_config, out=args.out))
     return 0
 
 
@@ -624,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoders", default="beam,top_p,mixed")
     p.add_argument("--normalize", default="both")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("report", help="aggregate run metrics into a summary table")

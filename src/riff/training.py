@@ -221,29 +221,20 @@ def ensemble_accuracies(
     classifier: clf.ClassifierParams, verbalizer, examples, groups: Padded
 ) -> tuple[float, float]:
     """Ensemble accuracy with and without the original input, from the
-    (example, row, position) arrays of format_groups.
-
-    A group's width is its widest row. All groups of one width are cut at it
-    and share one classifier call, in order of each width's first appearance.
-    Groups are never re-padded: the attention normalizer sums over the padded
-    key axis, and numpy groups that sum by row length, so a wider padding can
-    change the last bits. Within one width each group scores bitwise as it
-    would alone. A bad row raises a ValueError naming the example and row."""
-    ids, valid = groups
-    n, rows = ids.shape[:2]
+    (example, row, position) arrays of format_groups, scored by one
+    classifier call. A row's scores depend on its token counts alone, not
+    on its padding, so each group scores as it would alone. A bad row raises
+    a ValueError naming the example and row."""
+    n, rows = groups.ids.shape[:2]
     if len(examples) != n:
         raise ValueError(f"{len(examples)} examples for {n} example groups")
-    widths = valid.sum(axis=2).max(axis=1)
-    scores = np.empty((n, rows, classifier.cfg.num_labels))
-    for width in dict.fromkeys(widths.tolist()):
-        members = np.flatnonzero(widths == width)
-        cut = Padded(*(a[members, :, :width].reshape(-1, width) for a in (ids, valid)))
-        try:
-            logp = clf.label_logprobs_batch(classifier, cut, verbalizer)
-        except RowError as exc:
-            k, j = divmod(exc.row, rows)
-            raise ValueError(f"{_row_name(j)} of example {examples[members[k]].uid}: {exc.reason}") from exc
-        scores[members] = logp.reshape(len(members), rows, -1)
+    flat = Padded(*(a.reshape(n * rows, -1) for a in groups))
+    try:
+        logp = clf.label_logprobs_batch(classifier, flat, verbalizer)
+    except RowError as exc:
+        k, j = divmod(exc.row, rows)
+        raise ValueError(f"{_row_name(j)} of example {examples[k].uid}: {exc.reason}") from exc
+    scores = logp.reshape(n, rows, -1)
     labels = [ex.y for ex in examples]
     incl, excl = (np.mean(combine_group(scores, inc).argmax(axis=-1) == labels) for inc in (True, False))
     return float(incl), float(excl)
@@ -430,8 +421,10 @@ def train_classifier_augmented(
     first step, into (example, row, position) arrays. m == 0 degenerates to
     plain supervised training and skips decoding. A step is one weighted
     classifier call over the inputs (weight 1/B) and their rewrites
-    (1/(B m)), which returns the loss with the gradient. Validation rewrites
-    are decoded once: the rewriter is frozen and diverse beam reads no seed.
+    (1/(B m)), which returns the loss with the gradient. The batch's rows
+    keep the width they were padded to once: a row's scores do not depend
+    on its padding. Validation rewrites are decoded once: the rewriter is
+    frozen and diverse beam reads no seed.
     """
     cfg.validate()
     if m > 0 and policy is None:
@@ -440,12 +433,11 @@ def train_classifier_augmented(
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
     mask = clf.trainable_mask(classifier, mode)
     rewrites = decode_rewrites(policy, split.train, m, cfg) if m > 0 else None
-    ids, valid = format_groups(task.template, split.train, rewrites)
+    train_groups = format_groups(task.template, split.train, rewrites)
     if m > 0:
         validation_groups = format_groups(
             task.template, split.validation, decode_rewrites(policy, split.validation, m, cfg)
         )
-    lengths = valid.sum(axis=2)
     labels = np.array([ex.y for ex in split.train])
     opt = AdamW(classifier.flat.size, AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xC1A55))
@@ -461,9 +453,7 @@ def train_classifier_augmented(
     for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
         b = len(batch_idx)
         weights = ([1.0 / b] + [1.0 / (b * m) for _ in range(m)]) * b
-        # cut to the batch's own widest row, the rows are exactly pad() of the batch's sequences
-        width = lengths[batch_idx].max()
-        seqs = Padded(*(a[batch_idx, :, :width].reshape(-1, width) for a in (ids, valid)))
+        seqs = Padded(*(a[batch_idx].reshape(-1, a.shape[2]) for a in train_groups))
         ys = np.repeat(labels[batch_idx], m + 1)
         try:
             value, grad = clf.weighted_label_grad(classifier, seqs, ys, weights, verbalizer, mode)

@@ -7,6 +7,7 @@ import pytest
 from conftest import max_scaled_error, reference_label_grad, reference_label_logprobs, tiny_classifier
 from riff.classifier import (
     ClassifierConfig,
+    _MaskRowPass,
     ClassifierParams,
     TRAINABLE_SEGMENTS,
     TuningMode,
@@ -21,6 +22,7 @@ from riff.classifier import (
     trainable_mask,
     weighted_label_grad,
 )
+from riff.data import RowError
 from riff.numerics import finite_diff_grad, max_relative_error
 from riff.policy import TokenSeq, pad
 from riff.vocab import EOS, MASK
@@ -418,6 +420,38 @@ def test_kernel_errors_name_the_batch_index():
         weighted_label_grad(p, [INPUT, INPUT], [0, 2], [1.0, 1.0], VERB)
     with pytest.raises(ValueError, match="2 sequences, 2 labels and 1 weights"):
         weighted_label_grad(p, [INPUT, INPUT], [0, 1], [1.0], VERB)
+
+
+def test_a_padded_batch_with_a_negative_id_names_its_row():
+    p = tiny_classifier(seed=35)
+    batch = pad([INPUT, TokenSeq((MASK, EOS)), INPUT])
+    batch.ids[1, 3] = -1  # a padding position is never read
+    want = label_logprobs_batch(p, [INPUT, TokenSeq((MASK, EOS)), INPUT], VERB)
+    assert np.array_equal(label_logprobs_batch(p, batch, VERB), want)
+    batch.ids[2, 0] = -1
+    for mode in (TuningMode.ALL, TuningMode.CLS_HEAD):
+        with pytest.raises(RowError, match="^batch sequence 2: token id -1 out of range for vocabulary of size 8$"):
+            label_logprobs_batch(p, batch, VERB, mode)
+    with pytest.raises(RowError, match="^batch sequence 2: token id -1 out of range"):
+        rewards(p, batch, 0, VERB)
+
+
+@pytest.mark.parametrize("mode", list(TuningMode))
+def test_an_absent_token_far_above_a_rows_max_leaves_the_row_bitwise_unchanged(mode):
+    p = kernel_params(mode, seed=36)
+    batch, t = pad(MIXED_BATCH), 3  # only row 2 holds token 3
+    lacking = [i for i, seq in enumerate(MIXED_BATCH) if t not in seq.ids]
+    before = label_logprobs_batch(p, batch, VERB, mode)
+    # the mask row's query, which under the pooled head is the plain path's
+    qk = _MaskRowPass(p, *batch, VERB, label_path_mode(mode)).qk
+    emb = p.seg("token_embedding")
+    top = np.delete(emb @ qk, t).max()
+    emb[t] += (top + 1e3 - emb[t] @ qk) * qk / (qk @ qk)
+    assert emb[t] @ qk > top + 999.0
+    after = label_logprobs_batch(p, batch, VERB, mode)
+    assert np.all(np.isfinite(after))
+    assert np.array_equal(after[lacking], before[lacking])
+    assert not np.array_equal(after[2], before[2])
 
 
 @pytest.mark.parametrize("mode", list(TuningMode))

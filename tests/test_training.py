@@ -2,7 +2,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -551,9 +550,7 @@ def test_combine_group_of_a_stack_equals_each_group_alone_bitwise():
 
 
 @pytest.mark.parametrize("mode", list(clf.TuningMode))
-def test_ensemble_accuracies_score_each_width_in_one_call_bitwise_as_each_group_alone(
-    monkeypatch, mode
-):
+def test_ensemble_accuracies_score_all_rows_in_one_call(monkeypatch, mode):
     task = small_task()
     split = fewshot_split(task.train, 8, seed=0)
     gen = np.random.default_rng(1)
@@ -572,17 +569,17 @@ def test_ensemble_accuracies_score_each_width_in_one_call_bitwise_as_each_group_
     own = [format_rewrites(task.template, [ex.x, *zs]) for ex, zs in zip(split.validation, rewrites)]
     alone = [clf.label_logprobs_batch(classifier, g, verb) for g in own]
     widths = [g.ids.shape[1] for g in own]
-    assert len(set(widths)) > 1 and 1 in Counter(widths).values()
-    if mode is not clf.TuningMode.CLS_HEAD:  # the pooled head reads only real rows
-        # re-padding to the widest group changes some scores, so calls must not mix widths
-        widest = [clf.label_logprobs_batch(classifier, padded_to(g, max(widths)), verb) for g in own]
-        assert not all(np.array_equal(a, w) for a, w in zip(alone, widest))
+    assert len(set(widths)) > 1
+    # a row's scores depend on its token counts, not on its padding
+    for g, scores in zip(own, alone):
+        for width in (max(widths), max(widths) + 7):
+            assert np.array_equal(clf.label_logprobs_batch(classifier, padded_to(g, width), verb), scores)
 
     calls, seen = [], []
     kernel, combine = clf.label_logprobs_batch, training.combine_group
 
     def counted(params, seqs, verbalizer):
-        calls.append(seqs.ids.shape[1])
+        calls.append(seqs.ids.shape)
         return kernel(params, seqs, verbalizer)
 
     def recorded(scores, include_original):
@@ -592,9 +589,9 @@ def test_ensemble_accuracies_score_each_width_in_one_call_bitwise_as_each_group_
     monkeypatch.setattr(clf, "label_logprobs_batch", counted)
     monkeypatch.setattr(training, "combine_group", recorded)
     incl, excl = training.ensemble_accuracies(classifier, verb, split.validation, groups)
-    assert calls == list(dict.fromkeys(widths))  # one call per distinct width, in first-appearance order
+    assert calls == [(len(split.validation) * 5, groups.ids.shape[2])]  # every row of every group
     assert [inc for _, inc in seen] == [True, False]  # one combine over all groups per accuracy
-    assert all(np.array_equal(scores, np.stack(alone)) for scores, _ in seen)
+    assert all(max_scaled_error(scores, np.stack(alone)) <= 1e-12 for scores, _ in seen)
     want = [
         np.mean([int(np.argmax(combine(s, inc))) == ex.y for ex, s in zip(split.validation, alone)])
         for inc in (True, False)
@@ -655,19 +652,22 @@ def test_augmented_step_names_the_example_row_and_step_of_a_bad_token(monkeypatc
 
 def test_augmented_steps_hand_the_kernel_exactly_the_padded_batch(monkeypatch):
     task, split, classifier, policy = make_pipeline()
-    kernel, widths = clf.weighted_label_grad, []
+    cfg = RunConfig(m=2, steps=8, batch_size=3, checkpoint_interval=8, seed=4)
+    groups = training.format_groups(task.template, split.train, training.decode_rewrites(policy, split.train, 2, cfg))
+    kernel, batches = clf.weighted_label_grad, []
 
     def recorded(params, rows, ys, weights, verbalizer, mode):
-        # cut from the rows padded once: each batch at its own widest row, as pad() builds it
-        again = pad(unpad(rows))
-        assert np.array_equal(rows.ids, again.ids) and np.array_equal(rows.valid, again.valid)
-        widths.append(rows.ids.shape[1])
+        # each example's group of rows as padded once, before the first step
+        for k, block in enumerate(zip(*(a.reshape(-1, 3, a.shape[1]) for a in rows))):
+            match = [i for i, ex in enumerate(split.train) if ex.y == ys[3 * k]
+                     and all(np.array_equal(a[i], b) for a, b in zip(groups, block))]
+            assert match
+        batches.append(len(ys) // 3)
         return kernel(params, rows, ys, weights, verbalizer, mode)
 
     monkeypatch.setattr(clf, "weighted_label_grad", recorded)
-    cfg = RunConfig(m=2, steps=8, batch_size=3, checkpoint_interval=8, seed=4)
     train_classifier_augmented(classifier, policy, task, split, m=2, mode=clf.TuningMode.HEAD, cfg=cfg)
-    assert len(widths) == 8 and len(set(widths)) > 1
+    assert len(batches) == 8 and set(batches) <= {1, 2, 3}
 
 
 def test_training_never_imports_numpy_ma():
