@@ -233,48 +233,56 @@ class _MaskRowPass:
         self.h = self.xr + self.o @ params.seg("wo").T
         self.logp = log_softmax_rows(self.h @ params.seg("lm_head")[:, self.vids])
 
-    def backward(self, g_logits: np.ndarray, g: ParamVector, want_rows: bool):
-        """Write the gradient of sum(g_logits * label logits) into `g`; with
-        `want_rows`, return the input positions' gradient (B, L, d), prompt
-        rows excluded, else None."""
-        p, cfg = self.params, self.params.cfg
+    def backward(self, g_logits: np.ndarray, want_rows: bool):
+        """The gradient of sum(g_logits * label logits) for the mode's trainable
+        segments only, as {segment: array}, walking only the part of the
+        chain they need; with `want_rows`, also the input positions' gradient
+        (B, L, d), prompt rows excluded, else None."""
+        p, cfg, mode = self.params, self.params.cfg, self.mode
+        grads = {}
+        if mode in (TuningMode.ALL, TuningMode.HEAD):
+            grads["lm_head"] = np.zeros_like(p.seg("lm_head"))
+            grads["lm_head"][:, self.vids] = self.h.T @ g_logits
+        if mode in (TuningMode.HEAD, TuningMode.NONE) and not want_rows:
+            return grads, None
         rsqrt = 1.0 / math.sqrt(cfg.embed_dim)
-        g.view("lm_head")[:, self.vids] = self.h.T @ g_logits
         d_h = g_logits @ p.seg("lm_head")[:, self.vids].T
-        g.view("wo")[:] = d_h.T @ self.o
+        if mode is TuningMode.ALL:
+            grads["wo"] = d_h.T @ self.o
         d_o = d_h @ p.seg("wo")
-        d_wv = d_o.T @ self.xbar
         d_xbar = d_o @ self.wv
         d_attn = d_xbar @ self.keys.T
         d_scores = self.attn * (d_attn - (self.attn * d_attn).sum(axis=1, keepdims=True))
         d_s = d_scores.sum(axis=0)
         d_qk = d_s @ self.keys
-        g.view("wk")[:] = rsqrt * (self.q[:, None] * d_qk)
         d_q = rsqrt * (p.seg("wk") @ d_qk)
-        d_wq = d_q[:, None] * self.xr
-        g.view("wq")[:] = d_wq
-        g.view("wv")[:] = d_wv
-        if self.mode is TuningMode.LORA:
+        if mode in (TuningMode.ALL, TuningMode.LORA):
+            d_wq, d_wv = d_q[:, None] * self.xr, d_o.T @ self.xbar
+        if mode is TuningMode.ALL:
+            grads.update(wk=rsqrt * (self.q[:, None] * d_qk), wq=d_wq, wv=d_wv)
+        if mode is TuningMode.LORA:
             scale = cfg.lora_alpha / cfg.lora_rank
-            g.view("lora_a_q")[:] = scale * (p.seg("lora_b_q").T @ d_wq)
-            g.view("lora_b_q")[:] = scale * (d_wq @ p.seg("lora_a_q").T)
-            g.view("lora_a_v")[:] = scale * (p.seg("lora_b_v").T @ d_wv)
-            g.view("lora_b_v")[:] = scale * (d_wv @ p.seg("lora_a_v").T)
-        d_keys = self.attn.T @ d_xbar + d_s[:, None] * self.qk
-        d_keys[MASK] += d_h.sum(axis=0) + d_q @ self.wq
-        v = cfg.vocab_size
-        g.view("token_embedding")[:] = d_keys[:v]
-        if len(d_keys) > v:
-            g.view("prompt_table")[:] = d_keys[v:]
+            grads["lora_a_q"] = scale * (p.seg("lora_b_q").T @ d_wq)
+            grads["lora_b_q"] = scale * (d_wq @ p.seg("lora_a_q").T)
+            grads["lora_a_v"] = scale * (p.seg("lora_b_v").T @ d_wv)
+            grads["lora_b_v"] = scale * (d_wv @ p.seg("lora_a_v").T)
+        if mode in (TuningMode.ALL, TuningMode.INPUT, TuningMode.SOFT_PROMPT):
+            d_keys = self.attn.T @ d_xbar + d_s[:, None] * self.qk
+            d_keys[MASK] += d_h.sum(axis=0) + d_q @ self.wq
+            v = cfg.vocab_size
+            if mode is TuningMode.SOFT_PROMPT:
+                grads["prompt_table"] = d_keys[v:]
+            else:
+                grads["token_embedding"] = d_keys[:v]
         if not want_rows:
-            return None
+            return grads, None
         # a token's attention and score gradient split evenly over its positions
         per = np.maximum(self.counts, 1.0)[:, :, None]
         token_rows = (self.attn[:, :, None] * d_xbar[:, None, :] + d_scores[:, :, None] * self.qk) / per
         b = np.arange(len(self.ids))
         d_x = np.where(self.valid[:, :, None], token_rows[b[:, None], self.ids], 0.0)
         d_x[b, self.pos] += d_h + rsqrt * (d_scores @ self.keys) @ p.seg("wk").T @ self.wq
-        return d_x
+        return grads, d_x
 
 
 def _pooled(params: ClassifierParams, ids, valid) -> np.ndarray:
@@ -303,15 +311,15 @@ def _cls_head(params: ClassifierParams, pooled: np.ndarray):
 
 
 def _kernel(params: ClassifierParams, seqs, ys, weights, verbalizer, mode, want_rows=False):
-    """(sum_i w_i log P(y_i | s_i), masked gradient, input rows' gradient or None)."""
+    """(sum_i w_i log P(y_i | s_i), its gradient, input rows' gradient or None).
+    The gradient is computed for the mode's trainable segments only and
+    written through the parameters' own layout; every other entry is zero."""
     ids, valid = _batch_ids(params, seqs)
     ys = np.asarray(ys, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
     if len(ys) != len(ids) or len(weights) != len(ids):
         raise ValueError(f"{len(ids)} sequences, {len(ys)} labels and {len(weights)} weights")
     _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
-    g = ParamVector(classifier_segments(params.cfg))
-    d_rows = None
     if mode is TuningMode.CLS_HEAD:
         # only the pooled head trains under CLS_HEAD, so the gradient stops there
         pooled = _pooled(params, ids, valid)
@@ -322,16 +330,16 @@ def _kernel(params: ClassifierParams, seqs, ys, weights, verbalizer, mode, want_
         logp = fwd.logp
     g_logits = -weights[:, None] * np.exp(logp)
     g_logits[np.arange(len(ys)), ys] += weights
+    d_rows = None
     if mode is TuningMode.CLS_HEAD:
-        g.view("cls_w2")[:] = g_logits.T @ act
-        g.view("cls_b2")[:] = g_logits.sum(axis=0)
+        grads = {"cls_w2": g_logits.T @ act, "cls_b2": g_logits.sum(axis=0)}
         d_a1 = (g_logits @ params.seg("cls_w2")) * gelu_grad_vec(a1).reshape(a1.shape)
-        g.view("cls_w1")[:] = d_a1.T @ pooled
-        g.view("cls_b1")[:] = d_a1.sum(axis=0)
+        grads.update(cls_w1=d_a1.T @ pooled, cls_b1=d_a1.sum(axis=0))
     else:
-        d_rows = fwd.backward(g_logits, g, want_rows)
-    flat = g.values
-    flat[~trainable_mask(params, mode)] = 0.0
+        grads, d_rows = fwd.backward(g_logits, want_rows)
+    flat = np.zeros(params.pv.size)
+    for name, grad in grads.items():
+        flat[params.pv.segment_slice(name)] = grad.ravel()
     return float(weights @ logp[np.arange(len(ys)), ys]), flat, d_rows
 
 
@@ -358,8 +366,9 @@ def weighted_label_grad(
     mode: TuningMode | None = None,
 ) -> tuple[float, np.ndarray]:
     """sum_i weights[i] * log P(ys[i] | seqs[i]) (TokenSeqs or a Padded batch)
-    under the mode's scoring path, and its gradient masked so every segment
-    outside the mode's trainable set is exactly zero: one forward and backward."""
+    under the mode's scoring path, and its gradient, from one forward and one
+    backward. The backward computes only the mode's trainable segments, so
+    every entry outside them is exactly zero by construction."""
     mode = params.mode if mode is None else mode
     return _kernel(params, seqs, ys, weights, verbalizer, mode)[:2]
 

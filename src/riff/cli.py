@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import os
+import platform
 import sys
 import warnings
 from collections.abc import Callable
@@ -22,6 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import __version__
 from . import classifier as clf
 from . import data, metrics, oracle, training
 from .checkpoint import atomic_write, file_hash
@@ -272,6 +274,7 @@ def write_manifest(run_dir: str, config: dict, plan: dict, files: dict) -> None:
         "seed": config["seed"],
         "protocol": plan,
         "files": files,
+        "versions": {"riff": __version__, "python": platform.python_version(), "numpy": np.__version__},
     }
     with atomic_write(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

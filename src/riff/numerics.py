@@ -146,14 +146,15 @@ class ParamVector:
     """
 
     def __init__(self, segments, values=None):
-        layout: dict[str, tuple[int, tuple[int, ...]]] = {}
+        layout: dict[str, tuple[slice, tuple[int, ...]]] = {}
         offset = 0
         for name, shape in segments:
             if name in layout:
                 raise ValueError(f"duplicate segment {name!r}")
             shape = tuple(int(s) for s in shape)
-            layout[name] = (offset, shape)
-            offset += math.prod(shape)
+            size = math.prod(shape)
+            layout[name] = (slice(offset, offset + size), shape)
+            offset += size
         self._layout = layout
         self._order = tuple(name for name, _ in segments)
         self.size = offset
@@ -171,12 +172,11 @@ class ParamVector:
         return [(name, self._layout[name][1]) for name in self._order]
 
     def segment_slice(self, name: str) -> slice:
-        offset, shape = self._layout[name]
-        return slice(offset, offset + math.prod(shape))
+        return self._layout[name][0]
 
     def view(self, name: str) -> np.ndarray:
-        offset, shape = self._layout[name]
-        return self.values[offset : offset + math.prod(shape)].reshape(shape)
+        part, shape = self._layout[name]
+        return self.values[part].reshape(shape)
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.segments(), self.values.copy())

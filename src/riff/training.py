@@ -449,10 +449,10 @@ def train_classifier_augmented(
         return plain_accuracy(classifier, task.template, verbalizer, split.validation)
 
     log.validation(0, validation_accuracy())
-    batches = _batches(len(split.train), cfg.batch_size, rng)
+    b = cfg.batch_size  # every minibatch holds exactly batch_size examples
+    weights = np.array(([1.0 / b] + [1.0 / (b * m) for _ in range(m)]) * b)
+    batches = _batches(len(split.train), b, rng)
     for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
-        b = len(batch_idx)
-        weights = ([1.0 / b] + [1.0 / (b * m) for _ in range(m)]) * b
         seqs = Padded(*(a[batch_idx].reshape(-1, a.shape[2]) for a in train_groups))
         ys = np.repeat(labels[batch_idx], m + 1)
         try:

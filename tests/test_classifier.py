@@ -386,6 +386,22 @@ def test_kernel_matches_weighted_per_sequence_reference(mode):
         assert np.all(grad[~trainable_mask(p, mode)] == 0.0)
 
 
+def test_a_pruned_backward_leaves_each_trained_segment_bitwise_as_all_modes():
+    # ALL, HEAD and INPUT share one forward, so pruning the backward must not
+    # change the arithmetic of a segment that a mode trains
+    ys, weights = [0, 1, 1, 0], [0.7, 0.0, -1.3, 2.1]
+    p = kernel_params(TuningMode.ALL, seed=37)
+    _, full = weighted_label_grad(p, MIXED_BATCH, ys, weights, VERB)
+    for mode, name in ((TuningMode.HEAD, "lm_head"), (TuningMode.INPUT, "token_embedding")):
+        _, grad = weighted_label_grad(ClassifierParams(p.cfg, mode, p.pv), MIXED_BATCH, ys, weights, VERB)
+        part = p.pv.segment_slice(name)
+        assert np.any(grad[part] != 0.0)
+        assert np.array_equal(grad[part], full[part])
+        rest = np.ones(len(grad), dtype=bool)
+        rest[part] = False
+        assert np.all(grad[rest] == 0.0)
+
+
 @pytest.mark.parametrize("mode", list(TuningMode))
 def test_kernel_scores_a_sequence_the_same_alone_and_padded(mode):
     p = kernel_params(mode, seed=32)

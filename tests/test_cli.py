@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import mp_objective_derivative, stacked_central_diffs, tiny_policy
+import riff
 from riff import cli, training
 from riff.cli import (
     ORACLE_FD_STEP,
@@ -279,6 +281,15 @@ def test_train_classifier_command(tmp_path):
     assert (run_dir / "classifier_best.ckpt").exists()
     rows = read_metrics_csv(run_dir / "metrics.csv")
     assert any(r["metric"] == training.METRIC_INCL for r in rows)
+
+
+def test_manifest_records_the_riff_python_and_numpy_versions(tmp_path):
+    config = fast_config(tmp_path, name="vrun", tuning_mode="lora", m=0)
+    assert cli.main(["--out", str(tmp_path / "runs"), "train-classifier", "--config", config]) == 0
+    manifest = json.loads((tmp_path / "runs" / "vrun" / "0" / "manifest.json").read_text())
+    assert manifest["versions"] == {
+        "riff": riff.__version__, "python": platform.python_version(), "numpy": np.__version__,
+    }
 
 
 def test_soft_prompt_mode_defaults_prompt_length():
