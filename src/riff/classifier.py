@@ -168,27 +168,42 @@ def _check_verbalizer(params: ClassifierParams, verbalizer: Verbalizer) -> None:
         raise ValueError("verbalizer token id out of vocabulary range")
 
 
-def _batch_ids(params: ClassifierParams, seqs) -> Padded:
-    """The padded batch of `seqs` (TokenSeqs, or already a Padded batch),
-    its ids checked against the vocabulary."""
+def token_counts(params: ClassifierParams, seqs) -> np.ndarray:
+    """(B, V) float counts of each vocabulary token in each sequence
+    (TokenSeqs or a Padded batch): all the label path reads of a sequence.
+    A row with an id outside the vocabulary, or without exactly one MASK,
+    raises a RowError naming it."""
     ids, valid = seqs if isinstance(seqs, Padded) else pad(list(seqs))
-    v = params.cfg.vocab_size
+    b, v = len(ids), params.cfg.vocab_size
     out = valid & ((ids < 0) | (ids >= v))
     _first_bad(out.any(axis=1), lambda i: (
         f"token id {ids[i][out[i]][0]} out of range for vocabulary of size {v}"))
-    return Padded(ids, valid)
+    flat = (np.arange(b)[:, None] * v + ids)[valid]
+    counts = np.bincount(flat, minlength=b * v).reshape(b, v).astype(np.float64)
+    _check_masks(counts)
+    return counts
 
 
-def _token_counts(ids, valid, width: int) -> np.ndarray:
-    """(B, width) float counts of each token among a padded batch's real positions."""
-    b = len(ids)
-    flat = (np.arange(b)[:, None] * width + ids)[valid]
-    return np.bincount(flat, minlength=b * width).reshape(b, width).astype(np.float64)
+def _check_masks(counts: np.ndarray) -> None:
+    n_mask = counts[:, MASK]
+    _first_bad(n_mask != 1, lambda i: f"input must contain exactly one mask token, found {n_mask[i]:g}")
+
+
+def _as_counts(params: ClassifierParams, seqs) -> np.ndarray:
+    """The (B, V) count matrix of `seqs`: sequences go through token_counts,
+    and a count matrix has its width and mask column checked."""
+    if not isinstance(seqs, np.ndarray):
+        return token_counts(params, seqs)
+    v = params.cfg.vocab_size
+    if seqs.ndim != 2 or seqs.shape[1] != v or seqs.dtype != np.float64:
+        raise ValueError(f"expected a float64 (B, {v}) count matrix, got {seqs.dtype} of shape {seqs.shape}")
+    _check_masks(seqs)
+    return seqs
 
 
 class _MaskRowPass:
-    """Label-path forward of a padded batch from its token counts, kept for
-    the backward.
+    """Label-path forward of a (B, V) token-count matrix, kept for the
+    backward.
 
     Only the final hidden state at the mask row reaches the label head, and
     that row always holds E[MASK]: prompt rows and adapters change keys, wq
@@ -197,24 +212,19 @@ class _MaskRowPass:
     depends only on its token. A sequence's label scores are thus a function
     of its (V,) token counts N: attention puts A_v = N_v exp(s_v - max) / Z on
     token v, soft-prompt rows are extra keys of count 1, and the attention
-    output is Wv (A E + A_p P). Equal counts give the same arithmetic at any
-    padding width, so a row scores the same however it is padded. The
-    largest arrays are (B, V + prompt_len).
+    output is Wv (A E + A_p P). A row scores the same whatever sequence,
+    padding or batch its counts came from. Under SOFT_PROMPT the prompt
+    columns are appended to the counts, so the largest arrays are
+    (B, V + prompt_len).
     """
 
-    def __init__(self, params: ClassifierParams, ids, valid, verbalizer: Verbalizer, mode):
+    def __init__(self, params: ClassifierParams, counts: np.ndarray, verbalizer: Verbalizer, mode):
         cfg = params.cfg
-        is_mask = valid & (ids == MASK)
-        n_mask = is_mask.sum(axis=1)
-        _first_bad(n_mask != 1, lambda i: (
-            f"input must contain exactly one mask token, found {n_mask[i]}"))
-        self.params, self.mode, self.ids, self.valid = params, mode, ids, valid
-        self.pos = is_mask.argmax(axis=1)
-        self.keys = params.seg("token_embedding")
+        self.params, self.mode = params, mode
+        self.keys, self.counts = params.seg("token_embedding"), counts
         if mode is TuningMode.SOFT_PROMPT:
             self.keys = np.concatenate([self.keys, params.seg("prompt_table")])
-        self.counts = _token_counts(ids, valid, len(self.keys))
-        self.counts[:, cfg.vocab_size :] = 1.0
+            self.counts = np.concatenate([counts, np.ones((len(counts), cfg.prompt_len))], axis=1)
         self.wq, self.wv = params.seg("wq"), params.seg("wv")
         if mode is TuningMode.LORA:
             ar = (cfg.lora_alpha, cfg.lora_rank)
@@ -233,17 +243,18 @@ class _MaskRowPass:
         self.h = self.xr + self.o @ params.seg("wo").T
         self.logp = log_softmax_rows(self.h @ params.seg("lm_head")[:, self.vids])
 
-    def backward(self, g_logits: np.ndarray, want_rows: bool):
+    def backward(self, g_logits: np.ndarray, rows: Padded | None):
         """The gradient of sum(g_logits * label logits) for the mode's trainable
         segments only, as {segment: array}, walking only the part of the
-        chain they need; with `want_rows`, also the input positions' gradient
-        (B, L, d), prompt rows excluded, else None."""
+        chain they need; with `rows`, the padded batch the counts were taken
+        from, also its positions' gradient (B, L, d), prompt rows excluded,
+        else None."""
         p, cfg, mode = self.params, self.params.cfg, self.mode
         grads = {}
         if mode in (TuningMode.ALL, TuningMode.HEAD):
             grads["lm_head"] = np.zeros_like(p.seg("lm_head"))
             grads["lm_head"][:, self.vids] = self.h.T @ g_logits
-        if mode in (TuningMode.HEAD, TuningMode.NONE) and not want_rows:
+        if mode in (TuningMode.HEAD, TuningMode.NONE) and rows is None:
             return grads, None
         rsqrt = 1.0 / math.sqrt(cfg.embed_dim)
         d_h = g_logits @ p.seg("lm_head")[:, self.vids].T
@@ -274,25 +285,25 @@ class _MaskRowPass:
                 grads["prompt_table"] = d_keys[v:]
             else:
                 grads["token_embedding"] = d_keys[:v]
-        if not want_rows:
+        if rows is None:
             return grads, None
         # a token's attention and score gradient split evenly over its positions
         per = np.maximum(self.counts, 1.0)[:, :, None]
         token_rows = (self.attn[:, :, None] * d_xbar[:, None, :] + d_scores[:, :, None] * self.qk) / per
-        b = np.arange(len(self.ids))
-        d_x = np.where(self.valid[:, :, None], token_rows[b[:, None], self.ids], 0.0)
-        d_x[b, self.pos] += d_h + rsqrt * (d_scores @ self.keys) @ p.seg("wk").T @ self.wq
+        ids, valid = rows
+        b, pos = np.arange(len(ids)), (valid & (ids == MASK)).argmax(axis=1)
+        d_x = np.where(valid[:, :, None], token_rows[b[:, None], ids], 0.0)
+        d_x[b, pos] += d_h + rsqrt * (d_scores @ self.keys) @ p.seg("wk").T @ self.wq
         return grads, d_x
 
 
-def _pooled(params: ClassifierParams, ids, valid) -> np.ndarray:
+def _pooled(params: ClassifierParams, counts: np.ndarray) -> np.ndarray:
     """Mean final hidden state over every row of each sequence, from its
-    token counts. With no positional encodings, the attention logit of
+    (V,) token counts. With no positional encodings, the attention logit of
     a token-u row at a token-v key is the batch-wide (V, V) table
     (E Wq^T)(E Wk^T)^T / sqrt(d), so a sequence's rows attend by one
     (V, V) softmax weighted by its counts."""
     emb = params.seg("token_embedding")
-    counts = _token_counts(ids, valid, len(emb))
     wq, wk, wv, wo = (params.seg(n) for n in ("wq", "wk", "wv", "wo"))
     table = ((emb @ wq.T) @ (emb @ wk.T).T) / math.sqrt(params.cfg.embed_dim)
     present = (counts > 0)[:, None, :]
@@ -310,23 +321,24 @@ def _cls_head(params: ClassifierParams, pooled: np.ndarray):
     return a1, act, log_softmax_rows(act @ params.seg("cls_w2").T + params.seg("cls_b2"))
 
 
-def _kernel(params: ClassifierParams, seqs, ys, weights, verbalizer, mode, want_rows=False):
-    """(sum_i w_i log P(y_i | s_i), its gradient, input rows' gradient or None).
-    The gradient is computed for the mode's trainable segments only and
-    written through the parameters' own layout; every other entry is zero."""
-    ids, valid = _batch_ids(params, seqs)
+def _kernel(params: ClassifierParams, counts, ys, weights, verbalizer, mode, rows=None):
+    """(sum_i w_i log P(y_i | s_i), its gradient, input rows' gradient or None)
+    of a checked (B, V) count matrix; `rows` is its padded batch when the
+    input rows' gradient is wanted. The gradient is computed for the mode's
+    trainable segments only and written through the parameters' own layout;
+    every other entry is zero."""
     ys = np.asarray(ys, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
-    if len(ys) != len(ids) or len(weights) != len(ids):
-        raise ValueError(f"{len(ids)} sequences, {len(ys)} labels and {len(weights)} weights")
+    if len(ys) != len(counts) or len(weights) != len(counts):
+        raise ValueError(f"{len(counts)} sequences, {len(ys)} labels and {len(weights)} weights")
     _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
     if mode is TuningMode.CLS_HEAD:
         # only the pooled head trains under CLS_HEAD, so the gradient stops there
-        pooled = _pooled(params, ids, valid)
+        pooled = _pooled(params, counts)
         a1, act, logp = _cls_head(params, pooled)
     else:
         _check_verbalizer(params, verbalizer)
-        fwd = _MaskRowPass(params, ids, valid, verbalizer, mode)
+        fwd = _MaskRowPass(params, counts, verbalizer, mode)
         logp = fwd.logp
     g_logits = -weights[:, None] * np.exp(logp)
     g_logits[np.arange(len(ys)), ys] += weights
@@ -336,7 +348,7 @@ def _kernel(params: ClassifierParams, seqs, ys, weights, verbalizer, mode, want_
         d_a1 = (g_logits @ params.seg("cls_w2")) * gelu_grad_vec(a1).reshape(a1.shape)
         grads.update(cls_w1=d_a1.T @ pooled, cls_b1=d_a1.sum(axis=0))
     else:
-        grads, d_rows = fwd.backward(g_logits, want_rows)
+        grads, d_rows = fwd.backward(g_logits, rows)
     flat = np.zeros(params.pv.size)
     for name, grad in grads.items():
         flat[params.pv.segment_slice(name)] = grad.ravel()
@@ -346,15 +358,16 @@ def _kernel(params: ClassifierParams, seqs, ys, weights, verbalizer, mode, want_
 def label_logprobs_batch(
     params: ClassifierParams, seqs, verbalizer: Verbalizer, mode: TuningMode | None = None
 ) -> np.ndarray:
-    """(B, C) label log-probabilities of each sequence (TokenSeqs or a Padded
-    batch) under the mode's own scoring path (the mask-row head, or the
-    pooled head under CLS_HEAD), from one batched forward."""
+    """(B, C) label log-probabilities of each sequence (TokenSeqs, a Padded
+    batch, or their (B, V) token_counts) under the mode's own scoring path
+    (the mask-row head, or the pooled head under CLS_HEAD), from one batched
+    forward."""
     mode = params.mode if mode is None else mode
-    ids, valid = _batch_ids(params, seqs)
+    counts = _as_counts(params, seqs)
     if mode is TuningMode.CLS_HEAD:
-        return _cls_head(params, _pooled(params, ids, valid))[2]
+        return _cls_head(params, _pooled(params, counts))[2]
     _check_verbalizer(params, verbalizer)
-    return _MaskRowPass(params, ids, valid, verbalizer, mode).logp
+    return _MaskRowPass(params, counts, verbalizer, mode).logp
 
 
 def weighted_label_grad(
@@ -365,12 +378,13 @@ def weighted_label_grad(
     verbalizer: Verbalizer,
     mode: TuningMode | None = None,
 ) -> tuple[float, np.ndarray]:
-    """sum_i weights[i] * log P(ys[i] | seqs[i]) (TokenSeqs or a Padded batch)
-    under the mode's scoring path, and its gradient, from one forward and one
-    backward. The backward computes only the mode's trainable segments, so
-    every entry outside them is exactly zero by construction."""
+    """sum_i weights[i] * log P(ys[i] | seqs[i]) (TokenSeqs, a Padded batch,
+    or their (B, V) token_counts) under the mode's scoring path, and its
+    gradient, from one forward and one backward. The backward computes only
+    the mode's trainable segments, so every entry outside them is exactly
+    zero by construction."""
     mode = params.mode if mode is None else mode
-    return _kernel(params, seqs, ys, weights, verbalizer, mode)[:2]
+    return _kernel(params, _as_counts(params, seqs), ys, weights, verbalizer, mode)[:2]
 
 
 def label_path_mode(mode: TuningMode) -> TuningMode:
@@ -381,17 +395,17 @@ def label_path_mode(mode: TuningMode) -> TuningMode:
 
 def rewards(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) -> np.ndarray:
     """Terminal rewards log P(ys[i] | seqs[i]) of formatted rewrites
-    (TokenSeqs or a Padded batch; one label `ys` may score every row), from
-    one batched forward over the distinct rows. Always <= 0."""
-    ids, valid = _batch_ids(params, seqs)
-    ys = np.broadcast_to(np.asarray(ys, dtype=np.intp), len(ids))
+    (TokenSeqs, a Padded batch, or their (B, V) token_counts; one label `ys`
+    may score every row), from one batched forward over the distinct count
+    rows. Always <= 0."""
+    counts = _as_counts(params, seqs)
+    ys = np.broadcast_to(np.asarray(ys, dtype=np.intp), len(counts))
     _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
-    # a row's scores depend on that row alone, so each distinct padded row is scored once
+    # a row's scores depend on its counts alone, so each distinct count row is scored once
     seen: dict[bytes, int] = {}  # row bytes -> index among the distinct rows
-    row = np.array([seen.setdefault(k.tobytes(), len(seen)) for k in np.where(valid, ids, -1)])
+    row = np.array([seen.setdefault(k.tobytes(), len(seen)) for k in counts])
     first = np.unique(row, return_index=True)[1]
-    distinct = Padded(ids[first], valid[first])
-    logp = label_logprobs_batch(params, distinct, verbalizer, label_path_mode(params.mode))
+    logp = label_logprobs_batch(params, counts[first], verbalizer, label_path_mode(params.mode))
     return logp[row, ys]
 
 
@@ -402,10 +416,11 @@ def input_row_grads(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) 
 
     Row j of sequence i corresponds to its input position j (prompt rows are
     not included); used by the discrete instruction search to score
-    substitutions.
+    substitutions. It takes sequences, not counts, because it needs positions.
     """
-    seqs = list(seqs)
-    return _kernel(params, seqs, ys, np.ones(len(seqs)), verbalizer, TuningMode.NONE, True)[2]
+    rows = pad(list(seqs))
+    counts = token_counts(params, rows)
+    return _kernel(params, counts, ys, np.ones(len(counts)), verbalizer, TuningMode.NONE, rows)[2]
 
 
 def save_classifier(path, params: ClassifierParams) -> None:

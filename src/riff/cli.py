@@ -17,6 +17,7 @@ import json
 import os
 import platform
 import sys
+import time
 import warnings
 from collections.abc import Callable
 from dataclasses import replace
@@ -267,7 +268,9 @@ def warmed_classifier(config: dict, task, split) -> clf.ClassifierParams:
     return params
 
 
-def write_manifest(run_dir: str, config: dict, plan: dict, files: dict) -> None:
+def write_manifest(run_dir: str, config: dict, plan: dict, files: dict, started: float) -> None:
+    """Write manifest.json; `wall_s` is the wall time from `started` (a
+    time.perf_counter() reading taken when the command began) to this write."""
     os.makedirs(run_dir, exist_ok=True)
     manifest = {
         "config": config,
@@ -275,6 +278,7 @@ def write_manifest(run_dir: str, config: dict, plan: dict, files: dict) -> None:
         "protocol": plan,
         "files": files,
         "versions": {"riff": __version__, "python": platform.python_version(), "numpy": np.__version__},
+        "wall_s": time.perf_counter() - started,
     }
     with atomic_write(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -288,7 +292,7 @@ def cmd_pretrain(args) -> int:
     path = os.path.join(run_dir, "policy_pretrained.ckpt")
     save_policy(path, policy)
     plan = {"pretrain_epochs": config["pretrain_epochs"], "pretrain_pool": config["pretrain_pool"]}
-    write_manifest(run_dir, config, plan, {"policy_pretrained": file_hash(path)})
+    write_manifest(run_dir, config, plan, {"policy_pretrained": file_hash(path)}, args.started)
     print(f"pretrained rewriter saved to {path}")
     return 0
 
@@ -312,7 +316,7 @@ def cmd_riff_finetune(args) -> int:
         "policy_pretrained": file_hash(pre_path),
         "policy_best": file_hash(best_path),
     }
-    write_manifest(run_dir, config, training.protocol_plan(cfg, len(split.train)), files)
+    write_manifest(run_dir, config, training.protocol_plan(cfg, len(split.train)), files, args.started)
     print(
         f"finetuned rewriter: best checkpoint step {best.step} "
         f"ensemble accuracy {best.metrics[training.METRIC_EXCL]:.3f} -> {best_path}"
@@ -335,7 +339,7 @@ def cmd_train_classifier(args) -> int:
     clf.save_classifier(best_path, best.params)
     write_manifest(
         run_dir, config, training.protocol_plan(cfg, len(split.train)),
-        {"classifier_best": file_hash(best_path)},
+        {"classifier_best": file_hash(best_path)}, args.started,
     )
     print(
         f"trained classifier ({mode.value}): best checkpoint step {best.step} "
@@ -485,7 +489,7 @@ def cmd_grid(args) -> int:
         for seed in seeds:
             cell_config = {**config, "name": name, "estimator": estimator, "regime": regime,
                            "decoder": decoder, "normalize": normalize, "beta": None, "seed": seed}
-            cmd_riff_finetune(argparse.Namespace(config=cell_config, out=args.out))
+            cmd_riff_finetune(argparse.Namespace(config=cell_config, out=args.out, started=time.perf_counter()))
     return 0
 
 
@@ -611,8 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    started = time.perf_counter()
+    args = build_parser().parse_args(argv)
+    args.started = started
     try:
         return args.func(args)
     except ConfigError as exc:

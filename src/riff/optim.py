@@ -20,10 +20,11 @@ class AdamConfig:
 class AdamW:
     """Minimizer. Callers doing ascent pass the negated gradient.
 
-    A `trainable` mask gates both the parameter write and the decay, so
-    frozen segments are never touched. lr == 0 skips the write entirely,
-    keeping parameters bitwise identical. A non-finite gradient raises before
-    any state changes.
+    Every update is elementwise, so a caller that trains only some entries
+    steps an AdamW over just those (`flat[idx]`) and writes them back: the
+    frozen entries are never touched, by the update or by the decay. lr == 0
+    skips the write entirely, keeping parameters bitwise identical. A
+    non-finite gradient raises before any state changes.
     """
 
     def __init__(self, size: int, cfg: AdamConfig):
@@ -33,7 +34,7 @@ class AdamW:
         self.v = np.zeros(size, dtype=np.float64)
         self.vmax = np.zeros(size, dtype=np.float64) if cfg.amsgrad else None
 
-    def step(self, flat: np.ndarray, grad: np.ndarray, trainable=None) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         c = self.cfg
         if grad.shape != flat.shape:
             raise ValueError("gradient shape does not match parameters")
@@ -52,8 +53,4 @@ class AdamW:
             return
         mhat = self.m / (1.0 - c.beta1**self.t)
         vhat = vref / (1.0 - c.beta2**self.t)
-        update = c.lr * (mhat / (np.sqrt(vhat) + c.eps) + c.weight_decay * flat)
-        if trainable is None:
-            flat -= update
-        else:
-            flat[trainable] -= update[trainable]
+        flat -= c.lr * (mhat / (np.sqrt(vhat) + c.eps) + c.weight_decay * flat)

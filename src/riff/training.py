@@ -217,24 +217,34 @@ def format_groups(template: TaskTemplate, examples, rewrites: Padded | None) -> 
     return Padded(*(a.reshape(n, m + 1, -1) for a in formatted))
 
 
-def ensemble_accuracies(
-    classifier: clf.ClassifierParams, verbalizer, examples, groups: Padded
-) -> tuple[float, float]:
-    """Ensemble accuracy with and without the original input, from the
-    (example, row, position) arrays of format_groups, scored by one
-    classifier call. A row's scores depend on its token counts alone, not
-    on its padding, so each group scores as it would alone. A bad row raises
-    a ValueError naming the example and row."""
+def group_counts(classifier: clf.ClassifierParams, examples, groups: Padded) -> np.ndarray:
+    """The (example, row, V) token counts of format_groups' (example, row,
+    position) arrays, all the classifier reads of them. A bad row raises a
+    ValueError naming the example and row."""
     n, rows = groups.ids.shape[:2]
-    if len(examples) != n:
-        raise ValueError(f"{len(examples)} examples for {n} example groups")
-    flat = Padded(*(a.reshape(n * rows, -1) for a in groups))
     try:
-        logp = clf.label_logprobs_batch(classifier, flat, verbalizer)
+        counts = clf.token_counts(classifier, Padded(*(a.reshape(n * rows, -1) for a in groups)))
     except RowError as exc:
         k, j = divmod(exc.row, rows)
         raise ValueError(f"{_row_name(j)} of example {examples[k].uid}: {exc.reason}") from exc
-    scores = logp.reshape(n, rows, -1)
+    return counts.reshape(n, rows, -1)
+
+
+def ensemble_accuracies(
+    classifier: clf.ClassifierParams, verbalizer, examples, groups
+) -> tuple[float, float]:
+    """Ensemble accuracy with and without the original input, from the
+    arrays of format_groups or their group_counts, scored by one classifier
+    call. A row's scores depend on its token counts alone, so each group
+    scores as it would alone. A bad row raises a ValueError naming the
+    example and row."""
+    n = len(groups.ids if isinstance(groups, Padded) else groups)
+    if len(examples) != n:
+        raise ValueError(f"{len(examples)} examples for {n} example groups")
+    if isinstance(groups, Padded):
+        groups = group_counts(classifier, examples, groups)
+    rows, v = groups.shape[1:]
+    scores = clf.label_logprobs_batch(classifier, groups.reshape(n * rows, v), verbalizer).reshape(n, rows, -1)
     labels = [ex.y for ex in examples]
     incl, excl = (np.mean(combine_group(scores, inc).argmax(axis=-1) == labels) for inc in (True, False))
     return float(incl), float(excl)
@@ -310,25 +320,34 @@ def _sample_rewards(batch, rewrites: Padded, reward_fn, step: int) -> np.ndarray
     return np.asarray(scores, dtype=np.float64).reshape(len(batch), m)
 
 
-def _minibatch_gradient(policy, fixed, batch, reward_fn, cfg: RunConfig, step: int):
+def _anchor_tables(fixed: PolicyParams, examples):
+    """(fixed, raw transition logits, log-softmax tables) of the frozen
+    snapshot for each example, stacked. The snapshot never changes and an
+    input's rows do not depend on its batch or padding, so they are built
+    once per run and each step gathers its batch's rows."""
+    logits = transition_logits_batch(fixed, [ex.x for ex in examples])[0]
+    return fixed, logits, log_softmax_rows(logits)
+
+
+def _minibatch_gradient(policy, anchor, batch, reward_fn, cfg: RunConfig, step: int):
     """(mean objective gradient, mean raw reward, clamp events) of a minibatch
-    at one step: one stacked forward per policy, one batch decode into one
-    padded rewrite array, one reward call, one log-prob gather per table
-    stack and one stacked backward whose rows are summed in batch order,
-    bitwise a running sum of per-example gradients. Reward standardization
-    and the coefficients take the (B, m) arrays in one call each, and a bad
-    row's error names its example and the step."""
+    at one step, given the batch's `_anchor_tables`: one stacked forward of
+    the policy, one batch decode into one padded rewrite array, one reward
+    call, one log-prob gather per table stack and one stacked backward whose
+    rows are summed in batch order, bitwise a running sum of per-example
+    gradients. Reward standardization and the coefficients take the (B, m)
+    arrays in one call each, and a bad row's error names its example and the
+    step."""
     xs = [ex.x for ex in batch]
     logits, acts = transition_logits_batch(policy, xs)
-    fixed_logits = transition_logits_batch(fixed, xs)[0]
-    table, fixed_table = log_softmax_rows(logits), log_softmax_rows(fixed_logits)
+    table = log_softmax_rows(logits)
     # off-policy samples come from the frozen snapshot; diverse beam reads no seed
-    sampler = (fixed, fixed_logits, fixed_table) if cfg.regime == "off" else (policy, logits, table)
+    sampler = anchor if cfg.regime == "off" else (policy, logits, table)
     seeds = [derive_seed(cfg.seed, step, ex.uid) for ex in batch]
     rewrites = decode_batch(sampler[0], cfg.decoder, *sampler[1:], seeds, decode_config(cfg, 0))
     raw = _sample_rewards(batch, rewrites, reward_fn, step)
     cur = path_logprobs(table, rewrites).reshape(raw.shape)
-    fixed_lp = path_logprobs(fixed_table, rewrites).reshape(raw.shape)
+    fixed_lp = path_logprobs(anchor[2], rewrites).reshape(raw.shape)
     rewards = est.normalize_rewards(raw) if cfg.normalize else raw
     try:
         weights, clamp_events = est.coefficients(
@@ -379,10 +398,12 @@ def finetune_paraphraser(
         return clf.rewards(classifier, format_rewrites(task.template, rewrites.ids), ys, verbalizer)
 
     log.validation(0, validation_accuracy())
+    fixed, anchor_logits, anchor_table = _anchor_tables(fixed, split.train)
     batches = _batches(len(split.train), cfg.batch_size, rng)
     for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
         batch = [split.train[idx] for idx in batch_idx]
-        grad, reward, clamps = _minibatch_gradient(policy, fixed, batch, reward_fn, cfg, step)
+        anchor = (fixed, anchor_logits[batch_idx], anchor_table[batch_idx])
+        grad, reward, clamps = _minibatch_gradient(policy, anchor, batch, reward_fn, cfg, step)
         opt.step(policy.flat, -grad)
         log.rows.append((step, "train", "mean_reward", reward))
         if clamps:
@@ -417,51 +438,50 @@ def train_classifier_augmented(
 ) -> list[Checkpoint]:
     """Paraphrase-augmented classifier training with a frozen rewriter.
 
-    Rewrites for every example are decoded and formatted once, before the
-    first step, into (example, row, position) arrays. m == 0 degenerates to
-    plain supervised training and skips decoding. A step is one weighted
-    classifier call over the inputs (weight 1/B) and their rewrites
-    (1/(B m)), which returns the loss with the gradient. The batch's rows
-    keep the width they were padded to once: a row's scores do not depend
-    on its padding. Validation rewrites are decoded once: the rewriter is
-    frozen and diverse beam reads no seed.
+    Before the first step, rewrites for every training and validation
+    example are decoded and formatted once and counted into (example, row, V)
+    token counts, the classifier's whole input; a bad row raises there,
+    naming its example and row. m == 0 degenerates to plain supervised
+    training and skips decoding. A step slices its batch's count rows and
+    makes one weighted classifier call over the inputs (weight 1/B) and
+    their rewrites (1/(B m)), which returns the loss with the gradient.
+    AdamW steps only the mode's trainable entries. Rewrites are decoded once
+    because the rewriter is frozen and diverse beam reads no seed.
     """
     cfg.validate()
     if m > 0 and policy is None:
         raise ValueError("augmented training needs a rewriter policy")
     classifier = classifier.copy()
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
-    mask = clf.trainable_mask(classifier, mode)
-    rewrites = decode_rewrites(policy, split.train, m, cfg) if m > 0 else None
-    train_groups = format_groups(task.template, split.train, rewrites)
-    if m > 0:
-        validation_groups = format_groups(
-            task.template, split.validation, decode_rewrites(policy, split.validation, m, cfg)
-        )
-    labels = np.array([ex.y for ex in split.train])
-    opt = AdamW(classifier.flat.size, AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
+
+    def counted(examples) -> np.ndarray:
+        rewrites = decode_rewrites(policy, examples, m, cfg) if m > 0 else None
+        return group_counts(classifier, examples, format_groups(task.template, examples, rewrites))
+
+    counts, validation = counted(split.train), counted(split.validation)
+    labels = np.repeat([[ex.y] for ex in split.train], m + 1, axis=1)
+    trained = np.flatnonzero(clf.trainable_mask(classifier, mode))
+    opt = AdamW(len(trained), AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xC1A55))
     log = _RunLog(run_dir, "classifier", clf.save_classifier, METRIC_INCL)
 
     def validation_accuracy() -> float:
         if m > 0:
-            return ensemble_accuracies(classifier, verbalizer, split.validation, validation_groups)[0]
-        return plain_accuracy(classifier, task.template, verbalizer, split.validation)
+            return ensemble_accuracies(classifier, verbalizer, split.validation, validation)[0]
+        # plain_accuracy's arithmetic, on the inputs' counts
+        scores = clf.label_logprobs_batch(classifier, validation[:, 0], verbalizer)
+        return float(np.mean(np.argmax(scores, axis=1) == [ex.y for ex in split.validation]))
 
     log.validation(0, validation_accuracy())
     b = cfg.batch_size  # every minibatch holds exactly batch_size examples
     weights = np.array(([1.0 / b] + [1.0 / (b * m) for _ in range(m)]) * b)
     batches = _batches(len(split.train), b, rng)
     for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
-        seqs = Padded(*(a[batch_idx].reshape(-1, a.shape[2]) for a in train_groups))
-        ys = np.repeat(labels[batch_idx], m + 1)
-        try:
-            value, grad = clf.weighted_label_grad(classifier, seqs, ys, weights, verbalizer, mode)
-        except RowError as exc:
-            uid = split.train[batch_idx[exc.row // (m + 1)]].uid
-            what = _row_name(exc.row % (m + 1))
-            raise ValueError(f"{what} of example {uid} at step {step}: {exc.reason}") from exc
-        opt.step(classifier.flat, -grad, trainable=mask)
+        rows = counts[batch_idx].reshape(-1, counts.shape[2])
+        value, grad = clf.weighted_label_grad(classifier, rows, labels[batch_idx].ravel(), weights, verbalizer, mode)
+        flat = classifier.flat[trained]
+        opt.step(flat, -grad[trained])
+        classifier.flat[trained] = flat
         log.rows.append((step, "train", "loss", -value))
         if step % cfg.checkpoint_interval == 0:
             frozen = classifier.copy()

@@ -24,6 +24,7 @@ from riff.decoding import DecodeConfig, diverse_beam, top_p_batch
 from riff.estimators import coefficients, normalize_rewards
 from riff.numerics import finite_diff_grad, max_relative_error, softmax
 from riff.policy import (
+    Padded,
     PolicyConfig,
     PolicyParams,
     TokenSeq,
@@ -247,7 +248,7 @@ def test_criterion_6_protocol_arithmetic(tmp_path):
     assert len(split.train) == 256
     run_dir = tmp_path / "protocol" / "0"
     cfg = cli.run_config_of(config)
-    cli.write_manifest(str(run_dir), config, training.protocol_plan(cfg, len(split.train)), {})
+    cli.write_manifest(str(run_dir), config, training.protocol_plan(cfg, len(split.train)), {}, time.perf_counter())
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["protocol"]["steps_per_epoch"] == 32
     assert manifest["protocol"]["epochs"] == 35
@@ -310,8 +311,8 @@ def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
 
     monkeypatch.setattr(clf, "weighted_label_grad", recorded)
     b = len(split.train)
-    inputs = sorted(data.format_input(task.template, task.template.instruction, ex.x).ids
-                    for ex in split.train)
+    formatted = [data.format_input(task.template, task.template.instruction, ex.x) for ex in split.train]
+    inputs = sorted(map(tuple, clf.token_counts(classifier, formatted)))
     for m in (0, 2):
         calls.clear()
         cfg = RunConfig(m=m, lr=0.1, steps=1, batch_size=b, checkpoint_interval=1, seed=8)
@@ -319,12 +320,14 @@ def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
             classifier, rewriter if m else None, task, split, m=m, mode=TuningMode.ALL, cfg=cfg
         )
         ((_, rows, ys, *_), (_, grad)), = calls
-        # the step's one call, on padded rows: each example's formatted input, then its m rewrites
-        seqs = unpad(rows)
-        groups = [(seqs[i : i + m + 1], ys[i]) for i in range(0, len(seqs), m + 1)]
-        assert sorted(group[0].ids for group, _ in groups) == inputs
+        # the step's one call, on count rows: each example's formatted input, then its m rewrites
+        assert sorted(map(tuple, rows[:: m + 1])) == inputs
+        rewrites = training.decode_rewrites(rewriter, split.train, m, cfg) if m else None
+        groups = [unpad(Padded(*g)) for g in zip(*training.format_groups(task.template, split.train, rewrites))]
         want = np.zeros_like(grad)
-        for group, y in groups:
+        for i in range(0, len(rows), m + 1):
+            group, y = next((g, ex.y) for g, ex in zip(groups, split.train) if ex.y == ys[i]
+                            and np.array_equal(clf.token_counts(classifier, g), rows[i : i + m + 1]))
             want += reference_label_grad(classifier, group[0], y, verb, TuningMode.ALL)
             for z in group[1:]:
                 want += reference_label_grad(classifier, z, y, verb, TuningMode.ALL) / m

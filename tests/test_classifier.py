@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from riff.classifier import (
     lora_weight,
     rewards,
     save_classifier,
+    token_counts,
     trainable_mask,
     weighted_label_grad,
 )
@@ -452,6 +454,28 @@ def test_a_padded_batch_with_a_negative_id_names_its_row():
         rewards(p, batch, 0, VERB)
 
 
+def test_a_count_matrix_is_checked_for_its_dtype_width_and_mask_column():
+    p = tiny_classifier(seed=37)
+    counts = token_counts(p, MIXED_BATCH)
+    assert np.array_equal(label_logprobs_batch(p, counts, VERB), label_logprobs_batch(p, MIXED_BATCH, VERB))
+    # a (B, L) id array is not a count matrix, even when L happens to equal V
+    for wrong in (np.concatenate([counts, counts[:, :1]], axis=1), counts[0], counts.astype(np.intp)):
+        got = re.escape(f"got {wrong.dtype} of shape {wrong.shape}")
+        with pytest.raises(ValueError, match=rf"^expected a float64 \(B, 8\) count matrix, {got}$"):
+            label_logprobs_batch(p, wrong, VERB)
+    for n_mask in (0, 2):
+        bad = counts.copy()
+        bad[2, MASK] = n_mask
+        message = f"^batch sequence 2: input must contain exactly one mask token, found {n_mask}$"
+        for mode in (TuningMode.ALL, TuningMode.CLS_HEAD):
+            with pytest.raises(RowError, match=message):
+                label_logprobs_batch(p, bad, VERB, mode)
+        with pytest.raises(RowError, match=message):
+            weighted_label_grad(p, bad, [0] * 4, [1.0] * 4, VERB)
+        with pytest.raises(RowError, match=message):
+            rewards(p, bad, 0, VERB)
+
+
 @pytest.mark.parametrize("mode", list(TuningMode))
 def test_an_absent_token_far_above_a_rows_max_leaves_the_row_bitwise_unchanged(mode):
     p = kernel_params(mode, seed=36)
@@ -459,7 +483,7 @@ def test_an_absent_token_far_above_a_rows_max_leaves_the_row_bitwise_unchanged(m
     lacking = [i for i, seq in enumerate(MIXED_BATCH) if t not in seq.ids]
     before = label_logprobs_batch(p, batch, VERB, mode)
     # the mask row's query, which under the pooled head is the plain path's
-    qk = _MaskRowPass(p, *batch, VERB, label_path_mode(mode)).qk
+    qk = _MaskRowPass(p, token_counts(p, batch), VERB, label_path_mode(mode)).qk
     emb = p.seg("token_embedding")
     top = np.delete(emb @ qk, t).max()
     emb[t] += (top + 1e3 - emb[t] @ qk) * qk / (qk @ qk)

@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -239,12 +240,12 @@ def test_oracle_check_leaves_no_warnings_filter_behind():
 
 def test_write_manifest_interrupted_keeps_old_file(tmp_path):
     config = load_config({})
-    cli.write_manifest(str(tmp_path), config, {}, {})
+    cli.write_manifest(str(tmp_path), config, {}, {}, time.perf_counter())
     path = tmp_path / "manifest.json"
     first = path.read_text()
     bad = dict(config, name=object())  # json.dump fails part-way through
     with pytest.raises(TypeError):
-        cli.write_manifest(str(tmp_path), bad, {}, {})
+        cli.write_manifest(str(tmp_path), bad, {}, {}, time.perf_counter())
     assert path.read_text() == first
     assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json"]
 
@@ -290,6 +291,18 @@ def test_manifest_records_the_riff_python_and_numpy_versions(tmp_path):
     assert manifest["versions"] == {
         "riff": riff.__version__, "python": platform.python_version(), "numpy": np.__version__,
     }
+
+
+def test_manifest_records_the_commands_wall_time(tmp_path):
+    config = fast_config(tmp_path, name="wrun", tuning_mode="lora", m=0)
+    start = time.perf_counter()
+    assert cli.main(["--out", str(tmp_path / "runs"), "train-classifier", "--config", config]) == 0
+    elapsed = time.perf_counter() - start
+    run_dir = tmp_path / "runs" / "wrun" / "0"
+    assert 0.0 < json.loads((run_dir / "manifest.json").read_text())["wall_s"] <= elapsed
+    # the wall time goes to the manifest only; the metric rows are the run's as before
+    metrics = {r["metric"] for r in read_metrics_csv(run_dir / "metrics.csv")}
+    assert metrics == {"loss", training.METRIC_INCL}
 
 
 def test_soft_prompt_mode_defaults_prompt_length():

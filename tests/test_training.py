@@ -125,13 +125,19 @@ def test_adamw_zero_lr_keeps_params_bitwise():
     assert np.array_equal(params, before)
 
 
-def test_adamw_respects_trainable_mask():
-    params = np.zeros(4)
-    opt = AdamW(4, AdamConfig(lr=0.1, weight_decay=0.5))
-    mask = np.array([True, False, True, False])
-    opt.step(params, np.array([1.0, 1.0, 1.0, 1.0]), trainable=mask)
-    assert params[1] == 0.0 and params[3] == 0.0
-    assert params[0] != 0.0 and params[2] != 0.0
+@pytest.mark.parametrize("mode", list(clf.TuningMode))
+def test_augmented_training_leaves_every_frozen_entry_bitwise_initial(mode):
+    # AdamW steps only the trainable entries, with decay; under ALL the prompt
+    # table lies between trained segments, so those entries are not contiguous
+    task, split, _, policy = make_pipeline()
+    classifier = tiny_classifier(seed=5, vocab=20, embed=8, prompt_len=2, mode=mode)
+    cfg = RunConfig(m=2, lr=0.05, weight_decay=0.5, steps=4, batch_size=4, checkpoint_interval=2, seed=3)
+    checkpoints = train_classifier_augmented(classifier, policy, task, split, m=2, mode=mode, cfg=cfg)
+    frozen = ~clf.trainable_mask(classifier, mode)
+    assert len(checkpoints) == 2
+    for ck in checkpoints:
+        assert np.array_equal(ck.params.flat[frozen], classifier.flat[frozen])
+        assert np.array_equal(ck.params.flat, classifier.flat) == (mode is clf.TuningMode.NONE)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -315,8 +321,9 @@ def test_coefficient_errors_name_the_example_and_step(monkeypatch, case, message
         # the bad example's posterior weights are all below -500; nobody else's are
         monkeypatch.setattr(est, "_log_normalizers", lambda w: exact(w) + np.where(w.max(axis=1) < -500, shift, 0.0))
     cfg = RunConfig(m=2, decoder="beam", normalize=False)
+    anchor = training._anchor_tables(snapshot(policy), batch)
     with pytest.raises(ValueError, match=f"^example {bad.uid} at step 4: {message}$"):
-        training._minibatch_gradient(policy, snapshot(policy), batch, reward_fn, cfg, step=4)
+        training._minibatch_gradient(policy, anchor, batch, reward_fn, cfg, step=4)
 
 
 @pytest.mark.parametrize("estimator", training.ESTIMATORS)
@@ -329,7 +336,8 @@ def test_example_gradient_equals_reference_assembly(estimator, regime):
     reward_fn = table_reward(17)
     for ex in split.train[:3]:
         got, _, _ = training._minibatch_gradient(
-            policy, fixed, [ex], lambda rows, _: [reward_fn(z) for z in unpad(rows)], cfg, step=2
+            policy, training._anchor_tables(fixed, [ex]), [ex],
+            lambda rows, _: [reward_fn(z) for z in unpad(rows)], cfg, step=2,
         )
         # the same samples, scored and differentiated one sequence at a time
         dc = training.decode_config(cfg, derive_seed(cfg.seed, 2, ex.uid))
@@ -357,8 +365,11 @@ def test_minibatch_gradient_is_the_mean_of_per_example_references(estimator, reg
     cfg = RunConfig(estimator=estimator, regime=regime, decoder=decoder, m=6, seed=8)
     reward_fn = table_reward(23)
     batch = list(split.train[:5])
+    # the anchor rows the fine-tune loop gathers for this batch from its whole-split tables
+    _, logits, tables = training._anchor_tables(fixed, split.train)
     got, got_reward, got_events = training._minibatch_gradient(
-        policy, fixed, batch, lambda rows, _: [reward_fn(z) for z in unpad(rows)], cfg, step=3
+        policy, (fixed, logits[:5], tables[:5]), batch,
+        lambda rows, _: [reward_fn(z) for z in unpad(rows)], cfg, step=3,
     )
     # one table, decode and backward per example, summed in batch order
     want, reward, events = np.zeros(policy.flat.size), 0.0, 0
@@ -578,9 +589,9 @@ def test_ensemble_accuracies_score_all_rows_in_one_call(monkeypatch, mode):
     calls, seen = [], []
     kernel, combine = clf.label_logprobs_batch, training.combine_group
 
-    def counted(params, seqs, verbalizer):
-        calls.append(seqs.ids.shape)
-        return kernel(params, seqs, verbalizer)
+    def counted(params, counts, verbalizer):
+        calls.append(counts.shape)
+        return kernel(params, counts, verbalizer)
 
     def recorded(scores, include_original):
         seen.append((scores.copy(), include_original))
@@ -589,7 +600,7 @@ def test_ensemble_accuracies_score_all_rows_in_one_call(monkeypatch, mode):
     monkeypatch.setattr(clf, "label_logprobs_batch", counted)
     monkeypatch.setattr(training, "combine_group", recorded)
     incl, excl = training.ensemble_accuracies(classifier, verb, split.validation, groups)
-    assert calls == [(len(split.validation) * 5, groups.ids.shape[2])]  # every row of every group
+    assert calls == [(len(split.validation) * 5, classifier.cfg.vocab_size)]  # every row of every group
     assert [inc for _, inc in seen] == [True, False]  # one combine over all groups per accuracy
     assert all(max_scaled_error(scores, np.stack(alone)) <= 1e-12 for scores, _ in seen)
     want = [
@@ -639,28 +650,32 @@ def plant_rewrite(monkeypatch, uid: int, j: int, z: TokenSeq) -> None:
     monkeypatch.setattr(training, "decode_rewrites", planted)
 
 
-def test_augmented_step_names_the_example_row_and_step_of_a_bad_token(monkeypatch):
+def test_augmented_step_names_the_example_row_and_step_of_a_bad_token(monkeypatch, tmp_path):
     task, split, classifier, policy = make_pipeline()
     bad = split.train[3]
     plant_rewrite(monkeypatch, bad.uid, 2, TokenSeq.from_content([4, 25]))
-    # one batch holds every training example, so step 1 reaches the bad one
-    cfg = RunConfig(m=2, steps=2, batch_size=len(split.train), checkpoint_interval=2)
+    cfg = RunConfig(m=2, steps=2, batch_size=2, checkpoint_interval=1)
     reason = "token id 25 out of range for vocabulary of size 20"
-    with pytest.raises(ValueError, match=f"^rewrite 2 of example {bad.uid} at step 1: {reason}$"):
-        train_classifier_augmented(classifier, policy, task, split, m=2, mode=clf.TuningMode.HEAD, cfg=cfg)
+    # every row is counted, and checked, before the first step, whichever batch holds it
+    with pytest.raises(ValueError, match=f"^rewrite 2 of example {bad.uid}: {reason}$"):
+        train_classifier_augmented(
+            classifier, policy, task, split, m=2, mode=clf.TuningMode.HEAD, cfg=cfg, run_dir=str(tmp_path)
+        )
+    assert list(tmp_path.iterdir()) == []  # no checkpoint and no metrics.csv
 
 
-def test_augmented_steps_hand_the_kernel_exactly_the_padded_batch(monkeypatch):
+def test_augmented_steps_hand_the_kernel_exactly_the_count_rows_of_their_groups(monkeypatch):
     task, split, classifier, policy = make_pipeline()
     cfg = RunConfig(m=2, steps=8, batch_size=3, checkpoint_interval=8, seed=4)
     groups = training.format_groups(task.template, split.train, training.decode_rewrites(policy, split.train, 2, cfg))
+    own = [clf.token_counts(classifier, Padded(ids, valid)) for ids, valid in zip(*groups)]
     kernel, batches = clf.weighted_label_grad, []
 
     def recorded(params, rows, ys, weights, verbalizer, mode):
-        # each example's group of rows as padded once, before the first step
-        for k, block in enumerate(zip(*(a.reshape(-1, 3, a.shape[1]) for a in rows))):
+        # each block of 3 rows is one example's group, counted once before the first step
+        for k in range(len(ys) // 3):
             match = [i for i, ex in enumerate(split.train) if ex.y == ys[3 * k]
-                     and all(np.array_equal(a[i], b) for a, b in zip(groups, block))]
+                     and np.array_equal(own[i], rows[3 * k : 3 * k + 3])]
             assert match
         batches.append(len(ys) // 3)
         return kernel(params, rows, ys, weights, verbalizer, mode)
