@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .checkpoint import load_segments, save_segments
-from .data import Padded, _first_bad, pad
+from .data import _check_masks, _first_bad
 from .numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
+from .policy import Padded, pad
 from .vocab import MASK
 
 
@@ -182,11 +183,6 @@ def token_counts(params: ClassifierParams, seqs) -> np.ndarray:
     counts = np.bincount(flat, minlength=b * v).reshape(b, v).astype(np.float64)
     _check_masks(counts)
     return counts
-
-
-def _check_masks(counts: np.ndarray) -> None:
-    n_mask = counts[:, MASK]
-    _first_bad(n_mask != 1, lambda i: f"input must contain exactly one mask token, found {n_mask[i]:g}")
 
 
 def _as_counts(params: ClassifierParams, seqs) -> np.ndarray:

@@ -359,10 +359,8 @@ def cmd_evaluate(args) -> int:
         plain = training.plain_accuracy(classifier, task.template, verbalizer, examples)
         # one decode per example serves both ensembles and the diversity rows
         rewrites[name] = training.decode_rewrites(policy, examples, cfg.m, cfg)
-        incl, excl = training.ensemble_accuracies(
-            classifier, verbalizer, examples,
-            training.format_groups(task.template, examples, rewrites[name]),
-        )
+        counts = training.group_counts(task.template, classifier.cfg.vocab_size, examples, rewrites[name])
+        incl, excl = training.ensemble_accuracies(classifier, verbalizer, examples, counts)
         rows.extend(
             [
                 (0, name, "plain_acc", plain),
@@ -502,7 +500,7 @@ def summarize_runs(run_dirs, metric: str) -> list[dict]:
         name = os.path.basename(os.path.dirname(os.path.abspath(run_dir)))
         path = os.path.join(run_dir, "metrics.csv")
         if not os.path.exists(path):
-            flagged.append(run_dir)
+            flagged.append(f"{run_dir} (incomplete)")
             continue
         rows = [
             r
@@ -510,7 +508,7 @@ def summarize_runs(run_dirs, metric: str) -> list[dict]:
             if r["metric"] == metric and r["split"] == "validation" and r["step"] > 0
         ]
         if not rows:
-            flagged.append(run_dir)
+            flagged.append(f"{run_dir} (no {metric} rows)")
             continue
         values = [r["value"] for r in rows]
         by_name.setdefault(name, []).append((max(values), float(np.mean(values))))
@@ -527,9 +525,9 @@ def summarize_runs(run_dirs, metric: str) -> list[dict]:
                 "traj_mean": float(np.mean(trajs)),
             }
         )
-    for run_dir in flagged:
+    for label in flagged:
         table.append(
-            {"name": f"{run_dir} (incomplete)", "seeds": 0, "best_mean": float("nan"),
+            {"name": label, "seeds": 0, "best_mean": float("nan"),
              "best_std": float("nan"), "traj_mean": float("nan")}
         )
     return table

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import Padded, TokenSeq, pad
+from .policy import TokenSeq
 from .vocab import BOS, EOS, FIRST_CONTENT_ID, MASK, SEP, is_scaffold
 
 
@@ -68,28 +68,37 @@ def format_input(template: TaskTemplate, instruction, x: TokenSeq) -> TokenSeq:
     return TokenSeq(ids)
 
 
-def format_rewrites(template: TaskTemplate, seqs) -> Padded:
-    """pad() of format_input(template, template.instruction, strip_scaffold(z))
-    for each decoded rewrite z (TokenSeqs, or the zero-padded ids of a Padded
-    batch), built without the intermediate sequences; a row over
-    max_input_len raises a RowError."""
-    raw = seqs if isinstance(seqs, np.ndarray) else pad(seqs).ids
-    keep = raw >= FIRST_CONTENT_ID  # scaffold ids and the zero padding drop out
-    n = keep.sum(axis=1)
+def formatted_counts(template: TaskTemplate, ids: np.ndarray, vocab_size: int) -> np.ndarray:
+    """(B, V) float64 token counts of format_input(template, template.instruction,
+    strip_scaffold(z)) for each row z of a zero-padded id array, without the
+    formatted rows: both layouts hold the same scaffold tokens, so a row's
+    counts are its content ids' (all but the scaffold ids 0..3) plus the
+    template's. A row over max_input_len, with an id outside [0, V) or
+    without exactly one MASK raises a RowError naming it, as token_counts of
+    the formatted rows would."""
+    keep = (ids < 0) | (ids >= FIRST_CONTENT_ID)  # scaffold ids and the zero padding drop out
     head = (BOS, *template.instruction, *((MASK, SEP) if template.mask_first else ()))
     tail = (EOS,) if template.mask_first else (SEP, MASK, EOS)
-    lengths = len(head) + n + len(tail)
-    long = lengths > template.max_input_len
-    if long.any():
-        i = int(np.argmax(long))
-        limit = template.max_input_len
-        raise RowError(i, f"formatted input of {lengths[i]} tokens exceeds the {limit} limit")
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    ids = np.zeros(valid.shape, dtype=np.intp)
-    ids[:, : len(head)] = head
-    ids[np.nonzero(keep)[0], len(head) + np.cumsum(keep, axis=1)[keep] - 1] = raw[keep]
-    ids[np.arange(len(raw))[:, None], (len(head) + n)[:, None] + np.arange(len(tail))] = tail
-    return Padded(ids, valid)
+    lengths = len(head) + keep.sum(axis=1) + len(tail)
+    limit = template.max_input_len
+    _first_bad(lengths > limit, lambda i: f"formatted input of {lengths[i]} tokens exceeds the {limit} limit")
+    v = vocab_size
+    head_out, tail_out = ([t for t in part if not 0 <= t < v] for part in (head, tail))
+    out = keep & ((ids < 0) | (ids >= v))
+    _first_bad(out.any(axis=1) | bool(head_out or tail_out), lambda i: (
+        f"token id {[*head_out, *ids[i][out[i]], *tail_out][0]} out of range for vocabulary of size {v}"))
+    rows = np.nonzero(keep)[0]
+    counts = np.bincount(rows * v + ids[keep], minlength=len(ids) * v).reshape(len(ids), v)
+    counts = (counts + np.bincount(head + tail, minlength=v)).astype(np.float64)
+    _check_masks(counts)
+    return counts
+
+
+def _check_masks(counts: np.ndarray) -> None:
+    """Raise a RowError for the first row of a (B, V) count matrix without
+    exactly one MASK."""
+    n_mask = counts[:, MASK]
+    _first_bad(n_mask != 1, lambda i: f"input must contain exactly one mask token, found {n_mask[i]:g}")
 
 
 def strip_scaffold(z: TokenSeq) -> TokenSeq:

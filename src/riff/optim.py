@@ -1,4 +1,4 @@
-"""Adam with decoupled weight decay, operating on flat parameter buffers."""
+"""AdamW with the AMSGrad second-moment maximum, on flat parameter buffers."""
 
 from __future__ import annotations
 
@@ -6,15 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class AdamConfig:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
-    amsgrad: bool = True
 
 
 class AdamW:
@@ -32,7 +30,7 @@ class AdamW:
         self.t = 0
         self.m = np.zeros(size, dtype=np.float64)
         self.v = np.zeros(size, dtype=np.float64)
-        self.vmax = np.zeros(size, dtype=np.float64) if cfg.amsgrad else None
+        self.vmax = np.zeros(size, dtype=np.float64)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         c = self.cfg
@@ -42,15 +40,11 @@ class AdamW:
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
             raise ValueError(f"non-finite gradient at optimizer step {self.t + 1} (entry {bad})")
         self.t += 1
-        self.m = c.beta1 * self.m + (1.0 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1.0 - c.beta2) * grad * grad
-        if c.amsgrad:
-            np.maximum(self.vmax, self.v, out=self.vmax)
-            vref = self.vmax
-        else:
-            vref = self.v
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
+        np.maximum(self.vmax, self.v, out=self.vmax)
         if c.lr == 0.0:
             return
-        mhat = self.m / (1.0 - c.beta1**self.t)
-        vhat = vref / (1.0 - c.beta2**self.t)
-        flat -= c.lr * (mhat / (np.sqrt(vhat) + c.eps) + c.weight_decay * flat)
+        mhat = self.m / (1.0 - BETA1**self.t)
+        vhat = self.vmax / (1.0 - BETA2**self.t)
+        flat -= c.lr * (mhat / (np.sqrt(vhat) + EPS) + c.weight_decay * flat)

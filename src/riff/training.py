@@ -3,7 +3,7 @@ classifier training, checkpointing, best-checkpoint selection, and ensemble
 inference.
 
 The rewriter loop draws fresh samples every step (never cached); classifier
-training generates and formats rewrites once, before the first step, and
+training generates and counts rewrites once, before the first step, and
 scores each step's inputs and rewrites in one batched classifier call. One
 thread mutates parameters; checkpoint evaluation only reads frozen copies.
 """
@@ -19,14 +19,16 @@ import numpy as np
 from . import classifier as clf
 from . import estimators as est
 from .checkpoint import atomic_write, params_hash
-from .data import Example, Padded, RowError, SyntheticTask, TaskTemplate, format_rewrites, pad
+from .data import Example, RowError, SyntheticTask, TaskTemplate, formatted_counts
 from .decoding import DecodeConfig, decode_batch, diverse_beam_batch
 from .estimators import DEFAULT_BETA, ESTIMATORS, REGIMES
 from .numerics import log_softmax_rows
 from .optim import AdamConfig, AdamW
 from .policy import (
+    Padded,
     PolicyParams,
     TokenSeq,
+    pad,
     path_logprobs,
     save_policy,
     snapshot,
@@ -195,56 +197,38 @@ def _row_name(j: int) -> str:
     return "input" if j == 0 else f"rewrite {j}"
 
 
-def format_groups(template: TaskTemplate, examples, rewrites: Padded | None) -> Padded:
-    """Each example's input followed by its m rewrites (input-major rows of
-    `rewrites`; none without), formatted by one format_rewrites call into
-    (example, row, position) arrays. A row too long for the template raises
-    a ValueError naming the example and the row."""
+def group_counts(template: TaskTemplate, vocab_size: int, examples, rewrites: Padded | None) -> np.ndarray:
+    """(example, row, V) token counts of each example's formatted input
+    followed by its m formatted rewrites (input-major rows of `rewrites`;
+    none without), all the classifier reads of them, from one
+    formatted_counts call. A bad row raises a ValueError naming the example
+    and the row."""
     n = len(examples)
-    parts = [(slice(0, 1), pad([ex.x for ex in examples]))]
-    if rewrites is not None:
-        parts.append((slice(1, None), rewrites))
-    m = sum(len(part.ids) for _, part in parts) // n - 1
-    width = max(part.ids.shape[1] for _, part in parts)
-    ids = np.zeros((n, m + 1, width), dtype=np.intp)
-    for group_rows, part in parts:
-        ids[:, group_rows, : part.ids.shape[1]] = part.ids.reshape(n, -1, part.ids.shape[1])
+    inputs = pad([ex.x for ex in examples]).ids
+    zs = rewrites.ids if rewrites is not None else np.zeros((0, 1), dtype=np.intp)
+    rows = 1 + len(zs) // n
+    ids = np.zeros((n, rows, max(inputs.shape[1], zs.shape[1])), dtype=np.intp)
+    ids[:, 0, : inputs.shape[1]] = inputs
+    ids[:, 1:, : zs.shape[1]] = zs.reshape(n, rows - 1, zs.shape[1])
     try:
-        formatted = format_rewrites(template, ids.reshape(n * (m + 1), width))
-    except RowError as exc:
-        uid = examples[exc.row // (m + 1)].uid
-        raise ValueError(f"{_row_name(exc.row % (m + 1))} of example {uid}: {exc.reason}") from exc
-    return Padded(*(a.reshape(n, m + 1, -1) for a in formatted))
-
-
-def group_counts(classifier: clf.ClassifierParams, examples, groups: Padded) -> np.ndarray:
-    """The (example, row, V) token counts of format_groups' (example, row,
-    position) arrays, all the classifier reads of them. A bad row raises a
-    ValueError naming the example and row."""
-    n, rows = groups.ids.shape[:2]
-    try:
-        counts = clf.token_counts(classifier, Padded(*(a.reshape(n * rows, -1) for a in groups)))
+        counts = formatted_counts(template, ids.reshape(n * rows, -1), vocab_size)
     except RowError as exc:
         k, j = divmod(exc.row, rows)
         raise ValueError(f"{_row_name(j)} of example {examples[k].uid}: {exc.reason}") from exc
-    return counts.reshape(n, rows, -1)
+    return counts.reshape(n, rows, vocab_size)
 
 
 def ensemble_accuracies(
-    classifier: clf.ClassifierParams, verbalizer, examples, groups
+    classifier: clf.ClassifierParams, verbalizer, examples, counts: np.ndarray
 ) -> tuple[float, float]:
     """Ensemble accuracy with and without the original input, from the
-    arrays of format_groups or their group_counts, scored by one classifier
-    call. A row's scores depend on its token counts alone, so each group
-    scores as it would alone. A bad row raises a ValueError naming the
-    example and row."""
-    n = len(groups.ids if isinstance(groups, Padded) else groups)
+    group_counts of the examples, scored by one classifier call. A row's
+    scores depend on its token counts alone, so each group scores as it
+    would alone."""
+    n, rows, v = counts.shape
     if len(examples) != n:
         raise ValueError(f"{len(examples)} examples for {n} example groups")
-    if isinstance(groups, Padded):
-        groups = group_counts(classifier, examples, groups)
-    rows, v = groups.shape[1:]
-    scores = clf.label_logprobs_batch(classifier, groups.reshape(n * rows, v), verbalizer).reshape(n, rows, -1)
+    scores = clf.label_logprobs_batch(classifier, counts.reshape(n * rows, v), verbalizer).reshape(n, rows, -1)
     labels = [ex.y for ex in examples]
     incl, excl = (np.mean(combine_group(scores, inc).argmax(axis=-1) == labels) for inc in (True, False))
     return float(incl), float(excl)
@@ -257,17 +241,21 @@ def evaluate_ensemble_accuracy(
     """Ensemble accuracy with test-style decoding (always diverse beam)."""
     examples = list(examples)
     rewrites = decode_rewrites(policy, examples, m, cfg)
-    groups = format_groups(task_template, examples, rewrites)
-    incl, excl = ensemble_accuracies(classifier, verbalizer, examples, groups)
+    counts = group_counts(task_template, classifier.cfg.vocab_size, examples, rewrites)
+    incl, excl = ensemble_accuracies(classifier, verbalizer, examples, counts)
     return incl if include_original else excl
+
+
+def _plain_accuracy(classifier, verbalizer, examples, counts: np.ndarray) -> float:
+    """Accuracy on the examples' inputs alone, row 0 of their group_counts."""
+    scores = clf.label_logprobs_batch(classifier, counts[:, 0], verbalizer)
+    return float(np.mean(np.argmax(scores, axis=1) == [ex.y for ex in examples]))
 
 
 def plain_accuracy(classifier, template, verbalizer, examples) -> float:
     examples = list(examples)
-    scores = clf.label_logprobs_batch(
-        classifier, format_rewrites(template, [ex.x for ex in examples]), verbalizer
-    )
-    return float(np.mean(np.argmax(scores, axis=1) == [ex.y for ex in examples]))
+    counts = group_counts(template, classifier.cfg.vocab_size, examples, None)
+    return _plain_accuracy(classifier, verbalizer, examples, counts)
 
 
 def _batches(n: int, batch_size: int, rng):
@@ -395,7 +383,8 @@ def finetune_paraphraser(
         )
 
     def reward_fn(rewrites: Padded, ys) -> np.ndarray:
-        return clf.rewards(classifier, format_rewrites(task.template, rewrites.ids), ys, verbalizer)
+        counts = formatted_counts(task.template, rewrites.ids, classifier.cfg.vocab_size)
+        return clf.rewards(classifier, counts, ys, verbalizer)
 
     log.validation(0, validation_accuracy())
     fixed, anchor_logits, anchor_table = _anchor_tables(fixed, split.train)
@@ -439,7 +428,7 @@ def train_classifier_augmented(
     """Paraphrase-augmented classifier training with a frozen rewriter.
 
     Before the first step, rewrites for every training and validation
-    example are decoded and formatted once and counted into (example, row, V)
+    example are decoded once and counted into (example, row, V)
     token counts, the classifier's whole input; a bad row raises there,
     naming its example and row. m == 0 degenerates to plain supervised
     training and skips decoding. A step slices its batch's count rows and
@@ -456,7 +445,7 @@ def train_classifier_augmented(
 
     def counted(examples) -> np.ndarray:
         rewrites = decode_rewrites(policy, examples, m, cfg) if m > 0 else None
-        return group_counts(classifier, examples, format_groups(task.template, examples, rewrites))
+        return group_counts(task.template, classifier.cfg.vocab_size, examples, rewrites)
 
     counts, validation = counted(split.train), counted(split.validation)
     labels = np.repeat([[ex.y] for ex in split.train], m + 1, axis=1)
@@ -468,9 +457,7 @@ def train_classifier_augmented(
     def validation_accuracy() -> float:
         if m > 0:
             return ensemble_accuracies(classifier, verbalizer, split.validation, validation)[0]
-        # plain_accuracy's arithmetic, on the inputs' counts
-        scores = clf.label_logprobs_batch(classifier, validation[:, 0], verbalizer)
-        return float(np.mean(np.argmax(scores, axis=1) == [ex.y for ex in split.validation]))
+        return _plain_accuracy(classifier, verbalizer, split.validation, validation)
 
     log.validation(0, validation_accuracy())
     b = cfg.batch_size  # every minibatch holds exactly batch_size examples

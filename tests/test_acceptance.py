@@ -24,7 +24,6 @@ from riff.decoding import DecodeConfig, diverse_beam, top_p_batch
 from riff.estimators import coefficients, normalize_rewards
 from riff.numerics import finite_diff_grad, max_relative_error, softmax
 from riff.policy import (
-    Padded,
     PolicyConfig,
     PolicyParams,
     TokenSeq,
@@ -323,7 +322,10 @@ def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
         # the step's one call, on count rows: each example's formatted input, then its m rewrites
         assert sorted(map(tuple, rows[:: m + 1])) == inputs
         rewrites = training.decode_rewrites(rewriter, split.train, m, cfg) if m else None
-        groups = [unpad(Padded(*g)) for g in zip(*training.format_groups(task.template, split.train, rewrites))]
+        zs = unpad(rewrites) if m else []
+        # the reference rows: format_input of each input, then of each of its m rewrites stripped of scaffold
+        groups = [[data.format_input(task.template, task.template.instruction, data.strip_scaffold(z))
+                   for z in (ex.x, *zs[m * k : m * k + m])] for k, ex in enumerate(split.train)]
         want = np.zeros_like(grad)
         for i in range(0, len(rows), m + 1):
             group, y = next((g, ex.y) for g, ex in zip(groups, split.train) if ex.y == ys[i]

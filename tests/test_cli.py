@@ -469,6 +469,44 @@ def test_report_flags_incomplete_runs(tmp_path, capsys):
     assert "incomplete" in capsys.readouterr().out
 
 
+def test_report_names_a_finished_run_without_rows_of_its_metric(tmp_path, capsys):
+    config = fast_config(tmp_path, name="clsrun", tuning_mode="head", m=2)
+    root = tmp_path / "runs"
+    assert cli.main(["--out", str(root), "train-classifier", "--config", config]) == 0
+    capsys.readouterr()
+    # a train-classifier run validates with ensemble_acc_incl, not report's default metric
+    assert cli.main(["report", str(root)]) == 0
+    out = capsys.readouterr().out
+    assert f"{root / 'clsrun' / '0'} (no {training.METRIC_EXCL} rows)" in out
+    assert "incomplete" not in out
+    assert cli.main(["report", str(root), "--metric", training.METRIC_INCL]) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row.split()[:2] == ["clsrun", "1"]
+
+
+def test_commands_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.6 MB of resident memory; np.unique without return_index imports it
+    config = fast_config(tmp_path, m=2)
+    commands = [
+        ["riff-finetune", "--config", config],
+        ["train-classifier", "--config", config],
+        ["evaluate", "--config", config],
+        ["oracle-check", "--instances", "1"],
+    ]
+    script = f"""if True:
+        import sys
+        from riff import cli
+        for args in {commands!r}:
+            assert cli.main(["--out", {str(tmp_path / "runs")!r}, *args]) == 0, args
+        print("numpy.ma" in sys.modules)
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"
+
+
 def test_single_seed_identical_runs_zero_std(tmp_path):
     config = fast_config(tmp_path, name="same")
     root_a = tmp_path / "ra"

@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_classifier
 from riff.data import (
     RowError,
     TaskTemplate,
     family_tokens,
     format_input,
-    format_rewrites,
+    formatted_counts,
     gen_rewriter_corpus,
     gen_synthetic_task,
     majority_label,
-    pad,
     strip_scaffold,
     token_family,
 )
+from riff.classifier import token_counts
 from riff.metrics import lexical_diversity
-from riff.policy import TokenSeq
+from riff.policy import TokenSeq, pad
 from riff.vocab import BOS, EOS, MASK, SEP
 
 
@@ -69,26 +70,92 @@ def test_format_input_rejects_oversized():
         format_input(template, (), TokenSeq.from_content([4] * 5))
 
 
+def reference_counts(template: TaskTemplate, zs, vocab_size: int) -> np.ndarray:
+    """token_counts of format_input(template, template.instruction,
+    strip_scaffold(z)) for each z; a row format_input rejects raises a
+    RowError naming it before any row is counted."""
+    rows = []
+    for i, z in enumerate(zs):
+        try:
+            rows.append(format_input(template, template.instruction, strip_scaffold(z)))
+        except ValueError as exc:
+            raise RowError(i, str(exc)) from exc
+    return token_counts(tiny_classifier(vocab=vocab_size), rows)
+
+
+def outcome(count, *args):
+    """count(*args), or the (row, reason) of the RowError it raises."""
+    try:
+        return count(*args)
+    except RowError as exc:
+        return exc.row, exc.reason
+
+
+def same(got, want) -> bool:
+    if isinstance(want, tuple):
+        return got == want
+    return isinstance(got, np.ndarray) and got.dtype == np.float64 and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("mask_first", [False, True])
-@pytest.mark.parametrize("instruction", [(), (9, 17, 4)])
-def test_format_rewrites_is_the_padded_sequence_path(mask_first, instruction):
+@pytest.mark.parametrize("instruction", [(), (9,), (9, 17), (9, 17, 4)])
+def test_formatted_counts_equal_token_counts_of_formatted_rows(mask_first, instruction):
     template = TaskTemplate(instruction=instruction, mask_first=mask_first, max_input_len=32)
-    gen = np.random.default_rng(len(instruction) + mask_first)
-    # decoded rewrites of mixed lengths carry scaffold ids (1..3) anywhere before their EOS
-    seqs = [TokenSeq.from_content(gen.integers(1, 20, int(gen.integers(0, 12)))) for _ in range(40)]
-    seqs.append(TokenSeq((BOS, SEP, MASK, EOS)))  # nothing but scaffold
-    want = pad([format_input(template, instruction, strip_scaffold(z)) for z in seqs])
-    got = format_rewrites(template, seqs)
-    assert got.ids.dtype == want.ids.dtype
-    assert np.array_equal(got.ids, want.ids) and np.array_equal(got.valid, want.valid)
+    gen = np.random.default_rng(len(instruction) + 4 * mask_first)
+    for _ in range(60):
+        # decoded rewrites of mixed lengths carry scaffold ids (1..3) anywhere before their EOS
+        zs = [TokenSeq.from_content(gen.integers(1, 20, int(gen.integers(0, 12))))
+              for _ in range(int(gen.integers(1, 9)))]
+        zs.append(TokenSeq((BOS, SEP, MASK, EOS)))  # nothing but scaffold
+        got = formatted_counts(template, pad(zs).ids, 20)
+        assert same(got, reference_counts(template, zs, 20))
 
 
-def test_format_rewrites_names_an_over_long_row():
+def bad_batch(gen, case: str, v: int):
+    """A template and decoded rows, one of them (or the template) bad as `case` says."""
+    instruction = [int(t) for t in gen.integers(4, v, int(gen.integers(0, 4)))]
+    limit = 24
+    zs = [TokenSeq.from_content(gen.integers(1, v, int(gen.integers(0, 10)))) for _ in range(6)]
+    i = int(gen.integers(0, len(zs)))
+    if case == "content id >= V":
+        zs[i] = TokenSeq.from_content([*zs[i].content, v + int(gen.integers(0, 3))])
+    elif case == "over-long row":
+        zs[i] = TokenSeq.from_content(gen.integers(1, v, 30))
+    elif case == "template id >= V":
+        instruction.insert(int(gen.integers(0, len(instruction) + 1)), v)
+    elif case == "MASK in instruction":
+        instruction.insert(int(gen.integers(0, len(instruction) + 1)), MASK)
+    template = TaskTemplate(tuple(instruction), bool(gen.integers(0, 2)), max_input_len=limit)
+    return template, zs
+
+
+@pytest.mark.parametrize("case", [
+    "content id >= V", "over-long row", "template id >= V", "MASK in instruction",
+])
+def test_formatted_counts_reject_bad_rows_as_token_counts_do(case):
+    gen = np.random.default_rng(len(case))
+    for _ in range(40):
+        template, zs = bad_batch(gen, case, 20)
+        want = outcome(reference_counts, template, zs, 20)
+        assert isinstance(want, tuple)  # the case is bad for the reference too
+        assert same(outcome(formatted_counts, template, pad(zs).ids, 20), want)
+
+
+def test_formatted_counts_reject_a_negative_id_as_out_of_range():
+    # no TokenSeq holds one, so format_input cannot be the reference here
+    ids = np.array([[5, 6, EOS, 0], [5, -3, 7, EOS]])
+    with pytest.raises(RowError, match="^batch sequence 1: token id -3 out of range for vocabulary of size 20$"):
+        formatted_counts(TaskTemplate(instruction=(9,)), ids, 20)  # content, not scaffold
+    with pytest.raises(RowError, match="^batch sequence 0: token id -1 out of range for vocabulary of size 20$"):
+        formatted_counts(TaskTemplate(instruction=(9, -1, 25)), ids[:1], 20)  # the first in row order
+
+
+def test_formatted_counts_name_an_over_long_row():
     template = TaskTemplate(instruction=(9,), max_input_len=8)
     fits, long = TokenSeq.from_content([4] * 3), TokenSeq.from_content([4, BOS, 5, 6, 7])
-    assert format_rewrites(template, [fits, long][:1]).ids.shape == (1, 8)
+    assert formatted_counts(template, pad([fits]).ids, 20).shape == (1, 20)
     with pytest.raises(RowError, match="^batch sequence 1: formatted input of 9 tokens exceeds the 8 limit$"):
-        format_rewrites(template, [fits, long, long])
+        formatted_counts(template, pad([fits, long, long]).ids, 20)
     with pytest.raises(ValueError, match="formatted input of 9 tokens exceeds the 8 limit"):
         format_input(template, template.instruction, strip_scaffold(long))
 

@@ -23,9 +23,9 @@ from conftest import (
 from riff import classifier as clf
 from riff import training
 from riff import estimators as est
-from riff.data import Example, Padded, format_input, format_rewrites, gen_synthetic_task, pad, strip_scaffold
+from riff.data import Example, format_input, gen_synthetic_task, strip_scaffold
 from riff.optim import AdamConfig, AdamW
-from riff.policy import PolicyConfig, PolicyParams, TokenSeq, snapshot, unpad
+from riff.policy import Padded, PolicyConfig, PolicyParams, TokenSeq, pad, snapshot, unpad
 from riff.vocab import FIRST_CONTENT_ID
 from riff.training import (
     Checkpoint,
@@ -504,9 +504,10 @@ def test_augmented_two_rewrite_hand_arithmetic():
     assert -value == pytest.approx(expected, abs=1e-12)
 
 
-def one_group(template, ex, rewrites: Padded) -> Padded:
-    """The formatted rows of one example's group: its input, then `rewrites`."""
-    return Padded(*(a[0] for a in training.format_groups(template, [ex], rewrites)))
+def one_group(template, ex, zs) -> list[TokenSeq]:
+    """The formatted rows of one example's group: its input, then its
+    rewrites `zs` stripped of scaffold ids."""
+    return [format_input(template, template.instruction, strip_scaffold(z)) for z in (ex.x, *zs)]
 
 
 def test_ensemble_predict_worked_case():
@@ -521,7 +522,7 @@ def test_ensemble_identical_rewrites_match_plain_argmax():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
     ex = split.train[0]
-    scores = clf.label_logprobs_batch(classifier, one_group(task.template, ex, pad([ex.x] * 3)), verb)
+    scores = clf.label_logprobs_batch(classifier, one_group(task.template, ex, [ex.x] * 3), verb)
     plain = int(np.argmax(scores[0]))
     assert int(np.argmax(combine_group(scores, include_original=True))) == plain
 
@@ -530,9 +531,9 @@ def test_ensemble_single_rewrite_exclusion_is_plain_on_rewrite():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
     z = TokenSeq.from_content([4, 6])
-    group = one_group(task.template, split.train[0], pad([z]))
+    group = one_group(task.template, split.train[0], [z])
     scores = clf.label_logprobs_batch(classifier, group, verb)
-    alone = clf.label_logprobs_batch(classifier, format_rewrites(task.template, [z]), verb)[0]
+    alone = clf.label_logprobs_batch(classifier, [format_input(task.template, task.template.instruction, z)], verb)[0]
     assert int(np.argmax(combine_group(scores, include_original=False))) == int(np.argmax(alone))
 
 
@@ -570,14 +571,14 @@ def test_ensemble_accuracies_score_all_rows_in_one_call(monkeypatch, mode):
         [TokenSeq.from_content(gen.integers(4, 20, size=gen.integers(1, 25))) for _ in range(4)]
         for _ in split.validation
     ]
-    groups = training.format_groups(task.template, split.validation, pad([z for zs in rewrites for z in zs]))
+    counts = training.group_counts(task.template, 20, split.validation, pad([z for zs in rewrites for z in zs]))
     classifier = tiny_classifier(seed=5, vocab=20, embed=8, prompt_len=3, mode=mode)
     gen = np.random.default_rng(2)
     for name in ("lora_b_q", "lora_b_v"):  # adapters that change the scores under LORA
         classifier.seg(name)[:] = gen.normal(0.0, 0.3, classifier.seg(name).shape)
     verb = clf.Verbalizer(task.verbalizer_ids)
     # each group scored alone: pad() of its own formatted rows
-    own = [format_rewrites(task.template, [ex.x, *zs]) for ex, zs in zip(split.validation, rewrites)]
+    own = [pad(one_group(task.template, ex, zs)) for ex, zs in zip(split.validation, rewrites)]
     alone = [clf.label_logprobs_batch(classifier, g, verb) for g in own]
     widths = [g.ids.shape[1] for g in own]
     assert len(set(widths)) > 1
@@ -599,7 +600,7 @@ def test_ensemble_accuracies_score_all_rows_in_one_call(monkeypatch, mode):
 
     monkeypatch.setattr(clf, "label_logprobs_batch", counted)
     monkeypatch.setattr(training, "combine_group", recorded)
-    incl, excl = training.ensemble_accuracies(classifier, verb, split.validation, groups)
+    incl, excl = training.ensemble_accuracies(classifier, verb, split.validation, counts)
     assert calls == [(len(split.validation) * 5, classifier.cfg.vocab_size)]  # every row of every group
     assert [inc for _, inc in seen] == [True, False]  # one combine over all groups per accuracy
     assert all(max_scaled_error(scores, np.stack(alone)) <= 1e-12 for scores, _ in seen)
@@ -614,26 +615,25 @@ def test_ensemble_accuracies_reject_a_count_mismatch():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
     examples = split.validation[:3]
-    groups = training.format_groups(task.template, examples, pad([ex.x for ex in examples for _ in range(2)]))
+    counts = training.group_counts(task.template, 20, examples, pad([ex.x for ex in examples for _ in range(2)]))
     with pytest.raises(ValueError, match="^2 examples for 3 example groups$"):
-        training.ensemble_accuracies(classifier, verb, examples[:2], groups)
+        training.ensemble_accuracies(classifier, verb, examples[:2], counts)
 
 
 @pytest.mark.parametrize("row, what", [(0, "input"), (2, "rewrite 2")])
 def test_ensemble_accuracies_name_the_example_and_row_of_a_bad_token(row, what):
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
-    long = TokenSeq.from_content([4] * 16)  # longer than any input, so both groups share a width
+    long = TokenSeq.from_content([4] * 16)
     good, bad = split.validation[:2]
     rows = [bad.x, long, TokenSeq.from_content([4, 6])]
     rows[row] = TokenSeq.from_content([4, 25])
     bad = Example(bad.uid, rows[0], bad.y)
-    groups = training.format_groups(task.template, [good, bad], pad([long, long, *rows[1:]]))
-    widths = groups.valid.sum(axis=2).max(axis=1)
-    assert widths[0] == widths[1]
     reason = "token id 25 out of range for vocabulary of size 20"
     with pytest.raises(ValueError, match=f"^{what} of example {bad.uid}: {reason}$"):
-        training.ensemble_accuracies(classifier, verb, [good, bad], groups)
+        # the rows are checked as they are counted, before any is scored
+        counts = training.group_counts(task.template, 20, [good, bad], pad([long, long, *rows[1:]]))
+        training.ensemble_accuracies(classifier, verb, [good, bad], counts)
 
 
 def plant_rewrite(monkeypatch, uid: int, j: int, z: TokenSeq) -> None:
@@ -667,8 +667,9 @@ def test_augmented_step_names_the_example_row_and_step_of_a_bad_token(monkeypatc
 def test_augmented_steps_hand_the_kernel_exactly_the_count_rows_of_their_groups(monkeypatch):
     task, split, classifier, policy = make_pipeline()
     cfg = RunConfig(m=2, steps=8, batch_size=3, checkpoint_interval=8, seed=4)
-    groups = training.format_groups(task.template, split.train, training.decode_rewrites(policy, split.train, 2, cfg))
-    own = [clf.token_counts(classifier, Padded(ids, valid)) for ids, valid in zip(*groups)]
+    zs = unpad(training.decode_rewrites(policy, split.train, 2, cfg))
+    own = [clf.token_counts(classifier, one_group(task.template, ex, zs[2 * k : 2 * k + 2]))
+           for k, ex in enumerate(split.train)]
     kernel, batches = clf.weighted_label_grad, []
 
     def recorded(params, rows, ys, weights, verbalizer, mode):
@@ -768,17 +769,20 @@ def random_rewrites(gen, examples, m: int) -> Padded:
 
 
 def test_format_groups_cut_at_a_groups_widest_row_equal_its_own_format_rewrites_bitwise():
+    # groups of different widths share one padded batch: each group's counts
+    # must equal those of that group alone, and of its own formatted rows
     task = small_task()
     split = fewshot_split(task.train, 8, seed=0)
     rewrites = random_rewrites(np.random.default_rng(3), split.validation, 4)
     zs = unpad(rewrites)
-    ids, valid = training.format_groups(task.template, split.validation, rewrites)
-    widths = valid.sum(axis=2).max(axis=1)
-    assert ids.shape[:2] == (len(split.validation), 5) and len(set(widths.tolist())) > 1
-    for k, (ex, w) in enumerate(zip(split.validation, widths)):
-        want = format_rewrites(task.template, [ex.x, *zs[4 * k : 4 * k + 4]])
-        assert np.array_equal(ids[k, :, :w], want.ids) and np.array_equal(valid[k, :, :w], want.valid)
-        assert not ids[k, :, w:].any() and not valid[k, :, w:].any()
+    widths = [max(len(z.content) for z in (ex.x, *zs[4 * k : 4 * k + 4])) for k, ex in enumerate(split.validation)]
+    assert len(set(widths)) > 1
+    counts = training.group_counts(task.template, 20, split.validation, rewrites)
+    assert counts.shape == (len(split.validation), 5, 20)
+    for k, ex in enumerate(split.validation):
+        alone = training.group_counts(task.template, 20, [ex], pad(zs[4 * k : 4 * k + 4]))
+        want = clf.token_counts(tiny_classifier(vocab=20), one_group(task.template, ex, zs[4 * k : 4 * k + 4]))
+        assert np.array_equal(counts[k], alone[0]) and np.array_equal(counts[k], want)
 
 
 @pytest.mark.parametrize("m", [0, 3])
@@ -788,20 +792,18 @@ def test_augmented_rows_equal_the_formatted_inputs_and_stripped_rewrites(m):
     rewrites = random_rewrites(gen, split.train, m) if m else None
     zs = unpad(rewrites) if m else []
     assert not m or any(t < FIRST_CONTENT_ID for z in zs for t in z.content)  # some scaffold ids to strip
-    # the rows the augmented step read before: each input, then its rewrites stripped of scaffold
-    want = pad([format_input(task.template, task.template.instruction, z)
-                for k, ex in enumerate(split.train) for z in [ex.x, *map(strip_scaffold, zs[m * k : m * k + m])]])
-    ids, valid = training.format_groups(task.template, split.train, rewrites)
-    assert ids.shape[:2] == (len(split.train), m + 1)
-    assert np.array_equal(ids.reshape(len(want.ids), -1), want.ids)
-    assert np.array_equal(valid.reshape(len(want.ids), -1), want.valid)
+    # the rows the augmented step reads: each input, then its rewrites stripped of scaffold
+    want = [z for k, ex in enumerate(split.train) for z in one_group(task.template, ex, zs[m * k : m * k + m])]
+    counts = training.group_counts(task.template, 20, split.train, rewrites)
+    assert counts.shape[:2] == (len(split.train), m + 1)
+    assert np.array_equal(counts.reshape(len(want), -1), clf.token_counts(tiny_classifier(vocab=20), want))
 
 
 LONG = TokenSeq.from_content([5] * 60)  # 67 formatted tokens, over the template's 64
 
 
 @pytest.mark.parametrize("row, what", [(0, "input"), (2, "rewrite 2")])
-def test_format_groups_name_the_example_and_row_of_an_over_long_row(row, what):
+def test_group_counts_name_the_example_and_row_of_an_over_long_row(row, what):
     task, split, _, _ = make_pipeline()
     good, bad = split.validation[:2]
     rows = [bad.x, TokenSeq.from_content([4]), TokenSeq.from_content([4, 6])]
@@ -809,7 +811,7 @@ def test_format_groups_name_the_example_and_row_of_an_over_long_row(row, what):
     bad = Example(bad.uid, rows[0], bad.y)
     reason = "formatted input of 67 tokens exceeds the 64 limit"
     with pytest.raises(ValueError, match=f"^{what} of example {bad.uid}: {reason}$"):
-        training.format_groups(task.template, [good, bad], pad([good.x, good.x, *rows[1:]]))
+        training.group_counts(task.template, 20, [good, bad], pad([good.x, good.x, *rows[1:]]))
 
 
 @pytest.mark.parametrize("row, what", [(0, "input"), (2, "rewrite 2")])
