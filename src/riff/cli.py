@@ -21,6 +21,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from . import __version__
 from . import classifier as clf
 from . import data, metrics, oracle, training
 from .checkpoint import atomic_write, file_hash
-from .numerics import max_relative_error, richardson_grad
+from .numerics import relative_errors, richardson_grad
 from .policy import (
     Padded,
     PolicyConfig,
@@ -415,12 +416,24 @@ def sweep_instance(rng: np.random.Generator) -> tuple[PolicyParams, TokenSeq, Ca
     return policy, x, reward_fn, max_len
 
 
-def oracle_check(seed: int, instances: int = 20) -> float:
+class SweepWorst(NamedTuple):
+    """A sweep's largest relative gradient error, its 0-based instance and coordinate, and both values there."""
+
+    error: float
+    instance: int
+    coordinate: int
+    analytic: float
+    richardson: float
+
+
+def oracle_sweep(seed: int, instances: int) -> SweepWorst:
     """Gradient anchor sweep: the exact posterior-weighted gradient against
     Richardson-extrapolated central differences of the exact objective at
     h = ORACLE_FD_STEP, on random tiny instances. Each instance's 4P perturbed
     parameter vectors are evaluated as one block by oracle.exact_objectives.
     (The acceptance criteria keep plain central differences at h = 1e-5.)
+    Instance k is drawn after instances 0..k-1, so a sweep of k + 1 instances
+    ends on it.
 
     Random policies carry large unterminated tail mass by construction; the
     objective excludes it consistently, so the tail warning is muted here.
@@ -428,10 +441,10 @@ def oracle_check(seed: int, instances: int = 20) -> float:
     if instances < 1:
         raise ConfigError(f"--instances must be at least 1, got {instances}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = None
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="unterminated tail mass")
-        for _ in range(instances):
+        for k in range(instances):
             policy, x, reward_fn, max_len = sweep_instance(rng)
             analytic = oracle.exact_gradient(policy, x, reward_fn, max_len)
             fd = richardson_grad(
@@ -439,14 +452,25 @@ def oracle_check(seed: int, instances: int = 20) -> float:
                 policy.flat,
                 ORACLE_FD_STEP,
             )
-            worst = max(worst, max_relative_error(analytic, fd))
+            errors = relative_errors(analytic, fd)
+            i = int(np.argmax(errors))
+            if worst is None or errors[i] > worst.error:
+                worst = SweepWorst(float(errors[i]), k, i, float(analytic[i]), float(fd[i]))
     return worst
 
 
+def oracle_check(seed: int, instances: int = 20) -> float:
+    """The largest relative gradient error of oracle_sweep(seed, instances)."""
+    return oracle_sweep(seed, instances).error
+
+
 def cmd_oracle_check(args) -> int:
-    worst = oracle_check(args.seed, args.instances)
-    print(f"max relative gradient error over {args.instances} instances: {worst:.3e}")
-    if worst < 1e-3:
+    worst = oracle_sweep(args.seed, args.instances)
+    print(f"max relative gradient error over {args.instances} instances: {worst.error:.3e}")
+    print(f"worst: instance {worst.instance + 1} of {args.instances}, parameter coordinate {worst.coordinate}: "
+          f"analytic {worst.analytic!r}, richardson {worst.richardson!r}")
+    print(f"reproduce: riff oracle-check --seed {args.seed} --instances {worst.instance + 1}")
+    if worst.error < 1e-3:
         print("oracle check passed")
         return 0
     print("oracle check FAILED", file=sys.stderr)

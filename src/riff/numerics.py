@@ -122,8 +122,8 @@ def richardson_grad(f_rows, theta, h: float) -> np.ndarray:
     return (4.0 * ((half_up - half_down) / h) - (up - down) / (2.0 * h)) / 3.0
 
 
-def max_relative_error(a, b, floor: float = 1e-8) -> float:
-    """Componentwise |a-b| / max(|a|,|b|), skipping entries below `floor`. A non-finite
+def relative_errors(a, b, floor: float = 1e-8) -> np.ndarray:
+    """Componentwise |a-b| / max(|a|,|b|), 0.0 where both are below `floor`. A non-finite
     entry is no match: it raises, naming its argument and its flat index there."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -133,9 +133,15 @@ def max_relative_error(a, b, floor: float = 1e-8) -> float:
             raise ValueError(f"non-finite entry {arr.ravel()[bad[0]]} at index {bad[0]} of {name}")
     scale = np.maximum(np.abs(a), np.abs(b))
     keep = scale >= floor
-    if not np.any(keep):
-        return 0.0
-    return float(np.max(np.abs(a[keep] - b[keep]) / scale[keep]))
+    out = np.zeros(scale.shape)
+    out[keep] = np.abs(a[keep] - b[keep]) / scale[keep]
+    return out
+
+
+def max_relative_error(a, b, floor: float = 1e-8) -> float:
+    """The largest of relative_errors(a, b, floor), 0.0 for empty arrays."""
+    errors = relative_errors(a, b, floor)
+    return float(errors.max()) if errors.size else 0.0
 
 
 class ParamVector:

@@ -3,6 +3,7 @@ and exact objective / gradient values that anchor every estimator check.
 
 `reward_fn` arguments map a complete TokenSeq to a finite score; they must be
 deterministic and independent of the policy parameters being differentiated.
+A NaN or infinite score raises a ValueError naming the rewrite.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import numpy as np
 
 from .numerics import ParamVector, _log_normalizers, logsumexp, softmax
 from .policy import (
+    Padded,
     PolicyConfig,
     PolicyParams,
     TokenSeq,
     pad,
     policy_segments,
+    transition_forward,
     transition_table,
     transition_tables,
     weighted_seq_grads,
@@ -34,10 +37,24 @@ TAIL_WARN_THRESHOLD = 1e-6
 @dataclass(frozen=True)
 class Enumeration:
     """All EOS-terminated sequences of length <= max_len with exact log-probs,
-    plus the probability mass of unterminated length-max_len prefixes."""
+    the probability mass of unterminated length-max_len prefixes, and the
+    forward they came from: x's (V, V) log-table and the activations the
+    backward reuses. `seqs` and padded `rows` are the shape's cached support;
+    every array field but the forward is read-only."""
 
-    entries: tuple[tuple[TokenSeq, float], ...]
+    seqs: tuple[TokenSeq, ...]
+    rows: Padded
+    logprobs: np.ndarray
     tail_mass: float
+    table: np.ndarray
+    activations: tuple
+
+    @property
+    def entries(self) -> tuple[tuple[TokenSeq, float], ...]:
+        """(sequence, log-prob) pairs in enumeration order."""
+        # a list-built tuple: a zip-built one is resized after allocation and leaves
+        # its dead twin on CPython's per-length tuple free list
+        return tuple([(z, lp) for z, lp in zip(self.seqs, self.logprobs.tolist())])
 
 
 def _guard(params: PolicyParams, max_len: int) -> int:
@@ -52,13 +69,15 @@ def _guard(params: PolicyParams, max_len: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.ndarray, np.ndarray]:
+def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.ndarray, Padded]:
     """The rewrite space of a shape, independent of any policy: every
     EOS-terminated sequence of length <= max_len in depth-first order (a
     prefix before its extensions, content tokens ascending), the flat indices
     of its (prev, tok) steps into a (V+1) x (V+1) table, one row per step and
-    padded with the zero cell (V, V), and the same indices for the unterminated
-    length-max_len prefixes. Every lookup of an enumeration is one gather."""
+    padded with the zero cell (V, V), followed by those of the unterminated
+    length-max_len prefixes, and the sequences padded for the backward, all
+    read-only. Every lookup of an enumeration is one gather; the sequences'
+    own are the first len(seqs) columns of the indices."""
     width = vocab_size + 1
     tokens = [t for t in range(vocab_size) if t != EOS]
     contents = sorted(c for k in range(max_len) for c in itertools.product(tokens, repeat=k))
@@ -69,11 +88,11 @@ def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.nd
         return flat + [vocab_size * width + vocab_size] * (max_len - len(flat))
 
     seqs = tuple([TokenSeq.from_content(c) for c in contents])
-    entry_idx = np.array([steps(z.ids) for z in seqs], dtype=np.intp).T.copy()
-    tail_idx = np.array([steps(c) for c in tails], dtype=np.intp).T.copy()
-    entry_idx.setflags(write=False)
-    tail_idx.setflags(write=False)
-    return seqs, entry_idx, tail_idx
+    rows = pad(seqs)
+    path_idx = np.array([steps(z.ids) for z in seqs] + [steps(c) for c in tails], dtype=np.intp).T.copy()
+    for arr in (*rows, path_idx):
+        arr.setflags(write=False)
+    return seqs, path_idx, rows
 
 
 def _path_logprobs(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -97,18 +116,28 @@ def _path_logprobs(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int | None = None) -> Enumeration:
+    """The support of x under `params` from one forward of x, bitwise
+    transition_table's, and one gather per step of the cached support."""
     max_len = _guard(params, max_len)
-    seqs, entry_idx, tail_idx = _support(params.cfg.vocab_size, max_len)
-    table = transition_table(params, x)
-    tail = 0.0
-    for p in np.exp(_path_logprobs(table, tail_idx)).tolist():
-        tail += p
+    seqs, path_idx, rows = _support(params.cfg.vocab_size, max_len)
+    table, acts = transition_forward(params, x)
+    paths = _path_logprobs(table, path_idx)
+    logprobs = paths[: len(seqs)]
+    # cumsum adds in path order, as a running sum from 0.0 does
+    tail = float(np.exp(paths[len(seqs) :]).cumsum()[-1])
     if tail > TAIL_WARN_THRESHOLD:
         warnings.warn(f"unterminated tail mass {tail:.3g} exceeds {TAIL_WARN_THRESHOLD}")
-    # a list-built tuple: a zip-built one is resized after allocation and leaves
-    # its dead twin on CPython's per-length tuple free list
-    entries = tuple([(z, lp) for z, lp in zip(seqs, _path_logprobs(table, entry_idx).tolist())])
-    return Enumeration(entries, tail)
+    logprobs.setflags(write=False)
+    return Enumeration(seqs, rows, logprobs, tail, table, acts)
+
+
+def _rewards(seqs, reward_fn) -> np.ndarray:
+    """reward_fn of each sequence as float64, checked finite: a NaN or infinite
+    score raises naming the rewrite and the value."""
+    rewards = np.array([reward_fn(z) for z in seqs], dtype=np.float64)
+    for i in np.flatnonzero(~np.isfinite(rewards))[:1]:
+        raise ValueError(f"reward_fn returned {rewards[i]} for rewrite {seqs[i].ids}; rewards must be finite")
+    return rewards
 
 
 def _anchor_logprobs(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, max_len) -> np.ndarray:
@@ -127,8 +156,8 @@ def _anchor_logprobs(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, max
 @functools.lru_cache(maxsize=8)
 def _anchor_support_logprobs(cfg: PolicyConfig, flat: bytes, ids: tuple[int, ...], max_len: int) -> np.ndarray:
     fixed = PolicyParams(cfg, ParamVector(policy_segments(cfg), np.frombuffer(flat)))
-    _, entry_idx, _ = _support(cfg.vocab_size, max_len)
-    out = _path_logprobs(transition_table(fixed, TokenSeq(ids)), entry_idx)
+    seqs, path_idx, _ = _support(cfg.vocab_size, max_len)
+    out = _path_logprobs(transition_table(fixed, TokenSeq(ids)), path_idx[:, : len(seqs)])
     out.setflags(write=False)
     return out
 
@@ -138,7 +167,7 @@ def exact_objective(
 ) -> float:
     """log sum over enumerated z of P(z|x) * exp(R(z)). Tail mass excluded."""
     enum = enumerate_sequences(params, x, max_len)
-    return logsumexp([lp + reward_fn(z) for z, lp in enum.entries])
+    return logsumexp(enum.logprobs + _rewards(enum.seqs, reward_fn))
 
 
 def exact_objectives(
@@ -149,14 +178,13 @@ def exact_objectives(
     forward and log-softmax (transition_tables), a support gather per step
     summed from 0.0, and a row-wise log-sum-exp (numerics._log_normalizers)
     with the support's rewards, read once. A non-finite row is returned as is."""
-    seqs, entry_idx, _ = _support(params.cfg.vocab_size, _guard(params, max_len))
-    rewards = np.array([reward_fn(z) for z in seqs])
-    return _log_normalizers(_path_logprobs(transition_tables(params, flats, x), entry_idx) + rewards)
+    seqs, path_idx, _ = _support(params.cfg.vocab_size, _guard(params, max_len))
+    rewards = _rewards(seqs, reward_fn)
+    return _log_normalizers(_path_logprobs(transition_tables(params, flats, x), path_idx[:, : len(seqs)]) + rewards)
 
 
 def mml_posteriors(enum: Enumeration, reward_fn) -> np.ndarray:
-    weights = np.array([lp + reward_fn(z) for z, lp in enum.entries])
-    return softmax(weights)
+    return softmax(enum.logprobs + _rewards(enum.seqs, reward_fn))
 
 
 def exact_gradient(
@@ -166,7 +194,7 @@ def exact_gradient(
     log-probability gradients over the full enumerated support."""
     enum = enumerate_sequences(params, x, max_len)
     phi = mml_posteriors(enum, reward_fn)
-    return weighted_seq_grads(params, pad([x]), pad([z for z, _ in enum.entries]), phi)[0]
+    return weighted_seq_grads(params, pad([x]), enum.rows, phi, (enum.table[None], enum.activations))[0]
 
 
 def exact_kl_objective(
@@ -183,8 +211,8 @@ def exact_kl_objective(
     if beta == 0.0:
         return exact_objective(params, x, reward_fn, max_len)
     enum = enumerate_sequences(params, x, max_len)
-    objective = logsumexp([lp + reward_fn(z) for z, lp in enum.entries])
-    lps = np.array([lp for _, lp in enum.entries])
+    lps = enum.logprobs
+    objective = logsumexp(lps + _rewards(enum.seqs, reward_fn))
     fixed_lps = _anchor_logprobs(params, fixed, x, max_len)
     return objective - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
 
@@ -202,9 +230,7 @@ def exact_kl_gradient(
     if beta == 0.0:
         return exact_gradient(params, x, reward_fn, max_len)
     enum = enumerate_sequences(params, x, max_len)
+    lps = enum.logprobs
     phi = mml_posteriors(enum, reward_fn)
-    seqs = [z for z, _ in enum.entries]
-    lps = np.array([lp for _, lp in enum.entries])
     coeffs = phi - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
-    return weighted_seq_grads(params, pad([x]), pad(seqs), coeffs)[0]
-
+    return weighted_seq_grads(params, pad([x]), enum.rows, coeffs, (enum.table[None], enum.activations))[0]

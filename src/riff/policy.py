@@ -202,6 +202,16 @@ def transition_logits_batch(params: PolicyParams, xs) -> tuple[np.ndarray, tuple
     return _forward(params, encode_contexts(params, pad(xs)))
 
 
+def transition_forward(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
+    """transition_table of x and the (1, ...) activations the backward reuses,
+    from one forward: bitwise transition_table and the activations of
+    transition_logits_batch(params, [x]), without padding a batch of one."""
+    _check_ids(x, params.cfg.vocab_size)
+    context = params.token_embedding[list(x.ids)].sum(axis=0) / len(x.ids)
+    logits, acts = _forward(params, context[None])
+    return log_softmax_rows(logits[0]), acts
+
+
 def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
     """log P(next = t | previous = p, x) at [p, t]. The context is fixed per
     input, so this one table fixes every log-prob of every rewrite of x."""
@@ -257,15 +267,16 @@ def _transition_counts(batch: int, v: int, rows: Padded, weights) -> np.ndarray:
     return np.bincount(_cells(rows, batch, v).ravel(), steps.ravel(), batch * v * v).reshape(batch, v, v)
 
 
-def _backward(params: PolicyParams, inputs: Padded, counts, logits, u, s) -> np.ndarray:
+def _backward(params: PolicyParams, inputs: Padded, counts, table, u, s) -> np.ndarray:
     """Gradient rows (B, P): row b is the gradient of sum_{p,t} counts[b, p, t]
-    * log P(t | p, input b), one stacked backward through the tables. With C
-    the counts, the logit gradient is C - rowsum(C) * softmax(logits)."""
+    * log P(t | p, input b), one stacked backward through the (B, V, V)
+    log-softmax tables. With C the counts, the logit gradient is
+    C - rowsum(C) * exp(table)."""
     d = params.cfg.embed_dim
-    glogits = counts - counts.sum(axis=-1, keepdims=True) * np.exp(log_softmax_rows(logits))
-    g = np.empty((len(logits), params.pv.size))
+    glogits = counts - counts.sum(axis=-1, keepdims=True) * np.exp(table)
+    g = np.empty((len(table), params.pv.size))
     seg = {
-        name: g[:, params.pv.segment_slice(name)].reshape(len(logits), *shape)
+        name: g[:, params.pv.segment_slice(name)].reshape(len(table), *shape)
         for name, shape in params.pv.segments()
     }
     seg["out_head"][:] = s.transpose(0, 2, 1) @ glogits
@@ -286,13 +297,17 @@ def weighted_seq_grads(
 ) -> np.ndarray:
     """Gradient rows (B, P): row b is the gradient of sum_r weights[r] * log P(row r | input b)
     over input b's rows (input-major), by one stacked backward from the weighted transition
-    counts; a caller holding transition_logits_batch of the inputs passes it as `transition`."""
+    counts. A caller holding the inputs' forward passes it as `transition`: the log-softmax
+    of transition_logits_batch's logits and its activations, (table, activations)."""
     if len(weights) != len(rows.ids):
         raise ValueError(f"{len(weights)} weights for {len(rows.ids)} sequences")
     _check_rows(rows, params.cfg)
     counts = _transition_counts(len(inputs.ids), params.cfg.vocab_size, rows, weights)
-    logits, (u, s) = _forward(params, encode_contexts(params, inputs)) if transition is None else transition
-    return _backward(params, inputs, counts, logits, u, s)
+    if transition is None:
+        logits, acts = _forward(params, encode_contexts(params, inputs))
+        transition = log_softmax_rows(logits), acts
+    table, (u, s) = transition
+    return _backward(params, inputs, counts, table, u, s)
 
 
 def pretrain_mle(
@@ -322,7 +337,7 @@ def pretrain_mle(
             batch = Padded(inputs.ids[chunk], inputs.valid[chunk])
             logits, (u, s) = _forward(out, encode_contexts(out, batch))
             grad = np.zeros(out.flat.size)
-            for row in _backward(out, batch, counts[chunk], logits, u, s):
+            for row in _backward(out, batch, counts[chunk], log_softmax_rows(logits), u, s):
                 grad += row
             grad /= len(chunk)
             opt.step(out.flat, -grad)

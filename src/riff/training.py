@@ -345,7 +345,7 @@ def _minibatch_gradient(policy, anchor, batch, reward_fn, cfg: RunConfig, step: 
         raise ValueError(f"example {batch[exc.row].uid} at step {step}: {exc.reason}") from exc
     mean_reward = float(raw.mean(axis=1).cumsum()[-1])  # a running sum, in batch order
     total = np.zeros(policy.flat.size)
-    for ex, grad in zip(batch, weighted_seq_grads(policy, pad(xs), rewrites, weights.ravel(), (logits, acts))):
+    for ex, grad in zip(batch, weighted_seq_grads(policy, pad(xs), rewrites, weights.ravel(), (table, acts))):
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite gradient for example {ex.uid} at step {step}")
         total += grad

@@ -28,6 +28,7 @@ from riff.policy import (
     TokenSeq,
     pad,
     policy_segments,
+    seq_logprob,
     transition_logits_batch,
     transition_table,
     unpad,
@@ -250,7 +251,33 @@ def reference_enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: in
                 tail += float(np.exp(ext))
 
     expand([], 0.0)
-    return Enumeration(tuple(entries), tail)
+    seqs = tuple(z for z, _ in entries)
+    rows = pad(seqs)
+    logprobs = np.array([lp for _, lp in entries])
+    acts = transition_logits_batch(params, [x])[1]
+    return Enumeration(seqs, rows, logprobs, tail, table, acts)
+
+
+def reference_exact_values(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, reward_fn, beta: float,
+                           max_len: int) -> dict:
+    """The straight-line forms of oracle's exact values: reference_enumerate_sequences
+    entries, list-built weights, the anchor's seq_logprob of each sequence, then
+    pad(seqs) and weighted_seq_grads with its own forward. Returns the plain
+    objective, posteriors and gradient, the KL objective and gradient at beta
+    (the plain pair at beta == 0), and the sequences and KL coefficients."""
+    entries = reference_enumerate_sequences(params, x, max_len).entries
+    seqs = [z for z, _ in entries]
+    lps = np.array([lp for _, lp in entries])
+    weights = np.array([lp + reward_fn(z) for z, lp in entries])
+    out = {"seqs": seqs, "objective": logsumexp(weights), "posteriors": softmax(weights)}
+    out["gradient"] = weighted_seq_grads(params, pad([x]), pad(seqs), out["posteriors"])[0]
+    out["kl_objective"], out["kl_coeffs"] = out["objective"], out["posteriors"]
+    if beta != 0.0:
+        fixed_lps = np.array([seq_logprob(fixed, x, z) for z in seqs])
+        out["kl_objective"] = out["objective"] - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
+        out["kl_coeffs"] = out["posteriors"] - beta * np.exp(lps) * (lps - fixed_lps + 1.0)
+    out["kl_gradient"] = weighted_seq_grads(params, pad([x]), pad(seqs), out["kl_coeffs"])[0]
+    return out
 
 
 def mp_objective_derivative(params: PolicyParams, x: TokenSeq, reward_fn, max_len: int, i: int,

@@ -20,6 +20,7 @@ from riff.cli import (
     ConfigError,
     load_config,
     oracle_check,
+    oracle_sweep,
     run_config_of,
     summarize_runs,
     sweep_instance,
@@ -158,6 +159,24 @@ def test_oracle_check_passes_and_exits_zero(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "max relative gradient error" in out
+
+
+def test_oracle_check_names_its_worst_instance(capsys):
+    assert cli.main(["oracle-check", "--seed", "7", "--instances", "3"]) == 0
+    out = capsys.readouterr().out
+    named = re.search(r"worst: instance (\d+) of 3, parameter coordinate (\d+): analytic (\S+), richardson (\S+)\n", out)
+    k, i = int(named[1]), int(named[2])
+    assert f"reproduce: riff oracle-check --seed 7 --instances {k}\n" in out
+    # instance k of the sweep is the last of a k-instance sweep from the same seed
+    rng = np.random.default_rng(7)
+    for _ in range(k):
+        policy, x, reward_fn, max_len = sweep_instance(rng)
+    analytic = exact_gradient(policy, x, reward_fn, max_len)
+    fd = richardson_grad(lambda flats: exact_objectives(policy, flats, x, reward_fn, max_len), policy.flat,
+                         ORACLE_FD_STEP)
+    assert float(named[3]) == analytic[i] and float(named[4]) == fd[i]
+    assert max_relative_error(analytic[i], fd[i]) == max_relative_error(analytic, fd) == oracle_check(7, 3)
+    assert oracle_sweep(7, k) == oracle_sweep(7, 3)
 
 
 def _sweep_errors(sub_seed, h):

@@ -14,6 +14,7 @@ from riff.numerics import (
     log_softmax,
     logsumexp,
     max_relative_error,
+    relative_errors,
     richardson_grad,
     softmax,
 )
@@ -196,6 +197,10 @@ def test_max_relative_error_skips_tiny_components():
     a = np.array([1.0, 1e-12])
     b = np.array([1.0 + 1e-6, 5e-12])
     assert max_relative_error(a, b) < 2e-6
+    # componentwise, a skipped entry reads 0.0 and the largest is max_relative_error's
+    errors = relative_errors(a, b)
+    assert errors[1] == 0.0 and errors[0] == max_relative_error(a, b) == abs(a[0] - b[0]) / b[0]
+    assert max_relative_error([], []) == 0.0 and max_relative_error([1e-9], [2e-9]) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

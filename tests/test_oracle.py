@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import warnings
 
 import mpmath
@@ -8,13 +10,15 @@ import pytest
 from conftest import (
     greedy_path,
     reference_enumerate_sequences,
+    reference_exact_values,
     reference_weighted_seq_grad,
     stacked_central_diffs,
     table_reward,
     tiny_policy,
     total_mass,
 )
-from riff.numerics import finite_diff_grad, logsumexp, max_relative_error, richardson_grad, softmax
+from riff import policy as policy_module
+from riff.numerics import finite_diff_grad, max_relative_error, richardson_grad
 from riff.oracle import (
     _anchor_logprobs,
     _path_logprobs,
@@ -25,6 +29,7 @@ from riff.oracle import (
     exact_kl_objective,
     exact_objective,
     exact_objectives,
+    mml_posteriors,
 )
 from riff.policy import (
     PolicyConfig,
@@ -32,8 +37,8 @@ from riff.policy import (
     TokenSeq,
     pad,
     seq_logprob,
+    transition_logits_batch,
     transition_table,
-    weighted_seq_grads,
 )
 from riff.vocab import BOS, EOS
 
@@ -104,36 +109,34 @@ def test_enumeration_bitwise_equals_recursive_reference(vocab, max_len):
             assert got.tail_mass > 0.0
 
 
+# (vocab size, max_len) classes of cli.oracle_check instances
+SWEEP_SHAPES = [(3, 3), (3, 4), (4, 3), (4, 4)]
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.1, 0.6, 2.5])
 def test_exact_kl_bitwise_equals_seq_logprobs_forms(beta):
     gen = np.random.default_rng(31)
-    for vocab, max_len in [(2, 1), (3, 3), (4, 4), (5, 3)]:
+    for vocab, max_len in [(2, 1), *SWEEP_SHAPES, (5, 3)]:
         p = tiny_policy(seed=int(gen.integers(2**31)), vocab=vocab, max_len=max_len, scale=1.2)
         fixed = tiny_policy(seed=int(gen.integers(2**31)), vocab=vocab, max_len=max_len, scale=0.4)
         x = TokenSeq.from_content([int(t) for t in gen.integers(1, vocab, size=2)])
         reward_fn = table_reward(int(gen.integers(2**31)))
-        enum = reference_enumerate_sequences(p, x, max_len)
-        got_obj = exact_kl_objective(p, fixed, x, reward_fn, beta)
+        want = reference_exact_values(p, fixed, x, reward_fn, beta, max_len)
+        assert exact_objective(p, x, reward_fn) == want["objective"]
+        assert np.array_equal(mml_posteriors(enumerate_sequences(p, x), reward_fn), want["posteriors"])
+        assert np.array_equal(exact_gradient(p, x, reward_fn), want["gradient"])
+        assert exact_kl_objective(p, fixed, x, reward_fn, beta) == want["kl_objective"]
         got_grad = exact_kl_gradient(p, fixed, x, reward_fn, beta)
-        seqs = [z for z, _ in enum.entries]
-        lps = np.array([lp for _, lp in enum.entries])
-        fixed_lps = np.array([seq_logprob(fixed, x, z) for z in seqs])
-        weights = np.array([lp + reward_fn(z) for z, lp in enum.entries])
-        want_obj = logsumexp(weights)
-        coeffs = softmax(weights)
-        if beta != 0.0:
-            want_obj = want_obj - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
-            coeffs = coeffs - beta * np.exp(lps) * (lps - fixed_lps + 1.0)
-        assert got_obj == want_obj
-        assert np.array_equal(got_grad, weighted_seq_grads(p, pad([x]), pad(seqs), coeffs)[0])
-        assert np.array_equal(got_grad, reference_weighted_seq_grad(p, x, seqs, coeffs))
+        assert np.array_equal(got_grad, want["kl_gradient"])
+        assert np.array_equal(got_grad, reference_weighted_seq_grad(p, x, want["seqs"], want["kl_coeffs"]))
 
 
 def test_anchor_logprobs_are_memoized_by_value_and_read_only():
     p = tiny_policy(seed=41, vocab=4, max_len=4)
     fixed = tiny_policy(seed=42, vocab=4, max_len=4, scale=0.4)
     x = TokenSeq.from_content([2, 3])
-    _, entry_idx, _ = _support(4, 4)
+    seqs, path_idx, _ = _support(4, 4)
+    entry_idx = path_idx[:, : len(seqs)]
 
     def fresh():
         return _path_logprobs(transition_table(fixed, x), entry_idx)
@@ -146,11 +149,9 @@ def test_anchor_logprobs_are_memoized_by_value_and_read_only():
     fixed.flat[:] += 0.05
     second = _anchor_logprobs(p, fixed, x, None)
     assert np.array_equal(second, fresh()) and not np.array_equal(second, first)
-    assert np.array_equal(_anchor_logprobs(p, fixed, x, 3), _path_logprobs(transition_table(fixed, x), _support(4, 3)[1]))
-
-
-# (vocab size, max_len) classes of cli.oracle_check instances
-SWEEP_SHAPES = [(3, 3), (3, 4), (4, 3), (4, 4)]
+    seqs, path_idx, _ = _support(4, 3)
+    want = _path_logprobs(transition_table(fixed, x), path_idx[:, : len(seqs)])
+    assert np.array_equal(_anchor_logprobs(p, fixed, x, 3), want)
 
 
 @pytest.mark.parametrize("vocab,max_len", SWEEP_SHAPES)
@@ -331,3 +332,92 @@ def test_greedy_path_matches_high_precision_argmax():
         prefix.append(tok)
         prev = tok
     assert greedy_path(p, x).ids == tuple(prefix) + (EOS,)
+
+
+def test_enumeration_forward_is_transition_tables_bitwise_on_sweep_draws():
+    from riff.cli import sweep_instance
+
+    rng = np.random.default_rng(2024)
+    draws = [(p, x, max_len) for p, x, _, max_len in (sweep_instance(rng) for _ in range(300))]
+    # numpy sums a single embedding column in another order once an input is long:
+    # encode_contexts' one-column branch, at input lengths across its 8-element blocks
+    draws += [
+        (tiny_policy(seed=seed, vocab=5, max_len=3, embed=embed), TokenSeq.from_content(rng.integers(1, 5, size=n)), 3)
+        for seed, embed, n in itertools.product(range(3), (1, 2), (1, 7, 8, 9, 16, 17, 40))
+    ]
+    for p, x, max_len in draws:
+        enum = enumerate_sequences(p, x, max_len)
+        logits, (u, s) = transition_logits_batch(p, [x])
+        assert np.array_equal(enum.table, transition_table(p, x))
+        assert np.array_equal(enum.activations[0], u) and np.array_equal(enum.activations[1], s)
+
+
+def kl_instance(seed=51, vocab=4, max_len=4):
+    p = tiny_policy(seed=seed, vocab=vocab, max_len=max_len, scale=1.2)
+    fixed = tiny_policy(seed=seed + 1, vocab=vocab, max_len=max_len, scale=0.4)
+    return p, fixed, TokenSeq.from_content([2, 3]), table_reward(seed + 2)
+
+
+# each entry point that enumerates, called on a kl_instance
+ENUMERATING = {
+    "exact_objective": lambda p, fixed, x, r: exact_objective(p, x, r),
+    "exact_gradient": lambda p, fixed, x, r: exact_gradient(p, x, r),
+    "exact_kl_objective": lambda p, fixed, x, r: exact_kl_objective(p, fixed, x, r, 0.6),
+    "exact_kl_gradient": lambda p, fixed, x, r: exact_kl_gradient(p, fixed, x, r, 0.6),
+}
+# ... and the two that read a reward vector without one: posteriors of a given
+# enumeration, and the stacked objectives
+REWARD_READERS = {
+    **ENUMERATING,
+    "mml_posteriors": lambda p, fixed, x, r: mml_posteriors(enumerate_sequences(p, x), r),
+    "exact_objectives": lambda p, fixed, x, r: exact_objectives(p, np.repeat(p.flat[None], 2, axis=0), x, r),
+}
+
+
+@pytest.mark.parametrize("name", [*ENUMERATING, "exact_objectives"])
+def test_each_exact_call_runs_one_forward(monkeypatch, name):
+    p, fixed, x, reward_fn = kl_instance()
+    call = REWARD_READERS[name]
+    call(p, fixed, x, reward_fn)  # the anchor's log-probs are memoized after a first call
+    forwards = []
+    forward = policy_module._forward
+    monkeypatch.setattr(policy_module, "_forward", lambda *args: forwards.append(args) or forward(*args))
+    call(p, fixed, x, reward_fn)
+    assert len(forwards) == 1
+
+
+def test_enumeration_arrays_are_read_only_and_keep_the_support_cache():
+    p, _, x, _ = kl_instance()
+    enum = enumerate_sequences(p, x)
+    for arr in (enum.rows.ids, enum.rows.valid, enum.logprobs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[-1]
+    other = enumerate_sequences(tiny_policy(seed=52, vocab=4, max_len=4), TokenSeq.from_content([1]))
+    # every enumeration of the shape shares the cached support, still intact
+    assert other.rows is enum.rows
+    fresh = pad(list(other.seqs))
+    assert np.array_equal(other.rows.ids, fresh.ids) and np.array_equal(other.rows.valid, fresh.valid)
+    assert [z.ids for z in other.seqs] == [z.ids for z, _ in reference_enumerate_sequences(p, x, 4).entries]
+
+
+@pytest.mark.parametrize("name", ENUMERATING)
+def test_each_exact_call_warns_on_large_tail(name):
+    # a peaked random policy leaves mass on unterminated prefixes
+    p, fixed, x, reward_fn = kl_instance()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ENUMERATING[name](p, fixed, x, reward_fn)
+    assert any("unterminated tail mass" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", REWARD_READERS)
+def test_a_non_finite_reward_raises_naming_the_rewrite(name, bad):
+    p, fixed, x, reward_fn = kl_instance()
+    culprit = TokenSeq.from_content([3, 1])
+
+    def planted(z):
+        return bad if z == culprit else reward_fn(z)
+
+    with pytest.raises(ValueError, match=re.escape(f"reward_fn returned {bad} for rewrite {culprit.ids}")):
+        REWARD_READERS[name](p, fixed, x, planted)

@@ -182,8 +182,9 @@ def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
         one_hot[j] = 1.0
         single = weighted_seq_grads(p, pad([x]), pad([z]), [1.0])[0]
         assert np.array_equal(weighted_seq_grads(p, pad([x]), pad(seqs), one_hot)[0], single)
-        # handing over the table's logits and activations changes nothing
-        given = weighted_seq_grads(p, pad([x]), pad(seqs), one_hot, transition_logits_batch(p, [x]))[0]
+        # handing over the forward's log-softmax table and activations changes nothing
+        logits, acts = transition_logits_batch(p, [x])
+        given = weighted_seq_grads(p, pad([x]), pad(seqs), one_hot, (log_softmax_rows(logits), acts))[0]
         assert np.array_equal(given, single)
         assert max_scaled_error(single, reference_seq_logprob_grad(p, x, z)) < 1e-12
 

@@ -226,6 +226,24 @@ def test_finetune_names_the_example_with_a_non_finite_gradient(monkeypatch):
         finetune_paraphraser(policy, classifier, task, split, cfg)
 
 
+@pytest.mark.parametrize("regime,decoder", [("on", "top_p"), ("off", "beam")])
+def test_finetune_backward_over_the_steps_table_equals_its_own_forward(monkeypatch, regime, decoder):
+    task, split, classifier, policy = make_pipeline()
+    kernel = training.weighted_seq_grads
+    compared = []
+
+    def both(params, inputs, rows, weights, transition):
+        grads = kernel(params, inputs, rows, weights, transition)
+        assert np.array_equal(grads, kernel(params, inputs, rows, weights))
+        compared.append(len(grads))
+        return grads
+
+    monkeypatch.setattr(training, "weighted_seq_grads", both)
+    cfg = RunConfig(regime=regime, decoder=decoder, m=3, steps=2, batch_size=4, checkpoint_interval=2, seed=2)
+    finetune_paraphraser(policy, classifier, task, split, cfg)
+    assert compared == [4, 4]
+
+
 def finetune_reward_fn(monkeypatch, task, split, classifier, policy):
     """The batch reward call finetune_paraphraser hands its fine-tune steps."""
     calls = []
