@@ -185,16 +185,13 @@ def token_counts(params: ClassifierParams, seqs) -> np.ndarray:
     return counts
 
 
-def _as_counts(params: ClassifierParams, seqs) -> np.ndarray:
-    """The (B, V) count matrix of `seqs`: sequences go through token_counts,
-    and a count matrix has its width and mask column checked."""
-    if not isinstance(seqs, np.ndarray):
-        return token_counts(params, seqs)
-    v = params.cfg.vocab_size
-    if seqs.ndim != 2 or seqs.shape[1] != v or seqs.dtype != np.float64:
-        raise ValueError(f"expected a float64 (B, {v}) count matrix, got {seqs.dtype} of shape {seqs.shape}")
-    _check_masks(seqs)
-    return seqs
+def _check_counts(params: ClassifierParams, counts: np.ndarray) -> np.ndarray:
+    """`counts`, once its dtype, width and mask column are checked."""
+    counts, v = np.asarray(counts), params.cfg.vocab_size
+    if counts.ndim != 2 or counts.shape[1] != v or counts.dtype != np.float64:
+        raise ValueError(f"expected a float64 (B, {v}) count matrix, got {counts.dtype} of shape {counts.shape}")
+    _check_masks(counts)
+    return counts
 
 
 class _MaskRowPass:
@@ -352,14 +349,13 @@ def _kernel(params: ClassifierParams, counts, ys, weights, verbalizer, mode, row
 
 
 def label_logprobs_batch(
-    params: ClassifierParams, seqs, verbalizer: Verbalizer, mode: TuningMode | None = None
+    params: ClassifierParams, counts: np.ndarray, verbalizer: Verbalizer, mode: TuningMode | None = None
 ) -> np.ndarray:
-    """(B, C) label log-probabilities of each sequence (TokenSeqs, a Padded
-    batch, or their (B, V) token_counts) under the mode's own scoring path
-    (the mask-row head, or the pooled head under CLS_HEAD), from one batched
-    forward."""
+    """(B, C) label log-probabilities of each row of a (B, V) token_counts
+    matrix under the mode's own scoring path (the mask-row head, or the
+    pooled head under CLS_HEAD), from one batched forward."""
     mode = params.mode if mode is None else mode
-    counts = _as_counts(params, seqs)
+    counts = _check_counts(params, counts)
     if mode is TuningMode.CLS_HEAD:
         return _cls_head(params, _pooled(params, counts))[2]
     _check_verbalizer(params, verbalizer)
@@ -368,19 +364,19 @@ def label_logprobs_batch(
 
 def weighted_label_grad(
     params: ClassifierParams,
-    seqs,
+    counts: np.ndarray,
     ys,
     weights,
     verbalizer: Verbalizer,
     mode: TuningMode | None = None,
 ) -> tuple[float, np.ndarray]:
-    """sum_i weights[i] * log P(ys[i] | seqs[i]) (TokenSeqs, a Padded batch,
-    or their (B, V) token_counts) under the mode's scoring path, and its
-    gradient, from one forward and one backward. The backward computes only
-    the mode's trainable segments, so every entry outside them is exactly
-    zero by construction."""
+    """sum_i weights[i] * log P(ys[i] | row i) over the rows of a (B, V)
+    token_counts matrix under the mode's scoring path, and its gradient, from
+    one forward and one backward. The backward computes only the mode's
+    trainable segments, so every entry outside them is exactly zero by
+    construction."""
     mode = params.mode if mode is None else mode
-    return _kernel(params, _as_counts(params, seqs), ys, weights, verbalizer, mode)[:2]
+    return _kernel(params, _check_counts(params, counts), ys, weights, verbalizer, mode)[:2]
 
 
 def label_path_mode(mode: TuningMode) -> TuningMode:
@@ -389,12 +385,11 @@ def label_path_mode(mode: TuningMode) -> TuningMode:
     return TuningMode.NONE if mode is TuningMode.CLS_HEAD else mode
 
 
-def rewards(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) -> np.ndarray:
-    """Terminal rewards log P(ys[i] | seqs[i]) of formatted rewrites
-    (TokenSeqs, a Padded batch, or their (B, V) token_counts; one label `ys`
-    may score every row), from one batched forward over the distinct count
-    rows. Always <= 0."""
-    counts = _as_counts(params, seqs)
+def rewards(params: ClassifierParams, counts: np.ndarray, ys, verbalizer: Verbalizer) -> np.ndarray:
+    """Terminal rewards log P(ys[i] | row i) of formatted rewrites, given as
+    the rows of a (B, V) token_counts matrix (one label `ys` may score every
+    row), from one batched forward over the distinct count rows. Always <= 0."""
+    counts = _check_counts(params, counts)
     ys = np.broadcast_to(np.asarray(ys, dtype=np.intp), len(counts))
     _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
     # a row's scores depend on its counts alone, so each distinct count row is scored once

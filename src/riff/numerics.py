@@ -47,7 +47,7 @@ def softmax(logits) -> np.ndarray:
 def log_softmax_rows(logits) -> np.ndarray:
     """log_softmax along the last axis, shifted by each row's max."""
     arr = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite logits")
     m = arr.max(axis=-1, keepdims=True)
     return arr - (m + np.log(np.exp(arr - m).sum(axis=-1, keepdims=True)))

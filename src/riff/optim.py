@@ -36,7 +36,7 @@ class AdamW:
         c = self.cfg
         if grad.shape != flat.shape:
             raise ValueError("gradient shape does not match parameters")
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
             raise ValueError(f"non-finite gradient at optimizer step {self.t + 1} (entry {bad})")
         self.t += 1

@@ -164,30 +164,46 @@ def _check_rows(rows: Padded, cfg: PolicyConfig) -> None:
             check_output_seq(TokenSeq(tuple(ids[i, : lengths[i]])), cfg)
 
 
+def _slots(inputs: Padded, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each padded position's row in a (V + 1, d) embedding whose last row is
+    zero (padding takes that row, V), and each input's length, (B, 1)."""
+    ids, valid = inputs
+    return np.where(valid, ids, v), valid.sum(axis=1)[:, None]
+
+
+def _contexts(embedding: np.ndarray, slots: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The mean embedding of each input from its `_slots` rows of a zero-row-
+    appended embedding, stacked, bitwise each input's own .mean(axis=0):
+    positions sum in order, padding adds exact zeros. numpy sums a single
+    embedding column pairwise by padded length, so that case sums each
+    input's own rows."""
+    if embedding.shape[1] == 1:
+        pad_row = len(embedding) - 1
+        return np.array([embedding[row[row != pad_row]].sum(axis=0) / n for row, n in zip(slots, lengths[:, 0])])
+    return embedding[slots].sum(axis=1) / lengths
+
+
 def encode_contexts(params: PolicyParams, inputs: Padded) -> np.ndarray:
     """The mean embedding of each padded input, stacked, bitwise each input's
-    own .mean(axis=0): positions sum in order, padding adds exact zeros. numpy
-    sums a single embedding column pairwise by padded length, so that case
-    encodes inputs one at a time."""
+    own .mean(axis=0)."""
     emb, (ids, valid) = params.token_embedding, inputs
     if ids.max() >= len(emb):  # padding is zero
         for i in np.flatnonzero((valid & (ids >= len(emb))).any(axis=1))[:1]:
             _check_ids(TokenSeq(tuple(ids[i][valid[i]])), len(emb))
-    if emb.shape[1] == 1:
-        return np.array([emb[row[keep]].sum(axis=0) / keep.sum() for row, keep in zip(ids, valid)])
-    gathered = np.concatenate([emb, np.zeros_like(emb[:1])])[np.where(valid, ids, len(emb))]
-    return gathered.sum(axis=1) / valid.sum(axis=1)[:, None]
+    return _contexts(np.concatenate([emb, np.zeros_like(emb[:1])]), *_slots(inputs, len(emb)))
 
 
-def _forward(params, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _forward(params, contexts: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
     """Raw next-token logits (B, V, V) for a batch of (B, d) input contexts,
     every previous token at once, plus the activations the backward reuses:
-    step inputs u (B, V, 2d) and hidden states s (B, V, h). `params` is a
-    PolicyParams, or its four weight arrays stacked along a leading (B,) axis,
-    one parameter vector per context (transition_tables)."""
+    step inputs u (B, V, 2d), written into `u` if given, and hidden states
+    s (B, V, h). `params` is a PolicyParams, or its four weight arrays stacked
+    along a leading (B,) axis, one parameter vector per context
+    (transition_tables)."""
     emb = params.token_embedding
     v, d = emb.shape[-2:]
-    u = np.empty((len(contexts), v, 2 * d))
+    if u is None:
+        u = np.empty((len(contexts), v, 2 * d))
     u[:, :, :d] = contexts[:, None, :]
     u[:, :, d:] = emb
     s = np.tanh(u @ params.rec_w.swapaxes(-1, -2) + params.rec_b[..., None, :])
@@ -267,29 +283,46 @@ def _transition_counts(batch: int, v: int, rows: Padded, weights) -> np.ndarray:
     return np.bincount(_cells(rows, batch, v).ravel(), steps.ravel(), batch * v * v).reshape(batch, v, v)
 
 
-def _backward(params: PolicyParams, inputs: Padded, counts, table, u, s) -> np.ndarray:
-    """Gradient rows (B, P): row b is the gradient of sum_{p,t} counts[b, p, t]
-    * log P(t | p, input b), one stacked backward through the (B, V, V)
-    log-softmax tables. With C the counts, the logit gradient is
-    C - rowsum(C) * exp(table)."""
-    d = params.cfg.embed_dim
-    glogits = counts - counts.sum(axis=-1, keepdims=True) * np.exp(table)
-    g = np.empty((len(table), params.pv.size))
-    seg = {
-        name: g[:, params.pv.segment_slice(name)].reshape(len(table), *shape)
-        for name, shape in params.pv.segments()
-    }
+class _Workspace:
+    """Buffers of one stacked forward and backward over B inputs: the step
+    inputs u and the (B, P) gradient rows with their segment views.
+    pretrain_mle keeps one per minibatch size for its whole run and never
+    hands its rows out; weighted_seq_grads returns the rows of a fresh one."""
+
+    def __init__(self, params: PolicyParams, batch: int):
+        v, d = params.cfg.vocab_size, params.cfg.embed_dim
+        self.u = np.empty((batch, v, 2 * d))
+        self.rows = np.empty((batch, params.pv.size))
+        self.seg = {
+            name: self.rows[:, params.pv.segment_slice(name)].reshape(batch, *shape)
+            for name, shape in params.pv.segments()
+        }
+        # the embedding segment and one row past it: a padding slot (V) lands on
+        # the first d entries of rec_w, which the backward writes after the scatter
+        self.scatter = self.rows[:, : (v + 1) * d].reshape(batch, v + 1, d)
+        self.batch_index = np.arange(batch)[:, None]
+
+
+def _backward(params, work: _Workspace, slots, lengths, counts, rowsums, table, u, s) -> np.ndarray:
+    """Gradient rows (B, P), in work.rows: row b is the gradient of sum_{p,t}
+    counts[b, p, t] * log P(t | p, input b), one stacked backward through the
+    (B, V, V) log-softmax tables. With C the counts and `rowsums` their
+    rowsum(C), the logit gradient is C - rowsum(C) * exp(table). The inputs
+    come as their `_slots` and lengths; `params` is a PolicyParams or its
+    weight views (pretrain_mle)."""
+    d = u.shape[-1] // 2
+    seg = work.seg
+    glogits = counts - rowsums * np.exp(table)
     seg["out_head"][:] = s.transpose(0, 2, 1) @ glogits
     ga = (glogits @ params.out_head.T) * (1.0 - s * s)
-    seg["rec_w"][:] = ga.transpose(0, 2, 1) @ u
-    seg["rec_b"][:] = ga.sum(axis=1)
     gu = ga @ params.rec_w
     seg["token_embedding"][:] = gu[:, :, d:]
-    # the context is the mean of the input's embeddings
-    rows = np.nonzero(inputs.valid)[0]
-    g_ctx = gu[:, :, :d].sum(axis=1) / inputs.valid.sum(axis=1)[:, None]
-    np.add.at(seg["token_embedding"], (rows, inputs.ids[inputs.valid]), g_ctx[rows])
-    return g
+    # the context is the mean of the input's embeddings: one scatter adds its share
+    # at every position in order, padding slots onto rec_w, overwritten next
+    np.add.at(work.scatter, (work.batch_index, slots), (gu[:, :, :d].sum(axis=1) / lengths)[:, None])
+    seg["rec_w"][:] = ga.transpose(0, 2, 1) @ u
+    seg["rec_b"][:] = ga.sum(axis=1)
+    return work.rows
 
 
 def weighted_seq_grads(
@@ -303,11 +336,26 @@ def weighted_seq_grads(
         raise ValueError(f"{len(weights)} weights for {len(rows.ids)} sequences")
     _check_rows(rows, params.cfg)
     counts = _transition_counts(len(inputs.ids), params.cfg.vocab_size, rows, weights)
+    work = _Workspace(params, len(inputs.ids))
     if transition is None:
-        logits, acts = _forward(params, encode_contexts(params, inputs))
+        logits, acts = _forward(params, encode_contexts(params, inputs), work.u)
         transition = log_softmax_rows(logits), acts
     table, (u, s) = transition
-    return _backward(params, inputs, counts, table, u, s)
+    rowsums = counts.sum(axis=-1, keepdims=True)
+    return _backward(params, work, *_slots(inputs, params.cfg.vocab_size), counts, rowsums, table, u, s)
+
+
+def _check_pairs(pairs, cfg: PolicyConfig) -> None:
+    """Raise naming the first (input, target) pair whose input holds an id
+    outside the vocabulary, or whose target does or is longer than max_len."""
+    for i, (x, z) in enumerate(pairs):
+        try:
+            role = "input"
+            _check_ids(x, cfg.vocab_size)
+            role = "target"
+            check_output_seq(z, cfg)
+        except ValueError as exc:
+            raise ValueError(f"pair {i} {role}: {exc}") from None
 
 
 def pretrain_mle(
@@ -318,28 +366,39 @@ def pretrain_mle(
     batch_size: int = 8,
     seed: int = 0,
 ) -> PolicyParams:
-    """Maximum-likelihood pretraining on (input, rewrite-target) pairs: the inputs are
-    padded and each target's transitions counted once, and a minibatch is one stacked
-    forward and backward over its rows. Returns an updated copy; the argument is left untouched."""
+    """Maximum-likelihood pretraining on (input, rewrite-target) pairs. Every
+    pair is checked, the inputs' slots and lengths found and each target's
+    transitions counted once per run, and a minibatch gathers its rows of
+    these: one stacked forward and backward in buffers the run reuses, and
+    one reduction of the rows, bitwise their running sum from 0.0. Returns
+    an updated copy; the argument is left untouched."""
     if not pairs:
         raise ValueError("no training pairs")
-    n = len(pairs)
-    inputs, targets = pad([x for x, _ in pairs]), pad([z for _, z in pairs])
-    _check_rows(targets, params.cfg)
-    counts = _transition_counts(n, params.cfg.vocab_size, targets, np.ones(n))
+    _check_pairs(pairs, params.cfg)
+    n, v = len(pairs), params.cfg.vocab_size
+    slots, lengths = _slots(pad([x for x, _ in pairs]), v)
+    counts = _transition_counts(n, v, pad([z for _, z in pairs]), np.ones(n))
+    rowsums = counts.sum(axis=-1, keepdims=True)
     out = params.copy()
+    # views of out's weights, which the optimizer updates in place, and the
+    # embedding with a zero row appended that the contexts gather from
+    views = SimpleNamespace(**{name: out.pv.view(name) for name, _ in out.pv.segments()})
+    embedding = np.zeros((v + 1, params.cfg.embed_dim))
     opt = AdamW(out.flat.size, AdamConfig(lr=lr))
     rng = np.random.default_rng(seed)
+    works = {b: _Workspace(out, b) for b in {min(batch_size, n - start) for start in range(0, n, batch_size)}}
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             chunk = order[start : start + batch_size]
-            batch = Padded(inputs.ids[chunk], inputs.valid[chunk])
-            logits, (u, s) = _forward(out, encode_contexts(out, batch))
-            grad = np.zeros(out.flat.size)
-            for row in _backward(out, batch, counts[chunk], log_softmax_rows(logits), u, s):
-                grad += row
-            grad /= len(chunk)
+            b_slots, b_lengths = slots[chunk], lengths[chunk]
+            work = works[len(chunk)]
+            embedding[:v] = views.token_embedding
+            logits, (u, s) = _forward(views, _contexts(embedding, b_slots, b_lengths), work.u)
+            table = log_softmax_rows(logits)
+            rows = _backward(views, work, b_slots, b_lengths, counts[chunk], rowsums[chunk], table, u, s)
+            grad = np.add.reduce(rows, axis=0, initial=0.0)
+            grad /= len(rows)
             opt.step(out.flat, -grad)
     return out
 

@@ -19,6 +19,7 @@ from .classifier import (
     input_row_grads,
     label_logprobs_batch,
     label_path_mode,
+    token_counts,
 )
 from .data import TaskTemplate, format_input
 
@@ -53,7 +54,8 @@ def minibatch_loglik(
     if not minibatch:
         return 0.0
     formatted = [format_input(template, instruction.ids, ex.x) for ex in minibatch]
-    logp = label_logprobs_batch(classifier, formatted, verbalizer, label_path_mode(classifier.mode))
+    counts = token_counts(classifier, formatted)
+    logp = label_logprobs_batch(classifier, counts, verbalizer, label_path_mode(classifier.mode))
     total = 0.0
     for i, ex in enumerate(minibatch):
         total += float(logp[i, ex.y])

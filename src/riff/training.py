@@ -322,10 +322,10 @@ def _minibatch_gradient(policy, anchor, batch, reward_fn, cfg: RunConfig, step: 
     at one step, given the batch's `_anchor_tables`: one stacked forward of
     the policy, one batch decode into one padded rewrite array, one reward
     call, one log-prob gather per table stack and one stacked backward whose
-    rows are summed in batch order, bitwise a running sum of per-example
-    gradients. Reward standardization and the coefficients take the (B, m)
-    arrays in one call each, and a bad row's error names its example and the
-    step."""
+    rows are checked finite in one pass and summed by one reduction in batch
+    order, bitwise a running sum of per-example gradients from 0.0. Reward
+    standardization and the coefficients take the (B, m) arrays in one call
+    each, and a bad row's error names its example and the step."""
     xs = [ex.x for ex in batch]
     logits, acts = transition_logits_batch(policy, xs)
     table = log_softmax_rows(logits)
@@ -344,11 +344,11 @@ def _minibatch_gradient(policy, anchor, batch, reward_fn, cfg: RunConfig, step: 
     except RowError as exc:
         raise ValueError(f"example {batch[exc.row].uid} at step {step}: {exc.reason}") from exc
     mean_reward = float(raw.mean(axis=1).cumsum()[-1])  # a running sum, in batch order
-    total = np.zeros(policy.flat.size)
-    for ex, grad in zip(batch, weighted_seq_grads(policy, pad(xs), rewrites, weights.ravel(), (table, acts))):
-        if not np.all(np.isfinite(grad)):
-            raise ValueError(f"non-finite gradient for example {ex.uid} at step {step}")
-        total += grad
+    grads = weighted_seq_grads(policy, pad(xs), rewrites, weights.ravel(), (table, acts))
+    finite = np.isfinite(grads).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite gradient for example {batch[np.argmin(finite)].uid} at step {step}")
+    total = np.add.reduce(grads, axis=0, initial=0.0)
     return total / len(batch), mean_reward / len(batch), clamp_events
 
 

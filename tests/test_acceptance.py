@@ -43,7 +43,8 @@ def masked_reward_fn(classifier, verbalizer, y):
 
     def reward_fn(z: TokenSeq) -> float:
         content = tuple(t for t in z.content if t != MASK)
-        return float(clf.rewards(classifier, [TokenSeq(content + (MASK, EOS))], y, verbalizer)[0])
+        counts = clf.token_counts(classifier, [TokenSeq(content + (MASK, EOS))])
+        return float(clf.rewards(classifier, counts, y, verbalizer)[0])
 
     return reward_fn
 
@@ -206,15 +207,16 @@ def test_criterion_5_tuning_masks_and_search():
                 params.seg("lora_b_v")[:] = gen.normal(0, 0.1, params.seg("lora_b_v").shape)
             content = [int(gen.integers(4, 10)) for _ in range(3)]
             inp = TokenSeq(tuple(content) + (MASK, EOS))
-            grad = clf.weighted_label_grad(params, [inp], [int(gen.integers(2))], [1.0], verb)[1]
+            counts = clf.token_counts(params, [inp])
+            grad = clf.weighted_label_grad(params, counts, [int(gen.integers(2))], [1.0], verb)[1]
             outside = ~clf.trainable_mask(params, mode)
             assert np.all(grad[outside] == 0.0)
 
     lora_params = tiny_classifier(seed=55, vocab=10, embed=4, mode=TuningMode.LORA)
     inp = TokenSeq((4, 7, MASK, EOS))
     assert np.array_equal(
-        clf.label_logprobs_batch(lora_params, [inp], verb, TuningMode.LORA)[0],
-        clf.label_logprobs_batch(lora_params, [inp], verb, TuningMode.NONE)[0],
+        clf.label_logprobs_batch(lora_params, clf.token_counts(lora_params, [inp]), verb, TuningMode.LORA)[0],
+        clf.label_logprobs_batch(lora_params, clf.token_counts(lora_params, [inp]), verb, TuningMode.NONE)[0],
     )
 
     task = data.gen_synthetic_task(20, 2, 64, 0, seed=5)

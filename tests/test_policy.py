@@ -23,6 +23,7 @@ from conftest import (
     tiny_policy,
     total_mass,
 )
+import riff.policy as policy_module
 from riff.checkpoint import file_hash
 from riff.classifier import TuningMode, load_classifier, save_classifier
 from riff.numerics import finite_diff_grad, log_softmax, log_softmax_rows, max_relative_error
@@ -232,14 +233,80 @@ def test_pair_grads_rows_bitwise_equal_seq_logprob_grad():
             assert np.array_equal(row, reference_weighted_seq_grad(p, x, [z], [1.0]))
 
 
-@pytest.mark.parametrize("batch_size", [1, 3, 8])
-def test_pretrain_mle_bitwise_equals_per_pair_reference(batch_size):
+def oracle_anchor_pairs(n: int = 18):
+    """A random tiny rewriter and n reversal pairs at the exact oracle's anchor
+    shape (V=4, d=4, h=5, max_len=4), as its pretraining draws them."""
+    gen = np.random.default_rng(7)
+    pairs = []
+    for _ in range(n):
+        content = [int(t) for t in gen.integers(1, 4, size=int(gen.integers(1, 4)))]
+        pairs.append((TokenSeq.from_content(content), TokenSeq.from_content(content[::-1])))
+    return tiny_policy(seed=11, vocab=4, max_len=4, embed=4, hidden=5, scale=0.6), pairs
+
+
+def pretraining_case(shape: str):
+    """(initial policy, pairs, lr) of a pretraining shape."""
+    if shape == "oracle_anchor":
+        return (*oracle_anchor_pairs(), 0.05)  # 18 pairs leave a ragged last chunk at 4
     p, corpus = recipe_corpus()
-    pairs = corpus[:29]  # 29 pairs leave a ragged last chunk at 3 and 8
-    got = pretrain_mle(p, pairs, epochs=2, lr=0.02, batch_size=batch_size, seed=5)
-    want = reference_pretrain_mle(p, pairs, epochs=2, lr=0.02, batch_size=batch_size, seed=5)
-    assert np.array_equal(got.flat, want.flat)
+    if shape == "embed_dim_1":  # one embedding column: the contexts sum each input alone
+        cfg = PolicyConfig(vocab_size=20, embed_dim=1, hidden_dim=6, max_len=24)
+        p = PolicyParams.init_random(cfg, seed=13, scale=0.5)
+    return p, corpus[:29], 0.02  # 29 pairs leave a ragged last chunk at 3 and 8
+
+
+@pytest.mark.parametrize("shape,batch_size", [
+    pytest.param("recipe", 1, id="1"),
+    pytest.param("recipe", 3, id="3"),
+    pytest.param("recipe", 8, id="8"),
+    pytest.param("oracle_anchor", 4, id="oracle_anchor-4"),
+    pytest.param("embed_dim_1", 3, id="embed_dim_1-3"),
+])
+def test_pretrain_mle_bitwise_equals_per_pair_reference(shape, batch_size):
+    p, pairs, lr = pretraining_case(shape)
+    for start in range(0, len(pairs), batch_size):
+        chunk = pairs[start : start + batch_size]
+        rows = weighted_seq_grads(p, pad([x for x, _ in chunk]), pad([z for _, z in chunk]), np.ones(len(chunk)))
+        for row, (x, z) in zip(rows, chunk):
+            assert row.tobytes() == reference_weighted_seq_grad(p, x, [z], [1.0]).tobytes()
+    got = pretrain_mle(p, pairs, epochs=2, lr=lr, batch_size=batch_size, seed=5)
+    want = reference_pretrain_mle(p, pairs, epochs=2, lr=lr, batch_size=batch_size, seed=5)
+    assert got.flat.tobytes() == want.flat.tobytes()
     assert not np.array_equal(got.flat, p.flat)
+
+
+def test_pretrain_runs_from_one_init_return_equal_independent_parameters():
+    p, pairs = oracle_anchor_pairs()
+    before = p.flat.copy()
+    first = pretrain_mle(p, pairs, epochs=3, lr=0.05, batch_size=4, seed=2)
+    other = pretrain_mle(p, pairs[:7], epochs=2, lr=0.05, batch_size=3, seed=9)  # a run between them
+    second = pretrain_mle(p, pairs, epochs=3, lr=0.05, batch_size=4, seed=2)
+    assert first.flat.tobytes() == second.flat.tobytes()
+    assert not np.array_equal(other.flat, first.flat)
+    assert np.array_equal(p.flat, before)
+    for a, b in ((first, second), (first, other), (second, other), (first, p), (second, p)):
+        assert not np.shares_memory(a.flat, b.flat)
+    first.flat[:] += 1.0
+    assert second.flat.tobytes() == pretrain_mle(p, pairs, epochs=3, lr=0.05, batch_size=4, seed=2).flat.tobytes()
+
+
+@pytest.mark.parametrize("bad,message", [
+    ((TokenSeq.from_content([1, 9]), TokenSeq.from_content([2])),
+     "pair 5 input: token id 9 out of range for vocabulary of size 5"),
+    ((TokenSeq.from_content([1]), TokenSeq.from_content([1, 2, 3, 4, 1])),
+     "pair 5 target: sequence length 6 exceeds max_len 4"),
+    ((TokenSeq.from_content([1]), TokenSeq.from_content([2, 7])),
+     "pair 5 target: token id 7 out of range for vocabulary of size 5"),
+])
+def test_pretrain_names_the_first_bad_pair_before_step_1(monkeypatch, bad, message):
+    p = tiny_policy(seed=2, vocab=5, max_len=4)
+    good = (TokenSeq.from_content([1, 2]), TokenSeq.from_content([2, 1]))
+    forwards = []
+    forward = policy_module._forward
+    monkeypatch.setattr(policy_module, "_forward", lambda *args: forwards.append(args) or forward(*args))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pretrain_mle(p, [good] * 5 + [bad, bad], epochs=1, lr=0.1)
+    assert forwards == []
 
 
 def test_weighted_seq_grad_rejects_weight_count_mismatch():

@@ -54,7 +54,7 @@ def test_batched_search_matches_per_example_sums(mode):
     formatted = [format_input(TEMPLATE, inst.ids, ex.x) for ex in batch]
     want = 0.0
     for seq, ex in zip(formatted, batch):
-        want += float(clf.label_logprobs_batch(p, [seq], VERB, clf.label_path_mode(mode))[0][ex.y])
+        want += float(clf.label_logprobs_batch(p, clf.token_counts(p, [seq]), VERB, clf.label_path_mode(mode))[0][ex.y])
     assert abs(minibatch_loglik(p, TEMPLATE, inst, batch, VERB) - want) <= 1e-12 * abs(want)
     for position in (0, 1):
         grad = np.zeros(p.cfg.embed_dim)
@@ -197,7 +197,7 @@ def test_search_improves_validation_accuracy_most_seeds():
             correct = 0
             for ex in split.validation:
                 formatted = format_input(task.template, instruction.ids, ex.x)
-                pred = int(np.argmax(clf.label_logprobs_batch(frozen, [formatted], verb)[0]))
+                pred = int(np.argmax(clf.label_logprobs_batch(frozen, clf.token_counts(frozen, [formatted]), verb)[0]))
                 correct += pred == ex.y
             return correct / len(split.validation)
 

@@ -209,21 +209,26 @@ def test_finetune_off_policy_regime_runs():
 
 def test_finetune_names_the_example_with_a_non_finite_gradient(monkeypatch):
     task, split, classifier, policy = make_pipeline()
-    bad = split.train[3]
-    kernel = training.weighted_seq_grads
+    bad = {split.train[3].x: split.train[3].uid, split.train[6].x: split.train[6].uid}
+    assert len(bad) == 2
+    kernel, poisoned_uids = training.weighted_seq_grads, []
 
     def poisoned(params, inputs, rows, weights, transition):
         grads = kernel(params, inputs, rows, weights, transition)
         for row, x in zip(grads, unpad(inputs)):
-            if x == bad.x:
-                row[0] = np.nan
+            if x in bad:
+                row[-len(poisoned_uids)] = np.inf if poisoned_uids else np.nan  # entry 0, then the last
+                poisoned_uids.append(bad[x])
         return grads
 
     monkeypatch.setattr(training, "weighted_seq_grads", poisoned)
-    # one batch holds every training example, so step 1 reaches the bad one
+    # one batch holds every training example, so step 1 reaches both bad ones;
+    # the first of them in batch order is named
     cfg = RunConfig(m=2, decoder="beam", steps=2, batch_size=len(split.train), checkpoint_interval=2)
-    with pytest.raises(ValueError, match=f"non-finite gradient for example {bad.uid} at step 1$"):
+    with pytest.raises(ValueError, match="non-finite gradient for example") as info:
         finetune_paraphraser(policy, classifier, task, split, cfg)
+    assert len(poisoned_uids) == 2
+    assert str(info.value) == f"non-finite gradient for example {poisoned_uids[0]} at step 1"
 
 
 @pytest.mark.parametrize("regime,decoder", [("on", "top_p"), ("off", "beam")])
@@ -262,7 +267,7 @@ def finetune_reward_fn(monkeypatch, task, split, classifier, policy):
 def per_example_rewards(classifier, task, ex, zs):
     """clf.rewards of one example's rewrites, formatted one sequence at a time."""
     formatted = [format_input(task.template, task.template.instruction, strip_scaffold(z)) for z in zs]
-    return clf.rewards(classifier, formatted, ex.y, clf.Verbalizer(task.verbalizer_ids))
+    return clf.rewards(classifier, clf.token_counts(classifier, formatted), ex.y, clf.Verbalizer(task.verbalizer_ids))
 
 
 @pytest.mark.parametrize("mode", [clf.TuningMode.ALL, clf.TuningMode.LORA,
@@ -399,8 +404,33 @@ def test_minibatch_gradient_is_the_mean_of_per_example_references(estimator, reg
         reward += mean_reward
         events += clamp_events
     want /= len(batch)
-    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
     assert got_reward == reward / len(batch) and got_events == events
+
+
+def test_minibatch_gradient_sums_its_rows_from_positive_zero(monkeypatch):
+    # an entry that is -0.0 in every row sums to +0.0, as a running sum from 0.0 does
+    _, split, _, policy = make_pipeline()
+    kernel, seen = training.weighted_seq_grads, []
+
+    def signed_zero(*args):
+        grads = kernel(*args)
+        grads[:, 0] = -0.0
+        seen.append(grads.copy())
+        return grads
+
+    monkeypatch.setattr(training, "weighted_seq_grads", signed_zero)
+    batch, reward_fn = list(split.train[:3]), table_reward(23)
+    got, _, _ = training._minibatch_gradient(
+        policy, training._anchor_tables(snapshot(policy), batch), batch,
+        lambda rows, _: [reward_fn(z) for z in unpad(rows)], RunConfig(m=2, decoder="beam"), step=1,
+    )
+    want = np.zeros(policy.flat.size)
+    for row in seen[0]:
+        want += row
+    want /= len(batch)
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == 0.0 and not np.signbit(got[0])
 
 
 # Recorded from the per-token rewriter (one step_logits call per decoder step
@@ -487,9 +517,10 @@ def test_augmented_m0_equals_plain_supervised_gradient():
     ys = [ex.y for ex in split.train]
     b = len(inputs)
     # at m = 0 a step's call holds only the inputs, each weighted 1/B
-    _, aug = clf.weighted_label_grad(classifier, inputs, ys, [1.0 / b] * b, verb, clf.TuningMode.ALL)
+    counts = clf.token_counts(classifier, inputs)
+    _, aug = clf.weighted_label_grad(classifier, counts, ys, [1.0 / b] * b, verb, clf.TuningMode.ALL)
     plain = sum(
-        clf.weighted_label_grad(classifier, [s], [y], [1.0], verb, clf.TuningMode.ALL)[1]
+        clf.weighted_label_grad(classifier, clf.token_counts(classifier, [s]), [y], [1.0], verb, clf.TuningMode.ALL)[1]
         for s, y in zip(inputs, ys)
     )
     assert np.allclose(aug, plain / b, atol=1e-12)
@@ -502,8 +533,9 @@ def test_augmented_rewrites_equal_to_input_double_loss():
     # one example's step loss: the input at weight 1, its m rewrites at 1/m
     group = [format_input(task.template, task.template.instruction, ex.x)] * 3
     mode = clf.TuningMode.ALL
-    plain = -clf.weighted_label_grad(classifier, group[:1], [ex.y], [1.0], verb, mode)[0]
-    doubled = -clf.weighted_label_grad(classifier, group, [ex.y] * 3, [1.0, 0.5, 0.5], verb, mode)[0]
+    counts = clf.token_counts(classifier, group)
+    plain = -clf.weighted_label_grad(classifier, counts[:1], [ex.y], [1.0], verb, mode)[0]
+    doubled = -clf.weighted_label_grad(classifier, counts, [ex.y] * 3, [1.0, 0.5, 0.5], verb, mode)[0]
     assert doubled == pytest.approx(2 * plain, abs=1e-12)
 
 
@@ -515,10 +547,11 @@ def test_augmented_two_rewrite_hand_arithmetic():
     z2 = TokenSeq.from_content([6, 6])
     def lp(seq):
         formatted = format_input(task.template, task.template.instruction, seq)
-        return float(clf.label_logprobs_batch(classifier, [formatted], verb)[0][ex.y])
+        return float(clf.label_logprobs_batch(classifier, clf.token_counts(classifier, [formatted]), verb)[0][ex.y])
     expected = -(lp(ex.x) + 0.5 * (lp(z1) + lp(z2)))
     group = [format_input(task.template, task.template.instruction, z) for z in (ex.x, z1, z2)]
-    value, _ = clf.weighted_label_grad(classifier, group, [ex.y] * 3, [1.0, 0.5, 0.5], verb, clf.TuningMode.ALL)
+    counts = clf.token_counts(classifier, group)
+    value, _ = clf.weighted_label_grad(classifier, counts, [ex.y] * 3, [1.0, 0.5, 0.5], verb, clf.TuningMode.ALL)
     assert -value == pytest.approx(expected, abs=1e-12)
 
 
@@ -540,7 +573,8 @@ def test_ensemble_identical_rewrites_match_plain_argmax():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
     ex = split.train[0]
-    scores = clf.label_logprobs_batch(classifier, one_group(task.template, ex, [ex.x] * 3), verb)
+    counts = clf.token_counts(classifier, one_group(task.template, ex, [ex.x] * 3))
+    scores = clf.label_logprobs_batch(classifier, counts, verb)
     plain = int(np.argmax(scores[0]))
     assert int(np.argmax(combine_group(scores, include_original=True))) == plain
 
@@ -550,8 +584,9 @@ def test_ensemble_single_rewrite_exclusion_is_plain_on_rewrite():
     verb = clf.Verbalizer(task.verbalizer_ids)
     z = TokenSeq.from_content([4, 6])
     group = one_group(task.template, split.train[0], [z])
-    scores = clf.label_logprobs_batch(classifier, group, verb)
-    alone = clf.label_logprobs_batch(classifier, [format_input(task.template, task.template.instruction, z)], verb)[0]
+    scores = clf.label_logprobs_batch(classifier, clf.token_counts(classifier, group), verb)
+    formatted = format_input(task.template, task.template.instruction, z)
+    alone = clf.label_logprobs_batch(classifier, clf.token_counts(classifier, [formatted]), verb)[0]
     assert int(np.argmax(combine_group(scores, include_original=False))) == int(np.argmax(alone))
 
 
@@ -597,13 +632,14 @@ def test_ensemble_accuracies_score_all_rows_in_one_call(monkeypatch, mode):
     verb = clf.Verbalizer(task.verbalizer_ids)
     # each group scored alone: pad() of its own formatted rows
     own = [pad(one_group(task.template, ex, zs)) for ex, zs in zip(split.validation, rewrites)]
-    alone = [clf.label_logprobs_batch(classifier, g, verb) for g in own]
+    alone = [clf.label_logprobs_batch(classifier, clf.token_counts(classifier, g), verb) for g in own]
     widths = [g.ids.shape[1] for g in own]
     assert len(set(widths)) > 1
     # a row's scores depend on its token counts, not on its padding
     for g, scores in zip(own, alone):
         for width in (max(widths), max(widths) + 7):
-            assert np.array_equal(clf.label_logprobs_batch(classifier, padded_to(g, width), verb), scores)
+            wide = clf.token_counts(classifier, padded_to(g, width))
+            assert np.array_equal(clf.label_logprobs_batch(classifier, wide, verb), scores)
 
     calls, seen = [], []
     kernel, combine = clf.label_logprobs_batch, training.combine_group
