@@ -2,6 +2,7 @@
 """Alternating parent/change pairs of perfbench runs, summarized into BENCH_<label>.json.
 
     python3 scripts/bench_pairs.py --base REV --label L --workload W --seeds A-B [--seconds 20]
+    python3 scripts/bench_pairs.py --base REV --label L --workload W --seeds A-B --ops N
 
 The base tree is REV extracted with `git archive`; the change tree is a copy
 of the working tree's tracked and untracked, not ignored, files. Both trees
@@ -20,6 +21,13 @@ number of pairs the change wins. `gain_shown` applies the claim rule: the
 change wins at least nine tenths of all pairs, ties counting for neither,
 and its median is better than the parent's by more than the parent's
 interquartile range.
+
+With --ops N a run is no perfbench run: each tree's workload runs its set-up
+and operations 0..N-1 in one fresh interpreter (BLAS pinned as perfbench
+pins it), checks each operation's outputs as perfbench does, and records
+`ru_maxrss` as peak_rss_mb. A fixed count makes the memory reading
+independent of how many operations fit in a timed run. Its entry is keyed
+`W --ops N`, beside the workload's timed entry.
 """
 
 from __future__ import annotations
@@ -36,6 +44,42 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
+
+# Run in a tree's root as `python -c OPS_CHILD WORKLOAD SEED N`; it prints
+# perfbench's environment and result lines, so run_record reads it unchanged.
+OPS_CHILD = """
+import json, os, resource, shutil, sys, tempfile
+sys.path.insert(0, "perfbench")
+import run
+os.environ.update(run.BLAS_ENV)
+import numpy
+import workloads
+
+name, seed, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+workload = workloads.WORKLOADS[name]
+state = workload.setup(seed)
+failed = 0
+for k in range(n):
+    run_dir = tempfile.mkdtemp(prefix="bench_ops_")
+    try:
+        out = workload.outputs(state, workload.run(state, k, run_dir)[1], run_dir)
+        found = workload.check(out)
+        if k == 0 and seed == workloads.GOLDEN_SEED:
+            found += workloads.golden_problems(name, out)
+    except Exception as exc:
+        found = [repr(exc)]
+    finally:
+        shutil.rmtree(run_dir, ignore_errors=True)
+    if found:
+        failed += 1
+        print(f"op {k}: {found}", file=sys.stderr)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+env = {"python": sys.version.split()[0], "numpy": numpy.__version__, "src_sha256": run.source_digest(),
+       "blas_env": run.BLAS_ENV, "workload": name, "seed": seed, "ops": n}
+print(json.dumps({"env": env}))
+print(json.dumps({"correct": failed == 0, "attempted": n, "failed": failed,
+                  "metrics": {"peak_rss_mb": {"value": peak, "unit": "MB"}}}))
+"""
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -113,9 +157,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def workload_entry(runs: list[dict], better: dict[str, str], base_rev: str, seconds: float,
+def workload_entry(runs: list[dict], better: dict[str, str], base_rev: str, seconds: float | None,
                    env: dict | None) -> dict:
-    """A workload's entry in BENCH_<label>.json."""
+    """A workload's entry in BENCH_<label>.json; `seconds` is None for --ops runs."""
     sha = {side: sorted({r["src_sha256"] for r in runs if r["side"] == side and r["src_sha256"]})
            for side in SIDES}
     return {
@@ -178,10 +222,20 @@ def copy_working_tree(dest: str) -> None:
             shutil.copy2(src, os.path.join(dest, rel))
 
 
-def run_perfbench(tree: str, workload: str, seed: int, seconds: float) -> tuple[str, str | None]:
-    """(stdout, error or None) of one `perfbench/run.py --trace 0` run in `tree`."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def entry_name(workload: str, ops: int | None) -> str:
+    """The key of a run's entry in the BENCH file."""
+    return workload if ops is None else f"{workload} --ops {ops}"
+
+
+def run_perfbench(tree: str, workload: str, seed: int, seconds: float,
+                  ops: int | None = None) -> tuple[str, str | None]:
+    """(stdout, error or None) of one `perfbench/run.py --trace 0` run in
+    `tree`, or with `ops` of one OPS_CHILD run of that many operations."""
+    if ops is None:
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    else:
+        cmd = [sys.executable, "-c", OPS_CHILD, workload, str(seed), str(ops)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     error = None if done.returncode == 0 else f"exit {done.returncode}: {done.stderr.strip()[-500:]}"
     return done.stdout, error
@@ -194,7 +248,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--ops", type=int, help="record peak_rss_mb after operations 0..N-1 instead")
     args = parser.parse_args(argv)
+    if args.ops is not None and args.ops < 1:
+        parser.error("--ops must be positive")
 
     runs, env = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -204,15 +261,19 @@ def main(argv=None) -> int:
         for k, seed in enumerate(args.seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                stdout, error = run_perfbench(trees[side], args.workload, seed, args.seconds)
+                stdout, error = run_perfbench(trees[side], args.workload, seed, args.seconds, args.ops)
                 record = run_record(seed, side, position, stdout, error)
                 env = env or parse_output(stdout)[0]
                 runs.append(record)
-                shown = {m: record.get("metrics", {}).get(m) for m in ("run_s", "pretrain_s")}
+                metrics = record.get("metrics", {})
+                shown = {m: metrics[m] for m in ("run_s", "pretrain_s", "finetune_s", "peak_rss_mb") if m in metrics}
                 print(f"seed {seed} {side}: correct={record['correct']} {shown}", flush=True)
-    entry = workload_entry(runs, end_to_end_directions(), base_rev, args.seconds, env)
+    seconds = args.seconds if args.ops is None else None
+    entry = workload_entry(runs, end_to_end_directions(), base_rev, seconds, env)
+    if args.ops is not None:
+        entry["ops"] = args.ops
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
-    write_bench(path, args.label, args.workload, entry)
+    write_bench(path, args.label, entry_name(args.workload, args.ops), entry)
     for name, m in entry["metrics"].items():
         print(f"{name}: {m['base']['median']:.6g} -> {m['head']['median']:.6g} "
               f"(wins {m.get('wins')}/{m['pairs']}, parent IQR {m['parent_iqr']:.3g}, "

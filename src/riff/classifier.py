@@ -150,23 +150,22 @@ def trainable_mask(params: ClassifierParams, mode: TuningMode | None = None) -> 
     return mask
 
 
-def lora_weight(w, a, b, alpha: float, rank: int) -> np.ndarray:
-    """The adapted weight W + (alpha / rank) * B A."""
-    w = np.asarray(w, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[0] != rank or b.shape[1] != rank:
-        raise ValueError(f"rank mismatch: expected {rank}, got A {a.shape}, B {b.shape}")
-    if a.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
-        raise ValueError("adapter shapes incompatible with base matrix")
-    return w + (alpha / rank) * (b @ a)
-
-
 def _check_verbalizer(params: ClassifierParams, verbalizer: Verbalizer) -> None:
     if len(verbalizer) != params.cfg.num_labels:
         raise ValueError("verbalizer size does not match label count")
     if any(t >= params.cfg.vocab_size for t in verbalizer.token_ids):
         raise ValueError("verbalizer token id out of vocabulary range")
+
+
+def _check_labels(params: ClassifierParams, ys, verbalizer: Verbalizer, mode: TuningMode) -> np.ndarray:
+    """`ys` as an intp array, once every label is checked in range (the first
+    bad one raises a RowError naming its row) and, unless the pooled head
+    scores, the verbalizer is checked against the classifier."""
+    ys = np.asarray(ys, dtype=np.intp)
+    _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
+    if mode is not TuningMode.CLS_HEAD:
+        _check_verbalizer(params, verbalizer)
+    return ys
 
 
 def token_counts(params: ClassifierParams, seqs) -> np.ndarray:
@@ -220,10 +219,12 @@ class _MaskRowPass:
             self.counts = np.concatenate([counts, np.ones((len(counts), cfg.prompt_len))], axis=1)
         self.wq, self.wv = params.seg("wq"), params.seg("wv")
         if mode is TuningMode.LORA:
-            ar = (cfg.lora_alpha, cfg.lora_rank)
-            self.wq = lora_weight(self.wq, params.seg("lora_a_q"), params.seg("lora_b_q"), *ar)
-            self.wv = lora_weight(self.wv, params.seg("lora_a_v"), params.seg("lora_b_v"), *ar)
+            # the adapted weights W + (alpha / rank) B A
+            scale = cfg.lora_alpha / cfg.lora_rank
+            self.wq = self.wq + scale * (params.seg("lora_b_q") @ params.seg("lora_a_q"))
+            self.wv = self.wv + scale * (params.seg("lora_b_v") @ params.seg("lora_a_v"))
         self.vids = list(verbalizer.token_ids)
+        self.head = params.seg("lm_head")[:, self.vids]
         self.xr = self.keys[MASK]
         self.q = self.wq @ self.xr
         self.qk = (self.q @ params.seg("wk")) / math.sqrt(cfg.embed_dim)
@@ -234,7 +235,7 @@ class _MaskRowPass:
         self.xbar = self.attn @ self.keys
         self.o = self.xbar @ self.wv.T
         self.h = self.xr + self.o @ params.seg("wo").T
-        self.logp = log_softmax_rows(self.h @ params.seg("lm_head")[:, self.vids])
+        self.logp = log_softmax_rows(self.h @ self.head)
 
     def backward(self, g_logits: np.ndarray, rows: Padded | None):
         """The gradient of sum(g_logits * label logits) for the mode's trainable
@@ -250,7 +251,7 @@ class _MaskRowPass:
         if mode in (TuningMode.HEAD, TuningMode.NONE) and rows is None:
             return grads, None
         rsqrt = 1.0 / math.sqrt(cfg.embed_dim)
-        d_h = g_logits @ p.seg("lm_head")[:, self.vids].T
+        d_h = g_logits @ self.head.T
         if mode is TuningMode.ALL:
             grads["wo"] = d_h.T @ self.o
         d_o = d_h @ p.seg("wo")
@@ -316,25 +317,21 @@ def _cls_head(params: ClassifierParams, pooled: np.ndarray):
 
 def _kernel(params: ClassifierParams, counts, ys, weights, verbalizer, mode, rows=None):
     """(sum_i w_i log P(y_i | s_i), its gradient, input rows' gradient or None)
-    of a checked (B, V) count matrix; `rows` is its padded batch when the
-    input rows' gradient is wanted. The gradient is computed for the mode's
-    trainable segments only and written through the parameters' own layout;
-    every other entry is zero."""
-    ys = np.asarray(ys, dtype=np.intp)
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(ys) != len(counts) or len(weights) != len(counts):
-        raise ValueError(f"{len(counts)} sequences, {len(ys)} labels and {len(weights)} weights")
-    _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
+    of a checked (B, V) count matrix, intp labels checked by `_check_labels`
+    and float64 weights; `rows` is its padded batch when the input rows'
+    gradient is wanted. The gradient holds the mode's trainable entries only,
+    segment by segment in layout order, which is `flat[trainable_mask]`
+    order."""
     if mode is TuningMode.CLS_HEAD:
         # only the pooled head trains under CLS_HEAD, so the gradient stops there
         pooled = _pooled(params, counts)
         a1, act, logp = _cls_head(params, pooled)
     else:
-        _check_verbalizer(params, verbalizer)
         fwd = _MaskRowPass(params, counts, verbalizer, mode)
         logp = fwd.logp
+    picked = np.arange(len(ys)), ys
     g_logits = -weights[:, None] * np.exp(logp)
-    g_logits[np.arange(len(ys)), ys] += weights
+    g_logits[picked] += weights
     d_rows = None
     if mode is TuningMode.CLS_HEAD:
         grads = {"cls_w2": g_logits.T @ act, "cls_b2": g_logits.sum(axis=0)}
@@ -342,10 +339,8 @@ def _kernel(params: ClassifierParams, counts, ys, weights, verbalizer, mode, row
         grads.update(cls_w1=d_a1.T @ pooled, cls_b1=d_a1.sum(axis=0))
     else:
         grads, d_rows = fwd.backward(g_logits, rows)
-    flat = np.zeros(params.pv.size)
-    for name, grad in grads.items():
-        flat[params.pv.segment_slice(name)] = grad.ravel()
-    return float(weights @ logp[np.arange(len(ys)), ys]), flat, d_rows
+    parts = [grads[name].ravel() for name in TRAINABLE_SEGMENTS[mode]]
+    return float(weights @ logp[picked]), np.concatenate(parts) if parts else np.zeros(0), d_rows
 
 
 def label_logprobs_batch(
@@ -373,10 +368,18 @@ def weighted_label_grad(
     """sum_i weights[i] * log P(ys[i] | row i) over the rows of a (B, V)
     token_counts matrix under the mode's scoring path, and its gradient, from
     one forward and one backward. The backward computes only the mode's
-    trainable segments, so every entry outside them is exactly zero by
-    construction."""
+    trainable segments; they are scattered into a full-length vector, so
+    every entry outside them is exactly zero by construction."""
     mode = params.mode if mode is None else mode
-    return _kernel(params, _check_counts(params, counts), ys, weights, verbalizer, mode)[:2]
+    counts = _check_counts(params, counts)
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(ys) != len(counts) or len(weights) != len(counts):
+        raise ValueError(f"{len(counts)} sequences, {len(ys)} labels and {len(weights)} weights")
+    ys = _check_labels(params, ys, verbalizer, mode)
+    value, grad, _ = _kernel(params, counts, ys, weights, verbalizer, mode)
+    flat = np.zeros(params.pv.size)
+    flat[trainable_mask(params, mode)] = grad
+    return value, flat
 
 
 def label_path_mode(mode: TuningMode) -> TuningMode:
@@ -411,6 +414,9 @@ def input_row_grads(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) 
     """
     rows = pad(list(seqs))
     counts = token_counts(params, rows)
+    if len(ys) != len(counts):
+        raise ValueError(f"{len(counts)} sequences and {len(ys)} labels")
+    ys = _check_labels(params, ys, verbalizer, TuningMode.NONE)
     return _kernel(params, counts, ys, np.ones(len(counts)), verbalizer, TuningMode.NONE, rows)[2]
 
 

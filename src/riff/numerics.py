@@ -149,6 +149,10 @@ class ParamVector:
 
     Segment views share memory with the flat buffer, so in-place updates on
     either side stay consistent. Segment order fixes serialization order.
+    Each view is bound on its first `view` call and the same array is
+    returned after, so a hot loop pays one dict lookup per view and a buffer
+    that never reads a segment never binds it. `freeze()` makes the buffer
+    and every bound view read-only; a view bound later is read-only too.
     """
 
     def __init__(self, segments, values=None):
@@ -162,6 +166,7 @@ class ParamVector:
             layout[name] = (slice(offset, offset + size), shape)
             offset += size
         self._layout = layout
+        self._views: dict[str, np.ndarray] = {}
         self._order = tuple(name for name, _ in segments)
         self.size = offset
         if values is None:
@@ -181,12 +186,17 @@ class ParamVector:
         return self._layout[name][0]
 
     def view(self, name: str) -> np.ndarray:
-        part, shape = self._layout[name]
-        return self.values[part].reshape(shape)
+        view = self._views.get(name)
+        if view is None:
+            part, shape = self._layout[name]
+            view = self._views[name] = self.values[part].reshape(shape)
+        return view
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.segments(), self.values.copy())
 
     def freeze(self) -> "ParamVector":
         self.values.setflags(write=False)
+        for view in self._views.values():
+            view.setflags(write=False)
         return self

@@ -429,13 +429,15 @@ def train_classifier_augmented(
 
     Before the first step, rewrites for every training and validation
     example are decoded once and counted into (example, row, V)
-    token counts, the classifier's whole input; a bad row raises there,
-    naming its example and row. m == 0 degenerates to plain supervised
-    training and skips decoding. A step slices its batch's count rows and
-    makes one weighted classifier call over the inputs (weight 1/B) and
-    their rewrites (1/(B m)), which returns the loss with the gradient.
-    AdamW steps only the mode's trainable entries. Rewrites are decoded once
-    because the rewriter is frozen and diverse beam reads no seed.
+    token counts, the classifier's whole input, checked as they are
+    counted: a bad row raises there, naming its example and row. The labels
+    and the verbalizer are checked once too; a bad label raises naming its
+    example. m == 0 degenerates to plain supervised training and skips
+    decoding. A step slices its batch's count rows and makes one classifier
+    kernel call over the inputs (weight 1/B) and their rewrites (1/(B m)),
+    which returns the loss with the gradient of the mode's trainable
+    entries, the entries AdamW steps. Rewrites are decoded once because the
+    rewriter is frozen and diverse beam reads no seed.
     """
     cfg.validate()
     if m > 0 and policy is None:
@@ -448,7 +450,11 @@ def train_classifier_augmented(
         return group_counts(task.template, classifier.cfg.vocab_size, examples, rewrites)
 
     counts, validation = counted(split.train), counted(split.validation)
-    labels = np.repeat([[ex.y] for ex in split.train], m + 1, axis=1)
+    try:
+        ys = clf._check_labels(classifier, [ex.y for ex in split.train], verbalizer, mode)
+    except RowError as exc:
+        raise ValueError(f"example {split.train[exc.row].uid}: {exc.reason}") from exc
+    labels = np.repeat(ys[:, None], m + 1, axis=1)
     trained = np.flatnonzero(clf.trainable_mask(classifier, mode))
     opt = AdamW(len(trained), AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xC1A55))
@@ -465,9 +471,9 @@ def train_classifier_augmented(
     batches = _batches(len(split.train), b, rng)
     for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
         rows = counts[batch_idx].reshape(-1, counts.shape[2])
-        value, grad = clf.weighted_label_grad(classifier, rows, labels[batch_idx].ravel(), weights, verbalizer, mode)
+        value, grad, _ = clf._kernel(classifier, rows, labels[batch_idx].ravel(), weights, verbalizer, mode)
         flat = classifier.flat[trained]
-        opt.step(flat, -grad[trained])
+        opt.step(flat, -grad)
         classifier.flat[trained] = flat
         log.rows.append((step, "train", "loss", -value))
         if step % cfg.checkpoint_interval == 0:

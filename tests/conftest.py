@@ -466,6 +466,18 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def lora_weight(w, a, b, alpha: float, rank: int) -> np.ndarray:
+    """The adapted weight W + (alpha / rank) * B A."""
+    w = np.asarray(w, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[0] != rank or b.shape[1] != rank:
+        raise ValueError(f"rank mismatch: expected {rank}, got A {a.shape}, B {b.shape}")
+    if a.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
+        raise ValueError("adapter shapes incompatible with base matrix")
+    return w + (alpha / rank) * (b @ a)
+
+
 def _reference_forward(params: ClassifierParams, seq: TokenSeq, mode: TuningMode) -> dict:
     """Straight-line full self-attention over one sequence: every row's q, k, v."""
     cfg = params.cfg
@@ -475,9 +487,9 @@ def _reference_forward(params: ClassifierParams, seq: TokenSeq, mode: TuningMode
         x = np.vstack([params.seg("prompt_table"), x])
     wq, wv = params.seg("wq"), params.seg("wv")
     if mode is TuningMode.LORA:
-        scale = cfg.lora_alpha / cfg.lora_rank
-        wq = wq + scale * (params.seg("lora_b_q") @ params.seg("lora_a_q"))
-        wv = wv + scale * (params.seg("lora_b_v") @ params.seg("lora_a_v"))
+        ar = (cfg.lora_alpha, cfg.lora_rank)
+        wq = lora_weight(wq, params.seg("lora_a_q"), params.seg("lora_b_q"), *ar)
+        wv = lora_weight(wv, params.seg("lora_a_v"), params.seg("lora_b_v"), *ar)
     q, k, vv = x @ wq.T, x @ params.seg("wk").T, x @ wv.T
     scores = (q @ k.T) / np.sqrt(cfg.embed_dim)
     expd = np.exp(scores - scores.max(axis=1, keepdims=True))

@@ -303,14 +303,15 @@ def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
     classifier = tiny_classifier(seed=88, vocab=20, embed=8)
     rewriter = tiny_policy(seed=89, vocab=20, max_len=6, embed=6, hidden=8)
     verb = Verbalizer(task.verbalizer_ids)
-    kernel, calls = clf.weighted_label_grad, []
+    kernel, calls = clf._kernel, []
 
     def recorded(*args, **kwargs):
         out = kernel(*args, **kwargs)
         calls.append((args, out))
         return out
 
-    monkeypatch.setattr(clf, "weighted_label_grad", recorded)
+    monkeypatch.setattr(clf, "_kernel", recorded)
+    trained = clf.trainable_mask(classifier, TuningMode.ALL)
     b = len(split.train)
     formatted = [data.format_input(task.template, task.template.instruction, ex.x) for ex in split.train]
     inputs = sorted(map(tuple, clf.token_counts(classifier, formatted)))
@@ -320,7 +321,7 @@ def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
         training.train_classifier_augmented(
             classifier, rewriter if m else None, task, split, m=m, mode=TuningMode.ALL, cfg=cfg
         )
-        ((_, rows, ys, *_), (_, grad)), = calls
+        ((_, rows, ys, *_), (_, grad, _)), = calls
         # the step's one call, on count rows: each example's formatted input, then its m rewrites
         assert sorted(map(tuple, rows[:: m + 1])) == inputs
         rewrites = training.decode_rewrites(rewriter, split.train, m, cfg) if m else None
@@ -328,14 +329,15 @@ def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
         # the reference rows: format_input of each input, then of each of its m rewrites stripped of scaffold
         groups = [[data.format_input(task.template, task.template.instruction, data.strip_scaffold(z))
                    for z in (ex.x, *zs[m * k : m * k + m])] for k, ex in enumerate(split.train)]
-        want = np.zeros_like(grad)
+        want = np.zeros(classifier.pv.size)
         for i in range(0, len(rows), m + 1):
             group, y = next((g, ex.y) for g, ex in zip(groups, split.train) if ex.y == ys[i]
                             and np.array_equal(clf.token_counts(classifier, g), rows[i : i + m + 1]))
             want += reference_label_grad(classifier, group[0], y, verb, TuningMode.ALL)
             for z in group[1:]:
                 want += reference_label_grad(classifier, z, y, verb, TuningMode.ALL) / m
-        assert np.max(np.abs(grad - want / b)) <= 1e-12
+        # the kernel returns the trainable entries; the reference is zero outside them
+        assert np.max(np.abs(grad - want[trained] / b)) <= 1e-12
 
     # rows: the original input, then its two rewrites
     scores = np.array([[-0.2, -1.7], [-1.6, -0.2], [-1.4, -0.3]])

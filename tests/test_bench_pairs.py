@@ -126,3 +126,74 @@ def test_the_bench_file_holds_one_entry_per_workload(tmp_path):
         "base", "better", "change", "gain_shown", "head", "pairs", "parent_iqr", "wins"]
     with pytest.raises(ValueError, match="holds label 'x', not 'y'"):
         bench_pairs.write_bench(path, "y", "oracle", oracle)
+
+
+FAKE_RUN = """
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1"}
+
+
+def source_digest():
+    return "fake"
+"""
+
+FAKE_WORKLOADS = """
+import os
+
+GOLDEN_SEED = 0
+BAD_OP = 2
+
+
+class Fake:
+    def setup(self, seed):
+        return {"seed": seed, "threads": os.environ["OPENBLAS_NUM_THREADS"]}
+
+    def run(self, state, k, run_dir):
+        assert os.path.isdir(run_dir)
+        if k == BAD_OP:
+            raise RuntimeError("planted")
+        return {}, k
+
+    def outputs(self, state, product, run_dir):
+        return {"k": product, "threads": state["threads"]}
+
+    def check(self, out):
+        return [] if out["threads"] == "1" and out["k"] != 3 else ["bad output"]
+
+
+def golden_problems(name, out):
+    return ["golden"] if out["k"] != 0 else []
+
+
+WORKLOADS = {"fake": Fake()}
+"""
+
+
+def test_an_ops_run_counts_its_operations_and_reads_peak_rss_in_a_fresh_interpreter(tmp_path):
+    # OPS_CHILD drives a stand-in perfbench: operation 2 raises and operation 3 fails its check
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (tmp_path / "perfbench" / "workloads.py").write_text(FAKE_WORKLOADS)
+    stdout, error = bench_pairs.run_perfbench(str(tmp_path), "fake", 0, 20.0, ops=5)
+    assert error is None
+    record = bench_pairs.run_record(0, "base", 0, stdout, error)
+    assert record["src_sha256"] == "fake" and record["correct"] is False
+    assert record["attempted"] == 5 and record["failed"] == 2
+    assert sorted(record["metrics"]) == ["peak_rss_mb"] and 1.0 < record["metrics"]["peak_rss_mb"] < 1e4
+    assert bench_pairs.parse_output(stdout)[0]["ops"] == 5
+
+
+def test_ops_runs_are_summarized_like_timed_runs_under_their_own_entry():
+    def ops_stdout(sha, peak):
+        env = {"env": {"python": "3.11", "src_sha256": sha, "ops": 20}}
+        result = {"correct": True, "attempted": 20, "failed": 0,
+                  "metrics": {"peak_rss_mb": {"value": peak, "unit": "MB"}}}
+        return json.dumps(env) + "\n" + json.dumps(result) + "\n"
+
+    base, head = [38.9, 39.0, 38.8, 39.1], [38.95, 38.9, 38.9, 39.0]
+    runs = [bench_pairs.run_record(k, side, 0, ops_stdout(side, value), None)
+            for k, pair in enumerate(zip(base, head)) for side, value in zip(("base", "head"), pair)]
+    stats = bench_pairs.summarize(runs, {"peak_rss_mb": "lower"})["peak_rss_mb"]
+    assert stats["pairs"] == 4 and stats["wins"] == 2 and stats["gain_shown"] is False
+    assert stats["base"]["median"] == pytest.approx(38.95) and stats["head"]["median"] == pytest.approx(38.925)
+    assert bench_pairs.entry_name("augment", 20) == "augment --ops 20"
+    assert bench_pairs.entry_name("augment", None) == "augment"

@@ -5,7 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import max_scaled_error, reference_label_grad, reference_label_logprobs, tiny_classifier
+from conftest import (
+    lora_weight,
+    max_scaled_error,
+    reference_label_grad,
+    reference_label_logprobs,
+    tiny_classifier,
+)
 from riff.classifier import (
     ClassifierConfig,
     _MaskRowPass,
@@ -13,11 +19,11 @@ from riff.classifier import (
     TRAINABLE_SEGMENTS,
     TuningMode,
     Verbalizer,
+    _kernel,
     input_row_grads,
     label_logprobs_batch,
     label_path_mode,
     load_classifier,
-    lora_weight,
     rewards,
     save_classifier,
     token_counts,
@@ -388,6 +394,22 @@ def test_kernel_matches_weighted_per_sequence_reference(mode):
     else:
         assert max_scaled_error(grad, want_grad) < 1e-12
         assert np.all(grad[~trainable_mask(p, mode)] == 0.0)
+
+
+@pytest.mark.parametrize("mode", list(TuningMode))
+def test_the_kernel_returns_the_trainable_entries_in_layout_order(mode):
+    # training steps AdamW over flat[trainable_mask] with the kernel's vector as is
+    p = kernel_params(mode, seed=32)
+    layout = [name for name, _ in p.pv.segments()]
+    trained = TRAINABLE_SEGMENTS[mode]
+    assert sorted(trained, key=layout.index) == list(trained)
+    ys, weights = np.array([0, 1, 1, 0]), np.array([0.7, 0.0, -1.3, 2.1])
+    counts = token_counts(p, MIXED_BATCH)
+    value, grad, _ = _kernel(p, counts, ys, weights, VERB, mode)
+    want_value, full = weighted_label_grad(p, counts, ys, weights, VERB, mode)
+    mask = trainable_mask(p, mode)
+    assert grad.shape == (mask.sum(),) and value == want_value
+    assert np.array_equal(grad, full[mask]) and not np.any(full[~mask])
 
 
 def test_a_pruned_backward_leaves_each_trained_segment_bitwise_as_all_modes():

@@ -14,6 +14,8 @@ LIBRARY_API = {
     "data.majority_label": "the synthetic task's rule-based oracle classifier, a test reference",
     "promptsearch.gs_step": "one step of discrete instruction search, the prompt-optimizing baseline "
     "criterion 5 checks; no command runs it",
+    "classifier.weighted_label_grad": "the checked, full-length form of the label-path kernel; the "
+    "augmented training step checks its inputs once per run and calls the kernel itself",
 }
 
 

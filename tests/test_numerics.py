@@ -193,6 +193,22 @@ def test_param_vector_freeze():
         pv.values[0] = 1.0
 
 
+def test_freeze_leaves_no_writable_view():
+    pv = ParamVector([("a", (2, 3)), ("b", (4,))])
+    before = pv.view("a")
+    pv.freeze()
+    after = pv.view("b")
+    for view in (before, after, pv.view("a")):
+        with pytest.raises(ValueError, match="read-only"):
+            view.flat[0] = 7.0
+    assert not pv.values.any()
+    assert pv.view("a") is before  # one binding per name, returned on every call
+    # a copy is writable again, through its own views only
+    dup = pv.copy()
+    dup.view("a")[0, 0] = 7.0
+    assert dup.values[0] == 7.0 and pv.values[0] == 0.0
+
+
 def test_max_relative_error_skips_tiny_components():
     a = np.array([1.0, 1e-12])
     b = np.array([1.0 + 1e-6, 5e-12])

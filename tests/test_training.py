@@ -22,6 +22,7 @@ from conftest import (
 )
 from riff import classifier as clf
 from riff import training
+from riff.checkpoint import params_hash
 from riff import estimators as est
 from riff.data import Example, format_input, gen_synthetic_task, strip_scaffold
 from riff.optim import AdamConfig, AdamW
@@ -510,6 +511,39 @@ def test_lora_augmented_training_reproduces_pinned_run(tmp_path):
         assert got["value"] == pytest.approx(want[3], rel=0, abs=1e-9)
 
 
+# params_hash of each checkpoint's parameters, recorded before the augmented
+# step called the kernel directly (when it scattered a full-length gradient
+# through weighted_label_grad and gathered the trainable entries back out)
+PINNED_AUGMENTED_HASHES = {
+    "all": ["9b38ee4fd546bc4a", "4acb637edcaee0a7", "aeba4dcb41022b08"],
+    "head": ["f7b1c4482faab15c", "276455a580f6247a", "be94f5f820524045"],
+    "input": ["b41cd1b4d4bde1c1", "5b3331f342db6a47", "92f56fa0974b4477"],
+    "cls_head": ["63a09e4d76760841", "e39666d32ec6b601", "045ca0dee44d409f"],
+    "soft_prompt": ["eba9982c44aaac28", "8300d2052b52049e", "4bf88b4d16280238"],
+    "lora": ["49678a777a2885b0", "1d0fd1a2bbc02c61", "5d251d2d06d4dceb"],
+    "none": ["8970fc3209af7b5e", "8970fc3209af7b5e", "8970fc3209af7b5e"],
+}
+
+
+@pytest.mark.parametrize("mode", list(clf.TuningMode))
+def test_augmented_training_reproduces_pinned_parameters_bitwise(mode):
+    task, split, _, policy = make_pipeline()
+    classifier = tiny_classifier(seed=5, vocab=20, embed=8, prompt_len=2, mode=mode)
+    cfg = RunConfig(m=2, lr=0.05, steps=6, batch_size=4, checkpoint_interval=2, seed=3)
+    checkpoints = train_classifier_augmented(classifier, policy, task, split, m=2, mode=mode, cfg=cfg)
+    assert [params_hash(ck.params.flat) for ck in checkpoints] == PINNED_AUGMENTED_HASHES[mode.value]
+
+
+def test_augmented_training_names_the_example_of_a_bad_label_before_step_1(monkeypatch):
+    task, split, classifier, policy = make_pipeline()
+    bad = replace(split.train[2], y=2)
+    split = replace(split, train=(*split.train[:2], bad, *split.train[3:]))
+    monkeypatch.setattr(clf, "_kernel", lambda *args: pytest.fail("a step ran"))
+    cfg = RunConfig(m=2, steps=2, batch_size=2, checkpoint_interval=1)
+    with pytest.raises(ValueError, match=f"^example {bad.uid}: label 2 out of range$"):
+        train_classifier_augmented(classifier, policy, task, split, m=2, mode=clf.TuningMode.ALL, cfg=cfg)
+
+
 def test_augmented_m0_equals_plain_supervised_gradient():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
@@ -724,7 +758,7 @@ def test_augmented_steps_hand_the_kernel_exactly_the_count_rows_of_their_groups(
     zs = unpad(training.decode_rewrites(policy, split.train, 2, cfg))
     own = [clf.token_counts(classifier, one_group(task.template, ex, zs[2 * k : 2 * k + 2]))
            for k, ex in enumerate(split.train)]
-    kernel, batches = clf.weighted_label_grad, []
+    kernel, batches = clf._kernel, []
 
     def recorded(params, rows, ys, weights, verbalizer, mode):
         # each block of 3 rows is one example's group, counted once before the first step
@@ -735,7 +769,7 @@ def test_augmented_steps_hand_the_kernel_exactly_the_count_rows_of_their_groups(
         batches.append(len(ys) // 3)
         return kernel(params, rows, ys, weights, verbalizer, mode)
 
-    monkeypatch.setattr(clf, "weighted_label_grad", recorded)
+    monkeypatch.setattr(clf, "_kernel", recorded)
     train_classifier_augmented(classifier, policy, task, split, m=2, mode=clf.TuningMode.HEAD, cfg=cfg)
     assert len(batches) == 8 and set(batches) <= {1, 2, 3}
 
