@@ -146,6 +146,15 @@ def gen_synthetic_task(
     Sequences are 8..16 content tokens; the label family holds a strict
     plurality among family tokens, remaining slots are other families (each
     strictly below the majority count) and label-neutral distractors.
+
+    Per example, after the scalar draws of the length, the majority and each
+    other family's count, one bounded draw picks every family token's member
+    (label family first), one more every distractor, and one `shuffle` mixes
+    the tokens. A size-k bounded draw takes the same values from the stream as
+    k scalar draws, or k `choice` calls on a pair, so the examples equal those
+    of a per-token draw bit for bit. The shuffle stays one call per example:
+    it draws by another bounded method than `integers` (the draws of
+    `permutation`), so no bulk draw reproduces its stream.
     """
     if vocab_size < 2 * num_labels + 4:
         raise ValueError(
@@ -170,13 +179,11 @@ def gen_synthetic_task(
         if not distractors:
             counts[y] += remaining
             remaining = 0
-        tokens: list[int] = []
-        for fam, count in counts.items():
-            pair = family_tokens(fam)
-            tokens.extend(int(rng.choice(pair)) for _ in range(count))
-        tokens.extend(int(rng.choice(distractors)) for _ in range(remaining))
-        perm = rng.permutation(len(tokens))
-        tokens = [tokens[i] for i in perm]
+        bases = [family_tokens(fam)[0] for fam, count in counts.items() for _ in range(count)]
+        tokens = [base + member for base, member in zip(bases, rng.integers(0, 2, size=len(bases)).tolist())]
+        if remaining:
+            tokens += [distractors[i] for i in rng.integers(0, len(distractors), size=remaining).tolist()]
+        rng.shuffle(tokens)
         return Example(uid=uid, x=TokenSeq.from_content(tokens), y=y)
 
     train = tuple(make_example(i, i % num_labels) for i in range(n_train))
@@ -194,20 +201,23 @@ def gen_synthetic_task(
 
 def gen_rewriter_corpus(examples, num_labels: int, seed: int) -> list[tuple[TokenSeq, TokenSeq]]:
     """Label-preserving rewrite targets: swap each family token for its synonym
-    with probability 0.5, then shuffle within windows of 3 positions."""
+    with probability 0.5, then shuffle within windows of 3 positions.
+
+    Per example, one `random(k)` draw gives the k family tokens' coin flips,
+    the same values as k scalar `random()` calls. Each window keeps its own
+    `shuffle` call, for the reason gen_synthetic_task gives."""
     rng = np.random.default_rng(seed)
     pairs = []
     for ex in examples:
         tokens = list(ex.x.content)
-        for i, t in enumerate(tokens):
-            fam = token_family(t, num_labels)
-            if fam is not None and rng.random() < 0.5:
-                pair = family_tokens(fam)
-                tokens[i] = pair[1] if t == pair[0] else pair[0]
+        family = [i for i, t in enumerate(tokens) if token_family(t, num_labels) is not None]
+        for i, u in zip(family, rng.random(len(family)).tolist()):
+            if u < 0.5:
+                tokens[i] ^= 1  # family_tokens pairs an even id (FIRST_CONTENT_ID is even) with the next
         for start in range(0, len(tokens), 3):
             window = tokens[start : start + 3]
-            perm = rng.permutation(len(window))
-            tokens[start : start + 3] = [window[i] for i in perm]
+            rng.shuffle(window)
+            tokens[start : start + 3] = window
         pairs.append((ex.x, TokenSeq.from_content(tokens)))
     return pairs
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,107 @@ def test_rewriter_corpus_mostly_diverse():
     diverse = sum(lexical_diversity(x.content, z.content) > 0 for x, z in pairs)
     assert diverse >= 0.9 * len(pairs)
 
+
+
+# sha256 over every example's (uid, ids, y), then every corpus pair's ids, of
+# gen_synthetic_task(*shape) and gen_rewriter_corpus(train, labels, corpus_seed);
+# recorded when every token was drawn by its own Generator.choice call
+DATA_DIGESTS = {
+    "recipe task": ((20, 2, 128, 64, 0), 6,
+                    "8285d7ebee4acc8368f132460072db158d5f4a66dcdbdbcef2bd01a866982193"),
+    "pretraining pool": ((20, 2, 128, 0, 7919), 104729,
+                         "a96cd033fd729f8ba9f3b6ef61c963d55b336056126ad0558fb25d2db313d5f1"),
+    "no distractors": ((8, 2, 60, 30, 1), 2,
+                       "2856712310b2d51513c1f2055430c5aeae1d904c4a0178091ce6e35ed7743734"),
+    "one distractor": ((9, 2, 60, 30, 3), 4,
+                       "bf74d0ef77e6df3fdd80fa3a3f0c743fbbf232a6951735a3db47de3aa1c2f4f3"),
+    "no distractors, 3 labels": ((10, 3, 45, 15, 5), 6,
+                                 "e729563cad0cf10d416c04734222a65f752a0a6d1199dea6426aeb0e3ea550c8"),
+    "3 labels": ((24, 3, 60, 30, 9), 10,
+                 "00684b22d45069b7983229347359740ffbd90ecab963fabf46fcc9f8f4905807"),
+    "4 labels": ((30, 4, 80, 40, 11), 12,
+                 "a991ca1a542b59db28dab58c3dffe2d10f498033d9705d0895c1e074024e764d"),
+}
+
+
+@pytest.mark.parametrize("name", DATA_DIGESTS)
+def test_task_and_corpus_reproduce_pinned_digests(name):
+    shape, corpus_seed, want = DATA_DIGESTS[name]
+    task = gen_synthetic_task(*shape)
+    digest = hashlib.sha256()
+    for ex in task.train + task.test:
+        digest.update(repr((ex.uid, ex.x.ids, ex.y)).encode())
+    for x, z in gen_rewriter_corpus(task.train, shape[1], corpus_seed):
+        digest.update(repr((x.ids, z.ids)).encode())
+    assert digest.hexdigest() == want
+
+
+def test_synthetic_task_pins_zero_count_families_and_one_distractor():
+    # 3 labels over one distractor (token 10); example 0 (label 0) draws a
+    # count of 0 for both other families, so its non-label slots are all 10
+    task = gen_synthetic_task(11, 3, 3, 0, seed=2)
+    assert [ex.x.content for ex in task.train] == [
+        (10, 10, 10, 10, 4, 10, 4, 10, 10, 5, 10, 10, 10, 10, 10),
+        (10, 10, 10, 9, 7, 10, 7, 10, 10, 8, 10, 6, 10),
+        (9, 9, 10, 4, 8, 10, 10, 10, 8, 10, 4, 6, 10, 5, 6, 7),
+    ]
+    assert [ex.y for ex in task.train] == [0, 1, 2]
+    assert [z.content for _, z in gen_rewriter_corpus(task.train, 3, seed=3)] == [
+        (10, 10, 10, 5, 10, 10, 10, 5, 10, 10, 5, 10, 10, 10, 10),
+        (10, 10, 10, 8, 6, 10, 10, 10, 7, 10, 6, 9, 10),
+        (8, 10, 9, 5, 10, 8, 9, 10, 10, 10, 6, 5, 5, 7, 10, 7),
+    ]
+
+
+# Premises of the bulk draws in gen_synthetic_task and gen_rewriter_corpus:
+# each compares values and the generator's state afterwards.
+
+def test_choice_of_uniform_sequence_is_one_bounded_integer_draw():
+    for seed in range(20):
+        for size in (1, 2, 3, 7, 16):
+            seq = list(range(100, 100 + size))
+            by_choice, by_integers = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [int(by_choice.choice(seq)) for _ in range(30)]
+            got = [seq[int(by_integers.integers(0, len(seq)))] for _ in range(30)]
+            assert got == want
+            assert by_integers.bit_generator.state == by_choice.bit_generator.state
+
+
+def test_bounded_integer_draws_batch_between_random_and_permutation():
+    for seed in range(20):
+        scalar, bulk = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k, high in ((5, 2), (3, 7), (12, 2), (1, 16)):
+            want = (scalar.random(), [int(scalar.integers(0, high)) for _ in range(k)],
+                    scalar.permutation(k + 2).tolist())
+            got = (bulk.random(), bulk.integers(0, high, size=k).tolist(),
+                   bulk.permutation(k + 2).tolist())
+            assert got == want
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+def test_scalar_random_calls_equal_one_vector_draw():
+    for seed in range(20):
+        scalar, bulk = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (1, 4, 13):
+            assert bulk.random(k).tolist() == [scalar.random() for _ in range(k)]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+def test_shuffle_applies_the_permutation_of_the_same_draws():
+    for seed in range(20):
+        by_permutation, by_shuffle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 2, 3, 8, 16):
+            seq = list(range(50, 50 + n))
+            want = [seq[i] for i in by_permutation.permutation(n)]
+            by_shuffle.shuffle(seq)
+            assert seq == want
+        assert by_shuffle.bit_generator.state == by_permutation.bit_generator.state
+
+
+def test_empty_draws_leave_the_generator_untouched():
+    gen = np.random.default_rng(3)
+    before = gen.bit_generator.state
+    assert gen.integers(0, 2, size=0).size == 0
+    assert gen.integers(0, 5, size=0).size == 0
+    assert gen.random(0).size == 0
+    assert gen.bit_generator.state == before
