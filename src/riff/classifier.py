@@ -23,7 +23,6 @@ import numpy as np
 from .checkpoint import load_segments, save_segments
 from .data import _check_masks, _first_bad
 from .numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
-from .policy import Padded, pad
 from .vocab import MASK
 
 
@@ -168,22 +167,6 @@ def _check_labels(params: ClassifierParams, ys, verbalizer: Verbalizer, mode: Tu
     return ys
 
 
-def token_counts(params: ClassifierParams, seqs) -> np.ndarray:
-    """(B, V) float counts of each vocabulary token in each sequence
-    (TokenSeqs or a Padded batch): all the label path reads of a sequence.
-    A row with an id outside the vocabulary, or without exactly one MASK,
-    raises a RowError naming it."""
-    ids, valid = seqs if isinstance(seqs, Padded) else pad(list(seqs))
-    b, v = len(ids), params.cfg.vocab_size
-    out = valid & ((ids < 0) | (ids >= v))
-    _first_bad(out.any(axis=1), lambda i: (
-        f"token id {ids[i][out[i]][0]} out of range for vocabulary of size {v}"))
-    flat = (np.arange(b)[:, None] * v + ids)[valid]
-    counts = np.bincount(flat, minlength=b * v).reshape(b, v).astype(np.float64)
-    _check_masks(counts)
-    return counts
-
-
 def _check_counts(params: ClassifierParams, counts: np.ndarray) -> np.ndarray:
     """`counts`, once its dtype, width and mask column are checked."""
     counts, v = np.asarray(counts), params.cfg.vocab_size
@@ -237,18 +220,20 @@ class _MaskRowPass:
         self.h = self.xr + self.o @ params.seg("wo").T
         self.logp = log_softmax_rows(self.h @ self.head)
 
-    def backward(self, g_logits: np.ndarray, rows: Padded | None):
+    def backward(self, g_logits: np.ndarray, token_rows: bool = False):
         """The gradient of sum(g_logits * label logits) for the mode's trainable
         segments only, as {segment: array}, walking only the part of the
-        chain they need; with `rows`, the padded batch the counts were taken
-        from, also its positions' gradient (B, L, d), prompt rows excluded,
-        else None."""
+        chain they need; with `token_rows`, also the (B, V, d) gradient at
+        one input row holding each token (0 where a sequence holds none),
+        else None. Tokens have no positions, so every row holding a token
+        has the same gradient, except that the mask row's also carries its
+        own query and residual paths, which the MASK column leaves out."""
         p, cfg, mode = self.params, self.params.cfg, self.mode
         grads = {}
         if mode in (TuningMode.ALL, TuningMode.HEAD):
             grads["lm_head"] = np.zeros_like(p.seg("lm_head"))
             grads["lm_head"][:, self.vids] = self.h.T @ g_logits
-        if mode in (TuningMode.HEAD, TuningMode.NONE) and rows is None:
+        if mode in (TuningMode.HEAD, TuningMode.NONE) and not token_rows:
             return grads, None
         rsqrt = 1.0 / math.sqrt(cfg.embed_dim)
         d_h = g_logits @ self.head.T
@@ -279,16 +264,11 @@ class _MaskRowPass:
                 grads["prompt_table"] = d_keys[v:]
             else:
                 grads["token_embedding"] = d_keys[:v]
-        if rows is None:
+        if not token_rows:
             return grads, None
-        # a token's attention and score gradient split evenly over its positions
+        # a token's attention and score gradient split evenly over its rows
         per = np.maximum(self.counts, 1.0)[:, :, None]
-        token_rows = (self.attn[:, :, None] * d_xbar[:, None, :] + d_scores[:, :, None] * self.qk) / per
-        ids, valid = rows
-        b, pos = np.arange(len(ids)), (valid & (ids == MASK)).argmax(axis=1)
-        d_x = np.where(valid[:, :, None], token_rows[b[:, None], ids], 0.0)
-        d_x[b, pos] += d_h + rsqrt * (d_scores @ self.keys) @ p.seg("wk").T @ self.wq
-        return grads, d_x
+        return grads, (self.attn[:, :, None] * d_xbar[:, None, :] + d_scores[:, :, None] * self.qk) / per
 
 
 def _pooled(params: ClassifierParams, counts: np.ndarray) -> np.ndarray:
@@ -315,13 +295,13 @@ def _cls_head(params: ClassifierParams, pooled: np.ndarray):
     return a1, act, log_softmax_rows(act @ params.seg("cls_w2").T + params.seg("cls_b2"))
 
 
-def _kernel(params: ClassifierParams, counts, ys, weights, verbalizer, mode, rows=None):
-    """(sum_i w_i log P(y_i | s_i), its gradient, input rows' gradient or None)
-    of a checked (B, V) count matrix, intp labels checked by `_check_labels`
-    and float64 weights; `rows` is its padded batch when the input rows'
-    gradient is wanted. The gradient holds the mode's trainable entries only,
-    segment by segment in layout order, which is `flat[trainable_mask]`
-    order."""
+def _kernel(params: ClassifierParams, counts, ys, weights, verbalizer, mode, token_rows=False):
+    """(sum_i w_i log P(y_i | s_i), its gradient, the token rows' gradient or
+    None) of a checked (B, V) count matrix, intp labels checked by
+    `_check_labels` and float64 weights; `token_rows` asks for the token
+    rows of _MaskRowPass.backward. The gradient holds the mode's trainable
+    entries only, segment by segment in layout order, which is
+    `flat[trainable_mask]` order."""
     if mode is TuningMode.CLS_HEAD:
         # only the pooled head trains under CLS_HEAD, so the gradient stops there
         pooled = _pooled(params, counts)
@@ -338,7 +318,7 @@ def _kernel(params: ClassifierParams, counts, ys, weights, verbalizer, mode, row
         d_a1 = (g_logits @ params.seg("cls_w2")) * gelu_grad_vec(a1).reshape(a1.shape)
         grads.update(cls_w1=d_a1.T @ pooled, cls_b1=d_a1.sum(axis=0))
     else:
-        grads, d_rows = fwd.backward(g_logits, rows)
+        grads, d_rows = fwd.backward(g_logits, token_rows)
     parts = [grads[name].ravel() for name in TRAINABLE_SEGMENTS[mode]]
     return float(weights @ logp[picked]), np.concatenate(parts) if parts else np.zeros(0), d_rows
 
@@ -346,7 +326,7 @@ def _kernel(params: ClassifierParams, counts, ys, weights, verbalizer, mode, row
 def label_logprobs_batch(
     params: ClassifierParams, counts: np.ndarray, verbalizer: Verbalizer, mode: TuningMode | None = None
 ) -> np.ndarray:
-    """(B, C) label log-probabilities of each row of a (B, V) token_counts
+    """(B, C) label log-probabilities of each row of a (B, V) token-count
     matrix under the mode's own scoring path (the mask-row head, or the
     pooled head under CLS_HEAD), from one batched forward."""
     mode = params.mode if mode is None else mode
@@ -366,7 +346,7 @@ def weighted_label_grad(
     mode: TuningMode | None = None,
 ) -> tuple[float, np.ndarray]:
     """sum_i weights[i] * log P(ys[i] | row i) over the rows of a (B, V)
-    token_counts matrix under the mode's scoring path, and its gradient, from
+    token-count matrix under the mode's scoring path, and its gradient, from
     one forward and one backward. The backward computes only the mode's
     trainable segments; they are scattered into a full-length vector, so
     every entry outside them is exactly zero by construction."""
@@ -390,7 +370,7 @@ def label_path_mode(mode: TuningMode) -> TuningMode:
 
 def rewards(params: ClassifierParams, counts: np.ndarray, ys, verbalizer: Verbalizer) -> np.ndarray:
     """Terminal rewards log P(ys[i] | row i) of formatted rewrites, given as
-    the rows of a (B, V) token_counts matrix (one label `ys` may score every
+    the rows of a (B, V) token-count matrix (one label `ys` may score every
     row), from one batched forward over the distinct count rows. Always <= 0."""
     counts = _check_counts(params, counts)
     ys = np.broadcast_to(np.asarray(ys, dtype=np.intp), len(counts))
@@ -403,21 +383,17 @@ def rewards(params: ClassifierParams, counts: np.ndarray, ys, verbalizer: Verbal
     return logp[row, ys]
 
 
-def input_row_grads(params: ClassifierParams, seqs, ys, verbalizer: Verbalizer) -> np.ndarray:
-    """Gradient of each log P(ys[i] | seqs[i]) with respect to its embedded
-    input rows, from one batched forward and backward: (B, L, d), padded with
-    zero rows to the longest sequence.
-
-    Row j of sequence i corresponds to its input position j (prompt rows are
-    not included); used by the discrete instruction search to score
-    substitutions. It takes sequences, not counts, because it needs positions.
-    """
-    rows = pad(list(seqs))
-    counts = token_counts(params, rows)
+def input_token_grads(params: ClassifierParams, counts: np.ndarray, ys, verbalizer: Verbalizer) -> np.ndarray:
+    """Gradient of each log P(ys[i] | row i) of a (B, V) token-count matrix
+    on the plain label path with respect to its embedded input rows, from
+    one batched forward and backward: (B, V, d), [i, v] the gradient at one
+    row of sequence i holding token v (see _MaskRowPass.backward). The
+    discrete instruction search scores substitutions of a token by it."""
+    counts = _check_counts(params, counts)
     if len(ys) != len(counts):
         raise ValueError(f"{len(counts)} sequences and {len(ys)} labels")
     ys = _check_labels(params, ys, verbalizer, TuningMode.NONE)
-    return _kernel(params, counts, ys, np.ones(len(counts)), verbalizer, TuningMode.NONE, rows)[2]
+    return _kernel(params, counts, ys, np.ones(len(counts)), verbalizer, TuningMode.NONE, True)[2]
 
 
 def save_classifier(path, params: ClassifierParams) -> None:

@@ -43,42 +43,24 @@ class Example:
 @dataclass(frozen=True)
 class TaskTemplate:
     """Scaffold around the content: BOS + instruction + content + SEP + MASK +
-    EOS, or the mask-first variant BOS + instruction + MASK + SEP + content +
-    EOS."""
+    EOS. The classifier reads only a formatted input's token counts
+    (formatted_counts), so the order of its tokens never reaches it."""
 
     instruction: tuple[int, ...] = ()
-    mask_first: bool = False
     max_input_len: int = 128
 
 
-def format_input(template: TaskTemplate, instruction, x: TokenSeq) -> TokenSeq:
-    """Deterministic scaffold insertion; injective in x for a fixed template."""
-    instruction = tuple(int(t) for t in instruction)
-    content = x.content
-    if MASK in content:
-        raise ValueError("content may not contain the mask token")
-    if template.mask_first:
-        ids = (BOS, *instruction, MASK, SEP, *content, EOS)
-    else:
-        ids = (BOS, *instruction, *content, SEP, MASK, EOS)
-    if len(ids) > template.max_input_len:
-        raise ValueError(
-            f"formatted input of {len(ids)} tokens exceeds the {template.max_input_len} limit"
-        )
-    return TokenSeq(ids)
-
-
 def formatted_counts(template: TaskTemplate, ids: np.ndarray, vocab_size: int) -> np.ndarray:
-    """(B, V) float64 token counts of format_input(template, template.instruction,
-    strip_scaffold(z)) for each row z of a zero-padded id array, without the
-    formatted rows: both layouts hold the same scaffold tokens, so a row's
-    counts are its content ids' (all but the scaffold ids 0..3) plus the
-    template's. A row over max_input_len, with an id outside [0, V) or
-    without exactly one MASK raises a RowError naming it, as token_counts of
-    the formatted rows would."""
+    """(B, V) float64 token counts of the formatted input BOS + instruction +
+    strip_scaffold(z) + SEP + MASK + EOS for each row z of a zero-padded id
+    array, without formatting it: a row's counts are its content ids' (all
+    but the scaffold ids 0..3) plus the template's. An instruction holding
+    EOS raises a ValueError; a row over max_input_len, with an id outside
+    [0, V) or without exactly one MASK raises a RowError naming it."""
+    if EOS in template.instruction:
+        raise ValueError("the instruction may not hold EOS: it ends the formatted input")
     keep = (ids < 0) | (ids >= FIRST_CONTENT_ID)  # scaffold ids and the zero padding drop out
-    head = (BOS, *template.instruction, *((MASK, SEP) if template.mask_first else ()))
-    tail = (EOS,) if template.mask_first else (SEP, MASK, EOS)
+    head, tail = (BOS, *template.instruction), (SEP, MASK, EOS)
     lengths = len(head) + keep.sum(axis=1) + len(tail)
     limit = template.max_input_len
     _first_bad(lengths > limit, lambda i: f"formatted input of {lengths[i]} tokens exceeds the {limit} limit")
@@ -195,7 +177,7 @@ def gen_synthetic_task(
         vocab_size=vocab_size,
         num_labels=num_labels,
         verbalizer_ids=tuple(family_tokens(y)[0] for y in range(num_labels)),
-        template=TaskTemplate(instruction=instruction, mask_first=False, max_input_len=64),
+        template=TaskTemplate(instruction=instruction, max_input_len=64),
     )
 
 

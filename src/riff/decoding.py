@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _log_normalizers
+from .numerics import log_normalizers
 from .policy import (
     Padded,
     PolicyParams,
@@ -127,7 +127,7 @@ def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, la
         row = rows[g]
         row -= div * counts
         if exact:
-            lse = _log_normalizers(row)
+            lse = log_normalizers(row)
             bad = np.flatnonzero(alive[g] & ~np.isfinite(lse))
             if bad.size:
                 raise ValueError(f"non-finite transition logits for batch input {bad[0]} at decode step {t}")
@@ -137,7 +137,7 @@ def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, la
         flat_counts[base + picks[g]] += alive[g]
     if not exact:
         live_rows = rows[alive]
-        lse = _log_normalizers(live_rows)
+        lse = log_normalizers(live_rows)
         live_rows -= lse[:, None]
         if not np.isfinite(lse).all() or not (last or (live_rows.argmax(axis=1) == picks[alive]).all()):
             return None

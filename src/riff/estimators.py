@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import _first_bad
-from .numerics import _log_normalizers
+from .numerics import log_normalizers
 
 ESTIMATORS = ("mml", "pg")
 REGIMES = ("on", "off", "klon")
@@ -63,7 +63,7 @@ def coefficients(cur, fixed, rewards, estimator: str, regime: str, beta: float):
             log_p = np.clip(raw, -LOG_RATIO_CLAMP, LOG_RATIO_CLAMP)
         if estimator == "mml":
             weights = log_p + rewards
-            denom = _log_normalizers(weights)
+            denom = log_normalizers(weights)
             checks["degenerate batch: no posterior mass"] = ~np.isfinite(denom)
             phi = np.exp(weights - denom[:, None])
             checks["posterior coefficients must sum to 1"] = np.abs(phi.sum(axis=1) - 1.0) > 1e-9

@@ -12,36 +12,13 @@ import math
 import numpy as np
 
 
-def logsumexp(xs) -> float:
-    """log(sum(exp(xs))), shifted by the max for stability. Exact on singletons."""
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("logsumexp of an empty array")
-    m = float(np.max(arr))
-    if m == -math.inf:
-        return -math.inf
-    if not math.isfinite(m):
-        raise ValueError("non-finite input to logsumexp")
-    return m + math.log(float(np.sum(np.exp(arr - m))))
-
-
-def _log_normalizers(rows: np.ndarray) -> np.ndarray:
-    """Each row's log-normalizer by logsumexp's own operations (the row max plus math.log
-    of numpy's exp and pairwise row sum), so a row rounds as it would alone."""
+def log_normalizers(rows: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) of each row of a (B, N) array: the row max plus
+    math.log of numpy's exp and pairwise row sum, so a row rounds as it
+    would alone."""
     top = rows.max(axis=1)
     sums = np.exp(rows - top[:, None]).sum(axis=1)
     return top + list(map(math.log, sums.tolist()))
-
-
-def log_softmax(logits) -> np.ndarray:
-    arr = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite logits")
-    return arr - logsumexp(arr)
-
-
-def softmax(logits) -> np.ndarray:
-    return np.exp(log_softmax(logits))
 
 
 def log_softmax_rows(logits) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParamVector, _log_normalizers, logsumexp, softmax
+from .numerics import ParamVector, log_normalizers
 from .policy import (
     Padded,
     PolicyConfig,
@@ -167,7 +167,7 @@ def exact_objective(
 ) -> float:
     """log sum over enumerated z of P(z|x) * exp(R(z)). Tail mass excluded."""
     enum = enumerate_sequences(params, x, max_len)
-    return logsumexp(enum.logprobs + _rewards(enum.seqs, reward_fn))
+    return float(log_normalizers((enum.logprobs + _rewards(enum.seqs, reward_fn))[None])[0])
 
 
 def exact_objectives(
@@ -176,25 +176,26 @@ def exact_objectives(
     """exact_objective of x under each row of a (K, P) block of parameter
     vectors laid out as `params`' own, each bitwise its own: one stacked
     forward and log-softmax (transition_tables), a support gather per step
-    summed from 0.0, and a row-wise log-sum-exp (numerics._log_normalizers)
+    summed from 0.0, and a row-wise log-sum-exp (numerics.log_normalizers)
     with the support's rewards, read once. A non-finite row is returned as is."""
     seqs, path_idx, _ = _support(params.cfg.vocab_size, _guard(params, max_len))
     rewards = _rewards(seqs, reward_fn)
-    return _log_normalizers(_path_logprobs(transition_tables(params, flats, x), path_idx[:, : len(seqs)]) + rewards)
+    return log_normalizers(_path_logprobs(transition_tables(params, flats, x), path_idx[:, : len(seqs)]) + rewards)
 
 
 def mml_posteriors(enum: Enumeration, reward_fn) -> np.ndarray:
-    return softmax(enum.logprobs + _rewards(enum.seqs, reward_fn))
+    """P(z | x) exp(R(z)) of each enumerated z, normalized over the support."""
+    weights = enum.logprobs + _rewards(enum.seqs, reward_fn)
+    return np.exp(weights - log_normalizers(weights[None])[0])
 
 
 def exact_gradient(
     params: PolicyParams, x: TokenSeq, reward_fn, max_len: int | None = None
 ) -> np.ndarray:
     """Exact gradient of exact_objective: posterior-weighted sum of per-sequence
-    log-probability gradients over the full enumerated support."""
-    enum = enumerate_sequences(params, x, max_len)
-    phi = mml_posteriors(enum, reward_fn)
-    return weighted_seq_grads(params, pad([x]), enum.rows, phi, (enum.table[None], enum.activations))[0]
+    log-probability gradients over the full enumerated support, which is
+    exact_kl_gradient at beta == 0."""
+    return exact_kl_gradient(params, params, x, reward_fn, 0.0, max_len)
 
 
 def exact_kl_objective(
@@ -212,7 +213,7 @@ def exact_kl_objective(
         return exact_objective(params, x, reward_fn, max_len)
     enum = enumerate_sequences(params, x, max_len)
     lps = enum.logprobs
-    objective = logsumexp(lps + _rewards(enum.seqs, reward_fn))
+    objective = float(log_normalizers((lps + _rewards(enum.seqs, reward_fn))[None])[0])
     fixed_lps = _anchor_logprobs(params, fixed, x, max_len)
     return objective - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
 
@@ -225,12 +226,12 @@ def exact_kl_gradient(
     beta: float,
     max_len: int | None = None,
 ) -> np.ndarray:
-    """Exact gradient of exact_kl_objective. beta == 0 returns the plain
-    exact_gradient value bitwise."""
-    if beta == 0.0:
-        return exact_gradient(params, x, reward_fn, max_len)
+    """Exact gradient of exact_kl_objective: the MML posteriors, less the
+    KL term's coefficients unless beta == 0, weight each enumerated
+    sequence's log-probability gradient. beta == 0 reads no anchor."""
     enum = enumerate_sequences(params, x, max_len)
-    lps = enum.logprobs
-    phi = mml_posteriors(enum, reward_fn)
-    coeffs = phi - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
+    coeffs = mml_posteriors(enum, reward_fn)
+    if beta != 0.0:
+        lps = enum.logprobs
+        coeffs = coeffs - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
     return weighted_seq_grads(params, pad([x]), enum.rows, coeffs, (enum.table[None], enum.activations))[0]

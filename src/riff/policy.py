@@ -9,6 +9,7 @@ finite-difference checks depend on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -155,13 +156,19 @@ def check_output_seq(z: TokenSeq, cfg: PolicyConfig) -> None:
         raise ValueError(f"sequence length {len(z)} exceeds max_len {cfg.max_len}")
 
 
-def _check_rows(rows: Padded, cfg: PolicyConfig) -> None:
-    """check_output_seq of the first bad row of a padded batch, if any."""
+def _check_padded(rows: Padded, vocab_size: int, max_len: float = math.inf) -> None:
+    """Raise, with check_output_seq's message, for the first row of a padded
+    batch that holds an id outside [0, vocab_size) (naming its first such
+    id) or is longer than max_len."""
     ids, valid = rows
-    if ids.shape[1] > cfg.max_len or ids.max() >= cfg.vocab_size:  # else every row passes: padding is zero
-        lengths = valid.sum(axis=1)
-        for i in np.flatnonzero((valid & (ids >= cfg.vocab_size)).any(axis=1) | (lengths > cfg.max_len))[:1]:
-            check_output_seq(TokenSeq(tuple(ids[i, : lengths[i]])), cfg)
+    if ids.min() >= 0 and ids.max() < vocab_size and ids.shape[1] <= max_len:
+        return  # every row passes: padding is zero
+    out = valid & ((ids < 0) | (ids >= vocab_size))
+    lengths = valid.sum(axis=1)
+    for i in np.flatnonzero(out.any(axis=1) | (lengths > max_len))[:1]:
+        if out[i].any():
+            raise ValueError(f"token id {ids[i][out[i]][0]} out of range for vocabulary of size {vocab_size}")
+        raise ValueError(f"sequence length {lengths[i]} exceeds max_len {max_len}")
 
 
 def _slots(inputs: Padded, v: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,10 +193,8 @@ def _contexts(embedding: np.ndarray, slots: np.ndarray, lengths: np.ndarray) -> 
 def encode_contexts(params: PolicyParams, inputs: Padded) -> np.ndarray:
     """The mean embedding of each padded input, stacked, bitwise each input's
     own .mean(axis=0)."""
-    emb, (ids, valid) = params.token_embedding, inputs
-    if ids.max() >= len(emb):  # padding is zero
-        for i in np.flatnonzero((valid & (ids >= len(emb))).any(axis=1))[:1]:
-            _check_ids(TokenSeq(tuple(ids[i][valid[i]])), len(emb))
+    emb = params.token_embedding
+    _check_padded(inputs, len(emb))
     return _contexts(np.concatenate([emb, np.zeros_like(emb[:1])]), *_slots(inputs, len(emb)))
 
 
@@ -334,7 +339,7 @@ def weighted_seq_grads(
     of transition_logits_batch's logits and its activations, (table, activations)."""
     if len(weights) != len(rows.ids):
         raise ValueError(f"{len(weights)} weights for {len(rows.ids)} sequences")
-    _check_rows(rows, params.cfg)
+    _check_padded(rows, params.cfg.vocab_size, params.cfg.max_len)
     counts = _transition_counts(len(inputs.ids), params.cfg.vocab_size, rows, weights)
     work = _Workspace(params, len(inputs.ids))
     if transition is None:

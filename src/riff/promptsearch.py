@@ -9,19 +9,13 @@ decreases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classifier import (
-    ClassifierParams,
-    Verbalizer,
-    input_row_grads,
-    label_logprobs_batch,
-    label_path_mode,
-    token_counts,
-)
-from .data import TaskTemplate, format_input
+from .classifier import ClassifierParams, Verbalizer, input_token_grads, label_logprobs_batch, label_path_mode
+from .data import TaskTemplate, formatted_counts
+from .policy import pad
 
 
 @dataclass(frozen=True)
@@ -42,6 +36,13 @@ class Instruction:
         return len(self.ids)
 
 
+def _counts(classifier: ClassifierParams, template: TaskTemplate, instruction: Instruction, minibatch) -> np.ndarray:
+    """(B, V) token counts of each example formatted under `instruction`
+    (scaffold ids in its content drop out, as in formatted_counts)."""
+    ids = pad([ex.x for ex in minibatch]).ids
+    return formatted_counts(replace(template, instruction=instruction.ids), ids, classifier.cfg.vocab_size)
+
+
 def minibatch_loglik(
     classifier: ClassifierParams,
     template: TaskTemplate,
@@ -53,8 +54,7 @@ def minibatch_loglik(
     on the label path `rewards` reads, summed in minibatch order."""
     if not minibatch:
         return 0.0
-    formatted = [format_input(template, instruction.ids, ex.x) for ex in minibatch]
-    counts = token_counts(classifier, formatted)
+    counts = _counts(classifier, template, instruction, minibatch)
     logp = label_logprobs_batch(classifier, counts, verbalizer, label_path_mode(classifier.mode))
     total = 0.0
     for i, ex in enumerate(minibatch):
@@ -72,20 +72,20 @@ def gs_candidates(
     k: int,
 ) -> list[int]:
     """Top-k replacement tokens for one instruction position, ranked by the
-    embedding-gradient dot product. Ties break toward the lower token id."""
+    dot product of each token's embedding with the minibatch's input-row
+    gradient at the token the position holds. Ties break toward the lower
+    token id."""
     if not minibatch:
         raise ValueError("empty minibatch")
     if not 0 <= position < len(instruction):
         raise ValueError(f"position {position} outside instruction of length {len(instruction)}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    # instruction tokens sit right after BOS in both template variants
-    row = 1 + position
-    formatted = [format_input(template, instruction.ids, ex.x) for ex in minibatch]
-    rows = input_row_grads(classifier, formatted, [ex.y for ex in minibatch], verbalizer)
+    counts = _counts(classifier, template, instruction, minibatch)
+    token = instruction.ids[position]
     grad = np.zeros(classifier.cfg.embed_dim)
-    for ex_rows in rows:
-        grad += ex_rows[row]
+    for ex_grads in input_token_grads(classifier, counts, [ex.y for ex in minibatch], verbalizer):
+        grad += ex_grads[token]
     scores = classifier.seg("token_embedding") @ grad
     order = sorted(range(classifier.cfg.vocab_size), key=lambda v: (-scores[v], v))
     return order[:k]
@@ -111,7 +111,7 @@ def gs_step(
         try:
             score = minibatch_loglik(classifier, template, candidate, minibatch, verbalizer)
         except ValueError:
-            # candidate breaks the template (an extra EOS or mask); unusable
+            # candidate breaks the template (an EOS or a second mask); unusable
             continue
         if score > best:
             best, best_instruction = score, candidate

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,19 +12,13 @@ from riff.classifier import (
     trainable_mask,
 )
 from riff import estimators as est
+from riff.data import TaskTemplate, _check_masks, _first_bad
 from riff.decoding import DecodeConfig, decode_batch
-from riff.numerics import (
-    ParamVector,
-    gelu_grad_vec,
-    gelu_vec,
-    log_softmax,
-    log_softmax_rows,
-    logsumexp,
-    softmax,
-)
+from riff.numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
 from riff.optim import AdamConfig, AdamW
 from riff.oracle import Enumeration, exact_objectives
 from riff.policy import (
+    Padded,
     PolicyConfig,
     PolicyParams,
     TokenSeq,
@@ -35,7 +31,7 @@ from riff.policy import (
     weighted_seq_grads,
 )
 from riff.training import decode_config, derive_seed
-from riff.vocab import BOS, EOS, MASK
+from riff.vocab import BOS, EOS, MASK, SEP
 
 
 def tiny_policy(seed=0, vocab=4, max_len=4, embed=4, hidden=5, scale=0.6) -> PolicyParams:
@@ -56,6 +52,61 @@ def max_scaled_error(got, want) -> float:
     """Largest absolute difference, relative to the largest reference entry."""
     got, want = np.asarray(got), np.asarray(want)
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def logsumexp(xs) -> float:
+    """log(sum(exp(xs))), shifted by the max for stability. Exact on singletons."""
+    arr = np.asarray(xs, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("logsumexp of an empty array")
+    m = float(np.max(arr))
+    if m == -math.inf:
+        return -math.inf
+    if not math.isfinite(m):
+        raise ValueError("non-finite input to logsumexp")
+    return m + math.log(float(np.sum(np.exp(arr - m))))
+
+
+def log_softmax(logits) -> np.ndarray:
+    arr = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite logits")
+    return arr - logsumexp(arr)
+
+
+def softmax(logits) -> np.ndarray:
+    return np.exp(log_softmax(logits))
+
+
+def format_input(template: TaskTemplate, instruction, x: TokenSeq) -> TokenSeq:
+    """The formatted input BOS + instruction + content + SEP + MASK + EOS as a
+    sequence, the reference data.formatted_counts is checked against."""
+    instruction = tuple(int(t) for t in instruction)
+    content = x.content
+    if MASK in content:
+        raise ValueError("content may not contain the mask token")
+    ids = (BOS, *instruction, *content, SEP, MASK, EOS)
+    if len(ids) > template.max_input_len:
+        raise ValueError(
+            f"formatted input of {len(ids)} tokens exceeds the {template.max_input_len} limit"
+        )
+    return TokenSeq(ids)
+
+
+def token_counts(params: ClassifierParams, seqs) -> np.ndarray:
+    """(B, V) float counts of each vocabulary token in each sequence
+    (TokenSeqs or a Padded batch), the classifier's input. A row with an id
+    outside the vocabulary, or without exactly one MASK, raises a RowError
+    naming it."""
+    ids, valid = seqs if isinstance(seqs, Padded) else pad(list(seqs))
+    b, v = len(ids), params.cfg.vocab_size
+    out = valid & ((ids < 0) | (ids >= v))
+    _first_bad(out.any(axis=1), lambda i: (
+        f"token id {ids[i][out[i]][0]} out of range for vocabulary of size {v}"))
+    flat = (np.arange(b)[:, None] * v + ids)[valid]
+    counts = np.bincount(flat, minlength=b * v).reshape(b, v).astype(np.float64)
+    _check_masks(counts)
+    return counts
 
 
 def step_logits(params: PolicyParams, context: np.ndarray, prev_id: int) -> np.ndarray:

@@ -10,19 +10,22 @@ from scipy import stats
 
 from conftest import (
     decode_one,
+    format_input,
     greedy_path,
     reference_context,
     reference_label_grad,
+    softmax,
     step_logits,
     tiny_classifier,
     tiny_policy,
+    token_counts,
 )
 from riff import classifier as clf
 from riff import cli, data, oracle, training
 from riff.classifier import TuningMode, Verbalizer
 from riff.decoding import DecodeConfig, diverse_beam, top_p_batch
 from riff.estimators import coefficients, normalize_rewards
-from riff.numerics import finite_diff_grad, max_relative_error, softmax
+from riff.numerics import finite_diff_grad, max_relative_error
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
@@ -43,7 +46,7 @@ def masked_reward_fn(classifier, verbalizer, y):
 
     def reward_fn(z: TokenSeq) -> float:
         content = tuple(t for t in z.content if t != MASK)
-        counts = clf.token_counts(classifier, [TokenSeq(content + (MASK, EOS))])
+        counts = token_counts(classifier, [TokenSeq(content + (MASK, EOS))])
         return float(clf.rewards(classifier, counts, y, verbalizer)[0])
 
     return reward_fn
@@ -207,7 +210,7 @@ def test_criterion_5_tuning_masks_and_search():
                 params.seg("lora_b_v")[:] = gen.normal(0, 0.1, params.seg("lora_b_v").shape)
             content = [int(gen.integers(4, 10)) for _ in range(3)]
             inp = TokenSeq(tuple(content) + (MASK, EOS))
-            counts = clf.token_counts(params, [inp])
+            counts = token_counts(params, [inp])
             grad = clf.weighted_label_grad(params, counts, [int(gen.integers(2))], [1.0], verb)[1]
             outside = ~clf.trainable_mask(params, mode)
             assert np.all(grad[outside] == 0.0)
@@ -215,8 +218,8 @@ def test_criterion_5_tuning_masks_and_search():
     lora_params = tiny_classifier(seed=55, vocab=10, embed=4, mode=TuningMode.LORA)
     inp = TokenSeq((4, 7, MASK, EOS))
     assert np.array_equal(
-        clf.label_logprobs_batch(lora_params, clf.token_counts(lora_params, [inp]), verb, TuningMode.LORA)[0],
-        clf.label_logprobs_batch(lora_params, clf.token_counts(lora_params, [inp]), verb, TuningMode.NONE)[0],
+        clf.label_logprobs_batch(lora_params, token_counts(lora_params, [inp]), verb, TuningMode.LORA)[0],
+        clf.label_logprobs_batch(lora_params, token_counts(lora_params, [inp]), verb, TuningMode.NONE)[0],
     )
 
     task = data.gen_synthetic_task(20, 2, 64, 0, seed=5)
@@ -313,8 +316,8 @@ def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
     monkeypatch.setattr(clf, "_kernel", recorded)
     trained = clf.trainable_mask(classifier, TuningMode.ALL)
     b = len(split.train)
-    formatted = [data.format_input(task.template, task.template.instruction, ex.x) for ex in split.train]
-    inputs = sorted(map(tuple, clf.token_counts(classifier, formatted)))
+    formatted = [format_input(task.template, task.template.instruction, ex.x) for ex in split.train]
+    inputs = sorted(map(tuple, token_counts(classifier, formatted)))
     for m in (0, 2):
         calls.clear()
         cfg = RunConfig(m=m, lr=0.1, steps=1, batch_size=b, checkpoint_interval=1, seed=8)
@@ -327,12 +330,12 @@ def test_criterion_8_augmentation_reduction_and_ensemble(monkeypatch):
         rewrites = training.decode_rewrites(rewriter, split.train, m, cfg) if m else None
         zs = unpad(rewrites) if m else []
         # the reference rows: format_input of each input, then of each of its m rewrites stripped of scaffold
-        groups = [[data.format_input(task.template, task.template.instruction, data.strip_scaffold(z))
+        groups = [[format_input(task.template, task.template.instruction, data.strip_scaffold(z))
                    for z in (ex.x, *zs[m * k : m * k + m])] for k, ex in enumerate(split.train)]
         want = np.zeros(classifier.pv.size)
         for i in range(0, len(rows), m + 1):
             group, y = next((g, ex.y) for g, ex in zip(groups, split.train) if ex.y == ys[i]
-                            and np.array_equal(clf.token_counts(classifier, g), rows[i : i + m + 1]))
+                            and np.array_equal(token_counts(classifier, g), rows[i : i + m + 1]))
             want += reference_label_grad(classifier, group[0], y, verb, TuningMode.ALL)
             for z in group[1:]:
                 want += reference_label_grad(classifier, z, y, verb, TuningMode.ALL) / m

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    format_input,
     lora_weight,
     max_scaled_error,
     reference_label_grad,
     reference_label_logprobs,
     tiny_classifier,
+    token_counts,
 )
 from riff.classifier import (
     ClassifierConfig,
@@ -20,17 +23,16 @@ from riff.classifier import (
     TuningMode,
     Verbalizer,
     _kernel,
-    input_row_grads,
+    input_token_grads,
     label_logprobs_batch,
     label_path_mode,
     load_classifier,
     rewards,
     save_classifier,
-    token_counts,
     trainable_mask,
     weighted_label_grad,
 )
-from riff.data import RowError
+from riff.data import RowError, gen_synthetic_task
 from riff.numerics import finite_diff_grad, max_relative_error
 from riff.policy import TokenSeq, pad
 from riff.vocab import EOS, MASK
@@ -443,12 +445,42 @@ def test_kernel_scores_a_sequence_the_same_alone_and_padded(mode):
 
 
 def test_input_position_grads_match_reference_rows():
+    # each non-mask position's gradient is its token's row; a token the sequence lacks gets zero
     p = kernel_params(TuningMode.NONE, seed=33)
-    rows = input_row_grads(p, MIXED_BATCH, [1] * len(MIXED_BATCH), VERB)
-    for seq, got in zip(MIXED_BATCH, rows):
+    grads = input_token_grads(p, token_counts(p, MIXED_BATCH), [1] * len(MIXED_BATCH), VERB)
+    for seq, got in zip(MIXED_BATCH, grads):
         _, want = reference_label_grad(p, seq, 1, VERB, TuningMode.NONE, rows=True)
-        assert max_scaled_error(got[: len(seq)], want) < 1e-12
-        assert np.all(got[len(seq) :] == 0.0)
+        positions = [j for j, t in enumerate(seq.ids) if t != MASK]
+        assert max_scaled_error(got[[seq.ids[j] for j in positions]], want[positions]) < 1e-12
+        assert np.all(np.delete(got, list(seq.ids), axis=0) == 0.0)
+
+
+def test_token_rows_equal_the_position_rows_bitwise():
+    # the digest of the per-position input gradient the search read before it
+    # took token rows: each non-mask position's row, row-major over the batch
+    task = gen_synthetic_task(20, 2, 64, 0, seed=0)
+    verb = Verbalizer(task.verbalizer_ids)
+    digest = hashlib.sha256()
+    for seed, instruction in ((61, (8, 9, 10)), (62, (1, 3, 9)), (63, (9, 9))):
+        p = tiny_classifier(seed=seed, vocab=20, embed=8, mode=TuningMode.NONE)
+        seqs = [format_input(task.template, instruction, ex.x) for ex in task.train[:6]]
+        grads = input_token_grads(p, token_counts(p, seqs), [ex.y for ex in task.train[:6]], verb)
+        for seq, rows in zip(seqs, grads):
+            for t in seq.ids:
+                if t != MASK:
+                    digest.update(rows[t].tobytes())
+    assert digest.hexdigest() == "6f31c47e48549028757aa2b51fe9b5f137a5ef449aca2ee315c748df9160b52e"
+
+
+def test_input_token_grads_check_their_inputs():
+    p = tiny_classifier(seed=34)
+    counts = token_counts(p, [INPUT, INPUT])
+    with pytest.raises(ValueError, match="^2 sequences and 1 labels$"):
+        input_token_grads(p, counts, [0], VERB)
+    with pytest.raises(RowError, match="^batch sequence 1: label 2 out of range$"):
+        input_token_grads(p, counts, [0, 2], VERB)
+    with pytest.raises(ValueError, match=r"^expected a float64 \(B, 8\) count matrix"):
+        input_token_grads(p, pad([INPUT, INPUT]), [0, 1], VERB)
 
 
 def test_kernel_errors_name_the_batch_index():

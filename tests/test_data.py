@@ -3,12 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import tiny_classifier
+from conftest import format_input, tiny_classifier, token_counts
 from riff.data import (
     RowError,
     TaskTemplate,
     family_tokens,
-    format_input,
     formatted_counts,
     gen_rewriter_corpus,
     gen_synthetic_task,
@@ -16,7 +15,6 @@ from riff.data import (
     strip_scaffold,
     token_family,
 )
-from riff.classifier import token_counts
 from riff.metrics import lexical_diversity
 from riff.policy import TokenSeq, pad
 from riff.vocab import BOS, EOS, MASK, SEP
@@ -34,13 +32,6 @@ def test_format_input_with_instruction():
     x = TokenSeq.from_content([5])
     out = format_input(template, template.instruction, x)
     assert out.ids == (BOS, 8, 9, 5, SEP, MASK, EOS)
-
-
-def test_format_input_mask_first_variant():
-    template = TaskTemplate(instruction=(8,), mask_first=True)
-    out = format_input(template, template.instruction, TokenSeq.from_content([5, 6]))
-    assert out.ids == (BOS, 8, MASK, SEP, 5, 6, EOS)
-    assert out.ids.index(MASK) < out.ids.index(5)
 
 
 def test_format_input_injective_in_content():
@@ -99,18 +90,59 @@ def same(got, want) -> bool:
     return isinstance(got, np.ndarray) and got.dtype == np.float64 and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("mask_first", [False, True])
+@pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("instruction", [(), (9,), (9, 17), (9, 17, 4)])
-def test_formatted_counts_equal_token_counts_of_formatted_rows(mask_first, instruction):
-    template = TaskTemplate(instruction=instruction, mask_first=mask_first, max_input_len=32)
-    gen = np.random.default_rng(len(instruction) + 4 * mask_first)
+def test_formatted_counts_equal_token_counts_of_formatted_rows(wide, instruction):
+    # `wide` pads the batch past its longest row, as group_counts pads inputs and rewrites to one width
+    template = TaskTemplate(instruction=instruction, max_input_len=32)
+    gen = np.random.default_rng(len(instruction) + 4 * wide)
     for _ in range(60):
         # decoded rewrites of mixed lengths carry scaffold ids (1..3) anywhere before their EOS
         zs = [TokenSeq.from_content(gen.integers(1, 20, int(gen.integers(0, 12))))
               for _ in range(int(gen.integers(1, 9)))]
         zs.append(TokenSeq((BOS, SEP, MASK, EOS)))  # nothing but scaffold
-        got = formatted_counts(template, pad(zs).ids, 20)
+        ids = pad(zs).ids
+        if wide:
+            ids = np.concatenate([ids, np.zeros((len(ids), int(gen.integers(1, 5))), dtype=ids.dtype)], axis=1)
+        got = formatted_counts(template, ids, 20)
         assert same(got, reference_counts(template, zs, 20))
+
+
+def test_formatted_counts_equal_the_reference_on_random_instructions():
+    # the instruction search counts its inputs this way: every scaffold id and
+    # an id past the vocabulary may sit in the instruction, and a tight limit
+    # rejects the longest examples
+    task = gen_synthetic_task(20, 2, 64, 0, seed=0)
+    v, seen, raised = task.vocab_size, set(), 0
+    gen = np.random.default_rng(29)
+    for trial in range(400):
+        instruction = tuple(int(t) for t in gen.integers(0, v + 1, int(gen.integers(1, 5))))
+        seen.update(instruction)
+        template = TaskTemplate(instruction, max_input_len=22 if trial % 2 else 64)
+        batch = [task.train[i] for i in gen.choice(len(task.train), 3, replace=False)]
+        try:
+            want = token_counts(tiny_classifier(vocab=v), [format_input(template, instruction, ex.x) for ex in batch])
+        except ValueError:
+            want = None
+        try:
+            got = formatted_counts(template, pad([ex.x for ex in batch]).ids, v)
+        except ValueError:
+            got = None
+        assert (got is None) == (want is None), instruction
+        if want is None:
+            raised += 1
+        else:
+            assert same(got, want)
+    assert seen == set(range(v + 1)) and 0 < raised < 400
+
+
+def test_formatted_counts_reject_an_instruction_holding_eos():
+    ids = pad([TokenSeq.from_content([5, 6])]).ids
+    assert formatted_counts(TaskTemplate(instruction=(BOS, SEP, 9)), ids, 20).shape == (1, 20)
+    with pytest.raises(ValueError, match="^the instruction may not hold EOS: it ends the formatted input$"):
+        formatted_counts(TaskTemplate(instruction=(9, EOS)), ids, 20)
+    with pytest.raises(ValueError, match="exactly one EOS"):
+        format_input(TaskTemplate(), (9, EOS), TokenSeq.from_content([5, 6]))
 
 
 def bad_batch(gen, case: str, v: int):
@@ -127,7 +159,7 @@ def bad_batch(gen, case: str, v: int):
         instruction.insert(int(gen.integers(0, len(instruction) + 1)), v)
     elif case == "MASK in instruction":
         instruction.insert(int(gen.integers(0, len(instruction) + 1)), MASK)
-    template = TaskTemplate(tuple(instruction), bool(gen.integers(0, 2)), max_input_len=limit)
+    template = TaskTemplate(tuple(instruction), max_input_len=limit)
     return template, zs
 
 

@@ -10,11 +10,13 @@ from scipy import stats
 from conftest import (
     decode_one,
     greedy_path,
+    logsumexp,
     reference_context,
     reference_diverse_beam,
     reference_nucleus,
     reference_top_p_sample,
     rewrite_ids,
+    softmax,
     step_logits,
     tiny_policy,
 )
@@ -26,7 +28,7 @@ from riff.decoding import (
     diverse_beam_batch,
     top_p_batch,
 )
-from riff.numerics import log_softmax_rows, logsumexp, softmax
+from riff.numerics import log_softmax_rows
 from riff.policy import (
     PolicyConfig,
     PolicyParams,

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assemble_gradient, kl_penalized_gradient, table_reward, tiny_policy
+from conftest import assemble_gradient, kl_penalized_gradient, logsumexp, softmax, table_reward, tiny_policy
 from riff import estimators as est
 from riff.data import RowError
 from riff.estimators import coefficients, normalize_rewards
-from riff.numerics import finite_diff_grad, logsumexp, max_relative_error, softmax
+from riff.numerics import finite_diff_grad, max_relative_error
 from riff.oracle import enumerate_sequences, exact_gradient, exact_kl_objective, exact_objective
 from riff.policy import PolicyParams, TokenSeq, pad, seq_logprob, weighted_seq_grads
 
@@ -323,7 +323,7 @@ def test_coefficients_validation(monkeypatch):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite coefficients"):
         phi_of([800.0], [-0.5], "pg")
     # a wrong normalizer leaves posterior weights that do not sum to 1
-    monkeypatch.setattr(est, "_log_normalizers", lambda weights: np.zeros(len(weights)))
+    monkeypatch.setattr(est, "log_normalizers", lambda weights: np.zeros(len(weights)))
     with pytest.raises(ValueError, match="sum to 1"):
         phi_of(np.log([0.5, 0.2]), [0.0, 0.0], "mml")
 

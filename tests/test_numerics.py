@@ -6,20 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import logsumexp as scalar_logsumexp
 from riff.numerics import (
     ParamVector,
     finite_diff_grad,
     gelu,
     gelu_grad,
-    log_softmax,
-    logsumexp,
+    log_normalizers,
+    log_softmax_rows,
     max_relative_error,
     relative_errors,
     richardson_grad,
-    softmax,
 )
 
 mpmath.mp.dps = 50
+
+
+def logsumexp(xs) -> float:
+    """log_normalizers of xs as a one-row batch."""
+    return float(log_normalizers(np.asarray(xs, dtype=np.float64)[None])[0])
 
 
 def mp_log_softmax(values):
@@ -29,36 +34,36 @@ def mp_log_softmax(values):
 
 
 def test_log_softmax_symmetric_pair():
-    out = log_softmax([0.0, 0.0])
+    out = log_softmax_rows([0.0, 0.0])
     assert np.allclose(out, [-math.log(2)] * 2, atol=1e-15)
 
 
 def test_log_softmax_against_high_precision():
-    out = log_softmax([1.0, 2.0])
+    out = log_softmax_rows([1.0, 2.0])
     expected = mp_log_softmax([1.0, 2.0])
     assert np.allclose(out, expected, atol=1e-14)
 
 
 def test_log_softmax_rejects_nonfinite():
     with pytest.raises(ValueError):
-        log_softmax([1.0, float("nan")])
+        log_softmax_rows([1.0, float("nan")])
     with pytest.raises(ValueError):
-        log_softmax([1.0, float("inf")])
+        log_softmax_rows([1.0, float("inf")])
 
 
 def test_log_softmax_normalization_bulk():
     gen = np.random.default_rng(7)
     for _ in range(1000):
         logits = gen.normal(0, 5, size=int(gen.integers(1, 12)))
-        total = np.exp(log_softmax(logits)).sum()
+        total = np.exp(log_softmax_rows(logits)).sum()
         assert abs(total - 1.0) < 1e-12
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.floats(-30, 30))
 @settings(max_examples=60)
 def test_log_softmax_shift_invariance(logits, shift):
-    base = log_softmax(logits)
-    shifted = log_softmax(np.asarray(logits) + shift)
+    base = log_softmax_rows(logits)
+    shifted = log_softmax_rows(np.asarray(logits) + shift)
     assert np.allclose(base, shifted, atol=1e-10)
 
 
@@ -91,6 +96,15 @@ def test_logsumexp_bounds():
 @settings(max_examples=60)
 def test_logsumexp_shift_property(xs, c):
     assert abs(logsumexp(np.asarray(xs) + c) - (logsumexp(xs) + c)) < 1e-12
+
+
+def test_log_normalizers_round_each_row_as_the_scalar_reference_bitwise():
+    # the oracle's objective and posteriors read log_normalizers where they read the scalar form
+    gen = np.random.default_rng(11)
+    for _ in range(300):
+        rows = gen.normal(0.0, float(gen.uniform(0.1, 300.0)), (int(gen.integers(1, 6)), int(gen.integers(1, 40))))
+        got = log_normalizers(rows)
+        assert got.tolist() == [scalar_logsumexp(row) for row in rows]
 
 
 def test_finite_diff_quadratic_exact():
@@ -230,4 +244,4 @@ def test_max_relative_error_rejects_a_non_finite_entry_in_either_argument(bad):
 
 
 def test_softmax_sums_to_one():
-    assert abs(softmax([0.3, -2.0, 5.0]).sum() - 1.0) < 1e-12
+    assert abs(np.exp(log_softmax_rows([0.3, -2.0, 5.0])).sum() - 1.0) < 1e-12

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    log_softmax,
     max_scaled_error,
     path_logprob,
     reference_context,
@@ -26,7 +27,7 @@ from conftest import (
 import riff.policy as policy_module
 from riff.checkpoint import file_hash
 from riff.classifier import TuningMode, load_classifier, save_classifier
-from riff.numerics import finite_diff_grad, log_softmax, log_softmax_rows, max_relative_error
+from riff.numerics import finite_diff_grad, log_softmax_rows, max_relative_error
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
@@ -634,6 +635,29 @@ def test_weighted_seq_grads_name_the_first_bad_row():
         weighted_seq_grads(p, pad([x]), pad([ok, long, foreign]), np.ones(3))
     with pytest.raises(ValueError, match="^2 weights for 3 sequences$"):
         weighted_seq_grads(p, pad([x]), pad([ok, ok, ok]), np.ones(2))
+
+
+def test_padded_batches_name_a_negative_id_as_out_of_range():
+    # hand-built batches: no TokenSeq holds a negative id, so only a Padded can
+    p = tiny_policy(seed=2, vocab=4, max_len=4)
+    x, ok, long = TokenSeq.from_content([1]), TokenSeq.from_content([2]), TokenSeq.from_content([1, 2, 3, 1])
+    inputs = pad([x, TokenSeq.from_content([1, 2])])
+    inputs.ids[1, 1] = -1
+    with pytest.raises(ValueError, match="^token id -1 out of range for vocabulary of size 4$"):
+        encode_contexts(p, inputs)
+    with pytest.raises(ValueError, match="^token id -1 out of range for vocabulary of size 4$"):
+        weighted_seq_grads(p, inputs, pad([ok, ok]), np.ones(2))
+    rows = pad([ok, TokenSeq.from_content([3, 1]), long])
+    rows.ids[1, 0] = -2
+    with pytest.raises(ValueError, match="^token id -2 out of range for vocabulary of size 4$"):
+        weighted_seq_grads(p, pad([x]), rows, np.ones(3))
+    rows.ids[1, 1] = 7  # the row's first bad id is named
+    with pytest.raises(ValueError, match="^token id -2 out of range for vocabulary of size 4$"):
+        weighted_seq_grads(p, pad([x]), rows, np.ones(3))
+    rows = pad([ok, long, TokenSeq.from_content([3, 1])])
+    rows.ids[2, 0] = -2  # the first bad row is named, whatever is wrong with it
+    with pytest.raises(ValueError, match="^sequence length 5 exceeds max_len 4$"):
+        weighted_seq_grads(p, pad([x]), rows, np.ones(3))
 
 
 def test_path_kernels_name_the_row_and_input_counts():

@@ -1,10 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from conftest import max_scaled_error, tiny_classifier
+from conftest import format_input, max_scaled_error, tiny_classifier, token_counts
 from riff import data, training
 from riff import classifier as clf
-from riff.data import TaskTemplate, gen_synthetic_task, format_input
+from riff.data import TaskTemplate, gen_synthetic_task
 from riff.numerics import finite_diff_grad
 from riff.policy import TokenSeq
 from riff.promptsearch import Instruction, gs_candidates, gs_step, minibatch_loglik
@@ -38,7 +41,7 @@ def test_candidates_k_equals_vocab_returns_sorted_scores():
     grad = np.zeros(p.cfg.embed_dim)
     for ex in batch:
         formatted = format_input(TEMPLATE, inst.ids, ex.x)
-        grad += clf.input_row_grads(p, [formatted], [ex.y], VERB)[0][1]
+        grad += clf.input_token_grads(p, token_counts(p, [formatted]), [ex.y], VERB)[0][inst.ids[0]]
     scores = p.seg("token_embedding") @ grad
     for earlier, later in zip(cands, cands[1:]):
         assert (scores[earlier], -earlier) >= (scores[later], -later)
@@ -54,17 +57,44 @@ def test_batched_search_matches_per_example_sums(mode):
     formatted = [format_input(TEMPLATE, inst.ids, ex.x) for ex in batch]
     want = 0.0
     for seq, ex in zip(formatted, batch):
-        want += float(clf.label_logprobs_batch(p, clf.token_counts(p, [seq]), VERB, clf.label_path_mode(mode))[0][ex.y])
+        want += float(clf.label_logprobs_batch(p, token_counts(p, [seq]), VERB, clf.label_path_mode(mode))[0][ex.y])
     assert abs(minibatch_loglik(p, TEMPLATE, inst, batch, VERB) - want) <= 1e-12 * abs(want)
     for position in (0, 1):
+        token = inst.ids[position]
         grad = np.zeros(p.cfg.embed_dim)
         for seq, ex in zip(formatted, batch):
-            grad += clf.input_row_grads(p, [seq], [ex.y], VERB)[0][1 + position]
-        rows = clf.input_row_grads(p, formatted, [ex.y for ex in batch], VERB)
-        assert max_scaled_error(rows[:, 1 + position].sum(axis=0), grad) <= 1e-12
+            grad += clf.input_token_grads(p, token_counts(p, [seq]), [ex.y], VERB)[0][token]
+        grads = clf.input_token_grads(p, token_counts(p, formatted), [ex.y for ex in batch], VERB)
+        assert max_scaled_error(grads[:, token].sum(axis=0), grad) <= 1e-12
         scores = p.seg("token_embedding") @ grad
         want_order = sorted(range(8), key=lambda v: (-scores[v], v))
         assert gs_candidates(p, TEMPLATE, inst, position, batch, VERB, k=8) == want_order
+
+
+def test_search_reproduces_the_pinned_trajectory():
+    # pinned while the search still formatted position-ordered inputs: 3
+    # seeds x 8 steps per mode, k = V so that every scaffold id is tried
+    # (EOS and MASK candidates must be skipped); each step's candidate order,
+    # accepted instruction and its minibatch log-likelihood, bit for bit
+    task = gen_synthetic_task(20, 2, 64, 0, seed=0)
+    verb = clf.Verbalizer(task.verbalizer_ids)
+    v, runs = task.vocab_size, {}
+    for mode in (clf.TuningMode.NONE, clf.TuningMode.SOFT_PROMPT, clf.TuningMode.CLS_HEAD):
+        for seed in range(3):
+            p = tiny_classifier(seed=40 + seed, vocab=v, embed=8, prompt_len=2, mode=mode)
+            rng, order = np.random.default_rng(seed), np.random.default_rng(100 + seed)
+            inst, steps = Instruction(task.template.instruction), []
+            for _ in range(8):
+                minibatch = [task.train[i] for i in order.choice(len(task.train), size=3, replace=False)]
+                ahead = np.random.default_rng()  # the position gs_step is about to draw
+                ahead.bit_generator.state = rng.bit_generator.state
+                cands = gs_candidates(p, task.template, inst, int(ahead.integers(len(inst))), minibatch, verb, v)
+                inst = gs_step(p, task.template, inst, minibatch, verb, v, rng)
+                steps.append([list(inst.ids), minibatch_loglik(p, task.template, inst, minibatch, verb).hex(), cands])
+            runs[f"{mode.value}/{seed}"] = steps
+    assert runs["none/1"][-1][0] == [18, 18, 18]
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert digest == "700d65f22ebc3da91115dd1d421051e5c5201e07a41622d069b93b7985045611"
 
 
 def test_candidates_zero_gradient_ties_break_by_id():
@@ -197,7 +227,7 @@ def test_search_improves_validation_accuracy_most_seeds():
             correct = 0
             for ex in split.validation:
                 formatted = format_input(task.template, instruction.ids, ex.x)
-                pred = int(np.argmax(clf.label_logprobs_batch(frozen, clf.token_counts(frozen, [formatted]), verb)[0]))
+                pred = int(np.argmax(clf.label_logprobs_batch(frozen, token_counts(frozen, [formatted]), verb)[0]))
                 correct += pred == ex.y
             return correct / len(split.validation)
 

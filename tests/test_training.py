@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     assemble_gradient,
     decode_one,
+    format_input,
     kl_penalized_gradient,
     max_scaled_error,
     reference_diverse_beam,
@@ -19,12 +20,13 @@ from conftest import (
     rewrite_ids,
     table_reward,
     tiny_classifier,
+    token_counts,
 )
 from riff import classifier as clf
 from riff import training
 from riff.checkpoint import params_hash
 from riff import estimators as est
-from riff.data import Example, format_input, gen_synthetic_task, strip_scaffold
+from riff.data import Example, gen_synthetic_task, strip_scaffold
 from riff.optim import AdamConfig, AdamW
 from riff.policy import Padded, PolicyConfig, PolicyParams, TokenSeq, pad, snapshot, unpad
 from riff.vocab import FIRST_CONTENT_ID
@@ -268,7 +270,7 @@ def finetune_reward_fn(monkeypatch, task, split, classifier, policy):
 def per_example_rewards(classifier, task, ex, zs):
     """clf.rewards of one example's rewrites, formatted one sequence at a time."""
     formatted = [format_input(task.template, task.template.instruction, strip_scaffold(z)) for z in zs]
-    return clf.rewards(classifier, clf.token_counts(classifier, formatted), ex.y, clf.Verbalizer(task.verbalizer_ids))
+    return clf.rewards(classifier, token_counts(classifier, formatted), ex.y, clf.Verbalizer(task.verbalizer_ids))
 
 
 @pytest.mark.parametrize("mode", [clf.TuningMode.ALL, clf.TuningMode.LORA,
@@ -341,9 +343,9 @@ def test_coefficient_errors_name_the_example_and_step(monkeypatch, case, message
 
     if case != "nan":
         shift = -np.inf if case == "no_mass" else 1.0
-        exact = est._log_normalizers
+        exact = est.log_normalizers
         # the bad example's posterior weights are all below -500; nobody else's are
-        monkeypatch.setattr(est, "_log_normalizers", lambda w: exact(w) + np.where(w.max(axis=1) < -500, shift, 0.0))
+        monkeypatch.setattr(est, "log_normalizers", lambda w: exact(w) + np.where(w.max(axis=1) < -500, shift, 0.0))
     cfg = RunConfig(m=2, decoder="beam", normalize=False)
     anchor = training._anchor_tables(snapshot(policy), batch)
     with pytest.raises(ValueError, match=f"^example {bad.uid} at step 4: {message}$"):
@@ -551,10 +553,10 @@ def test_augmented_m0_equals_plain_supervised_gradient():
     ys = [ex.y for ex in split.train]
     b = len(inputs)
     # at m = 0 a step's call holds only the inputs, each weighted 1/B
-    counts = clf.token_counts(classifier, inputs)
+    counts = token_counts(classifier, inputs)
     _, aug = clf.weighted_label_grad(classifier, counts, ys, [1.0 / b] * b, verb, clf.TuningMode.ALL)
     plain = sum(
-        clf.weighted_label_grad(classifier, clf.token_counts(classifier, [s]), [y], [1.0], verb, clf.TuningMode.ALL)[1]
+        clf.weighted_label_grad(classifier, token_counts(classifier, [s]), [y], [1.0], verb, clf.TuningMode.ALL)[1]
         for s, y in zip(inputs, ys)
     )
     assert np.allclose(aug, plain / b, atol=1e-12)
@@ -567,7 +569,7 @@ def test_augmented_rewrites_equal_to_input_double_loss():
     # one example's step loss: the input at weight 1, its m rewrites at 1/m
     group = [format_input(task.template, task.template.instruction, ex.x)] * 3
     mode = clf.TuningMode.ALL
-    counts = clf.token_counts(classifier, group)
+    counts = token_counts(classifier, group)
     plain = -clf.weighted_label_grad(classifier, counts[:1], [ex.y], [1.0], verb, mode)[0]
     doubled = -clf.weighted_label_grad(classifier, counts, [ex.y] * 3, [1.0, 0.5, 0.5], verb, mode)[0]
     assert doubled == pytest.approx(2 * plain, abs=1e-12)
@@ -581,10 +583,10 @@ def test_augmented_two_rewrite_hand_arithmetic():
     z2 = TokenSeq.from_content([6, 6])
     def lp(seq):
         formatted = format_input(task.template, task.template.instruction, seq)
-        return float(clf.label_logprobs_batch(classifier, clf.token_counts(classifier, [formatted]), verb)[0][ex.y])
+        return float(clf.label_logprobs_batch(classifier, token_counts(classifier, [formatted]), verb)[0][ex.y])
     expected = -(lp(ex.x) + 0.5 * (lp(z1) + lp(z2)))
     group = [format_input(task.template, task.template.instruction, z) for z in (ex.x, z1, z2)]
-    counts = clf.token_counts(classifier, group)
+    counts = token_counts(classifier, group)
     value, _ = clf.weighted_label_grad(classifier, counts, [ex.y] * 3, [1.0, 0.5, 0.5], verb, clf.TuningMode.ALL)
     assert -value == pytest.approx(expected, abs=1e-12)
 
@@ -607,7 +609,7 @@ def test_ensemble_identical_rewrites_match_plain_argmax():
     task, split, classifier, _ = make_pipeline()
     verb = clf.Verbalizer(task.verbalizer_ids)
     ex = split.train[0]
-    counts = clf.token_counts(classifier, one_group(task.template, ex, [ex.x] * 3))
+    counts = token_counts(classifier, one_group(task.template, ex, [ex.x] * 3))
     scores = clf.label_logprobs_batch(classifier, counts, verb)
     plain = int(np.argmax(scores[0]))
     assert int(np.argmax(combine_group(scores, include_original=True))) == plain
@@ -618,9 +620,9 @@ def test_ensemble_single_rewrite_exclusion_is_plain_on_rewrite():
     verb = clf.Verbalizer(task.verbalizer_ids)
     z = TokenSeq.from_content([4, 6])
     group = one_group(task.template, split.train[0], [z])
-    scores = clf.label_logprobs_batch(classifier, clf.token_counts(classifier, group), verb)
+    scores = clf.label_logprobs_batch(classifier, token_counts(classifier, group), verb)
     formatted = format_input(task.template, task.template.instruction, z)
-    alone = clf.label_logprobs_batch(classifier, clf.token_counts(classifier, [formatted]), verb)[0]
+    alone = clf.label_logprobs_batch(classifier, token_counts(classifier, [formatted]), verb)[0]
     assert int(np.argmax(combine_group(scores, include_original=False))) == int(np.argmax(alone))
 
 
@@ -666,13 +668,13 @@ def test_ensemble_accuracies_score_all_rows_in_one_call(monkeypatch, mode):
     verb = clf.Verbalizer(task.verbalizer_ids)
     # each group scored alone: pad() of its own formatted rows
     own = [pad(one_group(task.template, ex, zs)) for ex, zs in zip(split.validation, rewrites)]
-    alone = [clf.label_logprobs_batch(classifier, clf.token_counts(classifier, g), verb) for g in own]
+    alone = [clf.label_logprobs_batch(classifier, token_counts(classifier, g), verb) for g in own]
     widths = [g.ids.shape[1] for g in own]
     assert len(set(widths)) > 1
     # a row's scores depend on its token counts, not on its padding
     for g, scores in zip(own, alone):
         for width in (max(widths), max(widths) + 7):
-            wide = clf.token_counts(classifier, padded_to(g, width))
+            wide = token_counts(classifier, padded_to(g, width))
             assert np.array_equal(clf.label_logprobs_batch(classifier, wide, verb), scores)
 
     calls, seen = [], []
@@ -756,7 +758,7 @@ def test_augmented_steps_hand_the_kernel_exactly_the_count_rows_of_their_groups(
     task, split, classifier, policy = make_pipeline()
     cfg = RunConfig(m=2, steps=8, batch_size=3, checkpoint_interval=8, seed=4)
     zs = unpad(training.decode_rewrites(policy, split.train, 2, cfg))
-    own = [clf.token_counts(classifier, one_group(task.template, ex, zs[2 * k : 2 * k + 2]))
+    own = [token_counts(classifier, one_group(task.template, ex, zs[2 * k : 2 * k + 2]))
            for k, ex in enumerate(split.train)]
     kernel, batches = clf._kernel, []
 
@@ -869,7 +871,7 @@ def test_format_groups_cut_at_a_groups_widest_row_equal_its_own_format_rewrites_
     assert counts.shape == (len(split.validation), 5, 20)
     for k, ex in enumerate(split.validation):
         alone = training.group_counts(task.template, 20, [ex], pad(zs[4 * k : 4 * k + 4]))
-        want = clf.token_counts(tiny_classifier(vocab=20), one_group(task.template, ex, zs[4 * k : 4 * k + 4]))
+        want = token_counts(tiny_classifier(vocab=20), one_group(task.template, ex, zs[4 * k : 4 * k + 4]))
         assert np.array_equal(counts[k], alone[0]) and np.array_equal(counts[k], want)
 
 
@@ -884,7 +886,7 @@ def test_augmented_rows_equal_the_formatted_inputs_and_stripped_rewrites(m):
     want = [z for k, ex in enumerate(split.train) for z in one_group(task.template, ex, zs[m * k : m * k + m])]
     counts = training.group_counts(task.template, 20, split.train, rewrites)
     assert counts.shape[:2] == (len(split.train), m + 1)
-    assert np.array_equal(counts.reshape(len(want), -1), clf.token_counts(tiny_classifier(vocab=20), want))
+    assert np.array_equal(counts.reshape(len(want), -1), token_counts(tiny_classifier(vocab=20), want))
 
 
 LONG = TokenSeq.from_content([5] * 60)  # 67 formatted tokens, over the template's 64
