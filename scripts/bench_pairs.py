@@ -15,7 +15,8 @@ BENCH_<label>.json at the repository root holds one entry per workload, so
 runs of several workloads under one label share a file; a new run replaces
 its workload's entry. An entry records every run (its `correct`, `attempted`,
 `ok_frac` and metrics, or why it produced no result; no run is dropped),
-both trees' `src_sha256`, the environment line, and per end-to-end metric the
+both trees' `src_sha256` and `src_lines` (the line total of `src/riff/*.py`,
+as `wc -l` counts it), the environment line, and per end-to-end metric the
 medians and quartiles of each side, the parent's interquartile range and the
 number of pairs the change wins. `gain_shown` applies the claim rule: the
 change wins at least nine tenths of all pairs, ties counting for neither,
@@ -33,6 +34,7 @@ independent of how many operations fit in a timed run. Its entry is keyed
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import shutil
@@ -222,6 +224,15 @@ def copy_working_tree(dest: str) -> None:
             shutil.copy2(src, os.path.join(dest, rel))
 
 
+def src_lines(tree: str) -> int:
+    """The line total of `tree`'s src/riff/*.py, as `wc -l` counts it: newlines."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "riff", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
 def entry_name(workload: str, ops: int | None) -> str:
     """The key of a run's entry in the BENCH file."""
     return workload if ops is None else f"{workload} --ops {ops}"
@@ -258,6 +269,7 @@ def main(argv=None) -> int:
         trees = {side: os.path.join(tmp, side, "riff") for side in SIDES}
         base_rev = extract_base(args.base, trees["base"])
         copy_working_tree(trees["head"])
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         for k, seed in enumerate(args.seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
@@ -270,6 +282,7 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {side}: correct={record['correct']} {shown}", flush=True)
     seconds = args.seconds if args.ops is None else None
     entry = workload_entry(runs, end_to_end_directions(), base_rev, seconds, env)
+    entry["src_lines"] = lines
     if args.ops is not None:
         entry["ops"] = args.ops
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")

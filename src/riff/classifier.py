@@ -371,29 +371,25 @@ def label_path_mode(mode: TuningMode) -> TuningMode:
 def rewards(params: ClassifierParams, counts: np.ndarray, ys, verbalizer: Verbalizer) -> np.ndarray:
     """Terminal rewards log P(ys[i] | row i) of formatted rewrites, given as
     the rows of a (B, V) token-count matrix (one label `ys` may score every
-    row), from one batched forward over the distinct count rows. Always <= 0."""
-    counts = _check_counts(params, counts)
+    row), from one batched forward. Always <= 0."""
     ys = np.broadcast_to(np.asarray(ys, dtype=np.intp), len(counts))
     _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
-    # a row's scores depend on its counts alone, so each distinct count row is scored once
-    seen: dict[bytes, int] = {}  # row bytes -> index among the distinct rows
-    row = np.array([seen.setdefault(k.tobytes(), len(seen)) for k in counts])
-    first = np.unique(row, return_index=True)[1]
-    logp = label_logprobs_batch(params, counts[first], verbalizer, label_path_mode(params.mode))
-    return logp[row, ys]
+    logp = label_logprobs_batch(params, counts, verbalizer, label_path_mode(params.mode))
+    return logp[np.arange(len(ys)), ys]
 
 
 def input_token_grads(params: ClassifierParams, counts: np.ndarray, ys, verbalizer: Verbalizer) -> np.ndarray:
     """Gradient of each log P(ys[i] | row i) of a (B, V) token-count matrix
-    on the plain label path with respect to its embedded input rows, from
-    one batched forward and backward: (B, V, d), [i, v] the gradient at one
-    row of sequence i holding token v (see _MaskRowPass.backward). The
-    discrete instruction search scores substitutions of a token by it."""
+    on the label path `rewards` reads, with respect to its embedded input
+    rows, from one batched forward and backward: (B, V, d), [i, v] the
+    gradient at a row of sequence i holding token v (_MaskRowPass.backward);
+    the instruction search ranks substitutions of a token by it."""
     counts = _check_counts(params, counts)
     if len(ys) != len(counts):
         raise ValueError(f"{len(counts)} sequences and {len(ys)} labels")
-    ys = _check_labels(params, ys, verbalizer, TuningMode.NONE)
-    return _kernel(params, counts, ys, np.ones(len(counts)), verbalizer, TuningMode.NONE, True)[2]
+    mode = label_path_mode(params.mode)
+    ys = _check_labels(params, ys, verbalizer, mode)
+    return _kernel(params, counts, ys, np.ones(len(counts)), verbalizer, mode, True)[2][:, : params.cfg.vocab_size]
 
 
 def save_classifier(path, params: ClassifierParams) -> None:

@@ -504,6 +504,10 @@ def cmd_grid(args) -> int:
         raise ConfigError(f"--seeds must be comma-separated integers: {exc}") from exc
     if not seeds:
         raise ConfigError("empty seed list")
+    # a repeated value would run its cells twice into the same run directories
+    for axis_name, values in {"estimator": estimators, "regime": regimes, "decoder": decoders, "seed": seeds}.items():
+        for v in [v for i, v in enumerate(values) if v in values[:i]][:1]:
+            raise ConfigError(f"repeated {axis_name} {v!r}")
     cells = list(itertools.product(estimators, regimes, decoders, normalize_axis))
     print(f"grid: {len(cells)} cells x {len(seeds)} seeds = {len(cells) * len(seeds)} runs")
     for estimator, regime, decoder, normalize in cells:

@@ -162,25 +162,30 @@ def _anchor_support_logprobs(cfg: PolicyConfig, flat: bytes, ids: tuple[int, ...
     return out
 
 
-def exact_objective(
-    params: PolicyParams, x: TokenSeq, reward_fn, max_len: int | None = None
-) -> float:
-    """log sum over enumerated z of P(z|x) * exp(R(z)). Tail mass excluded."""
-    enum = enumerate_sequences(params, x, max_len)
-    return float(log_normalizers((enum.logprobs + _rewards(enum.seqs, reward_fn))[None])[0])
-
-
 def exact_objectives(
-    params: PolicyParams, flats: np.ndarray, x: TokenSeq, reward_fn, max_len: int | None = None
+    params: PolicyParams, flats: np.ndarray, x: TokenSeq, reward_fn, max_len: int | None = None,
+    fixed: PolicyParams | None = None, beta: float = 0.0,
 ) -> np.ndarray:
-    """exact_objective of x under each row of a (K, P) block of parameter
+    """log sum_z P(z|x) exp(R(z)) - beta sum_z P(z|x) log(P(z|x) / P_fixed(z|x))
+    over the enumerated support, under each row of a (K, P) block of parameter
     vectors laid out as `params`' own, each bitwise its own: one stacked
-    forward and log-softmax (transition_tables), a support gather per step
-    summed from 0.0, and a row-wise log-sum-exp (numerics.log_normalizers)
-    with the support's rewards, read once. A non-finite row is returned as is."""
+    forward (transition_tables), a support gather per step summed from 0.0 and
+    a row-wise log-sum-exp (numerics.log_normalizers) with the rewards, read
+    once. beta == 0 reads no anchor. Warns when a row's mass off the support
+    exceeds TAIL_WARN_THRESHOLD; a non-finite row is returned as is."""
     seqs, path_idx, _ = _support(params.cfg.vocab_size, _guard(params, max_len))
     rewards = _rewards(seqs, reward_fn)
-    return log_normalizers(_path_logprobs(transition_tables(params, flats, x), path_idx[:, : len(seqs)]) + rewards)
+    lps = _path_logprobs(transition_tables(params, flats, x), path_idx[:, : len(seqs)])
+    probs = np.exp(lps)
+    deficit = 1.0 - float(probs.sum(axis=-1).min())
+    if deficit > TAIL_WARN_THRESHOLD:
+        warnings.warn(f"unterminated tail mass {deficit:.3g} exceeds {TAIL_WARN_THRESHOLD}")
+    objectives = log_normalizers(lps + rewards)
+    if beta == 0.0:
+        return objectives
+    if fixed is None:
+        raise ValueError(f"beta {beta} needs the KL anchor `fixed`, which is missing")
+    return objectives - beta * np.sum(probs * (lps - _anchor_logprobs(params, fixed, x, max_len)), axis=-1)
 
 
 def mml_posteriors(enum: Enumeration, reward_fn) -> np.ndarray:
@@ -192,9 +197,9 @@ def mml_posteriors(enum: Enumeration, reward_fn) -> np.ndarray:
 def exact_gradient(
     params: PolicyParams, x: TokenSeq, reward_fn, max_len: int | None = None
 ) -> np.ndarray:
-    """Exact gradient of exact_objective: posterior-weighted sum of per-sequence
-    log-probability gradients over the full enumerated support, which is
-    exact_kl_gradient at beta == 0."""
+    """Exact gradient of exact_objectives at beta == 0: posterior-weighted sum
+    of per-sequence log-probability gradients over the full enumerated
+    support, which is exact_kl_gradient at beta == 0."""
     return exact_kl_gradient(params, params, x, reward_fn, 0.0, max_len)
 
 
@@ -206,16 +211,10 @@ def exact_kl_objective(
     beta: float,
     max_len: int | None = None,
 ) -> float:
-    """log E[exp(R)] minus beta times E[log(P_cur / P_fixed)], both expectations
-    taken exactly over the enumerated support. beta == 0 returns the plain
-    exact_objective value."""
-    if beta == 0.0:
-        return exact_objective(params, x, reward_fn, max_len)
-    enum = enumerate_sequences(params, x, max_len)
-    lps = enum.logprobs
-    objective = float(log_normalizers((lps + _rewards(enum.seqs, reward_fn))[None])[0])
-    fixed_lps = _anchor_logprobs(params, fixed, x, max_len)
-    return objective - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
+    """exact_objectives of `params`' own vector: log E[exp(R)] minus beta times
+    E[log(P_cur / P_fixed)], both expectations taken exactly over the
+    enumerated support. beta == 0 reads no anchor."""
+    return float(exact_objectives(params, params.flat[None], x, reward_fn, max_len, fixed, beta)[0])
 
 
 def exact_kl_gradient(

@@ -16,7 +16,7 @@ from riff.data import TaskTemplate, _check_masks, _first_bad
 from riff.decoding import DecodeConfig, decode_batch
 from riff.numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
 from riff.optim import AdamConfig, AdamW
-from riff.oracle import Enumeration, exact_objectives
+from riff.oracle import Enumeration, exact_kl_objective, exact_objectives
 from riff.policy import (
     Padded,
     PolicyConfig,
@@ -366,6 +366,11 @@ def mp_objective_derivative(params: PolicyParams, x: TokenSeq, reward_fn, max_le
         up[i] += step
         down[i] -= step
         return float((objective(up) - objective(down)) / (2 * step))
+
+
+def exact_objective(params: PolicyParams, x: TokenSeq, reward_fn, max_len: int | None = None) -> float:
+    """The plain exact objective log sum_z P(z|x) exp(R(z)): exact_kl_objective at beta == 0."""
+    return exact_kl_objective(params, params, x, reward_fn, 0.0, max_len)
 
 
 def stacked_central_diffs(params: PolicyParams, x: TokenSeq, reward_fn, max_len: int, h: float) -> np.ndarray:

@@ -10,6 +10,7 @@ from scipy import stats
 
 from conftest import (
     decode_one,
+    exact_objective,
     format_input,
     greedy_path,
     reference_context,
@@ -86,7 +87,7 @@ def test_criterion_1_gradient_anchor():
         def objective(flat):
             probe = PolicyParams(policy.cfg)
             probe.pv.values[:] = flat
-            return oracle.exact_objective(probe, x, reward_fn, max_len)
+            return exact_objective(probe, x, reward_fn, max_len)
 
         fd = finite_diff_grad(objective, policy.flat, h=1e-5)
         worst = max(worst, max_relative_error(analytic, fd, floor=1e-8))

@@ -128,6 +128,20 @@ def test_the_bench_file_holds_one_entry_per_workload(tmp_path):
         bench_pairs.write_bench(path, "y", "oracle", oracle)
 
 
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "riff"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "b.py").write_text("y = 2\nz = 3")  # no final newline: wc -l counts 1
+    (package / "empty.py").write_text("")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not counted\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "d.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == 4
+    assert bench_pairs.src_lines(str(tmp_path / "missing")) == 0
+
+
 FAKE_RUN = """
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 

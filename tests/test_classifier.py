@@ -445,14 +445,18 @@ def test_kernel_scores_a_sequence_the_same_alone_and_padded(mode):
 
 
 def test_input_position_grads_match_reference_rows():
-    # each non-mask position's gradient is its token's row; a token the sequence lacks gets zero
-    p = kernel_params(TuningMode.NONE, seed=33)
-    grads = input_token_grads(p, token_counts(p, MIXED_BATCH), [1] * len(MIXED_BATCH), VERB)
-    for seq, got in zip(MIXED_BATCH, grads):
-        _, want = reference_label_grad(p, seq, 1, VERB, TuningMode.NONE, rows=True)
-        positions = [j for j, t in enumerate(seq.ids) if t != MASK]
-        assert max_scaled_error(got[[seq.ids[j] for j in positions]], want[positions]) < 1e-12
-        assert np.all(np.delete(got, list(seq.ids), axis=0) == 0.0)
+    # each non-mask position's gradient is its token's row on the label path
+    # the mode scores (prompt rows and adapters included); a token the
+    # sequence lacks gets zero
+    for mode in TuningMode:
+        p = kernel_params(mode, seed=33)
+        grads = input_token_grads(p, token_counts(p, MIXED_BATCH), [1] * len(MIXED_BATCH), VERB)
+        assert grads.shape == (len(MIXED_BATCH), p.cfg.vocab_size, p.cfg.embed_dim)
+        for seq, got in zip(MIXED_BATCH, grads):
+            _, want = reference_label_grad(p, seq, 1, VERB, label_path_mode(mode), rows=True)
+            positions = [j for j, t in enumerate(seq.ids) if t != MASK]
+            assert max_scaled_error(got[[seq.ids[j] for j in positions]], want[positions]) < 1e-12, mode
+            assert np.all(np.delete(got, list(seq.ids), axis=0) == 0.0)
 
 
 def test_token_rows_equal_the_position_rows_bitwise():

@@ -26,8 +26,8 @@ from riff.cli import (
     sweep_instance,
 )
 from riff.numerics import max_relative_error, richardson_grad
-from riff.oracle import enumerate_sequences, exact_gradient, exact_objectives
-from riff.policy import TokenSeq
+from riff.oracle import enumerate_sequences, exact_gradient, exact_kl_gradient, exact_objectives
+from riff.policy import PolicyParams, TokenSeq
 from riff.training import read_metrics_csv
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -201,6 +201,28 @@ def test_oracle_check_error_is_small():
         fd = stacked_central_diffs(policy, x, reward_fn, max_len, 1e-5)
         central = max(central, max_relative_error(exact_gradient(policy, x, reward_fn, max_len), fd))
     assert central == 4.5929590463822024e-08
+
+
+def test_exact_kl_gradient_matches_the_richardson_anchor_on_sweep_draws():
+    # the KL objective through the same stacked Richardson path as the sweep:
+    # 200 sweep draws, each against its own random anchor, at three betas
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="unterminated tail mass")
+        for k in range(200):
+            policy, x, reward_fn, max_len = sweep_instance(rng)
+            anchor = PolicyParams(policy.cfg)
+            anchor.pv.values[:] = np.random.default_rng([0, k]).normal(0.0, 0.6, anchor.pv.size)
+            for beta in (0.1, 0.6, 2.5):
+                analytic = exact_kl_gradient(policy, anchor, x, reward_fn, beta, max_len)
+                fd = richardson_grad(
+                    lambda flats: exact_objectives(policy, flats, x, reward_fn, max_len, anchor, beta),
+                    policy.flat,
+                    ORACLE_FD_STEP,
+                )
+                worst = max(worst, max_relative_error(analytic, fd))
+    assert worst < 1e-5
 
 
 # One-instance sweeps whose central differences at h=1e-5 failed the 1e-3 check:
@@ -405,6 +427,17 @@ def test_grid_rejects_unknown_axis_value(tmp_path, capsys):
     rc = cli.main(["grid", "--estimators", "mml,quantum", "--seeds", "0"])
     assert rc == 2
     assert "quantum" in capsys.readouterr().err
+    # a repeated value would run its cells twice into one run directory
+    for axis, values, message in (
+        ("--estimators", "mml, pg,mml", "repeated estimator 'mml'"),
+        ("--regimes", "on,on", "repeated regime 'on'"),
+        ("--decoders", "beam,top_p,beam", "repeated decoder 'beam'"),
+        ("--seeds", "3,03", "repeated seed 3"),
+    ):
+        rc = cli.main(["--out", str(tmp_path), "grid", axis, values])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_recomputation_matches_summary(tmp_path, capsys):

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assemble_gradient, kl_penalized_gradient, logsumexp, softmax, table_reward, tiny_policy
+from conftest import (
+    assemble_gradient,
+    exact_objective,
+    kl_penalized_gradient,
+    logsumexp,
+    softmax,
+    table_reward,
+    tiny_policy,
+)
 from riff import estimators as est
 from riff.data import RowError
 from riff.estimators import coefficients, normalize_rewards
 from riff.numerics import finite_diff_grad, max_relative_error
-from riff.oracle import enumerate_sequences, exact_gradient, exact_kl_objective, exact_objective
+from riff.oracle import enumerate_sequences, exact_gradient, exact_kl_objective
 from riff.policy import PolicyParams, TokenSeq, pad, seq_logprob, weighted_seq_grads
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    exact_objective,
     greedy_path,
     reference_enumerate_sequences,
     reference_exact_values,
@@ -27,7 +28,6 @@ from riff.oracle import (
     exact_gradient,
     exact_kl_gradient,
     exact_kl_objective,
-    exact_objective,
     exact_objectives,
     mml_posteriors,
 )
@@ -171,17 +171,32 @@ def test_exact_objectives_rows_equal_exact_objective_bitwise(vocab, max_len):
     assert block.shape == (4 * p.flat.size, p.flat.size)
     values = exact_objectives(p, block, x, reward_fn)
 
-    def objective(flat):
+    def probe_of(flat):
         probe = PolicyParams(p.cfg)
         probe.pv.values[:] = flat
-        return exact_objective(probe, x, reward_fn)
+        return probe
+
+    def objective(flat):
+        return exact_objective(probe_of(flat), x, reward_fn)
 
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="unterminated tail mass")
         assert np.array_equal(values, [objective(row) for row in block])
         # central differences from the stacked values are finite_diff_grad's, bitwise
         fd = finite_diff_grad(objective, p.flat, h=1e-5)
-    assert np.array_equal(stacked_central_diffs(p, x, reward_fn, max_len, 1e-5), fd)
+        assert np.array_equal(stacked_central_diffs(p, x, reward_fn, max_len, 1e-5), fd)
+        # with the KL anchor, each row of the whole block is its own vector's
+        # exact_kl_objective and, on a sample of rows (the reference recomputes
+        # the anchor's table per sequence), the straight-line reference's
+        fixed = tiny_policy(seed=int(gen.integers(2**31)), vocab=vocab, max_len=max_len, scale=0.4)
+        probes = [probe_of(row) for row in block]
+        sample = gen.choice(len(block), size=12, replace=False)
+        for beta in (0.0, 0.1, 0.6, 2.5):
+            values = exact_objectives(p, block, x, reward_fn, max_len, fixed, beta)
+            assert np.array_equal(values, [exact_kl_objective(probe, fixed, x, reward_fn, beta) for probe in probes])
+            for i in sample:
+                want = reference_exact_values(probes[i], fixed, x, reward_fn, beta, max_len)["kl_objective"]
+                assert values[i] == want
 
 
 def test_exact_objectives_keeps_the_straight_line_checks():
@@ -195,6 +210,8 @@ def test_exact_objectives_keeps_the_straight_line_checks():
     flats[1, p.pv.segment_slice("out_head")] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite logits"):
         exact_objectives(p, flats, TokenSeq.from_content([1]), table_reward(1))
+    with pytest.raises(ValueError, match="anchor `fixed`, which is missing"):
+        exact_objectives(p, p.flat[None], TokenSeq.from_content([1]), table_reward(1), beta=0.5)
 
 
 def test_exact_kl_rejects_anchor_with_another_vocabulary():
@@ -358,23 +375,23 @@ def kl_instance(seed=51, vocab=4, max_len=4):
     return p, fixed, TokenSeq.from_content([2, 3]), table_reward(seed + 2)
 
 
-# each entry point that enumerates, called on a kl_instance
-ENUMERATING = {
+# each exact entry point, called on a kl_instance; exact_objective is
+# conftest's exact_kl_objective at beta == 0
+EXACT = {
     "exact_objective": lambda p, fixed, x, r: exact_objective(p, x, r),
     "exact_gradient": lambda p, fixed, x, r: exact_gradient(p, x, r),
     "exact_kl_objective": lambda p, fixed, x, r: exact_kl_objective(p, fixed, x, r, 0.6),
     "exact_kl_gradient": lambda p, fixed, x, r: exact_kl_gradient(p, fixed, x, r, 0.6),
-}
-# ... and the two that read a reward vector without one: posteriors of a given
-# enumeration, and the stacked objectives
-REWARD_READERS = {
-    **ENUMERATING,
-    "mml_posteriors": lambda p, fixed, x, r: mml_posteriors(enumerate_sequences(p, x), r),
     "exact_objectives": lambda p, fixed, x, r: exact_objectives(p, np.repeat(p.flat[None], 2, axis=0), x, r),
 }
+# ... and the posteriors of a given enumeration, which read a reward vector too
+REWARD_READERS = {
+    **EXACT,
+    "mml_posteriors": lambda p, fixed, x, r: mml_posteriors(enumerate_sequences(p, x), r),
+}
 
 
-@pytest.mark.parametrize("name", [*ENUMERATING, "exact_objectives"])
+@pytest.mark.parametrize("name", EXACT)
 def test_each_exact_call_runs_one_forward(monkeypatch, name):
     p, fixed, x, reward_fn = kl_instance()
     call = REWARD_READERS[name]
@@ -400,13 +417,13 @@ def test_enumeration_arrays_are_read_only_and_keep_the_support_cache():
     assert [z.ids for z in other.seqs] == [z.ids for z, _ in reference_enumerate_sequences(p, x, 4).entries]
 
 
-@pytest.mark.parametrize("name", ENUMERATING)
+@pytest.mark.parametrize("name", EXACT)
 def test_each_exact_call_warns_on_large_tail(name):
     # a peaked random policy leaves mass on unterminated prefixes
     p, fixed, x, reward_fn = kl_instance()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ENUMERATING[name](p, fixed, x, reward_fn)
+        EXACT[name](p, fixed, x, reward_fn)
     assert any("unterminated tail mass" in str(w.message) for w in caught)
 
 

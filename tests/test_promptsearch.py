@@ -75,7 +75,9 @@ def test_search_reproduces_the_pinned_trajectory():
     # pinned while the search still formatted position-ordered inputs: 3
     # seeds x 8 steps per mode, k = V so that every scaffold id is tried
     # (EOS and MASK candidates must be skipped); each step's candidate order,
-    # accepted instruction and its minibatch log-likelihood, bit for bit
+    # accepted instruction and its minibatch log-likelihood, bit for bit, one
+    # digest per mode. The soft_prompt leg was re-pinned when the candidates'
+    # gradient moved onto the prompt-row label path that the search scores.
     task = gen_synthetic_task(20, 2, 64, 0, seed=0)
     verb = clf.Verbalizer(task.verbalizer_ids)
     v, runs = task.vocab_size, {}
@@ -93,8 +95,17 @@ def test_search_reproduces_the_pinned_trajectory():
                 steps.append([list(inst.ids), minibatch_loglik(p, task.template, inst, minibatch, verb).hex(), cands])
             runs[f"{mode.value}/{seed}"] = steps
     assert runs["none/1"][-1][0] == [18, 18, 18]
-    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
-    assert digest == "700d65f22ebc3da91115dd1d421051e5c5201e07a41622d069b93b7985045611"
+    digests = {
+        mode: hashlib.sha256(json.dumps(
+            {key: steps for key, steps in runs.items() if key.startswith(mode + "/")}, sort_keys=True
+        ).encode()).hexdigest()
+        for mode in ("none", "soft_prompt", "cls_head")
+    }
+    assert digests == {
+        "none": "3fbd4483a69d9e4072d03bf1af1f3f74f4826c8733e3439164734a539f9d68d9",
+        "soft_prompt": "fc2b6e7a02bf9c8ba2a0f476122086f6188dbe002093d725e6c4f48394d86aaa",
+        "cls_head": "f88b4f338ababb7cf7f9fc645e285e22ca3193f2ae5339ffc1cad7750b9b0b2f",
+    }
 
 
 def test_candidates_zero_gradient_ties_break_by_id():

@@ -290,7 +290,7 @@ def test_minibatch_rewards_equal_per_example_rewards(monkeypatch, mode):
         assert max_scaled_error(rewards, per_example_rewards(classifier, task, ex, zs)) <= 1e-12
 
 
-def test_minibatch_rewards_score_each_distinct_rewrite_once(monkeypatch):
+def test_minibatch_rewards_score_every_rewrite_in_one_forward(monkeypatch):
     task, split, classifier, policy = make_pipeline()
     reward_fn = finetune_reward_fn(monkeypatch, task, split, classifier, policy)
     a, b = [ex for ex in split.train if ex.y == 0][:2]
@@ -306,7 +306,7 @@ def test_minibatch_rewards_score_each_distinct_rewrite_once(monkeypatch):
 
     monkeypatch.setattr(clf, "_MaskRowPass", counted)
     got = training._sample_rewards([a, b, c], pad([z for zs in samples for z in zs]), reward_fn, step=1)
-    assert rows == [3]  # one forward, one row per distinct rewrite, whichever labels read it
+    assert rows == [9]  # one forward, one row per rewrite, repeated ones included
     for ex, zs, rewards in zip([a, b, c], samples, got):
         assert max_scaled_error(rewards, per_example_rewards(classifier, task, ex, zs)) <= 1e-12
     assert got[0][0] == got[0][2] and got[0][1] == got[1][0]
