@@ -15,8 +15,9 @@ BENCH_<label>.json at the repository root holds one entry per workload, so
 runs of several workloads under one label share a file; a new run replaces
 its workload's entry. An entry records every run (its `correct`, `attempted`,
 `ok_frac` and metrics, or why it produced no result; no run is dropped),
-both trees' `src_sha256` and `src_lines` (the line total of `src/riff/*.py`,
-as `wc -l` counts it), the environment line, and per end-to-end metric the
+both trees' `src_sha256`, `src_lines` (the line total of `src/riff/*.py`,
+as `wc -l` counts it) and `src_code_lines` (its lines that are not blank,
+comment-only or inside a docstring), the environment line, and per end-to-end metric the
 medians and quartiles of each side, the parent's interquartile range and the
 number of pairs the change wins. `gain_shown` applies the claim rule: the
 change wins at least nine tenths of all pairs, ties counting for neither,
@@ -34,6 +35,7 @@ independent of how many operations fit in a timed run. Its entry is keyed
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import json
 import os
@@ -233,6 +235,29 @@ def src_lines(tree: str) -> int:
     return total
 
 
+BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def src_code_lines(tree: str) -> int:
+    """The code lines of `tree`'s src/riff/*.py: those that are not blank, not
+    comment-only and not inside a docstring, the string literal that opens a
+    module, class or function body."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "riff", "*.py")):
+        with open(path, "rb") as f:
+            source = f.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, BODIES) and node.body and isinstance(node.body[0], ast.Expr):
+                first = node.body[0].value
+                if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+        for number, line in enumerate(source.decode().splitlines(), 1):
+            text = line.strip()
+            total += bool(text) and not text.startswith("#") and number not in docstrings
+    return total
+
+
 def entry_name(workload: str, ops: int | None) -> str:
     """The key of a run's entry in the BENCH file."""
     return workload if ops is None else f"{workload} --ops {ops}"
@@ -270,6 +295,7 @@ def main(argv=None) -> int:
         base_rev = extract_base(args.base, trees["base"])
         copy_working_tree(trees["head"])
         lines = {side: src_lines(trees[side]) for side in SIDES}
+        code_lines = {side: src_code_lines(trees[side]) for side in SIDES}
         for k, seed in enumerate(args.seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
@@ -283,6 +309,7 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.ops is None else None
     entry = workload_entry(runs, end_to_end_directions(), base_rev, seconds, env)
     entry["src_lines"] = lines
+    entry["src_code_lines"] = code_lines
     if args.ops is not None:
         entry["ops"] = args.ops
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")

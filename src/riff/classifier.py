@@ -187,9 +187,11 @@ class _MaskRowPass:
     depends only on its token. A sequence's label scores are thus a function
     of its (V,) token counts N: attention puts A_v = N_v exp(s_v - max) / Z on
     token v, soft-prompt rows are extra keys of count 1, and the attention
-    output is Wv (A E + A_p P). A row scores the same whatever sequence,
-    padding or batch its counts came from. Under SOFT_PROMPT the prompt
-    columns are appended to the counts, so the largest arrays are
+    output is Wv (A E + A_p P). A row scores the same whatever sequence or
+    padding its counts came from, and bitwise the same in any batch of two or
+    more rows; scored alone (B = 1) it may differ in the last bit, because
+    numpy rounds a one-row matrix product differently. Under SOFT_PROMPT the
+    prompt columns are appended to the counts, so the largest arrays are
     (B, V + prompt_len).
     """
 

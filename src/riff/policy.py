@@ -1,10 +1,10 @@
 """Conditional autoregressive rewriter with exact log-probs and gradients.
 
-The model is deliberately tiny: the input is encoded as the mean of its token
-embeddings, and each output step conditions only on that context plus the
-previous token's embedding. That keeps the sequence distribution exactly
-enumerable and the gradient fully analytic, which the enumeration and
-finite-difference checks depend on.
+The model is deliberately tiny: the input is read as its token counts, its
+context is the count-weighted mean of the token embeddings, and each output
+step conditions only on that context plus the previous token's embedding.
+That keeps the sequence distribution exactly enumerable and the gradient
+fully analytic, which the enumeration and finite-difference checks depend on.
 """
 
 from __future__ import annotations
@@ -171,31 +171,29 @@ def _check_padded(rows: Padded, vocab_size: int, max_len: float = math.inf) -> N
         raise ValueError(f"sequence length {lengths[i]} exceeds max_len {max_len}")
 
 
-def _slots(inputs: Padded, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each padded position's row in a (V + 1, d) embedding whose last row is
-    zero (padding takes that row, V), and each input's length, (B, 1)."""
+def _input_counts(inputs, v: int) -> np.ndarray:
+    """(B, V) float64 token-count rows of a padded batch of inputs, or the
+    (1, V) row of one TokenSeq, counted without padding it. An id outside
+    [0, V) raises as _check_padded raises, naming the first such id."""
+    if isinstance(inputs, TokenSeq):
+        counts = np.bincount(inputs.ids, minlength=v)
+        if len(counts) > v:
+            _check_ids(inputs, v)
+        return counts.astype(np.float64)[None]
+    _check_padded(inputs, v)
     ids, valid = inputs
-    return np.where(valid, ids, v), valid.sum(axis=1)[:, None]
+    b = len(ids)
+    counts = np.bincount((ids + np.arange(0, b * v, v)[:, None])[valid], minlength=b * v)
+    return counts.reshape(b, v).astype(np.float64)
 
 
-def _contexts(embedding: np.ndarray, slots: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The mean embedding of each input from its `_slots` rows of a zero-row-
-    appended embedding, stacked, bitwise each input's own .mean(axis=0):
-    positions sum in order, padding adds exact zeros. numpy sums a single
-    embedding column pairwise by padded length, so that case sums each
-    input's own rows."""
-    if embedding.shape[1] == 1:
-        pad_row = len(embedding) - 1
-        return np.array([embedding[row[row != pad_row]].sum(axis=0) / n for row, n in zip(slots, lengths[:, 0])])
-    return embedding[slots].sum(axis=1) / lengths
-
-
-def encode_contexts(params: PolicyParams, inputs: Padded) -> np.ndarray:
-    """The mean embedding of each padded input, stacked, bitwise each input's
-    own .mean(axis=0)."""
-    emb = params.token_embedding
-    _check_padded(inputs, len(emb))
-    return _contexts(np.concatenate([emb, np.zeros_like(emb[:1])]), *_slots(inputs, len(emb)))
+def _contexts(embedding: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean embedding of each input from its token-count row: the
+    count-weighted (V, d) embedding rows summed over the vocabulary, over the
+    input's length. `embedding` may be stacked (K, V, d) (transition_tables).
+    An elementwise product, not a matmul, so that a row's bits do not depend
+    on its batch: a one-row BLAS product rounds differently."""
+    return (counts[..., None] * embedding).sum(axis=-2) / counts.sum(axis=-1, keepdims=True)
 
 
 def _forward(params, contexts: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
@@ -219,17 +217,15 @@ def transition_logits_batch(params: PolicyParams, xs) -> tuple[np.ndarray, tuple
     """Raw next-token logits of each input for every previous token at once,
     stacked: (B, V, V) logits whose [b, p] row holds the logits of the step
     after token p, and the (B, ...) activations (step inputs, hidden states)
-    the backward reuses, from one forward over the batched contexts."""
-    return _forward(params, encode_contexts(params, pad(xs)))
+    the backward reuses, from one forward over the inputs' count rows."""
+    return _forward(params, _contexts(params.token_embedding, _input_counts(pad(xs), params.cfg.vocab_size)))
 
 
 def transition_forward(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
     """transition_table of x and the (1, ...) activations the backward reuses,
     from one forward: bitwise transition_table and the activations of
     transition_logits_batch(params, [x]), without padding a batch of one."""
-    _check_ids(x, params.cfg.vocab_size)
-    context = params.token_embedding[list(x.ids)].sum(axis=0) / len(x.ids)
-    logits, acts = _forward(params, context[None])
+    logits, acts = _forward(params, _contexts(params.token_embedding, _input_counts(x, params.cfg.vocab_size)))
     return log_softmax_rows(logits[0]), acts
 
 
@@ -242,14 +238,12 @@ def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
 def transition_tables(params: PolicyParams, flats: np.ndarray, x: TokenSeq) -> np.ndarray:
     """transition_table of x under each row of a (K, P) block of parameter
     vectors laid out as `params`' own, stacked (K, V, V): one forward with
-    (K, ...) weights, each table bitwise its row's own."""
-    _check_ids(x, params.cfg.vocab_size)
+    (K, ...) weights and x's one count row, each table bitwise its row's own."""
     k = len(flats)
     weights = SimpleNamespace(**{
         name: flats[:, params.pv.segment_slice(name)].reshape(k, *shape) for name, shape in params.pv.segments()
     })
-    # bitwise what .mean(axis=0) of each row's embeddings returns, without numpy's Python-level wrapper
-    contexts = weights.token_embedding[:, list(x.ids)].sum(axis=1) / len(x.ids)
+    contexts = _contexts(weights.token_embedding, _input_counts(x, params.cfg.vocab_size))
     return log_softmax_rows(_forward(weights, contexts)[0])
 
 
@@ -302,18 +296,14 @@ class _Workspace:
             name: self.rows[:, params.pv.segment_slice(name)].reshape(batch, *shape)
             for name, shape in params.pv.segments()
         }
-        # the embedding segment and one row past it: a padding slot (V) lands on
-        # the first d entries of rec_w, which the backward writes after the scatter
-        self.scatter = self.rows[:, : (v + 1) * d].reshape(batch, v + 1, d)
-        self.batch_index = np.arange(batch)[:, None]
 
 
-def _backward(params, work: _Workspace, slots, lengths, counts, rowsums, table, u, s) -> np.ndarray:
+def _backward(params, work: _Workspace, inputs, counts, rowsums, table, u, s) -> np.ndarray:
     """Gradient rows (B, P), in work.rows: row b is the gradient of sum_{p,t}
     counts[b, p, t] * log P(t | p, input b), one stacked backward through the
     (B, V, V) log-softmax tables. With C the counts and `rowsums` their
     rowsum(C), the logit gradient is C - rowsum(C) * exp(table). The inputs
-    come as their `_slots` and lengths; `params` is a PolicyParams or its
+    come as their (B, V) token-count rows; `params` is a PolicyParams or its
     weight views (pretrain_mle)."""
     d = u.shape[-1] // 2
     seg = work.seg
@@ -321,10 +311,10 @@ def _backward(params, work: _Workspace, slots, lengths, counts, rowsums, table, 
     seg["out_head"][:] = s.transpose(0, 2, 1) @ glogits
     ga = (glogits @ params.out_head.T) * (1.0 - s * s)
     gu = ga @ params.rec_w
-    seg["token_embedding"][:] = gu[:, :, d:]
-    # the context is the mean of the input's embeddings: one scatter adds its share
-    # at every position in order, padding slots onto rec_w, overwritten next
-    np.add.at(work.scatter, (work.batch_index, slots), (gu[:, :, :d].sum(axis=1) / lengths)[:, None])
+    # the context is the count-weighted mean of the input's embeddings: a token
+    # that occurs N_t times takes N_t shares of the context's gradient
+    share = gu[:, :, :d].sum(axis=1) / inputs.sum(axis=1, keepdims=True)
+    seg["token_embedding"][:] = gu[:, :, d:] + inputs[:, :, None] * share[:, None, :]
     seg["rec_w"][:] = ga.transpose(0, 2, 1) @ u
     seg["rec_b"][:] = ga.sum(axis=1)
     return work.rows
@@ -339,15 +329,19 @@ def weighted_seq_grads(
     of transition_logits_batch's logits and its activations, (table, activations)."""
     if len(weights) != len(rows.ids):
         raise ValueError(f"{len(weights)} weights for {len(rows.ids)} sequences")
-    _check_padded(rows, params.cfg.vocab_size, params.cfg.max_len)
-    counts = _transition_counts(len(inputs.ids), params.cfg.vocab_size, rows, weights)
-    work = _Workspace(params, len(inputs.ids))
+    v = params.cfg.vocab_size
+    _check_padded(rows, v, params.cfg.max_len)
+    inputs = _input_counts(inputs, v)
+    if transition is not None and len(transition[0]) != len(inputs):
+        raise ValueError(f"{len(transition[0])} transition tables for {len(inputs)} inputs")
+    counts = _transition_counts(len(inputs), v, rows, weights)
+    work = _Workspace(params, len(inputs))
     if transition is None:
-        logits, acts = _forward(params, encode_contexts(params, inputs), work.u)
+        logits, acts = _forward(params, _contexts(params.token_embedding, inputs), work.u)
         transition = log_softmax_rows(logits), acts
     table, (u, s) = transition
     rowsums = counts.sum(axis=-1, keepdims=True)
-    return _backward(params, work, *_slots(inputs, params.cfg.vocab_size), counts, rowsums, table, u, s)
+    return _backward(params, work, inputs, counts, rowsums, table, u, s)
 
 
 def _check_pairs(pairs, cfg: PolicyConfig) -> None:
@@ -372,23 +366,21 @@ def pretrain_mle(
     seed: int = 0,
 ) -> PolicyParams:
     """Maximum-likelihood pretraining on (input, rewrite-target) pairs. Every
-    pair is checked, the inputs' slots and lengths found and each target's
-    transitions counted once per run, and a minibatch gathers its rows of
-    these: one stacked forward and backward in buffers the run reuses, and
-    one reduction of the rows, bitwise their running sum from 0.0. Returns
-    an updated copy; the argument is left untouched."""
+    pair is checked and each input's tokens and target's transitions counted
+    once per run, and a minibatch gathers its rows of these: one stacked
+    forward and backward in buffers the run reuses, and one reduction of the
+    rows, bitwise their running sum from 0.0. Returns an updated copy; the
+    argument is left untouched."""
     if not pairs:
         raise ValueError("no training pairs")
     _check_pairs(pairs, params.cfg)
     n, v = len(pairs), params.cfg.vocab_size
-    slots, lengths = _slots(pad([x for x, _ in pairs]), v)
+    inputs = _input_counts(pad([x for x, _ in pairs]), v)
     counts = _transition_counts(n, v, pad([z for _, z in pairs]), np.ones(n))
     rowsums = counts.sum(axis=-1, keepdims=True)
     out = params.copy()
-    # views of out's weights, which the optimizer updates in place, and the
-    # embedding with a zero row appended that the contexts gather from
+    # views of out's weights, which the optimizer updates in place
     views = SimpleNamespace(**{name: out.pv.view(name) for name, _ in out.pv.segments()})
-    embedding = np.zeros((v + 1, params.cfg.embed_dim))
     opt = AdamW(out.flat.size, AdamConfig(lr=lr))
     rng = np.random.default_rng(seed)
     works = {b: _Workspace(out, b) for b in {min(batch_size, n - start) for start in range(0, n, batch_size)}}
@@ -396,12 +388,11 @@ def pretrain_mle(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             chunk = order[start : start + batch_size]
-            b_slots, b_lengths = slots[chunk], lengths[chunk]
+            b_inputs = inputs[chunk]
             work = works[len(chunk)]
-            embedding[:v] = views.token_embedding
-            logits, (u, s) = _forward(views, _contexts(embedding, b_slots, b_lengths), work.u)
+            logits, (u, s) = _forward(views, _contexts(views.token_embedding, b_inputs), work.u)
             table = log_softmax_rows(logits)
-            rows = _backward(views, work, b_slots, b_lengths, counts[chunk], rowsums[chunk], table, u, s)
+            rows = _backward(views, work, b_inputs, counts[chunk], rowsums[chunk], table, u, s)
             grad = np.add.reduce(rows, axis=0, initial=0.0)
             grad /= len(rows)
             opt.step(out.flat, -grad)

@@ -117,8 +117,11 @@ def step_logits(params: PolicyParams, context: np.ndarray, prev_id: int) -> np.n
 
 
 def reference_context(params: PolicyParams, x: TokenSeq) -> np.ndarray:
-    """The input's context: the mean of its token embeddings."""
-    return params.token_embedding[list(x.ids)].mean(axis=0)
+    """The input's context, the mean of its token embeddings, counted first:
+    the embedding rows weighted by x's token counts, summed over the
+    vocabulary, over |x|."""
+    emb = params.token_embedding
+    return (np.bincount(x.ids, minlength=len(emb))[:, None] * emb).sum(axis=0) / len(x.ids)
 
 
 def greedy_path(params: PolicyParams, x: TokenSeq) -> TokenSeq:
@@ -194,7 +197,8 @@ def reference_seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> flo
 
 
 def reference_seq_logprob_grad(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> np.ndarray:
-    """Straight-line gradient of log P(z | x): one backward per output token."""
+    """Straight-line gradient of log P(z | x): one backward per output token,
+    then N_t shares of the context gradient added once to each token t of x."""
     cfg = params.cfg
     emb = params.token_embedding
     ctx = reference_context(params, x)
@@ -220,8 +224,9 @@ def reference_seq_logprob_grad(params: PolicyParams, x: TokenSeq, z: TokenSeq) -
         g_emb[prev] += gu[cfg.embed_dim :]
         prev = tok
     share = g_ctx / len(x.ids)
-    for t in x.ids:
-        g_emb[t] += share
+    for t, n in enumerate(np.bincount(x.ids)):
+        if n:
+            g_emb[t] += n * share
     return g.values
 
 
@@ -235,7 +240,8 @@ def reference_transition_logits(params: PolicyParams, x: TokenSeq) -> tuple[np.n
 
 
 def reference_weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights) -> np.ndarray:
-    """Unbatched backward through one table, counts added one sequence at a time."""
+    """Unbatched backward through one table, counts added one sequence at a
+    time, and N_t shares of the context gradient added once to each token t of x."""
     cfg = params.cfg
     v, d = cfg.vocab_size, cfg.embed_dim
     counts = np.zeros((v, v))
@@ -251,7 +257,10 @@ def reference_weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights
     gu = ga @ params.rec_w
     g_emb = g.view("token_embedding")
     g_emb[:] = gu[:, d:]
-    np.add.at(g_emb, list(x.ids), gu[:, :d].sum(axis=0) / len(x.ids))
+    share = gu[:, :d].sum(axis=0) / len(x.ids)
+    for t, n in enumerate(np.bincount(x.ids)):
+        if n:
+            g_emb[t] += n * share
     return g.values
 
 

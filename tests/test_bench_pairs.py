@@ -142,6 +142,41 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     assert bench_pairs.src_lines(str(tmp_path / "missing")) == 0
 
 
+CODE_MODULE = '''"""Module docstring,
+
+on three lines."""
+
+# a comment
+import os  # code with a comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Method docstring
+        on two lines."""
+        if os.sep:
+            """A string that opens no definition is code."""
+            # an indented comment
+        return """a string
+        over two lines"""
+'''
+
+
+def test_src_code_lines_skip_blank_comment_and_docstring_lines(tmp_path):
+    package = tmp_path / "src" / "riff"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text(CODE_MODULE)
+    (package / "b.py").write_text("y = 2\nz = 3")  # no final newline
+    (package / "sub" / "c.py").write_text("not_counted = 1\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "d.py").write_text("not_counted = 1\n")
+    # import, class, def, if, the if's string, the return's two lines; y and z
+    assert bench_pairs.src_code_lines(str(tmp_path)) == 9
+    assert bench_pairs.src_code_lines(str(tmp_path / "missing")) == 0
+
+
 FAKE_RUN = """
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 

