@@ -20,8 +20,8 @@ import sys
 import time
 import warnings
 from collections.abc import Callable
-from dataclasses import replace
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, fields, replace
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -47,37 +47,73 @@ class ConfigError(Exception):
     pass
 
 
-CONFIG_DEFAULTS = {
-    "name": "run",
-    # synthetic task
-    "task_vocab_size": 20,
-    "num_labels": 2,
-    "shots": 16,
-    "task_pool": 128,
-    "task_seed": 0,
-    # rewriter
-    "policy_embed_dim": 12,
-    "policy_hidden_dim": 24,
-    "policy_max_len": 24,
-    "pretrain_pool": 128,
-    "pretrain_epochs": 20,
-    "pretrain_lr": 0.02,
-    # classifier
-    "classifier_embed_dim": 16,
-    "tuning_mode": "all",
-    "prompt_len": 0,
-    "lora_rank": 2,
-    "lora_alpha": 32.0,
-    "cls_hidden": 16,
-    "classifier_warmup_steps": 200,
-    "classifier_warmup_lr": 0.01,
-    # checkpoints to reuse instead of building fresh models
-    "policy_checkpoint": None,
-    "classifier_checkpoint": None,
-}
+@dataclass(frozen=True)
+class Config(RunConfig):
+    """One run of the experiment: the RunConfig that training reads, plus the
+    task, model, warmup and checkpoint settings the commands read. Defaults
+    are the recipe, and each annotation is the field's type; `X | None` marks
+    a field that may be null."""
 
-# fields whose default is None, with the type a set value must have
-NULLABLE = {"beta": float, "policy_checkpoint": str, "classifier_checkpoint": str}
+    name: str = "run"
+    # synthetic task
+    task_vocab_size: int = 20
+    num_labels: int = 2
+    shots: int = 16
+    task_pool: int = 128
+    task_seed: int = 0
+    # rewriter
+    policy_embed_dim: int = 12
+    policy_hidden_dim: int = 24
+    policy_max_len: int = 24
+    pretrain_pool: int = 128
+    pretrain_epochs: int = 20
+    pretrain_lr: float = 0.02
+    # classifier
+    classifier_embed_dim: int = 16
+    tuning_mode: str = "all"
+    prompt_len: int = 0
+    lora_rank: int = 2
+    lora_alpha: float = 32.0
+    cls_hidden: int = 16
+    classifier_warmup_steps: int = 200
+    classifier_warmup_lr: float = 0.01
+    # checkpoints to reuse instead of building fresh models
+    policy_checkpoint: str | None = None
+    classifier_checkpoint: str | None = None
+
+    def validate(self) -> None:
+        """RunConfig's checks, then what the task, the models and the inputs
+        need, so that a command fails before any run directory exists rather
+        than after warming up or pretraining. A ValueError names the field."""
+        super().validate()
+        if self.tuning_mode not in {m.value for m in clf.TuningMode}:
+            raise ValueError(f"unknown tuning_mode {self.tuning_mode!r}")
+        for key, low in (("shots", 1), ("pretrain_epochs", 0), ("pretrain_lr", 0),
+                         ("classifier_warmup_steps", 0), ("classifier_warmup_lr", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"config field {key!r} must be at least {low}, got {getattr(self, key)}")
+        if error := _shape_error(self):
+            # the defaults pass: name a set field that fails on its own, else one whose default passes
+            default = Config()
+            changed = [f.name for f in fields(self) if getattr(self, f.name) != getattr(default, f.name)]
+            alone = [k for k in changed if _shape_error(replace(default, **{k: getattr(self, k)}))]
+            fixes = [k for k in changed if not _shape_error(replace(self, **{k: getattr(default, k)}))]
+            raise ValueError(f"config field {(alone or fixes or changed)[0]!r}: {error}")
+        if not self.policy_checkpoint and self.pretrain_pool < 1:
+            raise ValueError(
+                "config field 'pretrain_pool' must be at least 1 without a policy_checkpoint, "
+                f"got {self.pretrain_pool}"
+            )
+        for key in ("policy_checkpoint", "classifier_checkpoint"):
+            if (path := getattr(self, key)) and not os.path.isfile(path):
+                raise ValueError(f"config field {key!r}: no checkpoint file at {path}")
+        # gen_synthetic_task deals labels round-robin, so its rarest label has pool // num_labels examples
+        per_label = self.task_pool // self.num_labels
+        if per_label < 2 * self.shots:
+            raise ValueError(
+                f"config fields 'task_pool' and 'shots': a task_pool of {self.task_pool} gives "
+                f"{max(per_label, 0)} examples of some label, and shots {self.shots} needs {2 * self.shots}"
+            )
 
 
 def _type_ok(value, want) -> bool:
@@ -86,11 +122,13 @@ def _type_ok(value, want) -> bool:
     return isinstance(value, types) and (want is bool or not isinstance(value, bool))
 
 
-def load_config(source) -> dict:
-    """Merge a config dict or JSON file over the defaults; unknown keys and
-    type mismatches are configuration errors naming the field."""
+def load_config(source, decoding: str | None = None) -> Config:
+    """The Config of a dict or JSON file, checked whole: unknown keys, type
+    mismatches and what Config.validate rejects are configuration errors
+    naming the field. A `decoding` command (named for the error) needs at
+    least one rewrite per input."""
     if isinstance(source, dict):
-        raw = dict(source)
+        raw = source
     else:
         if not os.path.exists(source):
             raise ConfigError(f"config file not found: {source}")
@@ -101,86 +139,40 @@ def load_config(source) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-    run_fields = set(RunConfig.__dataclass_fields__)
-    merged = dict(CONFIG_DEFAULTS)
-    merged.update({f: getattr(RunConfig(), f) for f in run_fields})
+    hints = get_type_hints(Config)
     for key, value in raw.items():
-        if key not in merged:
+        if key not in hints:
             raise ConfigError(f"unknown config field {key!r}")
-        want = NULLABLE.get(key, type(merged[key]))
-        if not (_type_ok(value, want) or (value is None and key in NULLABLE)):
-            kind = want.__name__ + (" or null" if key in NULLABLE else "")
+        want, *null = get_args(hints[key]) or (hints[key],)  # `X | None` gives (X, NoneType)
+        if not (_type_ok(value, want) or (value is None and null)):
+            kind = want.__name__ + (" or null" if null else "")
             raise ConfigError(f"config field {key!r} must be {kind}, got {value!r}")
-        merged[key] = value
+    config = Config(**raw)
     try:
-        run_cfg = run_config_of(merged)
-    except (TypeError, ValueError) as exc:
+        config.validate()
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    merged.update(run_cfg.to_dict())
-    if merged["tuning_mode"] not in {m.value for m in clf.TuningMode}:
-        raise ConfigError(f"unknown tuning_mode {merged['tuning_mode']!r}")
-    for key, low in (("shots", 1), ("pretrain_epochs", 0), ("pretrain_lr", 0),
-                     ("classifier_warmup_steps", 0), ("classifier_warmup_lr", 0)):
-        if merged[key] < low:
-            raise ConfigError(f"config field {key!r} must be at least {low}, got {merged[key]}")
-    if error := _shape_error(merged):
-        # the defaults pass: name a set field that fails on its own, else one whose default passes
-        alone = [k for k in raw if _shape_error({**CONFIG_DEFAULTS, k: raw[k]})]
-        fixes = [k for k in raw if k in CONFIG_DEFAULTS and not _shape_error({**merged, k: CONFIG_DEFAULTS[k]})]
-        raise ConfigError(f"config field {(alone or fixes or sorted(raw))[0]!r}: {error}")
-    _check_inputs(merged)
-    return merged
+    if decoding and config.m < 1:
+        raise ConfigError(f"config field 'm' must be at least 1 for {decoding}, got {config.m}")
+    return config
 
 
-def _check_inputs(config: dict) -> None:
-    """Reject, before any run directory exists, what a command would only
-    fail on after warming up or pretraining."""
-    warmup, interval = config["classifier_warmup_steps"], config["checkpoint_interval"]
-    if not config["classifier_checkpoint"] and 0 < warmup < interval:  # warmup selects its last checkpoint
-        raise ConfigError(
-            f"config field 'classifier_warmup_steps' must be 0 or at least checkpoint_interval ({interval}), "
-            f"got {warmup}"
-        )
-    if not config["policy_checkpoint"] and config["pretrain_pool"] < 1:
-        raise ConfigError(
-            "config field 'pretrain_pool' must be at least 1 without a policy_checkpoint, "
-            f"got {config['pretrain_pool']}"
-        )
-    for key in ("policy_checkpoint", "classifier_checkpoint"):
-        if config[key] and not os.path.isfile(config[key]):
-            raise ConfigError(f"config field {key!r}: no checkpoint file at {config[key]}")
-    # gen_synthetic_task deals labels round-robin, so its rarest label has pool // num_labels examples
-    per_label = config["task_pool"] // config["num_labels"]
-    if per_label < 2 * config["shots"]:
-        raise ConfigError(
-            f"config fields 'task_pool' and 'shots': a task_pool of {config['task_pool']} gives "
-            f"{max(per_label, 0)} examples of some label, and shots {config['shots']} needs {2 * config['shots']}"
-        )
-
-
-def _shape_error(config: dict) -> str | None:
+def _shape_error(config: Config) -> str | None:
     """What the model configs and the task's vocabulary bound reject in `config`, if anything."""
     try:
         policy_config(config)
         classifier_config(config)
-        data.gen_synthetic_task(config["task_vocab_size"], config["num_labels"], 0, 0, 0)
+        data.gen_synthetic_task(config.task_vocab_size, config.num_labels, 0, 0, 0)
     except ValueError as exc:
         return str(exc)
     return None
 
 
 def _experiment(args, decoding: str | None = None):
-    """A command's config, its run config, the task and the few-shot split.
-    A `decoding` command (named for the error) needs at least one rewrite per input."""
-    config = load_config(args.config)
-    if decoding and config["m"] < 1:
-        raise ConfigError(f"config field 'm' must be at least 1 for {decoding}, got {config['m']}")
+    """A command's config, the task and the few-shot split; `decoding` as in load_config."""
+    config = load_config(args.config, decoding)
     task = build_task(config)
-    return config, run_config_of(config), task, build_split(config, task)
-
-
-def run_config_of(config: dict) -> RunConfig:
-    return RunConfig.from_dict({f: config[f] for f in RunConfig.__dataclass_fields__})
+    return config, task, build_split(config, task)
 
 
 def out_root(args) -> str:
@@ -191,91 +183,93 @@ def run_dir_of(root: str, name: str, seed: int) -> str:
     return os.path.join(root, name, str(seed))
 
 
-def build_task(config: dict) -> data.SyntheticTask:
+def build_task(config: Config) -> data.SyntheticTask:
     return data.gen_synthetic_task(
-        config["task_vocab_size"],
-        config["num_labels"],
-        config["task_pool"],
-        config["task_pool"] // 2,
-        config["task_seed"],
+        config.task_vocab_size,
+        config.num_labels,
+        config.task_pool,
+        config.task_pool // 2,
+        config.task_seed,
     )
 
 
-def build_split(config: dict, task: data.SyntheticTask) -> training.FewShotSplit:
-    return training.fewshot_split(task.train, config["shots"], config["seed"])
+def build_split(config: Config, task: data.SyntheticTask) -> training.FewShotSplit:
+    return training.fewshot_split(task.train, config.shots, config.seed)
 
 
-def policy_config(config: dict) -> PolicyConfig:
+def policy_config(config: Config) -> PolicyConfig:
     return PolicyConfig(
-        vocab_size=config["task_vocab_size"],
-        embed_dim=config["policy_embed_dim"],
-        hidden_dim=config["policy_hidden_dim"],
-        max_len=config["policy_max_len"],
+        vocab_size=config.task_vocab_size,
+        embed_dim=config.policy_embed_dim,
+        hidden_dim=config.policy_hidden_dim,
+        max_len=config.policy_max_len,
     )
 
 
-def classifier_config(config: dict) -> clf.ClassifierConfig:
-    prompt_len = config["prompt_len"]
-    if config["tuning_mode"] == "soft_prompt" and prompt_len == 0:
+def classifier_config(config: Config) -> clf.ClassifierConfig:
+    prompt_len = config.prompt_len
+    if config.tuning_mode == "soft_prompt" and prompt_len == 0:
         prompt_len = 5  # desk-scale default prompt length
     return clf.ClassifierConfig(
-        vocab_size=config["task_vocab_size"],
-        num_labels=config["num_labels"],
-        embed_dim=config["classifier_embed_dim"],
+        vocab_size=config.task_vocab_size,
+        num_labels=config.num_labels,
+        embed_dim=config.classifier_embed_dim,
         prompt_len=prompt_len,
-        lora_rank=config["lora_rank"],
-        lora_alpha=config["lora_alpha"],
-        cls_hidden=config["cls_hidden"],
+        lora_rank=config.lora_rank,
+        lora_alpha=config.lora_alpha,
+        cls_hidden=config.cls_hidden,
     )
 
 
-def pretrained_policy(config: dict) -> PolicyParams:
+def pretrained_policy(config: Config) -> PolicyParams:
     """Rewriter pretrained on rule-based rewrite targets of a synthetic pool
     disjoint from the task split."""
-    if config["policy_checkpoint"]:
-        return load_policy(config["policy_checkpoint"])
+    if config.policy_checkpoint:
+        return load_policy(config.policy_checkpoint)
     pool = data.gen_synthetic_task(
-        config["task_vocab_size"],
-        config["num_labels"],
-        config["pretrain_pool"],
+        config.task_vocab_size,
+        config.num_labels,
+        config.pretrain_pool,
         0,
-        config["task_seed"] + 7919,
+        config.task_seed + 7919,
     )
-    corpus = data.gen_rewriter_corpus(pool.train, config["num_labels"], config["task_seed"] + 104729)
-    init = PolicyParams.init_random(policy_config(config), seed=config["seed"] + 31)
+    corpus = data.gen_rewriter_corpus(pool.train, config.num_labels, config.task_seed + 104729)
+    init = PolicyParams.init_random(policy_config(config), seed=config.seed + 31)
     return pretrain_mle(
-        init, corpus, epochs=config["pretrain_epochs"], lr=config["pretrain_lr"],
-        seed=config["seed"] + 47,
+        init, corpus, epochs=config.pretrain_epochs, lr=config.pretrain_lr,
+        seed=config.seed + 47,
     )
 
 
-def warmed_classifier(config: dict, task, split) -> clf.ClassifierParams:
+def warmed_classifier(config: Config, task, split) -> clf.ClassifierParams:
     """Classifier given plain supervised warmup so rewrite rewards carry signal."""
-    if config["classifier_checkpoint"]:
-        return clf.load_classifier(config["classifier_checkpoint"])
+    if config.classifier_checkpoint:
+        return clf.load_classifier(config.classifier_checkpoint)
     params = clf.ClassifierParams.init_random(
-        classifier_config(config), clf.TuningMode(config["tuning_mode"]), seed=config["seed"] + 59
+        classifier_config(config), clf.TuningMode(config.tuning_mode), seed=config.seed + 59
     )
-    if config["classifier_warmup_steps"] > 0:
-        warm_cfg = replace(
-            run_config_of(config),
-            steps=config["classifier_warmup_steps"],
-            lr=config["classifier_warmup_lr"],
+    if config.classifier_warmup_steps > 0:
+        # one checkpoint, taken at the last warmup step
+        warm = replace(
+            config,
+            steps=config.classifier_warmup_steps,
+            lr=config.classifier_warmup_lr,
+            checkpoint_interval=config.classifier_warmup_steps,
         )
         checkpoints = training.train_classifier_augmented(
-            params, None, task, split, m=0, mode=params.mode, cfg=warm_cfg
+            params, None, task, split, m=0, mode=params.mode, cfg=warm
         )
         params = checkpoints[-1].params.copy()
     return params
 
 
-def write_manifest(run_dir: str, config: dict, plan: dict, files: dict, started: float) -> None:
+def write_manifest(run_dir: str, config: Config, plan: dict, files: dict, started: float) -> None:
     """Write manifest.json; `wall_s` is the wall time from `started` (a
     time.perf_counter() reading taken when the command began) to this write."""
     os.makedirs(run_dir, exist_ok=True)
     manifest = {
-        "config": config,
-        "seed": config["seed"],
+        "config": asdict(config),
+        "seed": config.seed,
         "protocol": plan,
         "files": files,
         "versions": {"riff": __version__, "python": platform.python_version(), "numpy": np.__version__},
@@ -287,20 +281,20 @@ def write_manifest(run_dir: str, config: dict, plan: dict, files: dict, started:
 
 def cmd_pretrain(args) -> int:
     config = load_config(args.config)
-    run_dir = run_dir_of(out_root(args), config["name"], config["seed"])
+    run_dir = run_dir_of(out_root(args), config.name, config.seed)
     os.makedirs(run_dir, exist_ok=True)
     policy = pretrained_policy(config)
     path = os.path.join(run_dir, "policy_pretrained.ckpt")
     save_policy(path, policy)
-    plan = {"pretrain_epochs": config["pretrain_epochs"], "pretrain_pool": config["pretrain_pool"]}
+    plan = {"pretrain_epochs": config.pretrain_epochs, "pretrain_pool": config.pretrain_pool}
     write_manifest(run_dir, config, plan, {"policy_pretrained": file_hash(path)}, args.started)
     print(f"pretrained rewriter saved to {path}")
     return 0
 
 
 def cmd_riff_finetune(args) -> int:
-    config, cfg, task, split = _experiment(args, decoding="riff-finetune")
-    run_dir = run_dir_of(out_root(args), config["name"], config["seed"])
+    config, task, split = _experiment(args, decoding="riff-finetune")
+    run_dir = run_dir_of(out_root(args), config.name, config.seed)
     os.makedirs(run_dir, exist_ok=True)
     classifier = warmed_classifier(config, task, split)
     clf_path = os.path.join(run_dir, "classifier_frozen.ckpt")
@@ -308,7 +302,7 @@ def cmd_riff_finetune(args) -> int:
     policy = pretrained_policy(config)
     pre_path = os.path.join(run_dir, "policy_pretrained.ckpt")
     save_policy(pre_path, policy)
-    checkpoints = training.finetune_paraphraser(policy, classifier, task, split, cfg, run_dir)
+    checkpoints = training.finetune_paraphraser(policy, classifier, task, split, config, run_dir)
     best = training.select_best_checkpoint(checkpoints, training.METRIC_EXCL)
     best_path = os.path.join(run_dir, "policy_best.ckpt")
     save_policy(best_path, best.params)
@@ -317,7 +311,7 @@ def cmd_riff_finetune(args) -> int:
         "policy_pretrained": file_hash(pre_path),
         "policy_best": file_hash(best_path),
     }
-    write_manifest(run_dir, config, training.protocol_plan(cfg, len(split.train)), files, args.started)
+    write_manifest(run_dir, config, training.protocol_plan(config, len(split.train)), files, args.started)
     print(
         f"finetuned rewriter: best checkpoint step {best.step} "
         f"ensemble accuracy {best.metrics[training.METRIC_EXCL]:.3f} -> {best_path}"
@@ -326,20 +320,20 @@ def cmd_riff_finetune(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
-    config, cfg, task, split = _experiment(args)
-    run_dir = run_dir_of(out_root(args), config["name"], config["seed"])
+    config, task, split = _experiment(args)
+    run_dir = run_dir_of(out_root(args), config.name, config.seed)
     os.makedirs(run_dir, exist_ok=True)
-    policy = pretrained_policy(config) if cfg.m > 0 else None
-    mode = clf.TuningMode(config["tuning_mode"])
-    params = clf.ClassifierParams.init_random(classifier_config(config), mode, seed=config["seed"] + 59)
+    policy = pretrained_policy(config) if config.m > 0 else None
+    mode = clf.TuningMode(config.tuning_mode)
+    params = clf.ClassifierParams.init_random(classifier_config(config), mode, seed=config.seed + 59)
     checkpoints = training.train_classifier_augmented(
-        params, policy, task, split, cfg.m, mode, cfg, run_dir
+        params, policy, task, split, config.m, mode, config, run_dir
     )
     best = training.select_best_checkpoint(checkpoints, training.METRIC_INCL)
     best_path = os.path.join(run_dir, "classifier_best.ckpt")
     clf.save_classifier(best_path, best.params)
     write_manifest(
-        run_dir, config, training.protocol_plan(cfg, len(split.train)),
+        run_dir, config, training.protocol_plan(config, len(split.train)),
         {"classifier_best": file_hash(best_path)}, args.started,
     )
     print(
@@ -350,7 +344,7 @@ def cmd_train_classifier(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config, cfg, task, split = _experiment(args, decoding="evaluate")
+    config, task, split = _experiment(args, decoding="evaluate")
     classifier = warmed_classifier(config, task, split)
     policy = pretrained_policy(config)
     verbalizer = clf.Verbalizer(task.verbalizer_ids)
@@ -359,7 +353,7 @@ def cmd_evaluate(args) -> int:
     for name, examples in (("validation", split.validation), ("test", task.test)):
         plain = training.plain_accuracy(classifier, task.template, verbalizer, examples)
         # one decode per example serves both ensembles and the diversity rows
-        rewrites[name] = training.decode_rewrites(policy, examples, cfg.m, cfg)
+        rewrites[name] = training.decode_rewrites(policy, examples, config.m, config)
         counts = training.group_counts(task.template, classifier.cfg.vocab_size, examples, rewrites[name])
         incl, excl = training.ensemble_accuracies(classifier, verbalizer, examples, counts)
         rows.extend(
@@ -372,9 +366,9 @@ def cmd_evaluate(args) -> int:
         print(f"{name}: plain {plain:.3f} ensemble+orig {incl:.3f} ensemble-only {excl:.3f}")
     ld_values = []
     pld_values = []
-    decoded = unpad(Padded(*(a[: 16 * cfg.m] for a in rewrites["test"])))  # the first 16 test groups
+    decoded = unpad(Padded(*(a[: 16 * config.m] for a in rewrites["test"])))  # the first 16 test groups
     for k, ex in enumerate(task.test[:16]):
-        zs = [data.strip_scaffold(z) for z in decoded[k * cfg.m : (k + 1) * cfg.m]]
+        zs = [data.strip_scaffold(z) for z in decoded[k * config.m : (k + 1) * config.m]]
         zs = [z for z in zs if len(z.content) > 0]
         if len(zs) >= 2:
             ld_values.extend(metrics.lexical_diversity(ex.x.content, z.content) for z in zs)
@@ -385,7 +379,7 @@ def cmd_evaluate(args) -> int:
         print(
             f"rewrite diversity: LD {np.mean(ld_values):.3f} PLD {np.mean(pld_values):.3f}"
         )
-    run_dir = run_dir_of(out_root(args), config["name"], config["seed"])
+    run_dir = run_dir_of(out_root(args), config.name, config.seed)
     os.makedirs(run_dir, exist_ok=True)
     training.write_metrics_csv(os.path.join(run_dir, "eval_metrics.csv"), rows)
     return 0
@@ -488,7 +482,7 @@ def parse_axis(text: str, allowed, axis_name: str) -> list[str]:
 
 
 def cmd_grid(args) -> int:
-    config = load_config(args.config) if args.config else load_config({})
+    config = load_config(args.config or {})
     estimators = parse_axis(args.estimators, training.ESTIMATORS, "estimator")
     regimes = parse_axis(args.regimes, training.REGIMES, "regime")
     decoders = parse_axis(args.decoders, training.DECODERS, "decoder")
@@ -509,13 +503,17 @@ def cmd_grid(args) -> int:
         for v in [v for i, v in enumerate(values) if v in values[:i]][:1]:
             raise ConfigError(f"repeated {axis_name} {v!r}")
     cells = list(itertools.product(estimators, regimes, decoders, normalize_axis))
-    print(f"grid: {len(cells)} cells x {len(seeds)} seeds = {len(cells) * len(seeds)} runs")
+    runs = []  # every run's config is checked before the first run writes anything
     for estimator, regime, decoder, normalize in cells:
         name = f"{estimator}-{regime}-{decoder}" + ("-z" if normalize else "")
         for seed in seeds:
-            cell_config = {**config, "name": name, "estimator": estimator, "regime": regime,
-                           "decoder": decoder, "normalize": normalize, "beta": None, "seed": seed}
-            cmd_riff_finetune(argparse.Namespace(config=cell_config, out=args.out, started=time.perf_counter()))
+            cell = {**asdict(config), "name": name, "estimator": estimator, "regime": regime,
+                    "decoder": decoder, "normalize": normalize, "seed": seed}
+            load_config(cell, decoding="riff-finetune")
+            runs.append(cell)
+    print(f"grid: {len(cells)} cells x {len(seeds)} seeds = {len(runs)} runs")
+    for cell in runs:
+        cmd_riff_finetune(argparse.Namespace(config=cell, out=args.out, started=time.perf_counter()))
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,19 +129,6 @@ class RunConfig:
 
     def resolved_beta(self) -> float:
         return DEFAULT_BETA[self.estimator] if self.beta is None else self.beta
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown run config field {sorted(unknown)[0]!r}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 def decode_config(cfg: RunConfig, seed: int) -> DecodeConfig:

@@ -252,8 +252,7 @@ def test_criterion_6_protocol_arithmetic(tmp_path):
     split = cli.build_split(config, task)
     assert len(split.train) == 256
     run_dir = tmp_path / "protocol" / "0"
-    cfg = cli.run_config_of(config)
-    cli.write_manifest(str(run_dir), config, training.protocol_plan(cfg, len(split.train)), {}, time.perf_counter())
+    cli.write_manifest(str(run_dir), config, training.protocol_plan(config, len(split.train)), {}, time.perf_counter())
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["protocol"]["steps_per_epoch"] == 32
     assert manifest["protocol"]["epochs"] == 35

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ import pytest
 from conftest import mp_objective_derivative, stacked_central_diffs, tiny_policy
 import riff
 from riff import cli, training
+from riff.classifier import ClassifierParams, TuningMode
 from riff.cli import (
     ORACLE_FD_STEP,
     ConfigError,
     load_config,
     oracle_check,
     oracle_sweep,
-    run_config_of,
     summarize_runs,
     sweep_instance,
 )
@@ -60,13 +61,13 @@ def fast_config(tmp_path, **overrides):
 
 def test_load_config_applies_defaults():
     config = load_config({})
-    assert config["estimator"] == "mml"
-    assert config["regime"] == "klon"
-    assert config["decoder"] == "mixed"
-    assert config["normalize"] is True
-    assert config["m"] == 8
-    assert config["checkpoint_interval"] == 8
-    assert config["top_p"] == 0.99
+    assert config.estimator == "mml"
+    assert config.regime == "klon"
+    assert config.decoder == "mixed"
+    assert config.normalize is True
+    assert config.m == 8
+    assert config.checkpoint_interval == 8
+    assert config.top_p == 0.99
 
 
 def test_load_config_rejects_unknown_field():
@@ -119,8 +120,6 @@ def test_invalid_config_field_exits_2(tmp_path, capsys):
      "steps must be at least checkpoint_interval, got steps 4 and checkpoint_interval 8"),
     (["train-classifier", "--config", {"steps": 4}],
      "steps must be at least checkpoint_interval, got steps 4 and checkpoint_interval 8"),
-    (["riff-finetune", "--config", {"classifier_warmup_steps": 4}],
-     r"'classifier_warmup_steps' must be 0 or at least checkpoint_interval \(8\), got 4"),
     (["riff-finetune", "--config", {"pretrain_pool": 0}],
      "'pretrain_pool' must be at least 1 without a policy_checkpoint, got 0"),
     (["riff-finetune", "--config", {"policy_checkpoint": "no/such/policy.ckpt"}],
@@ -137,7 +136,7 @@ def test_invalid_config_field_exits_2(tmp_path, capsys):
         "task_vocab_size_too_small", "pretrain_epochs_negative", "pretrain_lr_negative",
         "classifier_warmup_steps_negative", "classifier_warmup_lr_negative",
         "steps_below_checkpoint_interval", "train_classifier_steps_below_checkpoint_interval",
-        "classifier_warmup_steps_below_checkpoint_interval", "pretrain_pool_0", "policy_checkpoint_missing",
+        "pretrain_pool_0", "policy_checkpoint_missing",
         "classifier_checkpoint_missing", "task_pool_too_small_for_shots", "finetune_m_0", "evaluate_m_0"])
 def test_invalid_settings_exit_2_naming_the_field(tmp_path, capsys, argv, message):
     if isinstance(argv[-1], dict):
@@ -283,7 +282,7 @@ def test_write_manifest_interrupted_keeps_old_file(tmp_path):
     cli.write_manifest(str(tmp_path), config, {}, {}, time.perf_counter())
     path = tmp_path / "manifest.json"
     first = path.read_text()
-    bad = dict(config, name=object())  # json.dump fails part-way through
+    bad = replace(config, name=object())  # json.dump fails part-way through
     with pytest.raises(TypeError):
         cli.write_manifest(str(tmp_path), bad, {}, {}, time.perf_counter())
     assert path.read_text() == first
@@ -300,8 +299,8 @@ def test_riff_finetune_writes_run_artifacts(tmp_path, capsys):
     assert (run_dir / "policy_best.ckpt").exists()
     manifest = json.loads((run_dir / "manifest.json").read_text())
     # manifest config reparses to an equivalent run configuration
-    reparsed = run_config_of(load_config(manifest["config"]))
-    assert reparsed == run_config_of(load_config(json.loads(open(config).read())))
+    reparsed = load_config(manifest["config"])
+    assert reparsed == load_config(json.loads(open(config).read()))
     assert manifest["protocol"]["num_checkpoints"] == 2
     assert len(manifest["files"]) == 3
 
@@ -343,6 +342,19 @@ def test_manifest_records_the_commands_wall_time(tmp_path):
     # the wall time goes to the manifest only; the metric rows are the run's as before
     metrics = {r["metric"] for r in read_metrics_csv(run_dir / "metrics.csv")}
     assert metrics == {"loss", training.METRIC_INCL}
+
+
+def test_warmed_classifier_is_its_last_warmup_step_whatever_the_checkpoint_interval():
+    # 12 warmup steps at checkpoint_interval 8: the warmed classifier is the step-12 one, not step 8's
+    config = load_config({"classifier_warmup_steps": 12, "checkpoint_interval": 8})
+    task = cli.build_task(config)
+    split = cli.build_split(config, task)
+    warmed = cli.warmed_classifier(config, task, split)
+    init = ClassifierParams.init_random(cli.classifier_config(config), TuningMode.ALL, seed=59)
+    cfg = training.RunConfig(steps=12, lr=0.01, checkpoint_interval=4, seed=0)
+    step4, step8, step12 = training.train_classifier_augmented(init, None, task, split, 0, TuningMode.ALL, cfg)
+    assert np.array_equal(warmed.flat, step12.params.flat)
+    assert not np.array_equal(warmed.flat, step8.params.flat)
 
 
 def test_soft_prompt_mode_defaults_prompt_length():
@@ -401,7 +413,7 @@ def test_evaluate_command(tmp_path, capsys):
 
 def test_grid_cardinality_is_axis_product(tmp_path, capsys):
     config = fast_config(tmp_path, steps=2, checkpoint_interval=2, classifier_warmup_steps=4,
-                         pretrain_epochs=1, m=2)
+                         pretrain_epochs=1, m=2, beta=0.3)
     rc = cli.main(
         [
             "--out", str(tmp_path / "runs"),
@@ -420,6 +432,22 @@ def test_grid_cardinality_is_axis_product(tmp_path, capsys):
     assert names == ["mml-on-beam", "mml-on-beam-z", "pg-on-beam", "pg-on-beam-z"]
     for name in names:
         assert (tmp_path / "runs" / name / "0" / "metrics.csv").exists()
+        # a configured beta holds in every cell
+        assert json.loads((tmp_path / "runs" / name / "0" / "manifest.json").read_text())["config"]["beta"] == 0.3
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"decoder": "beam", "m": 3}, "mixed decoding needs an even m"),
+    ({"decoder": "beam", "m": 0}, "config field 'm' must be at least 1 for riff-finetune, got 0"),
+], ids=["odd_m_for_mixed", "m_0"])
+def test_grid_checks_every_cell_before_the_first_run(tmp_path, capsys, overrides, message):
+    # the mml-on-beam cell is valid, and runs first; the mixed cell or every cell is not
+    config = fast_config(tmp_path, **overrides)
+    argv = ["--out", str(tmp_path / "runs"), "grid", "--config", config, "--estimators", "mml",
+            "--regimes", "on", "--decoders", "beam,mixed", "--normalize", "off"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_grid_rejects_unknown_axis_value(tmp_path, capsys):
@@ -508,8 +536,8 @@ def test_load_config_rejects_wrong_types_naming_the_field(field, value, message)
 
 def test_load_config_accepts_ints_for_floats_and_null_where_allowed():
     config = load_config({"lr": 1, "beta": None, "classifier_checkpoint": None, "top_p": 1})
-    assert config["lr"] == 1 and config["beta"] is None and config["classifier_checkpoint"] is None
-    assert load_config({"beta": 0})["beta"] == 0
+    assert config.lr == 1 and config.beta is None and config.classifier_checkpoint is None
+    assert load_config({"beta": 0}).beta == 0
 
 
 def test_report_flags_incomplete_runs(tmp_path, capsys):
