@@ -3,6 +3,7 @@
 
     python3 scripts/bench_pairs.py --base REV --label L --workload W --seeds A-B [--seconds 20]
     python3 scripts/bench_pairs.py --base REV --label L --workload W --seeds A-B --ops N
+    python3 scripts/bench_pairs.py --base REV --label L --workload tier1 --seeds A-B
 
 The base tree is REV extracted with `git archive`; the change tree is a copy
 of the working tree's tracked and untracked, not ignored, files. Both trees
@@ -30,6 +31,12 @@ pins it), checks each operation's outputs as perfbench does, and records
 `ru_maxrss` as peak_rss_mb. A fixed count makes the memory reading
 independent of how many operations fit in a timed run. Its entry is keyed
 `W --ops N`, beside the workload's timed entry.
+
+With --workload tier1 a run is no perfbench run either: it is the tier-1
+suite, `python -m pytest -q --continue-on-collection-errors` with
+PYTHONPATH=src in each tree, and records the command's wall seconds as
+tier1_s and its pass count as tier1_passed. The seeds only number the
+pairs, and a run is correct when the command exits 0.
 """
 
 from __future__ import annotations
@@ -39,15 +46,20 @@ import ast
 import glob
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
+TIER1 = "tier1"
+TIER1_CMD = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_BETTER = {"tier1_s": "lower", "tier1_passed": "higher"}
 
 # Run in a tree's root as `python -c OPS_CHILD WORKLOAD SEED N`; it prints
 # perfbench's environment and result lines, so run_record reads it unchanged.
@@ -117,6 +129,21 @@ def run_record(seed: int, side: str, position: int, stdout: str, error: str | No
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return {**record, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "ok_frac": metrics.get("ok_frac"), "metrics": metrics}
+
+
+def tier1_record(seed: int, side: str, position: int, stdout: str, error: str | None, seconds: float) -> dict:
+    """One tier-1 run as recorded, from pytest's closing summary line (such
+    as `1 failed, 771 passed in 20.1s`): its wall seconds and pass count, or
+    why it has none. Failed tests and collection errors count as failed."""
+    record = {"seed": seed, "side": side, "ran": "first" if position == 0 else "second", "src_sha256": None}
+    summary = (stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", summary)}
+    if not counts:
+        return {**record, "correct": False, "error": error or "no pytest summary line"}
+    passed = counts.get("passed", 0)
+    failed = counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)
+    return {**record, "correct": error is None, "attempted": passed + failed, "failed": failed,
+            "ok_frac": None, "metrics": {"tier1_s": seconds, "tier1_passed": passed}}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -277,17 +304,30 @@ def run_perfbench(tree: str, workload: str, seed: int, seconds: float,
     return done.stdout, error
 
 
+def run_tier1(tree: str) -> tuple[str, str | None, float]:
+    """(stdout, error or None, wall seconds) of one tier-1 run in `tree`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1_CMD], cwd=tree, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    error = None if done.returncode == 0 else f"exit {done.returncode}: {done.stdout.strip()[-500:]}"
+    return done.stdout, error, seconds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="parent revision")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help=f"a perfbench workload, or {TIER1}")
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B, inclusive")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--ops", type=int, help="record peak_rss_mb after operations 0..N-1 instead")
     args = parser.parse_args(argv)
     if args.ops is not None and args.ops < 1:
         parser.error("--ops must be positive")
+    tier1 = args.workload == TIER1
+    if tier1 and args.ops is not None:
+        parser.error(f"--ops does not apply to {TIER1}")
 
     runs, env = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -299,15 +339,22 @@ def main(argv=None) -> int:
         for k, seed in enumerate(args.seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                stdout, error = run_perfbench(trees[side], args.workload, seed, args.seconds, args.ops)
-                record = run_record(seed, side, position, stdout, error)
-                env = env or parse_output(stdout)[0]
+                if tier1:
+                    record = tier1_record(seed, side, position, *run_tier1(trees[side]))
+                else:
+                    stdout, error = run_perfbench(trees[side], args.workload, seed, args.seconds, args.ops)
+                    record = run_record(seed, side, position, stdout, error)
+                    env = env or parse_output(stdout)[0]
                 runs.append(record)
                 metrics = record.get("metrics", {})
-                shown = {m: metrics[m] for m in ("run_s", "pretrain_s", "finetune_s", "peak_rss_mb") if m in metrics}
+                shown = {m: metrics[m] for m in ("run_s", "pretrain_s", "finetune_s", "peak_rss_mb", "tier1_s",
+                                                 "tier1_passed") if m in metrics}
                 print(f"seed {seed} {side}: correct={record['correct']} {shown}", flush=True)
-    seconds = args.seconds if args.ops is None else None
-    entry = workload_entry(runs, end_to_end_directions(), base_rev, seconds, env)
+    if tier1:
+        env = {"python": sys.version.split()[0], "command": " ".join(["PYTHONPATH=src python", *TIER1_CMD])}
+    seconds = args.seconds if args.ops is None and not tier1 else None
+    better = TIER1_BETTER if tier1 else end_to_end_directions()
+    entry = workload_entry(runs, better, base_rev, seconds, env)
     entry["src_lines"] = lines
     entry["src_code_lines"] = code_lines
     if args.ops is not None:

@@ -21,12 +21,13 @@ from .policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
+    count_grads,
+    input_counts,
     pad,
     policy_segments,
     transition_forward,
     transition_table,
     transition_tables,
-    weighted_seq_grads,
 )
 from .vocab import BOS, EOS
 
@@ -93,6 +94,22 @@ def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.nd
     for arr in (*rows, path_idx):
         arr.setflags(write=False)
     return seqs, path_idx, rows
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(vocab_size: int, max_len: int, ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What an exact gradient of input ids reads besides its forward and its
+    coefficients, built once per (vocab_size, max_len, ids) and read-only:
+    the input's (1, V) token-count row, the flat (previous token, token) cell
+    in a (V, V) table of every step of the support's padded rows, row-major,
+    and the rows' mask of real steps. An id outside the vocabulary raises,
+    so no plan is kept for it."""
+    seqs, _, (tokens, mask) = _support(vocab_size, max_len)
+    prev = np.concatenate([np.full((len(seqs), 1), BOS), tokens[:, :-1]], axis=1)
+    plan = input_counts(TokenSeq(ids), vocab_size), (prev * vocab_size + tokens).ravel(), mask
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
 
 
 def _path_logprobs(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -227,10 +244,17 @@ def exact_kl_gradient(
 ) -> np.ndarray:
     """Exact gradient of exact_kl_objective: the MML posteriors, less the
     KL term's coefficients unless beta == 0, weight each enumerated
-    sequence's log-probability gradient. beta == 0 reads no anchor."""
+    sequence's log-probability gradient. beta == 0 reads no anchor. The
+    coefficients' transition counts are one bincount over x's cached _plan,
+    and the backward reuses the enumeration's forward: bitwise
+    policy.weighted_seq_grads of the support's rows. Rewards are read on
+    every call."""
     enum = enumerate_sequences(params, x, max_len)
     coeffs = mml_posteriors(enum, reward_fn)
     if beta != 0.0:
         lps = enum.logprobs
         coeffs = coeffs - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
-    return weighted_seq_grads(params, pad([x]), enum.rows, coeffs, (enum.table[None], enum.activations))[0]
+    v = params.cfg.vocab_size
+    inputs, cells, mask = _plan(v, _guard(params, max_len), x.ids)
+    counts = np.bincount(cells, (coeffs[:, None] * mask).ravel(), v * v).reshape(1, v, v)
+    return count_grads(params, inputs, counts, (enum.table[None], enum.activations))[0]

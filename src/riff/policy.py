@@ -171,7 +171,7 @@ def _check_padded(rows: Padded, vocab_size: int, max_len: float = math.inf) -> N
         raise ValueError(f"sequence length {lengths[i]} exceeds max_len {max_len}")
 
 
-def _input_counts(inputs, v: int) -> np.ndarray:
+def input_counts(inputs, v: int) -> np.ndarray:
     """(B, V) float64 token-count rows of a padded batch of inputs, or the
     (1, V) row of one TokenSeq, counted without padding it. An id outside
     [0, V) raises as _check_padded raises, naming the first such id."""
@@ -218,14 +218,14 @@ def transition_logits_batch(params: PolicyParams, xs) -> tuple[np.ndarray, tuple
     stacked: (B, V, V) logits whose [b, p] row holds the logits of the step
     after token p, and the (B, ...) activations (step inputs, hidden states)
     the backward reuses, from one forward over the inputs' count rows."""
-    return _forward(params, _contexts(params.token_embedding, _input_counts(pad(xs), params.cfg.vocab_size)))
+    return _forward(params, _contexts(params.token_embedding, input_counts(pad(xs), params.cfg.vocab_size)))
 
 
 def transition_forward(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
     """transition_table of x and the (1, ...) activations the backward reuses,
     from one forward: bitwise transition_table and the activations of
     transition_logits_batch(params, [x]), without padding a batch of one."""
-    logits, acts = _forward(params, _contexts(params.token_embedding, _input_counts(x, params.cfg.vocab_size)))
+    logits, acts = _forward(params, _contexts(params.token_embedding, input_counts(x, params.cfg.vocab_size)))
     return log_softmax_rows(logits[0]), acts
 
 
@@ -243,7 +243,7 @@ def transition_tables(params: PolicyParams, flats: np.ndarray, x: TokenSeq) -> n
     weights = SimpleNamespace(**{
         name: flats[:, params.pv.segment_slice(name)].reshape(k, *shape) for name, shape in params.pv.segments()
     })
-    contexts = _contexts(weights.token_embedding, _input_counts(x, params.cfg.vocab_size))
+    contexts = _contexts(weights.token_embedding, input_counts(x, params.cfg.vocab_size))
     return log_softmax_rows(_forward(weights, contexts)[0])
 
 
@@ -320,21 +320,13 @@ def _backward(params, work: _Workspace, inputs, counts, rowsums, table, u, s) ->
     return work.rows
 
 
-def weighted_seq_grads(
-    params: PolicyParams, inputs: Padded, rows: Padded, weights, transition=None
-) -> np.ndarray:
-    """Gradient rows (B, P): row b is the gradient of sum_r weights[r] * log P(row r | input b)
-    over input b's rows (input-major), by one stacked backward from the weighted transition
-    counts. A caller holding the inputs' forward passes it as `transition`: the log-softmax
-    of transition_logits_batch's logits and its activations, (table, activations)."""
-    if len(weights) != len(rows.ids):
-        raise ValueError(f"{len(weights)} weights for {len(rows.ids)} sequences")
-    v = params.cfg.vocab_size
-    _check_padded(rows, v, params.cfg.max_len)
-    inputs = _input_counts(inputs, v)
-    if transition is not None and len(transition[0]) != len(inputs):
-        raise ValueError(f"{len(transition[0])} transition tables for {len(inputs)} inputs")
-    counts = _transition_counts(len(inputs), v, rows, weights)
+def count_grads(params: PolicyParams, inputs: np.ndarray, counts: np.ndarray, transition=None) -> np.ndarray:
+    """Gradient rows (B, P), fresh on every call: row b is the gradient of
+    sum_{p,t} counts[b, p, t] * log P(t | p, input b), by one stacked backward
+    from the inputs' (B, V) token-count rows (input_counts) and their (B, V, V)
+    transition counts, taken as given. A caller holding the inputs' forward
+    passes it as `transition`: the log-softmax of transition_logits_batch's
+    logits and its activations, (table, activations)."""
     work = _Workspace(params, len(inputs))
     if transition is None:
         logits, acts = _forward(params, _contexts(params.token_embedding, inputs), work.u)
@@ -342,6 +334,22 @@ def weighted_seq_grads(
     table, (u, s) = transition
     rowsums = counts.sum(axis=-1, keepdims=True)
     return _backward(params, work, inputs, counts, rowsums, table, u, s)
+
+
+def weighted_seq_grads(
+    params: PolicyParams, inputs: Padded, rows: Padded, weights, transition=None
+) -> np.ndarray:
+    """Gradient rows (B, P): row b is the gradient of sum_r weights[r] * log P(row r | input b)
+    over input b's rows (input-major), count_grads of the checked inputs' count rows and the
+    rows' weighted transition counts, with `transition` as count_grads takes it."""
+    if len(weights) != len(rows.ids):
+        raise ValueError(f"{len(weights)} weights for {len(rows.ids)} sequences")
+    v = params.cfg.vocab_size
+    _check_padded(rows, v, params.cfg.max_len)
+    inputs = input_counts(inputs, v)
+    if transition is not None and len(transition[0]) != len(inputs):
+        raise ValueError(f"{len(transition[0])} transition tables for {len(inputs)} inputs")
+    return count_grads(params, inputs, _transition_counts(len(inputs), v, rows, weights), transition)
 
 
 def _check_pairs(pairs, cfg: PolicyConfig) -> None:
@@ -375,7 +383,7 @@ def pretrain_mle(
         raise ValueError("no training pairs")
     _check_pairs(pairs, params.cfg)
     n, v = len(pairs), params.cfg.vocab_size
-    inputs = _input_counts(pad([x for x, _ in pairs]), v)
+    inputs = input_counts(pad([x for x, _ in pairs]), v)
     counts = _transition_counts(n, v, pad([z for _, z in pairs]), np.ones(n))
     rowsums = counts.sum(axis=-1, keepdims=True)
     out = params.copy()

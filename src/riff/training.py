@@ -11,8 +11,9 @@ thread mutates parameters; checkpoint evaluation only reads frozen copies.
 from __future__ import annotations
 
 import csv
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Raise a ValueError naming the first bad field; every float field,
+        a subclass's too, must be finite."""
+        for f in fields(self):
+            if isinstance(value := getattr(self, f.name), float) and not math.isfinite(value):
+                raise ValueError(f"config field {f.name!r} must be finite, got {value}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.regime not in REGIMES:

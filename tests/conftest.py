@@ -16,7 +16,14 @@ from riff.data import TaskTemplate, _check_masks, _first_bad
 from riff.decoding import DecodeConfig, decode_batch
 from riff.numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
 from riff.optim import AdamConfig, AdamW
-from riff.oracle import Enumeration, exact_kl_objective, exact_objectives
+from riff.oracle import (
+    Enumeration,
+    _anchor_logprobs,
+    enumerate_sequences,
+    exact_kl_objective,
+    exact_objectives,
+    mml_posteriors,
+)
 from riff.policy import (
     Padded,
     PolicyConfig,
@@ -338,6 +345,20 @@ def reference_exact_values(params: PolicyParams, fixed: PolicyParams, x: TokenSe
         out["kl_coeffs"] = out["posteriors"] - beta * np.exp(lps) * (lps - fixed_lps + 1.0)
     out["kl_gradient"] = weighted_seq_grads(params, pad([x]), pad(seqs), out["kl_coeffs"])[0]
     return out
+
+
+def reference_exact_kl_gradient(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, reward_fn, beta: float,
+                                max_len: int | None = None) -> np.ndarray:
+    """oracle.exact_kl_gradient composed step by step: enumerate_sequences,
+    mml_posteriors, the KL coefficients from the anchor's log-probs unless
+    beta == 0, then weighted_seq_grads of pad([x]) and the support's rows,
+    checked and counted on every call, on the enumeration's own forward."""
+    enum = enumerate_sequences(params, x, max_len)
+    coeffs = mml_posteriors(enum, reward_fn)
+    if beta != 0.0:
+        lps = enum.logprobs
+        coeffs = coeffs - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
+    return weighted_seq_grads(params, pad([x]), enum.rows, coeffs, (enum.table[None], enum.activations))[0]
 
 
 def mp_objective_derivative(params: PolicyParams, x: TokenSeq, reward_fn, max_len: int, i: int,

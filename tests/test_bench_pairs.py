@@ -246,3 +246,31 @@ def test_ops_runs_are_summarized_like_timed_runs_under_their_own_entry():
     assert stats["base"]["median"] == pytest.approx(38.95) and stats["head"]["median"] == pytest.approx(38.925)
     assert bench_pairs.entry_name("augment", 20) == "augment --ops 20"
     assert bench_pairs.entry_name("augment", None) == "augment"
+
+
+def test_a_tier1_run_records_its_wall_seconds_and_pass_count_from_the_summary_line():
+    clean = bench_pairs.tier1_record(5, "base", 0, "....... [ 99%]\n.. [100%]\n772 passed in 19.14s\n", None, 20.4)
+    assert clean == {
+        "seed": 5, "side": "base", "ran": "first", "src_sha256": None, "correct": True,
+        "attempted": 772, "failed": 0, "ok_frac": None, "metrics": {"tier1_s": 20.4, "tier1_passed": 772},
+    }
+    failing = "F.. [100%]\n=== short test summary info ===\nFAILED tests/t.py::x\n" \
+              "==== 1 failed, 770 passed, 2 warnings, 1 error in 21.0s ====\n"
+    bad = bench_pairs.tier1_record(5, "head", 1, failing, "exit 1: ...", 22.0)
+    assert bad["correct"] is False and bad["ran"] == "second"
+    assert (bad["attempted"], bad["failed"], bad["metrics"]) == (772, 2, {"tier1_s": 22.0, "tier1_passed": 770})
+    # no summary line: the run is recorded with its error and has no metrics
+    crashed = bench_pairs.tier1_record(6, "head", 0, "ImportError: boom\n", "exit 4: ImportError", 1.0)
+    assert crashed == {"seed": 6, "side": "head", "ran": "first", "src_sha256": None, "correct": False,
+                       "error": "exit 4: ImportError"}
+
+
+def test_tier1_pairs_are_summarized_with_their_own_directions():
+    runs = []
+    for k, (base, head) in enumerate([(20.0, 18.0), (21.0, 18.5), (20.5, 21.5)]):
+        for position, (side, seconds, passed) in enumerate((("base", base, 772), ("head", head, 775))):
+            stdout = f"...\n{passed} passed in {seconds}s\n"
+            runs.append(bench_pairs.tier1_record(k, side, position, stdout, None, seconds))
+    stats = bench_pairs.summarize(runs, bench_pairs.TIER1_BETTER)
+    assert stats["tier1_s"]["wins"] == 2 and stats["tier1_s"]["better"] == "lower"
+    assert stats["tier1_passed"]["wins"] == 3 and stats["tier1_passed"]["head"]["median"] == 775

@@ -148,6 +148,22 @@ def test_invalid_settings_exit_2_naming_the_field(tmp_path, capsys, argv, messag
     assert not (tmp_path / "runs").exists()
 
 
+NON_FINITE_FIELDS = ("lr", "pretrain_lr", "classifier_warmup_lr", "weight_decay", "beta", "lora_alpha",
+                     "temperature", "diversity_penalty", "repetition_penalty")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("key", NON_FINITE_FIELDS)
+def test_a_non_finite_float_exits_2_naming_the_field(tmp_path, capsys, key, value):
+    # json writes NaN and Infinity, and json.load reads them back as floats
+    config = fast_config(tmp_path, **{key: value})
+    assert ("NaN" if value != value else "Infinity") in pathlib.Path(config).read_text()
+    assert cli.main(["--out", str(tmp_path / "runs"), "riff-finetune", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and f"config field {key!r} must be finite" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_oracle_check_rejects_fewer_than_one_instance():
     with pytest.raises(ConfigError, match="--instances"):
         oracle_check(seed=0, instances=0)

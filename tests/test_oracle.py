@@ -11,6 +11,7 @@ from conftest import (
     exact_objective,
     greedy_path,
     reference_enumerate_sequences,
+    reference_exact_kl_gradient,
     reference_exact_values,
     reference_weighted_seq_grad,
     stacked_central_diffs,
@@ -20,9 +21,11 @@ from conftest import (
 )
 from riff import policy as policy_module
 from riff.numerics import finite_diff_grad, max_relative_error, richardson_grad
+from riff.optim import AdamConfig, AdamW
 from riff.oracle import (
     _anchor_logprobs,
     _path_logprobs,
+    _plan,
     _support,
     enumerate_sequences,
     exact_gradient,
@@ -366,6 +369,55 @@ def test_enumeration_forward_is_transition_tables_bitwise_on_sweep_draws():
         logits, (u, s) = transition_logits_batch(p, [x])
         assert np.array_equal(enum.table, transition_table(p, x))
         assert np.array_equal(enum.activations[0], u) and np.array_equal(enum.activations[1], s)
+
+
+def test_exact_gradients_equal_the_straight_line_reference_bitwise_on_sweep_draws():
+    from riff.cli import sweep_instance
+
+    rng = np.random.default_rng(3303)
+    shapes = set()
+    for k in range(200):
+        p, x, reward_fn, max_len = sweep_instance(rng)
+        fixed = PolicyParams.init_random(p.cfg, seed=k, scale=0.4)
+        shapes.add((p.cfg.vocab_size, max_len))
+        # a second input with other counts, and x again on a shorter support: each
+        # call's plan differs from the last call's in its input or in its shape
+        for xi, n in ((x, max_len), (TokenSeq.from_content(x.content[:1]), max_len), (x, 3)):
+            for beta in (0.0, 0.1, 0.6):
+                want = reference_exact_kl_gradient(p, fixed, xi, reward_fn, beta, n)
+                assert np.array_equal(exact_kl_gradient(p, fixed, xi, reward_fn, beta, n), want)
+            assert np.array_equal(exact_gradient(p, xi, reward_fn, n), reference_exact_kl_gradient(
+                p, p, xi, reward_fn, 0.0, n))
+    assert shapes == {(3, 3), (3, 4), (4, 3), (4, 4)}
+
+
+def test_an_exact_ascent_builds_each_inputs_plan_once_and_shares_nothing_mutable():
+    # the oracle workload's loop: 30 KL-penalized ascent steps on two inputs
+    p, fixed = tiny_policy(seed=61, vocab=4, max_len=4), tiny_policy(seed=62, vocab=4, max_len=4, scale=0.4)
+    xs, reward_fn = [TokenSeq.from_content([2, 3]), TokenSeq.from_content([1])], table_reward(63)
+    _plan.cache_clear()
+    current = p.copy()
+    opt = AdamW(current.flat.size, AdamConfig(lr=0.05))
+    for _ in range(30):
+        grads = [exact_kl_gradient(current, fixed, x, reward_fn, 0.1) for x in xs]
+        for x, grad in zip(xs, grads):
+            assert np.array_equal(grad, reference_exact_kl_gradient(current, fixed, x, reward_fn, 0.1))
+        kept = grads[0].copy()
+        grads[0][:] = np.nan  # a caller's write reaches no later call
+        assert np.array_equal(exact_kl_gradient(current, fixed, xs[0], reward_fn, 0.1), kept)
+        grads[0][:] = kept
+        opt.step(current.flat, -sum(grads))
+    assert _plan.cache_info().misses == 2 and _plan.cache_info().currsize == 2
+    for x in xs:
+        assert all(not arr.flags.writeable for arr in _plan(4, 4, x.ids))
+    # an id outside the vocabulary raises on every call and leaves no plan: the gradient
+    # raises before it reads one, and each direct _plan call misses and keeps nothing
+    foreign = TokenSeq.from_content([2, 4])
+    for call in (lambda: exact_kl_gradient(current, fixed, foreign, reward_fn, 0.1), lambda: _plan(4, 4, foreign.ids)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^token id 4 out of range for vocabulary of size 4$"):
+                call()
+    assert _plan.cache_info().misses == 4 and _plan.cache_info().currsize == 2
 
 
 def kl_instance(seed=51, vocab=4, max_len=4):
