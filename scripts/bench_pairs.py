@@ -23,7 +23,8 @@ medians and quartiles of each side, the parent's interquartile range and the
 number of pairs the change wins. `gain_shown` applies the claim rule: the
 change wins at least nine tenths of all pairs, ties counting for neither,
 and its median is better than the parent's by more than the parent's
-interquartile range.
+interquartile range. The printed summary gives each metric's medians and
+both line counts as base -> head.
 
 With --ops N a run is no perfbench run: each tree's workload runs its set-up
 and operations 0..N-1 in one fresh interpreter (BLAS pinned as perfbench
@@ -285,6 +286,18 @@ def src_code_lines(tree: str) -> int:
     return total
 
 
+def summary_lines(entry: dict) -> list[str]:
+    """The printed summary of a BENCH entry: each metric's medians as
+    base -> head with its wins, the parent's IQR and the claim rule, then
+    the source line counts as base -> head."""
+    lines = [
+        f"{name}: {m['base']['median']:.6g} -> {m['head']['median']:.6g} "
+        f"(wins {m.get('wins')}/{m['pairs']}, parent IQR {m['parent_iqr']:.3g}, gain shown {m.get('gain_shown')})"
+        for name, m in entry["metrics"].items()
+    ]
+    return lines + [f"{key}: {entry[key]['base']} -> {entry[key]['head']}" for key in ("src_lines", "src_code_lines")]
+
+
 def entry_name(workload: str, ops: int | None) -> str:
     """The key of a run's entry in the BENCH file."""
     return workload if ops is None else f"{workload} --ops {ops}"
@@ -361,10 +374,7 @@ def main(argv=None) -> int:
         entry["ops"] = args.ops
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     write_bench(path, args.label, entry_name(args.workload, args.ops), entry)
-    for name, m in entry["metrics"].items():
-        print(f"{name}: {m['base']['median']:.6g} -> {m['head']['median']:.6g} "
-              f"(wins {m.get('wins')}/{m['pairs']}, parent IQR {m['parent_iqr']:.3g}, "
-              f"gain shown {m.get('gain_shown')})")
+    print("\n".join(summary_lines(entry)))
     print(f"wrote {path}")
     return 0
 

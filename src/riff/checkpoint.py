@@ -56,7 +56,8 @@ def save_segments(path, header: dict, pv: ParamVector) -> None:
 
 
 def _read(f, n: int, path, what: str) -> bytes:
-    data = f.read(n)
+    # read(n) allocates n bytes up front, so ask for no more than the file holds
+    data = f.read(min(n, os.fstat(f.fileno()).st_size - f.tell()))
     if len(data) != n:
         raise ValueError(f"truncated checkpoint {path}: {what} needs {n} bytes, found {len(data)}")
     return data
@@ -77,6 +78,9 @@ def load_segments(path, kind: str, build):
         try:
             header = json.loads(blob.decode("utf-8"))
             segments = [(name, tuple(shape)) for name, shape in header["segments"]]
+            for name, shape in segments:
+                if any(type(dim) is not int or dim < 0 for dim in shape):
+                    raise ValueError(f"segment {name!r} has a dimension that is not a count: {list(shape)}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt checkpoint {path}: unreadable header: {exc!r}") from exc
         if header.get("kind") != kind:

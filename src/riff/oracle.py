@@ -17,13 +17,10 @@ import numpy as np
 
 from .numerics import ParamVector, log_normalizers
 from .policy import (
-    Padded,
     PolicyConfig,
     PolicyParams,
     TokenSeq,
     count_grads,
-    input_counts,
-    pad,
     policy_segments,
     transition_forward,
     transition_table,
@@ -39,14 +36,14 @@ TAIL_WARN_THRESHOLD = 1e-6
 class Enumeration:
     """All EOS-terminated sequences of length <= max_len with exact log-probs,
     the probability mass of unterminated length-max_len prefixes, and the
-    forward they came from: x's (V, V) log-table and the activations the
-    backward reuses. `seqs` and padded `rows` are the shape's cached support;
-    every array field but the forward is read-only."""
+    forward they came from: x's (1, V) token-count row, its (V, V) log-table
+    and the activations the backward reuses. `seqs` is the shape's cached
+    support; `logprobs` is read-only."""
 
     seqs: tuple[TokenSeq, ...]
-    rows: Padded
     logprobs: np.ndarray
     tail_mass: float
+    inputs: np.ndarray
     table: np.ndarray
     activations: tuple
 
@@ -70,46 +67,27 @@ def _guard(params: PolicyParams, max_len: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.ndarray, Padded]:
+def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.ndarray]:
     """The rewrite space of a shape, independent of any policy: every
     EOS-terminated sequence of length <= max_len in depth-first order (a
-    prefix before its extensions, content tokens ascending), the flat indices
-    of its (prev, tok) steps into a (V+1) x (V+1) table, one row per step and
-    padded with the zero cell (V, V), followed by those of the unterminated
-    length-max_len prefixes, and the sequences padded for the backward, all
-    read-only. Every lookup of an enumeration is one gather; the sequences'
-    own are the first len(seqs) columns of the indices."""
-    width = vocab_size + 1
+    prefix before its extensions, content tokens ascending), and the indices
+    of its (prev, tok) steps into a flat (V, V) table, one row per step and
+    padded with V * V, a zero cell past the table, followed by those of the
+    unterminated length-max_len prefixes, read-only. Every lookup of an
+    enumeration is one gather, and the gradient's transition counts one
+    bincount; the sequences' own are the first len(seqs) columns."""
     tokens = [t for t in range(vocab_size) if t != EOS]
     contents = sorted(c for k in range(max_len) for c in itertools.product(tokens, repeat=k))
     tails = itertools.product(tokens, repeat=max_len)
 
     def steps(path: tuple[int, ...]) -> list[int]:
-        flat = [p * width + t for p, t in zip((BOS,) + path[:-1], path)]
-        return flat + [vocab_size * width + vocab_size] * (max_len - len(flat))
+        flat = [p * vocab_size + t for p, t in zip((BOS,) + path[:-1], path)]
+        return flat + [vocab_size * vocab_size] * (max_len - len(flat))
 
     seqs = tuple([TokenSeq.from_content(c) for c in contents])
-    rows = pad(seqs)
     path_idx = np.array([steps(z.ids) for z in seqs] + [steps(c) for c in tails], dtype=np.intp).T.copy()
-    for arr in (*rows, path_idx):
-        arr.setflags(write=False)
-    return seqs, path_idx, rows
-
-
-@functools.lru_cache(maxsize=8)
-def _plan(vocab_size: int, max_len: int, ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What an exact gradient of input ids reads besides its forward and its
-    coefficients, built once per (vocab_size, max_len, ids) and read-only:
-    the input's (1, V) token-count row, the flat (previous token, token) cell
-    in a (V, V) table of every step of the support's padded rows, row-major,
-    and the rows' mask of real steps. An id outside the vocabulary raises,
-    so no plan is kept for it."""
-    seqs, _, (tokens, mask) = _support(vocab_size, max_len)
-    prev = np.concatenate([np.full((len(seqs), 1), BOS), tokens[:, :-1]], axis=1)
-    plan = input_counts(TokenSeq(ids), vocab_size), (prev * vocab_size + tokens).ravel(), mask
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
+    path_idx.setflags(write=False)
+    return seqs, path_idx
 
 
 def _path_logprobs(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -123,9 +101,8 @@ def _path_logprobs(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
     support gives the same bits but rebuilds its cell indices on every call,
     while these are built once per support shape."""
     *lead, v, _ = tables.shape
-    padded = np.zeros((*lead, v + 1, v + 1))
-    padded[..., :v, :v] = tables
-    cells = padded.reshape(*lead, -1)
+    cells = np.zeros((*lead, v * v + 1))
+    cells[..., :-1] = tables.reshape(*lead, v * v)
     out = 0.0 + cells.take(idx[0], axis=-1)
     for step in idx[1:]:
         out += cells.take(step, axis=-1)
@@ -136,8 +113,8 @@ def enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int | None =
     """The support of x under `params` from one forward of x, bitwise
     transition_table's, and one gather per step of the cached support."""
     max_len = _guard(params, max_len)
-    seqs, path_idx, rows = _support(params.cfg.vocab_size, max_len)
-    table, acts = transition_forward(params, x)
+    seqs, path_idx = _support(params.cfg.vocab_size, max_len)
+    inputs, table, acts = transition_forward(params, x)
     paths = _path_logprobs(table, path_idx)
     logprobs = paths[: len(seqs)]
     # cumsum adds in path order, as a running sum from 0.0 does
@@ -145,7 +122,7 @@ def enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int | None =
     if tail > TAIL_WARN_THRESHOLD:
         warnings.warn(f"unterminated tail mass {tail:.3g} exceeds {TAIL_WARN_THRESHOLD}")
     logprobs.setflags(write=False)
-    return Enumeration(seqs, rows, logprobs, tail, table, acts)
+    return Enumeration(seqs, logprobs, tail, inputs, table, acts)
 
 
 def _rewards(seqs, reward_fn) -> np.ndarray:
@@ -173,7 +150,7 @@ def _anchor_logprobs(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, max
 @functools.lru_cache(maxsize=8)
 def _anchor_support_logprobs(cfg: PolicyConfig, flat: bytes, ids: tuple[int, ...], max_len: int) -> np.ndarray:
     fixed = PolicyParams(cfg, ParamVector(policy_segments(cfg), np.frombuffer(flat)))
-    seqs, path_idx, _ = _support(cfg.vocab_size, max_len)
+    seqs, path_idx = _support(cfg.vocab_size, max_len)
     out = _path_logprobs(transition_table(fixed, TokenSeq(ids)), path_idx[:, : len(seqs)])
     out.setflags(write=False)
     return out
@@ -190,7 +167,7 @@ def exact_objectives(
     a row-wise log-sum-exp (numerics.log_normalizers) with the rewards, read
     once. beta == 0 reads no anchor. Warns when a row's mass off the support
     exceeds TAIL_WARN_THRESHOLD; a non-finite row is returned as is."""
-    seqs, path_idx, _ = _support(params.cfg.vocab_size, _guard(params, max_len))
+    seqs, path_idx = _support(params.cfg.vocab_size, _guard(params, max_len))
     rewards = _rewards(seqs, reward_fn)
     lps = _path_logprobs(transition_tables(params, flats, x), path_idx[:, : len(seqs)])
     probs = np.exp(lps)
@@ -245,9 +222,10 @@ def exact_kl_gradient(
     """Exact gradient of exact_kl_objective: the MML posteriors, less the
     KL term's coefficients unless beta == 0, weight each enumerated
     sequence's log-probability gradient. beta == 0 reads no anchor. The
-    coefficients' transition counts are one bincount over x's cached _plan,
-    and the backward reuses the enumeration's forward: bitwise
-    policy.weighted_seq_grads of the support's rows. Rewards are read on
+    coefficients' transition counts are one bincount over the support's
+    cached path indices, path-major so that each cell adds in path order,
+    and the backward reuses the enumeration's forward and count row: bitwise
+    policy.weighted_seq_grads of the padded support. Rewards are read on
     every call."""
     enum = enumerate_sequences(params, x, max_len)
     coeffs = mml_posteriors(enum, reward_fn)
@@ -255,6 +233,8 @@ def exact_kl_gradient(
         lps = enum.logprobs
         coeffs = coeffs - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
     v = params.cfg.vocab_size
-    inputs, cells, mask = _plan(v, _guard(params, max_len), x.ids)
-    counts = np.bincount(cells, (coeffs[:, None] * mask).ravel(), v * v).reshape(1, v, v)
-    return count_grads(params, inputs, counts, (enum.table[None], enum.activations))[0]
+    _, path_idx = _support(v, _guard(params, max_len))
+    # padding steps land on the cell past the table, which [:-1] drops
+    cells = path_idx[:, : len(coeffs)].T.ravel()
+    counts = np.bincount(cells, np.repeat(coeffs, len(path_idx)), v * v + 1)[:-1].reshape(1, v, v)
+    return count_grads(params, enum.inputs, counts, (enum.table[None], enum.activations))[0]

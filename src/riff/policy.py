@@ -176,10 +176,9 @@ def input_counts(inputs, v: int) -> np.ndarray:
     (1, V) row of one TokenSeq, counted without padding it. An id outside
     [0, V) raises as _check_padded raises, naming the first such id."""
     if isinstance(inputs, TokenSeq):
-        counts = np.bincount(inputs.ids, minlength=v)
-        if len(counts) > v:
+        if max(inputs.ids) >= v:
             _check_ids(inputs, v)
-        return counts.astype(np.float64)[None]
+        return np.bincount(inputs.ids, minlength=v).astype(np.float64)[None]
     _check_padded(inputs, v)
     ids, valid = inputs
     b = len(ids)
@@ -196,17 +195,15 @@ def _contexts(embedding: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return (counts[..., None] * embedding).sum(axis=-2) / counts.sum(axis=-1, keepdims=True)
 
 
-def _forward(params, contexts: np.ndarray, u: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+def _forward(params, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Raw next-token logits (B, V, V) for a batch of (B, d) input contexts,
     every previous token at once, plus the activations the backward reuses:
-    step inputs u (B, V, 2d), written into `u` if given, and hidden states
-    s (B, V, h). `params` is a PolicyParams, or its four weight arrays stacked
-    along a leading (B,) axis, one parameter vector per context
-    (transition_tables)."""
+    step inputs u (B, V, 2d) and hidden states s (B, V, h). `params` is a
+    PolicyParams, or its four weight arrays stacked along a leading (B,)
+    axis, one parameter vector per context (transition_tables)."""
     emb = params.token_embedding
     v, d = emb.shape[-2:]
-    if u is None:
-        u = np.empty((len(contexts), v, 2 * d))
+    u = np.empty((len(contexts), v, 2 * d))
     u[:, :, :d] = contexts[:, None, :]
     u[:, :, d:] = emb
     s = np.tanh(u @ params.rec_w.swapaxes(-1, -2) + params.rec_b[..., None, :])
@@ -221,12 +218,14 @@ def transition_logits_batch(params: PolicyParams, xs) -> tuple[np.ndarray, tuple
     return _forward(params, _contexts(params.token_embedding, input_counts(pad(xs), params.cfg.vocab_size)))
 
 
-def transition_forward(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, tuple]:
-    """transition_table of x and the (1, ...) activations the backward reuses,
-    from one forward: bitwise transition_table and the activations of
-    transition_logits_batch(params, [x]), without padding a batch of one."""
-    logits, acts = _forward(params, _contexts(params.token_embedding, input_counts(x, params.cfg.vocab_size)))
-    return log_softmax_rows(logits[0]), acts
+def transition_forward(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """x's (1, V) token-count row, its transition_table and the (1, ...)
+    activations the backward reuses, from one forward: bitwise input_counts,
+    transition_table and the activations of transition_logits_batch(params,
+    [x]), without padding a batch of one."""
+    inputs = input_counts(x, params.cfg.vocab_size)
+    logits, acts = _forward(params, _contexts(params.token_embedding, inputs))
+    return inputs, log_softmax_rows(logits[0]), acts
 
 
 def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
@@ -283,14 +282,12 @@ def _transition_counts(batch: int, v: int, rows: Padded, weights) -> np.ndarray:
 
 
 class _Workspace:
-    """Buffers of one stacked forward and backward over B inputs: the step
-    inputs u and the (B, P) gradient rows with their segment views.
-    pretrain_mle keeps one per minibatch size for its whole run and never
-    hands its rows out; weighted_seq_grads returns the rows of a fresh one."""
+    """The (B, P) gradient rows of one stacked backward over B inputs, with
+    their segment views. pretrain_mle keeps one per minibatch size for its
+    whole run and never hands its rows out; count_grads returns the rows of
+    a fresh one."""
 
     def __init__(self, params: PolicyParams, batch: int):
-        v, d = params.cfg.vocab_size, params.cfg.embed_dim
-        self.u = np.empty((batch, v, 2 * d))
         self.rows = np.empty((batch, params.pv.size))
         self.seg = {
             name: self.rows[:, params.pv.segment_slice(name)].reshape(batch, *shape)
@@ -327,13 +324,12 @@ def count_grads(params: PolicyParams, inputs: np.ndarray, counts: np.ndarray, tr
     transition counts, taken as given. A caller holding the inputs' forward
     passes it as `transition`: the log-softmax of transition_logits_batch's
     logits and its activations, (table, activations)."""
-    work = _Workspace(params, len(inputs))
     if transition is None:
-        logits, acts = _forward(params, _contexts(params.token_embedding, inputs), work.u)
+        logits, acts = _forward(params, _contexts(params.token_embedding, inputs))
         transition = log_softmax_rows(logits), acts
     table, (u, s) = transition
     rowsums = counts.sum(axis=-1, keepdims=True)
-    return _backward(params, work, inputs, counts, rowsums, table, u, s)
+    return _backward(params, _Workspace(params, len(inputs)), inputs, counts, rowsums, table, u, s)
 
 
 def weighted_seq_grads(
@@ -376,9 +372,9 @@ def pretrain_mle(
     """Maximum-likelihood pretraining on (input, rewrite-target) pairs. Every
     pair is checked and each input's tokens and target's transitions counted
     once per run, and a minibatch gathers its rows of these: one stacked
-    forward and backward in buffers the run reuses, and one reduction of the
-    rows, bitwise their running sum from 0.0. Returns an updated copy; the
-    argument is left untouched."""
+    forward, one backward into gradient rows the run reuses, and one
+    reduction of the rows, bitwise their running sum from 0.0. Returns an
+    updated copy; the argument is left untouched."""
     if not pairs:
         raise ValueError("no training pairs")
     _check_pairs(pairs, params.cfg)
@@ -398,7 +394,7 @@ def pretrain_mle(
             chunk = order[start : start + batch_size]
             b_inputs = inputs[chunk]
             work = works[len(chunk)]
-            logits, (u, s) = _forward(views, _contexts(views.token_embedding, b_inputs), work.u)
+            logits, (u, s) = _forward(views, _contexts(views.token_embedding, b_inputs))
             table = log_softmax_rows(logits)
             rows = _backward(views, work, b_inputs, counts[chunk], rowsums[chunk], table, u, s)
             grad = np.add.reduce(rows, axis=0, initial=0.0)

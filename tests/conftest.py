@@ -29,6 +29,7 @@ from riff.policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
+    input_counts,
     pad,
     policy_segments,
     seq_logprob,
@@ -319,10 +320,9 @@ def reference_enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: in
 
     expand([], 0.0)
     seqs = tuple(z for z, _ in entries)
-    rows = pad(seqs)
     logprobs = np.array([lp for _, lp in entries])
     acts = transition_logits_batch(params, [x])[1]
-    return Enumeration(seqs, rows, logprobs, tail, table, acts)
+    return Enumeration(seqs, logprobs, tail, input_counts(pad([x]), params.cfg.vocab_size), table, acts)
 
 
 def reference_exact_values(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, reward_fn, beta: float,
@@ -351,14 +351,16 @@ def reference_exact_kl_gradient(params: PolicyParams, fixed: PolicyParams, x: To
                                 max_len: int | None = None) -> np.ndarray:
     """oracle.exact_kl_gradient composed step by step: enumerate_sequences,
     mml_posteriors, the KL coefficients from the anchor's log-probs unless
-    beta == 0, then weighted_seq_grads of pad([x]) and the support's rows,
-    checked and counted on every call, on the enumeration's own forward."""
+    beta == 0, then weighted_seq_grads of pad([x]) and the enumerated
+    sequences padded afresh, checked and counted on every call, on the
+    enumeration's own forward."""
     enum = enumerate_sequences(params, x, max_len)
     coeffs = mml_posteriors(enum, reward_fn)
     if beta != 0.0:
         lps = enum.logprobs
         coeffs = coeffs - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
-    return weighted_seq_grads(params, pad([x]), enum.rows, coeffs, (enum.table[None], enum.activations))[0]
+    rows = pad(list(enum.seqs))
+    return weighted_seq_grads(params, pad([x]), rows, coeffs, (enum.table[None], enum.activations))[0]
 
 
 def mp_objective_derivative(params: PolicyParams, x: TokenSeq, reward_fn, max_len: int, i: int,

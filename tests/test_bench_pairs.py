@@ -128,6 +128,19 @@ def test_the_bench_file_holds_one_entry_per_workload(tmp_path):
         bench_pairs.write_bench(path, "y", "oracle", oracle)
 
 
+def test_the_summary_prints_each_metric_and_the_source_line_counts_as_base_to_head():
+    entry = bench_pairs.workload_entry(canned_runs([0.10, 0.12], [0.08, 0.09]), BETTER, "abc123", 20.0, None)
+    entry["src_lines"] = {"base": 3313, "head": 3291}
+    entry["src_code_lines"] = {"base": 2243, "head": 2230}
+    assert bench_pairs.summary_lines(entry) == [
+        "ok_frac: 1 -> 1 (wins 0/2, parent IQR 0, gain shown False)",
+        "peak_rss_mb: 40 -> 40 (wins None/2, parent IQR 0, gain shown None)",
+        "pretrain_s: 0.11 -> 0.085 (wins 2/2, parent IQR 0.01, gain shown True)",
+        "src_lines: 3313 -> 3291",
+        "src_code_lines: 2243 -> 2230",
+    ]
+
+
 def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     package = tmp_path / "src" / "riff"
     (package / "sub").mkdir(parents=True)

@@ -25,7 +25,6 @@ from riff.optim import AdamConfig, AdamW
 from riff.oracle import (
     _anchor_logprobs,
     _path_logprobs,
-    _plan,
     _support,
     enumerate_sequences,
     exact_gradient,
@@ -38,7 +37,6 @@ from riff.policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
-    pad,
     seq_logprob,
     transition_logits_batch,
     transition_table,
@@ -138,7 +136,7 @@ def test_anchor_logprobs_are_memoized_by_value_and_read_only():
     p = tiny_policy(seed=41, vocab=4, max_len=4)
     fixed = tiny_policy(seed=42, vocab=4, max_len=4, scale=0.4)
     x = TokenSeq.from_content([2, 3])
-    seqs, path_idx, _ = _support(4, 4)
+    seqs, path_idx = _support(4, 4)
     entry_idx = path_idx[:, : len(seqs)]
 
     def fresh():
@@ -152,7 +150,7 @@ def test_anchor_logprobs_are_memoized_by_value_and_read_only():
     fixed.flat[:] += 0.05
     second = _anchor_logprobs(p, fixed, x, None)
     assert np.array_equal(second, fresh()) and not np.array_equal(second, first)
-    seqs, path_idx, _ = _support(4, 3)
+    seqs, path_idx = _support(4, 3)
     want = _path_logprobs(transition_table(fixed, x), path_idx[:, : len(seqs)])
     assert np.array_equal(_anchor_logprobs(p, fixed, x, 3), want)
 
@@ -391,11 +389,11 @@ def test_exact_gradients_equal_the_straight_line_reference_bitwise_on_sweep_draw
     assert shapes == {(3, 3), (3, 4), (4, 3), (4, 4)}
 
 
-def test_an_exact_ascent_builds_each_inputs_plan_once_and_shares_nothing_mutable():
+def test_an_exact_ascent_keeps_one_support_per_shape_and_shares_nothing_mutable():
     # the oracle workload's loop: 30 KL-penalized ascent steps on two inputs
     p, fixed = tiny_policy(seed=61, vocab=4, max_len=4), tiny_policy(seed=62, vocab=4, max_len=4, scale=0.4)
     xs, reward_fn = [TokenSeq.from_content([2, 3]), TokenSeq.from_content([1])], table_reward(63)
-    _plan.cache_clear()
+    _support.cache_clear()
     current = p.copy()
     opt = AdamW(current.flat.size, AdamConfig(lr=0.05))
     for _ in range(30):
@@ -407,17 +405,27 @@ def test_an_exact_ascent_builds_each_inputs_plan_once_and_shares_nothing_mutable
         assert np.array_equal(exact_kl_gradient(current, fixed, xs[0], reward_fn, 0.1), kept)
         grads[0][:] = kept
         opt.step(current.flat, -sum(grads))
-    assert _plan.cache_info().misses == 2 and _plan.cache_info().currsize == 2
-    for x in xs:
-        assert all(not arr.flags.writeable for arr in _plan(4, 4, x.ids))
-    # an id outside the vocabulary raises on every call and leaves no plan: the gradient
-    # raises before it reads one, and each direct _plan call misses and keeps nothing
+    # both inputs read the one support of their shape, whose arrays are read-only
+    assert _support.cache_info().misses == 1 and _support.cache_info().currsize == 1
+    seqs, path_idx = _support(4, 4)
+    assert isinstance(seqs, tuple) and not path_idx.flags.writeable
+    # an id outside the vocabulary raises on every call and caches nothing
     foreign = TokenSeq.from_content([2, 4])
-    for call in (lambda: exact_kl_gradient(current, fixed, foreign, reward_fn, 0.1), lambda: _plan(4, 4, foreign.ids)):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="^token id 4 out of range for vocabulary of size 4$"):
-                call()
-    assert _plan.cache_info().misses == 4 and _plan.cache_info().currsize == 2
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^token id 4 out of range for vocabulary of size 4$"):
+            exact_kl_gradient(current, fixed, foreign, reward_fn, 0.1)
+    assert _support.cache_info().currsize == 1
+
+
+def test_a_huge_input_id_is_named_before_anything_is_counted():
+    p, fixed = tiny_policy(seed=61, vocab=4, max_len=4), tiny_policy(seed=62, vocab=4, max_len=4, scale=0.4)
+    x = TokenSeq.from_content([2, 2**62])
+    message = f"^token id {2**62} out of range for vocabulary of size 4$"
+    for beta in (0.0, 0.1):
+        with pytest.raises(ValueError, match=message):
+            exact_kl_gradient(p, fixed, x, table_reward(63), beta)
+    with pytest.raises(ValueError, match=message):
+        exact_gradient(p, x, table_reward(63))
 
 
 def kl_instance(seed=51, vocab=4, max_len=4):
@@ -457,15 +465,17 @@ def test_each_exact_call_runs_one_forward(monkeypatch, name):
 def test_enumeration_arrays_are_read_only_and_keep_the_support_cache():
     p, _, x, _ = kl_instance()
     enum = enumerate_sequences(p, x)
-    for arr in (enum.rows.ids, enum.rows.valid, enum.logprobs):
+    seqs, path_idx = _support(4, 4)
+    for arr in (path_idx, enum.logprobs):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[-1]
     other = enumerate_sequences(tiny_policy(seed=52, vocab=4, max_len=4), TokenSeq.from_content([1]))
     # every enumeration of the shape shares the cached support, still intact
-    assert other.rows is enum.rows
-    fresh = pad(list(other.seqs))
-    assert np.array_equal(other.rows.ids, fresh.ids) and np.array_equal(other.rows.valid, fresh.valid)
+    assert other.seqs is enum.seqs is seqs
     assert [z.ids for z in other.seqs] == [z.ids for z, _ in reference_enumerate_sequences(p, x, 4).entries]
+    # each sequence's (prev, tok) cells in a flat (V, V) table, padded with V * V
+    fresh = [[prev * 4 + t for prev, t in zip((BOS,) + z.ids[:-1], z.ids)] for z in seqs]
+    assert path_idx[:, : len(seqs)].T.tolist() == [cells + [16] * (4 - len(cells)) for cells in fresh]
 
 
 @pytest.mark.parametrize("name", EXACT)

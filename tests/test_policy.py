@@ -33,6 +33,7 @@ from riff.policy import (
     PolicyParams,
     TokenSeq,
     _transition_counts,
+    input_counts,
     load_policy,
     pad,
     path_logprobs,
@@ -516,6 +517,28 @@ def test_checkpoint_dimensions_disagreeing_with_segments_name_file(tmp_path, kin
         (load_policy if kind == "policy" else load_classifier)(path)
 
 
+@pytest.mark.parametrize("kind", ["policy", "classifier"])
+@pytest.mark.parametrize("dim", [4.0, "4", True, -4], ids=["float", "string", "bool", "negative"])
+def test_checkpoint_segment_dimension_that_is_not_a_count_names_file(tmp_path, kind, dim):
+    path = tmp_path / f"{kind}.ckpt"
+    if kind == "policy":
+        save_policy(path, tiny_policy(seed=21, vocab=6))
+    else:
+        save_classifier(path, tiny_classifier(seed=21, vocab=8))
+    rewrite_header(path, lambda h: {**h, "segments": [[h["segments"][0][0], [dim, 2]], *h["segments"][1:]]})
+    with pytest.raises(ValueError, match=f"^corrupt checkpoint {re.escape(str(path))}: unreadable header: .*dimension"):
+        (load_policy if kind == "policy" else load_classifier)(path)
+
+
+def test_checkpoint_segment_larger_than_its_file_names_file_without_allocating_it(tmp_path):
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, tiny_policy(seed=21, vocab=6))
+    rewrite_header(path, lambda h: {**h, "segments": [[h["segments"][0][0], [2**40, 2]], *h["segments"][1:]]})
+    need = 8 * (2**41 + 5 * 2 * 4 + 5 + 5 * 6)
+    with pytest.raises(ValueError, match=f"^truncated checkpoint {re.escape(str(path))}: parameter payload needs {need} bytes"):
+        load_policy(path)
+
+
 def test_version_1_checkpoint_still_loads(tmp_path):
     # version 1: the same layout, without the payload's byte count and hash
     p = tiny_policy(seed=22, vocab=6, max_len=9)
@@ -730,6 +753,15 @@ def test_padded_batches_name_a_negative_id_as_out_of_range():
     rows.ids[2, 0] = -2  # the first bad row is named, whatever is wrong with it
     with pytest.raises(ValueError, match="^sequence length 5 exceeds max_len 4$"):
         weighted_seq_grads(p, pad([x]), rows, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [4, 5, 2**62])
+def test_input_counts_of_a_token_seq_name_an_id_outside_the_vocabulary_before_counting(bad):
+    # the range is checked before bincount sizes its array by the largest id
+    x = TokenSeq.from_content([1, bad, 2])
+    with pytest.raises(ValueError, match=f"^token id {bad} out of range for vocabulary of size 4$"):
+        input_counts(x, 4)
+    assert input_counts(TokenSeq.from_content([3, 1, 3]), 4).tolist() == [[1.0, 1.0, 0.0, 2.0]]
 
 
 def test_path_kernels_name_the_row_and_input_counts():
