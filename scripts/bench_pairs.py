@@ -23,7 +23,12 @@ medians and quartiles of each side, the parent's interquartile range and the
 number of pairs the change wins. `gain_shown` applies the claim rule: the
 change wins at least nine tenths of all pairs, ties counting for neither,
 and its median is better than the parent's by more than the parent's
-interquartile range. The printed summary gives each metric's medians and
+interquartile range. `regression` applies BENCHMARK.json's `bound`, the
+largest relative worsening a metric may show: `beyond bound` when the
+change's median is worse than the parent's by more than the bound,
+`unresolved` when the parent's interquartile range over its median is wider
+than the bound and the change does not win every pair, and `none`
+otherwise. The printed summary gives each metric's medians and verdicts and
 both line counts as base -> head.
 
 With --ops N a run is no perfbench run: each tree's workload runs its set-up
@@ -155,10 +160,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def regression(entry: dict, bound: float) -> str:
+    """The no-regression verdict of a metric's statistics under its bound."""
+    base = entry["base"]["median"]
+    worse = (entry["head"]["median"] - base) * (1.0 if entry["better"] == "lower" else -1.0)
+    if worse > bound * abs(base):
+        return "beyond bound"
+    if entry["parent_iqr"] > bound * abs(base) and entry["wins"] < entry["pairs"]:
+        return "unresolved"
+    return "none"
+
+
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per metric, the statistics of the pairs in which both sides have it.
     `better` maps a metric to "lower" or "higher"; wins and the claim rule
-    are given only for metrics it names."""
+    are given only for metrics it names, and the regression verdict only for
+    those `bounds` names too."""
     by_seed = {(r["seed"], r["side"]): r for r in runs}
     seeds = sorted({r["seed"] for r in runs})
     names = sorted({name for r in runs for name in r.get("metrics", {})})
@@ -185,12 +202,14 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             gap = sign * (head_q[1] - base_q[1])
             entry.update(better=better[name], wins=wins,
                          gain_shown=wins >= 0.9 * len(pairs) and gap > entry["parent_iqr"])
+            if name in (bounds or {}):
+                entry["regression"] = regression(entry, bounds[name])
         out[name] = entry
     return out
 
 
 def workload_entry(runs: list[dict], better: dict[str, str], base_rev: str, seconds: float | None,
-                   env: dict | None) -> dict:
+                   env: dict | None, bounds: dict[str, float] | None = None) -> dict:
     """A workload's entry in BENCH_<label>.json; `seconds` is None for --ops runs."""
     sha = {side: sorted({r["src_sha256"] for r in runs if r["side"] == side and r["src_sha256"]})
            for side in SIDES}
@@ -202,7 +221,7 @@ def workload_entry(runs: list[dict], better: dict[str, str], base_rev: str, seco
         "env": env,
         "incorrect_runs": sum(not r["correct"] for r in runs),
         "runs": runs,
-        "metrics": summarize(runs, better),
+        "metrics": summarize(runs, better, bounds),
     }
 
 
@@ -224,9 +243,11 @@ def write_bench(path: str, label: str, workload: str, entry: dict) -> dict:
     return bench
 
 
-def end_to_end_directions() -> dict[str, str]:
+def end_to_end_metrics() -> tuple[dict[str, str], dict[str, float]]:
+    """(direction, bound) of each of BENCHMARK.json's end-to-end metrics, by name."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        metrics = json.load(f)["end_to_end"]
+    return {m["name"]: m["better"] for m in metrics}, {m["name"]: m["bound"] for m in metrics}
 
 
 def extract_base(rev: str, dest: str) -> str:
@@ -288,11 +309,12 @@ def src_code_lines(tree: str) -> int:
 
 def summary_lines(entry: dict) -> list[str]:
     """The printed summary of a BENCH entry: each metric's medians as
-    base -> head with its wins, the parent's IQR and the claim rule, then
-    the source line counts as base -> head."""
+    base -> head with its wins, the parent's IQR, the claim rule and the
+    regression verdict, then the source line counts as base -> head."""
     lines = [
         f"{name}: {m['base']['median']:.6g} -> {m['head']['median']:.6g} "
-        f"(wins {m.get('wins')}/{m['pairs']}, parent IQR {m['parent_iqr']:.3g}, gain shown {m.get('gain_shown')})"
+        f"(wins {m.get('wins')}/{m['pairs']}, parent IQR {m['parent_iqr']:.3g}, gain shown {m.get('gain_shown')}, "
+        f"regression {m.get('regression')})"
         for name, m in entry["metrics"].items()
     ]
     return lines + [f"{key}: {entry[key]['base']} -> {entry[key]['head']}" for key in ("src_lines", "src_code_lines")]
@@ -366,8 +388,8 @@ def main(argv=None) -> int:
     if tier1:
         env = {"python": sys.version.split()[0], "command": " ".join(["PYTHONPATH=src python", *TIER1_CMD])}
     seconds = args.seconds if args.ops is None and not tier1 else None
-    better = TIER1_BETTER if tier1 else end_to_end_directions()
-    entry = workload_entry(runs, better, base_rev, seconds, env)
+    better, bounds = (TIER1_BETTER, {}) if tier1 else end_to_end_metrics()
+    entry = workload_entry(runs, better, base_rev, seconds, env, bounds)
     entry["src_lines"] = lines
     entry["src_code_lines"] = code_lines
     if args.ops is not None:

@@ -65,7 +65,8 @@ def _read(f, n: int, path, what: str) -> bytes:
 
 def load_segments(path, kind: str, build):
     """build(header, parameters) of a checkpoint whose header names `kind`; a header
-    that does not parse or build raises a ValueError naming the file."""
+    that does not parse or build, or a parameter that is NaN or infinite, raises a
+    ValueError naming the file."""
     with open(path, "rb") as f:
         magic = _read(f, 8, path, "magic")
         if magic != MAGIC:
@@ -98,6 +99,11 @@ def load_segments(path, kind: str, build):
         if hashlib.sha256(raw).hexdigest() != header.get("payload_sha256"):
             raise ValueError(f"corrupt checkpoint {path}: payload sha256 does not match its header")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    ends = np.cumsum([math.prod(shape) for _, shape in segments], dtype=np.intp)
+    for (name, shape), part in zip(segments, np.split(values, ends[:-1])):
+        for index in np.argwhere(~np.isfinite(part.reshape(shape)))[:1].tolist():
+            value = part.reshape(shape)[tuple(index)]
+            raise ValueError(f"corrupt checkpoint {path}: segment {name!r} holds {value} at index {tuple(index)}")
     try:
         return build(header, ParamVector(segments, values))
     except (KeyError, TypeError, ValueError) as exc:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .checkpoint import load_segments, save_segments
 from .data import _check_masks, _first_bad
-from .numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
+from .numerics import ParamVector, check_int_fields, gelu_grad_vec, gelu_vec, log_softmax_rows
 from .vocab import MASK
 
 
@@ -58,6 +58,7 @@ class ClassifierConfig:
     cls_hidden: int = 16
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.vocab_size < 2 or self.num_labels < 2:
             raise ValueError("need at least two tokens and two labels")
         if self.lora_rank < 1 or self.lora_rank > self.embed_dim:

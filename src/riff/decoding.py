@@ -21,7 +21,8 @@ from .policy import (
     PolicyParams,
     TokenSeq,
     path_logprobs,
-    transition_logits_batch,
+    step_cells,
+    transition_forward,
     unpad,
 )
 from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads decoding.seq_logprob
@@ -108,7 +109,7 @@ def top_p_batch(policy: PolicyParams, tables: np.ndarray, seeds, cfg: DecodeConf
 
 def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
     """m groups of beam width 1 for one input: diverse_beam_batch of a batch of one."""
-    return unpad(diverse_beam_batch(policy, transition_logits_batch(policy, [x])[0], cfg))
+    return unpad(diverse_beam_batch(policy, transition_forward(policy, [x]).logits, cfg))
 
 
 def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, last: bool, exact: bool):
@@ -203,12 +204,13 @@ def _mix(beams: Padded, draws: Padded, tables: np.ndarray, m: int) -> Padded:
     next-ranked row; repeats appear only when a source has no fresh rows left."""
     if m % 2 != 0:
         raise ValueError("mixed decoding needs an even sample count")
-    n = len(tables)
+    n, v = len(tables), tables.shape[-1]
     ids = np.zeros((2 * n * m, max(beams.ids.shape[1], draws.ids.shape[1])), dtype=np.intp)
     ids[: n * m, : beams.ids.shape[1]] = beams.ids
     ids[n * m :, : draws.ids.shape[1]] = draws.ids
     keys = [row.tobytes() for row in ids]  # rows are zero past their end
-    lps = np.concatenate([path_logprobs(tables, beams), path_logprobs(tables, draws)]).reshape(2 * n, m)
+    lps = np.concatenate([path_logprobs(tables, step_cells(rows, n, v)) for rows in (beams, draws)])
+    lps = lps.reshape(2 * n, m)
     # ranked[s * n + b]: the rows of input b's source s (beam, nucleus), best first
     ranked = (np.argsort(-lps, axis=1, kind="stable") + m * np.arange(2 * n)[:, None]).tolist()
     picks: list[int] = []

@@ -1,5 +1,6 @@
 """Numeric substrate: stable log-space primitives, the finite-difference
-checker, and the flat parameter buffer every model is built on.
+checker, and the flat parameter buffer every model is built on, with the
+check of its configs' dimensions.
 
 Everything is float64 and pure. Probability arithmetic stays in log space;
 callers exponentiate only when assembling final coefficients.
@@ -8,6 +9,7 @@ callers exponentiate only when assembling final coefficients.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -177,3 +179,13 @@ class ParamVector:
         for view in self._views.values():
             view.setflags(write=False)
         return self
+
+
+def check_int_fields(config) -> None:
+    """Raise naming the first field of a dataclass config annotated int whose
+    value is not an int: a float, a string or a bool. A checkpoint header is
+    JSON, where 6.0 == 6 would otherwise pass every range check."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in (int, "int") and type(value) is not int:
+            raise ValueError(f"config field {f.name!r} must be an int, got {value!r}")

@@ -17,16 +17,21 @@ import numpy as np
 
 from .numerics import ParamVector, log_normalizers
 from .policy import (
+    Forward,
+    Padded,
     PolicyConfig,
     PolicyParams,
     TokenSeq,
     count_grads,
+    pad,
+    path_logprobs,
     policy_segments,
+    step_cells,
+    transition_counts,
     transition_forward,
-    transition_table,
     transition_tables,
 )
-from .vocab import BOS, EOS
+from .vocab import EOS
 
 ENUMERATION_GUARD = 1_000_000
 TAIL_WARN_THRESHOLD = 1e-6
@@ -36,16 +41,13 @@ TAIL_WARN_THRESHOLD = 1e-6
 class Enumeration:
     """All EOS-terminated sequences of length <= max_len with exact log-probs,
     the probability mass of unterminated length-max_len prefixes, and the
-    forward they came from: x's (1, V) token-count row, its (V, V) log-table
-    and the activations the backward reuses. `seqs` is the shape's cached
-    support; `logprobs` is read-only."""
+    policy.Forward of the input they came from, which the backward reuses.
+    `seqs` is the shape's cached support; `logprobs` is read-only."""
 
     seqs: tuple[TokenSeq, ...]
     logprobs: np.ndarray
     tail_mass: float
-    inputs: np.ndarray
-    table: np.ndarray
-    activations: tuple
+    forward: Forward
 
     @property
     def entries(self) -> tuple[tuple[TokenSeq, float], ...]:
@@ -70,59 +72,37 @@ def _guard(params: PolicyParams, max_len: int) -> int:
 def _support(vocab_size: int, max_len: int) -> tuple[tuple[TokenSeq, ...], np.ndarray]:
     """The rewrite space of a shape, independent of any policy: every
     EOS-terminated sequence of length <= max_len in depth-first order (a
-    prefix before its extensions, content tokens ascending), and the indices
-    of its (prev, tok) steps into a flat (V, V) table, one row per step and
-    padded with V * V, a zero cell past the table, followed by those of the
+    prefix before its extensions, content tokens ascending), and the
+    policy.step_cells of these sequences, padded, followed by those of the
     unterminated length-max_len prefixes, read-only. Every lookup of an
-    enumeration is one gather, and the gradient's transition counts one
-    bincount; the sequences' own are the first len(seqs) columns."""
+    enumeration is one path_logprobs over these cells, and the gradient's
+    transition counts one transition_counts; the sequences' own cells are
+    the first len(seqs) rows."""
     tokens = [t for t in range(vocab_size) if t != EOS]
     contents = sorted(c for k in range(max_len) for c in itertools.product(tokens, repeat=k))
-    tails = itertools.product(tokens, repeat=max_len)
-
-    def steps(path: tuple[int, ...]) -> list[int]:
-        flat = [p * vocab_size + t for p, t in zip((BOS,) + path[:-1], path)]
-        return flat + [vocab_size * vocab_size] * (max_len - len(flat))
-
     seqs = tuple([TokenSeq.from_content(c) for c in contents])
-    path_idx = np.array([steps(z.ids) for z in seqs] + [steps(c) for c in tails], dtype=np.intp).T.copy()
-    path_idx.setflags(write=False)
-    return seqs, path_idx
-
-
-def _path_logprobs(tables: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Log-prob of every path in `idx` (steps x paths) under a (V, V) table, or
-    under each of a (K, V, V) stack as (K, paths), summed step by step from 0.0
-    in path order, as path_logprob does; padding adds an exact 0.0. One gather
-    per step keeps a stack's temporaries at (K, paths), and `take` keeps them
-    C-contiguous: numpy sums the rows of a transposed (K, paths) array in
-    another order than each row alone, so a row-wise log-sum-exp over it would
-    round differently on some rows. policy.path_logprobs over a cached Padded
-    support gives the same bits but rebuilds its cell indices on every call,
-    while these are built once per support shape."""
-    *lead, v, _ = tables.shape
-    cells = np.zeros((*lead, v * v + 1))
-    cells[..., :-1] = tables.reshape(*lead, v * v)
-    out = 0.0 + cells.take(idx[0], axis=-1)
-    for step in idx[1:]:
-        out += cells.take(step, axis=-1)
-    return out
+    rows = pad(seqs)
+    tails = np.array(list(itertools.product(tokens, repeat=max_len)), dtype=np.intp)
+    paths = Padded(np.concatenate([rows.ids, tails]), np.concatenate([rows.valid, np.ones(tails.shape, bool)]))
+    cells = step_cells(paths, 1, vocab_size)
+    cells.setflags(write=False)
+    return seqs, cells
 
 
 def enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int | None = None) -> Enumeration:
-    """The support of x under `params` from one forward of x, bitwise
-    transition_table's, and one gather per step of the cached support."""
+    """The support of x under `params` from one forward of x and one
+    path_logprobs over the cached support's cells."""
     max_len = _guard(params, max_len)
-    seqs, path_idx = _support(params.cfg.vocab_size, max_len)
-    inputs, table, acts = transition_forward(params, x)
-    paths = _path_logprobs(table, path_idx)
+    seqs, cells = _support(params.cfg.vocab_size, max_len)
+    fwd = transition_forward(params, [x])
+    paths = path_logprobs(fwd.table, cells)
     logprobs = paths[: len(seqs)]
     # cumsum adds in path order, as a running sum from 0.0 does
     tail = float(np.exp(paths[len(seqs) :]).cumsum()[-1])
     if tail > TAIL_WARN_THRESHOLD:
         warnings.warn(f"unterminated tail mass {tail:.3g} exceeds {TAIL_WARN_THRESHOLD}")
     logprobs.setflags(write=False)
-    return Enumeration(seqs, logprobs, tail, inputs, table, acts)
+    return Enumeration(seqs, logprobs, tail, fwd)
 
 
 def _rewards(seqs, reward_fn) -> np.ndarray:
@@ -150,8 +130,8 @@ def _anchor_logprobs(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, max
 @functools.lru_cache(maxsize=8)
 def _anchor_support_logprobs(cfg: PolicyConfig, flat: bytes, ids: tuple[int, ...], max_len: int) -> np.ndarray:
     fixed = PolicyParams(cfg, ParamVector(policy_segments(cfg), np.frombuffer(flat)))
-    seqs, path_idx = _support(cfg.vocab_size, max_len)
-    out = _path_logprobs(transition_table(fixed, TokenSeq(ids)), path_idx[:, : len(seqs)])
+    seqs, cells = _support(cfg.vocab_size, max_len)
+    out = path_logprobs(transition_forward(fixed, [TokenSeq(ids)]).table, cells[: len(seqs)])
     out.setflags(write=False)
     return out
 
@@ -167,9 +147,9 @@ def exact_objectives(
     a row-wise log-sum-exp (numerics.log_normalizers) with the rewards, read
     once. beta == 0 reads no anchor. Warns when a row's mass off the support
     exceeds TAIL_WARN_THRESHOLD; a non-finite row is returned as is."""
-    seqs, path_idx = _support(params.cfg.vocab_size, _guard(params, max_len))
+    seqs, cells = _support(params.cfg.vocab_size, _guard(params, max_len))
     rewards = _rewards(seqs, reward_fn)
-    lps = _path_logprobs(transition_tables(params, flats, x), path_idx[:, : len(seqs)])
+    lps = path_logprobs(transition_tables(params, flats, x)[:, None], cells[: len(seqs)])
     probs = np.exp(lps)
     deficit = 1.0 - float(probs.sum(axis=-1).min())
     if deficit > TAIL_WARN_THRESHOLD:
@@ -222,19 +202,15 @@ def exact_kl_gradient(
     """Exact gradient of exact_kl_objective: the MML posteriors, less the
     KL term's coefficients unless beta == 0, weight each enumerated
     sequence's log-probability gradient. beta == 0 reads no anchor. The
-    coefficients' transition counts are one bincount over the support's
-    cached path indices, path-major so that each cell adds in path order,
-    and the backward reuses the enumeration's forward and count row: bitwise
-    policy.weighted_seq_grads of the padded support. Rewards are read on
-    every call."""
+    coefficients' transition counts are one transition_counts over the
+    support's cached cells, and the backward reuses the enumeration's
+    Forward: bitwise policy.weighted_seq_grads of the padded support.
+    Rewards are read on every call."""
     enum = enumerate_sequences(params, x, max_len)
     coeffs = mml_posteriors(enum, reward_fn)
     if beta != 0.0:
         lps = enum.logprobs
         coeffs = coeffs - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
     v = params.cfg.vocab_size
-    _, path_idx = _support(v, _guard(params, max_len))
-    # padding steps land on the cell past the table, which [:-1] drops
-    cells = path_idx[:, : len(coeffs)].T.ravel()
-    counts = np.bincount(cells, np.repeat(coeffs, len(path_idx)), v * v + 1)[:-1].reshape(1, v, v)
-    return count_grads(params, enum.inputs, counts, (enum.table[None], enum.activations))[0]
+    _, cells = _support(v, _guard(params, max_len))
+    return count_grads(params, enum.forward, transition_counts(cells[: len(coeffs)], coeffs, 1, v))[0]

@@ -9,14 +9,13 @@ fully analytic, which the enumeration and finite-difference checks depend on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import ParamVector, log_softmax_rows
+from .numerics import ParamVector, check_int_fields, log_softmax_rows
 from .optim import AdamConfig, AdamW
 from .vocab import BOS, EOS
 
@@ -83,6 +82,7 @@ class PolicyConfig:
     max_len: int = 6
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.vocab_size < 2:
             raise ValueError("vocabulary needs at least EOS plus one content token")
         if self.embed_dim < 1 or self.hidden_dim < 1:
@@ -156,7 +156,7 @@ def check_output_seq(z: TokenSeq, cfg: PolicyConfig) -> None:
         raise ValueError(f"sequence length {len(z)} exceeds max_len {cfg.max_len}")
 
 
-def _check_padded(rows: Padded, vocab_size: int, max_len: float = math.inf) -> None:
+def _check_padded(rows: Padded, vocab_size: int, max_len: int) -> None:
     """Raise, with check_output_seq's message, for the first row of a padded
     batch that holds an id outside [0, vocab_size) (naming its first such
     id) or is longer than max_len."""
@@ -171,114 +171,120 @@ def _check_padded(rows: Padded, vocab_size: int, max_len: float = math.inf) -> N
         raise ValueError(f"sequence length {lengths[i]} exceeds max_len {max_len}")
 
 
-def input_counts(inputs, v: int) -> np.ndarray:
-    """(B, V) float64 token-count rows of a padded batch of inputs, or the
-    (1, V) row of one TokenSeq, counted without padding it. An id outside
-    [0, V) raises as _check_padded raises, naming the first such id."""
-    if isinstance(inputs, TokenSeq):
-        if max(inputs.ids) >= v:
-            _check_ids(inputs, v)
-        return np.bincount(inputs.ids, minlength=v).astype(np.float64)[None]
-    _check_padded(inputs, v)
-    ids, valid = inputs
-    b = len(ids)
-    counts = np.bincount((ids + np.arange(0, b * v, v)[:, None])[valid], minlength=b * v)
-    return counts.reshape(b, v).astype(np.float64)
+def input_counts(xs, v: int) -> np.ndarray:
+    """(B, V) float64 token-count rows of a list of TokenSeq inputs, one
+    bincount each, so that no batch is padded. An id outside [0, V) raises
+    as _check_ids raises, before bincount sizes its array by the largest id."""
+    if not xs:
+        raise ValueError("empty batch")
+    for x in xs:
+        if max(x.ids) >= v:
+            _check_ids(x, v)
+    counts = np.empty((len(xs), v))
+    for i, x in enumerate(xs):
+        counts[i] = np.bincount(x.ids, minlength=v)
+    return counts
 
 
-def _contexts(embedding: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The mean embedding of each input from its token-count row: the
-    count-weighted (V, d) embedding rows summed over the vocabulary, over the
-    input's length. `embedding` may be stacked (K, V, d) (transition_tables).
-    An elementwise product, not a matmul, so that a row's bits do not depend
-    on its batch: a one-row BLAS product rounds differently."""
-    return (counts[..., None] * embedding).sum(axis=-2) / counts.sum(axis=-1, keepdims=True)
+class Forward(NamedTuple):
+    """One forward of a batch of inputs: their (B, V) token-count rows, the
+    (B, V, V) raw next-token logits whose [b, p] row holds the logits of the
+    step after token p, their log-softmax tables, log P(next = t | previous =
+    p, input b) at [b, p, t], and the activations the backward reuses: step
+    inputs u (B, V, 2d) and hidden states s (B, V, h). The context is fixed
+    per input, so its table fixes every log-prob of every rewrite of it."""
+
+    inputs: np.ndarray
+    logits: np.ndarray
+    table: np.ndarray
+    activations: tuple
 
 
-def _forward(params, contexts: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Raw next-token logits (B, V, V) for a batch of (B, d) input contexts,
-    every previous token at once, plus the activations the backward reuses:
-    step inputs u (B, V, 2d) and hidden states s (B, V, h). `params` is a
-    PolicyParams, or its four weight arrays stacked along a leading (B,)
-    axis, one parameter vector per context (transition_tables)."""
+def _forward(params, inputs: np.ndarray) -> Forward:
+    """The Forward of (B, V) input count rows, every previous token at once.
+    An input's context is its mean embedding: the count-weighted (V, d)
+    embedding rows summed over the vocabulary, over the input's length, an
+    elementwise product, not a matmul, so that a row's bits do not depend on
+    its batch: a one-row BLAS product rounds differently. `params` is a
+    PolicyParams, its weight views (pretrain_mle), or its four weight arrays
+    stacked along a leading (K,) axis, one parameter vector per table of one
+    input's count row (transition_tables)."""
     emb = params.token_embedding
+    contexts = (inputs[..., None] * emb).sum(axis=-2) / inputs.sum(axis=-1, keepdims=True)
     v, d = emb.shape[-2:]
     u = np.empty((len(contexts), v, 2 * d))
     u[:, :, :d] = contexts[:, None, :]
     u[:, :, d:] = emb
     s = np.tanh(u @ params.rec_w.swapaxes(-1, -2) + params.rec_b[..., None, :])
-    return s @ params.out_head, (u, s)
+    logits = s @ params.out_head
+    return Forward(inputs, logits, log_softmax_rows(logits), (u, s))
 
 
-def transition_logits_batch(params: PolicyParams, xs) -> tuple[np.ndarray, tuple]:
-    """Raw next-token logits of each input for every previous token at once,
-    stacked: (B, V, V) logits whose [b, p] row holds the logits of the step
-    after token p, and the (B, ...) activations (step inputs, hidden states)
-    the backward reuses, from one forward over the inputs' count rows."""
-    return _forward(params, _contexts(params.token_embedding, input_counts(pad(xs), params.cfg.vocab_size)))
-
-
-def transition_forward(params: PolicyParams, x: TokenSeq) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """x's (1, V) token-count row, its transition_table and the (1, ...)
-    activations the backward reuses, from one forward: bitwise input_counts,
-    transition_table and the activations of transition_logits_batch(params,
-    [x]), without padding a batch of one."""
-    inputs = input_counts(x, params.cfg.vocab_size)
-    logits, acts = _forward(params, _contexts(params.token_embedding, inputs))
-    return inputs, log_softmax_rows(logits[0]), acts
-
-
-def transition_table(params: PolicyParams, x: TokenSeq) -> np.ndarray:
-    """log P(next = t | previous = p, x) at [p, t]. The context is fixed per
-    input, so this one table fixes every log-prob of every rewrite of x."""
-    return transition_tables(params, params.flat[None], x)[0]
+def transition_forward(params: PolicyParams, xs) -> Forward:
+    """The Forward of a list of inputs, from their checked count rows. Each
+    input's rows are bitwise those of its batch of one."""
+    return _forward(params, input_counts(xs, params.cfg.vocab_size))
 
 
 def transition_tables(params: PolicyParams, flats: np.ndarray, x: TokenSeq) -> np.ndarray:
-    """transition_table of x under each row of a (K, P) block of parameter
-    vectors laid out as `params`' own, stacked (K, V, V): one forward with
-    (K, ...) weights and x's one count row, each table bitwise its row's own."""
+    """The log-transition table of x under each row of a (K, P) block of
+    parameter vectors laid out as `params`' own, stacked (K, V, V): one
+    forward with (K, ...) weights and x's one count row, each table bitwise
+    its row's own transition_forward table."""
     k = len(flats)
     weights = SimpleNamespace(**{
         name: flats[:, params.pv.segment_slice(name)].reshape(k, *shape) for name, shape in params.pv.segments()
     })
-    contexts = _contexts(weights.token_embedding, input_counts(x, params.cfg.vocab_size))
-    return log_softmax_rows(_forward(weights, contexts)[0])
+    return _forward(weights, input_counts([x], params.cfg.vocab_size)).table
 
 
-def _cells(rows: Padded, batch: int, v: int) -> np.ndarray:
-    """Each position's flat (input, previous token, token) cell in a (batch, V, V) stack."""
+def step_cells(rows: Padded, batch: int, v: int) -> np.ndarray:
+    """(rows, steps) flat cells of input-major rows in a (batch, V, V) stack
+    of tables: step j of row r is cell (input, previous token, token), and a
+    padding step is cell batch * V * V, one past the stack."""
     ids = rows.ids
     if len(ids) % batch:
         raise ValueError(f"{len(ids)} rows for {batch} inputs: each input needs the same number of rows")
     cells = ids + np.repeat(np.arange(0, batch * v * v, v * v), len(ids) // batch)[:, None]
     cells[:, 0] += BOS * v
     cells[:, 1:] += ids[:, :-1] * v
+    cells[~rows.valid] = batch * v * v
     return cells
 
 
-def path_logprobs(tables: np.ndarray, rows: Padded) -> np.ndarray:
-    """log P of each input-major row under its input's log-transition table:
-    one gather, 0.0 past each row's end, summed in path order from 0.0."""
-    cells = np.where(rows.valid, tables.reshape(-1).take(_cells(rows, *tables.shape[:2])), 0.0)
-    total = np.zeros(len(cells))
-    for col in cells.T:
-        total += col
+def path_logprobs(tables: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """log P of each row of step_cells under a (B, V, V) stack of log-transition
+    tables, or under each member of a (K, B, V, V) stack as (K, rows): one
+    gather of every cell, then the steps summed in path order from 0.0 into a
+    fresh C-contiguous array; padding adds an exact 0.0. numpy sums the rows
+    of a transposed (K, rows) array in another order than each row alone, so
+    a row-wise log-sum-exp over a strided result would round differently on
+    some rows. One gather, not one per step: a recipe step's rows are short
+    and many, where a take per step costs more than the gather itself."""
+    *lead, b, v, _ = tables.shape
+    flat = np.zeros((*lead, b * v * v + 1))
+    flat[..., :-1] = tables.reshape(*lead, b * v * v)
+    steps = flat.take(cells, axis=-1)
+    total = 0.0 + steps[..., 0]
+    for j in range(1, cells.shape[1]):
+        total += steps[..., j]
     return total
+
+
+def transition_counts(cells: np.ndarray, weights, batch: int, v: int) -> np.ndarray:
+    """(batch, V, V) weighted transition counts of step_cells rows: one
+    bincount adds each row's weight at each of its cells in row-major order,
+    so each cell adds in path order. Padding falls on the cell past the
+    stack, which is dropped."""
+    steps = np.repeat(np.asarray(weights, dtype=np.float64), cells.shape[1])
+    return np.bincount(cells.ravel(), steps, batch * v * v + 1)[:-1].reshape(batch, v, v)
 
 
 def seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:
     """Exact log P(z | x): sum of per-step log-softmax terms. Always <= 0."""
     check_output_seq(z, params.cfg)
-    return float(path_logprobs(transition_table(params, x)[None], pad([z]))[0])
-
-
-def _transition_counts(batch: int, v: int, rows: Padded, weights) -> np.ndarray:
-    """(batch, V, V) weighted transition counts of input-major rows: bincount adds each
-    step's weight in row-major order, so each cell adds in path order. Padding steps weigh
-    0 and fall on the (EOS, EOS) cell, which no real step reaches."""
-    steps = np.asarray(weights, dtype=np.float64)[:, None] * rows.valid
-    return np.bincount(_cells(rows, batch, v).ravel(), steps.ravel(), batch * v * v).reshape(batch, v, v)
+    cells = step_cells(pad([z]), 1, params.cfg.vocab_size)
+    return float(path_logprobs(transition_forward(params, [x]).table, cells)[0])
 
 
 class _Workspace:
@@ -295,16 +301,16 @@ class _Workspace:
         }
 
 
-def _backward(params, work: _Workspace, inputs, counts, rowsums, table, u, s) -> np.ndarray:
+def _backward(params, work: _Workspace, fwd: Forward, counts, rowsums) -> np.ndarray:
     """Gradient rows (B, P), in work.rows: row b is the gradient of sum_{p,t}
     counts[b, p, t] * log P(t | p, input b), one stacked backward through the
-    (B, V, V) log-softmax tables. With C the counts and `rowsums` their
-    rowsum(C), the logit gradient is C - rowsum(C) * exp(table). The inputs
-    come as their (B, V) token-count rows; `params` is a PolicyParams or its
-    weight views (pretrain_mle)."""
+    Forward's (B, V, V) log-softmax tables. With C the counts and `rowsums`
+    their rowsum(C), the logit gradient is C - rowsum(C) * exp(table).
+    `params` is a PolicyParams or its weight views (pretrain_mle)."""
+    inputs, (u, s) = fwd.inputs, fwd.activations
     d = u.shape[-1] // 2
     seg = work.seg
-    glogits = counts - rowsums * np.exp(table)
+    glogits = counts - rowsums * np.exp(fwd.table)
     seg["out_head"][:] = s.transpose(0, 2, 1) @ glogits
     ga = (glogits @ params.out_head.T) * (1.0 - s * s)
     gu = ga @ params.rec_w
@@ -317,35 +323,24 @@ def _backward(params, work: _Workspace, inputs, counts, rowsums, table, u, s) ->
     return work.rows
 
 
-def count_grads(params: PolicyParams, inputs: np.ndarray, counts: np.ndarray, transition=None) -> np.ndarray:
+def count_grads(params: PolicyParams, fwd: Forward, counts: np.ndarray) -> np.ndarray:
     """Gradient rows (B, P), fresh on every call: row b is the gradient of
     sum_{p,t} counts[b, p, t] * log P(t | p, input b), by one stacked backward
-    from the inputs' (B, V) token-count rows (input_counts) and their (B, V, V)
-    transition counts, taken as given. A caller holding the inputs' forward
-    passes it as `transition`: the log-softmax of transition_logits_batch's
-    logits and its activations, (table, activations)."""
-    if transition is None:
-        logits, acts = _forward(params, _contexts(params.token_embedding, inputs))
-        transition = log_softmax_rows(logits), acts
-    table, (u, s) = transition
+    through the inputs' Forward from their (B, V, V) transition counts, taken
+    as given."""
     rowsums = counts.sum(axis=-1, keepdims=True)
-    return _backward(params, _Workspace(params, len(inputs)), inputs, counts, rowsums, table, u, s)
+    return _backward(params, _Workspace(params, len(counts)), fwd, counts, rowsums)
 
 
-def weighted_seq_grads(
-    params: PolicyParams, inputs: Padded, rows: Padded, weights, transition=None
-) -> np.ndarray:
+def weighted_seq_grads(params: PolicyParams, fwd: Forward, rows: Padded, weights) -> np.ndarray:
     """Gradient rows (B, P): row b is the gradient of sum_r weights[r] * log P(row r | input b)
-    over input b's rows (input-major), count_grads of the checked inputs' count rows and the
-    rows' weighted transition counts, with `transition` as count_grads takes it."""
+    over input b's rows (input-major), count_grads of the inputs' Forward and the checked
+    rows' weighted transition counts."""
     if len(weights) != len(rows.ids):
         raise ValueError(f"{len(weights)} weights for {len(rows.ids)} sequences")
-    v = params.cfg.vocab_size
+    v, batch = params.cfg.vocab_size, len(fwd.inputs)
     _check_padded(rows, v, params.cfg.max_len)
-    inputs = input_counts(inputs, v)
-    if transition is not None and len(transition[0]) != len(inputs):
-        raise ValueError(f"{len(transition[0])} transition tables for {len(inputs)} inputs")
-    return count_grads(params, inputs, _transition_counts(len(inputs), v, rows, weights), transition)
+    return count_grads(params, fwd, transition_counts(step_cells(rows, batch, v), weights, batch, v))
 
 
 def _check_pairs(pairs, cfg: PolicyConfig) -> None:
@@ -379,8 +374,8 @@ def pretrain_mle(
         raise ValueError("no training pairs")
     _check_pairs(pairs, params.cfg)
     n, v = len(pairs), params.cfg.vocab_size
-    inputs = input_counts(pad([x for x, _ in pairs]), v)
-    counts = _transition_counts(n, v, pad([z for _, z in pairs]), np.ones(n))
+    inputs = input_counts([x for x, _ in pairs], v)
+    counts = transition_counts(step_cells(pad([z for _, z in pairs]), n, v), np.ones(n), n, v)
     rowsums = counts.sum(axis=-1, keepdims=True)
     out = params.copy()
     # views of out's weights, which the optimizer updates in place
@@ -392,11 +387,8 @@ def pretrain_mle(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             chunk = order[start : start + batch_size]
-            b_inputs = inputs[chunk]
-            work = works[len(chunk)]
-            logits, (u, s) = _forward(views, _contexts(views.token_embedding, b_inputs))
-            table = log_softmax_rows(logits)
-            rows = _backward(views, work, b_inputs, counts[chunk], rowsums[chunk], table, u, s)
+            fwd = _forward(views, inputs[chunk])
+            rows = _backward(views, works[len(chunk)], fwd, counts[chunk], rowsums[chunk])
             grad = np.add.reduce(rows, axis=0, initial=0.0)
             grad /= len(rows)
             opt.step(out.flat, -grad)

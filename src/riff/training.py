@@ -23,7 +23,6 @@ from .checkpoint import atomic_write, params_hash
 from .data import Example, RowError, SyntheticTask, TaskTemplate, formatted_counts
 from .decoding import DecodeConfig, decode_batch, diverse_beam_batch
 from .estimators import DEFAULT_BETA, ESTIMATORS, REGIMES
-from .numerics import log_softmax_rows
 from .optim import AdamConfig, AdamW
 from .policy import (
     Padded,
@@ -33,7 +32,8 @@ from .policy import (
     path_logprobs,
     save_policy,
     snapshot,
-    transition_logits_batch,
+    step_cells,
+    transition_forward,
     unpad,
     weighted_seq_grads,
 )
@@ -181,7 +181,7 @@ def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig) -> P
     """Test-style rewrites (diverse beam, m per input, input-major) of all
     examples from one stacked forward and one batched beam. Diverse beam
     reads no seed, so rewrites depend only on the policy and input."""
-    logits = transition_logits_batch(policy, [ex.x for ex in examples])[0]
+    logits = transition_forward(policy, [ex.x for ex in examples]).logits
     return diverse_beam_batch(policy, logits, decode_config(replace(cfg, m=m), cfg.seed))
 
 
@@ -306,8 +306,8 @@ def _anchor_tables(fixed: PolicyParams, examples):
     snapshot for each example, stacked. The snapshot never changes and an
     input's rows do not depend on its batch or padding, so they are built
     once per run and each step gathers its batch's rows."""
-    logits = transition_logits_batch(fixed, [ex.x for ex in examples])[0]
-    return fixed, logits, log_softmax_rows(logits)
+    fwd = transition_forward(fixed, [ex.x for ex in examples])
+    return fixed, fwd.logits, fwd.table
 
 
 def _minibatch_gradient(policy, anchor, batch, reward_fn, cfg: RunConfig, step: int):
@@ -319,16 +319,15 @@ def _minibatch_gradient(policy, anchor, batch, reward_fn, cfg: RunConfig, step: 
     order, bitwise a running sum of per-example gradients from 0.0. Reward
     standardization and the coefficients take the (B, m) arrays in one call
     each, and a bad row's error names its example and the step."""
-    xs = [ex.x for ex in batch]
-    logits, acts = transition_logits_batch(policy, xs)
-    table = log_softmax_rows(logits)
+    fwd = transition_forward(policy, [ex.x for ex in batch])
     # off-policy samples come from the frozen snapshot; diverse beam reads no seed
-    sampler = anchor if cfg.regime == "off" else (policy, logits, table)
+    sampler = anchor if cfg.regime == "off" else (policy, fwd.logits, fwd.table)
     seeds = [derive_seed(cfg.seed, step, ex.uid) for ex in batch]
     rewrites = decode_batch(sampler[0], cfg.decoder, *sampler[1:], seeds, decode_config(cfg, 0))
     raw = _sample_rewards(batch, rewrites, reward_fn, step)
-    cur = path_logprobs(table, rewrites).reshape(raw.shape)
-    fixed_lp = path_logprobs(anchor[2], rewrites).reshape(raw.shape)
+    cells = step_cells(rewrites, len(batch), policy.cfg.vocab_size)
+    cur = path_logprobs(fwd.table, cells).reshape(raw.shape)
+    fixed_lp = path_logprobs(anchor[2], cells).reshape(raw.shape)
     rewards = est.normalize_rewards(raw) if cfg.normalize else raw
     try:
         weights, clamp_events = est.coefficients(
@@ -337,7 +336,7 @@ def _minibatch_gradient(policy, anchor, batch, reward_fn, cfg: RunConfig, step: 
     except RowError as exc:
         raise ValueError(f"example {batch[exc.row].uid} at step {step}: {exc.reason}") from exc
     mean_reward = float(raw.mean(axis=1).cumsum()[-1])  # a running sum, in batch order
-    grads = weighted_seq_grads(policy, pad(xs), rewrites, weights.ravel(), (table, acts))
+    grads = weighted_seq_grads(policy, fwd, rewrites, weights.ravel())
     finite = np.isfinite(grads).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite gradient for example {batch[np.argmin(finite)].uid} at step {step}")

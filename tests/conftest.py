@@ -29,12 +29,10 @@ from riff.policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
-    input_counts,
     pad,
     policy_segments,
     seq_logprob,
-    transition_logits_batch,
-    transition_table,
+    transition_forward,
     unpad,
     weighted_seq_grads,
 )
@@ -134,7 +132,7 @@ def reference_context(params: PolicyParams, x: TokenSeq) -> np.ndarray:
 
 def greedy_path(params: PolicyParams, x: TokenSeq) -> TokenSeq:
     """Stepwise-argmax sequence under the raw policy; ties go to the lowest id."""
-    logits = transition_logits_batch(params, [x])[0][0]
+    logits = transition_forward(params, [x]).logits[0]
     prefix: list[int] = []
     prev = BOS
     while len(prefix) < params.cfg.max_len - 1:
@@ -300,7 +298,8 @@ def total_mass(enum: Enumeration) -> float:
 def reference_enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: int) -> Enumeration:
     """Depth-first enumeration, one recursive call per prefix, summing
     log-probs along the path and the tail mass as it goes."""
-    table = transition_table(params, x)
+    fwd = transition_forward(params, [x])
+    table = fwd.table[0]
     entries: list[tuple[TokenSeq, float]] = []
     tail = 0.0
 
@@ -321,15 +320,14 @@ def reference_enumerate_sequences(params: PolicyParams, x: TokenSeq, max_len: in
     expand([], 0.0)
     seqs = tuple(z for z, _ in entries)
     logprobs = np.array([lp for _, lp in entries])
-    acts = transition_logits_batch(params, [x])[1]
-    return Enumeration(seqs, logprobs, tail, input_counts(pad([x]), params.cfg.vocab_size), table, acts)
+    return Enumeration(seqs, logprobs, tail, fwd)
 
 
 def reference_exact_values(params: PolicyParams, fixed: PolicyParams, x: TokenSeq, reward_fn, beta: float,
                            max_len: int) -> dict:
     """The straight-line forms of oracle's exact values: reference_enumerate_sequences
     entries, list-built weights, the anchor's seq_logprob of each sequence, then
-    pad(seqs) and weighted_seq_grads with its own forward. Returns the plain
+    pad(seqs) and weighted_seq_grads on a forward of its own. Returns the plain
     objective, posteriors and gradient, the KL objective and gradient at beta
     (the plain pair at beta == 0), and the sequences and KL coefficients."""
     entries = reference_enumerate_sequences(params, x, max_len).entries
@@ -337,13 +335,13 @@ def reference_exact_values(params: PolicyParams, fixed: PolicyParams, x: TokenSe
     lps = np.array([lp for _, lp in entries])
     weights = np.array([lp + reward_fn(z) for z, lp in entries])
     out = {"seqs": seqs, "objective": logsumexp(weights), "posteriors": softmax(weights)}
-    out["gradient"] = weighted_seq_grads(params, pad([x]), pad(seqs), out["posteriors"])[0]
+    out["gradient"] = weighted_seq_grads(params, transition_forward(params, [x]), pad(seqs), out["posteriors"])[0]
     out["kl_objective"], out["kl_coeffs"] = out["objective"], out["posteriors"]
     if beta != 0.0:
         fixed_lps = np.array([seq_logprob(fixed, x, z) for z in seqs])
         out["kl_objective"] = out["objective"] - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
         out["kl_coeffs"] = out["posteriors"] - beta * np.exp(lps) * (lps - fixed_lps + 1.0)
-    out["kl_gradient"] = weighted_seq_grads(params, pad([x]), pad(seqs), out["kl_coeffs"])[0]
+    out["kl_gradient"] = weighted_seq_grads(params, transition_forward(params, [x]), pad(seqs), out["kl_coeffs"])[0]
     return out
 
 
@@ -351,16 +349,16 @@ def reference_exact_kl_gradient(params: PolicyParams, fixed: PolicyParams, x: To
                                 max_len: int | None = None) -> np.ndarray:
     """oracle.exact_kl_gradient composed step by step: enumerate_sequences,
     mml_posteriors, the KL coefficients from the anchor's log-probs unless
-    beta == 0, then weighted_seq_grads of pad([x]) and the enumerated
-    sequences padded afresh, checked and counted on every call, on the
-    enumeration's own forward."""
+    beta == 0, then weighted_seq_grads of the enumeration's own Forward and
+    the enumerated sequences padded afresh, checked, encoded and counted on
+    every call."""
     enum = enumerate_sequences(params, x, max_len)
     coeffs = mml_posteriors(enum, reward_fn)
     if beta != 0.0:
         lps = enum.logprobs
         coeffs = coeffs - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
     rows = pad(list(enum.seqs))
-    return weighted_seq_grads(params, pad([x]), rows, coeffs, (enum.table[None], enum.activations))[0]
+    return weighted_seq_grads(params, enum.forward, rows, coeffs)[0]
 
 
 def mp_objective_derivative(params: PolicyParams, x: TokenSeq, reward_fn, max_len: int, i: int,
@@ -424,7 +422,7 @@ def reference_top_p_sample(
     made per token: decoding.top_p_batch must draw these ids, and
     policy.path_logprobs must return these log-probs, bitwise."""
     rng = np.random.default_rng(cfg.seed)
-    table = transition_table(policy, x) if table is None else table
+    table = transition_forward(policy, [x]).table[0] if table is None else table
     max_len = policy.cfg.max_len
     out = []
     for _ in range(cfg.m):
@@ -479,7 +477,7 @@ def reference_diverse_beam(
 ) -> list[TokenSeq]:
     """Straight-line diverse beam, penalties and log-normalizer on numpy rows
     per group-step: decoding.diverse_beam must return these ids bitwise."""
-    table_logits = transition_logits_batch(policy, [x])[0][0] if logits is None else logits
+    table_logits = transition_forward(policy, [x]).logits[0] if logits is None else logits
     max_len = policy.cfg.max_len
     prefixes: list[list[int]] = [[] for _ in range(cfg.m)]
     scores = [0.0] * cfg.m
@@ -516,8 +514,8 @@ def reference_diverse_beam(
 
 def decode_one(policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig) -> list[TokenSeq]:
     """m rewrites of one input by `scheme`, its draws seeded by cfg.seed: decode_batch of a batch of one."""
-    logits = transition_logits_batch(policy, [x])[0]
-    return unpad(decode_batch(policy, scheme, logits, log_softmax_rows(logits), [cfg.seed], cfg))
+    fwd = transition_forward(policy, [x])
+    return unpad(decode_batch(policy, scheme, fwd.logits, fwd.table, [cfg.seed], cfg))
 
 
 def reference_example_gradient(policy: PolicyParams, fixed: PolicyParams, ex, reward_fn, cfg, step: int):
@@ -525,7 +523,8 @@ def reference_example_gradient(policy: PolicyParams, fixed: PolicyParams, ex, re
     backward, with its mean raw reward and clamp-event count; `reward_fn`
     maps the samples to their rewards. training._minibatch_gradient must
     return the batch mean of these gradients bitwise."""
-    table, fixed_table = transition_table(policy, ex.x), transition_table(fixed, ex.x)
+    fwd = transition_forward(policy, [ex.x])
+    table, fixed_table = fwd.table[0], transition_forward(fixed, [ex.x]).table[0]
     dc = decode_config(cfg, derive_seed(cfg.seed, step, ex.uid))
     seqs = decode_one(fixed if cfg.regime == "off" else policy, ex.x, cfg.decoder, dc)
     raw_rewards = np.asarray(reward_fn(seqs), dtype=np.float64)
@@ -535,7 +534,7 @@ def reference_example_gradient(policy: PolicyParams, fixed: PolicyParams, ex, re
     weights, clamp_events = est.coefficients(
         cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
     )
-    grad = weighted_seq_grads(policy, pad([ex.x]), pad(seqs), weights)[0]
+    grad = weighted_seq_grads(policy, fwd, pad(seqs), weights)[0]
     return grad, float(raw_rewards.mean()), clamp_events
 
 

@@ -33,7 +33,8 @@ from riff.policy import (
     TokenSeq,
     path_logprobs,
     pretrain_mle,
-    transition_table,
+    step_cells,
+    transition_forward,
     unpad,
 )
 from riff.promptsearch import Instruction, gs_step, minibatch_loglik
@@ -180,10 +181,10 @@ def test_criterion_4_decoder_contracts():
     assert [z.ids for z in diverse_beam(policy, x, cfg)] == [
         z.ids for z in diverse_beam(policy, x, cfg)
     ]
-    tables = transition_table(policy, x)[None]
+    tables = transition_forward(policy, [x]).table
     first, again = (top_p_batch(policy, tables, [cfg.seed], cfg) for _ in range(2))
-    assert [(z.ids, lp) for z, lp in zip(unpad(first), path_logprobs(tables, first).tolist())] == [
-        (z.ids, lp) for z, lp in zip(unpad(again), path_logprobs(tables, again).tolist())
+    assert [(z.ids, lp) for z, lp in zip(unpad(first), path_logprobs(tables, step_cells(first, 1, 4)).tolist())] == [
+        (z.ids, lp) for z, lp in zip(unpad(again), path_logprobs(tables, step_cells(again, 1, 4)).tolist())
     ]
     assert [z.ids for z in decode_one(policy, x, "mixed", cfg)] == [
         z.ids for z in decode_one(policy, x, "mixed", cfg)

@@ -133,12 +133,37 @@ def test_the_summary_prints_each_metric_and_the_source_line_counts_as_base_to_he
     entry["src_lines"] = {"base": 3313, "head": 3291}
     entry["src_code_lines"] = {"base": 2243, "head": 2230}
     assert bench_pairs.summary_lines(entry) == [
-        "ok_frac: 1 -> 1 (wins 0/2, parent IQR 0, gain shown False)",
-        "peak_rss_mb: 40 -> 40 (wins None/2, parent IQR 0, gain shown None)",
-        "pretrain_s: 0.11 -> 0.085 (wins 2/2, parent IQR 0.01, gain shown True)",
+        "ok_frac: 1 -> 1 (wins 0/2, parent IQR 0, gain shown False, regression None)",
+        "peak_rss_mb: 40 -> 40 (wins None/2, parent IQR 0, gain shown None, regression None)",
+        "pretrain_s: 0.11 -> 0.085 (wins 2/2, parent IQR 0.01, gain shown True, regression None)",
         "src_lines: 3313 -> 3291",
         "src_code_lines: 2243 -> 2230",
     ]
+
+
+def test_the_regression_verdict_applies_each_metrics_bound_to_the_medians_and_the_parent_spread():
+    bounds = {"pretrain_s": 0.1, "ok_frac": 0.01}
+    base = [0.100, 0.101, 0.102, 0.103, 0.104]  # parent IQR 0.002, 2 % of its median 0.102
+
+    def verdict(head, bound=bounds):
+        return bench_pairs.summarize(canned_runs(base, head), BETTER, bound)["pretrain_s"]["regression"]
+
+    assert verdict([b * 1.05 for b in base]) == "none"  # 5 % slower, inside the 10 % bound
+    assert verdict([b * 1.15 for b in base]) == "beyond bound"
+    assert verdict([b * 0.5 for b in base]) == "none"  # faster is never a regression
+    # with a 1 % bound the parent's 2 % spread is too wide to tell, unless every pair is won
+    assert verdict([b * 1.005 for b in base], {"pretrain_s": 0.01}) == "unresolved"
+    assert verdict([b * 0.995 for b in base], {"pretrain_s": 0.01}) == "none"
+    assert verdict([b * 1.02 for b in base], {"pretrain_s": 0.01}) == "beyond bound"
+    # a higher-is-better metric regresses when it falls; a metric without a bound gets no verdict
+    stats = bench_pairs.summarize(canned_runs(base, base, incorrect={(100, "head"), (101, "head")}), BETTER, bounds)
+    assert stats["ok_frac"]["head"]["median"] == 1.0 and stats["ok_frac"]["regression"] == "none"
+    entry = bench_pairs.workload_entry(
+        canned_runs(base, base, incorrect={(k, "head") for k in range(100, 103)}), BETTER, "abc", 20.0, None, bounds)
+    assert entry["metrics"]["ok_frac"]["regression"] == "beyond bound"
+    assert "regression" not in entry["metrics"]["peak_rss_mb"]
+    assert "regression beyond bound" in bench_pairs.summary_lines({**entry, "src_lines": {"base": 1, "head": 1},
+                                                                    "src_code_lines": {"base": 1, "head": 1}})[0]
 
 
 def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):

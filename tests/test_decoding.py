@@ -36,8 +36,8 @@ from riff.policy import (
     pad,
     path_logprobs,
     seq_logprob,
-    transition_logits_batch,
-    transition_table,
+    step_cells,
+    transition_forward,
     unpad,
 )
 from riff.vocab import BOS, EOS
@@ -48,9 +48,9 @@ X = TokenSeq.from_content([1, 2])
 def top_p_draws(p, x, cfg, table=None) -> list[tuple[TokenSeq, float]]:
     """One input's m nucleus draws seeded by cfg.seed, each with its log-prob
     under the table (by default the input's own transition table)."""
-    tables = (transition_table(p, x) if table is None else table)[None]
+    tables = transition_forward(p, [x]).table if table is None else table[None]
     rows = top_p_batch(p, tables, [cfg.seed], cfg)
-    return list(zip(unpad(rows), path_logprobs(tables, rows).tolist()))
+    return list(zip(unpad(rows), path_logprobs(tables, step_cells(rows, 1, p.cfg.vocab_size)).tolist()))
 
 
 def test_config_defaults_match_shared_table():
@@ -181,7 +181,7 @@ def test_diverse_beam_batch_equals_reference_per_input(m, max_len, repetition_pe
     xs = [TokenSeq.from_content(gen.integers(1, 7, size=int(gen.integers(1, 5))).tolist()) for _ in range(9)]
     dc = DecodeConfig(m=m, repetition_penalty=repetition_penalty, diversity_penalty=diversity_penalty)
     want = [[z.ids for z in reference_diverse_beam(p, x, dc)] for x in xs]
-    logits = transition_logits_batch(p, xs)[0]
+    logits = transition_forward(p, xs).logits
     for b in range(1, 10):
         got = diverse_beam_batch(p, logits[:b], dc)
         assert rewrite_ids(got, m) == want[:b]
@@ -190,7 +190,7 @@ def test_diverse_beam_batch_equals_reference_per_input(m, max_len, repetition_pe
 def test_diverse_beam_batch_names_the_input_and_step_of_a_non_finite_row():
     p = tiny_policy(seed=13, vocab=6, max_len=6)
     xs = [TokenSeq.from_content([t]) for t in (1, 2, 3)]
-    logits = transition_logits_batch(p, xs)[0]
+    logits = transition_forward(p, xs).logits
     cfg = DecodeConfig(m=3)
     beams = diverse_beam_batch(p, logits, cfg)
     # a finished group's previous token is EOS: only live rows are read and checked
@@ -261,11 +261,11 @@ def test_diverse_beam_batch_equals_reference_on_ties_infinities_and_near_ties(
 
 def test_decoders_reject_non_finite_rows():
     p = tiny_policy(seed=13)
-    logits = transition_logits_batch(p, [X])[0][0].copy()
+    logits = transition_forward(p, [X]).logits[0].copy()
     logits[BOS, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite transition logits for batch input 0 at decode step 0"):
         diverse_beam_batch(p, logits[None], DecodeConfig(m=2))
-    table = transition_table(p, X).copy()
+    table = transition_forward(p, [X]).table[0].copy()
     table[BOS, 1] = np.nan
     with pytest.raises(ValueError, match=f"transition row {BOS}"):
         top_p_draws(p, X, DecodeConfig(m=2, top_p=1.0), table)
@@ -364,7 +364,7 @@ def test_decoders_bitwise_equal_references_on_ties_and_negative_logits():
     p.rec_b[:] = 1.0
     p.rec_w[:] = 0.0
     p.out_head[:] = -np.abs(p.out_head) - 0.1
-    assert np.all(transition_logits_batch(p, [X])[0] < 0)
+    assert np.all(transition_forward(p, [X]).logits < 0)
     for m in (1, 8):
         _assert_matches_references(p, X, DecodeConfig(m=m, repetition_penalty=10.0, seed=m))
 
@@ -441,8 +441,8 @@ def test_decoders_return_wellformed_sequences(seed, scheme):
         assert sum(1 for t in z.ids if t == EOS) == 1
         assert len(z) <= max_len
     # decoding from the input's transition table is bitwise the same
-    logits = transition_logits_batch(p, [x])[0]
-    held = decode_batch(p, scheme, logits, transition_table(p, x)[None], [cfg.seed], cfg)
+    fwd = transition_forward(p, [x])
+    held = decode_batch(p, scheme, fwd.logits, fwd.table, [cfg.seed], cfg)
     assert [z.ids for z in unpad(held)] == [z.ids for z in decode_one(p, x, scheme, cfg)]
     # and the decoders return the straight-line references' ids and log-probs
     _assert_matches_references(p, x, cfg)
@@ -478,7 +478,7 @@ def test_nucleus_buckets_equal_per_row_references_on_random_stacks():
 def test_top_p_batch_raises_only_on_a_non_finite_row_a_draw_visits():
     p = tiny_policy(seed=7, vocab=6, max_len=2)  # one sampled step: only the BOS row is visited
     xs = [TokenSeq.from_content([1]), TokenSeq.from_content([2, 3])]
-    tables = np.stack([transition_table(p, x) for x in xs])
+    tables = transition_forward(p, xs).table
     cfg = DecodeConfig(m=4, top_p=1.0)
     want = top_p_batch(p, tables, [5, 6], cfg)
     unvisited = tables.copy()
@@ -503,8 +503,8 @@ def test_batch_decoding_equals_the_per_input_decoders(scheme):
         ]
         cfg = DecodeConfig(m=int(gen.choice([2, 4, 8])), top_p=float(gen.choice([0.5, 0.99, 1.0])))
         seeds = gen.integers(2**31, size=len(xs)).tolist()
-        logits = transition_logits_batch(p, xs)[0]
-        rows = decode_batch(p, scheme, logits, log_softmax_rows(logits), seeds, cfg)
+        fwd = transition_forward(p, xs)
+        rows = decode_batch(p, scheme, fwd.logits, fwd.table, seeds, cfg)
         want = [
             [z.ids for z in decode_one(p, x, scheme, replace(cfg, seed=s))]
             for x, s in zip(xs, seeds)

@@ -24,7 +24,6 @@ from riff.numerics import finite_diff_grad, max_relative_error, richardson_grad
 from riff.optim import AdamConfig, AdamW
 from riff.oracle import (
     _anchor_logprobs,
-    _path_logprobs,
     _support,
     enumerate_sequences,
     exact_gradient,
@@ -36,10 +35,14 @@ from riff.oracle import (
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
+    Padded,
     TokenSeq,
+    pad,
+    path_logprobs,
     seq_logprob,
-    transition_logits_batch,
-    transition_table,
+    step_cells,
+    transition_forward,
+    transition_tables,
 )
 from riff.vocab import BOS, EOS
 
@@ -136,11 +139,10 @@ def test_anchor_logprobs_are_memoized_by_value_and_read_only():
     p = tiny_policy(seed=41, vocab=4, max_len=4)
     fixed = tiny_policy(seed=42, vocab=4, max_len=4, scale=0.4)
     x = TokenSeq.from_content([2, 3])
-    seqs, path_idx = _support(4, 4)
-    entry_idx = path_idx[:, : len(seqs)]
+    seqs, cells = _support(4, 4)
 
     def fresh():
-        return _path_logprobs(transition_table(fixed, x), entry_idx)
+        return path_logprobs(transition_forward(fixed, [x]).table, cells[: len(seqs)])
 
     first = _anchor_logprobs(p, fixed, x, None)
     assert not first.flags.writeable
@@ -150,8 +152,8 @@ def test_anchor_logprobs_are_memoized_by_value_and_read_only():
     fixed.flat[:] += 0.05
     second = _anchor_logprobs(p, fixed, x, None)
     assert np.array_equal(second, fresh()) and not np.array_equal(second, first)
-    seqs, path_idx = _support(4, 3)
-    want = _path_logprobs(transition_table(fixed, x), path_idx[:, : len(seqs)])
+    seqs, cells = _support(4, 3)
+    want = path_logprobs(transition_forward(fixed, [x]).table, cells[: len(seqs)])
     assert np.array_equal(_anchor_logprobs(p, fixed, x, 3), want)
 
 
@@ -364,9 +366,12 @@ def test_enumeration_forward_is_transition_tables_bitwise_on_sweep_draws():
     ]
     for p, x, max_len in draws:
         enum = enumerate_sequences(p, x, max_len)
-        logits, (u, s) = transition_logits_batch(p, [x])
-        assert np.array_equal(enum.table, transition_table(p, x))
-        assert np.array_equal(enum.activations[0], u) and np.array_equal(enum.activations[1], s)
+        fwd = transition_forward(p, [x])
+        for got, want in zip((enum.forward.inputs, enum.forward.table, *enum.forward.activations),
+                             (fwd.inputs, fwd.table, *fwd.activations)):
+            assert np.array_equal(got, want)
+        tables = transition_tables(p, p.flat[None], x)
+        assert np.array_equal(enum.forward.table, tables)
 
 
 def test_exact_gradients_equal_the_straight_line_reference_bitwise_on_sweep_draws():
@@ -407,8 +412,8 @@ def test_an_exact_ascent_keeps_one_support_per_shape_and_shares_nothing_mutable(
         opt.step(current.flat, -sum(grads))
     # both inputs read the one support of their shape, whose arrays are read-only
     assert _support.cache_info().misses == 1 and _support.cache_info().currsize == 1
-    seqs, path_idx = _support(4, 4)
-    assert isinstance(seqs, tuple) and not path_idx.flags.writeable
+    seqs, cells = _support(4, 4)
+    assert isinstance(seqs, tuple) and not cells.flags.writeable
     # an id outside the vocabulary raises on every call and caches nothing
     foreign = TokenSeq.from_content([2, 4])
     for _ in range(2):
@@ -465,8 +470,8 @@ def test_each_exact_call_runs_one_forward(monkeypatch, name):
 def test_enumeration_arrays_are_read_only_and_keep_the_support_cache():
     p, _, x, _ = kl_instance()
     enum = enumerate_sequences(p, x)
-    seqs, path_idx = _support(4, 4)
-    for arr in (path_idx, enum.logprobs):
+    seqs, cells = _support(4, 4)
+    for arr in (cells, enum.logprobs):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[-1]
     other = enumerate_sequences(tiny_policy(seed=52, vocab=4, max_len=4), TokenSeq.from_content([1]))
@@ -475,7 +480,15 @@ def test_enumeration_arrays_are_read_only_and_keep_the_support_cache():
     assert [z.ids for z in other.seqs] == [z.ids for z, _ in reference_enumerate_sequences(p, x, 4).entries]
     # each sequence's (prev, tok) cells in a flat (V, V) table, padded with V * V
     fresh = [[prev * 4 + t for prev, t in zip((BOS,) + z.ids[:-1], z.ids)] for z in seqs]
-    assert path_idx[:, : len(seqs)].T.tolist() == [cells + [16] * (4 - len(cells)) for cells in fresh]
+    assert cells[: len(seqs)].tolist() == [row + [16] * (4 - len(row)) for row in fresh]
+
+
+@pytest.mark.parametrize("vocab,max_len", [(2, 1), (3, 3), (4, 4), (5, 2)])
+def test_the_support_cells_are_step_cells_of_the_padded_support_and_its_tails(vocab, max_len):
+    seqs, cells = _support(vocab, max_len)
+    tails = np.array(list(itertools.product([t for t in range(vocab) if t != EOS], repeat=max_len)))
+    want = [step_cells(pad(list(seqs)), 1, vocab), step_cells(Padded(tails, np.ones(tails.shape, bool)), 1, vocab)]
+    assert cells.tobytes() == np.concatenate(want).tobytes() and cells.shape == (len(seqs) + len(tails), max_len)
 
 
 @pytest.mark.parametrize("name", EXACT)

@@ -31,8 +31,8 @@ from riff.numerics import finite_diff_grad, log_softmax_rows, max_relative_error
 from riff.policy import (
     PolicyConfig,
     PolicyParams,
+    Padded,
     TokenSeq,
-    _transition_counts,
     input_counts,
     load_policy,
     pad,
@@ -41,8 +41,9 @@ from riff.policy import (
     save_policy,
     seq_logprob,
     snapshot,
-    transition_logits_batch,
-    transition_table,
+    step_cells,
+    transition_counts,
+    transition_forward,
     transition_tables,
     weighted_seq_grads,
 )
@@ -116,7 +117,7 @@ def test_gradient_matches_finite_differences():
         z = TokenSeq.from_content(
             [int(gen.integers(1, vocab)) for _ in range(int(gen.integers(0, 4)))]
         )
-        analytic = weighted_seq_grads(p, pad([x]), pad([z]), [1.0])[0]
+        analytic = weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0]
 
         def f(flat, cfg=p.cfg, x=x, z=z):
             probe = PolicyParams(cfg)
@@ -152,8 +153,8 @@ def kernel_case(vocab, max_len, embed, hidden, seed, scale):
 def test_transition_table_rows_equal_step_log_softmax(case):
     p, x, seqs, _ = kernel_case(*case)
     ctx = reference_context(p, x)
-    logits = transition_logits_batch(p, [x])[0][0]
-    table = transition_table(p, x)
+    logits = transition_forward(p, [x]).logits[0]
+    table = transition_forward(p, [x]).table[0]
     for prev in range(p.cfg.vocab_size):
         raw = step_logits(p, ctx, prev)
         assert np.max(np.abs(logits[prev] - raw)) < 1e-12
@@ -174,21 +175,18 @@ def test_weighted_seq_grad_matches_reference_sum(case, kind):
     else:
         weights[::3] = 0.0
     want = sum(w * reference_seq_logprob_grad(p, x, z) for w, z in zip(weights, seqs))
-    assert max_scaled_error(weighted_seq_grads(p, pad([x]), pad(seqs), weights)[0], want) < 1e-12
+    assert max_scaled_error(weighted_seq_grads(p, transition_forward(p, [x]), pad(seqs), weights)[0], want) < 1e-12
 
 
 @pytest.mark.parametrize("case", KERNEL_CONFIGS)
 def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
     p, x, seqs, _ = kernel_case(*case)
+    shared = transition_forward(p, [x])  # one forward serves every backward below: none writes into it
     for j, z in enumerate(seqs):
         one_hot = np.zeros(len(seqs))
         one_hot[j] = 1.0
-        single = weighted_seq_grads(p, pad([x]), pad([z]), [1.0])[0]
-        assert np.array_equal(weighted_seq_grads(p, pad([x]), pad(seqs), one_hot)[0], single)
-        # handing over the forward's log-softmax table and activations changes nothing
-        logits, acts = transition_logits_batch(p, [x])
-        given = weighted_seq_grads(p, pad([x]), pad(seqs), one_hot, (log_softmax_rows(logits), acts))[0]
-        assert np.array_equal(given, single)
+        single = weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0]
+        assert np.array_equal(weighted_seq_grads(p, shared, pad(seqs), one_hot)[0], single)
         assert max_scaled_error(single, reference_seq_logprob_grad(p, x, z)) < 1e-12
 
 
@@ -204,11 +202,11 @@ def test_weighted_seq_grad_bitwise_equals_unbatched_reference(case, kind):
         weights = -np.abs(weights)
     else:
         weights[::3] = 0.0
-    logits, (u, s) = transition_logits_batch(p, [x])
-    want_logits, (want_u, want_s) = reference_transition_logits(p, x)
-    assert np.array_equal(logits[0], want_logits)
+    fwd = transition_forward(p, [x])
+    (u, s), (want_logits, (want_u, want_s)) = fwd.activations, reference_transition_logits(p, x)
+    assert np.array_equal(fwd.logits[0], want_logits)
     assert np.array_equal(u[0], want_u) and np.array_equal(s[0], want_s)
-    got = weighted_seq_grads(p, pad([x]), pad(seqs), weights)[0]
+    got = weighted_seq_grads(p, fwd, pad(seqs), weights)[0]
     assert np.array_equal(got, reference_weighted_seq_grad(p, x, seqs, weights))
 
 
@@ -228,10 +226,11 @@ def test_pair_grads_rows_bitwise_equal_seq_logprob_grad():
     for start in range(0, len(corpus), 8):
         chunk = corpus[start : start + 8]
         # one stacked backward over pairs: one row per input, each its own target's gradient
-        rows = weighted_seq_grads(p, pad([x for x, _ in chunk]), pad([z for _, z in chunk]), np.ones(len(chunk)))
+        fwd = transition_forward(p, [x for x, _ in chunk])
+        rows = weighted_seq_grads(p, fwd, pad([z for _, z in chunk]), np.ones(len(chunk)))
         assert rows.shape == (len(chunk), p.flat.size)
         for row, (x, z) in zip(rows, chunk):
-            assert np.array_equal(row, weighted_seq_grads(p, pad([x]), pad([z]), [1.0])[0])
+            assert np.array_equal(row, weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0])
             assert np.array_equal(row, reference_weighted_seq_grad(p, x, [z], [1.0]))
 
 
@@ -268,7 +267,8 @@ def test_pretrain_mle_bitwise_equals_per_pair_reference(shape, batch_size):
     p, pairs, lr = pretraining_case(shape)
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start : start + batch_size]
-        rows = weighted_seq_grads(p, pad([x for x, _ in chunk]), pad([z for _, z in chunk]), np.ones(len(chunk)))
+        fwd = transition_forward(p, [x for x, _ in chunk])
+        rows = weighted_seq_grads(p, fwd, pad([z for _, z in chunk]), np.ones(len(chunk)))
         for row, (x, z) in zip(rows, chunk):
             assert row.tobytes() == reference_weighted_seq_grad(p, x, [z], [1.0]).tobytes()
     got = pretrain_mle(p, pairs, epochs=2, lr=lr, batch_size=batch_size, seed=5)
@@ -314,14 +314,15 @@ def test_pretrain_names_the_first_bad_pair_before_step_1(monkeypatch, bad, messa
 def test_weighted_seq_grad_rejects_weight_count_mismatch():
     p, x, seqs, _ = kernel_case(*KERNEL_CONFIGS[0])
     with pytest.raises(ValueError, match="weights"):
-        weighted_seq_grads(p, pad([x]), pad(seqs), np.ones(len(seqs) + 1))
+        weighted_seq_grads(p, transition_forward(p, [x]), pad(seqs), np.ones(len(seqs) + 1))
 
 
 def test_gradient_finite_for_improbable_token():
     p = tiny_policy(seed=0, vocab=4)
     # make token 3 extremely unlikely at every step
     p.out_head[:, 3] = -40.0
-    g = weighted_seq_grads(p, pad([TokenSeq.from_content([1])]), pad([TokenSeq.from_content([3])]), [1.0])[0]
+    x, z = TokenSeq.from_content([1]), TokenSeq.from_content([3])
+    g = weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0]
     assert np.all(np.isfinite(g))
 
 
@@ -330,14 +331,13 @@ def test_head_column_shift_leaves_probs_and_embedding_grad():
     x = TokenSeq.from_content([1, 2])
     z = TokenSeq.from_content([2, 1])
     base_lp = seq_logprob(p, x, z)
-    base_grad = weighted_seq_grads(p, pad([x]), pad([z]), [1.0])[0]
+    base_grad = weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0]
     shifted = p.copy()
     shifted.out_head[:] += np.full((p.cfg.hidden_dim, 1), 0.73)  # same h-vector on every column
     assert seq_logprob(shifted, x, z) == pytest.approx(base_lp, abs=1e-12)
     emb_slice = p.pv.segment_slice("token_embedding")
-    assert np.allclose(
-        weighted_seq_grads(shifted, pad([x]), pad([z]), [1.0])[0][emb_slice], base_grad[emb_slice], atol=1e-12
-    )
+    shifted_grad = weighted_seq_grads(shifted, transition_forward(shifted, [x]), pad([z]), [1.0])[0]
+    assert np.allclose(shifted_grad[emb_slice], base_grad[emb_slice], atol=1e-12)
 
 
 def test_snapshot_is_immutable_value_copy():
@@ -530,6 +530,50 @@ def test_checkpoint_segment_dimension_that_is_not_a_count_names_file(tmp_path, k
         (load_policy if kind == "policy" else load_classifier)(path)
 
 
+def saved_model(tmp_path, kind):
+    """(path, model) of a saved tiny policy or classifier."""
+    path = tmp_path / f"{kind}.ckpt"
+    if kind == "policy":
+        model = tiny_policy(seed=21, vocab=6)
+        save_policy(path, model)
+    else:
+        model = tiny_classifier(seed=21, vocab=8)
+        save_classifier(path, model)
+    return path, model
+
+
+@pytest.mark.parametrize("kind,field", [("policy", "vocab_size"), ("policy", "max_len"), ("policy", "embed_dim"),
+                                        ("classifier", "vocab_size"), ("classifier", "lora_rank")])
+@pytest.mark.parametrize("make", [float, str, lambda n: n == 1], ids=["float", "string", "bool"])
+def test_checkpoint_config_field_that_is_not_an_int_names_file_and_field(tmp_path, kind, field, make):
+    # a JSON 6.0 equals 6, so it used to pass every range check and fail later, in a forward
+    path, model = saved_model(tmp_path, kind)
+    bad = make(getattr(model.cfg, field))
+    rewrite_header(path, lambda h: {**h, field: bad})
+    message = f"^corrupt checkpoint {re.escape(str(path))}: .*config field '{field}' must be an int, got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=message):
+        (load_policy if kind == "policy" else load_classifier)(path)
+
+
+def test_a_classifier_checkpoint_lora_alpha_still_takes_an_int(tmp_path):
+    path, model = saved_model(tmp_path, "classifier")
+    rewrite_header(path, lambda h: {**h, "lora_alpha": 16})
+    assert load_classifier(path).cfg.lora_alpha == 16
+
+
+@pytest.mark.parametrize("kind,segment,index", [("policy", "rec_w", (1, 2)), ("classifier", "wq", (3, 0))])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_holding_a_non_finite_parameter_names_file_segment_and_entry(tmp_path, kind, segment, index, value):
+    path = tmp_path / f"{kind}.ckpt"
+    model = tiny_policy(seed=21, vocab=6) if kind == "policy" else tiny_classifier(seed=21, vocab=8)
+    model.pv.view(segment)[index] = value
+    model.pv.view(model.pv.segments()[-1][0])[0] = np.nan  # a later bad entry is not the one named
+    (save_policy if kind == "policy" else save_classifier)(path, model)
+    message = f"^corrupt checkpoint {re.escape(str(path))}: segment '{segment}' holds {value} at index {re.escape(str(index))}$"
+    with pytest.raises(ValueError, match=message):
+        (load_policy if kind == "policy" else load_classifier)(path)
+
+
 def test_checkpoint_segment_larger_than_its_file_names_file_without_allocating_it(tmp_path):
     path = tmp_path / "policy.ckpt"
     save_policy(path, tiny_policy(seed=21, vocab=6))
@@ -571,7 +615,7 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
 
 def contexts(p: PolicyParams, xs) -> np.ndarray:
     """Each input's context as the forward hands it on: the first d columns of its step inputs."""
-    return transition_logits_batch(p, xs)[1][0][:, 0, : p.cfg.embed_dim]
+    return transition_forward(p, xs).activations[0][:, 0, : p.cfg.embed_dim]
 
 
 def test_context_is_mean_embedding():
@@ -617,16 +661,15 @@ def test_batched_contexts_equal_one_input_contexts_bitwise():
             xs = random_inputs(gen, cfg.vocab_size, int(gen.integers(1, 10)), 30)
             got = contexts(p, xs)
             assert all(np.array_equal(row, reference_context(p, x)) for row, x in zip(got, xs))
-            logits, (u, s) = transition_logits_batch(p, xs)
+            fwd = transition_forward(p, xs)
+            assert np.array_equal(fwd.inputs, np.stack([input_counts([x], cfg.vocab_size)[0] for x in xs]))
             for b, x in enumerate(xs):
-                want_logits, (want_u, want_s) = transition_logits_batch(p, [x])
-                assert np.array_equal(logits[b], want_logits[0])
-                assert np.array_equal(u[b], want_u[0]) and np.array_equal(s[b], want_s[0])
-                # the oracle's one-input table encodes its context inline, bitwise the same
-                assert np.array_equal(transition_table(p, x), log_softmax_rows(logits[b]))
-    p = tiny_policy(seed=3, vocab=4)
-    with pytest.raises(ValueError, match="token id 7 out of range for vocabulary of size 4"):
-        transition_logits_batch(p, [TokenSeq.from_content([1]), TokenSeq.from_content([2, 7, 9])])
+                alone = transition_forward(p, [x])
+                for got, want in zip((fwd.inputs, fwd.logits, fwd.table, *fwd.activations),
+                                     (alone.inputs, alone.logits, alone.table, *alone.activations)):
+                    assert np.array_equal(got[b], want[0])
+                # the table is the log-softmax of the logits, row by row
+                assert np.array_equal(fwd.table[b], log_softmax_rows(fwd.logits[b]))
 
 
 def random_policy(gen, embed: int) -> PolicyParams:
@@ -645,11 +688,11 @@ def test_permuting_an_input_leaves_its_table_logits_and_gradient_rows_bitwise():
         shuffled = TokenSeq.from_content(gen.permutation(x.content).tolist())
         rows = random_inputs(gen, v, 4, p.cfg.max_len)
         weights = gen.normal(size=4)
-        assert np.array_equal(transition_table(p, shuffled), transition_table(p, x))
+        assert np.array_equal(transition_forward(p, [shuffled]).table[0], transition_forward(p, [x]).table[0])
         pair, shuffled_pair = [other, x], [other, shuffled]
-        assert np.array_equal(transition_logits_batch(p, shuffled_pair)[0][1], transition_logits_batch(p, pair)[0][1])
-        got = weighted_seq_grads(p, pad(shuffled_pair), pad(rows), weights)[1]
-        assert np.array_equal(got, weighted_seq_grads(p, pad(pair), pad(rows), weights)[1])
+        assert np.array_equal(transition_forward(p, shuffled_pair).logits[1], transition_forward(p, pair).logits[1])
+        got = weighted_seq_grads(p, transition_forward(p, shuffled_pair), pad(rows), weights)[1]
+        assert np.array_equal(got, weighted_seq_grads(p, transition_forward(p, pair), pad(rows), weights)[1])
 
 
 @pytest.mark.parametrize("embed", [1, 5])
@@ -662,36 +705,30 @@ def test_a_batch_row_equals_its_input_scored_alone_bitwise(embed):
         xs = random_inputs(gen, p.cfg.vocab_size, b, 30)
         rows = random_inputs(gen, p.cfg.vocab_size, b * m, p.cfg.max_len)
         weights = gen.normal(size=b * m)
-        grads = weighted_seq_grads(p, pad(xs), pad(rows), weights)
+        grads = weighted_seq_grads(p, transition_forward(p, xs), pad(rows), weights)
         for i, x in enumerate(xs):
             mine = slice(i * m, (i + 1) * m)
-            assert np.array_equal(grads[i], weighted_seq_grads(p, pad([x]), pad(rows[mine]), weights[mine])[0])
+            alone = weighted_seq_grads(p, transition_forward(p, [x]), pad(rows[mine]), weights[mine])[0]
+            assert np.array_equal(grads[i], alone)
         flats = p.flat + gen.normal(0.0, 0.1, (4, p.flat.size))
         tables = transition_tables(p, flats, xs[0])
         for k, flat in enumerate(flats):
             assert np.array_equal(tables[k], transition_tables(p, flat[None], xs[0])[0])
 
 
-def test_weighted_seq_grads_check_the_inputs_of_a_given_transition():
+@pytest.mark.parametrize("bad", [4, 9, 2**62])
+def test_transition_forward_names_a_foreign_id_before_counting(monkeypatch, bad):
+    # bincount would size its array by the largest id; no TokenSeq holds a negative one
     p = tiny_policy(seed=2, vocab=4, max_len=4)
-    x, ok = TokenSeq.from_content([1, 2]), TokenSeq.from_content([2])
-    logits, acts = transition_logits_batch(p, [x])
-    for bad in (4, -1, 9):
-        inputs = pad([x])
-        inputs.ids[0, 1] = bad
+    xs = [TokenSeq.from_content([1, 2]), TokenSeq.from_content([2, bad, 9])]
+    counted, forwards = [], []
+    bincount, forward = np.bincount, policy_module._forward
+    monkeypatch.setattr(np, "bincount", lambda *args, **kw: counted.append(args) or bincount(*args, **kw))
+    monkeypatch.setattr(policy_module, "_forward", lambda *args: forwards.append(args) or forward(*args))
+    for call in (lambda: transition_forward(p, xs), lambda: input_counts(xs, 4), lambda: seq_logprob(p, xs[1], xs[0])):
         with pytest.raises(ValueError, match=f"^token id {bad} out of range for vocabulary of size 4$"):
-            weighted_seq_grads(p, inputs, pad([ok]), [1.0], (log_softmax_rows(logits), acts))
-
-
-def test_weighted_seq_grads_reject_a_transition_of_other_inputs():
-    p = tiny_policy(seed=2, vocab=4, max_len=4)
-    x, y, ok = TokenSeq.from_content([1]), TokenSeq.from_content([3, 2]), TokenSeq.from_content([2])
-    for given, inputs, message in (([x], [x, y], "1 transition tables for 2 inputs"),
-                                   ([x, y], [y], "2 transition tables for 1 inputs")):
-        logits, acts = transition_logits_batch(p, given)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            weighted_seq_grads(p, pad(inputs), pad([ok] * len(inputs)), np.ones(len(inputs)),
-                               (log_softmax_rows(logits), acts))
+            call()
+    assert counted == [] and forwards == []
 
 
 @pytest.mark.parametrize("max_len", [1, 2, 5, 24])
@@ -704,9 +741,33 @@ def test_path_logprobs_equal_per_sequence_sums_bitwise(max_len):
             TokenSeq.from_content(gen.integers(1, vocab, size=int(gen.integers(0, max_len))).tolist())
             for _ in range(b * m)
         ]
-        got = path_logprobs(tables, pad(seqs))
+        got = path_logprobs(tables, step_cells(pad(seqs), b, vocab))
         want = [path_logprob(tables[r // m], z) for r, z in enumerate(seqs)]
         assert got.tolist() == want
+
+
+def test_path_logprobs_of_a_stack_of_table_stacks_equal_each_members_own_bitwise():
+    gen = np.random.default_rng(59)
+    for _ in range(60):
+        vocab, k, b, m = (int(n) for n in gen.integers([2, 1, 1, 1], [21, 6, 5, 7]))
+        stacks = log_softmax_rows(gen.normal(0.0, float(gen.uniform(0.1, 8.0)), (k, b, vocab, vocab)))
+        cells = step_cells(pad(random_inputs(gen, vocab, b * m, 9)), b, vocab)
+        got = path_logprobs(stacks, cells)
+        assert got.shape == (k, b * m)
+        for member, row in zip(stacks, got):
+            assert row.tobytes() == path_logprobs(member, cells).tobytes()
+
+
+def test_step_cells_address_each_step_of_a_table_stack_and_pad_past_it():
+    rows = pad([TokenSeq.from_content([2, 1]), TokenSeq.from_content([]), TokenSeq.from_content([3])])
+    rows = Padded(np.concatenate([rows.ids, rows.ids[:1]]), np.concatenate([rows.valid, rows.valid[:1]]))
+    v, past = 4, 2 * 4 * 4
+    assert step_cells(rows, 2, v).tolist() == [
+        [BOS * v + 2, 2 * v + 1, v + EOS],  # input 0
+        [BOS * v + EOS, past, past],
+        [16 + BOS * v + 3, 16 + 3 * v + EOS, past],  # input 1
+        [16 + BOS * v + 2, 16 + 2 * v + 1, 16 + v + EOS],
+    ]
 
 
 def test_transition_counts_from_rows_equal_the_items_reference():
@@ -718,41 +779,38 @@ def test_transition_counts_from_rows_equal_the_items_reference():
         weights = gen.normal(size=b * m)
         weights[::4] = 0.0
         items = [(r // m, z, w) for r, (z, w) in enumerate(zip(seqs, weights))]
-        got = _transition_counts(b, vocab, pad(seqs), weights)
+        got = transition_counts(step_cells(pad(seqs), b, vocab), weights, b, vocab)
         assert np.array_equal(got, reference_transition_counts(b, vocab, items))
 
 
 def test_weighted_seq_grads_name_the_first_bad_row():
     p = tiny_policy(seed=2, vocab=4, max_len=4)
-    x = TokenSeq.from_content([1])
+    fwd = transition_forward(p, [TokenSeq.from_content([1])])
     ok, long, foreign = TokenSeq.from_content([1]), TokenSeq.from_content([1, 2, 3, 1]), TokenSeq((5, EOS))
     with pytest.raises(ValueError, match="^token id 5 out of range for vocabulary of size 4$"):
-        weighted_seq_grads(p, pad([x]), pad([ok, foreign, long]), np.ones(3))
+        weighted_seq_grads(p, fwd, pad([ok, foreign, long]), np.ones(3))
     with pytest.raises(ValueError, match="^sequence length 5 exceeds max_len 4$"):
-        weighted_seq_grads(p, pad([x]), pad([ok, long, foreign]), np.ones(3))
+        weighted_seq_grads(p, fwd, pad([ok, long, foreign]), np.ones(3))
     with pytest.raises(ValueError, match="^2 weights for 3 sequences$"):
-        weighted_seq_grads(p, pad([x]), pad([ok, ok, ok]), np.ones(2))
+        weighted_seq_grads(p, fwd, pad([ok, ok, ok]), np.ones(2))
 
 
 def test_padded_batches_name_a_negative_id_as_out_of_range():
-    # hand-built batches: no TokenSeq holds a negative id, so only a Padded can
+    # hand-built rows: no TokenSeq holds a negative id, so only a Padded can
     p = tiny_policy(seed=2, vocab=4, max_len=4)
-    x, ok, long = TokenSeq.from_content([1]), TokenSeq.from_content([2]), TokenSeq.from_content([1, 2, 3, 1])
-    inputs = pad([x, TokenSeq.from_content([1, 2])])
-    inputs.ids[1, 1] = -1
-    with pytest.raises(ValueError, match="^token id -1 out of range for vocabulary of size 4$"):
-        weighted_seq_grads(p, inputs, pad([ok, ok]), np.ones(2))
+    fwd = transition_forward(p, [TokenSeq.from_content([1])])
+    ok, long = TokenSeq.from_content([2]), TokenSeq.from_content([1, 2, 3, 1])
     rows = pad([ok, TokenSeq.from_content([3, 1]), long])
     rows.ids[1, 0] = -2
     with pytest.raises(ValueError, match="^token id -2 out of range for vocabulary of size 4$"):
-        weighted_seq_grads(p, pad([x]), rows, np.ones(3))
+        weighted_seq_grads(p, fwd, rows, np.ones(3))
     rows.ids[1, 1] = 7  # the row's first bad id is named
     with pytest.raises(ValueError, match="^token id -2 out of range for vocabulary of size 4$"):
-        weighted_seq_grads(p, pad([x]), rows, np.ones(3))
+        weighted_seq_grads(p, fwd, rows, np.ones(3))
     rows = pad([ok, long, TokenSeq.from_content([3, 1])])
     rows.ids[2, 0] = -2  # the first bad row is named, whatever is wrong with it
     with pytest.raises(ValueError, match="^sequence length 5 exceeds max_len 4$"):
-        weighted_seq_grads(p, pad([x]), rows, np.ones(3))
+        weighted_seq_grads(p, fwd, rows, np.ones(3))
 
 
 @pytest.mark.parametrize("bad", [4, 5, 2**62])
@@ -760,8 +818,15 @@ def test_input_counts_of_a_token_seq_name_an_id_outside_the_vocabulary_before_co
     # the range is checked before bincount sizes its array by the largest id
     x = TokenSeq.from_content([1, bad, 2])
     with pytest.raises(ValueError, match=f"^token id {bad} out of range for vocabulary of size 4$"):
-        input_counts(x, 4)
-    assert input_counts(TokenSeq.from_content([3, 1, 3]), 4).tolist() == [[1.0, 1.0, 0.0, 2.0]]
+        input_counts([x], 4)
+    assert input_counts([TokenSeq.from_content([3, 1, 3])], 4).tolist() == [[1.0, 1.0, 0.0, 2.0]]
+
+
+def test_input_counts_of_no_inputs_is_an_empty_batch():
+    with pytest.raises(ValueError, match="^empty batch$"):
+        input_counts([], 4)
+    with pytest.raises(ValueError, match="^empty batch$"):
+        transition_forward(tiny_policy(seed=2, vocab=4), [])
 
 
 def test_path_kernels_name_the_row_and_input_counts():
@@ -769,6 +834,9 @@ def test_path_kernels_name_the_row_and_input_counts():
     x, z = TokenSeq.from_content([1]), TokenSeq.from_content([2])
     message = "^3 rows for 2 inputs: each input needs the same number of rows$"
     with pytest.raises(ValueError, match=message):
-        weighted_seq_grads(p, pad([x, x]), pad([z, z, z]), np.ones(3))
+        weighted_seq_grads(p, transition_forward(p, [x, x]), pad([z, z, z]), np.ones(3))
     with pytest.raises(ValueError, match=message):
-        path_logprobs(np.stack([transition_table(p, x)] * 2), pad([z, z, z]))
+        step_cells(pad([z, z, z]), 2, 4)
+    # the rows of a backward are counted against the inputs of its Forward
+    with pytest.raises(ValueError, match="^1 rows for 2 inputs: each input needs the same number of rows$"):
+        weighted_seq_grads(p, transition_forward(p, [x, TokenSeq.from_content([3, 2])]), pad([z]), np.ones(1))

@@ -28,7 +28,8 @@ from riff.checkpoint import params_hash
 from riff import estimators as est
 from riff.data import Example, gen_synthetic_task, strip_scaffold
 from riff.optim import AdamConfig, AdamW
-from riff.policy import Padded, PolicyConfig, PolicyParams, TokenSeq, pad, snapshot, unpad
+from riff import policy as policy_module
+from riff.policy import Padded, PolicyConfig, PolicyParams, TokenSeq, input_counts, pad, snapshot, unpad
 from riff.vocab import FIRST_CONTENT_ID
 from riff.training import (
     Checkpoint,
@@ -208,16 +209,17 @@ def test_finetune_off_policy_regime_runs():
 
 def test_finetune_names_the_example_with_a_non_finite_gradient(monkeypatch):
     task, split, classifier, policy = make_pipeline()
-    bad = {split.train[3].x: split.train[3].uid, split.train[6].x: split.train[6].uid}
+    # the backward sees its inputs as the count rows of their Forward
+    bad = {input_counts([ex.x], 20).tobytes(): ex.uid for ex in (split.train[3], split.train[6])}
     assert len(bad) == 2
     kernel, poisoned_uids = training.weighted_seq_grads, []
 
-    def poisoned(params, inputs, rows, weights, transition):
-        grads = kernel(params, inputs, rows, weights, transition)
-        for row, x in zip(grads, unpad(inputs)):
-            if x in bad:
+    def poisoned(params, fwd, rows, weights):
+        grads = kernel(params, fwd, rows, weights)
+        for row, counts in zip(grads, fwd.inputs):
+            if counts.tobytes() in bad:
                 row[-len(poisoned_uids)] = np.inf if poisoned_uids else np.nan  # entry 0, then the last
-                poisoned_uids.append(bad[x])
+                poisoned_uids.append(bad[counts.tobytes()])
         return grads
 
     monkeypatch.setattr(training, "weighted_seq_grads", poisoned)
@@ -236,9 +238,10 @@ def test_finetune_backward_over_the_steps_table_equals_its_own_forward(monkeypat
     kernel = training.weighted_seq_grads
     compared = []
 
-    def both(params, inputs, rows, weights, transition):
-        grads = kernel(params, inputs, rows, weights, transition)
-        assert np.array_equal(grads, kernel(params, inputs, rows, weights))
+    def both(params, fwd, rows, weights):
+        grads = kernel(params, fwd, rows, weights)
+        # the step's Forward, which the decoder read, is bitwise a fresh one of its count rows
+        assert np.array_equal(grads, kernel(params, policy_module._forward(params, fwd.inputs), rows, weights))
         compared.append(len(grads))
         return grads
 
