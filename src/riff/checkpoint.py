@@ -65,8 +65,8 @@ def _read(f, n: int, path, what: str) -> bytes:
 
 def load_segments(path, kind: str, build):
     """build(header, parameters) of a checkpoint whose header names `kind`; a header
-    that does not parse or build, or a parameter that is NaN or infinite, raises a
-    ValueError naming the file."""
+    that does not parse (nested too deep for the parser included) or build, or a
+    parameter that is NaN or infinite, raises a ValueError naming the file."""
     with open(path, "rb") as f:
         magic = _read(f, 8, path, "magic")
         if magic != MAGIC:
@@ -82,7 +82,7 @@ def load_segments(path, kind: str, build):
             for name, shape in segments:
                 if any(type(dim) is not int or dim < 0 for dim in shape):
                     raise ValueError(f"segment {name!r} has a dimension that is not a count: {list(shape)}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise ValueError(f"corrupt checkpoint {path}: unreadable header: {exc!r}") from exc
         if header.get("kind") != kind:
             raise ValueError(f"expected a {kind} checkpoint in {path}, got {header.get('kind')!r}")

@@ -177,9 +177,9 @@ def _check_counts(params: ClassifierParams, counts: np.ndarray) -> np.ndarray:
     return counts
 
 
-class _MaskRowPass:
-    """Label-path forward of a (B, V) token-count matrix, kept for the
-    backward.
+class LabelPath:
+    """The count-independent half of the label path of a classifier under a
+    mask-row mode (by default the one its rewards read), built once.
 
     Only the final hidden state at the mask row reaches the label head, and
     that row always holds E[MASK]: prompt rows and adapters change keys, wq
@@ -188,23 +188,25 @@ class _MaskRowPass:
     depends only on its token. A sequence's label scores are thus a function
     of its (V,) token counts N: attention puts A_v = N_v exp(s_v - max) / Z on
     token v, soft-prompt rows are extra keys of count 1, and the attention
-    output is Wv (A E + A_p P). A row scores the same whatever sequence or
+    output is Wv (A E + A_p P). This half holds the keys, the adapted wq and
+    wv, the verbalizer's head columns, q, qk and the key scores; _MaskRowPass
+    runs count rows through it. A row scores the same whatever sequence or
     padding its counts came from, and bitwise the same in any batch of two or
     more rows; scored alone (B = 1) it may differ in the last bit, because
-    numpy rounds a one-row matrix product differently. Under SOFT_PROMPT the
-    prompt columns are appended to the counts, so the largest arrays are
-    (B, V + prompt_len).
+    numpy rounds a one-row matrix product differently. The half reads the
+    parameters as they are when it is built, so it serves while they stay
+    fixed: a frozen classifier's whole run.
     """
 
-    def __init__(self, params: ClassifierParams, counts: np.ndarray, verbalizer: Verbalizer, mode):
+    def __init__(self, params: ClassifierParams, verbalizer: Verbalizer, mode: TuningMode | None = None):
         cfg = params.cfg
-        self.params, self.mode = params, mode
-        self.keys, self.counts = params.seg("token_embedding"), counts
-        if mode is TuningMode.SOFT_PROMPT:
+        _check_verbalizer(params, verbalizer)
+        self.params, self.mode = params, label_path_mode(params.mode) if mode is None else mode
+        self.keys = params.seg("token_embedding")
+        if self.mode is TuningMode.SOFT_PROMPT:
             self.keys = np.concatenate([self.keys, params.seg("prompt_table")])
-            self.counts = np.concatenate([counts, np.ones((len(counts), cfg.prompt_len))], axis=1)
         self.wq, self.wv = params.seg("wq"), params.seg("wv")
-        if mode is TuningMode.LORA:
+        if self.mode is TuningMode.LORA:
             # the adapted weights W + (alpha / rank) B A
             scale = cfg.lora_alpha / cfg.lora_rank
             self.wq = self.wq + scale * (params.seg("lora_b_q") @ params.seg("lora_a_q"))
@@ -214,14 +216,38 @@ class _MaskRowPass:
         self.xr = self.keys[MASK]
         self.q = self.wq @ self.xr
         self.qk = (self.q @ params.seg("wk")) / math.sqrt(cfg.embed_dim)
+        self.key_scores = self.keys @ self.qk
+
+    def logprobs(self, counts: np.ndarray) -> np.ndarray:
+        """(B, C) label log-probabilities of the rows of a (B, V) token-count matrix."""
+        return _MaskRowPass(self, _check_counts(self.params, counts)).logp
+
+    def rewards(self, counts: np.ndarray, ys) -> np.ndarray:
+        """Terminal rewards log P(ys[i] | row i) of formatted rewrites, given as
+        the rows of a (B, V) token-count matrix (one label `ys` may score every
+        row), from one batched forward. Always <= 0."""
+        ys = np.broadcast_to(np.asarray(ys, dtype=np.intp), len(counts))
+        _first_bad((ys < 0) | (ys >= self.params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
+        return self.logprobs(counts)[np.arange(len(ys)), ys]
+
+
+class _MaskRowPass:
+    """The forward of a (B, V) token-count matrix along a LabelPath, kept for
+    the backward. Under SOFT_PROMPT the prompt columns are appended to the
+    counts, so the largest arrays are (B, V + prompt_len)."""
+
+    def __init__(self, path: LabelPath, counts: np.ndarray):
+        self.path, self.counts = path, counts
+        if path.mode is TuningMode.SOFT_PROMPT:
+            self.counts = np.concatenate([counts, np.ones((len(counts), path.params.cfg.prompt_len))], axis=1)
         # an absent token must not be exponentiated: its score may lie far above the row's max
-        scores = np.where(self.counts > 0, self.keys @ self.qk, -np.inf)
+        scores = np.where(self.counts > 0, path.key_scores, -np.inf)
         weights = self.counts * np.exp(scores - scores.max(axis=1, keepdims=True))
         self.attn = weights / weights.sum(axis=1, keepdims=True)
-        self.xbar = self.attn @ self.keys
-        self.o = self.xbar @ self.wv.T
-        self.h = self.xr + self.o @ params.seg("wo").T
-        self.logp = log_softmax_rows(self.h @ self.head)
+        self.xbar = self.attn @ path.keys
+        self.o = self.xbar @ path.wv.T
+        self.h = path.xr + self.o @ path.params.seg("wo").T
+        self.logp = log_softmax_rows(self.h @ path.head)
 
     def backward(self, g_logits: np.ndarray, token_rows: bool = False):
         """The gradient of sum(g_logits * label logits) for the mode's trainable
@@ -231,28 +257,29 @@ class _MaskRowPass:
         else None. Tokens have no positions, so every row holding a token
         has the same gradient, except that the mask row's also carries its
         own query and residual paths, which the MASK column leaves out."""
-        p, cfg, mode = self.params, self.params.cfg, self.mode
+        path = self.path
+        p, cfg, mode = path.params, path.params.cfg, path.mode
         grads = {}
         if mode in (TuningMode.ALL, TuningMode.HEAD):
             grads["lm_head"] = np.zeros_like(p.seg("lm_head"))
-            grads["lm_head"][:, self.vids] = self.h.T @ g_logits
+            grads["lm_head"][:, path.vids] = self.h.T @ g_logits
         if mode in (TuningMode.HEAD, TuningMode.NONE) and not token_rows:
             return grads, None
         rsqrt = 1.0 / math.sqrt(cfg.embed_dim)
-        d_h = g_logits @ self.head.T
+        d_h = g_logits @ path.head.T
         if mode is TuningMode.ALL:
             grads["wo"] = d_h.T @ self.o
         d_o = d_h @ p.seg("wo")
-        d_xbar = d_o @ self.wv
-        d_attn = d_xbar @ self.keys.T
+        d_xbar = d_o @ path.wv
+        d_attn = d_xbar @ path.keys.T
         d_scores = self.attn * (d_attn - (self.attn * d_attn).sum(axis=1, keepdims=True))
         d_s = d_scores.sum(axis=0)
-        d_qk = d_s @ self.keys
+        d_qk = d_s @ path.keys
         d_q = rsqrt * (p.seg("wk") @ d_qk)
         if mode in (TuningMode.ALL, TuningMode.LORA):
-            d_wq, d_wv = d_q[:, None] * self.xr, d_o.T @ self.xbar
+            d_wq, d_wv = d_q[:, None] * path.xr, d_o.T @ self.xbar
         if mode is TuningMode.ALL:
-            grads.update(wk=rsqrt * (self.q[:, None] * d_qk), wq=d_wq, wv=d_wv)
+            grads.update(wk=rsqrt * (path.q[:, None] * d_qk), wq=d_wq, wv=d_wv)
         if mode is TuningMode.LORA:
             scale = cfg.lora_alpha / cfg.lora_rank
             grads["lora_a_q"] = scale * (p.seg("lora_b_q").T @ d_wq)
@@ -260,8 +287,8 @@ class _MaskRowPass:
             grads["lora_a_v"] = scale * (p.seg("lora_b_v").T @ d_wv)
             grads["lora_b_v"] = scale * (d_wv @ p.seg("lora_a_v").T)
         if mode in (TuningMode.ALL, TuningMode.INPUT, TuningMode.SOFT_PROMPT):
-            d_keys = self.attn.T @ d_xbar + d_s[:, None] * self.qk
-            d_keys[MASK] += d_h.sum(axis=0) + d_q @ self.wq
+            d_keys = self.attn.T @ d_xbar + d_s[:, None] * path.qk
+            d_keys[MASK] += d_h.sum(axis=0) + d_q @ path.wq
             v = cfg.vocab_size
             if mode is TuningMode.SOFT_PROMPT:
                 grads["prompt_table"] = d_keys[v:]
@@ -271,7 +298,7 @@ class _MaskRowPass:
             return grads, None
         # a token's attention and score gradient split evenly over its rows
         per = np.maximum(self.counts, 1.0)[:, :, None]
-        return grads, (self.attn[:, :, None] * d_xbar[:, None, :] + d_scores[:, :, None] * self.qk) / per
+        return grads, (self.attn[:, :, None] * d_xbar[:, None, :] + d_scores[:, :, None] * path.qk) / per
 
 
 def _pooled(params: ClassifierParams, counts: np.ndarray) -> np.ndarray:
@@ -310,7 +337,7 @@ def _kernel(params: ClassifierParams, counts, ys, weights, verbalizer, mode, tok
         pooled = _pooled(params, counts)
         a1, act, logp = _cls_head(params, pooled)
     else:
-        fwd = _MaskRowPass(params, counts, verbalizer, mode)
+        fwd = _MaskRowPass(LabelPath(params, verbalizer, mode), counts)
         logp = fwd.logp
     picked = np.arange(len(ys)), ys
     g_logits = -weights[:, None] * np.exp(logp)
@@ -333,11 +360,9 @@ def label_logprobs_batch(
     matrix under the mode's own scoring path (the mask-row head, or the
     pooled head under CLS_HEAD), from one batched forward."""
     mode = params.mode if mode is None else mode
-    counts = _check_counts(params, counts)
     if mode is TuningMode.CLS_HEAD:
-        return _cls_head(params, _pooled(params, counts))[2]
-    _check_verbalizer(params, verbalizer)
-    return _MaskRowPass(params, counts, verbalizer, mode).logp
+        return _cls_head(params, _pooled(params, _check_counts(params, counts)))[2]
+    return LabelPath(params, verbalizer, mode).logprobs(counts)
 
 
 def weighted_label_grad(
@@ -366,24 +391,14 @@ def weighted_label_grad(
 
 
 def label_path_mode(mode: TuningMode) -> TuningMode:
-    """The mode whose mask-row head `rewards` reads under `mode`."""
+    """The mode whose mask-row head LabelPath.rewards reads under `mode`."""
     # CLS_HEAD adds neither prompt rows nor adapters, so its label path is the plain one
     return TuningMode.NONE if mode is TuningMode.CLS_HEAD else mode
 
 
-def rewards(params: ClassifierParams, counts: np.ndarray, ys, verbalizer: Verbalizer) -> np.ndarray:
-    """Terminal rewards log P(ys[i] | row i) of formatted rewrites, given as
-    the rows of a (B, V) token-count matrix (one label `ys` may score every
-    row), from one batched forward. Always <= 0."""
-    ys = np.broadcast_to(np.asarray(ys, dtype=np.intp), len(counts))
-    _first_bad((ys < 0) | (ys >= params.cfg.num_labels), lambda i: f"label {ys[i]} out of range")
-    logp = label_logprobs_batch(params, counts, verbalizer, label_path_mode(params.mode))
-    return logp[np.arange(len(ys)), ys]
-
-
 def input_token_grads(params: ClassifierParams, counts: np.ndarray, ys, verbalizer: Verbalizer) -> np.ndarray:
     """Gradient of each log P(ys[i] | row i) of a (B, V) token-count matrix
-    on the label path `rewards` reads, with respect to its embedded input
+    on the label path LabelPath.rewards reads, with respect to its embedded input
     rows, from one batched forward and backward: (B, V, d), [i, v] the
     gradient at a row of sequence i holding token v (_MaskRowPass.backward);
     the instruction search ranks substitutions of a token by it."""

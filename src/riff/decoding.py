@@ -22,7 +22,7 @@ from .policy import (
     TokenSeq,
     path_logprobs,
     step_cells,
-    transition_forward,
+    transition_logits,
     unpad,
 )
 from .policy import seq_logprob  # noqa: F401  perfbench/test_perfbench.py reads decoding.seq_logprob
@@ -58,23 +58,32 @@ def _rows(ids: np.ndarray) -> Padded:
     return Padded(np.where(valid, ids[:, : valid.shape[1]], 0), valid)
 
 
-def _nuclei(tables: np.ndarray, top_p: float):
-    """nucleus(b, row): the fewest most probable tokens of a row of a (B, V, V) log-table
-    stack whose mass reaches top_p and their normalized cdf, as lists; non-finite mass raises.
-    numpy's pairwise sum groups a row's terms by length, so one bucket per size is exact."""
+def _nucleus_stack(tables: np.ndarray, top_p: float):
+    """(order, size, mass, cdf) of a (B, V, V) log-table stack: each row's tokens most
+    probable first, its nucleus size (the fewest of them whose mass reaches top_p), that
+    mass, and the nucleus's normalized cdf, exact below size and not meant to be read past
+    it. numpy's pairwise sum groups a row's terms by length, so each size's masses are
+    summed as one bucket; the cdf's division and cumsum are then elementwise and in order,
+    so one pass over the whole stack gives each nucleus's cdf below its size bitwise."""
     probs = np.exp(tables)
     order = np.argsort(-probs, axis=-1, kind="stable")
     ranked = np.take_along_axis(probs, order, axis=-1)
     # cumsum never decreases and NaN sorts last, so this counts what searchsorted(left) would
     size = np.minimum(np.count_nonzero(ranked.cumsum(axis=-1) < top_p, axis=-1), tables.shape[-1] - 1) + 1
-    cdf, mass = np.empty_like(ranked), np.empty(size.shape)
+    mass = np.empty(size.shape)
     with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite row raises once a draw visits it
         for n in sorted(set(size.ravel().tolist())):  # np.unique would import numpy.ma
             rows = size == n
-            kept = ranked[rows, :n]
-            mass[rows] = total = kept.sum(axis=1)
-            bucket = (kept / total[:, None]).cumsum(axis=1)
-            cdf[rows, :n] = bucket / bucket[:, -1:]
+            mass[rows] = ranked[rows, :n].sum(axis=1)
+        cdf = (ranked / mass[..., None]).cumsum(axis=-1)
+        cdf /= np.take_along_axis(cdf, size[..., None] - 1, axis=-1)
+    return order, size, mass, cdf
+
+
+def _nuclei(tables: np.ndarray, top_p: float):
+    """nucleus(b, row): the nucleus of a row of a (B, V, V) log-table stack, its tokens
+    and normalized cdf from _nucleus_stack, as lists; non-finite mass raises."""
+    order, size, mass, cdf = _nucleus_stack(tables, top_p)
 
     def nucleus(b: int, row: int) -> tuple[list[int], list[float]]:
         if not 0.0 < mass[b, row] < math.inf:  # the nucleus holds probabilities: finite just then
@@ -109,7 +118,7 @@ def top_p_batch(policy: PolicyParams, tables: np.ndarray, seeds, cfg: DecodeConf
 
 def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[TokenSeq]:
     """m groups of beam width 1 for one input: diverse_beam_batch of a batch of one."""
-    return unpad(diverse_beam_batch(policy, transition_forward(policy, [x]).logits, cfg))
+    return unpad(diverse_beam_batch(policy, transition_logits(policy, [x]), cfg))
 
 
 def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, last: bool, exact: bool):
@@ -119,14 +128,19 @@ def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, la
     the live rows are normalized once afterwards; it returns None unless
     every normalizer is finite and every pick is its normalized row's argmax.
     With exact=True each group normalizes before it picks, and a non-finite
-    live row raises."""
+    live row raises. A group's picks are counted when the next live group
+    reads the counts: the first reads none, and the last's picks are never
+    counted."""
     m, n, v = rows.shape
     counts = np.zeros((n, v))
     flat_counts = counts.reshape(-1)
     picks = np.full((m, n), EOS)
-    for g in np.flatnonzero(alive.any(axis=1)).tolist():
+    live = np.flatnonzero(alive.any(axis=1)).tolist()
+    for before, g in zip([None, *live], live):
         row = rows[g]
-        row -= div * counts
+        if before is not None:  # the live group before g has picked: its picks join the counts g reads
+            flat_counts[base + picks[before]] += alive[before]
+            row -= div * counts
         if exact:
             lse = log_normalizers(row)
             bad = np.flatnonzero(alive[g] & ~np.isfinite(lse))
@@ -135,7 +149,6 @@ def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, la
             row -= lse[:, None]
         if not last:
             picks[g] = row.argmax(axis=1)
-        flat_counts[base + picks[g]] += alive[g]
     if not exact:
         live_rows = rows[alive]
         lse = log_normalizers(live_rows)
@@ -198,21 +211,23 @@ def diverse_beam_batch(
     return _rows(ranked.transpose(2, 1, 0).reshape(n * m, max_len))
 
 
-def _mix(beams: Padded, draws: Padded, tables: np.ndarray, m: int) -> Padded:
+def _mix(beams: Padded, draws: Padded, tables: np.ndarray, m: int):
     """Each input's top m/2 of its m beam rows and of its m nucleus draws by log-probability,
-    ties in order. A row whose ids the input already took is skipped for its source's
-    next-ranked row; repeats appear only when a source has no fresh rows left."""
+    ties in order, with their step_cells and log-probs in the (B, V, V) tables. A row whose
+    ids the input already took is skipped for its source's next-ranked row; repeats appear
+    only when a source has no fresh rows left. Both sources' rows are encoded once and
+    scored by one gather, and the picks are rows of these: a padding cell adds an exact
+    0.0, so a log-prob summed over a row of cells wider than its own is bitwise the same."""
     if m % 2 != 0:
         raise ValueError("mixed decoding needs an even sample count")
     n, v = len(tables), tables.shape[-1]
-    ids = np.zeros((2 * n * m, max(beams.ids.shape[1], draws.ids.shape[1])), dtype=np.intp)
-    ids[: n * m, : beams.ids.shape[1]] = beams.ids
-    ids[n * m :, : draws.ids.shape[1]] = draws.ids
-    keys = [row.tobytes() for row in ids]  # rows are zero past their end
-    lps = np.concatenate([path_logprobs(tables, step_cells(rows, n, v)) for rows in (beams, draws)])
-    lps = lps.reshape(2 * n, m)
+    cells = np.full((2 * n * m, max(beams.ids.shape[1], draws.ids.shape[1])), n * v * v)  # padded as step_cells pads
+    for start, rows in zip((0, n * m), (beams, draws)):
+        cells[start : start + n * m, : rows.ids.shape[1]] = step_cells(rows, n, v)
+    keys = [row.tobytes() for row in cells]  # an input's rows share cells just where they share ids
+    lps = path_logprobs(tables, cells)
     # ranked[s * n + b]: the rows of input b's source s (beam, nucleus), best first
-    ranked = (np.argsort(-lps, axis=1, kind="stable") + m * np.arange(2 * n)[:, None]).tolist()
+    ranked = (np.argsort(-lps.reshape(2 * n, m), axis=1, kind="stable") + m * np.arange(2 * n)[:, None]).tolist()
     picks: list[int] = []
     for b in range(n):
         seen: set[bytes] = set()
@@ -223,18 +238,19 @@ def _mix(beams: Padded, draws: Padded, tables: np.ndarray, m: int) -> Padded:
                     fresh.append(r)
                     seen.add(keys[r])
             picks += fresh + [source[i % m] for i in range(m // 2 - len(fresh))]
-    return _rows(ids[picks])
+    picked = cells[picks]
+    rows = _rows(np.where(picked < n * v * v, picked % v, 0))  # a cell's token is its id mod V
+    return rows, picked[:, : rows.ids.shape[1]], lps[picks]
 
 
-def decode_batch(policy: PolicyParams, scheme: str, logits, tables, seeds, cfg: DecodeConfig) -> Padded:
-    """m rewrites by `scheme` of each input of a stack of raw transition
-    logits and their log-softmax tables, input b's draws from seeds[b]."""
-    if scheme == "beam":
-        return diverse_beam_batch(policy, logits, cfg)
-    if scheme == "top_p":
-        return top_p_batch(policy, tables, seeds, cfg)
+def decode_batch(policy: PolicyParams, scheme: str, logits, tables, seeds, cfg: DecodeConfig):
+    """(rows, their step_cells, their log-probs under `tables`): m rewrites by `scheme` of
+    each input of a stack of raw transition logits and their log-softmax tables, input b's
+    draws from seeds[b]."""
     if scheme == "mixed":
-        beams = diverse_beam_batch(policy, logits, cfg)
-        return _mix(beams, top_p_batch(policy, tables, seeds, cfg), tables, cfg.m)
-    raise ValueError(f"unknown decode scheme {scheme!r}")
-
+        return _mix(diverse_beam_batch(policy, logits, cfg), top_p_batch(policy, tables, seeds, cfg), tables, cfg.m)
+    if scheme not in ("beam", "top_p"):
+        raise ValueError(f"unknown decode scheme {scheme!r}")
+    rows = diverse_beam_batch(policy, logits, cfg) if scheme == "beam" else top_p_batch(policy, tables, seeds, cfg)
+    cells = step_cells(rows, len(tables), tables.shape[-1])
+    return rows, cells, path_logprobs(tables, cells)

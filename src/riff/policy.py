@@ -156,11 +156,11 @@ def check_output_seq(z: TokenSeq, cfg: PolicyConfig) -> None:
         raise ValueError(f"sequence length {len(z)} exceeds max_len {cfg.max_len}")
 
 
-def _check_padded(rows: Padded, vocab_size: int, max_len: int) -> None:
+def check_output_rows(rows: Padded, cfg: PolicyConfig) -> None:
     """Raise, with check_output_seq's message, for the first row of a padded
-    batch that holds an id outside [0, vocab_size) (naming its first such
-    id) or is longer than max_len."""
-    ids, valid = rows
+    batch that holds an id outside the vocabulary (naming its first such id)
+    or is longer than max_len."""
+    (ids, valid), vocab_size, max_len = rows, cfg.vocab_size, cfg.max_len
     if ids.min() >= 0 and ids.max() < vocab_size and ids.shape[1] <= max_len:
         return  # every row passes: padding is zero
     out = valid & ((ids < 0) | (ids >= vocab_size))
@@ -200,8 +200,9 @@ class Forward(NamedTuple):
     activations: tuple
 
 
-def _forward(params, inputs: np.ndarray) -> Forward:
-    """The Forward of (B, V) input count rows, every previous token at once.
+def _logits(params, inputs: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The (B, V, V) raw logits of (B, V) input count rows, every previous
+    token at once, and the activations (u, s) the backward reuses.
     An input's context is its mean embedding: the count-weighted (V, d)
     embedding rows summed over the vocabulary, over the input's length, an
     elementwise product, not a matmul, so that a row's bits do not depend on
@@ -216,14 +217,25 @@ def _forward(params, inputs: np.ndarray) -> Forward:
     u[:, :, :d] = contexts[:, None, :]
     u[:, :, d:] = emb
     s = np.tanh(u @ params.rec_w.swapaxes(-1, -2) + params.rec_b[..., None, :])
-    logits = s @ params.out_head
-    return Forward(inputs, logits, log_softmax_rows(logits), (u, s))
+    return s @ params.out_head, (u, s)
+
+
+def _forward(params, inputs: np.ndarray) -> Forward:
+    """The Forward of (B, V) input count rows: their _logits and log-softmax tables."""
+    logits, activations = _logits(params, inputs)
+    return Forward(inputs, logits, log_softmax_rows(logits), activations)
 
 
 def transition_forward(params: PolicyParams, xs) -> Forward:
     """The Forward of a list of inputs, from their checked count rows. Each
     input's rows are bitwise those of its batch of one."""
     return _forward(params, input_counts(xs, params.cfg.vocab_size))
+
+
+def transition_logits(params: PolicyParams, xs) -> np.ndarray:
+    """transition_forward(params, xs).logits, bitwise, without the log-softmax
+    tables that a caller which only decodes from the logits never reads."""
+    return _logits(params, input_counts(xs, params.cfg.vocab_size))[0]
 
 
 def transition_tables(params: PolicyParams, flats: np.ndarray, x: TokenSeq) -> np.ndarray:
@@ -332,15 +344,17 @@ def count_grads(params: PolicyParams, fwd: Forward, counts: np.ndarray) -> np.nd
     return _backward(params, _Workspace(params, len(counts)), fwd, counts, rowsums)
 
 
-def weighted_seq_grads(params: PolicyParams, fwd: Forward, rows: Padded, weights) -> np.ndarray:
+def weighted_seq_grads(params: PolicyParams, fwd: Forward, cells: np.ndarray, weights) -> np.ndarray:
     """Gradient rows (B, P): row b is the gradient of sum_r weights[r] * log P(row r | input b)
-    over input b's rows (input-major), count_grads of the inputs' Forward and the checked
-    rows' weighted transition counts."""
-    if len(weights) != len(rows.ids):
-        raise ValueError(f"{len(weights)} weights for {len(rows.ids)} sequences")
+    over input b's rows (input-major), count_grads of the inputs' Forward and the rows'
+    weighted transition counts. The rows come as the caller's step_cells of them, checked by
+    the caller (check_output_rows) before it built them."""
     v, batch = params.cfg.vocab_size, len(fwd.inputs)
-    _check_padded(rows, v, params.cfg.max_len)
-    return count_grads(params, fwd, transition_counts(step_cells(rows, batch, v), weights, batch, v))
+    if len(weights) != len(cells):
+        raise ValueError(f"{len(weights)} weights for {len(cells)} sequences")
+    if len(cells) % batch:
+        raise ValueError(f"{len(cells)} rows for {batch} inputs: each input needs the same number of rows")
+    return count_grads(params, fwd, transition_counts(cells, weights, batch, v))
 
 
 def _check_pairs(pairs, cfg: PolicyConfig) -> None:

@@ -51,7 +51,7 @@ def minibatch_loglik(
     verbalizer: Verbalizer,
 ) -> float:
     """Sum of label log-likelihoods over the minibatch, scored in one batch
-    on the label path `rewards` reads, summed in minibatch order."""
+    on the label path LabelPath.rewards reads, summed in minibatch order."""
     if not minibatch:
         return 0.0
     counts = _counts(classifier, template, instruction, minibatch)

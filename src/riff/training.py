@@ -28,12 +28,14 @@ from .policy import (
     Padded,
     PolicyParams,
     TokenSeq,
+    _forward,
+    check_output_rows,
     pad,
     path_logprobs,
     save_policy,
     snapshot,
-    step_cells,
     transition_forward,
+    transition_logits,
     unpad,
     weighted_seq_grads,
 )
@@ -181,7 +183,7 @@ def decode_rewrites(policy: PolicyParams, examples, m: int, cfg: RunConfig) -> P
     """Test-style rewrites (diverse beam, m per input, input-major) of all
     examples from one stacked forward and one batched beam. Diverse beam
     reads no seed, so rewrites depend only on the policy and input."""
-    logits = transition_forward(policy, [ex.x for ex in examples]).logits
+    logits = transition_logits(policy, [ex.x for ex in examples])
     return diverse_beam_batch(policy, logits, decode_config(replace(cfg, m=m), cfg.seed))
 
 
@@ -218,10 +220,16 @@ def ensemble_accuracies(
     group_counts of the examples, scored by one classifier call. A row's
     scores depend on its token counts alone, so each group scores as it
     would alone."""
+    return _ensemble_accuracies(lambda rows: clf.label_logprobs_batch(classifier, rows, verbalizer), examples, counts)
+
+
+def _ensemble_accuracies(score, examples, counts: np.ndarray) -> tuple[float, float]:
+    """ensemble_accuracies scored by one call of `score`, which maps (rows, V)
+    count rows to their label log-probs: a run's prebuilt LabelPath.logprobs."""
     n, rows, v = counts.shape
     if len(examples) != n:
         raise ValueError(f"{len(examples)} examples for {n} example groups")
-    scores = clf.label_logprobs_batch(classifier, counts.reshape(n * rows, v), verbalizer).reshape(n, rows, -1)
+    scores = score(counts.reshape(n * rows, v)).reshape(n, rows, -1)
     labels = [ex.y for ex in examples]
     incl, excl = (np.mean(combine_group(scores, inc).argmax(axis=-1) == labels) for inc in (True, False))
     return float(incl), float(excl)
@@ -302,32 +310,36 @@ def _sample_rewards(batch, rewrites: Padded, reward_fn, step: int) -> np.ndarray
 
 
 def _anchor_tables(fixed: PolicyParams, examples):
-    """(fixed, raw transition logits, log-softmax tables) of the frozen
-    snapshot for each example, stacked. The snapshot never changes and an
+    """(fixed, raw transition logits, log-softmax tables, input count rows)
+    of the frozen snapshot for each example, stacked; the policy's own
+    forward reads the same count rows. The snapshot never changes and an
     input's rows do not depend on its batch or padding, so they are built
     once per run and each step gathers its batch's rows."""
     fwd = transition_forward(fixed, [ex.x for ex in examples])
-    return fixed, fwd.logits, fwd.table
+    return fixed, fwd.logits, fwd.table, fwd.inputs
 
 
 def _minibatch_gradient(policy, anchor, batch, reward_fn, cfg: RunConfig, step: int):
     """(mean objective gradient, mean raw reward, clamp events) of a minibatch
-    at one step, given the batch's `_anchor_tables`: one stacked forward of
-    the policy, one batch decode into one padded rewrite array, one reward
-    call, one log-prob gather per table stack and one stacked backward whose
-    rows are checked finite in one pass and summed by one reduction in batch
-    order, bitwise a running sum of per-example gradients from 0.0. Reward
-    standardization and the coefficients take the (B, m) arrays in one call
-    each, and a bad row's error names its example and the step."""
-    fwd = transition_forward(policy, [ex.x for ex in batch])
+    at one step, given the batch's rows of `_anchor_tables`: one stacked
+    forward of the policy from the count rows, one batch decode into one
+    padded rewrite array with its cells and log-probs under the sampler's
+    tables, one row check, one reward call, one log-prob gather from the
+    other table stack and one stacked backward over the decoder's cells,
+    whose rows are checked finite in one pass and summed by one reduction in
+    batch order, bitwise a running sum of per-example gradients from 0.0.
+    Reward standardization and the coefficients take the (B, m) arrays in
+    one call each, and a bad row's error names its example and the step."""
+    fwd = _forward(policy, anchor[3])
     # off-policy samples come from the frozen snapshot; diverse beam reads no seed
-    sampler = anchor if cfg.regime == "off" else (policy, fwd.logits, fwd.table)
+    sampler = anchor[:3] if cfg.regime == "off" else (policy, fwd.logits, fwd.table)
     seeds = [derive_seed(cfg.seed, step, ex.uid) for ex in batch]
-    rewrites = decode_batch(sampler[0], cfg.decoder, *sampler[1:], seeds, decode_config(cfg, 0))
+    rewrites, cells, lps = decode_batch(sampler[0], cfg.decoder, *sampler[1:], seeds, decode_config(cfg, 0))
+    check_output_rows(rewrites, policy.cfg)
     raw = _sample_rewards(batch, rewrites, reward_fn, step)
-    cells = step_cells(rewrites, len(batch), policy.cfg.vocab_size)
-    cur = path_logprobs(fwd.table, cells).reshape(raw.shape)
-    fixed_lp = path_logprobs(anchor[2], cells).reshape(raw.shape)
+    # the sampler's log-probs come with its rows; the other table's are gathered at their cells
+    pair = (path_logprobs(fwd.table, cells), lps) if cfg.regime == "off" else (lps, path_logprobs(anchor[2], cells))
+    cur, fixed_lp = (lp.reshape(raw.shape) for lp in pair)
     rewards = est.normalize_rewards(raw) if cfg.normalize else raw
     try:
         weights, clamp_events = est.coefficients(
@@ -336,7 +348,7 @@ def _minibatch_gradient(policy, anchor, batch, reward_fn, cfg: RunConfig, step: 
     except RowError as exc:
         raise ValueError(f"example {batch[exc.row].uid} at step {step}: {exc.reason}") from exc
     mean_reward = float(raw.mean(axis=1).cumsum()[-1])  # a running sum, in batch order
-    grads = weighted_seq_grads(policy, fwd, rewrites, weights.ravel())
+    grads = weighted_seq_grads(policy, fwd, cells, weights.ravel())
     finite = np.isfinite(grads).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite gradient for example {batch[np.argmin(finite)].uid} at step {step}")
@@ -357,7 +369,10 @@ def finetune_paraphraser(
     Samples are drawn fresh at every step (from the frozen snapshot when
     off-policy, from the live policy otherwise). Checkpoints are emitted every
     checkpoint_interval steps with exclusion-mode ensemble validation
-    accuracy; a step-0 baseline row is logged but not checkpointed.
+    accuracy; a step-0 baseline row is logged but not checkpointed. What is
+    fixed for the run is built before step 1: the training inputs' count
+    rows with the snapshot's tables, and the frozen classifier's label path,
+    which every reward call and validation pass reads.
     """
     cfg.validate()
     if cfg.m < 1:
@@ -368,22 +383,24 @@ def finetune_paraphraser(
     opt = AdamW(policy.flat.size, AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
     log = _RunLog(run_dir, "policy", save_policy, METRIC_EXCL)
+    path = clf.LabelPath(classifier, verbalizer)
 
     def validation_accuracy() -> float:
-        return evaluate_ensemble_accuracy(
-            policy, classifier, task.template, verbalizer, split.validation, cfg.m, False, cfg
-        )
+        rewrites = decode_rewrites(policy, split.validation, cfg.m, cfg)
+        counts = group_counts(task.template, classifier.cfg.vocab_size, split.validation, rewrites)
+        if path.mode is not classifier.mode:  # the pooled head scores (CLS_HEAD), which keeps nothing across calls
+            return ensemble_accuracies(classifier, verbalizer, split.validation, counts)[1]
+        return _ensemble_accuracies(path.logprobs, split.validation, counts)[1]
 
     def reward_fn(rewrites: Padded, ys) -> np.ndarray:
-        counts = formatted_counts(task.template, rewrites.ids, classifier.cfg.vocab_size)
-        return clf.rewards(classifier, counts, ys, verbalizer)
+        return path.rewards(formatted_counts(task.template, rewrites.ids, classifier.cfg.vocab_size), ys)
 
     log.validation(0, validation_accuracy())
-    fixed, anchor_logits, anchor_table = _anchor_tables(fixed, split.train)
+    run = _anchor_tables(fixed, split.train)
     batches = _batches(len(split.train), cfg.batch_size, rng)
     for step, batch_idx in zip(range(1, cfg.steps + 1), batches):
         batch = [split.train[idx] for idx in batch_idx]
-        anchor = (fixed, anchor_logits[batch_idx], anchor_table[batch_idx])
+        anchor = (fixed, *(rows[batch_idx] for rows in run[1:]))
         grad, reward, clamps = _minibatch_gradient(policy, anchor, batch, reward_fn, cfg, step)
         opt.step(policy.flat, -grad)
         log.rows.append((step, "train", "mean_reward", reward))

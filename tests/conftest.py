@@ -29,9 +29,11 @@ from riff.policy import (
     PolicyConfig,
     PolicyParams,
     TokenSeq,
+    check_output_rows,
     pad,
     policy_segments,
     seq_logprob,
+    step_cells,
     transition_forward,
     unpad,
     weighted_seq_grads,
@@ -173,6 +175,13 @@ def path_logprob(table: np.ndarray, z: TokenSeq) -> float:
     for prev, tok in zip((BOS,) + z.ids[:-1], z.ids):
         total += float(table[prev, tok])
     return total
+
+
+def cells_of(params: PolicyParams, rows: Padded, batch: int = 1) -> np.ndarray:
+    """step_cells of input-major rows of `batch` inputs, checked first: the
+    cells a caller of weighted_seq_grads hands it."""
+    check_output_rows(rows, params.cfg)
+    return step_cells(rows, batch, params.cfg.vocab_size)
 
 
 def reference_transition_counts(batch: int, vocab_size: int, items) -> np.ndarray:
@@ -335,13 +344,14 @@ def reference_exact_values(params: PolicyParams, fixed: PolicyParams, x: TokenSe
     lps = np.array([lp for _, lp in entries])
     weights = np.array([lp + reward_fn(z) for z, lp in entries])
     out = {"seqs": seqs, "objective": logsumexp(weights), "posteriors": softmax(weights)}
-    out["gradient"] = weighted_seq_grads(params, transition_forward(params, [x]), pad(seqs), out["posteriors"])[0]
+    fwd, cells = transition_forward(params, [x]), cells_of(params, pad(seqs))
+    out["gradient"] = weighted_seq_grads(params, fwd, cells, out["posteriors"])[0]
     out["kl_objective"], out["kl_coeffs"] = out["objective"], out["posteriors"]
     if beta != 0.0:
         fixed_lps = np.array([seq_logprob(fixed, x, z) for z in seqs])
         out["kl_objective"] = out["objective"] - beta * float(np.sum(np.exp(lps) * (lps - fixed_lps)))
         out["kl_coeffs"] = out["posteriors"] - beta * np.exp(lps) * (lps - fixed_lps + 1.0)
-    out["kl_gradient"] = weighted_seq_grads(params, transition_forward(params, [x]), pad(seqs), out["kl_coeffs"])[0]
+    out["kl_gradient"] = weighted_seq_grads(params, fwd, cells, out["kl_coeffs"])[0]
     return out
 
 
@@ -358,7 +368,7 @@ def reference_exact_kl_gradient(params: PolicyParams, fixed: PolicyParams, x: To
         lps = enum.logprobs
         coeffs = coeffs - beta * np.exp(lps) * (lps - _anchor_logprobs(params, fixed, x, max_len) + 1.0)
     rows = pad(list(enum.seqs))
-    return weighted_seq_grads(params, enum.forward, rows, coeffs)[0]
+    return weighted_seq_grads(params, enum.forward, cells_of(params, rows), coeffs)[0]
 
 
 def mp_objective_derivative(params: PolicyParams, x: TokenSeq, reward_fn, max_len: int, i: int,
@@ -466,6 +476,26 @@ def reference_nucleus(logprobs: np.ndarray, top_p: float, row: int) -> tuple[lis
     return keep.tolist(), cdf.tolist()
 
 
+def reference_nucleus_stack(tables: np.ndarray, top_p: float):
+    """(order, size, mass, cdf) of a (B, V, V) log-table stack as
+    decoding._nucleus_stack returns them, each nucleus's cdf built in its own
+    bucket of rows of one size, cut at that size: the per-length form the
+    stacked cdf must equal bitwise below each size."""
+    probs = np.exp(tables)
+    order = np.argsort(-probs, axis=-1, kind="stable")
+    ranked = np.take_along_axis(probs, order, axis=-1)
+    size = np.minimum(np.count_nonzero(ranked.cumsum(axis=-1) < top_p, axis=-1), tables.shape[-1] - 1) + 1
+    cdf, mass = np.full_like(ranked, np.nan), np.empty(size.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in sorted(set(size.ravel().tolist())):
+            rows = size == n
+            kept = ranked[rows, :n]
+            mass[rows] = total = kept.sum(axis=1)
+            bucket = (kept / total[:, None]).cumsum(axis=1)
+            cdf[rows, :n] = bucket / bucket[:, -1:]
+    return order, size, mass, cdf
+
+
 def rewrite_ids(rows, m: int) -> list[list[tuple[int, ...]]]:
     """The ids of an input-major rewrite array (a Padded, m rows per input), per input."""
     ids = [z.ids for z in unpad(rows)]
@@ -515,7 +545,7 @@ def reference_diverse_beam(
 def decode_one(policy: PolicyParams, x: TokenSeq, scheme: str, cfg: DecodeConfig) -> list[TokenSeq]:
     """m rewrites of one input by `scheme`, its draws seeded by cfg.seed: decode_batch of a batch of one."""
     fwd = transition_forward(policy, [x])
-    return unpad(decode_batch(policy, scheme, fwd.logits, fwd.table, [cfg.seed], cfg))
+    return unpad(decode_batch(policy, scheme, fwd.logits, fwd.table, [cfg.seed], cfg)[0])
 
 
 def reference_example_gradient(policy: PolicyParams, fixed: PolicyParams, ex, reward_fn, cfg, step: int):
@@ -534,7 +564,7 @@ def reference_example_gradient(policy: PolicyParams, fixed: PolicyParams, ex, re
     weights, clamp_events = est.coefficients(
         cur, fixed_lp, rewards, cfg.estimator, cfg.regime, cfg.resolved_beta()
     )
-    grad = weighted_seq_grads(policy, fwd, pad(seqs), weights)[0]
+    grad = weighted_seq_grads(policy, fwd, cells_of(policy, pad(seqs)), weights)[0]
     return grad, float(raw_rewards.mean()), clamp_events
 
 

@@ -45,11 +45,12 @@ from riff.vocab import BOS, EOS, MASK
 def masked_reward_fn(classifier, verbalizer, y):
     """Reward for raw rewrites at oracle scale: drop any mask ids from the
     content, then score with a single mask appended."""
+    path = clf.LabelPath(classifier, verbalizer)
 
     def reward_fn(z: TokenSeq) -> float:
         content = tuple(t for t in z.content if t != MASK)
         counts = token_counts(classifier, [TokenSeq(content + (MASK, EOS))])
-        return float(clf.rewards(classifier, counts, y, verbalizer)[0])
+        return float(path.rewards(counts, y)[0])
 
     return reward_fn
 

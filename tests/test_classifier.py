@@ -17,7 +17,7 @@ from conftest import (
 )
 from riff.classifier import (
     ClassifierConfig,
-    _MaskRowPass,
+    LabelPath,
     ClassifierParams,
     TRAINABLE_SEGMENTS,
     TuningMode,
@@ -27,7 +27,6 @@ from riff.classifier import (
     label_logprobs_batch,
     label_path_mode,
     load_classifier,
-    rewards,
     save_classifier,
     trainable_mask,
     weighted_label_grad,
@@ -121,7 +120,7 @@ def test_forward_matches_high_precision_straight_line():
 
 def test_reward_is_label_logprob_and_nonpositive():
     p = tiny_classifier(seed=4)
-    r = rewards(p, token_counts(p, [INPUT]), 1, VERB)[0]
+    r = LabelPath(p, VERB).rewards(token_counts(p, [INPUT]), 1)[0]
     assert r == pytest.approx(float(label_logprobs_batch(p, token_counts(p, [INPUT]), VERB)[0][1]), abs=0)
     assert r <= 0.0
 
@@ -131,24 +130,24 @@ def test_rewards_read_each_row_at_its_own_label():
     other = TokenSeq((6, 4, MASK, EOS))
     seqs = [INPUT, other, INPUT, other]
     rows = label_logprobs_batch(p, token_counts(p, [INPUT, other]), VERB)
-    got = rewards(p, token_counts(p, seqs), [1, 0, 0, 1], VERB)
+    got = LabelPath(p, VERB).rewards(token_counts(p, seqs), [1, 0, 0, 1])
     assert max_scaled_error(got, [rows[0, 1], rows[1, 0], rows[0, 0], rows[1, 1]]) <= 1e-12
     assert got[0] != got[2]
     with pytest.raises(ValueError, match="batch sequence 3: label 2 out of range"):
-        rewards(p, token_counts(p, seqs), [0, 1, 1, 2], VERB)
+        LabelPath(p, VERB).rewards(token_counts(p, seqs), [0, 1, 1, 2])
     with pytest.raises(ValueError, match="batch sequence 0: label -1 out of range"):
-        rewards(p, token_counts(p, seqs), -1, VERB)
+        LabelPath(p, VERB).rewards(token_counts(p, seqs), -1)
 
 
 def test_reward_uniform_classifier():
     p = tiny_classifier(seed=5)
     p.seg("lm_head")[:] = 0.0
-    assert rewards(p, token_counts(p, [INPUT]), 0, VERB)[0] == pytest.approx(math.log(0.5), abs=1e-14)
+    assert LabelPath(p, VERB).rewards(token_counts(p, [INPUT]), 0)[0] == pytest.approx(math.log(0.5), abs=1e-14)
 
 
 def test_reward_monotone_in_true_label_logit():
     p = tiny_classifier(seed=6)
-    base = rewards(p, token_counts(p, [INPUT]), 0, VERB)[0]
+    base = LabelPath(p, VERB).rewards(token_counts(p, [INPUT]), 0)[0]
     # the head-mode gradient column at the true verbalizer token is a positive
     # multiple of the mask hidden state, so moving along it raises that logit
     # while leaving every other label's logit fixed
@@ -156,7 +155,7 @@ def test_reward_monotone_in_true_label_logit():
     direction = g[p.pv.segment_slice("lm_head")].reshape(p.cfg.embed_dim, p.cfg.vocab_size)
     boosted = p.copy()
     boosted.seg("lm_head")[:, VERB.token_ids[0]] += 0.5 * direction[:, VERB.token_ids[0]]
-    assert rewards(boosted, token_counts(boosted, [INPUT]), 0, VERB)[0] > base
+    assert LabelPath(boosted, VERB).rewards(token_counts(boosted, [INPUT]), 0)[0] > base
 
 
 def test_head_mode_mask():
@@ -333,7 +332,7 @@ def test_score_labels_dispatch():
     assert np.array_equal(label_logprobs_batch(p, token_counts(p, [INPUT]), VERB)[0], pooled)
     plain = label_logprobs_batch(p, token_counts(p, [INPUT]), VERB, label_path_mode(TuningMode.CLS_HEAD))[0]
     assert np.array_equal(plain, label_logprobs_batch(p, token_counts(p, [INPUT]), VERB, TuningMode.NONE)[0])
-    assert rewards(p, token_counts(p, [INPUT]), 1, VERB)[0] == plain[1] != pooled[1]
+    assert LabelPath(p, VERB).rewards(token_counts(p, [INPUT]), 1)[0] == plain[1] != pooled[1]
     p2 = tiny_classifier(seed=19, mode=TuningMode.HEAD)
     assert np.array_equal(
         label_logprobs_batch(p2, token_counts(p2, [INPUT]), VERB)[0],
@@ -366,6 +365,21 @@ MIXED_BATCH = [
     TokenSeq((6, 6, 5, 1, 7, 4, 3, MASK, EOS)),
     TokenSeq((MASK, EOS)),
 ]
+
+
+@pytest.mark.parametrize("mode", list(TuningMode))
+def test_a_label_path_built_once_scores_each_batch_bitwise_as_per_call_scoring(mode):
+    # a fine-tune run builds the rewards' path once and scores every step's rewrites with it
+    p = kernel_params(mode, seed=41)
+    path, own = LabelPath(p, VERB), label_path_mode(mode)
+    gen = np.random.default_rng(41)
+    for batch in (MIXED_BATCH, MIXED_BATCH[::-1], MIXED_BATCH[1:3], [MIXED_BATCH[2]] * 5, MIXED_BATCH[:1]):
+        counts = token_counts(p, batch)
+        ys = gen.integers(0, 2, size=len(batch))
+        assert path.rewards(counts, ys).tobytes() == LabelPath(p, VERB).rewards(counts, ys).tobytes()
+        assert path.logprobs(counts).tobytes() == label_logprobs_batch(p, counts, VERB, own).tobytes()
+        for row, seq in zip(path.logprobs(counts), batch):
+            assert max_scaled_error(row, reference_label_logprobs(p, seq, VERB, own)) <= 1e-12
 
 
 def kernel_params(mode, seed):
@@ -527,7 +541,7 @@ def test_a_count_matrix_is_checked_for_its_dtype_width_and_mask_column():
         with pytest.raises(ValueError, match=r"^expected a float64 \(B, 8\) count matrix"):
             weighted_label_grad(p, seqs, [0] * 4, [1.0] * 4, VERB)
         with pytest.raises(ValueError, match=r"^expected a float64 \(B, 8\) count matrix"):
-            rewards(p, seqs, 0, VERB)
+            LabelPath(p, VERB).rewards(seqs, 0)
     for n_mask in (0, 2):
         bad = counts.copy()
         bad[2, MASK] = n_mask
@@ -538,7 +552,7 @@ def test_a_count_matrix_is_checked_for_its_dtype_width_and_mask_column():
         with pytest.raises(RowError, match=message):
             weighted_label_grad(p, bad, [0] * 4, [1.0] * 4, VERB)
         with pytest.raises(RowError, match=message):
-            rewards(p, bad, 0, VERB)
+            LabelPath(p, VERB).rewards(bad, 0)
 
 
 @pytest.mark.parametrize("mode", list(TuningMode))
@@ -548,7 +562,7 @@ def test_an_absent_token_far_above_a_rows_max_leaves_the_row_bitwise_unchanged(m
     lacking = [i for i, seq in enumerate(MIXED_BATCH) if t not in seq.ids]
     before = label_logprobs_batch(p, token_counts(p, batch), VERB, mode)
     # the mask row's query, which under the pooled head is the plain path's
-    qk = _MaskRowPass(p, token_counts(p, batch), VERB, label_path_mode(mode)).qk
+    qk = LabelPath(p, VERB, label_path_mode(mode)).qk
     emb = p.seg("token_embedding")
     top = np.delete(emb @ qk, t).max()
     emb[t] += (top + 1e3 - emb[t] @ qk) * qk / (qk @ qk)

@@ -14,6 +14,7 @@ from conftest import (
     reference_context,
     reference_diverse_beam,
     reference_nucleus,
+    reference_nucleus_stack,
     reference_top_p_sample,
     rewrite_ids,
     softmax,
@@ -23,6 +24,7 @@ from conftest import (
 from riff.decoding import (
     DecodeConfig,
     _nuclei,
+    _nucleus_stack,
     decode_batch,
     diverse_beam,
     diverse_beam_batch,
@@ -442,7 +444,7 @@ def test_decoders_return_wellformed_sequences(seed, scheme):
         assert len(z) <= max_len
     # decoding from the input's transition table is bitwise the same
     fwd = transition_forward(p, [x])
-    held = decode_batch(p, scheme, fwd.logits, fwd.table, [cfg.seed], cfg)
+    held = decode_batch(p, scheme, fwd.logits, fwd.table, [cfg.seed], cfg)[0]
     assert [z.ids for z in unpad(held)] == [z.ids for z in decode_one(p, x, scheme, cfg)]
     # and the decoders return the straight-line references' ids and log-probs
     _assert_matches_references(p, x, cfg)
@@ -475,6 +477,66 @@ def test_nucleus_buckets_equal_per_row_references_on_random_stacks():
     assert whole == {True, False}  # some rows, not all, are cut at the last index
 
 
+@pytest.mark.parametrize("top_p", [1e-12, 0.5, 0.9, 0.99, 1.0])
+def test_nucleus_stack_equals_the_per_length_reference_below_each_size_bitwise(top_p):
+    # one division and one cumsum over the whole stack, against a bucket per nucleus size
+    gen = np.random.default_rng(int(top_p * 1000) + 23)
+    for trial in range(40):
+        b, v = int(gen.integers(1, 5)), int(gen.integers(2, 21))
+        tables = log_softmax_rows(gen.normal(0.0, float(gen.uniform(0.1, 6.0)), (b, v, v)))
+        tables[gen.random((b, v)) < 0.15] = -np.log(v)  # rows that tie everywhere
+        with np.errstate(divide="ignore"):
+            for i, r in zip(*np.nonzero(gen.random((b, v)) < 0.15)):
+                tables[i, r] = np.log(np.eye(v)[gen.integers(v)])  # one-hot rows
+        for i, r in zip(*np.nonzero(gen.random((b, v)) < 0.1)):  # non-finite rows: NaN, +inf or no mass
+            tables[i, r, gen.integers(v)] = gen.choice([np.nan, np.inf])
+        tables[gen.random((b, v)) < 0.05] = -np.inf
+        order, size, mass, cdf = _nucleus_stack(tables, top_p)
+        want_order, want_size, want_mass, want_cdf = reference_nucleus_stack(tables, top_p)
+        assert np.array_equal(order, want_order) and np.array_equal(size, want_size)
+        assert mass.tobytes() == want_mass.tobytes()
+        below = np.arange(v) < size[..., None]
+        assert np.array_equal(cdf[below], want_cdf[below], equal_nan=True)
+        finite = below & np.isfinite(want_cdf)
+        assert cdf[finite].tobytes() == want_cdf[finite].tobytes()
+        nucleus = _nuclei(tables, top_p)
+        for i, r in np.ndindex(b, v):
+            if 0.0 < mass[i, r] < np.inf:
+                assert nucleus(i, r) == (order[i, r, : size[i, r]].tolist(), cdf[i, r, : size[i, r]].tolist())
+            else:  # a row that is not a distribution raises just when a draw visits it
+                with pytest.raises(ValueError, match=f"^non-finite probabilities in transition row {r}$"):
+                    nucleus(i, r)
+
+
+@pytest.mark.parametrize("scheme", ["beam", "top_p", "mixed"])
+def test_decode_batch_returns_the_step_cells_and_logprobs_of_its_rows(scheme):
+    gen = np.random.default_rng(["beam", "top_p", "mixed"].index(scheme) + 40)
+    for trial in range(12):
+        vocab, max_len = int(gen.integers(3, 12)), int(gen.integers(1, 9))
+        p = tiny_policy(seed=trial, vocab=vocab, max_len=max_len, scale=float(gen.uniform(0.1, 3.0)))
+        xs = [
+            TokenSeq.from_content(gen.integers(1, vocab, size=int(gen.integers(1, 5))).tolist())
+            for _ in range(int(gen.integers(1, 6)))
+        ]
+        cfg = DecodeConfig(m=int(gen.choice([2, 4, 8])), top_p=float(gen.choice([0.5, 0.99, 1.0])))
+        fwd = transition_forward(p, xs)
+        rows, cells, lps = decode_batch(p, scheme, fwd.logits, fwd.table, gen.integers(2**31, size=len(xs)), cfg)
+        want = step_cells(rows, len(xs), vocab)
+        assert cells.dtype == want.dtype and np.array_equal(cells, want)
+        assert lps.tobytes() == path_logprobs(fwd.table, want).tobytes()
+    # mixed picks narrower than their sources: the long beam rows lose the ranking to short ones
+    p = tiny_policy(seed=3, vocab=6, max_len=8, scale=0.3)
+    p.rec_b[:] = 1.0
+    p.out_head[:, EOS] += 0.5
+    xs, cfg = [TokenSeq.from_content([1, 2]), TokenSeq.from_content([3])], DecodeConfig(m=8, top_p=1.0)
+    fwd = transition_forward(p, xs)
+    rows, cells, lps = decode_batch(p, scheme, fwd.logits, fwd.table, [1, 2], cfg)
+    if scheme == "mixed":
+        assert rows.ids.shape[1] < diverse_beam_batch(p, fwd.logits, cfg).ids.shape[1]
+    assert np.array_equal(cells, step_cells(rows, 2, 6))
+    assert lps.tobytes() == path_logprobs(fwd.table, cells).tobytes()
+
+
 def test_top_p_batch_raises_only_on_a_non_finite_row_a_draw_visits():
     p = tiny_policy(seed=7, vocab=6, max_len=2)  # one sampled step: only the BOS row is visited
     xs = [TokenSeq.from_content([1]), TokenSeq.from_content([2, 3])]
@@ -504,7 +566,7 @@ def test_batch_decoding_equals_the_per_input_decoders(scheme):
         cfg = DecodeConfig(m=int(gen.choice([2, 4, 8])), top_p=float(gen.choice([0.5, 0.99, 1.0])))
         seeds = gen.integers(2**31, size=len(xs)).tolist()
         fwd = transition_forward(p, xs)
-        rows = decode_batch(p, scheme, fwd.logits, fwd.table, seeds, cfg)
+        rows = decode_batch(p, scheme, fwd.logits, fwd.table, seeds, cfg)[0]
         want = [
             [z.ids for z in decode_one(p, x, scheme, replace(cfg, seed=s))]
             for x, s in zip(xs, seeds)

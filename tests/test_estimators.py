@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assemble_gradient,
+    cells_of,
     exact_objective,
     kl_penalized_gradient,
     logsumexp,
@@ -109,7 +110,7 @@ def test_pg_matches_enumeration_finite_differences():
     seqs = [z for z, _ in enum.entries]
     rewards = np.array([reward_fn(z) for z in seqs])
     cur = np.array([lp for _, lp in enum.entries])
-    grads = [weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0] for z in seqs]
+    grads = [weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0] for z in seqs]
     analytic = assemble_gradient(phi_of(cur, rewards, "pg"), grads)
 
     def expected_reward(flat):
@@ -223,7 +224,7 @@ def test_full_enumeration_mml_equals_exact_gradient():
     seqs = [z for z, _ in enum.entries]
     cur = np.array([lp for _, lp in enum.entries])
     rewards = np.array([reward_fn(z) for z in seqs])
-    grads = [weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0] for z in seqs]
+    grads = [weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0] for z in seqs]
     assembled = assemble_gradient(phi_of(cur, rewards, "mml"), grads)
     assert np.allclose(assembled, exact_gradient(p, x, reward_fn), atol=1e-12)
 
@@ -246,7 +247,7 @@ def test_full_enumeration_pg_equals_gradient_of_expected_reward():
     seqs = [z for z, _ in enum.entries]
     cur = np.array([lp for _, lp in enum.entries])
     rewards = np.array([reward_fn(z) for z in seqs])
-    grads = [weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0] for z in seqs]
+    grads = [weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0] for z in seqs]
     assembled = assemble_gradient(phi_of(cur, rewards, "pg"), grads)
 
     def expected_reward(flat):
@@ -273,7 +274,7 @@ def test_full_enumeration_off_policy_pg_weighted_by_fixed_equals_gradient_of_exp
     phi, clamped = coefficients(cur, fixed_lp, rewards, "pg", "off", 0.0)
     assert clamped == 0
     assert not np.allclose(cur, fixed_lp)  # the ratios are not all one
-    grads = [weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0] for z in seqs]
+    grads = [weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0] for z in seqs]
     assembled = assemble_gradient(np.exp(fixed_lp) * phi, grads)
 
     def expected_reward(flat):
@@ -313,7 +314,7 @@ def test_kl_full_enumeration_matches_finite_differences():
     cur = np.array([lp for _, lp in enum.entries])
     fixed_lp = np.array([seq_logprob(fixed, x, z) for z in seqs])
     rewards = np.array([reward_fn(z) for z in seqs])
-    grads = [weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0] for z in seqs]
+    grads = [weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0] for z in seqs]
     base = assemble_gradient(phi_of(cur, rewards, "mml"), grads)
     weighted = [len(seqs) * math.exp(lp) * g for lp, g in zip(cur, grads)]
     out = kl_penalized_gradient(cur, fixed_lp, weighted, base, beta)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cells_of,
     log_softmax,
     max_scaled_error,
     path_logprob,
@@ -33,6 +34,7 @@ from riff.policy import (
     PolicyParams,
     Padded,
     TokenSeq,
+    check_output_rows,
     input_counts,
     load_policy,
     pad,
@@ -117,7 +119,7 @@ def test_gradient_matches_finite_differences():
         z = TokenSeq.from_content(
             [int(gen.integers(1, vocab)) for _ in range(int(gen.integers(0, 4)))]
         )
-        analytic = weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0]
+        analytic = weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0]
 
         def f(flat, cfg=p.cfg, x=x, z=z):
             probe = PolicyParams(cfg)
@@ -175,7 +177,8 @@ def test_weighted_seq_grad_matches_reference_sum(case, kind):
     else:
         weights[::3] = 0.0
     want = sum(w * reference_seq_logprob_grad(p, x, z) for w, z in zip(weights, seqs))
-    assert max_scaled_error(weighted_seq_grads(p, transition_forward(p, [x]), pad(seqs), weights)[0], want) < 1e-12
+    got = weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad(seqs)), weights)[0]
+    assert max_scaled_error(got, want) < 1e-12
 
 
 @pytest.mark.parametrize("case", KERNEL_CONFIGS)
@@ -185,8 +188,8 @@ def test_weighted_seq_grad_one_hot_is_seq_logprob_grad_bitwise(case):
     for j, z in enumerate(seqs):
         one_hot = np.zeros(len(seqs))
         one_hot[j] = 1.0
-        single = weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0]
-        assert np.array_equal(weighted_seq_grads(p, shared, pad(seqs), one_hot)[0], single)
+        single = weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0]
+        assert np.array_equal(weighted_seq_grads(p, shared, cells_of(p, pad(seqs)), one_hot)[0], single)
         assert max_scaled_error(single, reference_seq_logprob_grad(p, x, z)) < 1e-12
 
 
@@ -206,7 +209,7 @@ def test_weighted_seq_grad_bitwise_equals_unbatched_reference(case, kind):
     (u, s), (want_logits, (want_u, want_s)) = fwd.activations, reference_transition_logits(p, x)
     assert np.array_equal(fwd.logits[0], want_logits)
     assert np.array_equal(u[0], want_u) and np.array_equal(s[0], want_s)
-    got = weighted_seq_grads(p, fwd, pad(seqs), weights)[0]
+    got = weighted_seq_grads(p, fwd, cells_of(p, pad(seqs)), weights)[0]
     assert np.array_equal(got, reference_weighted_seq_grad(p, x, seqs, weights))
 
 
@@ -227,10 +230,11 @@ def test_pair_grads_rows_bitwise_equal_seq_logprob_grad():
         chunk = corpus[start : start + 8]
         # one stacked backward over pairs: one row per input, each its own target's gradient
         fwd = transition_forward(p, [x for x, _ in chunk])
-        rows = weighted_seq_grads(p, fwd, pad([z for _, z in chunk]), np.ones(len(chunk)))
+        rows = weighted_seq_grads(p, fwd, cells_of(p, pad([z for _, z in chunk]), len(chunk)), np.ones(len(chunk)))
         assert rows.shape == (len(chunk), p.flat.size)
         for row, (x, z) in zip(rows, chunk):
-            assert np.array_equal(row, weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0])
+            alone = weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0]
+            assert np.array_equal(row, alone)
             assert np.array_equal(row, reference_weighted_seq_grad(p, x, [z], [1.0]))
 
 
@@ -268,7 +272,7 @@ def test_pretrain_mle_bitwise_equals_per_pair_reference(shape, batch_size):
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start : start + batch_size]
         fwd = transition_forward(p, [x for x, _ in chunk])
-        rows = weighted_seq_grads(p, fwd, pad([z for _, z in chunk]), np.ones(len(chunk)))
+        rows = weighted_seq_grads(p, fwd, cells_of(p, pad([z for _, z in chunk]), len(chunk)), np.ones(len(chunk)))
         for row, (x, z) in zip(rows, chunk):
             assert row.tobytes() == reference_weighted_seq_grad(p, x, [z], [1.0]).tobytes()
     got = pretrain_mle(p, pairs, epochs=2, lr=lr, batch_size=batch_size, seed=5)
@@ -314,7 +318,7 @@ def test_pretrain_names_the_first_bad_pair_before_step_1(monkeypatch, bad, messa
 def test_weighted_seq_grad_rejects_weight_count_mismatch():
     p, x, seqs, _ = kernel_case(*KERNEL_CONFIGS[0])
     with pytest.raises(ValueError, match="weights"):
-        weighted_seq_grads(p, transition_forward(p, [x]), pad(seqs), np.ones(len(seqs) + 1))
+        weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad(seqs)), np.ones(len(seqs) + 1))
 
 
 def test_gradient_finite_for_improbable_token():
@@ -322,7 +326,7 @@ def test_gradient_finite_for_improbable_token():
     # make token 3 extremely unlikely at every step
     p.out_head[:, 3] = -40.0
     x, z = TokenSeq.from_content([1]), TokenSeq.from_content([3])
-    g = weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0]
+    g = weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0]
     assert np.all(np.isfinite(g))
 
 
@@ -331,12 +335,12 @@ def test_head_column_shift_leaves_probs_and_embedding_grad():
     x = TokenSeq.from_content([1, 2])
     z = TokenSeq.from_content([2, 1])
     base_lp = seq_logprob(p, x, z)
-    base_grad = weighted_seq_grads(p, transition_forward(p, [x]), pad([z]), [1.0])[0]
+    base_grad = weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad([z])), [1.0])[0]
     shifted = p.copy()
     shifted.out_head[:] += np.full((p.cfg.hidden_dim, 1), 0.73)  # same h-vector on every column
     assert seq_logprob(shifted, x, z) == pytest.approx(base_lp, abs=1e-12)
     emb_slice = p.pv.segment_slice("token_embedding")
-    shifted_grad = weighted_seq_grads(shifted, transition_forward(shifted, [x]), pad([z]), [1.0])[0]
+    shifted_grad = weighted_seq_grads(shifted, transition_forward(shifted, [x]), cells_of(shifted, pad([z])), [1.0])[0]
     assert np.allclose(shifted_grad[emb_slice], base_grad[emb_slice], atol=1e-12)
 
 
@@ -495,6 +499,18 @@ def test_checkpoint_header_byte_not_utf8_names_file(tmp_path):
     where = f"corrupt checkpoint {re.escape(str(path))}"
     with pytest.raises(ValueError, match=f"{where}: unreadable header: UnicodeDecodeError"):
         load_policy(path)
+
+
+@pytest.mark.parametrize("kind", ["policy", "classifier"])
+def test_checkpoint_header_of_deeply_nested_json_names_file(tmp_path, kind):
+    # json.loads recurses once per level, so 5,000 nested arrays overflow the parser
+    path, _ = saved_model(tmp_path, kind)
+    blob = path.read_bytes()
+    header = b"[" * 5000 + b"]" * 5000
+    path.write_bytes(blob[:12] + len(header).to_bytes(4, "little") + header)
+    message = f"^corrupt checkpoint {re.escape(str(path))}: unreadable header: RecursionError"
+    with pytest.raises(ValueError, match=message):
+        (load_policy if kind == "policy" else load_classifier)(path)
 
 
 def test_checkpoint_header_without_segments_names_file(tmp_path):
@@ -691,8 +707,9 @@ def test_permuting_an_input_leaves_its_table_logits_and_gradient_rows_bitwise():
         assert np.array_equal(transition_forward(p, [shuffled]).table[0], transition_forward(p, [x]).table[0])
         pair, shuffled_pair = [other, x], [other, shuffled]
         assert np.array_equal(transition_forward(p, shuffled_pair).logits[1], transition_forward(p, pair).logits[1])
-        got = weighted_seq_grads(p, transition_forward(p, shuffled_pair), pad(rows), weights)[1]
-        assert np.array_equal(got, weighted_seq_grads(p, transition_forward(p, pair), pad(rows), weights)[1])
+        got = weighted_seq_grads(p, transition_forward(p, shuffled_pair), cells_of(p, pad(rows), 2), weights)[1]
+        want = weighted_seq_grads(p, transition_forward(p, pair), cells_of(p, pad(rows), 2), weights)[1]
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("embed", [1, 5])
@@ -705,10 +722,10 @@ def test_a_batch_row_equals_its_input_scored_alone_bitwise(embed):
         xs = random_inputs(gen, p.cfg.vocab_size, b, 30)
         rows = random_inputs(gen, p.cfg.vocab_size, b * m, p.cfg.max_len)
         weights = gen.normal(size=b * m)
-        grads = weighted_seq_grads(p, transition_forward(p, xs), pad(rows), weights)
+        grads = weighted_seq_grads(p, transition_forward(p, xs), cells_of(p, pad(rows), b), weights)
         for i, x in enumerate(xs):
             mine = slice(i * m, (i + 1) * m)
-            alone = weighted_seq_grads(p, transition_forward(p, [x]), pad(rows[mine]), weights[mine])[0]
+            alone = weighted_seq_grads(p, transition_forward(p, [x]), cells_of(p, pad(rows[mine])), weights[mine])[0]
             assert np.array_equal(grads[i], alone)
         flats = p.flat + gen.normal(0.0, 0.1, (4, p.flat.size))
         tables = transition_tables(p, flats, xs[0])
@@ -788,11 +805,11 @@ def test_weighted_seq_grads_name_the_first_bad_row():
     fwd = transition_forward(p, [TokenSeq.from_content([1])])
     ok, long, foreign = TokenSeq.from_content([1]), TokenSeq.from_content([1, 2, 3, 1]), TokenSeq((5, EOS))
     with pytest.raises(ValueError, match="^token id 5 out of range for vocabulary of size 4$"):
-        weighted_seq_grads(p, fwd, pad([ok, foreign, long]), np.ones(3))
+        check_output_rows(pad([ok, foreign, long]), p.cfg)
     with pytest.raises(ValueError, match="^sequence length 5 exceeds max_len 4$"):
-        weighted_seq_grads(p, fwd, pad([ok, long, foreign]), np.ones(3))
+        check_output_rows(pad([ok, long, foreign]), p.cfg)
     with pytest.raises(ValueError, match="^2 weights for 3 sequences$"):
-        weighted_seq_grads(p, fwd, pad([ok, ok, ok]), np.ones(2))
+        weighted_seq_grads(p, fwd, cells_of(p, pad([ok, ok, ok])), np.ones(2))
 
 
 def test_padded_batches_name_a_negative_id_as_out_of_range():
@@ -803,14 +820,14 @@ def test_padded_batches_name_a_negative_id_as_out_of_range():
     rows = pad([ok, TokenSeq.from_content([3, 1]), long])
     rows.ids[1, 0] = -2
     with pytest.raises(ValueError, match="^token id -2 out of range for vocabulary of size 4$"):
-        weighted_seq_grads(p, fwd, rows, np.ones(3))
+        check_output_rows(rows, p.cfg)
     rows.ids[1, 1] = 7  # the row's first bad id is named
     with pytest.raises(ValueError, match="^token id -2 out of range for vocabulary of size 4$"):
-        weighted_seq_grads(p, fwd, rows, np.ones(3))
+        check_output_rows(rows, p.cfg)
     rows = pad([ok, long, TokenSeq.from_content([3, 1])])
     rows.ids[2, 0] = -2  # the first bad row is named, whatever is wrong with it
     with pytest.raises(ValueError, match="^sequence length 5 exceeds max_len 4$"):
-        weighted_seq_grads(p, fwd, rows, np.ones(3))
+        check_output_rows(rows, p.cfg)
 
 
 @pytest.mark.parametrize("bad", [4, 5, 2**62])
@@ -834,9 +851,10 @@ def test_path_kernels_name_the_row_and_input_counts():
     x, z = TokenSeq.from_content([1]), TokenSeq.from_content([2])
     message = "^3 rows for 2 inputs: each input needs the same number of rows$"
     with pytest.raises(ValueError, match=message):
-        weighted_seq_grads(p, transition_forward(p, [x, x]), pad([z, z, z]), np.ones(3))
+        weighted_seq_grads(p, transition_forward(p, [x, x]), step_cells(pad([z, z, z]), 1, 4), np.ones(3))
     with pytest.raises(ValueError, match=message):
         step_cells(pad([z, z, z]), 2, 4)
     # the rows of a backward are counted against the inputs of its Forward
     with pytest.raises(ValueError, match="^1 rows for 2 inputs: each input needs the same number of rows$"):
-        weighted_seq_grads(p, transition_forward(p, [x, TokenSeq.from_content([3, 2])]), pad([z]), np.ones(1))
+        fwd = transition_forward(p, [x, TokenSeq.from_content([3, 2])])
+        weighted_seq_grads(p, fwd, step_cells(pad([z]), 1, 4), np.ones(1))

@@ -26,10 +26,12 @@ from riff import classifier as clf
 from riff import training
 from riff.checkpoint import params_hash
 from riff import estimators as est
-from riff.data import Example, gen_synthetic_task, strip_scaffold
+from riff.data import Example, formatted_counts, gen_synthetic_task, strip_scaffold
 from riff.optim import AdamConfig, AdamW
 from riff import policy as policy_module
-from riff.policy import Padded, PolicyConfig, PolicyParams, TokenSeq, input_counts, pad, snapshot, unpad
+from riff.policy import (
+    Padded, PolicyConfig, PolicyParams, TokenSeq, input_counts, pad, path_logprobs, snapshot, step_cells, unpad,
+)
 from riff.vocab import FIRST_CONTENT_ID
 from riff.training import (
     Checkpoint,
@@ -267,9 +269,10 @@ def finetune_reward_fn(monkeypatch, task, split, classifier, policy):
 
 
 def per_example_rewards(classifier, task, ex, zs):
-    """clf.rewards of one example's rewrites, formatted one sequence at a time."""
+    """The rewards of one example's rewrites, formatted one sequence at a time."""
     formatted = [format_input(task.template, task.template.instruction, strip_scaffold(z)) for z in zs]
-    return clf.rewards(classifier, token_counts(classifier, formatted), ex.y, clf.Verbalizer(task.verbalizer_ids))
+    path = clf.LabelPath(classifier, clf.Verbalizer(task.verbalizer_ids))
+    return path.rewards(token_counts(classifier, formatted), ex.y)
 
 
 @pytest.mark.parametrize("mode", [clf.TuningMode.ALL, clf.TuningMode.LORA,
@@ -309,6 +312,52 @@ def test_minibatch_rewards_score_every_rewrite_in_one_forward(monkeypatch):
     for ex, zs, rewards in zip([a, b, c], samples, got):
         assert max_scaled_error(rewards, per_example_rewards(classifier, task, ex, zs)) <= 1e-12
     assert got[0][0] == got[0][2] and got[0][1] == got[1][0]
+
+
+@pytest.mark.parametrize("mode", list(clf.TuningMode))
+def test_the_runs_label_path_scores_rewards_bitwise_as_per_call_rewards(monkeypatch, mode):
+    task, split, _, policy = make_pipeline()
+    classifier = tiny_classifier(seed=5, vocab=20, embed=8, prompt_len=3, mode=mode)
+    gen = np.random.default_rng(2)
+    for name in ("lora_b_q", "lora_b_v"):  # adapters that change the scores under LORA
+        classifier.seg(name)[:] = gen.normal(0.0, 0.3, classifier.seg(name).shape)
+    reward_fn = finetune_reward_fn(monkeypatch, task, split, classifier, policy)
+    verb = clf.Verbalizer(task.verbalizer_ids)
+    for m in (1, 3, 8):
+        rewrites = random_rewrites(gen, split.train, m)
+        ys = gen.integers(0, 2, size=len(rewrites.ids))
+        counts = formatted_counts(task.template, rewrites.ids, 20)
+        assert reward_fn(rewrites, ys).tobytes() == clf.LabelPath(classifier, verb).rewards(counts, ys).tobytes()
+
+
+@pytest.mark.parametrize("mode", list(clf.TuningMode))
+def test_the_runs_validation_scores_bitwise_as_the_classifiers_own_head(monkeypatch, mode):
+    # validation reads the run's label path, except under CLS_HEAD, whose pooled head scores
+    task, split, _, policy = make_pipeline()
+    classifier = tiny_classifier(seed=5, vocab=20, embed=8, prompt_len=3, mode=mode)
+    gen = np.random.default_rng(2)
+    for name in ("lora_b_q", "lora_b_v"):  # adapters that change the scores under LORA
+        classifier.seg(name)[:] = gen.normal(0.0, 0.3, classifier.seg(name).shape)
+    group, combine, counted, scored = training.group_counts, training.combine_group, [], []
+
+    def counts_of(*args):
+        counted.append(group(*args))
+        return counted[-1]
+
+    def combined(scores, include_original):
+        scored.append(scores.copy())
+        return combine(scores, include_original)
+
+    monkeypatch.setattr(training, "group_counts", counts_of)
+    monkeypatch.setattr(training, "combine_group", combined)
+    cfg = RunConfig(m=2, decoder="beam", steps=1, batch_size=2, checkpoint_interval=1)
+    finetune_paraphraser(policy, classifier, task, split, cfg)
+    verb = clf.Verbalizer(task.verbalizer_ids)
+    assert len(counted) == 2 and len(scored) == 4  # steps 0 and 1, each combined with and without the input
+    for counts, scores in zip(counted, scored[::2]):
+        n, rows, v = counts.shape
+        want = clf.label_logprobs_batch(classifier, counts.reshape(n * rows, v), verb).reshape(n, rows, -1)
+        assert scores.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("content, reason", [
@@ -391,9 +440,9 @@ def test_minibatch_gradient_is_the_mean_of_per_example_references(estimator, reg
     reward_fn = table_reward(23)
     batch = list(split.train[:5])
     # the anchor rows the fine-tune loop gathers for this batch from its whole-split tables
-    _, logits, tables = training._anchor_tables(fixed, split.train)
+    _, logits, tables, inputs = training._anchor_tables(fixed, split.train)
     got, got_reward, got_events = training._minibatch_gradient(
-        policy, (fixed, logits[:5], tables[:5]), batch,
+        policy, (fixed, logits[:5], tables[:5], inputs[:5]), batch,
         lambda rows, _: [reward_fn(z) for z in unpad(rows)], cfg, step=3,
     )
     # one table, decode and backward per example, summed in batch order
@@ -408,6 +457,58 @@ def test_minibatch_gradient_is_the_mean_of_per_example_references(estimator, reg
     want /= len(batch)
     assert got.tobytes() == want.tobytes()
     assert got_reward == reward / len(batch) and got_events == events
+
+
+@pytest.mark.parametrize("decoder", training.DECODERS)
+@pytest.mark.parametrize("regime", training.REGIMES)
+def test_the_steps_cells_and_logprobs_come_from_the_decoder_as_those_of_its_rows(monkeypatch, regime, decoder):
+    _, split, _, policy = make_pipeline()
+    fixed = snapshot(policy)
+    policy.flat[:] += np.random.default_rng(5).normal(0.0, 0.3, policy.flat.size)
+    decode, sampled_from = training.decode_batch, []
+
+    def checked(sampler, scheme, logits, tables, seeds, cfg):
+        rows, cells, lps = decode(sampler, scheme, logits, tables, seeds, cfg)
+        want = step_cells(rows, len(tables), sampler.cfg.vocab_size)
+        assert np.array_equal(cells, want)
+        assert lps.tobytes() == path_logprobs(tables, want).tobytes()
+        sampled_from.append(sampler)
+        return rows, cells, lps
+
+    monkeypatch.setattr(training, "decode_batch", checked)
+    batch, reward_fn = list(split.train[:5]), table_reward(23)
+    cfg = RunConfig(regime=regime, decoder=decoder, m=6, seed=8)
+    training._minibatch_gradient(
+        policy, training._anchor_tables(fixed, batch), batch,
+        lambda rows, _: [reward_fn(z) for z in unpad(rows)], cfg, step=3,
+    )
+    assert sampled_from == [fixed if regime == "off" else policy]
+
+
+@pytest.mark.parametrize("row, message", [
+    (TokenSeq.from_content([4, 25]), "token id 25 out of range for vocabulary of size 20"),
+    (TokenSeq.from_content([4] * 10), "sequence length 11 exceeds max_len 10"),
+])
+def test_a_malformed_decoder_row_raises_before_the_backward(monkeypatch, row, message):
+    # the decoders never emit such a row; the step checks its rows once, ahead of the backward
+    _, split, _, policy = make_pipeline()
+    decode, backward = training.decode_batch, []
+
+    def planted(sampler, scheme, logits, tables, seeds, cfg):
+        rows, cells, lps = decode(sampler, scheme, logits, tables, seeds, cfg)
+        zs = unpad(rows)
+        zs[3] = row
+        return pad(zs), cells, lps
+
+    monkeypatch.setattr(training, "decode_batch", planted)
+    monkeypatch.setattr(training, "weighted_seq_grads", lambda *args: backward.append(args))
+    batch = list(split.train[:3])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        training._minibatch_gradient(
+            policy, training._anchor_tables(snapshot(policy), batch), batch,
+            lambda rows, _: np.zeros(len(rows.ids)), RunConfig(m=2, decoder="beam"), step=1,
+        )
+    assert backward == []
 
 
 def test_minibatch_gradient_sums_its_rows_from_positive_zero(monkeypatch):
@@ -903,7 +1004,7 @@ def test_permuting_a_rewrites_content_leaves_its_reward_bitwise(mode):
 
     def rewards(rewrites):
         counts = training.group_counts(task.template, 20, split.validation, pad(rewrites))[:, 1:]
-        return clf.rewards(classifier, counts.reshape(len(rewrites), 20), ys, verbalizer)
+        return clf.LabelPath(classifier, verbalizer).rewards(counts.reshape(len(rewrites), 20), ys)
 
     assert rewards(shuffled).tobytes() == rewards(zs).tobytes()
 
