@@ -23,13 +23,19 @@ def log_normalizers(rows: np.ndarray) -> np.ndarray:
     return top + list(map(math.log, sums.tolist()))
 
 
-def log_softmax_rows(logits) -> np.ndarray:
-    """log_softmax along the last axis, shifted by each row's max."""
+def log_softmax_rows(logits, out=None) -> np.ndarray:
+    """log_softmax along the last axis, shifted by each row's max: logits -
+    (max + log(sum(exp(logits - max)))), into `out` when given (an array of
+    the logits' shape that is not the logits)."""
     arr = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ValueError("non-finite logits")
-    m = arr.max(axis=-1, keepdims=True)
-    return arr - (m + np.log(np.exp(arr - m).sum(axis=-1, keepdims=True)))
+    m = np.maximum.reduce(arr, axis=-1, keepdims=True)
+    out = np.subtract(arr, m, out=out)
+    lse = np.add.reduce(np.exp(out, out=out), axis=-1, keepdims=True)
+    np.log(lse, out=lse)
+    lse += m
+    return np.subtract(arr, lse, out=out)
 
 
 def gelu(x: float) -> float:

@@ -9,6 +9,7 @@ fully analytic, which the enumeration and finite-difference checks depend on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -191,18 +192,48 @@ class Forward(NamedTuple):
     (B, V, V) raw next-token logits whose [b, p] row holds the logits of the
     step after token p, their log-softmax tables, log P(next = t | previous =
     p, input b) at [b, p, t], and the activations the backward reuses: step
-    inputs u (B, V, 2d) and hidden states s (B, V, h). The context is fixed
-    per input, so its table fixes every log-prob of every rewrite of it."""
+    inputs u (B, V, 2d) and hidden states s (B, V, h), and the inputs'
+    (B, 1) lengths, their count rows' sums. The context is fixed per input,
+    so its table fixes every log-prob of every rewrite of it."""
 
     inputs: np.ndarray
     logits: np.ndarray
     table: np.ndarray
     activations: tuple
+    lengths: np.ndarray
 
 
-def _logits(params, inputs: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The (B, V, V) raw logits of (B, V) input count rows, every previous
-    token at once, and the activations (u, s) the backward reuses.
+class _Workspace:
+    """The buffers of one stacked forward and backward over B inputs, or of
+    a forward over K parameter vectors of one input (transition_tables).
+    The forward's: the step inputs u (B, V, 2d), the hidden states s
+    (B, V, h), and the logits and their log-softmax tables (B, V, V). The
+    backward's: the logit gradient, the (B, V, h) and (B, V, 2d) activation
+    gradients and the (B, P) gradient rows with their segment views.
+    pretrain_mle keeps one of both per minibatch size for its whole run and
+    hands none of it out; every other caller builds a fresh one of the part
+    it runs per call, so that the arrays it returns are its own."""
+
+    def __init__(self, params: PolicyParams, batch: int, forward: bool = True, backward: bool = True):
+        cfg = params.cfg
+        v, d, h = cfg.vocab_size, cfg.embed_dim, cfg.hidden_dim
+        if forward:
+            self.u, self.s = np.empty((batch, v, 2 * d)), np.empty((batch, v, h))
+            self.logits, self.table = np.empty((batch, v, v)), np.empty((batch, v, v))
+        if backward:
+            self.glogits, self.gu = np.empty((batch, v, v)), np.empty((batch, v, 2 * d))
+            self.ga, self.slope = np.empty((batch, v, h)), np.empty((batch, v, h))
+            self.rows = np.empty((batch, params.pv.size))
+            self.seg = {
+                name: self.rows[:, params.pv.segment_slice(name)].reshape(batch, *shape)
+                for name, shape in params.pv.segments()
+            }
+
+
+def _logits(params, inputs: np.ndarray, lengths: np.ndarray, work: _Workspace) -> np.ndarray:
+    """The (B, V, V) raw logits of (B, V) input count rows of (B, 1) lengths,
+    every previous token at once, in work.logits, with the activations the
+    backward reuses in work.u and work.s.
     An input's context is its mean embedding: the count-weighted (V, d)
     embedding rows summed over the vocabulary, over the input's length, an
     elementwise product, not a matmul, so that a row's bits do not depend on
@@ -211,19 +242,28 @@ def _logits(params, inputs: np.ndarray) -> tuple[np.ndarray, tuple]:
     stacked along a leading (K,) axis, one parameter vector per table of one
     input's count row (transition_tables)."""
     emb = params.token_embedding
-    contexts = (inputs[..., None] * emb).sum(axis=-2) / inputs.sum(axis=-1, keepdims=True)
-    v, d = emb.shape[-2:]
-    u = np.empty((len(contexts), v, 2 * d))
+    contexts = (inputs[..., None] * emb).sum(axis=-2) / lengths
+    d = emb.shape[-1]
+    u, s = work.u, work.s
     u[:, :, :d] = contexts[:, None, :]
     u[:, :, d:] = emb
-    s = np.tanh(u @ params.rec_w.swapaxes(-1, -2) + params.rec_b[..., None, :])
-    return s @ params.out_head, (u, s)
+    np.matmul(u, params.rec_w.swapaxes(-1, -2), out=s)
+    s += params.rec_b[..., None, :]
+    np.tanh(s, out=s)
+    return np.matmul(s, params.out_head, out=work.logits)
 
 
-def _forward(params, inputs: np.ndarray) -> Forward:
-    """The Forward of (B, V) input count rows: their _logits and log-softmax tables."""
-    logits, activations = _logits(params, inputs)
-    return Forward(inputs, logits, log_softmax_rows(logits), activations)
+def _forward(params, inputs: np.ndarray, work: _Workspace | None = None, lengths=None) -> Forward:
+    """The Forward of (B, V) input count rows, written into `work` (a fresh
+    workspace when none is given; `params` is then a PolicyParams): their
+    _logits and log-softmax tables. The rows' `lengths` are summed when the
+    caller has not counted them."""
+    if work is None:
+        work = _Workspace(params, len(inputs), backward=False)
+    if lengths is None:
+        lengths = inputs.sum(axis=-1, keepdims=True)
+    logits = _logits(params, inputs, lengths, work)
+    return Forward(inputs, logits, log_softmax_rows(logits, out=work.table), (work.u, work.s), lengths)
 
 
 def transition_forward(params: PolicyParams, xs) -> Forward:
@@ -235,7 +275,9 @@ def transition_forward(params: PolicyParams, xs) -> Forward:
 def transition_logits(params: PolicyParams, xs) -> np.ndarray:
     """transition_forward(params, xs).logits, bitwise, without the log-softmax
     tables that a caller which only decodes from the logits never reads."""
-    return _logits(params, input_counts(xs, params.cfg.vocab_size))[0]
+    inputs = input_counts(xs, params.cfg.vocab_size)
+    work = _Workspace(params, len(inputs), backward=False)
+    return _logits(params, inputs, inputs.sum(axis=-1, keepdims=True), work)
 
 
 def transition_tables(params: PolicyParams, flats: np.ndarray, x: TokenSeq) -> np.ndarray:
@@ -247,7 +289,7 @@ def transition_tables(params: PolicyParams, flats: np.ndarray, x: TokenSeq) -> n
     weights = SimpleNamespace(**{
         name: flats[:, params.pv.segment_slice(name)].reshape(k, *shape) for name, shape in params.pv.segments()
     })
-    return _forward(weights, input_counts([x], params.cfg.vocab_size)).table
+    return _forward(weights, input_counts([x], params.cfg.vocab_size), _Workspace(params, k, backward=False)).table
 
 
 def step_cells(rows: Padded, batch: int, v: int) -> np.ndarray:
@@ -299,20 +341,6 @@ def seq_logprob(params: PolicyParams, x: TokenSeq, z: TokenSeq) -> float:
     return float(path_logprobs(transition_forward(params, [x]).table, cells)[0])
 
 
-class _Workspace:
-    """The (B, P) gradient rows of one stacked backward over B inputs, with
-    their segment views. pretrain_mle keeps one per minibatch size for its
-    whole run and never hands its rows out; count_grads returns the rows of
-    a fresh one."""
-
-    def __init__(self, params: PolicyParams, batch: int):
-        self.rows = np.empty((batch, params.pv.size))
-        self.seg = {
-            name: self.rows[:, params.pv.segment_slice(name)].reshape(batch, *shape)
-            for name, shape in params.pv.segments()
-        }
-
-
 def _backward(params, work: _Workspace, fwd: Forward, counts, rowsums) -> np.ndarray:
     """Gradient rows (B, P), in work.rows: row b is the gradient of sum_{p,t}
     counts[b, p, t] * log P(t | p, input b), one stacked backward through the
@@ -321,17 +349,23 @@ def _backward(params, work: _Workspace, fwd: Forward, counts, rowsums) -> np.nda
     `params` is a PolicyParams or its weight views (pretrain_mle)."""
     inputs, (u, s) = fwd.inputs, fwd.activations
     d = u.shape[-1] // 2
-    seg = work.seg
-    glogits = counts - rowsums * np.exp(fwd.table)
-    seg["out_head"][:] = s.transpose(0, 2, 1) @ glogits
-    ga = (glogits @ params.out_head.T) * (1.0 - s * s)
-    gu = ga @ params.rec_w
+    seg, glogits, ga, slope, gu = work.seg, work.glogits, work.ga, work.slope, work.gu
+    np.exp(fwd.table, out=glogits)
+    glogits *= rowsums
+    np.subtract(counts, glogits, out=glogits)
+    np.matmul(s.transpose(0, 2, 1), glogits, out=seg["out_head"])
+    np.matmul(glogits, params.out_head.T, out=ga)
+    np.multiply(s, s, out=slope)
+    np.subtract(1.0, slope, out=slope)
+    ga *= slope
+    np.matmul(ga, params.rec_w, out=gu)
     # the context is the count-weighted mean of the input's embeddings: a token
     # that occurs N_t times takes N_t shares of the context's gradient
-    share = gu[:, :, :d].sum(axis=1) / inputs.sum(axis=1, keepdims=True)
-    seg["token_embedding"][:] = gu[:, :, d:] + inputs[:, :, None] * share[:, None, :]
-    seg["rec_w"][:] = ga.transpose(0, 2, 1) @ u
-    seg["rec_b"][:] = ga.sum(axis=1)
+    share = np.add.reduce(gu[:, :, :d], axis=1) / fwd.lengths
+    np.multiply(inputs[:, :, None], share[:, None, :], out=seg["token_embedding"])
+    seg["token_embedding"] += gu[:, :, d:]
+    np.matmul(ga.transpose(0, 2, 1), u, out=seg["rec_w"])
+    np.add.reduce(ga, axis=1, out=seg["rec_b"])
     return work.rows
 
 
@@ -341,7 +375,7 @@ def count_grads(params: PolicyParams, fwd: Forward, counts: np.ndarray) -> np.nd
     through the inputs' Forward from their (B, V, V) transition counts, taken
     as given."""
     rowsums = counts.sum(axis=-1, keepdims=True)
-    return _backward(params, _Workspace(params, len(counts)), fwd, counts, rowsums)
+    return _backward(params, _Workspace(params, len(counts), forward=False), fwd, counts, rowsums)
 
 
 def weighted_seq_grads(params: PolicyParams, fwd: Forward, cells: np.ndarray, weights) -> np.ndarray:
@@ -379,16 +413,22 @@ def pretrain_mle(
     seed: int = 0,
 ) -> PolicyParams:
     """Maximum-likelihood pretraining on (input, rewrite-target) pairs. Every
-    pair is checked and each input's tokens and target's transitions counted
-    once per run, and a minibatch gathers its rows of these: one stacked
-    forward, one backward into gradient rows the run reuses, and one
-    reduction of the rows, bitwise their running sum from 0.0. Returns an
-    updated copy; the argument is left untouched."""
+    pair is checked and each input's tokens and length and target's
+    transitions counted once per run, and a minibatch gathers its rows of
+    these: one stacked forward and one backward into a workspace the run
+    keeps per minibatch size, and one reduction of the gradient rows,
+    bitwise their running sum from 0.0, into a gradient the run reuses.
+    Returns an updated copy; the argument is left untouched."""
+    if isinstance(batch_size, bool) or not isinstance(batch_size, numbers.Integral) or batch_size < 1:
+        raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
+    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral) or epochs < 0:
+        raise ValueError(f"epochs must be an int >= 0, got {epochs!r}")
     if not pairs:
         raise ValueError("no training pairs")
     _check_pairs(pairs, params.cfg)
     n, v = len(pairs), params.cfg.vocab_size
     inputs = input_counts([x for x, _ in pairs], v)
+    lengths = inputs.sum(axis=-1, keepdims=True)
     counts = transition_counts(step_cells(pad([z for _, z in pairs]), n, v), np.ones(n), n, v)
     rowsums = counts.sum(axis=-1, keepdims=True)
     out = params.copy()
@@ -397,15 +437,18 @@ def pretrain_mle(
     opt = AdamW(out.flat.size, AdamConfig(lr=lr))
     rng = np.random.default_rng(seed)
     works = {b: _Workspace(out, b) for b in {min(batch_size, n - start) for start in range(0, n, batch_size)}}
+    grad = np.empty(out.flat.size)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             chunk = order[start : start + batch_size]
-            fwd = _forward(views, inputs[chunk])
-            rows = _backward(views, works[len(chunk)], fwd, counts[chunk], rowsums[chunk])
-            grad = np.add.reduce(rows, axis=0, initial=0.0)
-            grad /= len(rows)
-            opt.step(out.flat, -grad)
+            work = works[len(chunk)]
+            # take, not fancy indexing: the same rows, at less cost per call
+            fwd = _forward(views, inputs.take(chunk, axis=0), work, lengths.take(chunk, axis=0))
+            rows = _backward(views, work, fwd, counts.take(chunk, axis=0), rowsums.take(chunk, axis=0))
+            np.add.reduce(rows, axis=0, initial=0.0, out=grad)
+            grad /= -len(rows)  # the negated mean, bitwise -(grad / len): the optimizer minimizes
+            opt.step(out.flat, grad)
     return out
 
 

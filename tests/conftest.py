@@ -15,7 +15,7 @@ from riff import estimators as est
 from riff.data import TaskTemplate, _check_masks, _first_bad
 from riff.decoding import DecodeConfig, decode_batch
 from riff.numerics import ParamVector, gelu_grad_vec, gelu_vec, log_softmax_rows
-from riff.optim import AdamConfig, AdamW
+from riff.optim import BETA1, BETA2, EPS
 from riff.oracle import (
     Enumeration,
     _anchor_logprobs,
@@ -279,11 +279,35 @@ def reference_weighted_seq_grad(params: PolicyParams, x: TokenSeq, seqs, weights
     return g.values
 
 
+class ReferenceAdamW:
+    """Straight-line AMSGrad-AdamW: each step binds fresh moment arrays,
+    m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g * g,
+    keeps their running maximum and, unless lr == 0, subtracts
+    lr * (mhat / (sqrt(vhat) + EPS) + weight_decay * flat) from the
+    parameters, one numpy expression per line."""
+
+    def __init__(self, size: int, lr: float, weight_decay: float = 1e-4):
+        self.lr, self.weight_decay, self.t = lr, weight_decay, 0
+        self.m, self.v, self.vmax = np.zeros(size), np.zeros(size), np.zeros(size)
+
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        self.t += 1
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
+        self.vmax = np.maximum(self.vmax, self.v)
+        if self.lr == 0.0:
+            return
+        mhat = self.m / (1.0 - BETA1**self.t)
+        vhat = self.vmax / (1.0 - BETA2**self.t)
+        flat -= self.lr * (mhat / (np.sqrt(vhat) + EPS) + self.weight_decay * flat)
+
+
 def reference_pretrain_mle(params: PolicyParams, pairs, epochs: int, lr: float,
                            batch_size: int = 8, seed: int = 0) -> PolicyParams:
-    """pretrain_mle with one unbatched backward per pair, summed in chunk order."""
+    """pretrain_mle with one unbatched backward per pair, summed in chunk
+    order, and the straight-line optimizer."""
     out = params.copy()
-    opt = AdamW(out.flat.size, AdamConfig(lr=lr))
+    opt = ReferenceAdamW(out.flat.size, lr)
     rng = np.random.default_rng(seed)
     n = len(pairs)
     for _ in range(epochs):

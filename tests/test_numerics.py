@@ -44,6 +44,18 @@ def test_log_softmax_against_high_precision():
     assert np.allclose(out, expected, atol=1e-14)
 
 
+def test_log_softmax_into_a_buffer_is_bitwise_the_straight_line_expression():
+    gen = np.random.default_rng(11)
+    for shape in [(7,), (3, 9), (4, 6, 6), (2, 3, 5, 5), (8, 20, 20)]:
+        for scale in (1e-3, 1.0, 40.0):
+            logits = gen.normal(0.0, scale, shape)
+            m = logits.max(axis=-1, keepdims=True)
+            want = logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
+            buf = np.full(shape, np.nan)
+            assert log_softmax_rows(logits, out=buf) is buf
+            assert buf.tobytes() == want.tobytes() == log_softmax_rows(logits).tobytes()
+
+
 def test_log_softmax_rejects_nonfinite():
     with pytest.raises(ValueError):
         log_softmax_rows([1.0, float("nan")])

@@ -35,6 +35,7 @@ from riff.policy import (
     Padded,
     TokenSeq,
     check_output_rows,
+    count_grads,
     input_counts,
     load_policy,
     pad,
@@ -46,6 +47,7 @@ from riff.policy import (
     step_cells,
     transition_counts,
     transition_forward,
+    transition_logits,
     transition_tables,
     weighted_seq_grads,
 )
@@ -313,6 +315,32 @@ def test_pretrain_names_the_first_bad_pair_before_step_1(monkeypatch, bad, messa
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         pretrain_mle(p, [good] * 5 + [bad, bad], epochs=1, lr=0.1)
     assert forwards == []
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"batch_size": 0}, "batch_size must be an int >= 1, got 0"),
+    ({"batch_size": -2}, "batch_size must be an int >= 1, got -2"),
+    ({"batch_size": 2.0}, "batch_size must be an int >= 1, got 2.0"),
+    ({"batch_size": True}, "batch_size must be an int >= 1, got True"),
+    ({"epochs": -1}, "epochs must be an int >= 0, got -1"),
+    ({"epochs": 1.5}, "epochs must be an int >= 0, got 1.5"),
+    ({"lr": float("nan")}, "lr must be a finite number >= 0, got nan"),
+    ({"lr": -0.1}, "lr must be a finite number >= 0, got -0.1"),
+])
+def test_pretrain_names_a_bad_argument_before_step_1(monkeypatch, kwargs, message):
+    p, pairs = oracle_anchor_pairs(6)
+    forwards = []
+    forward = policy_module._forward
+    monkeypatch.setattr(policy_module, "_forward", lambda *args: forwards.append(args) or forward(*args))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pretrain_mle(p, pairs, **{"epochs": 1, "lr": 0.1, **kwargs})
+    assert forwards == []
+
+
+def test_pretrain_of_zero_epochs_returns_an_equal_copy():
+    p, pairs = oracle_anchor_pairs(6)
+    out = pretrain_mle(p, pairs, epochs=0, lr=0.1, batch_size=np.int64(4))
+    assert out.flat.tobytes() == p.flat.tobytes() and not np.shares_memory(out.flat, p.flat)
 
 
 def test_weighted_seq_grad_rejects_weight_count_mismatch():
@@ -731,6 +759,23 @@ def test_a_batch_row_equals_its_input_scored_alone_bitwise(embed):
         tables = transition_tables(p, flats, xs[0])
         for k, flat in enumerate(flats):
             assert np.array_equal(tables[k], transition_tables(p, flat[None], xs[0])[0])
+
+
+def test_forwards_and_gradient_rows_are_fresh_arrays_on_every_call():
+    # pretrain_mle reuses its buffers; the entries other callers keep results from do not
+    gen = np.random.default_rng(5)
+    p = random_policy(gen, 3)
+    xs = random_inputs(gen, p.cfg.vocab_size, 3, 10)
+    first, second = transition_forward(p, xs), transition_forward(p, xs)
+    logits = transition_logits(p, xs)
+    counts = gen.uniform(0.0, 2.0, (3, p.cfg.vocab_size, p.cfg.vocab_size))
+    grads = count_grads(p, first, counts), count_grads(p, first, counts)
+    kept = [logits, *grads, first.logits, first.table, *first.activations]
+    again = [second.logits, second.table, *second.activations]
+    for i, a in enumerate(kept + again):
+        assert not any(np.shares_memory(a, b) for b in (kept + again)[i + 1 :])
+    assert logits.tobytes() == first.logits.tobytes() == second.logits.tobytes()
+    assert grads[0].tobytes() == grads[1].tobytes()
 
 
 @pytest.mark.parametrize("bad", [4, 9, 2**62])

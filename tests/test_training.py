@@ -17,6 +17,7 @@ from conftest import (
     reference_example_gradient,
     reference_seq_logprob,
     reference_seq_logprob_grad,
+    ReferenceAdamW,
     rewrite_ids,
     table_reward,
     tiny_classifier,
@@ -153,6 +154,60 @@ def test_adamw_rejects_non_finite_gradient_untouched(bad):
     assert np.array_equal(params, before[0])
     assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
     assert np.array_equal(opt.vmax, before[3]) and opt.t == before[4]
+
+
+@pytest.mark.parametrize("lr,weight_decay", [(0.05, 0.0), (2e-3, 0.3), (0.0, 0.3), (0.02, 1e-4)])
+def test_adamw_steps_bitwise_as_the_straight_line_reference(lr, weight_decay):
+    gen = np.random.default_rng(int(lr * 1e4) + int(weight_decay * 1e4))
+    opt, ref = AdamW(33, AdamConfig(lr=lr, weight_decay=weight_decay)), ReferenceAdamW(33, lr, weight_decay)
+    flat = gen.normal(0.0, 1.0, 33)
+    want, initial = flat.copy(), flat.copy()
+    for step in range(60):
+        # gradients of several scales, with exact zeros and sign flips, so that vmax lags v
+        grad = gen.normal(0.0, 10.0 ** gen.uniform(-6, 2), 33) * (gen.random(33) > 0.2)
+        given = grad.copy()
+        opt.step(flat, grad)
+        ref.step(want, grad)
+        assert grad.tobytes() == given.tobytes(), f"step {step} wrote the caller's gradient"
+        assert flat.tobytes() == want.tobytes(), f"step {step}"
+        for name in ("m", "v", "vmax"):
+            assert getattr(opt, name).tobytes() == getattr(ref, name).tobytes(), f"step {step} {name}"
+    assert opt.t == ref.t == 60
+    assert np.array_equal(flat, initial) == (lr == 0.0)
+
+
+def test_adamw_over_a_gathered_copy_steps_its_entries_bitwise_as_the_reference():
+    # the augmented classifier step: AdamW over flat[idx], a fresh copy, written back
+    gen = np.random.default_rng(3)
+    params, idx = gen.normal(0.0, 1.0, 50), np.flatnonzero(gen.random(50) > 0.4)
+    frozen = np.setdiff1d(np.arange(50), idx)
+    want, before = params.copy(), params.copy()
+    opt, ref = AdamW(len(idx), AdamConfig(lr=0.01, weight_decay=0.5)), ReferenceAdamW(len(idx), 0.01, 0.5)
+    for _ in range(50):
+        grad = gen.normal(0.0, 1.0, len(idx))
+        sub = params[idx]
+        opt.step(sub, grad)
+        params[idx] = sub
+        sub = want[idx]
+        ref.step(sub, grad)
+        want[idx] = sub
+    assert params.tobytes() == want.tobytes()
+    assert params[frozen].tobytes() == before[frozen].tobytes()
+    assert not np.array_equal(params[idx], before[idx])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.01), ("lr", "0.1"),
+    ("weight_decay", float("nan")), ("weight_decay", -float("inf")), ("weight_decay", -1e-4), ("weight_decay", True),
+])
+def test_adam_config_names_a_non_finite_or_negative_rate(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number >= 0, got "):
+        AdamConfig(**{"lr": 0.1, field: value})
+
+
+def test_adamw_names_a_parameter_count_other_than_its_own():
+    with pytest.raises(ValueError, match="^4 parameters for an optimizer of 3$"):
+        AdamW(3, AdamConfig(lr=0.1)).step(np.zeros(4), np.zeros(4))
 
 
 def make_pipeline(seed=0, shots=4):
