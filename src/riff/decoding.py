@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,11 @@ class DecodeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an int, got {self.m!r}")
+        for name in ("temperature", "diversity_penalty", "repetition_penalty"):
+            if not math.isfinite(value := getattr(self, name)):  # NaN passes every range check below
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if not 0.0 < self.top_p <= 1.0:
@@ -67,16 +73,18 @@ def _nucleus_stack(tables: np.ndarray, top_p: float):
     so one pass over the whole stack gives each nucleus's cdf below its size bitwise."""
     probs = np.exp(tables)
     order = np.argsort(-probs, axis=-1, kind="stable")
-    ranked = np.take_along_axis(probs, order, axis=-1)
+    v = tables.shape[-1]
+    starts = np.arange(0, probs.size, v).reshape(*tables.shape[:-1], 1)  # each row's first flat cell
+    ranked = probs.take(starts + order)
     # cumsum never decreases and NaN sorts last, so this counts what searchsorted(left) would
-    size = np.minimum(np.count_nonzero(ranked.cumsum(axis=-1) < top_p, axis=-1), tables.shape[-1] - 1) + 1
+    size = np.minimum((ranked.cumsum(axis=-1) < top_p).sum(axis=-1), v - 1) + 1
     mass = np.empty(size.shape)
     with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite row raises once a draw visits it
         for n in sorted(set(size.ravel().tolist())):  # np.unique would import numpy.ma
             rows = size == n
             mass[rows] = ranked[rows, :n].sum(axis=1)
         cdf = (ranked / mass[..., None]).cumsum(axis=-1)
-        cdf /= np.take_along_axis(cdf, size[..., None] - 1, axis=-1)
+        cdf /= cdf.take(starts + size[..., None] - 1)
     return order, size, mass, cdf
 
 
@@ -121,42 +129,79 @@ def diverse_beam(policy: PolicyParams, x: TokenSeq, cfg: DecodeConfig) -> list[T
     return unpad(diverse_beam_batch(policy, transition_logits(policy, [x]), cfg))
 
 
-def _beam_step(rows: np.ndarray, alive: np.ndarray, base, div: float, t: int, last: bool, exact: bool):
-    """The (m, B) picks of one decode step of diverse_beam_batch from the
-    groups' (m, B, V) penalized rows, which end the step holding its
-    normalized scores. With exact=False the groups pick from raw rows and
-    the live rows are normalized once afterwards; it returns None unless
-    every normalizer is finite and every pick is its normalized row's argmax.
-    With exact=True each group normalizes before it picks, and a non-finite
-    live row raises. A group's picks are counted when the next live group
-    reads the counts: the first reads none, and the last's picks are never
-    counted."""
-    m, n, v = rows.shape
-    counts = np.zeros((n, v))
-    flat_counts = counts.reshape(-1)
-    picks = np.full((m, n), EOS)
-    live = np.flatnonzero(alive.any(axis=1)).tolist()
-    for before, g in zip([None, *live], live):
-        row = rows[g]
-        if before is not None:  # the live group before g has picked: its picks join the counts g reads
-            flat_counts[base + picks[before]] += alive[before]
-            row -= div * counts
-        if exact:
-            lse = log_normalizers(row)
-            bad = np.flatnonzero(alive[g] & ~np.isfinite(lse))
-            if bad.size:
-                raise ValueError(f"non-finite transition logits for batch input {bad[0]} at decode step {t}")
-            row -= lse[:, None]
-        if not last:
-            picks[g] = row.argmax(axis=1)
+# live rows a fast pass keeps before one log_normalizers pass scores them: 40 KB at V = 20,
+# which one 32-input step of 8 groups fills; 1024 rows raised the recipe's peak memory
+_FLUSH_ROWS = 256
+
+
+def _score(kept: np.ndarray, at, picked, k: int, checked: int, scores: np.ndarray, exact: bool) -> bool:
+    """Add the first k kept live rows' scores, row[pick] normalized, to the flat (m * B)
+    scores at positions `at`, in row order: the running sum of each beam from 0.0. A fast
+    pass keeps raw rows, and one log_normalizers pass normalizes them here; it adds nothing
+    and returns False unless every normalizer is finite and each of the first `checked`
+    picks is its normalized row's first-index argmax. An exact pass keeps normalized rows."""
+    rows = kept[:k]
     if not exact:
-        live_rows = rows[alive]
-        lse = log_normalizers(live_rows)
-        live_rows -= lse[:, None]
-        if not np.isfinite(lse).all() or not (last or (live_rows.argmax(axis=1) == picks[alive]).all()):
-            return None
-        rows[alive] = live_rows
-    return picks
+        lse = log_normalizers(rows)
+        rows -= lse[:, None]
+        if not np.isfinite(lse).all() or (rows[:checked].argmax(axis=1) != picked[:checked]).any():
+            return False
+    np.add.at(scores, at[:k], rows[np.arange(k), picked[:k]])
+    return True
+
+
+def _beam(both: np.ndarray, n: int, v: int, m: int, max_len: int, div: float, exact: bool):
+    """(tokens, scores) of diverse_beam_batch from its flat penalized cells `both`:
+    tokens[t + 1] (m, B) chosen at step t, and the (m, B) cumulative normalized scores.
+    With exact=False the groups pick from raw rows and each step's live rows are kept in
+    one buffer, which _score normalizes and checks once per _FLUSH_ROWS rows; a failed
+    check returns None. With exact=True each group normalizes before it picks, and a
+    non-finite live row raises. A group's picks are counted when the next live group
+    reads the counts: the first reads none, and the last's picks are never counted."""
+    base = np.arange(n) * v  # (b, token) is cell base[b] + token of a flat (B * V) array
+    cols = np.tile(np.arange(v), (m, n, 1))  # cols[g, b, c]: c, or V + c once c is in the prefix
+    cells = np.arange(m * n).reshape(m, n) * v  # (g, b, c) is cell cells[g, b] + c of an (m, B, V) array
+    tokens = np.full((max_len + 1, m, n), BOS)
+    alive = np.ones((m, n), dtype=bool)  # unfinished before the current step
+    scores = np.zeros(m * n)
+    kept = np.empty((max(_FLUSH_ROWS, m * n), v))  # live rows not yet scored, in step order
+    at, picked = np.empty(len(kept), dtype=np.intp), np.empty(len(kept), dtype=np.intp)
+    k = checked = 0
+    for t in range(max_len):
+        last = t == max_len - 1
+        rows = both.take(((base + tokens[t]) * (2 * v))[..., None] + cols)
+        counts = np.zeros((n, v))
+        flat_counts = counts.reshape(-1)
+        picks = np.full((m, n), EOS)
+        live = np.flatnonzero(alive.any(axis=1)).tolist()
+        for before, g in zip([None, *live], live):
+            row = rows[g]
+            if before is not None:  # the live group before g has picked: its picks join the counts g reads
+                flat_counts[base + picks[before]] += alive[before]
+                row -= div * counts
+            if exact:
+                lse = log_normalizers(row)
+                bad = np.flatnonzero(alive[g] & ~np.isfinite(lse))
+                if bad.size:
+                    raise ValueError(f"non-finite transition logits for batch input {bad[0]} at decode step {t}")
+                row -= lse[:, None]
+            if not last:
+                picks[g] = row.argmax(axis=1)
+        pos = np.flatnonzero(alive)
+        if k + pos.size > len(kept):
+            if not _score(kept, at, picked, k, k, scores, exact):
+                return None
+            k = 0
+        rows.reshape(-1, v).take(pos, axis=0, out=kept[k : k + pos.size])
+        at[k : k + pos.size], picked[k : k + pos.size] = pos, picks.reshape(-1).take(pos)
+        checked = k if last else k + pos.size  # EOS is forced on the last step, never checked
+        k += pos.size
+        tokens[t + 1] = picks
+        cols.reshape(-1)[cells + picks] = v + picks
+        alive &= picks != EOS
+        if not np.count_nonzero(alive):
+            break
+    return (tokens, scores.reshape(m, n)) if _score(kept, at, picked, k, checked, scores, exact) else None
 
 
 def diverse_beam_batch(
@@ -173,41 +218,24 @@ def diverse_beam_batch(
     Each step gathers all m groups' (B, V) rows at once, each column plain or
     penalized by whether the token is in the group's prefix. The group loop
     only subtracts the diversity penalty, takes the first-index argmax and
-    counts the picks; one pass then takes the live rows' log-normalizers.
-    That keeps each argmax unless rounding collapses a near-tie onto the
-    first index, so a step with a non-finite normalizer or a changed argmax
-    reruns with the normalizer inside the group loop, which raises on a
-    non-finite live row, naming the batch input and the step. Finished
-    groups are masked out and their rows never checked."""
+    counts the picks, and the step's live rows join one buffer. One
+    log_normalizers pass per _FLUSH_ROWS buffered rows, not one per step,
+    then gives their scores and checks them. That keeps each argmax unless
+    rounding collapses a near-tie onto the first index, so a decode with a
+    non-finite normalizer or a changed argmax reruns from the start with the
+    normalizer inside the group loop, which raises on a non-finite live row,
+    naming the batch input and the step. Finished groups are masked out and
+    their rows never checked."""
     n, v = logits.shape[0], logits.shape[-1]
-    m, max_len, div, rep = cfg.m, policy.cfg.max_len, cfg.diversity_penalty, cfg.repetition_penalty
+    m, max_len, rep = cfg.m, policy.cfg.max_len, cfg.repetition_penalty
     # cell (b * V + p) * 2V + c: the plain (c < V) or repetition-penalized (c - V) logit of
     # token c mod V after p, over temperature
     both = np.concatenate([logits, np.where(logits > 0, logits / rep, logits * rep)], axis=-1)
     both = both.reshape(-1) / cfg.temperature
-    base = np.arange(n) * v  # (b, token) is cell base[b] + token of a flat (B * V) array
-    cols = np.tile(np.arange(v), (m, n, 1))  # cols[g, b, c]: c, or V + c once c is in the prefix
-    cells = np.arange(m * n).reshape(m, n) * v  # (g, b, c) is cell cells[g, b] + c of an (m, B, V) array
-    tokens = np.full((max_len + 1, m, n), BOS)  # tokens[t + 1]: chosen at step t
-    alive = np.ones((m, n), dtype=bool)  # unfinished before the current step
-    scores = np.zeros((m, n))
     with np.errstate(invalid="ignore"):  # finished rows may read anything
-        for t in range(max_len):
-            last = t == max_len - 1
-            starts = ((base + tokens[t]) * (2 * v))[..., None]
-            rows = both.take(starts + cols)
-            picks = _beam_step(rows, alive, base, div, t, last, exact=False)
-            if picks is None:
-                rows = both.take(starts + cols)
-                picks = _beam_step(rows, alive, base, div, t, last, exact=True)
-            chosen = cells + picks
-            scores += np.where(alive, rows.reshape(-1).take(chosen), 0.0)  # the running score
-            tokens[t + 1] = picks
-            cols.reshape(-1)[chosen] = v + picks
-            alive &= picks != EOS
-            if not np.count_nonzero(alive):
-                break
-    ranked = np.take_along_axis(tokens[1:], np.argsort(-scores, axis=0, kind="stable")[None], axis=1)
+        tokens, scores = (_beam(both, n, v, m, max_len, cfg.diversity_penalty, exact=False)
+                          or _beam(both, n, v, m, max_len, cfg.diversity_penalty, exact=True))
+    ranked = tokens[1:, np.argsort(-scores, axis=0, kind="stable"), np.arange(n)]
     return _rows(ranked.transpose(2, 1, 0).reshape(n * m, max_len))
 
 
@@ -224,7 +252,8 @@ def _mix(beams: Padded, draws: Padded, tables: np.ndarray, m: int):
     cells = np.full((2 * n * m, max(beams.ids.shape[1], draws.ids.shape[1])), n * v * v)  # padded as step_cells pads
     for start, rows in zip((0, n * m), (beams, draws)):
         cells[start : start + n * m, : rows.ids.shape[1]] = step_cells(rows, n, v)
-    keys = [row.tobytes() for row in cells]  # an input's rows share cells just where they share ids
+    # one bytes key per row: an input's rows share cells just where they share ids
+    keys = cells.view(np.dtype((np.void, cells.itemsize * cells.shape[1]))).ravel().tolist()
     lps = path_logprobs(tables, cells)
     # ranked[s * n + b]: the rows of input b's source s (beam, nucleus), best first
     ranked = (np.argsort(-lps.reshape(2 * n, m), axis=1, kind="stable") + m * np.arange(2 * n)[:, None]).tolist()

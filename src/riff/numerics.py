@@ -19,7 +19,8 @@ def log_normalizers(rows: np.ndarray) -> np.ndarray:
     math.log of numpy's exp and pairwise row sum, so a row rounds as it
     would alone."""
     top = rows.max(axis=1)
-    sums = np.exp(rows - top[:, None]).sum(axis=1)
+    shifted = rows - top[:, None]
+    sums = np.exp(shifted, out=shifted).sum(axis=1)
     return top + list(map(math.log, sums.tolist()))
 
 

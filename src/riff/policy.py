@@ -276,8 +276,13 @@ def transition_logits(params: PolicyParams, xs) -> np.ndarray:
     """transition_forward(params, xs).logits, bitwise, without the log-softmax
     tables that a caller which only decodes from the logits never reads."""
     inputs = input_counts(xs, params.cfg.vocab_size)
-    work = _Workspace(params, len(inputs), backward=False)
-    return _logits(params, inputs, inputs.sum(axis=-1, keepdims=True), work)
+    return _count_logits(params, inputs, inputs.sum(axis=-1, keepdims=True))
+
+
+def _count_logits(params: PolicyParams, inputs: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """transition_logits of (B, V) input count rows and their (B, 1) lengths, which a
+    caller decoding the same inputs again counts once."""
+    return _logits(params, inputs, lengths, _Workspace(params, len(inputs), backward=False))
 
 
 def transition_tables(params: PolicyParams, flats: np.ndarray, x: TokenSeq) -> np.ndarray:

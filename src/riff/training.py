@@ -28,8 +28,10 @@ from .policy import (
     Padded,
     PolicyParams,
     TokenSeq,
+    _count_logits,
     _forward,
     check_output_rows,
+    input_counts,
     pad,
     path_logprobs,
     save_policy,
@@ -192,25 +194,36 @@ def _row_name(j: int) -> str:
     return "input" if j == 0 else f"rewrite {j}"
 
 
-def group_counts(template: TaskTemplate, vocab_size: int, examples, rewrites: Padded | None) -> np.ndarray:
+def group_counts(
+    template: TaskTemplate, vocab_size: int, examples, rewrites: Padded | None, inputs: np.ndarray | None = None
+) -> np.ndarray:
     """(example, row, V) token counts of each example's formatted input
     followed by its m formatted rewrites (input-major rows of `rewrites`;
-    none without), all the classifier reads of them, from one
-    formatted_counts call. A bad row raises a ValueError naming the example
-    and the row."""
+    none without), all the classifier reads of them. The inputs' rows are
+    counted by one formatted_counts call, or are `inputs` when the caller
+    has counted them (row 0 of a group_counts of the same examples), and
+    the rewrites' by one more. A bad row raises a ValueError naming the
+    example and the row."""
     n = len(examples)
-    inputs = pad([ex.x for ex in examples]).ids
-    zs = rewrites.ids if rewrites is not None else np.zeros((0, 1), dtype=np.intp)
-    rows = 1 + len(zs) // n
-    ids = np.zeros((n, rows, max(inputs.shape[1], zs.shape[1])), dtype=np.intp)
-    ids[:, 0, : inputs.shape[1]] = inputs
-    ids[:, 1:, : zs.shape[1]] = zs.reshape(n, rows - 1, zs.shape[1])
+    if inputs is None:
+        inputs = _counted(template, vocab_size, pad([ex.x for ex in examples]).ids, examples, 0)
+    m = 0 if rewrites is None else len(rewrites.ids) // n
+    counts = np.empty((n, 1 + m, vocab_size))
+    counts[:, 0] = inputs
+    if m:
+        counts[:, 1:] = _counted(template, vocab_size, rewrites.ids, examples, 1).reshape(n, m, vocab_size)
+    return counts
+
+
+def _counted(template: TaskTemplate, vocab_size: int, ids: np.ndarray, examples, first: int) -> np.ndarray:
+    """formatted_counts of input-major id rows, the same number per example: rows
+    first, first + 1, ... of each example's group. A bad row raises a ValueError
+    naming the example and the row."""
     try:
-        counts = formatted_counts(template, ids.reshape(n * rows, -1), vocab_size)
+        return formatted_counts(template, ids, vocab_size)
     except RowError as exc:
-        k, j = divmod(exc.row, rows)
-        raise ValueError(f"{_row_name(j)} of example {examples[k].uid}: {exc.reason}") from exc
-    return counts.reshape(n, rows, vocab_size)
+        k, j = divmod(exc.row, len(ids) // len(examples))
+        raise ValueError(f"{_row_name(first + j)} of example {examples[k].uid}: {exc.reason}") from exc
 
 
 def ensemble_accuracies(
@@ -371,8 +384,9 @@ def finetune_paraphraser(
     checkpoint_interval steps with exclusion-mode ensemble validation
     accuracy; a step-0 baseline row is logged but not checkpointed. What is
     fixed for the run is built before step 1: the training inputs' count
-    rows with the snapshot's tables, and the frozen classifier's label path,
-    which every reward call and validation pass reads.
+    rows with the snapshot's tables, the validation inputs' count rows for
+    the rewriter and for the classifier, and the frozen classifier's label
+    path, which every reward call and validation pass reads.
     """
     cfg.validate()
     if cfg.m < 1:
@@ -384,10 +398,15 @@ def finetune_paraphraser(
     rng = np.random.default_rng(derive_seed(cfg.seed, 0xBA7C4))
     log = _RunLog(run_dir, "policy", save_policy, METRIC_EXCL)
     path = clf.LabelPath(classifier, verbalizer)
+    # the validation inputs' count rows, the rewriter's and the classifier's, are built once
+    xs = [ex.x for ex in split.validation]
+    inputs = input_counts(xs, policy.cfg.vocab_size)
+    lengths, beam = inputs.sum(axis=-1, keepdims=True), decode_config(cfg, cfg.seed)
+    own = _counted(task.template, classifier.cfg.vocab_size, pad(xs).ids, split.validation, 0)
 
     def validation_accuracy() -> float:
-        rewrites = decode_rewrites(policy, split.validation, cfg.m, cfg)
-        counts = group_counts(task.template, classifier.cfg.vocab_size, split.validation, rewrites)
+        rewrites = diverse_beam_batch(policy, _count_logits(policy, inputs, lengths), beam)
+        counts = group_counts(task.template, classifier.cfg.vocab_size, split.validation, rewrites, own)
         if path.mode is not classifier.mode:  # the pooled head scores (CLS_HEAD), which keeps nothing across calls
             return ensemble_accuracies(classifier, verbalizer, split.validation, counts)[1]
         return _ensemble_accuracies(path.logprobs, split.validation, counts)[1]

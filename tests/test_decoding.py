@@ -21,7 +21,9 @@ from conftest import (
     step_logits,
     tiny_policy,
 )
+from riff import decoding
 from riff.decoding import (
+    _FLUSH_ROWS,
     DecodeConfig,
     _nuclei,
     _nucleus_stack,
@@ -77,6 +79,21 @@ def test_config_validation():
         DecodeConfig(repetition_penalty=0.5)
     with pytest.raises(ValueError):
         DecodeConfig(diversity_penalty=-1.0)
+
+
+@pytest.mark.parametrize("field", ["temperature", "diversity_penalty", "repetition_penalty"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_names_a_non_finite_knob_before_any_decode(field, value):
+    # NaN passes every range check, and inf penalties would surface as non-finite logits
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        DecodeConfig(**{field: value})
+
+
+@pytest.mark.parametrize("m", [2.5, 8.0, True, "8"])
+def test_config_names_an_m_that_is_not_an_int(m):
+    with pytest.raises(ValueError, match=f"^m must be an int, got {m!r}$".replace(".", r"\.")):
+        DecodeConfig(m=m)
+    assert DecodeConfig(m=np.int64(3)).m == 3
 
 
 def test_top_p_full_nucleus_matches_categorical():
@@ -225,6 +242,69 @@ def test_diverse_beam_batch_reruns_a_step_whose_normalization_collapses_a_near_t
     got = rewrite_ids(diverse_beam_batch(p, logits, cfg), 1)[0]
     assert got == [z.ids for z in reference_diverse_beam(p, X, cfg, logits[0])]
     assert got[0][0] == 4
+
+
+def recorded_flushes(monkeypatch) -> list[tuple[bool, bool]]:
+    """(exact, passed) of each decoding._score call from now on."""
+    score, flushes = decoding._score, []
+
+    def recorded(kept, at, picked, k, checked, scores, exact):
+        flushes.append((exact, score(kept, at, picked, k, checked, scores, exact)))
+        return flushes[-1][1]
+
+    monkeypatch.setattr(decoding, "_score", recorded)
+    return flushes
+
+
+@pytest.mark.parametrize("per_step, max_len", [(_FLUSH_ROWS // 2, 24), (_FLUSH_ROWS + 64, 8)])
+def test_diverse_beam_batch_equals_reference_across_several_flushes(monkeypatch, per_step, max_len):
+    # the fast pass scores its kept live rows once per _FLUSH_ROWS of them: several steps
+    # per flush, or one step of more rows than that per flush
+    p = PolicyParams(PolicyConfig(vocab_size=20, embed_dim=2, hidden_dim=2, max_len=max_len))
+    cfg = DecodeConfig(m=8)
+    n = per_step // cfg.m
+    gen = np.random.default_rng(per_step)
+    logits = gen.normal(0.0, 2.0, size=(n, 20, 20))
+    logits[..., EOS] = gen.normal(-4.0, 3.0, size=(n, 20))  # most beams run long, some finish early
+    flushes = recorded_flushes(monkeypatch)
+    got = diverse_beam_batch(p, logits, cfg)
+    assert got.valid.sum() > 3 * _FLUSH_ROWS  # each live row of each step is kept once
+    assert got.valid.sum(axis=1).min() < max_len  # some beams finish before a flush
+    assert len(flushes) > 3 and set(flushes) == {(False, True)}  # no rerun, forced EOS unchecked
+    want = [[z.ids for z in reference_diverse_beam(p, X, cfg, logits[b])] for b in range(n)]
+    assert rewrite_ids(got, cfg.m) == want
+
+
+def test_diverse_beam_batch_reruns_from_scratch_when_a_later_flush_collapses_a_near_tie(monkeypatch):
+    # n inputs of 4 groups keep _FLUSH_ROWS / 4 live rows a step, so the first flush scores
+    # steps 0-3. Every group of input 0 follows the chain BOS -> 4 -> 5 -> ..., the one way
+    # to reach row 10, read at step 7. That row holds a near-tie whose normalization
+    # collapses onto its first token: the second flush fails, and the exact rerun must
+    # start from fresh tokens and scores, keeping nothing of the fast pass
+    v = 16
+    p = PolicyParams(PolicyConfig(vocab_size=v, embed_dim=2, hidden_dim=2, max_len=v))
+    cfg = DecodeConfig(m=4, temperature=1.0, repetition_penalty=1.0)
+    n = _FLUSH_ROWS // (4 * cfg.m)
+    gen = np.random.default_rng(5)
+    logits = gen.normal(0.0, 2.0, size=(n, v, v))
+    logits[..., EOS] = -40.0  # every beam of inputs 1.. lives to the forced EOS
+    chain = np.full((v, v), -40.0)
+    chain[BOS, 4] = 6.0
+    chain[np.arange(4, v - 1), np.arange(5, v)] = 6.0
+    chain[10, 4:] = gen.uniform(-3.0, 0.0, size=v - 4)
+    for _ in range(100):
+        x = gen.uniform(0.0, 1.0)
+        chain[10, 11], chain[10, 14] = x, np.nextafter(x, np.inf)
+        if np.argmax(chain[10] - logsumexp(chain[10])) == 11:
+            break
+    assert np.argmax(chain[10]) == 14 and np.argmax(chain[10] - logsumexp(chain[10])) == 11
+    logits[0] = chain
+    flushes = recorded_flushes(monkeypatch)
+    got = rewrite_ids(diverse_beam_batch(p, logits, cfg), cfg.m)
+    assert flushes[:2] == [(False, True), (False, False)]
+    assert all(exact and ok for exact, ok in flushes[2:]) and len(flushes) > 3
+    assert got == [[z.ids for z in reference_diverse_beam(p, X, cfg, logits[b])] for b in range(n)]
+    assert (*range(4, 12), 12) in [z[:9] for z in got[0]]  # group 0 took the collapsed tie's first token
 
 
 @given(
